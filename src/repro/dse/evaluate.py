@@ -21,7 +21,7 @@ from ..errors import (
 )
 from ..fleet import interned_workload
 from ..frontend import compile_c
-from ..harness.runner import cgpa_area
+from ..harness.runner import cgpa_area, run_check
 from ..hw import AcceleratorSystem, DirectMappedCache
 from ..cost import power_report
 from ..kernels import KernelSpec
@@ -231,11 +231,7 @@ class Evaluator:
         power = power_report(
             sim, area, list(compiled.module.functions.values())
         )
-        from ..interp import Interpreter
-
-        checksum = Interpreter(
-            compiled.module, memory, global_addresses=globals_
-        ).call(spec.check_function, [])
+        checksum = run_check(compiled.module, memory, globals_, spec)
         stall: dict[str, int] = {}
         for breakdown in sim.stall_breakdown.values():
             for category, count in breakdown.items():

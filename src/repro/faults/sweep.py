@@ -41,6 +41,7 @@ from ..errors import (
 )
 from ..fleet import FleetExecutor, interned_workload
 from ..frontend import compile_c
+from ..harness.runner import run_check
 from ..hw import AcceleratorSystem, DirectMappedCache
 from ..interp import Interpreter
 from ..kernels import KernelSpec
@@ -273,10 +274,7 @@ class _SweepHarness:
         return system, memory, globals_, args
 
     def checksum(self, memory, globals_) -> float:
-        interp = Interpreter(
-            self.compiled.module, memory, global_addresses=globals_
-        )
-        return float(interp.call(self.spec.check_function, []))
+        return float(run_check(self.compiled.module, memory, globals_, self.spec))
 
     def liveouts_match(self, sim, memory, globals_) -> bool:
         if self.checksum(memory, globals_) != self.oracle:

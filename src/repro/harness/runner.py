@@ -140,7 +140,12 @@ def setup_workload(module, spec: KernelSpec):
 _setup_workload = setup_workload
 
 
-def _checksum(module, memory, global_addresses, spec: KernelSpec) -> float:
+def run_check(module, memory, global_addresses, spec: KernelSpec) -> float:
+    """Interpret the kernel's ``check`` function over a post-run image.
+
+    Public API: the one checksum path shared with the DSE evaluator and
+    the fault sweeps.
+    """
     interp = Interpreter(module, memory, global_addresses=global_addresses)
     return interp.call(spec.check_function, [])
 
@@ -162,8 +167,10 @@ def run_backend(
     accelerator — only meaningful for the hardware backends (``legup``,
     ``cgpa-*``); the MIPS cost model has no cycle-level FSM to trace.
 
-    ``engine`` selects the simulator clock loop (``"event"`` skip-ahead
-    or the ``"lockstep"`` oracle); both report identical cycle counts.
+    ``engine`` selects the simulator (:data:`repro.hw.ENGINES`):
+    ``"event"`` (skip-ahead clock, the default), the ``"lockstep"``
+    oracle, or ``"specialized"`` (event clock over worker FSMs compiled
+    to closures); all three report identical cycle counts.
 
     ``max_cycles`` caps the simulated clock; a run that exceeds it raises
     :class:`~repro.errors.CycleBudgetExceeded` (hardware backends only —
@@ -179,7 +186,7 @@ def run_backend(
             cache=DirectMappedCache(**cache_kwargs),
             global_addresses=globals_,
         )
-        checksum = _checksum(module, memory, globals_, spec)
+        checksum = run_check(module, memory, globals_, spec)
         return BackendResult(
             backend="mips",
             cycles=mips.cycles,
@@ -208,7 +215,7 @@ def run_backend(
         area = single_module_area(module.get_function(spec.measure_entry))
         functions = list(module.functions.values())
         power = power_report(sim, area, functions)
-        checksum = _checksum(module, memory, globals_, spec)
+        checksum = run_check(module, memory, globals_, spec)
         return BackendResult(
             backend="legup",
             cycles=sim.cycles,
@@ -255,7 +262,7 @@ def run_backend(
         area = cgpa_area(compiled)
         functions = list(compiled.module.functions.values())
         power = power_report(sim, area, functions)
-        checksum = _checksum(compiled.module, memory, globals_, spec)
+        checksum = run_check(compiled.module, memory, globals_, spec)
         return BackendResult(
             backend=backend,
             cycles=sim.cycles,

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 from ..errors import InterpError, SimulationError
 from ..interp.interpreter import MALLOC_NAMES
 from ..interp.memory import round_f32, to_unsigned, wrap_int
-from ..interp.ops import eval_cast, eval_gep
+from ..interp.ops import UNSIGNED_BINOPS, bind_gep, eval_cast
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -68,7 +68,7 @@ from ..ir.instructions import (
     Store,
     StoreLiveout,
 )
-from ..ir.types import ArrayType, FloatType, StructType
+from ..ir.types import FloatType
 from ..ir.values import Constant, GlobalVariable
 from ..rtl.schedule import FunctionSchedule, schedule_function
 from ..telemetry.events import CycleCategory
@@ -87,10 +87,6 @@ _WAIT_JOIN = "wait_join"
 _CALL = "call"
 _RET = "ret"
 _BRANCH = "branch"
-
-#: Opcodes whose int-binop operands are reinterpreted as unsigned
-#: (mirrors :func:`repro.interp.ops.eval_binop` exactly).
-_UNSIGNED_BINOPS = ("udiv", "urem", "lshr", "ult")
 
 #: Instruction classes whose steps touch only the frame's registers.
 _PURE_OPS = (BinaryOp, ICmp, FCmp, GEP, Cast, Select, Phi)
@@ -420,7 +416,7 @@ class SpecializedProgram:
             return step
         bits = inst.type.bits  # type: ignore[union-attr]
         fn = INT_BINOP_FUNCS[opcode]
-        if opcode in _UNSIGNED_BINOPS:
+        if opcode in UNSIGNED_BINOPS:
 
             def step(worker, frame, cycle):
                 worker.stats.ops_executed[opcode] += 1
@@ -483,85 +479,49 @@ class SpecializedProgram:
         dst = self._slots[id(inst)]
         opcode = inst.opcode
         ibase, cbase = self._bind(inst.base)
-        binds = [self._bind(i) for i in inst.indices]
-        # Reduce the address computation to ``base + const + Σ coef·idx``
-        # by walking the pointee type at specialize time (struct field
-        # offsets need constant indices — the frontend only emits those).
-        pointee = inst.base.type.pointee  # type: ignore[union-attr]
-        terms: list[tuple[int, tuple[int, object]]] = [(pointee.size(), binds[0])]
-        const_off = 0
-        current = pointee
-        static = True
-        for bind, _idx in zip(binds[1:], inst.indices[1:]):
-            if isinstance(current, StructType):
-                slot, const = bind
-                if slot >= 0:
-                    static = False
-                    break
-                field = int(const)  # type: ignore[arg-type]
-                const_off += current.field_offset(field)
-                current = current.field_type(field)
-            elif isinstance(current, ArrayType):
-                terms.append((current.element.size(), bind))
-                current = current.element
-            else:
-                static = False
-                break
-        if static:
-            live: list[tuple[int, int]] = []
-            for coef, (slot, const) in terms:
-                if slot < 0:
-                    const_off += coef * int(const)  # type: ignore[arg-type]
-                else:
-                    live.append((coef, slot))
-            if len(live) == 1:
-                coef0, s0 = live[0]
-
-                def step(worker, frame, cycle):
-                    worker.stats.ops_executed[opcode] += 1
-                    regs = frame.regs
-                    base = regs[ibase] if ibase >= 0 else cbase
-                    regs[dst] = (
-                        int(base) + coef0 * int(regs[s0]) + const_off
-                    ) & 0xFFFFFFFF
-                    return _OK
-
-                return step
-            if len(live) == 2:
-                coef0, s0 = live[0]
-                coef1, s1 = live[1]
-
-                def step(worker, frame, cycle):
-                    worker.stats.ops_executed[opcode] += 1
-                    regs = frame.regs
-                    base = regs[ibase] if ibase >= 0 else cbase
-                    regs[dst] = (
-                        int(base)
-                        + coef0 * int(regs[s0])
-                        + coef1 * int(regs[s1])
-                        + const_off
-                    ) & 0xFFFFFFFF
-                    return _OK
-
-                return step
+        # ``base + const + Σ coef·idx``: the pointee-type walk happens
+        # once, in the shared op table.
+        const_off, terms = bind_gep(inst)
+        indices = inst.indices
+        live = [(coef, self._bind(indices[pos])[0]) for coef, pos in terms]
+        if len(live) == 1:
+            coef0, s0 = live[0]
 
             def step(worker, frame, cycle):
                 worker.stats.ops_executed[opcode] += 1
                 regs = frame.regs
-                addr = int(regs[ibase] if ibase >= 0 else cbase) + const_off
-                for coef, slot in live:
-                    addr += coef * int(regs[slot])
-                regs[dst] = addr & 0xFFFFFFFF
+                base = regs[ibase] if ibase >= 0 else cbase
+                regs[dst] = (
+                    int(base) + coef0 * int(regs[s0]) + const_off
+                ) & 0xFFFFFFFF
+                return _OK
+
+            return step
+        if len(live) == 2:
+            coef0, s0 = live[0]
+            coef1, s1 = live[1]
+
+            def step(worker, frame, cycle):
+                worker.stats.ops_executed[opcode] += 1
+                regs = frame.regs
+                base = regs[ibase] if ibase >= 0 else cbase
+                regs[dst] = (
+                    int(base)
+                    + coef0 * int(regs[s0])
+                    + coef1 * int(regs[s1])
+                    + const_off
+                ) & 0xFFFFFFFF
                 return _OK
 
             return step
 
-        def step(worker, frame, cycle, inst=inst):
+        def step(worker, frame, cycle):
             worker.stats.ops_executed[opcode] += 1
             regs = frame.regs
-            base = regs[ibase] if ibase >= 0 else cbase
-            idx = [regs[s] if s >= 0 else c for s, c in binds]
-            regs[dst] = eval_gep(inst, base, idx)
+            addr = int(regs[ibase] if ibase >= 0 else cbase) + const_off
+            for coef, slot in live:
+                addr += coef * int(regs[slot])
+            regs[dst] = addr & 0xFFFFFFFF
             return _OK
 
         return step

@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from functools import partial
 from typing import Callable
 
 from ..errors import InterpError
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
-    FCMP_FUNCS,
-    FLOAT_BINOP_FUNCS,
-    ICMP_FUNCS,
-    INT_BINOP_FUNCS,
     GEP,
     Alloca,
     BinaryOp,
@@ -53,8 +50,9 @@ from ..ir.types import (
     PointerType,
     StructType,
 )
-from ..ir.values import Argument, Constant, GlobalVariable, Value
-from .memory import Memory, round_f32, to_unsigned, wrap_int
+from ..ir.values import Constant, GlobalVariable, Value
+from .memory import Memory
+from .ops import bind_binop, bind_gep, bind_icmp, eval_cast, eval_fcmp
 
 #: Names treated as heap-allocation builtins when declared without a body.
 MALLOC_NAMES = {"malloc"}
@@ -66,10 +64,6 @@ class Status(enum.Enum):
     RUNNING = "running"
     BLOCKED = "blocked"  # waiting on an empty FIFO channel
     DONE = "done"
-
-
-class Blocked(Exception):
-    """Internal signal: the current instruction cannot make progress."""
 
 
 class ChannelIO:
@@ -180,17 +174,34 @@ class RecordingChannelIO(ChannelIO):
         return ok, value
 
 
-class _Frame:
-    """One activation record."""
+class _Env(dict):
+    """SSA environment of one activation, keyed by the defining value.
 
-    __slots__ = ("function", "block", "index", "prev_block", "env", "call_inst")
+    A miss is a use before definition; ``__missing__`` keeps that check
+    off the hit path.
+    """
 
-    def __init__(self, function: Function, call_inst: Instruction | None) -> None:
+    __slots__ = ("function",)
+
+    def __init__(self, function: Function) -> None:
         self.function = function
-        self.block: BasicBlock = function.entry
+
+    def __missing__(self, value: Value):
+        raise InterpError(
+            f"use of undefined value {value.short_name()} in "
+            f"@{self.function.name}"
+        )
+
+
+class _Frame:
+    """One activation record: a cursor into a decoded block."""
+
+    __slots__ = ("ops", "insts", "index", "env", "call_inst")
+
+    def __init__(self, function: Function, code, call_inst: Instruction | None) -> None:
+        self.ops, self.insts = code
         self.index = 0
-        self.prev_block: BasicBlock | None = None
-        self.env: dict[int, int | float] = {}
+        self.env = _Env(function)
         self.call_inst = call_inst  # instruction in the caller awaiting our result
 
 
@@ -220,26 +231,39 @@ class Interpreter:
         self.fork_handler = fork_handler
         self._stack: list[_Frame] = []
         self._return_value: int | float | None = None
-        self._alloc_sites = _number_malloc_sites(module)
         if global_addresses is not None:
             self.global_addresses = dict(global_addresses)
         else:
             self.global_addresses = _place_globals(module, self.memory)
+        self._code = _Decoder(module, self.global_addresses, type(self.memory))
 
     # -- public driving --------------------------------------------------------
 
     def call(self, function: Function | str, args: list[int | float]):
         """Run ``function`` to completion and return its return value."""
         self.start(function, args)
-        while True:
-            status = self.step()
-            if status is Status.DONE:
-                return self._return_value
-            if status is Status.BLOCKED:
-                raise InterpError(
-                    "interpreter blocked on an empty channel outside a "
-                    "cooperative scheduler"
-                )
+        stack = self._stack
+        if self.on_execute is not None:
+            while self.step() is Status.RUNNING:
+                pass
+        else:  # no per-instruction hook: step() with its locals hoisted
+            steps, limit = self.steps, self.max_steps
+            try:
+                while stack:
+                    steps += 1
+                    if steps > limit:
+                        raise InterpError(f"exceeded max_steps={limit}")
+                    frame = stack[-1]
+                    if frame.ops[frame.index](self, frame):
+                        break
+            finally:
+                self.steps = steps
+        if stack:
+            raise InterpError(
+                "interpreter blocked on an empty channel outside a "
+                "cooperative scheduler"
+            )
+        return self._return_value
 
     def start(self, function: Function | str, args: list[int | float]) -> None:
         """Prepare a top-level call without running it (for step drivers)."""
@@ -247,14 +271,13 @@ class Interpreter:
             function = self.module.get_function(function)
         if self._stack:
             raise InterpError("interpreter is already running a call")
-        frame = _Frame(function, None)
         if len(args) != len(function.args):
             raise InterpError(
                 f"@{function.name}: expected {len(function.args)} args, "
                 f"got {len(args)}"
             )
-        for formal, actual in zip(function.args, args):
-            frame.env[id(formal)] = actual
+        frame = _Frame(function, self._code[function.entry], None)
+        frame.env.update(zip(function.args, args))
         self._stack.append(frame)
         self._return_value = None
 
@@ -274,270 +297,355 @@ class Interpreter:
         if self.steps > self.max_steps:
             raise InterpError(f"exceeded max_steps={self.max_steps}")
         frame = self._stack[-1]
-        inst = frame.block.instructions[frame.index]
-        try:
-            self._execute(frame, inst)
-        except Blocked:
+        inst = frame.insts[frame.index]
+        if frame.ops[frame.index](self, frame):
             return Status.BLOCKED
         if self.on_execute is not None:
             self.on_execute(inst)
         return Status.DONE if not self._stack else Status.RUNNING
-
-    # -- evaluation -------------------------------------------------------------
-
-    def _value(self, frame: _Frame, v: Value):
-        if isinstance(v, Constant):
-            return v.value
-        if isinstance(v, GlobalVariable):
-            return self.global_addresses[v.name]
-        try:
-            return frame.env[id(v)]
-        except KeyError:
-            raise InterpError(
-                f"use of undefined value {v.short_name()} in "
-                f"@{frame.function.name}"
-            ) from None
-
-    def _set(self, frame: _Frame, inst: Instruction, value) -> None:
-        frame.env[id(inst)] = value
-        frame.index += 1
-
-    def _advance(self, frame: _Frame) -> None:
-        frame.index += 1
-
-    def _goto(self, frame: _Frame, target: BasicBlock) -> None:
-        if self.on_edge is not None:
-            self.on_edge(frame.block, target)
-        frame.prev_block = frame.block
-        frame.block = target
-        frame.index = 0
-        # Evaluate all phis of the target atomically with respect to each
-        # other (they conceptually execute in parallel on the edge).
-        phis = target.phis()
-        if phis:
-            values = [
-                self._value(frame, phi.incoming_for(frame.prev_block)) for phi in phis
-            ]
-            for phi, value in zip(phis, values):
-                frame.env[id(phi)] = value
-                if self.on_execute is not None:
-                    self.on_execute(phi)
-            frame.index = len(phis)
-
-    # -- instruction dispatch ------------------------------------------------------
-
-    def _execute(self, frame: _Frame, inst: Instruction) -> None:
-        if isinstance(inst, BinaryOp):
-            self._set(frame, inst, self._binop(frame, inst))
-        elif isinstance(inst, ICmp):
-            self._set(frame, inst, self._icmp(frame, inst))
-        elif isinstance(inst, FCmp):
-            a = self._value(frame, inst.lhs)
-            b = self._value(frame, inst.rhs)
-            self._set(frame, inst, int(FCMP_FUNCS[inst.pred](a, b)))
-        elif isinstance(inst, Alloca):
-            addr = self.memory.alloc_object(inst.allocated_type, site=-2)
-            self._set(frame, inst, addr)
-        elif isinstance(inst, Load):
-            addr = self._value(frame, inst.pointer)
-            self._set(frame, inst, self.memory.load(addr, inst.type))
-        elif isinstance(inst, Store):
-            addr = self._value(frame, inst.pointer)
-            self.memory.store(addr, inst.value.type, self._value(frame, inst.value))
-            self._advance(frame)
-        elif isinstance(inst, GEP):
-            self._set(frame, inst, self._gep(frame, inst))
-        elif isinstance(inst, Jump):
-            self._goto(frame, inst.target)
-        elif isinstance(inst, CondBranch):
-            cond = self._value(frame, inst.cond)
-            self._goto(frame, inst.if_true if cond else inst.if_false)
-        elif isinstance(inst, Phi):
-            # Reached only when stepping resumes mid-block; phis are
-            # evaluated by _goto, so the value must already exist.
-            if id(inst) not in frame.env:
-                raise InterpError("phi encountered outside a block entry")
-            frame.index += 1
-        elif isinstance(inst, Call):
-            self._call(frame, inst)
-        elif isinstance(inst, Ret):
-            value = None if inst.value is None else self._value(frame, inst.value)
-            self._stack.pop()
-            if self._stack:
-                caller = self._stack[-1]
-                if value is not None:
-                    caller.env[id(frame.call_inst)] = value
-                caller.index += 1
-            else:
-                self._return_value = value
-        elif isinstance(inst, Cast):
-            self._set(frame, inst, self._cast(frame, inst))
-        elif isinstance(inst, Select):
-            cond, tv, fv = (self._value(frame, op) for op in inst.operands)
-            self._set(frame, inst, tv if cond else fv)
-        elif isinstance(inst, Produce):
-            self._require_io().produce(
-                inst.channel,
-                int(self._value(frame, inst.worker_select)) % inst.channel.n_channels,
-                self._value(frame, inst.value),
-            )
-            self._advance(frame)
-        elif isinstance(inst, ProduceBroadcast):
-            self._require_io().produce_broadcast(
-                inst.channel, self._value(frame, inst.value)
-            )
-            self._advance(frame)
-        elif isinstance(inst, Consume):
-            if inst.worker_select is not None:
-                index = int(self._value(frame, inst.worker_select)) % inst.channel.n_channels
-            else:
-                index = self.worker_id
-            ok, value = self._require_io().try_consume(inst.channel, index)
-            if not ok:
-                raise Blocked()
-            self._set(frame, inst, value)
-        elif isinstance(inst, StoreLiveout):
-            self._require_io().liveouts[inst.liveout_id] = self._value(
-                frame, inst.value
-            )
-            self._advance(frame)
-        elif isinstance(inst, RetrieveLiveout):
-            liveouts = self._require_io().liveouts
-            if inst.liveout_id not in liveouts:
-                raise InterpError(f"liveout #{inst.liveout_id} never stored")
-            self._set(frame, inst, liveouts[inst.liveout_id])
-        elif isinstance(inst, ParallelFork):
-            if self.fork_handler is None:
-                raise InterpError(
-                    "parallel_fork executed without a fork handler installed"
-                )
-            livein_values = [self._value(frame, v) for v in inst.liveins]
-            self.fork_handler.fork(inst, livein_values)
-            self._advance(frame)
-        elif isinstance(inst, ParallelJoin):
-            if self.fork_handler is None:
-                raise InterpError(
-                    "parallel_join executed without a fork handler installed"
-                )
-            self.fork_handler.join(inst.loop_id)
-            self._advance(frame)
-        else:
-            raise InterpError(f"cannot interpret opcode {inst.opcode}")
 
     def _require_io(self) -> ChannelIO:
         if self.channel_io is None:
             raise InterpError("CGPA primitive executed without a ChannelIO")
         return self.channel_io
 
-    def _binop(self, frame: _Frame, inst: BinaryOp):
-        a = self._value(frame, inst.lhs)
-        b = self._value(frame, inst.rhs)
-        op = inst.opcode
-        if op in FLOAT_BINOP_FUNCS:
-            try:
-                result = FLOAT_BINOP_FUNCS[op](a, b)
-            except ZeroDivisionError:
-                raise InterpError("float division by zero") from None
-            if isinstance(inst.type, FloatType) and inst.type.bits == 32:
-                result = round_f32(result)
-            return result
-        bits = inst.type.bits  # type: ignore[union-attr]
-        if op in ("udiv", "urem", "lshr", "ult"):
-            a = to_unsigned(a, bits)
-            b = to_unsigned(b, bits)
-        try:
-            raw = INT_BINOP_FUNCS[op](int(a), int(b))
-        except ZeroDivisionError:
-            raise InterpError("integer division by zero") from None
-        return wrap_int(raw, bits)
 
-    def _icmp(self, frame: _Frame, inst: ICmp) -> int:
-        a = self._value(frame, inst.lhs)
-        b = self._value(frame, inst.rhs)
-        if inst.pred.startswith("u") or inst.lhs.type.is_pointer:
-            bits = 32 if inst.lhs.type.is_pointer else inst.lhs.type.bits
-            a = to_unsigned(int(a), bits)
-            b = to_unsigned(int(b), bits)
-        return int(ICMP_FUNCS[inst.pred](a, b))
+class _Decoder(dict):
+    """``block -> (ops, insts)``, decoded on first entry to the block.
 
-    def _gep(self, frame: _Frame, inst: GEP) -> int:
-        addr = int(self._value(frame, inst.base))
-        pointee = inst.base.type.pointee  # type: ignore[union-attr]
-        indices = inst.indices
-        addr += pointee.size() * int(self._value(frame, indices[0]))
-        current = pointee
-        for idx in indices[1:]:
-            if isinstance(current, StructType):
-                field = int(idx.value)  # verified constant at construction
-                addr += current.field_offset(field)
-                current = current.field_type(field)
-            elif isinstance(current, ArrayType):
-                addr += current.element.size() * int(self._value(frame, idx))
-                current = current.element
-            else:
-                raise InterpError(f"gep through non-aggregate {current!r}")
-        return addr & 0xFFFFFFFF
+    Each instruction becomes a closure ``op(interp, frame)`` with its
+    operands pre-bound; it returns a true value only when it cannot make
+    progress (a :class:`Consume` on an empty queue), leaving the frame
+    untouched.  The cache is per interpreter, not per function: transforms
+    rewrite IR between interpretations.  The decoder deliberately never
+    sees the interpreter or its memory, so no closure can capture them:
+    such a reference would be a cycle, and the memory image would wait
+    for the cyclic GC instead of dying with its last user.
+    """
 
-    def _cast(self, frame: _Frame, inst: Cast):
-        value = self._value(frame, inst.value)
-        op = inst.opcode
-        if op == "trunc":
-            return wrap_int(int(value), inst.type.bits)  # type: ignore[union-attr]
-        if op == "zext":
-            return to_unsigned(int(value), inst.value.type.bits)  # type: ignore[union-attr]
-        if op == "sext":
-            return int(value)
-        if op == "fptosi":
-            return wrap_int(int(value), inst.type.bits)  # type: ignore[union-attr]
-        if op == "sitofp":
-            result = float(value)
-            if isinstance(inst.type, FloatType) and inst.type.bits == 32:
-                result = round_f32(result)
-            return result
-        if op == "fpext":
-            return float(value)
-        if op == "fptrunc":
-            return round_f32(float(value))
-        if op in ("bitcast", "ptrtoint", "inttoptr"):
-            if inst.type.is_pointer or op == "ptrtoint":
-                return int(value) & 0xFFFFFFFF
-            return value
-        raise InterpError(f"cannot interpret cast {op}")
+    def __init__(self, module: Module, global_addresses: dict[str, int], memory_type) -> None:
+        self.module = module
+        self.global_addresses = global_addresses
+        self.memory_type = memory_type
+        self._alloc_sites: dict[int, int] | None = None
 
-    def _call(self, frame: _Frame, inst: Call) -> None:
-        callee = inst.callee
-        if callee.is_declaration:
-            if callee.name in MALLOC_NAMES:
-                size = int(self._value(frame, inst.args[0]))
-                site = self._alloc_sites.get(id(inst), -1)
-                self._set(frame, inst, self.memory.malloc(size, site))
-                return
-            raise InterpError(f"call to undefined function @{callee.name}")
-        new_frame = _Frame(callee, inst)
-        for formal, actual_value in zip(callee.args, inst.args):
-            new_frame.env[id(formal)] = self._value(frame, actual_value)
-        self._stack.append(new_frame)
+    def __missing__(self, block: BasicBlock):
+        insts = tuple(block.instructions)
+        ops = [_DECODERS.get(type(inst), _unknown)(self, inst, block) for inst in insts]
+        code = self[block] = (ops, insts)
+        return code
+
+    def bind(self, value: Value):
+        """``(key, const)``: the env key of a runtime value, else its constant."""
+        if isinstance(value, Constant):
+            return None, value.value
+        if isinstance(value, GlobalVariable):
+            return None, self.global_addresses[value.name]
+        return value, None
+
+    def alloc_site(self, inst: Call) -> int:
+        if self._alloc_sites is None:
+            self._alloc_sites = _number_malloc_sites(self.module)
+        return self._alloc_sites.get(id(inst), -1)
+
+    def edge(self, src: BasicBlock, target: BasicBlock):
+        """The op taking the CFG edge ``src -> target``.
+
+        The target's phis are resolved against ``src`` here, so taking
+        the edge is one parallel copy: every incoming value is read
+        before any phi is written (in order is the same thing unless one
+        phi feeds another, when the sources are latched first).
+        """
+        phis = target.phis()
+        n_phis = len(phis)
+        moves = [(phi, *self.bind(phi.incoming_for(src))) for phi in phis]
+        keys = [k for _, k, _ in moves if k is not None]
+        swaps = any(k in phis for k in keys)  # a phi feeds another phi
+
+        def edge(interp, frame):
+            if interp.on_edge is not None:
+                interp.on_edge(src, target)
+            frame.ops, frame.insts = interp._code[target]
+            frame.index = n_phis
+            env = read = frame.env
+            if swaps:
+                read = {k: env[k] for k in keys}
+            hook = interp.on_execute
+            for phi, k, c in moves:
+                env[phi] = read[k] if k is not None else c
+                if hook is not None:
+                    hook(phi)
+
+        return edge
+
+
+def _simple(make, effect: bool):
+    """Decoder of ``inst = f(*operand values)``, then fall through.
+
+    ``make(inst)`` returns a pure ``f``; with ``effect``, ``make(code, inst)``
+    returns an ``f`` that also receives the interpreter, ahead of the
+    values.  A void instruction defines nothing.
+    """
+
+    def decode(code: _Decoder, inst: Instruction, block: BasicBlock):
+        f = make(code, inst) if effect else make(inst)
+        binds = [code.bind(v) for v in inst.operands]
+        if len(binds) == 2 and not effect:  # binop/icmp/fcmp: the hot shape
+            (ka, ca), (kb, cb) = binds
+
+            def op(interp, frame):
+                env = frame.env
+                env[inst] = f(
+                    env[ka] if ka is not None else ca,
+                    env[kb] if kb is not None else cb,
+                )
+                frame.index += 1
+
+            return op
+        defines = not inst.type.is_void
+
+        def op(interp, frame):
+            env = frame.env
+            values = [env[k] if k is not None else c for k, c in binds]
+            result = f(interp, *values) if effect else f(*values)
+            if defines:
+                env[inst] = result
+            frame.index += 1
+
+        return op
+
+    return decode
+
+
+def _alloca(code: _Decoder, inst: Alloca):
+    type_ = inst.allocated_type
+    return lambda interp: interp.memory.alloc_object(type_, site=-2)
+
+
+def _store(code: _Decoder, inst: Store):
+    store = code.memory_type.storer(inst.value.type)
+    return lambda interp, value, addr: store(interp.memory, addr, value)
+
+
+def _produce(code: _Decoder, inst: Produce):
+    channel = inst.channel
+    return lambda interp, select, value: interp._require_io().produce(
+        channel, int(select) % channel.n_channels, value
+    )
+
+
+def _produce_broadcast(code: _Decoder, inst: ProduceBroadcast):
+    channel = inst.channel
+    return lambda interp, value: interp._require_io().produce_broadcast(channel, value)
+
+
+def _store_liveout(code: _Decoder, inst: StoreLiveout):
+    liveout_id = inst.liveout_id
+
+    def store_liveout(interp, value):
+        interp._require_io().liveouts[liveout_id] = value
+
+    return store_liveout
+
+
+def _retrieve_liveout(code: _Decoder, inst: RetrieveLiveout):
+    liveout_id = inst.liveout_id
+
+    def retrieve_liveout(interp):
+        liveouts = interp._require_io().liveouts
+        if liveout_id not in liveouts:
+            raise InterpError(f"liveout #{liveout_id} never stored")
+        return liveouts[liveout_id]
+
+    return retrieve_liveout
+
+
+def _fork_handler(interp, opcode: str):
+    if interp.fork_handler is None:
+        raise InterpError(f"{opcode} executed without a fork handler installed")
+    return interp.fork_handler
+
+
+def _fork(code: _Decoder, inst: ParallelFork):
+    return lambda interp, *liveins: _fork_handler(interp, "parallel_fork").fork(
+        inst, list(liveins)
+    )
+
+
+def _join(code: _Decoder, inst: ParallelJoin):
+    loop_id = inst.loop_id
+    return lambda interp: _fork_handler(interp, "parallel_join").join(loop_id)
+
+
+def _malloc(code: _Decoder, inst: Call):
+    site = code.alloc_site(inst)
+    return lambda interp, size: interp.memory.malloc(int(size), site)
+
+
+_decode_malloc = _simple(_malloc, effect=True)
+
+
+def _decode_load(code: _Decoder, inst: Load, block: BasicBlock):
+    k, c = code.bind(inst.pointer)
+    load = code.memory_type.loader(inst.type)
+
+    def op(interp, frame):
+        env = frame.env
+        env[inst] = load(interp.memory, env[k] if k is not None else c)
+        frame.index += 1
+
+    return op
+
+
+def _decode_gep(code: _Decoder, inst: GEP, block: BasicBlock):
+    kb, cb = code.bind(inst.base)
+    offset, terms = bind_gep(inst)
+    terms = [(scale, inst.indices[i]) for scale, i in terms]
+
+    def op(interp, frame):
+        env = frame.env
+        addr = (env[kb] if kb is not None else cb) + offset
+        for scale, index in terms:
+            addr += scale * env[index]
+        env[inst] = addr & 0xFFFFFFFF
+        frame.index += 1
+
+    return op
+
+
+def _decode_condbr(code: _Decoder, inst: CondBranch, block: BasicBlock):
+    k, c = code.bind(inst.cond)
+    if_true = code.edge(block, inst.if_true)
+    if_false = code.edge(block, inst.if_false)
+
+    def op(interp, frame):
+        if frame.env[k] if k is not None else c:
+            if_true(interp, frame)
+        else:
+            if_false(interp, frame)
+
+    return op
+
+
+def _decode_phi(code: _Decoder, inst: Phi, block: BasicBlock):
+    # Reached only when a frame starts in a block without taking an edge;
+    # edges latch phis, so the value must already exist.
+    def op(interp, frame):
+        if inst not in frame.env:
+            raise InterpError("phi encountered outside a block entry")
+        frame.index += 1
+
+    return op
+
+
+def _decode_call(code: _Decoder, inst: Call, block: BasicBlock):
+    callee = inst.callee
+    if callee.is_declaration:
+        if callee.name not in MALLOC_NAMES:
+            return _raising(f"call to undefined function @{callee.name}")
+        return _decode_malloc(code, inst, block)
+    binds = [code.bind(v) for v in inst.args]
+
+    def op(interp, frame):
+        env = frame.env
+        new_frame = _Frame(callee, interp._code[callee.entry], inst)
+        new_frame.env.update(
+            zip(callee.args, [env[k] if k is not None else c for k, c in binds])
+        )
+        interp._stack.append(new_frame)
+
+    return op
+
+
+def _decode_ret(code: _Decoder, inst: Ret, block: BasicBlock):
+    k, c = (None, None) if inst.value is None else code.bind(inst.value)
+
+    def op(interp, frame):
+        value = frame.env[k] if k is not None else c
+        stack = interp._stack
+        stack.pop()
+        if stack:
+            caller = stack[-1]
+            if value is not None:
+                caller.env[frame.call_inst] = value
+            caller.index += 1
+        else:
+            interp._return_value = value
+
+    return op
+
+
+def _decode_consume(code: _Decoder, inst: Consume, block: BasicBlock):
+    channel = inst.channel
+    select = inst.worker_select
+    k, c = (None, None) if select is None else code.bind(select)
+
+    def op(interp, frame):
+        if select is None:
+            index = interp.worker_id
+        else:
+            index = int(frame.env[k] if k is not None else c) % channel.n_channels
+        ok, value = interp._require_io().try_consume(channel, index)
+        if not ok:
+            return Status.BLOCKED
+        frame.env[inst] = value
+        frame.index += 1
+
+    return op
+
+
+def _raising(message: str):
+    def op(interp, frame):
+        raise InterpError(message)
+
+    return op
+
+
+def _unknown(code: _Decoder, inst: Instruction, block: BasicBlock):
+    return _raising(f"cannot interpret opcode {inst.opcode}")
+
+
+#: Instruction class -> decoder; a new opcode is one entry here.
+_DECODERS = {
+    BinaryOp: _simple(bind_binop, effect=False),
+    ICmp: _simple(bind_icmp, effect=False),
+    FCmp: _simple(lambda inst: partial(eval_fcmp, inst), effect=False),
+    Cast: _simple(lambda inst: partial(eval_cast, inst), effect=False),
+    Select: _simple(
+        lambda inst: lambda cond, if_true, if_false: if_true if cond else if_false,
+        effect=False,
+    ),
+    Alloca: _simple(_alloca, effect=True),
+    Store: _simple(_store, effect=True),
+    Produce: _simple(_produce, effect=True),
+    ProduceBroadcast: _simple(_produce_broadcast, effect=True),
+    StoreLiveout: _simple(_store_liveout, effect=True),
+    RetrieveLiveout: _simple(_retrieve_liveout, effect=True),
+    ParallelFork: _simple(_fork, effect=True),
+    ParallelJoin: _simple(_join, effect=True),
+    Load: _decode_load,
+    GEP: _decode_gep,
+    Jump: lambda code, inst, block: code.edge(block, inst.target),
+    CondBranch: _decode_condbr,
+    Phi: _decode_phi,
+    Call: _decode_call,
+    Ret: _decode_ret,
+    Consume: _decode_consume,
+}
 
 
 def _number_malloc_sites(module: Module) -> dict[int, int]:
-    """Deterministically number malloc call sites across the module.
+    """``id(call) -> site``: malloc call sites numbered across the module.
 
     The same numbering is used by the points-to analysis
     (:mod:`repro.analysis.pointsto`), so static abstract objects and
     runtime allocations correspond one-to-one.
     """
-    sites: dict[int, int] = {}
-    counter = 0
-    for function in module.functions.values():
-        for inst in function.instructions():
-            if isinstance(inst, Call) and inst.callee.name in MALLOC_NAMES:
-                sites[id(inst)] = counter
-                counter += 1
-    return sites
+    return {id(inst): site for site, inst in malloc_site_table(module).items()}
 
 
 def malloc_site_table(module: Module) -> dict[int, Call]:
-    """site id -> call instruction (the inverse of the numbering above)."""
+    """site id -> call instruction, in deterministic module order."""
     table: dict[int, Call] = {}
     counter = 0
     for function in module.functions.values():

@@ -135,6 +135,50 @@ class Memory:
             return
         raise InterpError(f"cannot store value of type {type_!r}")
 
+    # -- pre-bound accessors (the interpreter's decoded loads/stores) ---------
+
+    @classmethod
+    def loader(cls, type_: Type):
+        """``f(memory, addr)`` equal to ``memory.load(addr, type_)``.
+
+        :class:`Memory` itself gets check, counter and decode inlined over
+        a :mod:`struct` codec; a subclass (which may override
+        ``read_bytes``/``write_bytes``) keeps its own ``load``/``store``.
+        """
+        codec = _codec(type_, signed=True)
+        if cls is not Memory or codec is None:
+            return lambda memory, addr: memory.load(addr, type_)
+        size, unpack = codec.size, codec.unpack_from
+
+        def load(memory, addr):
+            data = memory._data
+            if addr <= 0 or addr + size > len(data):
+                memory._check(addr, size)
+            memory.bytes_read += size
+            return unpack(data, addr)[0]
+
+        return load
+
+    @classmethod
+    def storer(cls, type_: Type):
+        """``f(memory, addr, value)`` equal to ``memory.store(addr, type_, value)``."""
+        codec = _codec(type_, signed=False)
+        if cls is not Memory or codec is None:
+            return lambda memory, addr, value: memory.store(addr, type_, value)
+        size, pack = codec.size, codec.pack_into
+        mask = (1 << 8 * size) - 1
+        is_float = isinstance(type_, FloatType)
+
+        def store(memory, addr, value):
+            raw = float(value) if is_float else int(value) & mask
+            data = memory._data
+            if addr <= 0 or addr + size > len(data):
+                memory._check(addr, size)
+            memory.bytes_written += size
+            pack(data, addr, raw)
+
+        return store
+
     # -- structured helpers (used by workload builders and tests) -----------------
 
     def field_addr(self, base: int, struct_type: StructType, field: str) -> int:
@@ -178,13 +222,26 @@ class Memory:
         post-setup image (:mod:`repro.fleet`) is bit-identical to a
         freshly set-up one.
         """
-        copy = Memory(len(self._data))
-        copy._data[:] = self._data
+        copy = Memory(0)
+        copy._data = bytearray(self._data)  # one copy, no zero-fill first
         copy._brk = self._brk
         copy.allocations = [Allocation(a.addr, a.size, a.site) for a in self.allocations]
         copy.bytes_read = self.bytes_read
         copy.bytes_written = self.bytes_written
         return copy
+
+
+def _codec(type_: Type, signed: bool) -> struct.Struct | None:
+    """Little-endian :mod:`struct` codec of a scalar type (None: no fast path)."""
+    if isinstance(type_, FloatType):
+        return struct.Struct("<f" if type_.bits == 32 else "<d")
+    if isinstance(type_, PointerType):
+        return struct.Struct("<I")
+    if isinstance(type_, IntType) and not (signed and type_.bits == 1):
+        # An i1 *load* keeps only bit 0, which no struct code does.
+        code = {1: "b", 2: "h", 4: "i", 8: "q"}[type_.size()]
+        return struct.Struct("<" + (code if signed else code.upper()))
+    return None
 
 
 def _to_signed(raw: int, bits: int) -> int:

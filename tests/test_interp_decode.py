@@ -1,0 +1,292 @@
+"""Contracts of the interpreter's pre-decoded block programs.
+
+The decoder must be unobservable except for speed: same step counts, same
+hook sequence, same blocking behaviour, no reference cycle through the
+interpreter (the 16 MiB image must die by refcount), no stale program
+after a transform, and no memory fast path that bypasses a ``Memory``
+subclass.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from repro.errors import InterpError
+from repro.frontend import compile_c
+from repro.interp import ChannelIO, Interpreter, Memory, Status
+from repro.ir import (
+    Channel,
+    Consume,
+    FunctionType,
+    I32,
+    IRBuilder,
+    Load,
+    Module,
+    ParallelFork,
+    ParallelJoin,
+    Phi,
+    RetrieveLiveout,
+    Store,
+)
+from repro.ir.instructions import Instruction
+from repro.kernels import ALL_KERNELS
+from repro.transforms import optimize_module
+from repro.vsim.cosim import SMOKE_SETUP_ARGS
+
+#: ``(setup steps, check steps)`` at ``SMOKE_SETUP_ARGS`` scale, captured
+#: from the tree-walking interpreter this decoder replaced.
+PINNED_STEPS = {
+    "K-means": (1376, 282),
+    "Hash-indexing": (1317, 155),
+    "ks": (1666, 1491),
+    "em3d": (4230, 136),
+    "1D-Gaussblur": (2861, 1322),
+    "bfs": (784, 135),
+    "hash-join": (967, 1870),
+    "spmv": (681, 77),
+    "top-k": (420, 59),
+}
+
+LOOP_SRC = (
+    "int g[8];"
+    "int f(int n) {"
+    "  int s = 0;"
+    "  for (int i = 0; i < n; i++) { g[i & 7] = i; s += g[(i + 3) & 7]; }"
+    "  return s; }"
+    "int twice(int n) { return f(n) + f(n); }"
+    "int tri(int n) { int s = 0; for (int i = 0; i < n; i++) s += i; return s; }"
+)
+
+
+def compiled(src=LOOP_SRC, name="module"):
+    module = compile_c(src, name)
+    optimize_module(module)
+    return module
+
+
+@pytest.mark.parametrize("spec", ALL_KERNELS, ids=lambda s: s.name)
+def test_step_counts_pinned(spec):
+    module = compiled(spec.source, spec.name)
+    setup = Interpreter(module)
+    setup.call(spec.setup_function, SMOKE_SETUP_ARGS[spec.name])
+    check = Interpreter(
+        module, setup.memory, global_addresses=setup.global_addresses
+    )
+    check.call(spec.check_function, [])
+    assert (setup.steps, check.steps) == PINNED_STEPS[spec.name]
+
+
+def test_every_kernel_is_pinned():
+    assert set(PINNED_STEPS) == {s.name for s in ALL_KERNELS}
+
+
+def test_interpreter_and_memory_die_by_refcount():
+    """No decoded closure may hold the interpreter or its memory image."""
+    module = compiled()
+    gc.collect()
+    gc.disable()
+    try:
+        interp = Interpreter(module)
+        interp.call("twice", [20])
+        interp_ref = weakref.ref(interp)
+        memory_ref = weakref.ref(interp.memory)
+        del interp
+        assert interp_ref() is None
+        assert memory_ref() is None
+    finally:
+        gc.enable()
+
+
+class TestNoStaleDecode:
+    def test_reinterpret_after_optimize_on_same_module(self):
+        module = compile_c(LOOP_SRC)  # unoptimised: allocas, loads, stores
+        before = Interpreter(module)
+        expected = before.call("f", [50])
+        optimize_module(module)
+        after = Interpreter(module)
+        assert after.call("f", [50]) == expected
+        assert after.steps < before.steps
+
+    def test_one_interpreter_two_functions_in_sequence(self):
+        module = compiled()
+        interp = Interpreter(module)
+        assert interp.call("tri", [10]) == 45
+        tri_steps = interp.steps
+        assert interp.call("f", [16]) == Interpreter(module).call("f", [16])
+        f_steps = interp.steps - tri_steps
+        assert interp.call("tri", [10]) == 45
+        assert interp.steps == 2 * tri_steps + f_steps
+
+
+class _CountingMemory(Memory):
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+        self.writes = 0
+
+    def read_bytes(self, addr, size):
+        self.reads += 1
+        return super().read_bytes(addr, size)
+
+    def write_bytes(self, addr, data):
+        self.writes += 1
+        super().write_bytes(addr, data)
+
+
+def test_memory_subclass_sees_every_access():
+    module = compiled()
+    executed = []
+    memory = _CountingMemory()
+    interp = Interpreter(module, memory, on_execute=executed.append)
+    memory.reads = memory.writes = 0  # drop global-initialiser traffic
+    interp.call("f", [24])
+    loads = sum(isinstance(i, Load) for i in executed)
+    stores = sum(isinstance(i, Store) for i in executed)
+    assert loads > 0 and stores > 0
+    assert (memory.reads, memory.writes) == (loads, stores)
+    # ...and the hook-free loop goes through the subclass as well.
+    memory.reads = memory.writes = 0
+    Interpreter(
+        module, memory, global_addresses=interp.global_addresses
+    ).call("f", [24])
+    assert (memory.reads, memory.writes) == (loads, stores)
+
+
+class TestHooksAndLimits:
+    def test_on_execute_sees_exact_sequence_including_phis(self):
+        module = compiled("int f(int n) { int s = 0;"
+                          " for (int i = 0; i < n; i++) s += i; return s; }")
+        f = module.get_function("f")
+        executed, edges = [], []
+        interp = Interpreter(
+            module, on_execute=executed.append,
+            on_edge=lambda src, dst: edges.append((src, dst, len(executed))),
+        )
+        assert interp.call("f", [3]) == 3
+        # One step per non-phi instruction; phis ride on their edge.
+        phis = [i for i in executed if isinstance(i, Phi)]
+        assert interp.steps == len(executed) - len(phis)
+        assert phis and all(p.parent is not f.entry for p in phis)
+        # Replay the block structure: each edge is announced before its
+        # phis, the phis of the target come next in block order, and the
+        # terminator that took the edge is reported after them.
+        for src, dst, position in edges:
+            n = len(dst.phis())
+            assert executed[position:position + n] == dst.phis()
+            assert executed[position + n] is src.terminator
+        # Between edges, instructions arrive in block order.
+        expected = list(f.entry.instructions[:-1])
+        for src, dst, _ in edges:
+            expected += dst.phis() + [src.terminator]
+            expected += [i for i in dst.non_phis() if not i.is_terminator]
+        expected.append(executed[-1])  # the final ret
+        assert executed == expected
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_max_steps_raises_on_step_n_plus_one(self, hooked):
+        module = compiled()
+        probe = Interpreter(module)
+        probe.call("f", [10])
+        total = probe.steps
+        hook = (lambda inst: None) if hooked else None
+        exact = Interpreter(module, max_steps=total, on_execute=hook)
+        exact.call("f", [10])
+        assert exact.steps == total
+        short = Interpreter(module, max_steps=total - 1, on_execute=hook)
+        with pytest.raises(InterpError, match=f"exceeded max_steps={total - 1}"):
+            short.call("f", [10])
+        assert short.steps == total
+
+    def test_block_produce_resume_advances_exactly_once(self):
+        m = Module("m")
+        chan = Channel(0, "c", I32, 0, 1)
+        f = m.new_function("f", FunctionType(I32, []), [])
+        b = IRBuilder(f.new_block("entry"))
+        got = b.block.append(Consume(chan, I32))
+        b.ret(got)
+        io = ChannelIO()
+        executed = []
+        interp = Interpreter(m, Memory(), channel_io=io, on_execute=executed.append)
+        interp.start("f", [])
+        assert interp.step() is Status.BLOCKED
+        assert interp.step() is Status.BLOCKED
+        assert executed == []  # a parked consume did not execute
+        io.produce(chan, 0, 7)
+        io.produce(chan, 0, 8)
+        assert interp.step() is Status.RUNNING  # the consume, once
+        assert executed == [got]
+        assert io.pending() == 1
+        assert interp.step() is Status.DONE
+        assert interp.return_value == 7
+        assert interp.steps == 4  # blocked attempts count, as before
+
+    def test_phis_of_one_edge_are_read_before_any_is_written(self):
+        module = compiled(
+            "int f(int n) { int a = 1; int b = 2;"
+            " for (int i = 0; i < n; i++) { int t = a; a = b; b = t; }"
+            " return a * 10 + b; }"
+        )
+        phis = [i for i in module.get_function("f").instructions()
+                if isinstance(i, Phi)]
+        assert any(isinstance(v, Phi) and v.parent is p.parent
+                   for p in phis for v in p.operands), "no swap in the IR"
+        assert Interpreter(module).call("f", [0]) == 12
+        assert Interpreter(module).call("f", [1]) == 21
+        assert Interpreter(module).call("f", [4]) == 12
+        seen = []
+        assert Interpreter(module, on_execute=seen.append).call("f", [3]) == 21
+
+    def test_undefined_value_still_names_value_and_function(self):
+        m = Module("m")
+        f = m.new_function("f", FunctionType(I32, [I32]), ["a"])
+        entry = IRBuilder(f.new_block("entry"))
+        later = f.new_block("later")
+        use = entry.binop("add", f.args[0], f.args[0])
+        entry.ret(use)
+        # Make the add read a value defined only in a block never entered.
+        orphan = IRBuilder(later).binop("mul", f.args[0], f.args[0], name="orphan")
+        IRBuilder(later).ret(orphan)
+        use.replace_operand(f.args[0], orphan)
+        with pytest.raises(InterpError, match=r"undefined value %orphan in @f"):
+            Interpreter(m).call("f", [1])
+
+
+class _Mystery(Instruction):
+    opcode = "mystery"
+
+    def __init__(self):
+        super().__init__(I32, [])
+
+
+@pytest.mark.parametrize("make,message", [
+    (_Mystery, "cannot interpret opcode mystery"),
+    (lambda: RetrieveLiveout(3, I32), "liveout #3 never stored"),
+    (lambda: ParallelJoin(0), "parallel_join executed without a fork handler"),
+    (lambda: Phi(I32), "phi encountered outside a block entry"),
+], ids=["unknown-opcode", "liveout", "join", "entry-phi"])
+def test_bad_instruction_raises_when_executed_not_when_decoded(make, message):
+    m = Module("m")
+    f = m.new_function("f", FunctionType(I32, [I32]), ["a"])
+    b = IRBuilder(f.new_block("entry"))
+    b.binop("add", f.args[0], f.args[0])
+    b.block.append(make())
+    b.ret(f.args[0])
+    interp = Interpreter(m, channel_io=ChannelIO())
+    interp.start("f", [1])  # decodes the whole entry block: must not raise
+    assert interp.step() is Status.RUNNING
+    with pytest.raises(InterpError, match=message):
+        interp.step()
+    assert interp.steps == 2
+
+
+def test_fork_without_handler_raises():
+    m = Module("m")
+    task = m.new_function("task", FunctionType(I32, [I32]), ["a"])
+    IRBuilder(task.new_block("entry")).ret(task.args[0])
+    f = m.new_function("f", FunctionType(I32, [I32]), ["a"])
+    b = IRBuilder(f.new_block("entry"))
+    b.block.append(ParallelFork(0, task, [f.args[0]]))
+    b.ret(f.args[0])
+    with pytest.raises(InterpError, match="parallel_fork executed without"):
+        Interpreter(m).call("f", [1])

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import InterpError
 from repro.interp import HEAP_BASE, Memory, round_f32, to_unsigned, wrap_int
-from repro.ir import F32, F64, I8, I16, I32, I64, StructType, ptr
+from repro.ir import BOOL, F32, F64, I8, I16, I32, I64, StructType, ptr
 
 
 class TestAllocator:
@@ -95,6 +95,61 @@ class TestTypedAccess:
         assert mem.bytes_read >= 8
 
 
+class TestBoundAccessors:
+    """``Memory.loader``/``storer`` are ``load``/``store`` with the type pre-bound."""
+
+    CASES = [
+        (BOOL, 1), (BOOL, 3), (I8, -5), (I8, 200), (I16, -1234), (I32, -100000),
+        (I32, 2**31 + 7), (I64, -(2**40)), (F32, 0.1), (F64, -2.5),
+        (ptr(I32), 0xDEADBEEF), (ptr(I32), -1),
+    ]
+
+    @pytest.mark.parametrize("type_,value", CASES, ids=repr)
+    def test_bit_identical_to_load_store(self, type_, value):
+        plain, bound = Memory(), Memory()
+        addr = plain.malloc(16)
+        assert bound.malloc(16) == addr
+        plain.store(addr, type_, value)
+        assert Memory.storer(type_)(bound, addr, value) is None
+        assert bound.snapshot() == plain.snapshot()
+        assert Memory.loader(type_)(bound, addr) == plain.load(addr, type_)
+        assert (bound.bytes_read, bound.bytes_written) == (
+            plain.bytes_read, plain.bytes_written)
+
+    def test_null_negative_and_growth_rules_kept(self):
+        mem = Memory(size=1 << 13)
+        load, store = Memory.loader(I32), Memory.storer(I32)
+        for addr in (0, -4):
+            with pytest.raises(InterpError, match="null/negative"):
+                load(mem, addr)
+            with pytest.raises(InterpError, match="null/negative"):
+                store(mem, addr, 1)
+        assert (mem.bytes_read, mem.bytes_written) == (0, 0)
+        far = (1 << 13) + 100  # beyond the buffer: grows on demand
+        store(mem, far, 77)
+        assert load(mem, far) == 77 and len(mem._data) == 1 << 14
+        with pytest.raises(InterpError, match="out of simulated memory"):
+            load(mem, (1 << 31) - 2)
+
+    def test_subclass_keeps_its_own_read_and_write(self):
+        seen = []
+
+        class Spy(Memory):
+            def read_bytes(self, addr, size):
+                seen.append(("r", addr, size))
+                return super().read_bytes(addr, size)
+
+            def write_bytes(self, addr, data):
+                seen.append(("w", addr, len(data)))
+                super().write_bytes(addr, data)
+
+        mem = Spy()
+        addr = mem.malloc(8)
+        Spy.storer(F64)(mem, addr, 1.5)
+        assert Spy.loader(F64)(mem, addr) == 1.5
+        assert seen == [("w", addr, 8), ("r", addr, 8)]
+
+
 class TestStructHelpers:
     def test_field_roundtrip(self):
         s = StructType("memnode", [("v", F64), ("n", I32)])
@@ -120,6 +175,23 @@ class TestStructHelpers:
         assert mem.load(addr, I32) == 1
         assert copy.load(addr, I32) == 2
         assert copy.allocations[-1].site == 3
+
+    def test_clone_is_bit_identical(self):
+        mem = Memory(size=1 << 13)
+        a = mem.malloc(24, site=1)
+        mem.malloc(0, site=2)
+        mem.store(a, F64, 2.5)
+        mem.load(a, F64)
+        copy = mem.clone()
+        assert type(copy) is Memory
+        assert copy._data == mem._data and copy._data is not mem._data
+        assert copy._brk == mem._brk
+        assert copy.allocations == mem.allocations
+        assert all(x is not y for x, y in zip(copy.allocations, mem.allocations))
+        assert (copy.bytes_read, copy.bytes_written) == (8, 8)
+        assert copy.malloc(8) == mem.malloc(8)
+        copy.store((1 << 13) + 64, I32, 9)  # a clone still grows on demand
+        assert len(copy._data) == 1 << 14 and len(mem._data) == 1 << 13
 
     def test_snapshot_equality_detects_divergence(self):
         a = Memory()

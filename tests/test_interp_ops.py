@@ -11,17 +11,30 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.interp.ops import eval_binop, eval_cast, eval_fcmp, eval_gep, eval_icmp
+from repro.errors import InterpError
+from repro.interp.ops import (
+    bind_binop,
+    bind_gep,
+    bind_icmp,
+    eval_binop,
+    eval_cast,
+    eval_fcmp,
+    eval_gep,
+    eval_icmp,
+)
+from repro.ir.instructions import ICMP_FUNCS, INT_BINOP_FUNCS
 from repro.ir import (
     BinaryOp,
     Cast,
     Constant,
     FCmp,
     GEP,
+    BOOL,
     I8,
     I32,
     I64,
     ICmp,
+    Load,
     F32,
     F64,
     Alloca,
@@ -158,3 +171,69 @@ class TestGepSemantics:
         base = Alloca(s)
         g = GEP(base, [Constant(I32, 0), Constant(I32, 1), Constant(I32, 3)])
         assert eval_gep(g, 0x100, [0, 1, 3]) == 0x100 + 4 + 3 * 4
+
+
+class TestBoundForms:
+    """``bind_*`` (decode once, run many) must equal ``eval_*`` everywhere."""
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except InterpError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("op", sorted(INT_BINOP_FUNCS))
+    @pytest.mark.parametrize("type_", [BOOL, I8, I32, I64], ids=repr)
+    @given(a=st.integers(-(2**63), 2**63 - 1), b=st.integers(-(2**63), 2**63 - 1),
+           small=st.integers(-3, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_int_binop(self, op, type_, a, b, small):
+        from repro.interp import wrap_int
+        a, b = wrap_int(a, type_.bits), wrap_int(b, type_.bits)
+        inst = BinaryOp(op, Constant(type_, a), Constant(type_, b))
+        bound = bind_binop(inst)
+        for rhs in (b, wrap_int(small, type_.bits)):  # small: hits /0 and shifts
+            assert self.outcome(bound, a, rhs) == self.outcome(eval_binop, inst, a, rhs)
+
+    @pytest.mark.parametrize("op", ["fadd", "fsub", "fmul", "fdiv"])
+    @pytest.mark.parametrize("type_", [F32, F64], ids=repr)
+    def test_float_binop(self, op, type_):
+        inst = BinaryOp(op, Constant(type_, 1.0), Constant(type_, 3.0))
+        for a, b in [(1.0, 3.0), (1e30, 1e30), (2.5, 0.0)]:
+            assert self.outcome(bind_binop(inst), a, b) == self.outcome(eval_binop, inst, a, b)
+
+    @pytest.mark.parametrize("op", ["udiv", "urem", "lshr"])
+    def test_unsigned_binops_coerce_operands_through_int(self, op):
+        # The ops.py form is to_unsigned(int(a), bits): an operand that is
+        # integral but not an ``int`` (a bool, a float from a bitcast) must
+        # evaluate, not raise TypeError on ``&``.
+        inst = BinaryOp(op, Constant(I32, 9), Constant(I32, 1))
+        expected = eval_binop(inst, 9, 1)
+        assert eval_binop(inst, 9.0, True) == expected
+        assert bind_binop(inst)(9.0, True) == expected
+
+    @pytest.mark.parametrize("pred", sorted(ICMP_FUNCS))
+    @given(a=i32s, b=i32s)
+    @settings(max_examples=30, deadline=None)
+    def test_icmp(self, pred, a, b):
+        for type_ in (I32, ptr(I32)):
+            if type_.is_pointer:
+                a, b = a & 0xFFFFFFFF, b & 0xFFFFFFFF
+            inst = ICmp(pred, Constant(type_, a), Constant(type_, b))
+            assert bind_icmp(inst)(a, b) == eval_icmp(inst, a, b)
+
+    @given(st.integers(0, 2**31), st.integers(-50, 50), st.integers(-50, 50))
+    def test_gep_folds_constants_and_scales_the_rest(self, base, i, j):
+        from repro.ir import ArrayType
+        s = StructType("gb", [("pad", I64), ("tab", ArrayType(F64, 8)), ("k", I32)])
+        index = Load(Alloca(I32))  # a non-constant index value
+        g = GEP(Alloca(s), [index, Constant(I32, 1), index])
+        offset, terms = bind_gep(g)
+        assert offset == s.field_offset(1)
+        assert terms == [(s.size(), 0), (8, 2)]
+        assert eval_gep(g, base, [i, 1, j]) == (
+            base + offset + s.size() * i + 8 * j
+        ) & 0xFFFFFFFF
+        const = GEP(Alloca(s), [Constant(I32, 2), Constant(I32, 2)])
+        assert bind_gep(const) == (2 * s.size() + s.field_offset(2), [])
