@@ -20,8 +20,9 @@ import time
 
 from conftest import emit, emit_json
 
-from repro.dse import ConfigSpace, Explorer, GridStrategy, ResultCache
+from repro.dse import ConfigSpace, Explorer, GridStrategy
 from repro.kernels import KERNELS_BY_NAME
+from repro.service import ArtifactStore
 
 #: 2 policies x 3 worker counts x 2 FIFO depths = 12 points.
 SPACE_KWARGS = dict(
@@ -46,7 +47,9 @@ def test_dse_speed(benchmark, results_dir, json_path, tmp_path):
     serial_s, serial = _sweep(spec, processes=1)
     pool_s, pooled = _sweep(spec, processes=4)
 
-    cache = ResultCache(tmp_path / "dse-cache")
+    # No warm LRU: the pool's processes share the directory, so disk is
+    # the single source of truth (same configuration as `harness dse`).
+    cache = ArtifactStore(tmp_path / "dse-cache", lru_entries=0)
     cold_s, cold = _sweep(spec, processes=4, cache=cache)
     warm_s, warm = _sweep(spec, processes=4, cache=cache)
 

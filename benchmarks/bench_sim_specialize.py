@@ -21,12 +21,10 @@ import time
 
 from conftest import emit, emit_json
 
-from repro.frontend import compile_c
+from repro.harness.build import compile_kernel
 from repro.harness.runner import setup_workload
 from repro.hw import AcceleratorSystem, DirectMappedCache
 from repro.kernels import ALL_KERNELS
-from repro.pipeline import ReplicationPolicy, cgpa_compile
-from repro.transforms import optimize_module
 
 #: Kernels on which the specialized engine must at least double the
 #: event engine's simulation rate.
@@ -35,15 +33,6 @@ REQUIRED_2X_KERNELS = 6
 #: Timed runs per (kernel, engine); the minimum is reported, so one
 #: scheduler hiccup cannot fail the acceptance bar.
 ROUNDS = 2
-
-
-def _compile(spec):
-    module = compile_c(spec.source, spec.name)
-    optimize_module(module)
-    return cgpa_compile(
-        module, spec.accel_function, shapes=spec.shapes_for(module),
-        policy=ReplicationPolicy.P1, n_workers=4, fifo_depth=16,
-    )
 
 
 def _timed_run(spec, compiled, engine):
@@ -68,7 +57,7 @@ def _best_of(spec, compiled, engine):
 
 
 def test_sim_specialize(benchmark, results_dir, json_path):
-    compiled = {spec.name: _compile(spec) for spec in ALL_KERNELS}
+    compiled = {spec.name: compile_kernel(spec) for spec in ALL_KERNELS}
     rows = []
     for spec in ALL_KERNELS:
         event_s, event = _best_of(spec, compiled[spec.name], "event")

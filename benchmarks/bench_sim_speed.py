@@ -20,26 +20,15 @@ import time
 
 from conftest import emit, emit_json
 
-from repro.frontend import compile_c
+from repro.harness.build import compile_kernel
 from repro.harness.runner import setup_workload
 from repro.hw import AcceleratorSystem, DirectMappedCache
 from repro.kernels import ALL_KERNELS
-from repro.pipeline import ReplicationPolicy, cgpa_compile
-from repro.transforms import optimize_module
 
 CONFIGS = [
     ("default", {}),
     ("stall_heavy", {"miss_penalty": 200, "n_lines": 16}),
 ]
-
-
-def _compile(spec):
-    module = compile_c(spec.source, spec.name)
-    optimize_module(module)
-    return cgpa_compile(
-        module, spec.accel_function, shapes=spec.shapes_for(module),
-        policy=ReplicationPolicy.P1, n_workers=4, fifo_depth=16,
-    )
 
 
 def _timed_run(spec, compiled, engine, cache_kwargs):
@@ -60,7 +49,7 @@ def _timed_run(spec, compiled, engine, cache_kwargs):
 
 
 def test_sim_speed(benchmark, results_dir, json_path):
-    compiled = {spec.name: _compile(spec) for spec in ALL_KERNELS}
+    compiled = {spec.name: compile_kernel(spec) for spec in ALL_KERNELS}
     rows = []
     for config_name, cache_kwargs in CONFIGS:
         for spec in ALL_KERNELS:

@@ -8,24 +8,13 @@ PDG -> partition) for all five kernels.
 
 from conftest import emit
 
-from repro.frontend import compile_c
 from repro.harness import format_table2, table2
+from repro.harness.build import compile_kernel
 from repro.kernels import ALL_KERNELS
-from repro.pipeline import ReplicationPolicy, cgpa_compile
-from repro.transforms import optimize_module
 
 
 def compile_all_partitions():
-    signatures = {}
-    for spec in ALL_KERNELS:
-        module = compile_c(spec.source, spec.name)
-        optimize_module(module)
-        compiled = cgpa_compile(
-            module, spec.accel_function, shapes=spec.shapes_for(module),
-            policy=ReplicationPolicy.P1,
-        )
-        signatures[spec.name] = compiled.signature
-    return signatures
+    return {spec.name: compile_kernel(spec).signature for spec in ALL_KERNELS}
 
 
 def test_table2_partitions(benchmark, all_runs, results_dir):

@@ -5,19 +5,19 @@ configuration per kernel, enumerate the knob space (replication policy,
 worker count, FIFO depth, cache organisation), evaluate each point with
 the event-driven simulator plus the area/power cost model, and extract
 the Pareto frontier over (cycles, total_aluts, energy_uj).  Sweeps run
-on a process pool, are incremental thanks to a content-addressed on-disk
-result cache, and are byte-deterministic across pool sizes.
+on a process pool, are incremental thanks to the content-addressed
+artifact store, and are byte-deterministic across pool sizes.
 
 Entry points: ``python -m repro.harness dse <kernel>`` on the command
 line, or::
 
-    from repro.dse import ConfigSpace, Explorer, GridStrategy, ResultCache
+    from repro.dse import ConfigSpace, Explorer, GridStrategy
     sweep = Explorer(spec, ConfigSpace(), processes=4).run(GridStrategy())
     for best in sweep.frontier():
         print(best.point.label, best.objectives())
 """
 
-from .cache import CACHE_SCHEMA_VERSION, ResultCache, result_key
+from .cache import CACHE_SCHEMA_VERSION, result_key
 from .evaluate import (
     DEFAULT_EVAL_MAX_CYCLES,
     STATUSES,
@@ -37,7 +37,7 @@ from .strategies import (
 __all__ = [
     "ConfigSpace", "DesignPoint", "POLICIES",
     "Evaluator", "EvalResult", "STATUSES", "DEFAULT_EVAL_MAX_CYCLES",
-    "ResultCache", "result_key", "CACHE_SCHEMA_VERSION",
+    "result_key", "CACHE_SCHEMA_VERSION",
     "Strategy", "GridStrategy", "RandomStrategy", "HillClimbStrategy",
     "pareto_frontier", "dominates", "OBJECTIVES",
     "Explorer", "SweepResult",

@@ -1,6 +1,6 @@
-"""Content-addressed cache for design-point evaluations.
+"""Content address of one design-point evaluation.
 
-The cache key hashes everything that determines an
+The key hashes everything that determines an
 :class:`~repro.dse.evaluate.EvalResult`: the kernel's C source and
 entry-point contract, the full design point, the evaluator's cycle budget
 and engine, and :data:`repro.cost.COST_MODEL_VERSION`.  Change any of
@@ -8,26 +8,18 @@ those and the key changes — stale entries are never *invalidated*, they
 are simply never addressed again.
 
 Storage is the service-layer :class:`~repro.service.store.ArtifactStore`
-(which this module's :class:`ResultCache` predates and is now a
-compatibility shim over): the same ``<key[:2]>/<key>.json`` sharding
-this cache always used, plus the store's locked atomic writes — an
-``os.O_EXCL`` temp stage and an atomic rename — so concurrent pool
-workers never interleave partial JSON, and a warm in-process LRU above
-the disk layer.  Existing cache directories written by older versions
-are read unchanged, and the service's artifact store accepts a DSE
-cache directory (and vice versa): keys from the two families hash
-disjoint payloads, so they can share one root.
+(``<key[:2]>/<key>.json`` sharding, locked atomic writes, hash-checked
+reads); the explorer only needs its ``get``/``put``.  These keys and the
+service's job keys hash disjoint payloads, so one store root serves both.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import pathlib
 
 from ..cost import COST_MODEL_VERSION
 from ..kernels import KernelSpec
-from ..service.store import ArtifactStore
 from .space import DesignPoint
 
 #: Bump when the EvalResult schema or evaluation semantics change.
@@ -60,40 +52,3 @@ def result_key(
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 
-
-class ResultCache:
-    """Directory of ``<key[:2]>/<key>.json`` evaluation results.
-
-    .. deprecated::
-        Thin compatibility shim over
-        :class:`repro.service.store.ArtifactStore`, kept because sweeps,
-        benchmarks and tests construct ``ResultCache(root)`` directly.
-        New code should use the store (same layout, plus stats and the
-        warm LRU) — or pass an ``ArtifactStore`` wherever a cache is
-        accepted; the explorer only needs ``get``/``put``.
-
-    The warm LRU is disabled here (``lru_entries=0``): sweep pools share
-    a cache directory across *processes*, so disk must stay the single
-    source of truth — a torn or corrupted entry is a miss even for the
-    process that just wrote it.
-    """
-
-    def __init__(self, root: str | pathlib.Path) -> None:
-        self.store = ArtifactStore(root, lru_entries=0)
-
-    @property
-    def root(self) -> pathlib.Path:
-        return self.store.root
-
-    def _path(self, key: str) -> pathlib.Path:
-        return self.store.path(key)
-
-    def get(self, key: str) -> dict | None:
-        """The stored result dict, or None on miss/corruption."""
-        return self.store.get(key)
-
-    def put(self, key: str, result: dict) -> None:
-        self.store.put(key, result)
-
-    def __len__(self) -> int:
-        return len(self.store)

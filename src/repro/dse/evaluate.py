@@ -3,9 +3,10 @@
 The evaluator is deliberately *total*: a configuration that deadlocks,
 blows its cycle budget, or fails to compile produces an
 :class:`EvalResult` with the corresponding ``status`` instead of raising,
-so one pathological point can never abort a sweep.  Compilation is
-memoized per :attr:`~repro.dse.space.DesignPoint.compile_key`, so points
-that differ only in simulator knobs (cache organisation) reuse the same
+so one pathological point can never abort a sweep.  Compilation goes
+through :func:`repro.fleet.interned_pipeline`, so points that differ
+only in simulator knobs (cache organisation) — in this evaluator or any
+other in the process — reuse the same
 :class:`~repro.pipeline.driver.CompiledPipeline`.
 """
 
@@ -13,20 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from ..errors import (
-    CgpaError,
-    CycleBudgetExceeded,
-    DeadlockError,
-    SimulationError,
-)
-from ..fleet import interned_workload
-from ..frontend import compile_c
-from ..harness.runner import cgpa_area, run_check
-from ..hw import AcceleratorSystem, DirectMappedCache
-from ..cost import power_report
+from ..errors import CgpaError, CycleBudgetExceeded, DeadlockError
+from ..fleet import interned_pipeline, interned_workload
+from ..harness.runner import run_hardware
+from ..hw import DirectMappedCache
 from ..kernels import KernelSpec
-from ..pipeline import CompiledPipeline, cgpa_compile
-from ..transforms import optimize_module
+from ..pipeline import CompiledPipeline
 from .space import DesignPoint
 
 #: Default per-point cycle budget; generous for the paper workloads (the
@@ -108,8 +101,8 @@ class Evaluator:
     """Compile-and-simulate scorer for one kernel.
 
     One evaluator per (kernel, cycle budget, engine); design points are
-    passed to :meth:`evaluate`.  Stateless apart from the compile memo, so
-    pool workers each hold their own instance.
+    passed to :meth:`evaluate`.  Stateless — compiled pipelines live in
+    the process-wide intern — so instances are cheap to make per task.
     """
 
     def __init__(
@@ -129,26 +122,15 @@ class Evaluator:
         self.max_cycles = max_cycles
         self.engine = engine
         self.envelopes = envelopes
-        self._compiled: dict[tuple[str, int, int], CompiledPipeline] = {}
 
     # -- compilation -------------------------------------------------------
 
     def compile(self, point: DesignPoint) -> CompiledPipeline:
-        """Compile the kernel for ``point``'s compile-time knobs (memoized)."""
-        key = point.compile_key
-        if key not in self._compiled:
-            spec = self.spec
-            module = compile_c(spec.source, spec.name)
-            optimize_module(module)
-            self._compiled[key] = cgpa_compile(
-                module,
-                spec.accel_function,
-                shapes=spec.shapes_for(module),
-                policy=point.replication_policy,
-                n_workers=point.n_workers,
-                fifo_depth=point.fifo_depth,
-            )
-        return self._compiled[key]
+        """Compile the kernel for ``point``'s compile-time knobs (interned)."""
+        return interned_pipeline(
+            self.spec, point.replication_policy, point.n_workers,
+            point.fifo_depth,
+        )
 
     # -- evaluation --------------------------------------------------------
 
@@ -195,13 +177,6 @@ class Evaluator:
                 signature=compiled.full_signature,
                 error=str(exc),
             )
-        except SimulationError as exc:
-            return EvalResult(
-                point=point,
-                status=_classify_sim_failure(exc),
-                signature=compiled.full_signature,
-                error=str(exc),
-            )
         except CgpaError as exc:
             return EvalResult(point=point, status="error",
                               signature=compiled.full_signature,
@@ -210,28 +185,19 @@ class Evaluator:
     def _simulate(
         self, point: DesignPoint, compiled: CompiledPipeline
     ) -> EvalResult:
-        spec = self.spec
         # Interned per (module, kernel): the functional setup runs once
         # per process; each evaluation gets a bit-identical clone.
-        memory, globals_, args = interned_workload(compiled.module, spec)
-        system = AcceleratorSystem(
-            compiled.module,
-            memory,
-            channels=compiled.result.channels,
-            cache=DirectMappedCache(
+        run = run_hardware(
+            self.spec, f"cgpa-{point.policy}", compiled,
+            DirectMappedCache(
                 n_lines=point.cache_lines, ports=point.cache_ports
             ),
-            global_addresses=globals_,
-            private_caches=point.private_caches,
-            max_cycles=self.max_cycles,
+            workload=interned_workload,
             engine=self.engine,
+            max_cycles=self.max_cycles,
+            private_caches=point.private_caches,
         )
-        sim = system.run(spec.measure_entry, args)
-        area = cgpa_area(compiled)
-        power = power_report(
-            sim, area, list(compiled.module.functions.values())
-        )
-        checksum = run_check(compiled.module, memory, globals_, spec)
+        sim = run.sim
         stall: dict[str, int] = {}
         for breakdown in sim.stall_breakdown.values():
             for category, count in breakdown.items():
@@ -239,31 +205,13 @@ class Evaluator:
         return EvalResult(
             point=point,
             status="ok",
-            cycles=sim.cycles,
-            total_aluts=area.total_aluts,
-            energy_uj=power.energy_uj,
-            power_mw=power.power_mw,
+            cycles=run.cycles,
+            total_aluts=run.aluts,
+            energy_uj=run.energy_uj,
+            power_mw=run.power_mw,
             signature=compiled.full_signature,
             stall_cycles=stall,
             cache_hit_rate=sim.cache_stats.hit_rate,
-            checksum=float(checksum),
+            checksum=float(run.checksum),
         )
 
-
-def _classify_sim_failure(exc: SimulationError) -> str:
-    """Deadlock vs. cycle-budget exhaustion vs. anything else.
-
-    .. deprecated::
-        Message-grepping fallback, kept only for :class:`SimulationError`
-        instances raised by code that predates the typed
-        :class:`~repro.errors.DeadlockError` /
-        :class:`~repro.errors.CycleBudgetExceeded` hierarchy.  The
-        evaluator catches the typed exceptions first; new failure paths
-        should raise those instead of relying on this classifier.
-    """
-    message = str(exc)
-    if "deadlock" in message:
-        return "deadlock"
-    if "max_cycles" in message:
-        return "timeout"
-    return "error"

@@ -13,11 +13,11 @@ make that hold:
   deterministic, so every round proposes the same batch.
 
 Work is sharded by :attr:`DesignPoint.compile_key`: each pool task is
-*all* points of one compile key, and the per-process evaluator memo
-(:func:`_process_evaluator`) keeps compiled pipelines alive across
-batches and strategy rounds, so each configuration is compiled once per
-pool process and its :class:`CompiledPipeline` is reused across the
-simulator-knob variants (cache organisation) that share it.
+*all* points of one compile key, and the per-process pipeline intern
+(:func:`repro.fleet.interned_pipeline`) keeps compiled pipelines alive
+across batches and strategy rounds, so each configuration is compiled
+once per pool process and its :class:`CompiledPipeline` is reused across
+the simulator-knob variants (cache organisation) that share it.
 
 Parallelism comes from the shared :class:`~repro.fleet.FleetExecutor`
 (one reusable pool per explorer, or an externally supplied fleet),
@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 from ..fleet import FleetExecutor
 from ..kernels import KernelSpec
-from .cache import ResultCache, result_key
+from ..service.store import ArtifactStore
+from .cache import result_key
 from .evaluate import DEFAULT_EVAL_MAX_CYCLES, EvalResult, Evaluator
 from .pareto import OBJECTIVES, pareto_frontier
 from .space import ConfigSpace, DesignPoint
@@ -102,29 +103,6 @@ class SweepResult:
         )
 
 
-#: Per-process evaluator memo: compiled pipelines survive across pool
-#: tasks, batches and sweeps that agree on (kernel, budget, engine).
-_PROCESS_EVALUATORS: dict = {}
-
-#: Evaluators kept per process before the memo is cleared (each holds
-#: compiled-pipeline memos; a handful covers a mixed workload).
-_PROCESS_EVALUATOR_ENTRIES = 8
-
-
-def _process_evaluator(
-    spec: KernelSpec, max_cycles: int, engine: str
-) -> Evaluator:
-    key = (spec.name, spec.source, max_cycles, engine)
-    evaluator = _PROCESS_EVALUATORS.get(key)
-    if evaluator is None:
-        if len(_PROCESS_EVALUATORS) >= _PROCESS_EVALUATOR_ENTRIES:
-            _PROCESS_EVALUATORS.clear()
-        evaluator = _PROCESS_EVALUATORS[key] = Evaluator(
-            spec, max_cycles=max_cycles, engine=engine
-        )
-    return evaluator
-
-
 def _evaluate_group(task) -> list[tuple[int, dict]]:
     """Fleet task: evaluate one compile-key group.
 
@@ -134,7 +112,7 @@ def _evaluate_group(task) -> list[tuple[int, dict]]:
     same dicts, keeping its bytes identical to any pool size.
     """
     spec, max_cycles, engine, group = task
-    evaluator = _process_evaluator(spec, max_cycles, engine)
+    evaluator = Evaluator(spec, max_cycles=max_cycles, engine=engine)
     return [(index, evaluator.evaluate(point).to_dict()) for index, point in group]
 
 
@@ -145,7 +123,7 @@ class Explorer:
         self,
         spec: KernelSpec,
         space: ConfigSpace | None = None,
-        cache: ResultCache | None = None,
+        cache: ArtifactStore | None = None,
         processes: int = 1,
         max_cycles: int = DEFAULT_EVAL_MAX_CYCLES,
         engine: str = "event",

@@ -24,7 +24,9 @@ Plans are independent, so the sweep fans them out over the shared
 records come back in index order and the serial path runs the same
 :func:`_run_plan_task`, so the report is byte-identical at any pool
 size.  Each pool process compiles the sweep configuration once
-(:func:`_harness_for`) and stamps out interned workload images per run.
+(:func:`repro.fleet.interned_pipeline`) and stamps out interned workload
+images per run; the interpreter-oracle liveouts are computed once, in the
+parent, and travel in the task tuple next to the baseline cycle count.
 """
 
 from __future__ import annotations
@@ -39,14 +41,18 @@ from ..errors import (
     InvariantViolationError,
     SimulationError,
 )
-from ..fleet import FleetExecutor, interned_workload
-from ..frontend import compile_c
-from ..harness.runner import run_check
-from ..hw import AcceleratorSystem, DirectMappedCache
+from ..fleet import FleetExecutor, interned_pipeline, interned_workload
+from ..harness.build import compile_module
+from ..harness.runner import (
+    BackendResult,
+    run_check,
+    run_hardware,
+    setup_workload,
+)
+from ..hw import DirectMappedCache
 from ..interp import Interpreter
 from ..kernels import KernelSpec
-from ..pipeline import ReplicationPolicy, cgpa_compile
-from ..transforms import optimize_module
+from ..pipeline import ReplicationPolicy
 from .monitor import InvariantMonitor
 from .plan import PLAN_KINDS, FaultInjector, FaultPlan, PlanContext
 
@@ -216,112 +222,91 @@ def plan_seeds(seed: int, n: int) -> list[int]:
     return [rng.randrange(1 << 32) for _ in range(n)]
 
 
-class _SweepHarness:
-    """Compiled state for one sweep configuration, built once per process.
+def _oracle_liveouts(spec: KernelSpec) -> tuple[float, int | float | None]:
+    """Interpreter oracle: the same workload run purely functionally.
 
-    Holds the untransformed oracle module, the pipelined compilation, and
-    the interpreter-oracle liveouts.  The oracle runs the *untransformed*
-    module: cgpa_compile rewrites the accelerated function with
-    fork/join/FIFO ops the functional interpreter does not execute.
+    Liveouts = the final memory state (the kernel's checksum) plus the
+    kernel's return value — kernels like ks report their result only
+    through the latter, so corruption detection must compare both.
     """
-
-    def __init__(
-        self,
-        spec: KernelSpec,
-        engine: str,
-        n_workers: int,
-        fifo_depth: int,
-    ) -> None:
-        self.spec = spec
-        self.engine = engine
-        plain = compile_c(spec.source, spec.name)
-        optimize_module(plain)
-        module = compile_c(spec.source, spec.name)
-        optimize_module(module)
-        self.compiled = cgpa_compile(
-            module,
-            spec.accel_function,
-            shapes=spec.shapes_for(module),
-            policy=ReplicationPolicy.P1,
-            n_workers=n_workers,
-            fifo_depth=fifo_depth,
-        )
-        # Interpreter oracle: the same workload run purely functionally.
-        # Liveouts = the final memory state (the kernel's checksum) plus
-        # the kernel's return value — kernels like ks report their result
-        # only through the latter, so corruption detection must compare
-        # both.
-        memory, globals_, args = interned_workload(plain, spec)
-        interp = Interpreter(plain, memory, global_addresses=globals_)
-        self.oracle_return = interp.call(spec.measure_entry, args)
-        self.oracle = float(interp.call(spec.check_function, []))
-
-    def fresh_system(self, injector=None, monitor=None, budget=None):
-        memory, globals_, args = interned_workload(
-            self.compiled.module, self.spec
-        )
-        system = AcceleratorSystem(
-            self.compiled.module,
-            memory,
-            channels=self.compiled.result.channels,
-            cache=DirectMappedCache(ports=8),
-            global_addresses=globals_,
-            max_cycles=budget if budget is not None else 500_000_000,
-            engine=self.engine,
-            injector=injector,
-            monitor=monitor,
-        )
-        return system, memory, globals_, args
-
-    def checksum(self, memory, globals_) -> float:
-        return float(run_check(self.compiled.module, memory, globals_, self.spec))
-
-    def liveouts_match(self, sim, memory, globals_) -> bool:
-        if self.checksum(memory, globals_) != self.oracle:
-            return False
-        return (
-            sim.return_value is None
-            or sim.return_value == self.oracle_return
-        )
+    plain = compile_module(spec)
+    memory, globals_, args = setup_workload(plain, spec)
+    interp = Interpreter(plain, memory, global_addresses=globals_)
+    oracle_return = interp.call(spec.measure_entry, args)
+    return float(run_check(plain, memory, globals_, spec)), oracle_return
 
 
-#: Per-process harness memo: one compilation per sweep configuration, no
-#: matter how many plan tasks land on the process.
-_HARNESS_MEMO: dict = {}
+def _simulate(
+    spec: KernelSpec, engine: str, n_workers: int, fifo_depth: int, **faults
+) -> BackendResult:
+    """One run of the sweep configuration over a fresh workload clone;
+    ``faults`` are the plan's ``max_cycles``/``injector``/``monitor``."""
+    return run_hardware(
+        spec, "cgpa-p1",
+        interned_pipeline(spec, ReplicationPolicy.P1, n_workers, fifo_depth),
+        DirectMappedCache(ports=8),
+        workload=interned_workload,
+        engine=engine,
+        **faults,
+    )
 
-#: Harnesses kept per process before the memo is cleared.
-_HARNESS_MEMO_ENTRIES = 8
 
-
-def _harness_for(
-    spec: KernelSpec, engine: str, n_workers: int, fifo_depth: int
-) -> _SweepHarness:
-    key = (spec.name, spec.source, engine, n_workers, fifo_depth)
-    harness = _HARNESS_MEMO.get(key)
-    if harness is None:
-        if len(_HARNESS_MEMO) >= _HARNESS_MEMO_ENTRIES:
-            _HARNESS_MEMO.clear()
-        harness = _HARNESS_MEMO[key] = _SweepHarness(
-            spec, engine, n_workers, fifo_depth
-        )
-    return harness
+def _liveouts_match(run: BackendResult, oracle: float, oracle_return) -> bool:
+    return float(run.checksum) == oracle and (
+        run.return_value is None or run.return_value == oracle_return
+    )
 
 
 def _run_plan_task(task) -> FaultRunRecord:
     """Fleet task: run one fault plan against a fresh system.
 
-    Takes plain picklable data; the per-process harness memo supplies the
-    compiled modules and oracle liveouts.
+    Takes plain picklable data: the per-process pipeline intern supplies
+    the compiled module, the parent supplies the oracle liveouts.
     """
-    (spec, engine, n_workers, fifo_depth, index, plan,
-     baseline_cycles, budget, monitor_interval) = task
-    harness = _harness_for(spec, engine, n_workers, fifo_depth)
-    return _run_one(
-        index, plan, harness.fresh_system, harness.liveouts_match,
-        baseline_cycles, budget,
-        monitor_interval=monitor_interval,
-        entry=spec.measure_entry,
-    )
+    (spec, engine, n_workers, fifo_depth, index, plan, baseline_cycles,
+     oracle, oracle_return, budget, monitor_interval) = task
+    injector = FaultInjector(plan)
+    monitor = InvariantMonitor(
+        interval=monitor_interval
+    ) if monitor_interval else InvariantMonitor()
+    record = FaultRunRecord(index=index, kind=plan.kind, plan=plan)
+    try:
+        run = _simulate(
+            spec, engine, n_workers, fifo_depth,
+            max_cycles=budget, injector=injector, monitor=monitor,
+        )
+    except DeadlockError as exc:
+        record.outcome = "deadlock"
+        record.diagnosis = str(exc)
+        diagnosis = exc.diagnosis
+        hung = [f for f in injector.triggered if f.kind == "worker_hang"]
+        record.detected = bool(
+            hung and diagnosis is not None and diagnosis.root_hang is not None
+        ) or (plan.kind == "corruption" and _corruption_fired(injector))
+    except CycleBudgetExceeded as exc:
+        record.outcome = "timeout"
+        record.diagnosis = str(exc)
+        record.detected = plan.kind != "timing" and _fault_fired(injector)
+    except InvariantViolationError as exc:
+        record.outcome = "invariant-violation"
+        record.diagnosis = str(exc)
+        record.detected = _fault_fired(injector)
+    except CgpaError as exc:
+        # Fail-stop crash (e.g. a corrupted pointer hit unmapped memory):
+        # noisy, but detected by construction.
+        record.outcome = "crash"
+        record.diagnosis = str(exc).splitlines()[0]
+        record.detected = _fault_fired(injector)
+    else:
+        record.cycles = run.cycles
+        record.slowdown = run.cycles / baseline_cycles
+        if _liveouts_match(run, oracle, oracle_return):
+            record.outcome = "correct"
+        else:
+            record.outcome = "corrupted-output"
+            record.detected = True  # end-to-end validation caught it
+    record.triggered = _fault_fired(injector)
+    return record
 
 
 def _checkpoint_key(
@@ -389,12 +374,12 @@ def resilience_sweep(
     ``envelopes`` journals the owned fleet's supervision events (and the
     resume event) as ``fleet`` run envelopes.
     """
-    harness = _harness_for(spec, engine, n_workers, fifo_depth)
+    oracle, oracle_return = _oracle_liveouts(spec)
 
     # Fault-free hardware baseline (also the plan generator's context).
-    system, memory, globals_, args = harness.fresh_system()
-    baseline = system.run(spec.measure_entry, args)
-    if not harness.liveouts_match(baseline, memory, globals_):
+    baseline_run = _simulate(spec, engine, n_workers, fifo_depth)
+    baseline = baseline_run.sim
+    if not _liveouts_match(baseline_run, oracle, oracle_return):
         raise SimulationError(
             f"{spec.name}: fault-free hardware run disagrees with the "
             f"interpreter oracle; refusing to measure resilience"
@@ -413,8 +398,8 @@ def resilience_sweep(
         seed=seed,
         n_plans=n_plans,
         baseline_cycles=baseline.cycles,
-        oracle_checksum=harness.oracle,
-        oracle_return=harness.oracle_return,
+        oracle_checksum=oracle,
+        oracle_return=oracle_return,
     )
     seeds = plan_seeds(seed, n_plans * len(PLAN_KINDS))
     tasks = []
@@ -424,7 +409,8 @@ def resilience_sweep(
             plan = FaultPlan.generate(seeds[index], kind, ctx)
             tasks.append((
                 spec, engine, n_workers, fifo_depth, index, plan,
-                baseline.cycles, budget, monitor_interval,
+                baseline.cycles, oracle, oracle_return, budget,
+                monitor_interval,
             ))
             index += 1
 
@@ -474,60 +460,6 @@ def resilience_sweep(
     assert all(r is not None for r in slots)
     report.records.extend(slots)  # type: ignore[arg-type]
     return report
-
-
-def _run_one(
-    index: int,
-    plan: FaultPlan,
-    fresh_system,
-    liveouts_match,
-    baseline_cycles: int,
-    budget: int,
-    monitor_interval: int | None,
-    entry: str,
-) -> FaultRunRecord:
-    injector = FaultInjector(plan)
-    monitor = InvariantMonitor(
-        interval=monitor_interval
-    ) if monitor_interval else InvariantMonitor()
-    system, memory, globals_, args = fresh_system(
-        injector=injector, monitor=monitor, budget=budget
-    )
-    record = FaultRunRecord(index=index, kind=plan.kind, plan=plan)
-    try:
-        sim = system.run(entry, args)
-    except DeadlockError as exc:
-        record.outcome = "deadlock"
-        record.diagnosis = str(exc)
-        diagnosis = exc.diagnosis
-        hung = [f for f in injector.triggered if f.kind == "worker_hang"]
-        record.detected = bool(
-            hung and diagnosis is not None and diagnosis.root_hang is not None
-        ) or (plan.kind == "corruption" and _corruption_fired(injector))
-    except CycleBudgetExceeded as exc:
-        record.outcome = "timeout"
-        record.diagnosis = str(exc)
-        record.detected = plan.kind != "timing" and _fault_fired(injector)
-    except InvariantViolationError as exc:
-        record.outcome = "invariant-violation"
-        record.diagnosis = str(exc)
-        record.detected = _fault_fired(injector)
-    except CgpaError as exc:
-        # Fail-stop crash (e.g. a corrupted pointer hit unmapped memory):
-        # noisy, but detected by construction.
-        record.outcome = "crash"
-        record.diagnosis = str(exc).splitlines()[0]
-        record.detected = _fault_fired(injector)
-    else:
-        record.cycles = sim.cycles
-        record.slowdown = sim.cycles / baseline_cycles
-        if liveouts_match(sim, memory, globals_):
-            record.outcome = "correct"
-        else:
-            record.outcome = "corrupted-output"
-            record.detected = True  # end-to-end validation caught it
-    record.triggered = _fault_fired(injector)
-    return record
 
 
 def _fault_fired(injector: FaultInjector) -> bool:

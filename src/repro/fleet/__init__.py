@@ -39,14 +39,15 @@ Every supervision action is recorded as a :class:`FleetEvent` on
 ``fleet`` :class:`~repro.obs.RunEnvelope`, so ``obs query --kind fleet``
 reports crash/retry/timeout/respawn history alongside the runs.
 
-Task functions must be module-level (picklable) and should memoize their
-heavy state in module globals keyed by task parameters — each pool
-process then compiles a kernel once, no matter how many tasks land on
-it.  :func:`interned_workload` is the shared half of that pattern: it
-runs a kernel's functional setup once per ``(module, kernel)`` per
-process and stamps out :meth:`~repro.interp.memory.Memory.clone`\\ s,
-so simulations pay for a memory image copy instead of re-interpreting
-the setup function.
+Task functions must be module-level (picklable) and take their heavy
+state from the two per-process interns here, keyed by task parameters —
+each pool process then compiles a kernel once, no matter how many tasks
+land on it.  :func:`interned_pipeline` is
+:func:`~repro.harness.build.compile_kernel` through the process's one
+compiled-pipeline memo; :func:`interned_workload` runs a kernel's
+functional setup once per ``(module, kernel)`` per process and stamps
+out :meth:`~repro.interp.memory.Memory.clone`\\ s, so simulations pay
+for a memory image copy instead of re-interpreting the setup function.
 
 :mod:`repro.fleet.chaos` supplies the deterministic failure-injection
 hooks (worker kills, task delays, artifact corruption) the chaos tests
@@ -69,11 +70,22 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..errors import CgpaError
+from ..harness.build import compile_kernel
 from ..harness.runner import setup_workload
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..interp.memory import Memory
     from ..kernels import KernelSpec
+    from ..pipeline import CompiledPipeline, ReplicationPolicy
+
+#: The process's one compiled-pipeline memo, keyed on everything
+#: ``compile_kernel`` reads (see :func:`interned_pipeline`).
+_PIPELINE_MEMO: dict = {}
+
+#: Pipelines kept before the memo is dropped wholesale.  Matches the
+#: workload memo below: each interned pipeline's module owns at most one
+#: interned image, so neither memo outlives the other by much.
+_PIPELINE_MEMO_ENTRIES = 32
 
 #: Interned post-setup workload images, per process:
 #: ``(id(module), kernel, setup_args) -> (module, memory, globals,
@@ -163,6 +175,38 @@ class FleetEvent:
             "attempt": self.attempt,
             "detail": self.detail,
         }
+
+
+def interned_pipeline(
+    spec: "KernelSpec",
+    policy: "ReplicationPolicy",
+    n_workers: int,
+    fifo_depth: int,
+) -> "CompiledPipeline":
+    """``compile_kernel`` through the per-process pipeline memo.
+
+    Equal content returns the *same* object (so the ``id(module)``-keyed
+    workload memo and the specialized programs cached on its functions
+    are shared by every evaluator, sweep and service job in the
+    process); any difference in what ``compile_kernel`` reads — one
+    trailing comment in the source included — is a miss.  Consumers
+    treat the pipeline as read-only: simulators keep their state on the
+    ``AcceleratorSystem``, so threads may share one entry.  Two threads
+    missing the same key both compile; ``setdefault`` publishes one.
+    """
+    sites = spec.list_shape_sites
+    key = (
+        spec.name, spec.source, spec.accel_function,
+        sites if isinstance(sites, str) else tuple(sites),
+        policy, n_workers, fifo_depth,
+    )
+    compiled = _PIPELINE_MEMO.get(key)
+    if compiled is None:
+        compiled = compile_kernel(spec, policy, n_workers, fifo_depth)
+        if len(_PIPELINE_MEMO) >= _PIPELINE_MEMO_ENTRIES:
+            _PIPELINE_MEMO.clear()
+        compiled = _PIPELINE_MEMO.setdefault(key, compiled)
+    return compiled
 
 
 def interned_workload(module, spec: "KernelSpec"):

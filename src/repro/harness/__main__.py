@@ -39,6 +39,7 @@ import json
 import pathlib
 import sys
 
+from ..hw import ENGINES
 from ..kernels import ALL_KERNELS, KERNELS_BY_NAME
 from ..telemetry import (
     MemoryTraceSink,
@@ -76,6 +77,26 @@ def _positive_int(text: str) -> int:
 def _csv_positive_ints(text: str) -> list[int]:
     """argparse type: comma-separated list of >= 1 integers."""
     return [_positive_int(item) for item in text.split(",") if item]
+
+
+# One declaration per option that several subcommands share; each
+# subcommand supplies only its own help text (and worker default).
+
+
+def _add_engine(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument("--engine", default="event", choices=ENGINES, help=help)
+
+
+def _add_max_cycles(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument("--max-cycles", type=_positive_int, default=None, help=help)
+
+
+def _add_workers(parser: argparse.ArgumentParser, default: int, help: str) -> None:
+    parser.add_argument("--workers", type=_positive_int, default=default, help=help)
+
+
+def _add_fifo_depth(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument("--fifo-depth", type=_positive_int, default=16, help=help)
 
 
 def _add_store_argument(parser: argparse.ArgumentParser) -> None:
@@ -173,15 +194,12 @@ def dse_main(argv: list[str]) -> int:
         help="pool size for parallel evaluation (default: 1); the frontier "
         "is byte-identical at any pool size",
     )
-    parser.add_argument(
-        "--max-cycles", type=_positive_int, default=None,
+    _add_max_cycles(
+        parser,
         help="per-point simulated-cycle budget; points exceeding it are "
         "recorded as status=timeout (default: 50M)",
     )
-    parser.add_argument(
-        "--engine", default="event", choices=["event", "lockstep", "specialized"],
-        help="simulator clock loop (default: event)",
-    )
+    _add_engine(parser, "simulator clock loop (default: event)")
     parser.add_argument(
         "--cache-dir", type=pathlib.Path, default=pathlib.Path(".dse-cache"),
         help="on-disk result cache location (default: ./.dse-cache)",
@@ -215,9 +233,9 @@ def dse_main(argv: list[str]) -> int:
         GridStrategy,
         HillClimbStrategy,
         RandomStrategy,
-        ResultCache,
     )
     from ..errors import CgpaError
+    from ..service.store import ArtifactStore
     from .report import format_pareto
 
     spec = KERNELS_BY_NAME[args.kernel]
@@ -246,10 +264,16 @@ def dse_main(argv: list[str]) -> int:
         ),
     }[args.strategy]()
     writer = _envelope_writer(args.store)
+    # No warm LRU: sweep pools share the cache directory across
+    # *processes*, so disk is the single source of truth — a torn or
+    # corrupted entry is a miss even for the process that just wrote it.
+    cache = None if args.no_cache else ArtifactStore(
+        args.cache_dir, lru_entries=0
+    )
     explorer = Explorer(
         spec,
         space,
-        cache=None if args.no_cache else ResultCache(args.cache_dir),
+        cache=cache,
         processes=args.processes,
         max_cycles=args.max_cycles or DEFAULT_EVAL_MAX_CYCLES,
         engine=args.engine,
@@ -332,21 +356,15 @@ def faults_main(argv: list[str]) -> int:
         "--seed", type=int, default=0,
         help="master seed deriving every plan's schedule (default: 0)",
     )
-    parser.add_argument(
-        "--engine", default="event", choices=["event", "lockstep", "specialized"],
+    _add_engine(
+        parser,
         help="simulator clock loop (default: event); the report is "
         "byte-identical under either",
     )
-    parser.add_argument(
-        "--workers", type=_positive_int, default=4,
-        help="parallel-stage worker count (paper default: 4)",
-    )
-    parser.add_argument(
-        "--fifo-depth", type=_positive_int, default=16,
-        help="FIFO entries per channel (paper default: 16)",
-    )
-    parser.add_argument(
-        "--max-cycles", type=_positive_int, default=None,
+    _add_workers(parser, 4, "parallel-stage worker count (paper default: 4)")
+    _add_fifo_depth(parser, "FIFO entries per channel (paper default: 16)")
+    _add_max_cycles(
+        parser,
         help="per-plan simulated-cycle budget (default: 64x the fault-free "
         "baseline); exceeding it records the plan as outcome=timeout",
     )
@@ -436,16 +454,13 @@ def rtl_main(argv: list[str]) -> int:
         "--policy", default="p1", choices=["p1", "p2", "none"],
         help="replication policy to compile with (default: p1)",
     )
-    parser.add_argument(
-        "--workers", type=_positive_int, default=2,
+    _add_workers(
+        parser, 2, 
         help="parallel-stage worker count (default: 2; every worker "
         "module is simulated gate-for-gate, so co-simulation favours "
         "small fleets)",
     )
-    parser.add_argument(
-        "--fifo-depth", type=_positive_int, default=16,
-        help="FIFO entries per channel (default: 16)",
-    )
+    _add_fifo_depth(parser, "FIFO entries per channel (default: 16)")
     parser.add_argument(
         "--setup-args", type=_csv_positive_ints, default=None,
         metavar="N,N,...",
@@ -457,10 +472,7 @@ def rtl_main(argv: list[str]) -> int:
         help="use the paper-scale workload instead of the smoke scale "
         "(slow: every clock edge is interpreted in Python)",
     )
-    parser.add_argument(
-        "--max-cycles", type=_positive_int, default=None,
-        help="per-round simulated-cycle budget (default: 500k)",
-    )
+    _add_max_cycles(parser, "per-round simulated-cycle budget (default: 500k)")
     parser.add_argument(
         "--emit-dir", type=pathlib.Path, default=None, metavar="DIR",
         help="also write each round's Verilog modules plus oracle-"
@@ -526,27 +538,21 @@ def trace_main(argv: list[str]) -> int:
         choices=["legup", "cgpa-p1", "cgpa-p2", "cgpa-none"],
         help="hardware backend to trace (default: cgpa-p1)",
     )
-    parser.add_argument(
-        "--workers", type=_positive_int, default=4,
-        help="parallel-stage worker count (paper default: 4)",
-    )
-    parser.add_argument(
-        "--fifo-depth", type=_positive_int, default=16,
-        help="FIFO entries per channel (paper default: 16)",
-    )
+    _add_workers(parser, 4, "parallel-stage worker count (paper default: 4)")
+    _add_fifo_depth(parser, "FIFO entries per channel (paper default: 16)")
     parser.add_argument(
         "--out", type=pathlib.Path, default=pathlib.Path("traces"),
         help="output directory (default: ./traces); the chrome trace "
         "JSON there is a mirror of the --store artifact",
     )
     _add_store_argument(parser)
-    parser.add_argument(
-        "--engine", default="event", choices=["event", "lockstep", "specialized"],
+    _add_engine(
+        parser,
         help="simulator clock loop: event-driven skip-ahead (default) or "
         "the tick-every-cycle lockstep oracle; cycle counts are identical",
     )
-    parser.add_argument(
-        "--max-cycles", type=_positive_int, default=None,
+    _add_max_cycles(
+        parser,
         help="simulated-cycle budget; a run exceeding it fails with a "
         "one-line CycleBudgetExceeded diagnosis (default: 500M)",
     )
@@ -948,17 +954,14 @@ def _dispatch(argv: list[str]) -> int:
         "--scalability", action="store_true",
         help="run the Appendix B.1 worker sweep (em3d)",
     )
-    parser.add_argument(
-        "--workers", type=_positive_int, default=4,
-        help="parallel-stage worker count (paper default: 4)",
-    )
-    parser.add_argument(
-        "--engine", default="event", choices=["event", "lockstep", "specialized"],
+    _add_workers(parser, 4, "parallel-stage worker count (paper default: 4)")
+    _add_engine(
+        parser,
         help="simulator clock loop: event-driven skip-ahead (default) or "
         "the tick-every-cycle lockstep oracle; cycle counts are identical",
     )
-    parser.add_argument(
-        "--max-cycles", type=_positive_int, default=None,
+    _add_max_cycles(
+        parser,
         help="simulated-cycle budget per backend run; a run exceeding it "
         "fails with a one-line CycleBudgetExceeded diagnosis (default: 500M)",
     )
@@ -986,13 +989,18 @@ def _dispatch(argv: list[str]) -> int:
         return 0
 
     if args.scalability:
-        points = scalability(KERNELS_BY_NAME["em3d"], (1, 2, 4, 8))
+        points = scalability(
+            KERNELS_BY_NAME["em3d"], (1, 2, 4, 8),
+            engine=args.engine, max_cycles=args.max_cycles,
+        )
         print(format_scalability(points))
         return 0
 
     print("Simulating all five kernels on all backends "
           "(this takes ~30 seconds)...\n")
-    runs = run_all_kernels(n_workers=args.workers)
+    runs = run_all_kernels(
+        n_workers=args.workers, engine=args.engine, max_cycles=args.max_cycles
+    )
     print(format_table2(table2(runs)))
     print()
     print(format_figure4(figure4(runs)))

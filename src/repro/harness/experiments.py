@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ..hw import DirectMappedCache
 from ..kernels import ALL_KERNELS, PAPER_KERNELS, KernelSpec
-from .runner import KernelRun, run_backend, run_kernel
+from .build import compile_kernel
+from .runner import KernelRun, run_backend, run_hardware, run_kernel
 
 
 def geomean(values) -> float:
@@ -29,6 +31,8 @@ def run_all_kernels(
     include_p2: bool = True,
     n_workers: int = 4,
     fifo_depth: int = 16,
+    engine: str = "event",
+    max_cycles: int | None = None,
 ) -> dict[str, KernelRun]:
     """Simulate every kernel on every applicable backend (shared by all
     table/figure drivers so the work is done once).
@@ -45,7 +49,8 @@ def run_all_kernels(
         if include_p2 and spec.supports_p2:
             backends.append("cgpa-p2")
         runs[spec.name] = run_kernel(
-            spec, tuple(backends), n_workers=n_workers, fifo_depth=fifo_depth
+            spec, tuple(backends), n_workers=n_workers, fifo_depth=fifo_depth,
+            engine=engine, max_cycles=max_cycles,
         )
     return runs
 
@@ -311,12 +316,16 @@ class ScalabilityPoint:
 def scalability(
     spec: KernelSpec,
     worker_counts: tuple[int, ...] = (1, 2, 4, 8),
+    engine: str = "event",
+    max_cycles: int | None = None,
 ) -> list[ScalabilityPoint]:
     """Sweep the parallel-worker count for one kernel (App. B.1)."""
 
     points = []
     for n in worker_counts:
-        result = run_backend(spec, "cgpa-p1", n_workers=n)
+        result = run_backend(
+            spec, "cgpa-p1", n_workers=n, engine=engine, max_cycles=max_cycles
+        )
         points.append(ScalabilityPoint(spec.name, n, result.cycles))
     base = points[0].cycles
     for p in points:
@@ -417,37 +426,20 @@ def memory_system_ablation(
     The paper argues the shared-memory overhead grows with the worker
     count and that "private cache and memory partition techniques" fix
     it; this ablation measures both organisations at increasing worker
-    counts.  Implemented outside the standard backend runner because the
-    private-cache mode is a system-level switch.
+    counts.  ``private_caches`` is a system-level switch ``run_backend``
+    does not expose, so this drives the shared run path directly.
     """
-    from ..frontend import compile_c
-    from ..hw import AcceleratorSystem, DirectMappedCache
-    from ..pipeline import ReplicationPolicy, cgpa_compile
-    from ..transforms import optimize_module
-    from .runner import setup_workload
-
     points = []
     for n_workers in worker_counts:
         for private in (False, True):
-            module = compile_c(spec.source, spec.name)
-            optimize_module(module)
-            compiled = cgpa_compile(
-                module, spec.accel_function, shapes=spec.shapes_for(module),
-                policy=ReplicationPolicy.P1, n_workers=n_workers,
+            run = run_hardware(
+                spec, "cgpa-p1", compile_kernel(spec, n_workers=n_workers),
+                DirectMappedCache(ports=8), private_caches=private,
             )
-            memory, globals_, args = setup_workload(compiled.module, spec)
-            system = AcceleratorSystem(
-                compiled.module, memory,
-                channels=compiled.result.channels,
-                cache=DirectMappedCache(ports=8),
-                global_addresses=globals_,
-                private_caches=private,
-            )
-            sim = system.run(spec.measure_entry, args)
             label = "private" if private else "shared"
             points.append(
                 AblationPoint(
-                    spec.name, f"mem:{label}", n_workers, sim.cycles
+                    spec.name, f"mem:{label}", n_workers, run.cycles
                 )
             )
     return points

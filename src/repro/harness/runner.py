@@ -28,14 +28,14 @@ from ..cost import (
     single_module_area,
 )
 from ..errors import CgpaError
-from ..frontend import compile_c
 from ..hw import AcceleratorSystem, DirectMappedCache, SimReport, run_on_mips
 from ..interp import Interpreter, Memory, to_unsigned
 from ..ir import I32
+from ..ir.module import Module
 from ..kernels import KARGS_GLOBAL, KernelSpec
-from ..pipeline import CompiledPipeline, ReplicationPolicy, cgpa_compile
+from ..pipeline import CompiledPipeline, ReplicationPolicy
 from ..telemetry.events import TraceSink
-from ..transforms import optimize_module
+from .build import compile_kernel, compile_module
 
 DEFAULT_BACKENDS = ("mips", "legup", "cgpa-p1")
 
@@ -135,11 +135,6 @@ def setup_workload(module, spec: KernelSpec):
     return interp.memory, interp.global_addresses, args
 
 
-#: Deprecated alias (pre-public name); importers should use
-#: :func:`setup_workload`.
-_setup_workload = setup_workload
-
-
 def run_check(module, memory, global_addresses, spec: KernelSpec) -> float:
     """Interpret the kernel's ``check`` function over a post-run image.
 
@@ -148,6 +143,71 @@ def run_check(module, memory, global_addresses, spec: KernelSpec) -> float:
     """
     interp = Interpreter(module, memory, global_addresses=global_addresses)
     return interp.call(spec.check_function, [])
+
+
+#: Replication policy behind each ``cgpa-*`` backend name.
+_POLICIES = {
+    "cgpa-p1": ReplicationPolicy.P1,
+    "cgpa-p2": ReplicationPolicy.P2,
+    "cgpa-none": ReplicationPolicy.NONE,
+}
+
+
+def run_hardware(
+    spec: KernelSpec,
+    backend: str,
+    design: CompiledPipeline | Module,
+    cache: DirectMappedCache,
+    workload=setup_workload,
+    engine: str = "event",
+    max_cycles: int | None = None,
+    private_caches: bool = False,
+    sink: TraceSink | None = None,
+    injector=None,
+    monitor=None,
+) -> BackendResult:
+    """The one run path: workload image → simulate → area/power → check.
+
+    ``design`` is a compiled pipeline, or the plain module for the
+    LegUp-style single FSM.  ``workload`` builds the ``(memory, globals,
+    args)`` image from the design's module: :func:`setup_workload` runs
+    the kernel's setup afresh, :func:`repro.fleet.interned_workload`
+    clones a per-process pristine image.  Simulator failures (deadlock,
+    cycle budget, invariant violation) propagate to the caller.
+    """
+    compiled = design if isinstance(design, CompiledPipeline) else None
+    module = compiled.module if compiled else design
+    memory, globals_, args = workload(module, spec)
+    budget = {} if max_cycles is None else {"max_cycles": max_cycles}
+    system = AcceleratorSystem(
+        module,
+        memory,
+        channels=compiled.result.channels if compiled else None,
+        cache=cache,
+        global_addresses=globals_,
+        private_caches=private_caches,
+        sink=sink,
+        engine=engine,
+        injector=injector,
+        monitor=monitor,
+        **budget,
+    )
+    sim = system.run(spec.measure_entry, args)
+    if compiled:
+        area = cgpa_area(compiled)
+    else:
+        area = single_module_area(module.get_function(spec.measure_entry))
+    power = power_report(sim, area, list(module.functions.values()))
+    return BackendResult(
+        backend=backend,
+        cycles=sim.cycles,
+        checksum=run_check(module, memory, globals_, spec),
+        return_value=sim.return_value,
+        signature=compiled.signature if compiled else None,
+        area=area,
+        power=power,
+        sim=sim,
+    )
 
 
 def run_backend(
@@ -175,11 +235,13 @@ def run_backend(
     ``max_cycles`` caps the simulated clock; a run that exceeds it raises
     :class:`~repro.errors.CycleBudgetExceeded` (hardware backends only —
     the MIPS cost model executes a finite instruction trace).
+
+    Nothing here is interned: this is the cold designer path, and a
+    retained workload image per kernel would show up in its peak RSS.
     """
     cache_kwargs = dict(cache_kwargs or {})
     if backend == "mips":
-        module = compile_c(spec.source, spec.name)
-        optimize_module(module)
+        module = compile_module(spec)
         memory, globals_, args = setup_workload(module, spec)
         mips = run_on_mips(
             module, spec.measure_entry, args, memory,
@@ -196,85 +258,16 @@ def run_backend(
         )
 
     if backend == "legup":
-        module = compile_c(spec.source, spec.name)
-        optimize_module(module)
-        memory, globals_, args = setup_workload(module, spec)
-        cache_kwargs.setdefault("ports", 8)
-        system_kwargs = {}
-        if max_cycles is not None:
-            system_kwargs["max_cycles"] = max_cycles
-        system = AcceleratorSystem(
-            module, memory,
-            cache=DirectMappedCache(**cache_kwargs),
-            global_addresses=globals_,
-            sink=sink,
-            engine=engine,
-            **system_kwargs,
-        )
-        sim = system.run(spec.measure_entry, args)
-        area = single_module_area(module.get_function(spec.measure_entry))
-        functions = list(module.functions.values())
-        power = power_report(sim, area, functions)
-        checksum = run_check(module, memory, globals_, spec)
-        return BackendResult(
-            backend="legup",
-            cycles=sim.cycles,
-            checksum=checksum,
-            return_value=sim.return_value,
-            area=area,
-            power=power,
-            sim=sim,
-        )
-
-    if backend in ("cgpa-p1", "cgpa-p2", "cgpa-none"):
-        policy = {
-            "cgpa-p1": ReplicationPolicy.P1,
-            "cgpa-p2": ReplicationPolicy.P2,
-            "cgpa-none": ReplicationPolicy.NONE,
-        }[backend]
-        module = compile_c(spec.source, spec.name)
-        optimize_module(module)
-        shapes = spec.shapes_for(module)
-        compiled = cgpa_compile(
-            module,
-            spec.accel_function,
-            shapes=shapes,
-            policy=policy,
-            n_workers=n_workers,
-            fifo_depth=fifo_depth,
-        )
-        memory, globals_, args = setup_workload(compiled.module, spec)
-        cache_kwargs.setdefault("ports", 8)
-        system_kwargs = {}
-        if max_cycles is not None:
-            system_kwargs["max_cycles"] = max_cycles
-        system = AcceleratorSystem(
-            compiled.module,
-            memory,
-            channels=compiled.result.channels,
-            cache=DirectMappedCache(**cache_kwargs),
-            global_addresses=globals_,
-            sink=sink,
-            engine=engine,
-            **system_kwargs,
-        )
-        sim = system.run(spec.measure_entry, args)
-        area = cgpa_area(compiled)
-        functions = list(compiled.module.functions.values())
-        power = power_report(sim, area, functions)
-        checksum = run_check(compiled.module, memory, globals_, spec)
-        return BackendResult(
-            backend=backend,
-            cycles=sim.cycles,
-            checksum=checksum,
-            return_value=sim.return_value,
-            signature=compiled.signature,
-            area=area,
-            power=power,
-            sim=sim,
-        )
-
-    raise CgpaError(f"unknown backend {backend!r}")
+        design = compile_module(spec)
+    elif backend in _POLICIES:
+        design = compile_kernel(spec, _POLICIES[backend], n_workers, fifo_depth)
+    else:
+        raise CgpaError(f"unknown backend {backend!r}")
+    cache_kwargs.setdefault("ports", 8)
+    return run_hardware(
+        spec, backend, design, DirectMappedCache(**cache_kwargs),
+        engine=engine, max_cycles=max_cycles, sink=sink,
+    )
 
 
 def cgpa_area(compiled: CompiledPipeline) -> AreaReport:

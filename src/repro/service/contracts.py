@@ -26,6 +26,7 @@ from typing import Any, Callable
 
 from ..cost import COST_MODEL_VERSION
 from ..errors import CgpaError
+from ..hw import ENGINES as _ENGINES  # what simulate-like options accept
 from ..kernels import KERNELS_BY_NAME, KernelSpec
 from .store import content_key
 
@@ -38,9 +39,6 @@ JOB_KINDS = ("compile", "simulate", "dse", "faults", "rtl")
 
 #: Replication policies accepted by compile-like options.
 _POLICIES = ("p1", "p2", "none")
-
-#: Simulator engines accepted by simulate-like options.
-_ENGINES = ("event", "lockstep", "specialized")
 
 
 class ContractError(CgpaError):

@@ -9,8 +9,9 @@ depends on (same key ⇒ same bytes, whoever computed them).
 
 Executors reuse the DSE layer rather than reimplementing it:
 ``simulate`` scores a single :class:`~repro.dse.space.DesignPoint`
-through :class:`~repro.dse.evaluate.Evaluator` (sharing the evaluator's
-compile memo across jobs via a per-thread registry), and both
+through :class:`~repro.dse.evaluate.Evaluator` (compiled pipelines are
+shared across jobs and worker threads by
+:func:`repro.fleet.interned_pipeline`), and both
 ``simulate`` and ``dse`` read/write design-point evaluations through the
 same :class:`~repro.service.store.ArtifactStore` the service persists
 its artifacts in — one directory, one keying discipline, shared between
@@ -18,8 +19,6 @@ the service, the CLI sweeps, and any concurrent pool workers.
 """
 
 from __future__ import annotations
-
-import threading
 
 from ..dse import (
     ConfigSpace,
@@ -31,40 +30,11 @@ from ..dse import (
 )
 from ..dse.cache import result_key
 from ..dse.explore import Explorer
-from ..frontend import compile_c
+from ..fleet import interned_pipeline
 from ..harness.runner import cgpa_area
-from ..kernels import KernelSpec
-from ..pipeline import cgpa_compile
 from ..pipeline.spec import ReplicationPolicy
-from ..transforms import optimize_module
 from .contracts import ContractError, JobRequest
 from .store import ArtifactStore
-
-#: Per-thread evaluator registry size; evaluators hold compiled-pipeline
-#: memos, so a handful per worker thread covers a mixed workload.
-_EVALUATOR_MEMO_ENTRIES = 8
-
-_tls = threading.local()
-
-
-def _evaluator(spec: KernelSpec, max_cycles: int, engine: str) -> Evaluator:
-    """A per-thread memoized Evaluator (compiled pipelines are reused
-    across jobs that hit the same thread, never shared across threads —
-    simulation mutates per-system state, so cross-thread sharing would
-    race)."""
-    memo = getattr(_tls, "evaluators", None)
-    if memo is None:
-        memo = _tls.evaluators = {}
-    key = (spec.name, hash(spec.source), max_cycles, engine)
-    evaluator = memo.get(key)
-    if evaluator is None:
-        if len(memo) >= _EVALUATOR_MEMO_ENTRIES:
-            memo.clear()
-        evaluator = memo[key] = Evaluator(
-            spec, max_cycles=max_cycles, engine=engine
-        )
-    return evaluator
-
 
 # --------------------------------------------------------------------------
 # Executors (one per kind)
@@ -74,15 +44,9 @@ def _evaluator(spec: KernelSpec, max_cycles: int, engine: str) -> Evaluator:
 def _run_compile(request: JobRequest, store: ArtifactStore | None) -> dict:
     spec = request.spec()
     opts = request.options
-    module = compile_c(spec.source, spec.name)
-    optimize_module(module)
-    compiled = cgpa_compile(
-        module,
-        spec.accel_function,
-        shapes=spec.shapes_for(module),
-        policy=ReplicationPolicy(opts["policy"]),
-        n_workers=opts["n_workers"],
-        fifo_depth=opts["fifo_depth"],
+    compiled = interned_pipeline(
+        spec, ReplicationPolicy(opts["policy"]), opts["n_workers"],
+        opts["fifo_depth"],
     )
     area = cgpa_area(compiled)
     return {
@@ -118,7 +82,9 @@ def _run_simulate(request: JobRequest, store: ArtifactStore | None) -> dict:
     if stored is not None:
         result = stored
     else:
-        evaluator = _evaluator(spec, opts["max_cycles"], opts["engine"])
+        evaluator = Evaluator(
+            spec, max_cycles=opts["max_cycles"], engine=opts["engine"]
+        )
         result = evaluator.evaluate(point).to_dict()
         if store is not None:
             store.put(eval_key, result)
@@ -150,9 +116,9 @@ def _run_dse(request: JobRequest, store: ArtifactStore | None) -> dict:
             objective=opts["objective"], max_evals=opts["max_evals"]
         ),
     }[opts["strategy"]]()
-    # The store doubles as the design-point result cache (same key/layout
-    # family as the historical ResultCache), so sweeps submitted by many
-    # clients — and single-point simulate jobs — share evaluations.
+    # The store doubles as the design-point result cache, so sweeps
+    # submitted by many clients — and single-point simulate jobs — share
+    # evaluations.
     explorer = Explorer(
         spec,
         space,
@@ -235,8 +201,8 @@ def execute_in_process(store_root: str, request: JobRequest) -> dict:
     ``functools.partial``), so the service job queue can dispatch jobs to
     :class:`~repro.fleet.FleetExecutor` pool processes.  Each process
     rebuilds one :class:`ArtifactStore` per root and keeps it — its warm
-    LRU, the per-process evaluator/harness memos, and the interned
-    workload images all amortize across the jobs that land on it.
+    LRU, the interned pipelines and the interned workload images all
+    amortize across the jobs that land on it.
     """
     store = _PROCESS_STORES.get(store_root)
     if store is None:

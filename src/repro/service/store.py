@@ -8,10 +8,9 @@ cost-model version; see :mod:`repro.service.contracts`).  Entries are
 immutable: a key is never *invalidated*, it simply stops being addressed
 when any input changes.
 
-Layout is ``<root>/<key[:2]>/<key>.json``, the exact sharding the DSE
-:class:`~repro.dse.cache.ResultCache` introduced, so design-point
-evaluations and service artifacts share one directory and one locking
-discipline.  ``ResultCache`` is now a compatibility shim over this class.
+Layout is ``<root>/<key[:2]>/<key>.json``; design-point evaluations
+(:func:`repro.dse.result_key`) and service artifacts share one directory
+and one locking discipline.
 
 Four layers sit above the files:
 

@@ -36,10 +36,11 @@ Contract notes:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..errors import CgpaError
-from ..frontend import compile_c
+from ..harness.build import compile_kernel
+from ..harness.runner import setup_workload
 from ..interp import (
     BROADCAST_INDEX,
     Interpreter,
@@ -47,11 +48,10 @@ from ..interp import (
     RecordingChannelIO,
     to_unsigned,
 )
-from ..ir import I32
 from ..ir.function import Function
 from ..ir.instructions import Alloca, Produce, ProduceBroadcast, StoreLiveout
-from ..kernels import KARGS_GLOBAL, KERNELS_BY_NAME, KernelSpec
-from ..pipeline import ReplicationPolicy, cgpa_compile
+from ..kernels import KERNELS_BY_NAME, KernelSpec
+from ..pipeline import ReplicationPolicy
 from ..pipeline.cosim import FunctionalForkHandler
 from ..pipeline.transform import TaskInfo
 from ..rtl.testbench import generate_testbench
@@ -62,7 +62,6 @@ from ..rtl.verilog import (
     _width,
     generate_verilog_hierarchy,
 )
-from ..transforms import optimize_module
 from .elaborate import elaborate
 from .errors import VsimRuntimeError
 from .sim import Simulation
@@ -534,27 +533,12 @@ def run_rtl_cosim(
     if setup_args is None:
         setup_args = SMOKE_SETUP_ARGS.get(spec.name, list(spec.setup_args))
 
-    module = compile_c(spec.source, spec.name)
-    optimize_module(module)
-    shapes = spec.shapes_for(module)
-    compiled = cgpa_compile(
-        module,
-        spec.accel_function,
-        shapes=shapes,
-        policy=policy_enum,
-        n_workers=n_workers,
-        fifo_depth=fifo_depth,
-    )
+    compiled = compile_kernel(spec, policy_enum, n_workers, fifo_depth)
 
     # ---------------------------------------------------------- oracle run
-    setup = Interpreter(compiled.module)
-    setup.call(spec.setup_function, list(setup_args))
-    kargs_addr = setup.global_addresses[KARGS_GLOBAL]
-    args = [
-        to_unsigned(setup.memory.load(kargs_addr + 4 * i, I32), 32)
-        for i in range(spec.n_kernel_args)
-    ]
-    memory, globals_ = setup.memory, setup.global_addresses
+    memory, globals_, args = setup_workload(
+        compiled.module, replace(spec, setup_args=setup_args)
+    )
 
     io = RecordingChannelIO()
     parent = Interpreter(

@@ -14,7 +14,6 @@ from repro.dse import (
     GridStrategy,
     HillClimbStrategy,
     RandomStrategy,
-    ResultCache,
     dominates,
     pareto_frontier,
     result_key,
@@ -22,6 +21,7 @@ from repro.dse import (
 from repro.errors import CgpaError
 from repro.harness.__main__ import dse_main, main
 from repro.kernels import KERNELS_BY_NAME
+from repro.service import ArtifactStore
 
 #: Scaled-down ks: the whole compile+simulate+cost path in ~50 ms.
 SMALL_KS = dataclasses.replace(KERNELS_BY_NAME["ks"], setup_args=[10, 10])
@@ -144,9 +144,9 @@ class TestEvaluator:
         points = [DesignPoint(cache_lines=n) for n in (64, 128, 256)]
         compiled = [evaluator.compile(p) for p in points]
         assert compiled[0] is compiled[1] is compiled[2]
-        assert len(evaluator._compiled) == 1
-        evaluator.compile(DesignPoint(n_workers=2))
-        assert len(evaluator._compiled) == 2
+        assert evaluator.compile(DesignPoint(n_workers=2)) is not compiled[0]
+        # The intern is process-wide: a second evaluator shares it.
+        assert Evaluator(SMALL_KS).compile(points[0]) is compiled[0]
 
     def test_eval_result_dict_roundtrip(self, small_sweep):
         result = small_sweep.results[0]
@@ -182,15 +182,7 @@ class TestPareto:
         assert len(pareto_frontier([a, b])) == 2
 
 
-class TestResultCache:
-    def test_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = result_key(SMALL_KS, DesignPoint(), 1000, "event")
-        assert cache.get(key) is None
-        cache.put(key, {"status": "ok"})
-        assert cache.get(key) == {"status": "ok"}
-        assert len(cache) == 1
-
+class TestResultKey:
     def test_key_covers_kernel_config_and_budget(self):
         base = result_key(SMALL_KS, DesignPoint(), 1000, "event")
         other_kernel = dataclasses.replace(SMALL_KS, source=SMALL_KS.source + "\n")
@@ -200,11 +192,14 @@ class TestResultCache:
         assert result_key(SMALL_KS, DesignPoint(), 2000, "event") != base
         assert result_key(SMALL_KS, DesignPoint(), 1000, "lockstep") != base
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_corrupt_entry_is_a_miss_even_for_its_writer(self, tmp_path):
+        # The sweep cache runs without the warm LRU (see dse_main): disk
+        # is the single source of truth across pool processes.
+        cache = ArtifactStore(tmp_path, lru_entries=0)
         key = result_key(SMALL_KS, DesignPoint(), 1000, "event")
         cache.put(key, {"status": "ok"})
-        cache._path(key).write_text("{truncated")
+        assert cache.get(key) == {"status": "ok"}
+        cache.path(key).write_text("{truncated")
         assert cache.get(key) is None
 
 
@@ -219,7 +214,7 @@ class TestExplorer:
 
     def test_warm_cache_skips_resimulation(self, tmp_path):
         space = ConfigSpace(**SMALL_SPACE)
-        cache = ResultCache(tmp_path)
+        cache = ArtifactStore(tmp_path, lru_entries=0)
         cold = Explorer(SMALL_KS, space, cache=cache).run(GridStrategy())
         assert cold.cache_hits == 0 and cold.cache_misses == len(cold.results)
         warm = Explorer(SMALL_KS, space, cache=cache).run(GridStrategy())
@@ -231,7 +226,7 @@ class TestExplorer:
                 == json.dumps(cold.to_json_dict(), sort_keys=True))
 
     def test_cache_invalidated_by_workload_change(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ArtifactStore(tmp_path, lru_entries=0)
         space = ConfigSpace(**SMALL_SPACE)
         Explorer(SMALL_KS, space, cache=cache).run(GridStrategy())
         bigger = dataclasses.replace(SMALL_KS, setup_args=[12, 12])

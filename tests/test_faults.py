@@ -17,7 +17,6 @@ import json
 import pytest
 
 from repro.dse import DesignPoint, EvalResult, Evaluator
-from repro.dse.evaluate import _classify_sim_failure
 from repro.errors import (
     CycleBudgetExceeded,
     DeadlockError,
@@ -435,7 +434,7 @@ class TestInvariantMonitor:
             InvariantMonitor().check(system, cycle=10)
 
 
-# -- DSE evaluator: typed classification with deprecated fallback ----------------
+# -- DSE evaluator: classification by exception type ----------------------------
 
 
 class _StubCompiled:
@@ -469,21 +468,23 @@ class TestEvaluatorClassification:
         assert "max_cycles=1234" in result.error
         assert result.diagnosis is None
 
-    @pytest.mark.parametrize("message,status", [
-        ("hardware deadlock at cycle 3: stuck", "deadlock"),
-        ("exceeded max_cycles=50", "timeout"),
-        ("bus exploded", "error"),
+    @pytest.mark.parametrize("message", [
+        "hardware deadlock at cycle 3: stuck",
+        "exceeded max_cycles=50",
+        "bus exploded",
     ])
-    def test_untyped_simulation_error_falls_back_to_grep(
-        self, monkeypatch, message, status
+    def test_untyped_simulation_error_is_a_plain_error(
+        self, monkeypatch, message
     ):
-        # Deprecated path: a plain SimulationError (no typed subclass)
-        # still classifies by message content.
+        # Classification is by exception type only: every deadlock and
+        # budget failure in repro.hw is raised typed, so a plain
+        # SimulationError is an error whatever its message says.
         result = self._evaluator(
             monkeypatch, SimulationError(message)
         ).evaluate(DesignPoint())
-        assert result.status == status
-        assert _classify_sim_failure(SimulationError(message)) == status
+        assert result.status == "error"
+        assert result.error == message
+        assert result.signature == _StubCompiled.full_signature
 
     def test_result_dict_tolerates_pre_diagnosis_cache_entries(self):
         result = EvalResult(point=DesignPoint(), status="deadlock",

@@ -3,9 +3,9 @@
 The HTTP surface is covered end-to-end in ``test_service_http.py``;
 here every component is exercised in-process where failures localise:
 contract validation and content keying, artifact-store semantics
-(cold/warm hits, LRU eviction, locked atomic writes, torn entries), the
-ResultCache compatibility shim, queue coalescing with a gated executor,
-and token-bucket refill against a fake clock.
+(cold/warm hits, LRU eviction, locked atomic writes, torn entries),
+queue coalescing with a gated executor, and token-bucket refill against
+a fake clock.
 """
 
 import hashlib
@@ -15,8 +15,6 @@ import threading
 
 import pytest
 
-from repro.dse import DesignPoint, ResultCache
-from repro.dse.cache import result_key
 from repro.kernels import KERNELS_BY_NAME
 from repro.service import ContractError, JobRequest
 from repro.service.contracts import JOB_KINDS, OPTION_SCHEMAS
@@ -261,33 +259,6 @@ class TestStoreIntegrity:
         )
         assert store.get(key) == {"x": 3}
         assert store.stats.corrupt == 0
-
-
-class TestResultCacheShim:
-    def test_same_layout_as_historical_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = result_key(KERNELS_BY_NAME["ks"], DesignPoint(), 1000, "event")
-        cache.put(key, {"status": "ok"})
-        assert (tmp_path / key[:2] / f"{key}.json").is_file()
-        assert cache.get(key) == {"status": "ok"}
-        assert len(cache) == 1
-
-    def test_reads_entries_written_by_older_versions(self, tmp_path):
-        key = "ee" + "0" * 62
-        (tmp_path / key[:2]).mkdir(parents=True)
-        (tmp_path / key[:2] / f"{key}.json").write_text(
-            json.dumps({"status": "ok", "cycles": 42})
-        )
-        assert ResultCache(tmp_path).get(key) == {"status": "ok", "cycles": 42}
-
-    def test_store_and_cache_share_one_root(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        store = ArtifactStore(tmp_path)
-        cache.put("aa" + "0" * 62, {"from": "cache"})
-        store.put("ab" + "0" * 62, {"from": "store"})
-        assert store.get("aa" + "0" * 62) == {"from": "cache"}
-        assert cache.get("ab" + "0" * 62) == {"from": "store"}
-        assert len(store) == 2
 
 
 # --------------------------------------------------------------------------
