@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from ..errors import CgpaError, CycleBudgetExceeded, DeadlockError
 from ..fleet import interned_pipeline, interned_workload
 from ..harness.runner import run_hardware
-from ..hw import DirectMappedCache
+from ..hw import DEFAULT_ENGINE, DirectMappedCache
 from ..kernels import KernelSpec
 from ..pipeline import CompiledPipeline
 from .space import DesignPoint
@@ -109,7 +109,7 @@ class Evaluator:
         self,
         spec: KernelSpec,
         max_cycles: int = DEFAULT_EVAL_MAX_CYCLES,
-        engine: str = "event",
+        engine: str = DEFAULT_ENGINE,
         envelopes=None,
     ) -> None:
         """``envelopes`` is an optional

@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..fleet import FleetExecutor
+from ..hw import DEFAULT_ENGINE
 from ..kernels import KernelSpec
 from ..service.store import ArtifactStore
 from .cache import result_key
@@ -126,7 +127,7 @@ class Explorer:
         cache: ArtifactStore | None = None,
         processes: int = 1,
         max_cycles: int = DEFAULT_EVAL_MAX_CYCLES,
-        engine: str = "event",
+        engine: str = DEFAULT_ENGINE,
         fleet: FleetExecutor | None = None,
         envelopes=None,
     ) -> None:

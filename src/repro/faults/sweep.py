@@ -49,7 +49,7 @@ from ..harness.runner import (
     run_hardware,
     setup_workload,
 )
-from ..hw import DirectMappedCache
+from ..hw import DEFAULT_ENGINE, DirectMappedCache
 from ..interp import Interpreter
 from ..kernels import KernelSpec
 from ..pipeline import ReplicationPolicy
@@ -350,7 +350,7 @@ def resilience_sweep(
     spec: KernelSpec,
     n_plans: int = 8,
     seed: int = 0,
-    engine: str = "event",
+    engine: str = DEFAULT_ENGINE,
     n_workers: int = 4,
     fifo_depth: int = 16,
     max_cycles: int | None = None,

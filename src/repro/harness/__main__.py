@@ -39,7 +39,7 @@ import json
 import pathlib
 import sys
 
-from ..hw import ENGINES
+from ..hw import DEFAULT_ENGINE, ENGINES
 from ..kernels import ALL_KERNELS, KERNELS_BY_NAME
 from ..telemetry import (
     MemoryTraceSink,
@@ -84,7 +84,7 @@ def _csv_positive_ints(text: str) -> list[int]:
 
 
 def _add_engine(parser: argparse.ArgumentParser, help: str) -> None:
-    parser.add_argument("--engine", default="event", choices=ENGINES, help=help)
+    parser.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES, help=help)
 
 
 def _add_max_cycles(parser: argparse.ArgumentParser, help: str) -> None:
@@ -199,7 +199,7 @@ def dse_main(argv: list[str]) -> int:
         help="per-point simulated-cycle budget; points exceeding it are "
         "recorded as status=timeout (default: 50M)",
     )
-    _add_engine(parser, "simulator clock loop (default: event)")
+    _add_engine(parser, f"simulator clock loop (default: {DEFAULT_ENGINE})")
     parser.add_argument(
         "--cache-dir", type=pathlib.Path, default=pathlib.Path(".dse-cache"),
         help="on-disk result cache location (default: ./.dse-cache)",
@@ -358,7 +358,7 @@ def faults_main(argv: list[str]) -> int:
     )
     _add_engine(
         parser,
-        help="simulator clock loop (default: event); the report is "
+        help=f"simulator clock loop (default: {DEFAULT_ENGINE}); the report is "
         "byte-identical under either",
     )
     _add_workers(parser, 4, "parallel-stage worker count (paper default: 4)")

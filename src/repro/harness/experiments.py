@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..hw import DirectMappedCache
+from ..hw import DEFAULT_ENGINE, DirectMappedCache
 from ..kernels import ALL_KERNELS, PAPER_KERNELS, KernelSpec
 from .build import compile_kernel
 from .runner import KernelRun, run_backend, run_hardware, run_kernel
@@ -31,7 +31,7 @@ def run_all_kernels(
     include_p2: bool = True,
     n_workers: int = 4,
     fifo_depth: int = 16,
-    engine: str = "event",
+    engine: str = DEFAULT_ENGINE,
     max_cycles: int | None = None,
 ) -> dict[str, KernelRun]:
     """Simulate every kernel on every applicable backend (shared by all
@@ -316,7 +316,7 @@ class ScalabilityPoint:
 def scalability(
     spec: KernelSpec,
     worker_counts: tuple[int, ...] = (1, 2, 4, 8),
-    engine: str = "event",
+    engine: str = DEFAULT_ENGINE,
     max_cycles: int | None = None,
 ) -> list[ScalabilityPoint]:
     """Sweep the parallel-worker count for one kernel (App. B.1)."""

@@ -28,7 +28,7 @@ from ..cost import (
     single_module_area,
 )
 from ..errors import CgpaError
-from ..hw import AcceleratorSystem, DirectMappedCache, SimReport, run_on_mips
+from ..hw import DEFAULT_ENGINE, AcceleratorSystem, DirectMappedCache, SimReport, run_on_mips
 from ..interp import Interpreter, Memory, to_unsigned
 from ..ir import I32
 from ..ir.module import Module
@@ -159,7 +159,7 @@ def run_hardware(
     design: CompiledPipeline | Module,
     cache: DirectMappedCache,
     workload=setup_workload,
-    engine: str = "event",
+    engine: str = DEFAULT_ENGINE,
     max_cycles: int | None = None,
     private_caches: bool = False,
     sink: TraceSink | None = None,
@@ -217,7 +217,7 @@ def run_backend(
     fifo_depth: int = 16,
     cache_kwargs: dict | None = None,
     sink: TraceSink | None = None,
-    engine: str = "event",
+    engine: str = DEFAULT_ENGINE,
     max_cycles: int | None = None,
 ) -> BackendResult:
     """Compile, simulate and score one kernel on one backend.
@@ -227,10 +227,11 @@ def run_backend(
     accelerator — only meaningful for the hardware backends (``legup``,
     ``cgpa-*``); the MIPS cost model has no cycle-level FSM to trace.
 
-    ``engine`` selects the simulator (:data:`repro.hw.ENGINES`):
-    ``"event"`` (skip-ahead clock, the default), the ``"lockstep"``
-    oracle, or ``"specialized"`` (event clock over worker FSMs compiled
-    to closures); all three report identical cycle counts.
+    ``engine`` selects the simulator (:data:`repro.hw.ENGINES`, default
+    :data:`repro.hw.DEFAULT_ENGINE`): ``"event"`` (skip-ahead clock),
+    the ``"lockstep"`` oracle, or ``"specialized"`` (event clock over
+    worker FSMs compiled to closures); all three report identical cycle
+    counts.
 
     ``max_cycles`` caps the simulated clock; a run that exceeds it raises
     :class:`~repro.errors.CycleBudgetExceeded` (hardware backends only —
@@ -295,7 +296,7 @@ def run_kernel(
     fifo_depth: int = 16,
     cache_kwargs: dict | None = None,
     validate: bool = True,
-    engine: str = "event",
+    engine: str = DEFAULT_ENGINE,
     max_cycles: int | None = None,
 ) -> KernelRun:
     """Run one kernel on all requested backends and cross-validate."""

@@ -6,13 +6,14 @@ from .engine import EventScheduler
 from .fifo import FifoBuffer, FifoStats
 from .mips_core import MipsResult, run_on_mips
 from .specialize import SpecializedProgram, SpecializedWorker, specialized_for
-from .system import ENGINES, AcceleratorSystem, SimReport
+from .system import DEFAULT_ENGINE, ENGINES, AcceleratorSystem, SimReport
 from .worker import HwWorker, WorkerStats
 
 __all__ = [
     "DirectMappedCache", "CacheStats",
     "FifoBuffer", "FifoStats",
-    "AcceleratorSystem", "SimReport", "ENGINES", "EventScheduler",
+    "AcceleratorSystem", "SimReport", "ENGINES", "DEFAULT_ENGINE",
+    "EventScheduler",
     "HwWorker", "WorkerStats",
     "SpecializedProgram", "SpecializedWorker", "specialized_for",
     "run_on_mips", "MipsResult",

@@ -12,19 +12,21 @@ function:
   dispatch happens here, at build time, never on the hot path;
 * every SSA value gets a slot in a flat ``regs`` list (constants are baked
   into the closures, globals are filled in at frame construction);
-* the ``eval_binop``-family semantics are bound directly into the
-  closures (same functions, same error messages, same rounding);
+* every pure op's semantics are bound once from the shared op table
+  (:data:`repro.interp.ops.PURE_OPS`: same functions, same error
+  messages, same rounding as every other engine);
 * branch edges pre-resolve the target's phi moves, so a taken edge is a
   batch of register copies instead of a phi walk.
 
 Everything observable is kept **bit-identical** to the event engine:
-``WorkerStats`` (including the exact ``ops_executed`` increment/decrement
-order for blocked FIFO and join ops), stall attribution, telemetry
-spans/states, fault-injection hooks (hang probe, back-pressure window,
-block-transition marking) and the watchdog's wait-for-graph attributes
-(``_frames[*].function``, ``_blocked_fifo``/``_blocked_index``/
-``_blocked_loop``, ``last_category``).  The differential suite in
-``tests/test_specialized_engine.py`` pins this against both oracles.
+``WorkerStats``, stall attribution, telemetry spans/states and the
+watchdog's wait-for-graph attributes (``_frames[*].function``,
+``last_category``).  FIFO and join steps are calls into the inherited
+:class:`~repro.hw.worker.HwWorker` blocking-op protocol, so the fault
+hooks, the ``ops_executed`` roll-back of a blocked op and the
+``_blocked_*`` bookkeeping are literally the same code.  The differential
+suite in ``tests/test_specialized_engine.py`` pins this against both
+oracles.
 
 The clock loop is unchanged: a specialized system runs under the same
 :class:`~repro.hw.engine.EventScheduler` as ``engine="event"``.
@@ -34,26 +36,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..errors import InterpError, SimulationError
+from ..errors import SimulationError
 from ..interp.interpreter import MALLOC_NAMES
-from ..interp.memory import round_f32, to_unsigned, wrap_int
-from ..interp.ops import UNSIGNED_BINOPS, bind_gep, eval_cast
+from ..interp.ops import PURE_OPS, bind_gep
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
-    FCMP_FUNCS,
-    FLOAT_BINOP_FUNCS,
     GEP,
-    ICMP_FUNCS,
-    INT_BINOP_FUNCS,
     Alloca,
-    BinaryOp,
     Call,
-    Cast,
     CondBranch,
     Consume,
-    FCmp,
-    ICmp,
     Instruction,
     Jump,
     Load,
@@ -64,15 +57,13 @@ from ..ir.instructions import (
     ProduceBroadcast,
     Ret,
     RetrieveLiveout,
-    Select,
     Store,
     StoreLiveout,
 )
-from ..ir.types import FloatType
 from ..ir.values import Constant, GlobalVariable
 from ..rtl.schedule import FunctionSchedule, schedule_function
 from ..telemetry.events import CycleCategory
-from .worker import NEVER, HwWorker
+from .worker import NEVER, STALLED, HwWorker
 
 if TYPE_CHECKING:  # pragma: no cover
     from .system import AcceleratorSystem
@@ -89,7 +80,7 @@ _RET = "ret"
 _BRANCH = "branch"
 
 #: Instruction classes whose steps touch only the frame's registers.
-_PURE_OPS = (BinaryOp, ICmp, FCmp, GEP, Cast, Select, Phi)
+_REGISTER_ONLY = (*PURE_OPS, Phi)
 
 
 class SpecBlock:
@@ -213,7 +204,7 @@ class SpecializedProgram:
             sb.states.append(steps)
             sb.probes.append(probes)
             sb.pure.append(
-                all(isinstance(inst, _PURE_OPS) for inst in state_ops)
+                all(isinstance(inst, _REGISTER_ONLY) for inst in state_ops)
             )
         # Leading phis of state 0 are latched by the incoming edge; a
         # branch entry starts past them (function entry executes them as
@@ -253,53 +244,16 @@ class SpecializedProgram:
     def _compile_inst(self, inst: Instruction, block: BasicBlock):
         """Return ``(step, probe)`` closures for one scheduled op."""
         opcode = inst.opcode
-        if isinstance(inst, BinaryOp):
-            return self._compile_binop(inst), None
-        if isinstance(inst, ICmp):
-            return self._compile_icmp(inst), None
-        if isinstance(inst, FCmp):
-            dst = self._slots[id(inst)]
-            ia, ca = self._bind(inst.lhs)
-            ib, cb = self._bind(inst.rhs)
-            fn = FCMP_FUNCS[inst.pred]
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                a = regs[ia] if ia >= 0 else ca
-                b = regs[ib] if ib >= 0 else cb
-                regs[dst] = int(fn(a, b))
-                return _OK
-
-            return step, None
         if isinstance(inst, GEP):
             return self._compile_gep(inst), None
-        if isinstance(inst, Cast):
-            return self._compile_cast(inst), None
-        if isinstance(inst, Select):
-            dst = self._slots[id(inst)]
-            ic, cc = self._bind(inst.operands[0])
-            it, ct = self._bind(inst.operands[1])
-            if_, cf = self._bind(inst.operands[2])
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                c = regs[ic] if ic >= 0 else cc
-                t = regs[it] if it >= 0 else ct
-                f = regs[if_] if if_ >= 0 else cf
-                regs[dst] = t if c else f
-                return _OK
-
-            return step, None
+        if type(inst) in PURE_OPS:
+            return self._compile_pure(inst), None
         if isinstance(inst, Load):
             return self._compile_load(inst), None
         if isinstance(inst, Store):
             return self._compile_store(inst), None
-        if isinstance(inst, Produce):
+        if isinstance(inst, (Produce, ProduceBroadcast)):
             return self._compile_produce(inst)
-        if isinstance(inst, ProduceBroadcast):
-            return self._compile_produce_broadcast(inst)
         if isinstance(inst, Consume):
             return self._compile_consume(inst)
         if isinstance(inst, StoreLiveout):
@@ -392,42 +346,32 @@ class SpecializedProgram:
 
         return step, None
 
-    def _compile_binop(self, inst: BinaryOp):
+    def _compile_pure(self, inst: Instruction):
+        """Step for any op-table instruction other than GEP: its bound
+        ``f(*operand_values)`` over the register file."""
         dst = self._slots[id(inst)]
         opcode = inst.opcode
-        ia, ca = self._bind(inst.lhs)
-        ib, cb = self._bind(inst.rhs)
-        if opcode in FLOAT_BINOP_FUNCS:
-            fn = FLOAT_BINOP_FUNCS[opcode]
-            narrow = isinstance(inst.type, FloatType) and inst.type.bits == 32
+        f = PURE_OPS[type(inst)][1](inst)
+        binds = [self._bind(v) for v in inst.operands]
+        if len(binds) == 1:  # casts
+            ((ia, ca),) = binds
 
             def step(worker, frame, cycle):
                 worker.stats.ops_executed[opcode] += 1
                 regs = frame.regs
-                a = regs[ia] if ia >= 0 else ca
-                b = regs[ib] if ib >= 0 else cb
-                try:
-                    result = fn(a, b)
-                except ZeroDivisionError:
-                    raise InterpError("float division by zero") from None
-                regs[dst] = round_f32(result) if narrow else result
+                regs[dst] = f(regs[ia] if ia >= 0 else ca)
                 return _OK
 
             return step
-        bits = inst.type.bits  # type: ignore[union-attr]
-        fn = INT_BINOP_FUNCS[opcode]
-        if opcode in UNSIGNED_BINOPS:
+        if len(binds) == 2:  # binop/icmp/fcmp: the hot shape
+            (ia, ca), (ib, cb) = binds
 
             def step(worker, frame, cycle):
                 worker.stats.ops_executed[opcode] += 1
                 regs = frame.regs
-                a = to_unsigned(int(regs[ia] if ia >= 0 else ca), bits)
-                b = to_unsigned(int(regs[ib] if ib >= 0 else cb), bits)
-                try:
-                    raw = fn(a, b)
-                except ZeroDivisionError:
-                    raise InterpError("integer division by zero") from None
-                regs[dst] = wrap_int(raw, bits)
+                regs[dst] = f(
+                    regs[ia] if ia >= 0 else ca, regs[ib] if ib >= 0 else cb
+                )
                 return _OK
 
             return step
@@ -435,42 +379,7 @@ class SpecializedProgram:
         def step(worker, frame, cycle):
             worker.stats.ops_executed[opcode] += 1
             regs = frame.regs
-            a = regs[ia] if ia >= 0 else ca
-            b = regs[ib] if ib >= 0 else cb
-            try:
-                raw = fn(int(a), int(b))
-            except ZeroDivisionError:
-                raise InterpError("integer division by zero") from None
-            regs[dst] = wrap_int(raw, bits)
-            return _OK
-
-        return step
-
-    def _compile_icmp(self, inst: ICmp):
-        dst = self._slots[id(inst)]
-        opcode = inst.opcode
-        ia, ca = self._bind(inst.lhs)
-        ib, cb = self._bind(inst.rhs)
-        fn = ICMP_FUNCS[inst.pred]
-        if inst.pred.startswith("u") or inst.lhs.type.is_pointer:
-            bits = 32 if inst.lhs.type.is_pointer else inst.lhs.type.bits
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                a = to_unsigned(int(regs[ia] if ia >= 0 else ca), bits)
-                b = to_unsigned(int(regs[ib] if ib >= 0 else cb), bits)
-                regs[dst] = int(fn(a, b))
-                return _OK
-
-            return step
-
-        def step(worker, frame, cycle):
-            worker.stats.ops_executed[opcode] += 1
-            regs = frame.regs
-            a = regs[ia] if ia >= 0 else ca
-            b = regs[ib] if ib >= 0 else cb
-            regs[dst] = int(fn(a, b))
+            regs[dst] = f(*[regs[s] if s >= 0 else c for s, c in binds])
             return _OK
 
         return step
@@ -526,50 +435,6 @@ class SpecializedProgram:
 
         return step
 
-    def _compile_cast(self, inst: Cast):
-        dst = self._slots[id(inst)]
-        opcode = inst.opcode
-        iv, cv = self._bind(inst.value)
-        if opcode in ("trunc", "fptosi"):
-            bits = inst.type.bits  # type: ignore[union-attr]
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                regs[dst] = wrap_int(int(regs[iv] if iv >= 0 else cv), bits)
-                return _OK
-
-            return step
-        if opcode == "zext":
-            src_bits = inst.value.type.bits  # type: ignore[union-attr]
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                regs[dst] = to_unsigned(
-                    int(regs[iv] if iv >= 0 else cv), src_bits
-                )
-                return _OK
-
-            return step
-        if opcode == "sext":
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                regs[dst] = int(regs[iv] if iv >= 0 else cv)
-                return _OK
-
-            return step
-
-        def step(worker, frame, cycle, inst=inst):
-            worker.stats.ops_executed[opcode] += 1
-            regs = frame.regs
-            regs[dst] = eval_cast(inst, regs[iv] if iv >= 0 else cv)
-            return _OK
-
-        return step
-
     def _compile_load(self, inst: Load):
         dst = self._slots[id(inst)]
         opcode = inst.opcode
@@ -617,125 +482,56 @@ class SpecializedProgram:
 
         return step
 
-    def _compile_produce(self, inst: Produce):
-        opcode = inst.opcode
+    def _compile_queue(self, inst: Produce | ProduceBroadcast | Consume):
+        """Closure form of :meth:`HwWorker._queue`: ``(worker, regs) ->
+        (fifo, queue index)``."""
         channel = inst.channel
         n_channels = channel.n_channels
+        if isinstance(inst, ProduceBroadcast):
+            return lambda worker, regs: (worker.system.fifo_for(channel), None)
+        if inst.worker_select is None:
+            return lambda worker, regs: (
+                worker.system.fifo_for(channel), worker.worker_id % n_channels
+            )
         isel, csel = self._bind(inst.worker_select)
-        ival, cval = self._bind(inst.value)
+        return lambda worker, regs: (
+            worker.system.fifo_for(channel),
+            int(regs[isel] if isel >= 0 else csel) % n_channels,
+        )
 
-        def step(worker, frame, cycle):
-            stats = worker.stats
-            stats.ops_executed[opcode] += 1
-            regs = frame.regs
-            fifo = worker.system.fifo_for(channel)
-            index = int(regs[isel] if isel >= 0 else csel) % n_channels
-            blocked_until = (
-                fifo.injected_block_until(cycle)
-                if worker._injector.enabled
-                else 0
-            )
-            if blocked_until > cycle or not fifo.can_push(index):
-                if (
-                    blocked_until > cycle
-                    and worker.last_category is not CycleCategory.FIFO_FULL
-                ):
-                    worker._injector.note_backpressure_block(fifo, cycle)
-                fifo.stats.full_stall_cycles += 1
-                stats.ops_executed[opcode] -= 1
-                worker._blocked_fifo = fifo
-                worker._blocked_index = index
-                worker._blocked_until = blocked_until
-                return _WAIT_FULL
-            fifo.push(index, regs[ival] if ival >= 0 else cval, cycle)
-            stats.fifo_pushes += 1
-            return _OK
-
-        def probe(worker, frame, cycle):
-            fifo = worker.system.fifo_for(channel)
-            regs = frame.regs
-            index = int(regs[isel] if isel >= 0 else csel) % n_channels
-            if worker._injector.enabled and fifo.injected_block_until(cycle) > cycle:
-                return True
-            return not fifo.can_push(index)
-
-        return step, probe
-
-    def _compile_produce_broadcast(self, inst: ProduceBroadcast):
+    def _compile_produce(self, inst: Produce | ProduceBroadcast):
         opcode = inst.opcode
-        channel = inst.channel
-        n_channels = channel.n_channels
+        queue = self._compile_queue(inst)
         ival, cval = self._bind(inst.value)
 
         def step(worker, frame, cycle):
-            stats = worker.stats
-            stats.ops_executed[opcode] += 1
-            fifo = worker.system.fifo_for(channel)
-            blocked_until = (
-                fifo.injected_block_until(cycle)
-                if worker._injector.enabled
-                else 0
-            )
-            if blocked_until > cycle or not fifo.can_push_broadcast():
-                if (
-                    blocked_until > cycle
-                    and worker.last_category is not CycleCategory.FIFO_FULL
-                ):
-                    worker._injector.note_backpressure_block(fifo, cycle)
-                fifo.stats.full_stall_cycles += 1
-                stats.ops_executed[opcode] -= 1
-                worker._blocked_fifo = fifo
-                worker._blocked_index = None  # needs space in every queue
-                worker._blocked_until = blocked_until
-                return _WAIT_FULL
+            worker.stats.ops_executed[opcode] += 1
             regs = frame.regs
-            fifo.push_broadcast(regs[ival] if ival >= 0 else cval, cycle)
-            stats.fifo_pushes += n_channels
-            return _OK
+            value = regs[ival] if ival >= 0 else cval
+            stalled = worker._push(opcode, *queue(worker, regs), value, cycle)
+            return _WAIT_FULL if stalled else _OK
 
         def probe(worker, frame, cycle):
-            fifo = worker.system.fifo_for(channel)
-            if worker._injector.enabled and fifo.injected_block_until(cycle) > cycle:
-                return True
-            return not fifo.can_push_broadcast()
+            return worker._push_stall(*queue(worker, frame.regs), cycle) >= 0
 
         return step, probe
 
     def _compile_consume(self, inst: Consume):
         opcode = inst.opcode
-        channel = inst.channel
-        n_channels = channel.n_channels
+        queue = self._compile_queue(inst)
         dst = self._slots[id(inst)]
-        select = inst.worker_select
-        isel, csel = self._bind(select) if select is not None else (-1, None)
-        has_select = select is not None
 
         def step(worker, frame, cycle):
-            stats = worker.stats
-            stats.ops_executed[opcode] += 1
-            fifo = worker.system.fifo_for(channel)
-            if has_select:
-                regs = frame.regs
-                index = int(regs[isel] if isel >= 0 else csel) % n_channels
-            else:
-                index = worker.worker_id % n_channels
-            if not fifo.can_pop(index):
-                fifo.stats.empty_stall_cycles += 1
-                stats.ops_executed[opcode] -= 1
-                worker._blocked_fifo = fifo
-                worker._blocked_index = index
+            worker.stats.ops_executed[opcode] += 1
+            regs = frame.regs
+            value = worker._pop(opcode, *queue(worker, regs), cycle)
+            if value is STALLED:
                 return _WAIT_EMPTY
-            frame.regs[dst] = fifo.pop(index, cycle)
-            stats.fifo_pops += 1
+            regs[dst] = value
             return _OK
 
         def probe(worker, frame, cycle):
-            fifo = worker.system.fifo_for(channel)
-            if has_select:
-                regs = frame.regs
-                index = int(regs[isel] if isel >= 0 else csel) % n_channels
-            else:
-                index = worker.worker_id % n_channels
+            fifo, index = queue(worker, frame.regs)
             return not fifo.can_pop(index)
 
         return step, probe
@@ -746,13 +542,7 @@ class SpecializedProgram:
 
         def step(worker, frame, cycle):
             worker.stats.ops_executed[opcode] += 1
-            system = worker.system
-            if not system.join_ready(loop_id):
-                worker.stats.ops_executed[opcode] -= 1
-                worker._blocked_loop = loop_id
-                return _WAIT_JOIN
-            system.finish_join(loop_id, cycle)
-            return _OK
+            return _WAIT_JOIN if worker._join(opcode, loop_id, cycle) else _OK
 
         def probe(worker, frame, cycle):
             return not worker.system.join_ready(loop_id)

@@ -34,6 +34,10 @@ from ..pipeline.transform import TaskInfo
 #: Valid values for ``AcceleratorSystem(engine=...)``.
 ENGINES = ("event", "lockstep", "specialized")
 
+#: The engine every ``engine=`` parameter, CLI flag and service option
+#: defaults to; declared here and nowhere else.
+DEFAULT_ENGINE = "event"
+
 
 @dataclass
 class SimReport:
@@ -147,7 +151,7 @@ class AcceleratorSystem:
         max_cycles: int = 500_000_000,
         private_caches: bool = False,
         sink: TraceSink | None = None,
-        engine: str = "event",
+        engine: str = DEFAULT_ENGINE,
         injector=None,
         monitor=None,
     ) -> None:
@@ -157,7 +161,7 @@ class AcceleratorSystem:
         because CGPA's partition keeps aliasing memory instructions in one
         stage; data always comes from the shared functional memory.)
 
-        ``engine`` selects the clock loop: ``"event"`` (default) jumps the
+        ``engine`` selects the clock loop: ``"event"`` jumps the
         clock between worker wake events (:mod:`repro.hw.engine`),
         ``"lockstep"`` ticks every worker every cycle, and
         ``"specialized"`` runs the event clock over workers whose FSMs

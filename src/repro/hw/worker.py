@@ -18,20 +18,15 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from ..errors import SimulationError
-from ..interp.ops import eval_binop, eval_cast, eval_fcmp, eval_gep, eval_icmp
+from ..interp.ops import PURE_OPS
 from ..telemetry.events import CycleCategory
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
-    GEP,
     Alloca,
-    BinaryOp,
     Call,
-    Cast,
     CondBranch,
     Consume,
-    FCmp,
-    ICmp,
     Instruction,
     Jump,
     Load,
@@ -42,7 +37,6 @@ from ..ir.instructions import (
     ProduceBroadcast,
     Ret,
     RetrieveLiveout,
-    Select,
     Store,
     StoreLiveout,
 )
@@ -57,6 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: FIFO data, join) with no statically-known wake time, and for finished
 #: workers.  Large enough to exceed any max_cycles while staying an int.
 NEVER = 1 << 62
+
+#: :meth:`HwWorker._pop` result when the queue was empty (a stall was
+#: recorded); any other result is the popped value.
+STALLED = object()
 
 
 @dataclass
@@ -395,23 +393,10 @@ class HwWorker:
         if frame.cursor >= len(ops):
             return False  # state advance is progress
         inst = ops[frame.cursor]
-        if isinstance(inst, Produce):
-            fifo = self.system.fifo_for(inst.channel)
-            index = int(self._value(frame, inst.worker_select)) % inst.channel.n_channels
-            if self._injector.enabled and fifo.injected_block_until(cycle) > cycle:
-                return True
-            return not fifo.can_push(index)
-        if isinstance(inst, ProduceBroadcast):
-            fifo = self.system.fifo_for(inst.channel)
-            if self._injector.enabled and fifo.injected_block_until(cycle) > cycle:
-                return True
-            return not fifo.can_push_broadcast()
+        if isinstance(inst, (Produce, ProduceBroadcast)):
+            return self._push_stall(*self._queue(frame, inst), cycle) >= 0
         if isinstance(inst, Consume):
-            fifo = self.system.fifo_for(inst.channel)
-            if inst.worker_select is not None:
-                index = int(self._value(frame, inst.worker_select)) % inst.channel.n_channels
-            else:
-                index = self.worker_id % inst.channel.n_channels
+            fifo, index = self._queue(frame, inst)
             return not fifo.can_pop(index)
         if isinstance(inst, ParallelJoin):
             return not self.system.join_ready(inst.loop_id)
@@ -468,36 +453,88 @@ class HwWorker:
         frame.cursor += 1
         self.progress += 1
 
+    # -- blocking-op protocol --------------------------------------------------------
+    #
+    # Every FIFO/join stall, on either worker implementation, goes through
+    # these: the injected back-pressure window, the queue stall counters,
+    # the roll-back of the caller's ``ops_executed`` increment and the
+    # ``_blocked_*`` attributes the event engine and the watchdog read are
+    # spelled here only.  ``index`` None is a broadcast (every queue).
+
+    def _queue(self, frame: _Frame, inst: Instruction):
+        """``(fifo, queue index)`` a produce/consume at ``inst`` addresses."""
+        fifo = self.system.fifo_for(inst.channel)
+        if isinstance(inst, ProduceBroadcast):
+            return fifo, None
+        select = inst.worker_select
+        own = self.worker_id if select is None else int(self._value(frame, select))
+        return fifo, own % inst.channel.n_channels
+
+    def _push_stall(self, fifo, index: int | None, cycle: int) -> int:
+        """Side-effect-free probe: -1 when a push can go ahead, else the
+        end of the injected window holding it (0: a genuinely full queue)."""
+        until = fifo.injected_block_until(cycle) if self._injector.enabled else 0
+        if until > cycle:
+            return until
+        room = fifo.can_push_broadcast() if index is None else fifo.can_push(index)
+        return -1 if room else until
+
+    def _push(self, opcode: str, fifo, index: int | None, value, cycle: int) -> bool:
+        """Push ``value``, or record a full stall and return True."""
+        until = self._push_stall(fifo, index, cycle)
+        if until >= 0:
+            if until > cycle and self.last_category is not CycleCategory.FIFO_FULL:
+                self._injector.note_backpressure_block(fifo, cycle)
+            fifo.stats.full_stall_cycles += 1
+            self.stats.ops_executed[opcode] -= 1
+            self._blocked_fifo = fifo
+            self._blocked_index = index
+            self._blocked_until = until
+            return True
+        if index is None:
+            fifo.push_broadcast(value, cycle)
+            self.stats.fifo_pushes += len(fifo.queues)
+        else:
+            fifo.push(index, value, cycle)
+            self.stats.fifo_pushes += 1
+        return False
+
+    def _pop(self, opcode: str, fifo, index: int, cycle: int):
+        """The head of queue ``index``, or :data:`STALLED` when it is empty
+        (probe: ``fifo.can_pop(index)``)."""
+        if not fifo.can_pop(index):
+            fifo.stats.empty_stall_cycles += 1
+            self.stats.ops_executed[opcode] -= 1
+            self._blocked_fifo = fifo
+            self._blocked_index = index
+            return STALLED
+        value = fifo.pop(index, cycle)
+        self.stats.fifo_pops += 1
+        return value
+
+    def _join(self, opcode: str, loop_id: int, cycle: int) -> bool:
+        """Retire loop ``loop_id``'s workers, or record a join stall and
+        return True (probe: ``system.join_ready(loop_id)``)."""
+        if not self.system.join_ready(loop_id):
+            self.stats.ops_executed[opcode] -= 1
+            self._blocked_loop = loop_id
+            return True
+        self.system.finish_join(loop_id, cycle)
+        return False
+
     # -- instruction execution ------------------------------------------------------
 
     def _execute(self, frame: _Frame, inst: Instruction, cycle: int) -> str:
         self.stats.ops_executed[inst.opcode] += 1
-        if isinstance(inst, BinaryOp):
-            a = self._value(frame, inst.lhs)
-            b = self._value(frame, inst.rhs)
-            frame.env[id(inst)] = eval_binop(inst, a, b)
-            return "ok"
-        if isinstance(inst, ICmp):
-            frame.env[id(inst)] = eval_icmp(
-                inst, self._value(frame, inst.lhs), self._value(frame, inst.rhs)
-            )
-            return "ok"
-        if isinstance(inst, FCmp):
-            frame.env[id(inst)] = eval_fcmp(
-                inst, self._value(frame, inst.lhs), self._value(frame, inst.rhs)
-            )
-            return "ok"
-        if isinstance(inst, GEP):
-            base = self._value(frame, inst.base)
-            idx = [self._value(frame, i) for i in inst.indices]
-            frame.env[id(inst)] = eval_gep(inst, base, idx)
-            return "ok"
-        if isinstance(inst, Cast):
-            frame.env[id(inst)] = eval_cast(inst, self._value(frame, inst.value))
-            return "ok"
-        if isinstance(inst, Select):
-            c, t, f = (self._value(frame, op) for op in inst.operands)
-            frame.env[id(inst)] = t if c else f
+        pure = PURE_OPS.get(type(inst))
+        if pure is not None:
+            evaluate, operands = pure[0], inst.operands
+            if len(operands) == 2:  # binop/icmp/fcmp: the hot shape
+                a, b = operands
+                value = evaluate(inst, self._value(frame, a), self._value(frame, b))
+            else:
+                value = evaluate(inst, *[self._value(frame, v) for v in operands])
+            frame.env[id(inst)] = value
             return "ok"
         if isinstance(inst, Load):
             addr = int(self._value(frame, inst.pointer))
@@ -513,61 +550,15 @@ class HwWorker:
             self._pending_mem = (inst, addr)
             self._waiting_until = ready
             return "wait_mem"
-        if isinstance(inst, Produce):
-            fifo = self.system.fifo_for(inst.channel)
-            index = int(self._value(frame, inst.worker_select)) % inst.channel.n_channels
-            blocked_until = (
-                fifo.injected_block_until(cycle) if self._injector.enabled else 0
-            )
-            if blocked_until > cycle or not fifo.can_push(index):
-                if (
-                    blocked_until > cycle
-                    and self.last_category is not CycleCategory.FIFO_FULL
-                ):
-                    self._injector.note_backpressure_block(fifo, cycle)
-                fifo.stats.full_stall_cycles += 1
-                self.stats.ops_executed[inst.opcode] -= 1
-                self._blocked_fifo = fifo
-                self._blocked_index = index
-                self._blocked_until = blocked_until
-                return "wait_full"
-            fifo.push(index, self._value(frame, inst.value), cycle)
-            self.stats.fifo_pushes += 1
-            return "ok"
-        if isinstance(inst, ProduceBroadcast):
-            fifo = self.system.fifo_for(inst.channel)
-            blocked_until = (
-                fifo.injected_block_until(cycle) if self._injector.enabled else 0
-            )
-            if blocked_until > cycle or not fifo.can_push_broadcast():
-                if (
-                    blocked_until > cycle
-                    and self.last_category is not CycleCategory.FIFO_FULL
-                ):
-                    self._injector.note_backpressure_block(fifo, cycle)
-                fifo.stats.full_stall_cycles += 1
-                self.stats.ops_executed[inst.opcode] -= 1
-                self._blocked_fifo = fifo
-                self._blocked_index = None  # needs space in every queue
-                self._blocked_until = blocked_until
-                return "wait_full"
-            fifo.push_broadcast(self._value(frame, inst.value), cycle)
-            self.stats.fifo_pushes += inst.channel.n_channels
-            return "ok"
+        if isinstance(inst, (Produce, ProduceBroadcast)):
+            value = self._value(frame, inst.value)
+            stalled = self._push(inst.opcode, *self._queue(frame, inst), value, cycle)
+            return "wait_full" if stalled else "ok"
         if isinstance(inst, Consume):
-            fifo = self.system.fifo_for(inst.channel)
-            if inst.worker_select is not None:
-                index = int(self._value(frame, inst.worker_select)) % inst.channel.n_channels
-            else:
-                index = self.worker_id % inst.channel.n_channels
-            if not fifo.can_pop(index):
-                fifo.stats.empty_stall_cycles += 1
-                self.stats.ops_executed[inst.opcode] -= 1
-                self._blocked_fifo = fifo
-                self._blocked_index = index
+            value = self._pop(inst.opcode, *self._queue(frame, inst), cycle)
+            if value is STALLED:
                 return "wait_empty"
-            frame.env[id(inst)] = fifo.pop(index, cycle)
-            self.stats.fifo_pops += 1
+            frame.env[id(inst)] = value
             return "ok"
         if isinstance(inst, StoreLiveout):
             self.system.liveout_regs[inst.liveout_id] = self._value(frame, inst.value)
@@ -582,12 +573,8 @@ class HwWorker:
             self.system.fork_worker(inst, liveins, cycle)
             return "ok"
         if isinstance(inst, ParallelJoin):
-            if not self.system.join_ready(inst.loop_id):
-                self.stats.ops_executed[inst.opcode] -= 1
-                self._blocked_loop = inst.loop_id
-                return "wait_join"
-            self.system.finish_join(inst.loop_id, cycle)
-            return "ok"
+            stalled = self._join(inst.opcode, inst.loop_id, cycle)
+            return "wait_join" if stalled else "ok"
         if isinstance(inst, Call):
             if inst.callee.is_declaration:
                 return self._builtin_call(frame, inst)

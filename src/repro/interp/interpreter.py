@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from functools import partial
 from typing import Callable
 
 from ..errors import InterpError
@@ -21,13 +20,9 @@ from ..ir.function import Function
 from ..ir.instructions import (
     GEP,
     Alloca,
-    BinaryOp,
     Call,
-    Cast,
     CondBranch,
     Consume,
-    FCmp,
-    ICmp,
     Instruction,
     Jump,
     Load,
@@ -38,7 +33,6 @@ from ..ir.instructions import (
     ProduceBroadcast,
     Ret,
     RetrieveLiveout,
-    Select,
     Store,
     StoreLiveout,
 )
@@ -52,7 +46,7 @@ from ..ir.types import (
 )
 from ..ir.values import Constant, GlobalVariable, Value
 from .memory import Memory
-from .ops import bind_binop, bind_gep, bind_icmp, eval_cast, eval_fcmp
+from .ops import PURE_OPS, bind_gep
 
 #: Names treated as heap-allocation builtins when declared without a body.
 MALLOC_NAMES = {"malloc"}
@@ -605,16 +599,11 @@ def _unknown(code: _Decoder, inst: Instruction, block: BasicBlock):
     return _raising(f"cannot interpret opcode {inst.opcode}")
 
 
-#: Instruction class -> decoder; a new opcode is one entry here.
+#: Instruction class -> decoder.  Pure ops come from the shared op table
+#: (GEP below keeps a flatter closure over the same ``bind_gep``); a new
+#: effectful opcode is one entry here.
 _DECODERS = {
-    BinaryOp: _simple(bind_binop, effect=False),
-    ICmp: _simple(bind_icmp, effect=False),
-    FCmp: _simple(lambda inst: partial(eval_fcmp, inst), effect=False),
-    Cast: _simple(lambda inst: partial(eval_cast, inst), effect=False),
-    Select: _simple(
-        lambda inst: lambda cond, if_true, if_false: if_true if cond else if_false,
-        effect=False,
-    ),
+    **{cls: _simple(bind, effect=False) for cls, (_, bind) in PURE_OPS.items()},
     Alloca: _simple(_alloca, effect=True),
     Store: _simple(_store, effect=True),
     Produce: _simple(_produce, effect=True),

@@ -1,12 +1,13 @@
-"""Pure operation semantics shared by the interpreter and the HW worker.
+"""Pure operation semantics: the one place instruction values are computed.
 
-Keeping one implementation of arithmetic/GEP/cast semantics guarantees the
-functional interpreter and the cycle-accurate FSM simulator can never
-disagree on values — only on timing.
-
-``eval_*`` evaluate one instruction from scratch (the interpretive HW
-worker's form); ``bind_*`` resolve once whatever depends only on the
-instruction, for a decoder that will execute it many times.
+:data:`PURE_OPS` maps each side-effect-free instruction class to its
+``eval_*`` (evaluate one instruction from scratch) and its ``bind_*``
+(resolve once whatever depends only on the instruction and return
+``f(*operand_values)``, for a decoder that will execute it many times).
+The functional interpreter's decoder, the interpretive ``HwWorker``, the
+specialized engine's closure builder and the constant folder all take
+their arithmetic from this table and spell none of their own, so they can
+disagree on timing but never on values.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from ..ir.instructions import (
     Cast,
     FCmp,
     ICmp,
+    Select,
 )
 from ..ir.types import ArrayType, FloatType, StructType
 from ..ir.values import Constant
 from .memory import round_f32, to_unsigned, wrap_int
 
 #: Integer opcodes whose operands are reinterpreted as unsigned first.
-UNSIGNED_BINOPS = ("udiv", "urem", "lshr", "ult")
+UNSIGNED_BINOPS = ("udiv", "urem", "lshr")
 
 
 def eval_binop(inst: BinaryOp, a, b):
@@ -74,7 +76,10 @@ def eval_fcmp(inst: FCmp, a, b) -> int:
 
 def eval_gep(inst: GEP, base_addr: int, index_values: list) -> int:
     """Compute a GEP address given the base and evaluated indices."""
-    offset, terms = bind_gep(inst)
+    return _gep_address(*bind_gep(inst), base_addr, *index_values)
+
+
+def _gep_address(offset: int, terms, base_addr, *index_values) -> int:
     addr = int(base_addr) + offset
     for scale, position in terms:
         addr += scale * int(index_values[position])
@@ -109,11 +114,26 @@ def eval_cast(inst: Cast, value):
     raise InterpError(f"cannot evaluate cast {op}")
 
 
+def eval_select(inst: Select, cond, if_true, if_false):
+    """Evaluate a ternary select (the arms pass through untouched)."""
+    return if_true if cond else if_false
+
+
 def bind_binop(inst: BinaryOp):
     """``f(a, b)`` equal to ``eval_binop(inst, a, b)``."""
     op = inst.opcode
     if op in FLOAT_BINOP_FUNCS:
-        return partial(eval_binop, inst)
+        fn = FLOAT_BINOP_FUNCS[op]
+        narrow = isinstance(inst.type, FloatType) and inst.type.bits == 32
+
+        def float_binop(a, b):
+            try:
+                result = fn(a, b)
+            except ZeroDivisionError:
+                raise InterpError("float division by zero") from None
+            return round_f32(result) if narrow else result
+
+        return float_binop
     fn = INT_BINOP_FUNCS[op]
     bits = inst.type.bits  # type: ignore[union-attr]
     unsigned = op in UNSIGNED_BINOPS
@@ -145,6 +165,31 @@ def bind_icmp(inst: ICmp):
     return lambda a, b: int(fn(a, b))
 
 
+def bind_fcmp(inst: FCmp):
+    """``f(a, b)`` equal to ``eval_fcmp(inst, a, b)``."""
+    fn = FCMP_FUNCS[inst.pred]
+    return lambda a, b: int(fn(a, b))
+
+
+def bind_cast(inst: Cast):
+    """``f(value)`` equal to ``eval_cast(inst, value)``."""
+    op = inst.opcode
+    if op in ("trunc", "fptosi"):
+        bits = inst.type.bits  # type: ignore[union-attr]
+        return lambda value: wrap_int(int(value), bits)
+    if op == "zext":
+        mask = (1 << inst.value.type.bits) - 1  # type: ignore[union-attr]
+        return lambda value: int(value) & mask
+    if op == "sext":
+        return int
+    return partial(eval_cast, inst)
+
+
+def bind_select(inst: Select):
+    """``f(cond, if_true, if_false)`` equal to ``eval_select(inst, ...)``."""
+    return partial(eval_select, inst)
+
+
 def bind_gep(inst: GEP) -> tuple[int, list[tuple[int, int]]]:
     """Reduce a GEP to ``base + offset + sum(scale * indices[position])``.
 
@@ -173,3 +218,21 @@ def bind_gep(inst: GEP) -> tuple[int, list[tuple[int, int]]]:
         else:
             terms.append((scale, position))
     return offset, terms
+
+
+#: The pure-op table: instruction class -> ``(eval, bind)``, where
+#: ``eval(inst, *operand_values)`` and ``bind(inst)(*operand_values)``
+#: both take the values of ``inst.operands`` in order.  A new pure opcode
+#: is one entry here.  (GEP consumers that want a flatter closure use the
+#: affine form :func:`bind_gep` returns; its table entry is that form.)
+PURE_OPS = {
+    BinaryOp: (eval_binop, bind_binop),
+    ICmp: (eval_icmp, bind_icmp),
+    FCmp: (eval_fcmp, bind_fcmp),
+    Cast: (eval_cast, bind_cast),
+    Select: (eval_select, bind_select),
+    GEP: (
+        lambda inst, *operands: _gep_address(*bind_gep(inst), *operands),
+        lambda inst: partial(_gep_address, *bind_gep(inst)),
+    ),
+}

@@ -26,7 +26,8 @@ from typing import Any, Callable
 
 from ..cost import COST_MODEL_VERSION
 from ..errors import CgpaError
-from ..hw import ENGINES as _ENGINES  # what simulate-like options accept
+from ..hw import DEFAULT_ENGINE  # what simulate-like options default to,
+from ..hw import ENGINES as _ENGINES  # and what they accept
 from ..kernels import KERNELS_BY_NAME, KernelSpec
 from .store import content_key
 
@@ -107,7 +108,7 @@ _SIMULATE_OPTIONS = {
         "power-of-two int >= 1",
     ),
     "cache_ports": Option(8, _is_pos_int, "int >= 1"),
-    "engine": Option("event", _choice(_ENGINES), f"one of {_ENGINES}"),
+    "engine": Option(DEFAULT_ENGINE, _choice(_ENGINES), f"one of {_ENGINES}"),
     "max_cycles": Option(50_000_000, _is_pos_int, "int >= 1"),
 }
 
@@ -133,14 +134,14 @@ _DSE_OPTIONS = {
         "cycles", _choice(("cycles", "total_aluts", "energy_uj")),
         "one of ('cycles', 'total_aluts', 'energy_uj')",
     ),
-    "engine": Option("event", _choice(_ENGINES), f"one of {_ENGINES}"),
+    "engine": Option(DEFAULT_ENGINE, _choice(_ENGINES), f"one of {_ENGINES}"),
     "max_cycles": Option(50_000_000, _is_pos_int, "int >= 1"),
 }
 
 _FAULTS_OPTIONS = {
     "plans": Option(8, _is_pos_int, "int >= 1"),
     "seed": Option(0, _is_int, "int"),
-    "engine": Option("event", _choice(_ENGINES), f"one of {_ENGINES}"),
+    "engine": Option(DEFAULT_ENGINE, _choice(_ENGINES), f"one of {_ENGINES}"),
     "n_workers": Option(4, _is_pos_int, "int >= 1"),
     "fifo_depth": Option(16, _is_pos_int, "int >= 1"),
     "max_cycles": Option(

@@ -1,27 +1,18 @@
 """Constant folding and algebraic simplification.
 
-Shares its arithmetic semantics with the interpreter
-(:data:`repro.ir.instructions.INT_BINOP_FUNCS` etc.) so folding can never
-change observable behaviour.
+A constant-operand instruction is evaluated by the same
+:data:`repro.interp.ops.PURE_OPS` entry every engine executes it with, so
+folding can never change observable behaviour: it folds to the value the
+interpreter would compute, or it leaves the instruction in place.
 """
 
 from __future__ import annotations
 
-from ..interp.memory import round_f32, to_unsigned, wrap_int
+from ..errors import InterpError
+from ..interp.ops import PURE_OPS
 from ..ir.function import Function
-from ..ir.instructions import (
-    FCMP_FUNCS,
-    FLOAT_BINOP_FUNCS,
-    ICMP_FUNCS,
-    INT_BINOP_FUNCS,
-    BinaryOp,
-    Cast,
-    FCmp,
-    ICmp,
-    Instruction,
-    Select,
-)
-from ..ir.types import FloatType, IntType
+from ..ir.instructions import GEP, BinaryOp, Instruction, Select
+from ..ir.types import IntType
 from ..ir.values import Constant, Value
 
 
@@ -44,48 +35,33 @@ def fold_constants(function: Function) -> int:
 
 
 def _fold(inst: Instruction) -> Value | None:
-    if isinstance(inst, BinaryOp):
-        return _fold_binop(inst)
-    if isinstance(inst, ICmp) and _both_const(inst):
-        a, b = (op.value for op in inst.operands)
-        if inst.pred.startswith("u"):
-            bits = inst.operands[0].type.bits  # type: ignore[union-attr]
-            a, b = to_unsigned(int(a), bits), to_unsigned(int(b), bits)
-        return Constant(inst.type, int(ICMP_FUNCS[inst.pred](a, b)))
-    if isinstance(inst, FCmp) and _both_const(inst):
-        a, b = (op.value for op in inst.operands)
-        return Constant(inst.type, int(FCMP_FUNCS[inst.pred](a, b)))
-    if isinstance(inst, Cast) and isinstance(inst.value, Constant):
-        return _fold_cast(inst)
-    if isinstance(inst, Select) and isinstance(inst.operands[0], Constant):
-        return inst.operands[1] if inst.operands[0].value else inst.operands[2]
-    return None
+    evaluate, _ = PURE_OPS.get(type(inst), (None, None))
+    if evaluate is None or isinstance(inst, GEP):
+        return None
+    if isinstance(inst, Select):
+        # Only the condition need be constant: the arms pass through.
+        cond, if_true, if_false = inst.operands
+        if isinstance(cond, Constant):
+            return evaluate(inst, cond.value, if_true, if_false)
+        return None
+    if not all(isinstance(op, Constant) for op in inst.operands):
+        # Algebraic identities with one constant operand.
+        return _fold_identity(inst) if isinstance(inst, BinaryOp) else None
+    try:
+        value = evaluate(inst, *(op.value for op in inst.operands))
+    except (InterpError, OverflowError, ValueError):
+        return None  # a trap, or fptosi of inf/nan: leave it in place
+    return Constant(inst.type, value) if _representable(inst.type, value) else None
 
 
-def _both_const(inst: Instruction) -> bool:
-    return all(isinstance(op, Constant) for op in inst.operands)
-
-
-def _fold_binop(inst: BinaryOp) -> Value | None:
-    lhs, rhs = inst.lhs, inst.rhs
-    op = inst.opcode
-    if isinstance(lhs, Constant) and isinstance(rhs, Constant):
-        if op in FLOAT_BINOP_FUNCS:
-            if op == "fdiv" and rhs.value == 0.0:
-                return None
-            result = FLOAT_BINOP_FUNCS[op](lhs.value, rhs.value)
-            if isinstance(inst.type, FloatType) and inst.type.bits == 32:
-                result = round_f32(result)
-            return Constant(inst.type, result)
-        bits = inst.type.bits  # type: ignore[union-attr]
-        a, b = int(lhs.value), int(rhs.value)
-        if op in ("udiv", "urem", "lshr"):
-            a, b = to_unsigned(a, bits), to_unsigned(b, bits)
-        if op in ("sdiv", "srem", "udiv", "urem") and b == 0:
-            return None  # leave the trap in place
-        return Constant(inst.type, wrap_int(INT_BINOP_FUNCS[op](a, b), bits))
-    # Algebraic identities with one constant operand.
-    return _fold_identity(inst)
+def _representable(type_, value) -> bool:
+    """Is ``value`` one a register of ``type_`` can hold after a store and
+    reload?  (``ptrtoint`` of a high address is not: the engines carry it
+    unsigned in an ``i32``, which no in-range constant equals.)"""
+    if isinstance(type_, IntType):
+        half = 1 << (type_.bits - 1)
+        return 0 <= value <= 1 if type_.bits == 1 else -half <= value < half
+    return not type_.is_pointer or 0 <= value <= 0xFFFFFFFF
 
 
 def _fold_identity(inst: BinaryOp) -> Value | None:
@@ -117,30 +93,4 @@ def _fold_identity(inst: BinaryOp) -> Value | None:
             return Constant(inst.type, 0)
         if op == "and" and v == 0:
             return Constant(inst.type, 0)
-    return None
-
-
-def _fold_cast(inst: Cast) -> Value | None:
-    value = inst.value.value  # type: ignore[union-attr]
-    op = inst.opcode
-    target = inst.type
-    if op == "trunc":
-        return Constant(target, wrap_int(int(value), target.bits))  # type: ignore[union-attr]
-    if op == "zext":
-        return Constant(target, to_unsigned(int(value), inst.value.type.bits))  # type: ignore[union-attr]
-    if op == "sext":
-        return Constant(target, int(value))
-    if op == "sitofp":
-        result = float(value)
-        if isinstance(target, FloatType) and target.bits == 32:
-            result = round_f32(result)
-        return Constant(target, result)
-    if op == "fptosi":
-        return Constant(target, wrap_int(int(value), target.bits))  # type: ignore[union-attr]
-    if op == "fpext":
-        return Constant(target, float(value))
-    if op == "fptrunc":
-        return Constant(target, round_f32(float(value)))
-    if op in ("bitcast", "inttoptr", "ptrtoint"):
-        return Constant(target, value)
     return None

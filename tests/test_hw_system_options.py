@@ -127,3 +127,36 @@ class TestRunReuse:
         self.assert_same_report(first, second)
         # The pool holds only the second run's slices, not both runs'.
         assert len(system._private_cache_pool) == 7
+
+
+class TestDefaultEngineIsDeclaredOnce:
+    def test_every_engine_default_is_the_one_declaration(self):
+        """``repro.hw.DEFAULT_ENGINE`` is what every ``engine=`` parameter,
+        the CLI flag and the service option default to, so flipping the
+        default is a one-line change."""
+        import argparse
+        import inspect
+
+        from repro import hw
+        from repro.dse import Evaluator
+        from repro.dse.explore import Explorer
+        from repro.faults.sweep import resilience_sweep
+        from repro.harness import __main__ as cli, experiments, runner
+        from repro.service.contracts import JobRequest
+
+        assert hw.DEFAULT_ENGINE == "event" and hw.DEFAULT_ENGINE in hw.ENGINES
+        defaults = [
+            inspect.signature(fn).parameters["engine"].default
+            for fn in (
+                AcceleratorSystem.__init__, Evaluator.__init__,
+                Explorer.__init__, resilience_sweep, runner.run_hardware,
+                runner.run_backend, runner.run_kernel,
+                experiments.run_all_kernels, experiments.scalability,
+            )
+        ]
+        assert all(default is hw.DEFAULT_ENGINE for default in defaults)
+        for kind in ("simulate", "dse", "faults"):
+            assert JobRequest.make(kind, "ks").options["engine"] is hw.DEFAULT_ENGINE
+        parser = argparse.ArgumentParser()
+        cli._add_engine(parser, "engine")
+        assert parser.parse_args([]).engine is hw.DEFAULT_ENGINE

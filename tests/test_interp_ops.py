@@ -13,16 +13,22 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import InterpError
 from repro.interp.ops import (
+    PURE_OPS,
+    UNSIGNED_BINOPS,
     bind_binop,
+    bind_cast,
+    bind_fcmp,
     bind_gep,
     bind_icmp,
+    bind_select,
     eval_binop,
     eval_cast,
     eval_fcmp,
     eval_gep,
     eval_icmp,
+    eval_select,
 )
-from repro.ir.instructions import ICMP_FUNCS, INT_BINOP_FUNCS
+from repro.ir.instructions import FCMP_FUNCS, ICMP_FUNCS, INT_BINOP_FUNCS
 from repro.ir import (
     BinaryOp,
     Cast,
@@ -38,6 +44,7 @@ from repro.ir import (
     F32,
     F64,
     Alloca,
+    Select,
     StructType,
     ptr,
 )
@@ -237,3 +244,145 @@ class TestBoundForms:
         ) & 0xFFFFFFFF
         const = GEP(Alloca(s), [Constant(I32, 2), Constant(I32, 2)])
         assert bind_gep(const) == (2 * s.size() + s.field_offset(2), [])
+
+    @pytest.mark.parametrize("pred", sorted(FCMP_FUNCS))
+    @given(a=f64s, b=f64s)
+    @settings(max_examples=30, deadline=None)
+    def test_fcmp(self, pred, a, b):
+        inst = FCmp(pred, Constant(F64, a), Constant(F64, b))
+        for x, y in [(a, b), (a, a)]:
+            assert bind_fcmp(inst)(x, y) == eval_fcmp(inst, x, y)
+
+    @pytest.mark.parametrize("op,src,dst", [
+        ("trunc", I64, I32), ("trunc", I32, I8), ("trunc", I32, BOOL),
+        ("zext", I8, I32), ("zext", BOOL, I32), ("zext", I32, I64),
+        ("sext", I8, I32), ("sext", I32, I64),
+        ("sitofp", I32, F32), ("sitofp", I64, F64),
+        ("bitcast", I32, I32), ("ptrtoint", ptr(I32), I32),
+        ("inttoptr", I32, ptr(I32)), ("bitcast", ptr(I32), ptr(I8)),
+    ], ids=repr)
+    @given(value=st.integers(-(2**63), 2**63 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_int_source_casts(self, op, src, dst, value):
+        from repro.interp import wrap_int
+        value = value & 0xFFFFFFFF if src.is_pointer else wrap_int(value, src.bits)
+        inst = Cast(op, Constant(src, value), dst)
+        # bools and integral floats reach casts too (icmp results, bitcasts)
+        for v in (value, float(value) if abs(value) < 2**53 else value, value == 1):
+            assert bind_cast(inst)(v) == eval_cast(inst, v)
+
+    @pytest.mark.parametrize("op,src,dst", [
+        ("fptosi", F64, I32), ("fptosi", F32, I64), ("fptosi", F64, I8),
+        ("fpext", F32, F64), ("fptrunc", F64, F32),
+    ], ids=repr)
+    @given(value=f64s)
+    @settings(max_examples=30, deadline=None)
+    def test_float_source_casts(self, op, src, dst, value):
+        inst = Cast(op, Constant(src, value), dst)
+        assert bind_cast(inst)(value) == eval_cast(inst, value)
+
+    @given(cond=st.integers(0, 1), a=i32s, b=i32s)
+    def test_select(self, cond, a, b):
+        inst = Select(Constant(BOOL, cond), Constant(I32, a), Constant(I32, b))
+        assert bind_select(inst)(cond, a, b) == eval_select(inst, cond, a, b)
+        assert eval_select(inst, cond, a, b) == (a if cond else b)
+
+    @given(st.integers(0, 2**31), st.integers(-50, 50), st.integers(-50, 50))
+    def test_table_entries_take_the_operand_values_in_order(self, base, i, j):
+        from repro.ir import ArrayType
+        index = Load(Alloca(I32))
+        g = GEP(Alloca(ArrayType(ArrayType(I32, 4), 4)), [Constant(I32, 0), index, index])
+        evaluate, bind = PURE_OPS[GEP]
+        expected = eval_gep(g, base, [0, i, j])
+        assert evaluate(g, base, 0, i, j) == bind(g)(base, 0, i, j) == expected
+
+    def test_unsigned_binops_are_binop_opcodes(self):
+        # "ult" is an icmp predicate; it was a dead entry here.
+        assert set(UNSIGNED_BINOPS) <= set(INT_BINOP_FUNCS)
+
+
+def _concrete_instruction_classes():
+    import inspect
+    from repro.ir import instructions
+    from repro.ir.instructions import CgpaPrimitive, Instruction
+    return {
+        cls for _, cls in inspect.getmembers(instructions, inspect.isclass)
+        if issubclass(cls, Instruction) and cls not in (Instruction, CgpaPrimitive)
+    }
+
+
+def _one_of_each_sequential_op():
+    """A hand-built module using every non-CGPA instruction class (the
+    frontend never emits ``select``, and mem2reg removes every alloca)."""
+    from repro.ir import FunctionType, IRBuilder, Module
+    module = Module("each")
+    malloc = module.new_function("malloc", FunctionType(ptr(I8), [I32]), ["n"])
+    helper = module.new_function("helper", FunctionType(I32, [I32]), ["x"])
+    b = IRBuilder(helper.new_block("entry"))
+    b.ret(b.mul(helper.args[0], Constant(I32, 3)))
+    f = module.new_function("f", FunctionType(I32, [I32]), ["n"])
+    n = f.args[0]
+    entry, then, join = (f.new_block(name) for name in ("entry", "then", "join"))
+    b = IRBuilder(entry)
+    slot = b.alloca(I32)
+    b.store(n, slot)
+    cell = b.gep(b.cast("bitcast", b.call(malloc, [Constant(I32, 16)]), ptr(I32)),
+                 [Constant(I32, 1)])
+    b.store(b.load(slot), cell)
+    h = b.call(helper, [b.load(cell)])
+    is_small = b.fcmp("olt", b.cast("sitofp", n, F64), Constant(F64, 2.5))
+    s = b.select(is_small, h, n)
+    b.cond_branch(b.icmp("slt", h, Constant(I32, 10)), then, join)
+    b.set_block(then)
+    t = b.add(s, Constant(I32, 1))
+    b.jump(join)
+    b.set_block(join)
+    r = b.phi(I32)
+    r.add_incoming(s, entry)
+    r.add_incoming(t, then)
+    b.ret(r)
+    return module
+
+
+class TestEveryInstructionHasSemanticsEverywhere:
+    def test_pure_table_or_interpreter_decoder(self):
+        from repro.interp.interpreter import _DECODERS
+        for cls in _concrete_instruction_classes():
+            assert cls in PURE_OPS or cls in _DECODERS, cls.__name__
+        assert set(PURE_OPS) <= set(_DECODERS)  # the table feeds the decoder
+
+    def test_every_engine_accepts_every_class(self):
+        from repro.harness.build import compile_kernel
+        from repro.harness.runner import setup_workload
+        from repro.hw import ENGINES, AcceleratorSystem, DirectMappedCache
+        from repro.interp import Interpreter, Memory
+        from repro.ir import verify_module
+        from repro.kernels import KERNELS_BY_NAME
+
+        sequential = _one_of_each_sequential_op()
+        verify_module(sequential)
+        spec = KERNELS_BY_NAME["bfs"]  # produce, broadcast, consume, liveouts
+        pipeline = compile_kernel(spec)
+        used = {
+            type(inst)
+            for module in (sequential, pipeline.module)
+            for function in module.functions.values()
+            for inst in function.instructions()
+        }
+        assert used == _concrete_instruction_classes()
+
+        for arg in (1, 7):
+            expected = Interpreter(sequential).call("f", [arg])
+            for engine in ENGINES:  # a refusal is "cannot execute opcode"
+                system = AcceleratorSystem(sequential, Memory(), engine=engine)
+                assert system.run("f", [arg]).return_value == expected
+        cycles = set()
+        for engine in ENGINES:
+            memory, globals_, args = setup_workload(pipeline.module, spec)
+            system = AcceleratorSystem(
+                pipeline.module, memory, channels=pipeline.result.channels,
+                cache=DirectMappedCache(ports=8), global_addresses=globals_,
+                engine=engine,
+            )
+            cycles.add(system.run(spec.measure_entry, args).cycles)
+        assert len(cycles) == 1
