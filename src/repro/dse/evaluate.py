@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from ..errors import CgpaError, CycleBudgetExceeded, DeadlockError
-from ..fleet import interned_pipeline, interned_workload
+from ..fleet import INTERNED_WORKLOAD, interned_pipeline
 from ..harness.runner import run_hardware
 from ..hw import DEFAULT_ENGINE, DirectMappedCache
 from ..kernels import KernelSpec
@@ -185,14 +185,14 @@ class Evaluator:
     def _simulate(
         self, point: DesignPoint, compiled: CompiledPipeline
     ) -> EvalResult:
-        # Interned per (module, kernel): the functional setup runs once
-        # per process; each evaluation gets a bit-identical clone.
+        # Interned: set-up runs once per (kernel, workload) in a process
+        # and check once per distinct post-run image.
         run = run_hardware(
             self.spec, f"cgpa-{point.policy}", compiled,
             DirectMappedCache(
                 n_lines=point.cache_lines, ports=point.cache_ports
             ),
-            workload=interned_workload,
+            workload=INTERNED_WORKLOAD,
             engine=self.engine,
             max_cycles=self.max_cycles,
             private_caches=point.private_caches,

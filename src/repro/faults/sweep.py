@@ -41,7 +41,7 @@ from ..errors import (
     InvariantViolationError,
     SimulationError,
 )
-from ..fleet import FleetExecutor, interned_pipeline, interned_workload
+from ..fleet import INTERNED_WORKLOAD, FleetExecutor, interned_pipeline
 from ..harness.build import compile_module
 from ..harness.runner import (
     BackendResult,
@@ -245,7 +245,7 @@ def _simulate(
         spec, "cgpa-p1",
         interned_pipeline(spec, ReplicationPolicy.P1, n_workers, fifo_depth),
         DirectMappedCache(ports=8),
-        workload=interned_workload,
+        workload=INTERNED_WORKLOAD,
         engine=engine,
         **faults,
     )

@@ -40,14 +40,17 @@ Every supervision action is recorded as a :class:`FleetEvent` on
 reports crash/retry/timeout/respawn history alongside the runs.
 
 Task functions must be module-level (picklable) and take their heavy
-state from the two per-process interns here, keyed by task parameters —
-each pool process then compiles a kernel once, no matter how many tasks
-land on it.  :func:`interned_pipeline` is
-:func:`~repro.harness.build.compile_kernel` through the process's one
-compiled-pipeline memo; :func:`interned_workload` runs a kernel's
-functional setup once per ``(module, kernel)`` per process and stamps
-out :meth:`~repro.interp.memory.Memory.clone`\\ s, so simulations pay
-for a memory image copy instead of re-interpreting the setup function.
+state from the three per-process interns here, keyed by content — each
+pool process then compiles a kernel, builds its workload and checks a
+result image once, no matter how many tasks land on it.
+:func:`interned_pipeline` is :func:`~repro.harness.build.compile_kernel`
+through the process's one compiled-pipeline memo;
+:func:`interned_workload` runs a kernel's functional setup once per
+(kernel, workload) and stamps out
+:meth:`~repro.interp.memory.Memory.clone`\\ s; :func:`interned_check`
+interprets the kernel's ``check`` once per distinct post-run image.  A
+key holds everything the memoized run can read, so a hit is the value a
+fresh run would have returned, not an assumption about the design.
 
 :mod:`repro.fleet.chaos` supplies the deterministic failure-injection
 hooks (worker kills, task delays, artifact corruption) the chaos tests
@@ -71,7 +74,8 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..errors import CgpaError
 from ..harness.build import compile_kernel
-from ..harness.runner import setup_workload
+from ..harness.runner import Workload, run_check, setup_workload
+from ..interp import reachable_ir
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..interp.memory import Memory
@@ -82,22 +86,30 @@ if TYPE_CHECKING:  # pragma: no cover
 #: ``compile_kernel`` reads (see :func:`interned_pipeline`).
 _PIPELINE_MEMO: dict = {}
 
-#: Pipelines kept before the memo is dropped wholesale.  Matches the
-#: workload memo below: each interned pipeline's module owns at most one
-#: interned image, so neither memo outlives the other by much.
-_PIPELINE_MEMO_ENTRIES = 32
-
-#: Interned post-setup workload images, per process:
-#: ``(id(module), kernel, setup_args) -> (module, memory, globals,
-#: args)``.  The module object is kept in the value so its id stays
-#: valid for the memo's lifetime; setup_args is in the key because two
-#: specs may share a module but build different-scale workloads.
+#: Pristine post-setup images ``(memory, globals, args)``, keyed on
+#: everything the set-up run reads (see :func:`interned_workload`).
 _WORKLOAD_MEMO: dict = {}
 
-#: Entries kept before the workload memo is dropped wholesale (each
-#: pristine image is a full memory copy, so the cap bounds resident
-#: bytes, not correctness).
-_WORKLOAD_MEMO_ENTRIES = 32
+#: Checksums, keyed on everything the check run reads: the post-run
+#: image byte for byte (see :func:`interned_check`).
+_CHECK_MEMO: dict = {}
+
+#: Entries a memo keeps before it is dropped wholesale.  A pipeline is
+#: the heavy entry; an image is kilobytes and a checksum one number, so
+#: the cap bounds resident bytes, not correctness.
+_MEMO_ENTRIES = 32
+
+
+def _interned(memo: dict, key, build: Callable):
+    """``memo[key]``, built on a miss.  Two threads missing one key both
+    build; ``setdefault`` publishes one value to both."""
+    value = memo.get(key)
+    if value is None:
+        value = build()
+        if len(memo) >= _MEMO_ENTRIES:
+            memo.clear()
+        value = memo.setdefault(key, value)
+    return value
 
 
 class TaskCrashed(CgpaError):
@@ -185,14 +197,13 @@ def interned_pipeline(
 ) -> "CompiledPipeline":
     """``compile_kernel`` through the per-process pipeline memo.
 
-    Equal content returns the *same* object (so the ``id(module)``-keyed
-    workload memo and the specialized programs cached on its functions
-    are shared by every evaluator, sweep and service job in the
-    process); any difference in what ``compile_kernel`` reads — one
-    trailing comment in the source included — is a miss.  Consumers
-    treat the pipeline as read-only: simulators keep their state on the
-    ``AcceleratorSystem``, so threads may share one entry.  Two threads
-    missing the same key both compile; ``setdefault`` publishes one.
+    Equal content returns the *same* object (so the specialized programs
+    cached on its functions are shared by every evaluator, sweep and
+    service job in the process); any difference in what
+    ``compile_kernel`` reads — one trailing comment in the source
+    included — is a miss.  Consumers treat the pipeline as read-only:
+    simulators keep their state on the ``AcceleratorSystem``, so threads
+    may share one entry.
     """
     sites = spec.list_shape_sites
     key = (
@@ -200,34 +211,64 @@ def interned_pipeline(
         sites if isinstance(sites, str) else tuple(sites),
         policy, n_workers, fifo_depth,
     )
-    compiled = _PIPELINE_MEMO.get(key)
-    if compiled is None:
-        compiled = compile_kernel(spec, policy, n_workers, fifo_depth)
-        if len(_PIPELINE_MEMO) >= _PIPELINE_MEMO_ENTRIES:
-            _PIPELINE_MEMO.clear()
-        compiled = _PIPELINE_MEMO.setdefault(key, compiled)
-    return compiled
+    return _interned(
+        _PIPELINE_MEMO, key,
+        lambda: compile_kernel(spec, policy, n_workers, fifo_depth),
+    )
 
 
 def interned_workload(module, spec: "KernelSpec"):
-    """``setup_workload`` through a per-process image cache.
+    """``setup_workload`` through the per-process image memo.
 
     Returns ``(memory, globals, args)`` exactly like
-    :func:`repro.harness.runner.setup_workload`, but the functional
-    setup runs only once per ``(module, kernel)`` in this process; every
-    call gets a fresh :meth:`~repro.interp.memory.Memory.clone` of the
-    pristine image (bit-identical to a fresh setup, including the
-    allocator break and access counters).
+    :func:`repro.harness.runner.setup_workload`: a fresh
+    :meth:`~repro.interp.memory.Memory.clone` of the pristine image,
+    allocator break, allocation list and access counters included.  The
+    key is what the set-up run can read — the
+    :func:`~repro.interp.reachable_ir` of ``spec.setup_function`` in
+    ``module``, its arguments and the number of kernel arguments read
+    back — so every design of a kernel whose set-up code the pipeline
+    transform left alone shares one run, and one that it rewrote does
+    not.  Name and source are in the key as in :func:`interned_pipeline`:
+    source the process has not seen is a miss in every layer.
     """
-    key = (id(module), spec.name, tuple(spec.setup_args))
-    entry = _WORKLOAD_MEMO.get(key)
-    if entry is None:
-        if len(_WORKLOAD_MEMO) >= _WORKLOAD_MEMO_ENTRIES:
-            _WORKLOAD_MEMO.clear()
-        memory, globals_, args = setup_workload(module, spec)
-        entry = _WORKLOAD_MEMO[key] = (module, memory, globals_, args)
-    _, memory, globals_, args = entry
+    key = (
+        spec.name, spec.source, tuple(spec.setup_args), spec.n_kernel_args,
+        reachable_ir(module, spec.setup_function),
+    )
+    memory, globals_, args = _interned(
+        _WORKLOAD_MEMO, key, lambda: setup_workload(module, spec)
+    )
     return memory.clone(), dict(globals_), list(args)
+
+
+def interned_check(
+    module, memory: "Memory", global_addresses: dict, spec: "KernelSpec"
+) -> float:
+    """``run_check`` through the per-process checksum memo.
+
+    The key is the :func:`~repro.interp.reachable_ir` of
+    ``spec.check_function``, the global addresses and
+    :meth:`~repro.interp.memory.Memory.image_key` — the break and a
+    sha256 of the whole buffer — which is all ``check`` can read.  An
+    image that differs in one byte is a miss and is interpreted, so a
+    wrong design or a corrupted run is scored by the real ``check``; the
+    designs of a sweep that all leave the oracle's image share one run.
+    On a hit ``memory`` is left as the simulation left it.
+    """
+    key = (
+        spec.name, spec.source,
+        reachable_ir(module, spec.check_function),
+        tuple(global_addresses.items()), memory.image_key(),
+    )
+    return _interned(
+        _CHECK_MEMO, key,
+        lambda: run_check(module, memory, global_addresses, spec),
+    )
+
+
+#: The memoized pair for :func:`repro.harness.runner.run_hardware`.
+INTERNED_WORKLOAD = Workload(interned_workload, interned_check)
 
 
 def _supervised_call(fn: Callable, index: int, task):

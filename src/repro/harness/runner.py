@@ -18,6 +18,7 @@ that every generated design passed verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from ..cost import (
     AreaReport,
@@ -122,8 +123,8 @@ def setup_workload(module, spec: KernelSpec):
 
     Public API: the DSE evaluator, the fault sweeps, the fleet executor
     and the benchmarks all build their workload images through this one
-    function (the :mod:`repro.fleet` executor additionally memoizes and
-    clones the result so each process pays for setup once per kernel).
+    function (:func:`repro.fleet.interned_workload` memoizes and clones
+    the result, so a process pays for setup once per kernel and workload).
     """
     interp = Interpreter(module)
     interp.call(spec.setup_function, list(spec.setup_args))
@@ -138,12 +139,29 @@ def setup_workload(module, spec: KernelSpec):
 def run_check(module, memory, global_addresses, spec: KernelSpec) -> float:
     """Interpret the kernel's ``check`` function over a post-run image.
 
-    Public API: the one checksum path shared with the DSE evaluator and
-    the fault sweeps.
+    Public API: the one checksum path; the DSE evaluator and the fault
+    sweeps reach it through :func:`repro.fleet.interned_check`.
     """
     interp = Interpreter(module, memory, global_addresses=global_addresses)
     return interp.call(spec.check_function, [])
 
+
+class Workload(NamedTuple):
+    """The two interpreter runs around one simulation, chosen together.
+
+    ``setup(module, spec)`` builds the ``(memory, globals, args)`` image
+    and ``check(module, memory, globals, spec)`` scores the image the
+    run left behind.  One value carries both, so a memoized set-up is
+    never paired with anything but its memoized check.
+    """
+
+    setup: Callable
+    check: Callable
+
+
+#: Both runs afresh.  :data:`repro.fleet.INTERNED_WORKLOAD` is the
+#: per-process memoized pair.
+FRESH_WORKLOAD = Workload(setup_workload, run_check)
 
 #: Replication policy behind each ``cgpa-*`` backend name.
 _POLICIES = {
@@ -158,7 +176,7 @@ def run_hardware(
     backend: str,
     design: CompiledPipeline | Module,
     cache: DirectMappedCache,
-    workload=setup_workload,
+    workload: Workload = FRESH_WORKLOAD,
     engine: str = DEFAULT_ENGINE,
     max_cycles: int | None = None,
     private_caches: bool = False,
@@ -169,15 +187,17 @@ def run_hardware(
     """The one run path: workload image → simulate → area/power → check.
 
     ``design`` is a compiled pipeline, or the plain module for the
-    LegUp-style single FSM.  ``workload`` builds the ``(memory, globals,
-    args)`` image from the design's module: :func:`setup_workload` runs
-    the kernel's setup afresh, :func:`repro.fleet.interned_workload`
-    clones a per-process pristine image.  Simulator failures (deadlock,
-    cycle budget, invariant violation) propagate to the caller.
+    LegUp-style single FSM.  ``workload`` builds the image from the
+    design's module and checks the one the run leaves:
+    :data:`FRESH_WORKLOAD` interprets ``setup`` and ``check`` afresh,
+    :data:`repro.fleet.INTERNED_WORKLOAD` clones a per-process pristine
+    image and interprets ``check`` once per distinct post-run image.
+    Simulator failures (deadlock, cycle budget, invariant violation)
+    propagate to the caller.
     """
     compiled = design if isinstance(design, CompiledPipeline) else None
     module = compiled.module if compiled else design
-    memory, globals_, args = workload(module, spec)
+    memory, globals_, args = workload.setup(module, spec)
     budget = {} if max_cycles is None else {"max_cycles": max_cycles}
     system = AcceleratorSystem(
         module,
@@ -201,7 +221,7 @@ def run_hardware(
     return BackendResult(
         backend=backend,
         cycles=sim.cycles,
-        checksum=run_check(module, memory, globals_, spec),
+        checksum=workload.check(module, memory, globals_, spec),
         return_value=sim.return_value,
         signature=compiled.signature if compiled else None,
         area=area,
@@ -237,8 +257,9 @@ def run_backend(
     :class:`~repro.errors.CycleBudgetExceeded` (hardware backends only —
     the MIPS cost model executes a finite instruction trace).
 
-    Nothing here is interned: this is the cold designer path, and a
-    retained workload image per kernel would show up in its peak RSS.
+    Nothing here is interned: this is the cold designer path, whose
+    one-shot runs never repeat a memo key, so an intern would only add
+    its key computation to every run.
     """
     cache_kwargs = dict(cache_kwargs or {})
     if backend == "mips":

@@ -83,6 +83,24 @@ _BRANCH = "branch"
 _REGISTER_ONLY = (*PURE_OPS, Phi)
 
 
+class _Accessors(dict):
+    """``memory class -> its pre-bound accessor`` for one access type.
+
+    A program is compiled before it meets a memory and is shared by every
+    system that runs its function, so the accessor is resolved per class
+    on first use.  :meth:`Memory.loader`/:meth:`Memory.storer` keep a
+    subclass on its own ``load``/``store``.
+    """
+
+    def __init__(self, kind: str, type_) -> None:
+        self.kind = kind
+        self.type = type_
+
+    def __missing__(self, memory_class):
+        accessor = self[memory_class] = getattr(memory_class, self.kind)(self.type)
+        return accessor
+
+
 class SpecBlock:
     """One basic block compiled to per-state step-closure lists.
 
@@ -439,10 +457,11 @@ class SpecializedProgram:
         dst = self._slots[id(inst)]
         opcode = inst.opcode
         ip, cp = self._bind(inst.pointer)
-        type_ = inst.type
+        loaders = _Accessors("loader", inst.type)
 
         def complete(worker, frame, addr):
-            frame.regs[dst] = worker.system.memory.load(addr, type_)
+            memory = worker.system.memory
+            frame.regs[dst] = loaders[type(memory)](memory, addr)
 
         def step(worker, frame, cycle):
             worker.stats.ops_executed[opcode] += 1
@@ -460,15 +479,14 @@ class SpecializedProgram:
         opcode = inst.opcode
         ip, cp = self._bind(inst.pointer)
         iv, cv = self._bind(inst.value)
-        vtype = inst.value.type
+        storers = _Accessors("storer", inst.value.type)
 
         def complete(worker, frame, addr):
             # The stored value is fetched at completion time, exactly as
             # the interpreted worker's _complete_memory does.
             regs = frame.regs
-            worker.system.memory.store(
-                addr, vtype, regs[iv] if iv >= 0 else cv
-            )
+            memory = worker.system.memory
+            storers[type(memory)](memory, addr, regs[iv] if iv >= 0 else cv)
 
         def step(worker, frame, cycle):
             worker.stats.ops_executed[opcode] += 1

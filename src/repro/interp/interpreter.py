@@ -37,6 +37,7 @@ from ..ir.instructions import (
     StoreLiveout,
 )
 from ..ir.module import Module
+from ..ir.printer import print_declarations, print_function
 from ..ir.types import (
     ArrayType,
     FloatType,
@@ -643,6 +644,46 @@ def malloc_site_table(module: Module) -> dict[int, Call]:
                 table[counter] = inst
                 counter += 1
     return table
+
+
+def reachable_ir(module: Module, root: str) -> str:
+    """Everything an interpreted call of ``root`` can observe in ``module``.
+
+    The struct layouts and the globals as :func:`_place_globals` lays
+    them out, then each function reachable from ``root`` through calls
+    and forks, printed, with the module-wide site number of every
+    ``malloc`` in it and the channels it names.  Modules that agree on
+    this text run ``root`` from equal images to equal images and equal
+    return values, so it is the module's share of a memo key (see
+    :mod:`repro.fleet`); a function the pipeline transform rewrote prints
+    differently per design.
+    """
+    sites = _number_malloc_sites(module)
+    lines = print_declarations(module)
+    seen: set[Function] = set()
+    channels: dict[int, object] = {}
+    pending = [module.get_function(root)]
+    while pending:
+        function = pending.pop()
+        if function in seen:
+            continue
+        seen.add(function)
+        lines.append(print_function(function))
+        mallocs = []
+        callees = []
+        for inst in function.instructions():
+            if isinstance(inst, Call):
+                callees.append(inst.callee)
+                if id(inst) in sites:
+                    mallocs.append(sites[id(inst)])
+            elif isinstance(inst, ParallelFork):
+                callees.append(inst.task)
+            elif isinstance(inst, (Produce, ProduceBroadcast, Consume)):
+                channels[inst.channel.channel_id] = inst.channel
+        lines.append(f"; malloc sites {mallocs}")
+        pending.extend(reversed(callees))
+    lines.extend(repr(channels[i]) for i in sorted(channels))
+    return "\n".join(lines)
 
 
 def _place_globals(module: Module, memory: Memory) -> dict[str, int]:

@@ -30,6 +30,10 @@ from ..ir.types import (
 HEAP_BASE = 0x1000
 #: Top of the 32-bit address space we allow.
 ADDRESS_LIMIT = 1 << 31
+#: Bytes a fresh image starts with.  The buffer doubles on demand, so an
+#: image costs what it holds (the kernels' workloads are 6-30 KB): a
+#: clone, an interned copy and a digest are kilobytes each.
+DEFAULT_CAPACITY = 1 << 14
 
 
 @dataclass
@@ -48,7 +52,7 @@ class Allocation:
 class Memory:
     """Flat little-endian memory with typed accessors and bounds checks."""
 
-    def __init__(self, size: int = 1 << 24) -> None:
+    def __init__(self, size: int = DEFAULT_CAPACITY) -> None:
         self._data = bytearray(size)
         self._brk = HEAP_BASE
         self.allocations: list[Allocation] = []
@@ -76,7 +80,7 @@ class Memory:
     def _grow(self, needed: int) -> None:
         if needed > ADDRESS_LIMIT:
             raise InterpError("out of simulated memory")
-        new_size = len(self._data)
+        new_size = max(len(self._data), 1)  # Memory(0), as clone() builds
         while new_size < needed:
             new_size *= 2
         self._data.extend(bytes(new_size - len(self._data)))
@@ -214,6 +218,17 @@ class Memory:
     def snapshot(self) -> bytes:
         """Copy of the used portion of memory, for output comparison."""
         return bytes(self._data[: self._brk])
+
+    def image_key(self) -> tuple[int, bytes]:
+        """The allocator break and a sha256 of the whole buffer, the bytes
+        beyond the break included: with the global addresses, everything
+        a function interpreted over this image can read (what
+        :func:`repro.fleet.interned_check` keys on)."""
+        # Imported here: OpenSSL is 3.7 MiB of resident memory, which the
+        # compile-only paths that import this module never need.
+        import hashlib
+
+        return self._brk, hashlib.sha256(self._data).digest()
 
     def clone(self) -> "Memory":
         """Deep copy sharing nothing, for running two backends on one image.

@@ -67,7 +67,18 @@ class _Namer:
 def print_module(module: Module) -> str:
     """Render a whole module as LLVM-flavoured text."""
 
-    lines = [f"; module {module.name}"]
+    lines = [f"; module {module.name}", *print_declarations(module)]
+    for function in module.functions.values():
+        lines.append("")
+        lines.append(print_function(function))
+    return "\n".join(lines)
+
+
+def print_declarations(module: Module) -> list[str]:
+    """The struct layouts and the globals (type and initializer, in
+    placement order), one line each."""
+
+    lines = []
     for struct in module.structs.values():
         if struct.is_opaque:
             lines.append(f"%{struct.name} = type opaque")
@@ -77,10 +88,7 @@ def print_module(module: Module) -> str:
     for g in module.globals.values():
         init = "zeroinitializer" if g.initializer is None else repr(g.initializer)
         lines.append(f"@{g.name} = global {g.value_type!r} {init}")
-    for function in module.functions.values():
-        lines.append("")
-        lines.append(print_function(function))
-    return "\n".join(lines)
+    return lines
 
 
 def print_function(function: Function) -> str:

@@ -132,7 +132,7 @@ class TestInternedPipeline:
         assert len(seen) == len(variants) + 1 == len(fresh_memo)
 
     def test_memo_is_bounded(self, fresh_memo, monkeypatch):
-        monkeypatch.setattr(fleet, "_PIPELINE_MEMO_ENTRIES", 3)
+        monkeypatch.setattr(fleet, "_MEMO_ENTRIES", 3)
         for n in range(8):
             variant = dataclasses.replace(
                 SMALL_KS, source=SMALL_KS.source + f"\n// variant {n}\n"

@@ -34,10 +34,12 @@ from repro.faults import (
     WorkerHangFault,
     flip_value,
 )
+from repro import fleet
+from repro.faults import sweep as sweep_module
 from repro.faults.sweep import plan_seeds, resilience_sweep
 from repro.frontend import compile_c
 from repro.harness.__main__ import faults_main, main
-from repro.harness.runner import setup_workload
+from repro.harness.runner import FRESH_WORKLOAD, run_check, setup_workload
 from repro.hw import AcceleratorSystem, DirectMappedCache
 from repro.interp import Interpreter, Memory
 from repro.ir import (
@@ -522,6 +524,36 @@ class TestResilienceSweepAndCli:
         assert a.to_dict() == b.to_dict()
         assert len(a.records) == 2 * len(PLAN_KINDS)
         assert a.timing_correct == 2
+
+    def test_interned_check_keeps_corruption_verdicts_and_report_bytes(
+        self, monkeypatch
+    ):
+        # Gaussblur reports through memory, so a FifoCorruption that
+        # reaches the output is caught by the checksum alone.
+        spec = dataclasses.replace(
+            KERNELS_BY_NAME["1D-Gaussblur"], setup_args=[6, 48]
+        )
+        checks = []
+        monkeypatch.setattr(fleet, "_CHECK_MEMO", {})
+        monkeypatch.setattr(
+            fleet, "run_check",
+            lambda *args: checks.append(run_check(*args)) or checks[-1],
+        )
+        interned = resilience_sweep(spec, n_plans=4, seed=2)
+        monkeypatch.setattr(sweep_module, "INTERNED_WORKLOAD", FRESH_WORKLOAD)
+        fresh = resilience_sweep(spec, n_plans=4, seed=2)
+        assert json.dumps(interned.to_dict()) == json.dumps(fresh.to_dict())
+        assert interned.format() == fresh.format()
+        verdicts = {
+            (r.outcome, r.detected) for r in interned.by_kind("corruption")
+        }
+        assert verdicts == {("corrupted-output", True), ("correct", False)}
+        # Every corrupted image was scored by the interpreter, never by a
+        # memo entry; the runs that left the oracle's image shared one.
+        corrupted = sum(
+            r.outcome == "corrupted-output" for r in interned.records)
+        finished = sum(r.cycles is not None for r in interned.records)
+        assert corrupted + 1 <= len(checks) < finished
 
     def test_faults_cli_smoke(self, capsys, tmp_path):
         out = tmp_path / "sweep.json"

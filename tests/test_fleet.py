@@ -10,7 +10,10 @@ The fleet's contract has four legs:
   budget is spent, and leave the surviving results byte-identical to an
   unchaosed run (driven here through :mod:`repro.fleet.chaos`);
 * ``interned_workload`` stamps out memory-image clones that are
-  bit-identical to a fresh functional setup (counters included);
+  bit-identical to a fresh functional setup (counters included), one
+  set-up run per (kernel, workload) whatever the design, and
+  ``interned_check`` returns ``run_check``'s value, interpreting
+  ``check`` once per distinct post-run image;
 * the two big consumers — DSE sweeps and resilience sweeps — really do
   produce identical reports serially, on a pool, under chaos, and
   across a checkpoint/resume cycle.
@@ -22,10 +25,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
+from repro import fleet
+from repro.dse import Evaluator
 from repro.dse.explore import Explorer
 from repro.dse.space import ConfigSpace
 from repro.dse.strategies import GridStrategy
@@ -36,11 +42,17 @@ from repro.fleet import (
     TaskCrashed,
     TaskTimeout,
     chaos,
+    interned_check,
+    interned_pipeline,
     interned_workload,
 )
+from repro.errors import InterpError
 from repro.frontend import compile_c
-from repro.harness.runner import setup_workload
-from repro.kernels import KERNELS_BY_NAME
+from repro.harness.build import compile_module
+from repro.harness.runner import run_check, setup_workload
+from repro.interp import Interpreter, reachable_ir
+from repro.kernels import ALL_KERNELS, KERNELS_BY_NAME
+from repro.pipeline import ReplicationPolicy
 from repro.service.store import ArtifactStore
 from repro.transforms import optimize_module
 
@@ -172,6 +184,227 @@ class TestInternedWorkload:
         bigger = dataclasses.replace(spec, setup_args=[6, 64])
         big, _, _ = interned_workload(module, bigger)
         assert small.snapshot() != big.snapshot()
+
+
+@pytest.fixture
+def interns(monkeypatch):
+    """Empty workload and check memos, and a count of the interpreter
+    runs behind them: ``{"setup": n, "check": n}``."""
+    monkeypatch.setattr(fleet, "_WORKLOAD_MEMO", {})
+    monkeypatch.setattr(fleet, "_CHECK_MEMO", {})
+    runs = {"setup": 0, "check": 0}
+
+    def counted(name, fn):
+        def run(*args):
+            runs[name] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(fleet, "setup_workload", counted("setup", setup_workload))
+    monkeypatch.setattr(fleet, "run_check", counted("check", run_check))
+    return runs
+
+
+def _image(memory, globals_, args):
+    return (
+        memory.snapshot(), memory._brk, memory.image_key(),
+        [(a.addr, a.size, a.site) for a in memory.allocations],
+        memory.bytes_read, memory.bytes_written, globals_, args,
+    )
+
+
+def _designs(spec):
+    """The plain module and every pipelined one: policies x 2/4 workers."""
+    yield compile_module(spec)
+    for policy in ReplicationPolicy:
+        if policy is ReplicationPolicy.P2 and not spec.supports_p2:
+            continue
+        for n_workers in (2, 4):
+            yield interned_pipeline(spec, policy, n_workers, 16).module
+
+
+class TestInternedWorkloadIsContentAddressed:
+    @pytest.mark.parametrize("spec", ALL_KERNELS, ids=lambda s: s.name)
+    def test_every_design_gets_the_image_a_fresh_setup_builds(
+        self, spec, interns
+    ):
+        for module in _designs(spec):
+            assert _image(*interned_workload(module, spec)) == _image(
+                *setup_workload(module, spec)
+            )
+        # ... and one set-up run served every compile key.
+        assert interns["setup"] == 1 == len(fleet._WORKLOAD_MEMO)
+
+    def test_unseen_source_is_a_miss_as_for_the_pipeline(self, interns):
+        spec = SMALL_BLUR
+        commented = dataclasses.replace(
+            spec, source=spec.source + "\n// cold pass 1\n"
+        )
+        module = compile_module(spec)
+        first = _image(*interned_workload(module, spec))
+        assert _image(*interned_workload(module, commented)) == first
+        assert _image(*interned_workload(compile_module(commented), spec)) == first
+        assert interns["setup"] == 2 == len(fleet._WORKLOAD_MEMO)
+
+    def test_setup_that_reaches_rewritten_code_is_keyed_per_design(
+        self, interns
+    ):
+        # A hostile source: set-up runs the accelerated function, which
+        # the transform rewrites differently for every design.
+        spec = dataclasses.replace(
+            SMALL_BLUR,
+            source=SMALL_BLUR.source + """
+void setup_and_blur(int height, int width) {
+    setup(height, width);
+    blur_row((double*)kargs[0], (double*)kargs[1], width);
+}
+""",
+            setup_function="setup_and_blur",
+        )
+        plain = compile_module(spec)
+        assert _image(*interned_workload(plain, spec)) == _image(
+            *setup_workload(plain, spec)
+        )
+        designs = [
+            interned_pipeline(spec, policy, n_workers, depth).module
+            for policy in (ReplicationPolicy.P1, ReplicationPolicy.NONE)
+            for n_workers in (2, 4) for depth in (4, 16)
+        ]
+        texts = {reachable_ir(m, spec.setup_function) for m in [plain, *designs]}
+        assert len(texts) == 1 + len(designs)
+        for module in designs:
+            # What a fresh set-up does (a fork needs the simulator), never
+            # the plain module's image.
+            with pytest.raises(InterpError, match="parallel_fork"):
+                setup_workload(module, spec)
+            with pytest.raises(InterpError, match="parallel_fork"):
+                interned_workload(module, spec)
+        assert len(fleet._WORKLOAD_MEMO) == 1
+
+
+def _post_run_image(spec):
+    """(module, memory, globals, args): the image a correct run leaves."""
+    module = compile_module(spec)
+    memory, globals_, args = setup_workload(module, spec)
+    Interpreter(module, memory, global_addresses=globals_).call(
+        spec.measure_entry, args
+    )
+    return module, memory, globals_, args
+
+
+#: benchmarks/layers' dse-sweep grid: 16 points on 8 compile keys.
+GRID_16 = ConfigSpace(
+    policies=["p1", "none"], n_workers=[2, 4], fifo_depths=[4, 16],
+    cache_lines=[128, 512],
+)
+
+
+class TestInternedCheck:
+    @pytest.mark.parametrize("spec", ALL_KERNELS, ids=lambda s: s.name)
+    def test_miss_and_hit_return_run_checks_value(self, spec, interns):
+        module, memory, globals_, args = _post_run_image(spec)
+        expected = run_check(module, memory.clone(), globals_, spec)
+        for _ in range(3):
+            got = interned_check(module, memory.clone(), globals_, spec)
+            assert type(got) is type(expected) and got == expected
+        assert interns["check"] == 1
+        # A design that leaves the same image shares the run.
+        pipelined = interned_pipeline(spec, ReplicationPolicy.P1, 2, 4).module
+        assert interned_check(pipelined, memory, globals_, spec) == expected
+        assert interns["check"] == 1
+
+    def test_one_flipped_byte_is_a_miss_and_is_really_checked(self, interns):
+        spec = SMALL_BLUR
+        module, memory, globals_, args = _post_run_image(spec)
+        clean = interned_check(module, memory.clone(), globals_, spec)
+        out_row = args[1]  # blur_row's output: check sums it
+
+        inside = memory.clone()
+        inside.write_bytes(out_row + 6, b"\x55")
+        assert out_row + 6 < inside._brk
+        expected = run_check(module, inside.clone(), globals_, spec)
+        assert expected != clean
+        assert interned_check(module, inside, globals_, spec) == expected
+        assert interns["check"] == 2
+
+        beyond = memory.clone()
+        beyond.write_bytes(beyond._brk + 64, b"\x01")
+        assert beyond.snapshot() == memory.snapshot()
+        assert interned_check(module, beyond, globals_, spec) == clean
+        assert interns["check"] == 3
+
+        moved = memory.clone()
+        moved.malloc(8)
+        assert interned_check(module, moved, globals_, spec) == clean
+        assert interns["check"] == 4
+
+    def test_sixteen_point_grid_sets_up_and_checks_once(self, interns):
+        spec = KERNELS_BY_NAME["ks"]
+        evaluator = Evaluator(spec, engine="specialized")
+        results = [evaluator.evaluate(point) for point in GRID_16.grid()]
+        assert len(results) == 16 and all(r.ok for r in results)
+        assert len({r.checksum for r in results}) == 1
+        assert interns == {"setup": 1, "check": 1}
+
+    def test_two_threads_racing_on_one_key_agree(self, interns):
+        spec = SMALL_BLUR
+        module, memory, globals_, args = _post_run_image(spec)
+        expected = run_check(module, memory.clone(), globals_, spec)
+        barrier = threading.Barrier(2)
+        got = []
+
+        def check():
+            image = memory.clone()
+            barrier.wait(timeout=30)
+            got.append(interned_check(module, image, globals_, spec))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=check) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [expected, expected]
+        assert len(fleet._CHECK_MEMO) == 1
+        assert interned_check(module, memory, globals_, spec) == expected
+        assert interns["check"] <= 2
+
+
+_GRID_RSS_CHILD = """
+import re
+from repro.dse import ConfigSpace, Evaluator
+from repro.kernels import KERNELS_BY_NAME
+
+space = ConfigSpace(policies=["p1", "none"], n_workers=[2, 4],
+                    fifo_depths=[4, 16], cache_lines=[128, 512])
+evaluator = Evaluator(KERNELS_BY_NAME["ks"], engine="specialized")
+assert all(evaluator.evaluate(point).ok for point in space.grid())
+# The address space's own high-water mark: ru_maxrss would carry over
+# the test runner's, which the child inherits across exec.
+print(re.search(r"VmHWM:\\s+(\\d+) kB", open("/proc/self/status").read()).group(1))
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs Linux procfs"
+)
+def test_sweep_process_stays_under_100_mib():
+    """A 16 MiB image per point, or per interned entry, cannot come back
+    unnoticed: the same sweep peaked at 189 MiB when images were 16 MiB
+    and at about 30 MiB sized to their contents."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _GRID_RSS_CHILD],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < 100
 
 
 class TestConsumersArePoolSizeInvariant:

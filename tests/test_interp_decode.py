@@ -2,9 +2,9 @@
 
 The decoder must be unobservable except for speed: same step counts, same
 hook sequence, same blocking behaviour, no reference cycle through the
-interpreter (the 16 MiB image must die by refcount), no stale program
-after a transform, and no memory fast path that bypasses a ``Memory``
-subclass.
+interpreter (the image and its decoded program must die by refcount), no
+stale program after a transform, and no memory fast path that bypasses a
+``Memory`` subclass.
 """
 
 import gc

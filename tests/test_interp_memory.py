@@ -52,6 +52,61 @@ class TestAllocator:
         assert mem.load(addr + (1 << 20) - 4, I32) == 5
 
 
+class TestSizedToContents:
+    """The buffer starts small and doubles on demand; nothing observable
+    (addresses, break, contents, growth on a far access) depends on it."""
+
+    def test_empty_memory_allocates_loads_stores_and_clones(self):
+        mem = Memory(0)  # what clone() builds; malloc used to spin here
+        addr = mem.malloc(8)
+        assert addr == HEAP_BASE and mem.load(addr, I64) == 0
+        mem.store(addr, I32, -7)
+        assert Memory.loader(I32)(Memory(0), addr + 64) == 0
+        copy = mem.clone()
+        assert copy.load(addr, I32) == -7
+        assert copy.snapshot() == mem.snapshot()
+        assert copy.malloc(4) == mem.malloc(4)
+
+    def test_default_image_is_kilobytes(self):
+        assert len(Memory()._data) <= 1 << 16
+
+    def test_large_malloc_from_the_small_default(self):
+        mem, size = Memory(), 8 << 20
+        first = mem.malloc(24, site=3)
+        addr = mem.malloc(size, site=4)
+        # The values a 16 MiB image gave: placement never read the capacity.
+        assert (first, addr) == (HEAP_BASE, HEAP_BASE + 24)
+        assert mem._brk == addr + size
+        assert [(a.addr, a.size, a.site) for a in mem.allocations] == [
+            (first, 24, 3), (addr, size, 4)]
+        mem.store(addr + size - 8, F64, 2.5)
+        snapshot = mem.snapshot()
+        assert len(snapshot) == mem._brk
+        assert snapshot[addr:addr + size - 8] == bytes(size - 8)
+        assert mem.load(addr + size - 8, F64) == 2.5
+
+    def test_access_past_the_end_still_grows(self):
+        mem = Memory()
+        far = 4 * len(mem._data) + 100
+        assert mem.load(far, I32) == 0
+        mem.store(2 * far, I32, 9)
+        assert mem.load(2 * far, I32) == 9
+        assert mem._brk == HEAP_BASE  # an access is not an allocation
+
+    def test_image_key_covers_the_break_and_every_byte(self):
+        mem = Memory()
+        addr = mem.malloc(16)
+        mem.store(addr, I32, 1)
+        twin = mem.clone()
+        assert twin.image_key() == mem.image_key()
+        twin.malloc(1)
+        assert twin.image_key() != mem.image_key()  # break moved
+        twin = mem.clone()
+        twin.write_bytes(len(mem._data) - 1, b"\x01")  # beyond the break
+        assert twin.image_key() != mem.image_key()
+        assert twin.snapshot() == mem.snapshot()
+
+
 class TestTypedAccess:
     @pytest.mark.parametrize("type_,value", [
         (I8, -5), (I16, -1234), (I32, -100000), (I64, -(2**40)),

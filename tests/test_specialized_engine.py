@@ -27,7 +27,8 @@ from repro.hw import (
     specialized_for,
 )
 from repro.interp import Interpreter, Memory
-from repro.kernels import ALL_KERNELS, KERNELS_BY_NAME
+from repro.ir import I32
+from repro.kernels import ALL_KERNELS, KARGS_GLOBAL, KERNELS_BY_NAME
 from repro.pipeline import ReplicationPolicy, cgpa_compile
 from repro.transforms import optimize_module
 
@@ -128,6 +129,68 @@ class TestKernelPolicyMatrix:
         sim, _ = simulate(name, "specialized")
         for worker, counts in sim.stall_breakdown.items():
             assert sum(counts.values()) == sim.cycles, worker
+
+
+class _SpyMemory(Memory):
+    """Counts the accesses that reach ``read_bytes``/``write_bytes``."""
+
+    reads = writes = 0
+
+    def read_bytes(self, addr, size):
+        self.reads += 1
+        return super().read_bytes(addr, size)
+
+    def write_bytes(self, addr, data):
+        self.writes += 1
+        super().write_bytes(addr, data)
+
+
+class TestMemorySubclass:
+    """Loads and stores complete through ``Memory.loader``/``storer``,
+    which keep a subclass on its own ``load``/``store``."""
+
+    @staticmethod
+    def run(name: str, engine: str, memory_class):
+        spec, compiled = small_spec(name), compiled_kernel(name)
+        interp = Interpreter(compiled.module, memory_class())
+        interp.call(spec.setup_function, list(spec.setup_args))
+        memory, kargs = interp.memory, interp.global_addresses[KARGS_GLOBAL]
+        args = [
+            memory.load(kargs + 4 * i, I32) & 0xFFFFFFFF
+            for i in range(spec.n_kernel_args)
+        ]
+        memory.reads = memory.writes = 0  # drop the set-up's own traffic
+        system = AcceleratorSystem(
+            compiled.module, memory, channels=compiled.result.channels,
+            cache=DirectMappedCache(ports=8),
+            global_addresses=interp.global_addresses, engine=engine,
+        )
+        return system.run(spec.measure_entry, args), memory
+
+    @pytest.mark.parametrize("name", ["ks", "1D-Gaussblur", "em3d"])
+    def test_subclass_sees_every_access_and_the_report_is_unchanged(self, name):
+        sim, spy = self.run(name, "specialized", _SpyMemory)
+        want, plain = self.run(name, "event", Memory)
+        assert_reports_identical(sim, want)
+        assert sim.to_dict() == want.to_dict()
+        # The interpretive worker calls memory.load/store per access.
+        _, reference = self.run(name, "event", _SpyMemory)
+        assert (spy.reads, spy.writes) == (reference.reads, reference.writes)
+        assert spy.reads > 0 and (spy.writes > 0 or name == "ks")
+        assert spy.snapshot() == plain.snapshot()
+        assert (spy.bytes_read, spy.bytes_written) == (
+            plain.bytes_read, plain.bytes_written)
+
+    def test_one_program_serves_both_memory_classes(self):
+        # Programs are cached on the function and shared by every system,
+        # so the accessor is chosen per memory, not per program.
+        first, plain = self.run("1D-Gaussblur", "specialized", Memory)
+        second, spy = self.run("1D-Gaussblur", "specialized", _SpyMemory)
+        third, again = self.run("1D-Gaussblur", "specialized", Memory)
+        assert spy.writes > 0
+        for sim, memory in ((second, spy), (third, again)):
+            assert_reports_identical(sim, first)
+            assert memory.snapshot() == plain.snapshot()
 
 
 class TestFailurePaths:
