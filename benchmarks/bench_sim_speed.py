@@ -1,8 +1,9 @@
 """Simulator wall-clock: event-driven skip-ahead vs lockstep oracle.
 
-The event-driven engine (the default) jumps the clock from wake event to
-wake event instead of ticking every worker every cycle; both engines are
-required to produce bit-identical ``SimReport``\\ s (pinned down by
+The event-driven engine (``engine="event"``; the default engine runs
+under the same clock) jumps from wake event to wake event instead of
+ticking every worker every cycle; both engines are required to produce
+bit-identical ``SimReport``\\ s (pinned down by
 ``tests/test_engine_equivalence.py``).  This benchmark measures what the
 skip-ahead actually buys: simulation-only wall-clock (compilation and
 workload setup excluded) for every kernel under

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from ..hw.system import SimReport
 from ..ir.function import Function
-from ..ir.instructions import Instruction
 from ..rtl.resources import (
     CACHE_HIT_PJ,
     CACHE_MISS_PJ,
@@ -57,20 +56,14 @@ class PowerReport:
         return self.total_energy_j * 1e6
 
 
-def _op_energy_pj(functions: list[Function], ops_executed) -> float:
-    """Map executed-opcode counters to energy using each function's ops."""
-    # Build a representative per-opcode energy from the functions' actual
-    # instruction mix (f64 ops cost more than f32/int of the same opcode).
+def _mean_op_energy_pj(functions: list[Function]) -> dict[str, float]:
+    """A representative per-opcode energy from the functions' actual
+    instruction mix (f64 ops cost more than f32/int of the same opcode)."""
     per_opcode: dict[str, list[float]] = {}
     for function in functions:
         for inst in function.instructions():
             per_opcode.setdefault(inst.opcode, []).append(cost_of(inst).energy_pj)
-    total = 0.0
-    for opcode, count in ops_executed.items():
-        candidates = per_opcode.get(opcode)
-        mean = sum(candidates) / len(candidates) if candidates else 1.0
-        total += mean * count
-    return total
+    return {op: sum(costs) / len(costs) for op, costs in per_opcode.items()}
 
 
 def power_report(
@@ -82,8 +75,12 @@ def power_report(
     """Combine simulator activity and area into power/energy figures."""
     time_s = sim.cycles / frequency_hz
     dynamic_pj = 0.0
+    mean_pj = _mean_op_energy_pj(functions)  # one table for every worker
     for stats in sim.worker_stats.values():
-        dynamic_pj += _op_energy_pj(functions, stats.ops_executed)
+        ops_pj = 0.0  # per-worker subtotal: the float sum order is pinned
+        for opcode, count in stats.ops_executed.items():
+            ops_pj += mean_pj.get(opcode, 1.0) * count
+        dynamic_pj += ops_pj
         dynamic_pj += FIFO_ACCESS_PJ * (stats.fifo_pushes + stats.fifo_pops)
     dynamic_pj += CACHE_HIT_PJ * sim.cache_stats.hits
     dynamic_pj += CACHE_MISS_PJ * sim.cache_stats.misses

@@ -82,9 +82,19 @@ def _csv_positive_ints(text: str) -> list[int]:
 # One declaration per option that several subcommands share; each
 # subcommand supplies only its own help text (and worker default).
 
+#: ``--engine`` help of the trace and default-run parsers.
+_ENGINE_HELP = (
+    "simulator engine: closure-compiled ('specialized') or interpretive "
+    "('event') workers under the event-driven skip-ahead clock, or the "
+    "tick-every-cycle lockstep oracle; cycle counts are identical"
+)
+
 
 def _add_engine(parser: argparse.ArgumentParser, help: str) -> None:
-    parser.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES, help=help)
+    parser.add_argument(
+        "--engine", default=DEFAULT_ENGINE, choices=ENGINES,
+        help=f"{help} (default: {DEFAULT_ENGINE})",
+    )
 
 
 def _add_max_cycles(parser: argparse.ArgumentParser, help: str) -> None:
@@ -199,7 +209,7 @@ def dse_main(argv: list[str]) -> int:
         help="per-point simulated-cycle budget; points exceeding it are "
         "recorded as status=timeout (default: 50M)",
     )
-    _add_engine(parser, f"simulator clock loop (default: {DEFAULT_ENGINE})")
+    _add_engine(parser, "simulator engine")
     parser.add_argument(
         "--cache-dir", type=pathlib.Path, default=pathlib.Path(".dse-cache"),
         help="on-disk result cache location (default: ./.dse-cache)",
@@ -358,8 +368,7 @@ def faults_main(argv: list[str]) -> int:
     )
     _add_engine(
         parser,
-        help=f"simulator clock loop (default: {DEFAULT_ENGINE}); the report is "
-        "byte-identical under either",
+        help="simulator engine; the report is byte-identical under any",
     )
     _add_workers(parser, 4, "parallel-stage worker count (paper default: 4)")
     _add_fifo_depth(parser, "FIFO entries per channel (paper default: 16)")
@@ -546,11 +555,7 @@ def trace_main(argv: list[str]) -> int:
         "JSON there is a mirror of the --store artifact",
     )
     _add_store_argument(parser)
-    _add_engine(
-        parser,
-        help="simulator clock loop: event-driven skip-ahead (default) or "
-        "the tick-every-cycle lockstep oracle; cycle counts are identical",
-    )
+    _add_engine(parser, _ENGINE_HELP)
     _add_max_cycles(
         parser,
         help="simulated-cycle budget; a run exceeding it fails with a "
@@ -955,11 +960,7 @@ def _dispatch(argv: list[str]) -> int:
         help="run the Appendix B.1 worker sweep (em3d)",
     )
     _add_workers(parser, 4, "parallel-stage worker count (paper default: 4)")
-    _add_engine(
-        parser,
-        help="simulator clock loop: event-driven skip-ahead (default) or "
-        "the tick-every-cycle lockstep oracle; cycle counts are identical",
-    )
+    _add_engine(parser, _ENGINE_HELP)
     _add_max_cycles(
         parser,
         help="simulated-cycle budget per backend run; a run exceeding it "

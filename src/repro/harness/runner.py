@@ -248,10 +248,10 @@ def run_backend(
     ``cgpa-*``); the MIPS cost model has no cycle-level FSM to trace.
 
     ``engine`` selects the simulator (:data:`repro.hw.ENGINES`, default
-    :data:`repro.hw.DEFAULT_ENGINE`): ``"event"`` (skip-ahead clock),
-    the ``"lockstep"`` oracle, or ``"specialized"`` (event clock over
-    worker FSMs compiled to closures); all three report identical cycle
-    counts.
+    :data:`repro.hw.DEFAULT_ENGINE`): ``"specialized"`` (skip-ahead event
+    clock over worker FSMs compiled to closures), ``"event"`` (the same
+    clock over interpretive workers) or the ``"lockstep"`` oracle; all
+    three report identical cycle counts.
 
     ``max_cycles`` caps the simulated clock; a run that exceeds it raises
     :class:`~repro.errors.CycleBudgetExceeded` (hardware backends only —

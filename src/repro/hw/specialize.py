@@ -79,8 +79,9 @@ _CALL = "call"
 _RET = "ret"
 _BRANCH = "branch"
 
-#: Instruction classes whose steps touch only the frame's registers.
-_REGISTER_ONLY = (*PURE_OPS, Phi)
+#: Instruction classes whose steps touch only the frame's registers; a
+#: branch and its phi-latching edge are register-only control flow.
+_REGISTER_ONLY = (*PURE_OPS, Phi, Jump, CondBranch)
 
 
 class _Accessors(dict):
@@ -122,9 +123,11 @@ class SpecBlock:
         self.probes: list[list] = []
         #: ``pure[s]`` — every op in state ``s`` reads/writes only the
         #: frame's private register file (no memory, FIFO, liveout, fork,
-        #: join, call or control flow).  A run of pure states can be
-        #: executed in one tick and attributed as a batch of COMPUTE
-        #: cycles: nothing in it is observable by any other worker.
+        #: join, call or return; a branch only moves the frame).  A run of
+        #: pure states can be executed in one tick and attributed as a
+        #: batch of COMPUTE cycles: nothing in it is observable by any
+        #: other worker.  One trailing ``False`` stops a run at the end
+        #: of a block that lacks its terminator.
         self.pure: list[bool] = []
         self.entry_cursor = 0
 
@@ -224,6 +227,7 @@ class SpecializedProgram:
             sb.pure.append(
                 all(isinstance(inst, _REGISTER_ONLY) for inst in state_ops)
             )
+        sb.pure.append(False)
         # Leading phis of state 0 are latched by the incoming edge; a
         # branch entry starts past them (function entry executes them as
         # no-op steps, matching the interpreted worker's cursor rule).
@@ -710,13 +714,15 @@ class SpecializedWorker(HwWorker):
         Folds :meth:`HwWorker.tick`'s category dispatch and
         :meth:`HwWorker._arm` into the step loop's exit paths (one branch
         chain instead of three), and — when no trace sink, monitor or
-        injector is attached — executes runs of *pure* FSM states (states
-        whose ops touch only the frame's registers) in a single tick,
-        attributing the whole run as a batch of COMPUTE cycles.  Batching
-        is invisible to every other worker: pure states read and write
-        nothing shared, the worker stays runnable (finite ``next_due``),
-        and the batch never extends past ``max_cycles`` (so the cycle
-        budget fires at the same cycle as the unbatched engines).
+        injector is attached — runs ahead: after a state completes or
+        branches, the following run of *pure* FSM states (ops that touch
+        only the frame's registers, branches and their phi-latching edges
+        included) executes in this same tick, attributed as a batch of
+        COMPUTE cycles.  Run-ahead is invisible to every other worker:
+        pure states read and write nothing shared, the worker stays
+        runnable (finite ``next_due``), and the batch never extends past
+        ``max_cycles`` (so the cycle budget fires at the same cycle as
+        the unbatched engines, also inside a register-only infinite loop).
         """
         engine = self.engine
         if engine is None or self._trace:
@@ -774,6 +780,11 @@ class SpecializedWorker(HwWorker):
                 frame.cursor = cursor
                 executed += 1
                 continue
+            if outcome is _BRANCH:
+                # The edge moved the frame into its target block.
+                state = 0
+                start = frame.cursor
+                break
             self.progress += executed
             if outcome is _WAIT_MEM:
                 stats.mem_stall_cycles += 1
@@ -809,7 +820,7 @@ class SpecializedWorker(HwWorker):
                 self.next_due = NEVER
                 engine.wait_on_join(self, self._blocked_loop)
                 return
-            # call / ret / branch: the closure already moved the frame.
+            # call / ret: the closure already moved the frame.
             self.progress += 1
             stats.active_cycles += 1
             self.last_category = CycleCategory.COMPUTE
@@ -820,33 +831,43 @@ class SpecializedWorker(HwWorker):
             else:
                 self.next_due = cycle + 1
             return
-        # State complete: advance within the block (one state per cycle).
-        self.progress += executed + 1
+        else:
+            # State complete: advance within the block (one state per cycle).
+            state = frame.state + 1
+            start = 0
+        # ``state`` is the frame's next state, here or across a branch
+        # edge.  Run ahead: while that state is pure (and nothing observes
+        # per-cycle state), execute it now as one more COMPUTE cycle.
         block = frame.block
-        state = frame.state + 1
+        progress = executed + 1
+        k = 1
+        if self._can_batch:
+            pure = block.pure
+            budget = self.system.max_cycles - cycle
+            while pure[state] and k < budget:
+                steps = block.states[state]
+                for i in range(start, len(steps)):
+                    if steps[i](self, frame, cycle) is _BRANCH:
+                        progress += i + 1 - start
+                        block = frame.block
+                        pure = block.pure
+                        state = 0
+                        start = frame.cursor
+                        break
+                else:
+                    progress += len(steps) - start + 1
+                    state += 1
+                    start = 0
+                k += 1
         if state >= block.n_states:
             raise SimulationError(
                 f"worker {self.name}: fell off the end of block "
                 f"{block.label} (missing terminator?)"
             )
-        steps = block.states[state]
-        k = 1
-        if self._can_batch:
-            # Absorb the following run of pure states: each absorbed
-            # state is one more COMPUTE cycle.  The loop always stops
-            # before the block ends (the terminator state is impure).
-            pure = block.pure
-            max_cycles = self.system.max_cycles
-            while pure[state] and cycle + k < max_cycles:
-                for step in steps:
-                    step(self, frame, cycle)
-                self.progress += len(steps) + 1
-                state += 1
-                k += 1
-                steps = block.states[state]
         frame.state = state
-        frame.cursor = 0
-        frame.steps = steps
+        frame.cursor = start
+        frame.steps = block.states[state]
+        self.progress += progress
         stats.active_cycles += k
         self.last_category = CycleCategory.COMPUTE
         self.synced_until = cycle + k

@@ -36,7 +36,7 @@ ENGINES = ("event", "lockstep", "specialized")
 
 #: The engine every ``engine=`` parameter, CLI flag and service option
 #: defaults to; declared here and nowhere else.
-DEFAULT_ENGINE = "event"
+DEFAULT_ENGINE = "specialized"
 
 
 @dataclass
@@ -161,13 +161,14 @@ class AcceleratorSystem:
         because CGPA's partition keeps aliasing memory instructions in one
         stage; data always comes from the shared functional memory.)
 
-        ``engine`` selects the clock loop: ``"event"`` jumps the
-        clock between worker wake events (:mod:`repro.hw.engine`),
-        ``"lockstep"`` ticks every worker every cycle, and
-        ``"specialized"`` runs the event clock over workers whose FSMs
-        were compiled into closures (:mod:`repro.hw.specialize`).  All
-        three produce bit-identical :class:`SimReport`\\ s; lockstep is
-        kept as the differential-testing oracle.
+        ``engine`` (default :data:`DEFAULT_ENGINE`) selects worker and
+        clock loop: ``"specialized"`` runs workers whose FSMs were
+        compiled into closures (:mod:`repro.hw.specialize`) under the
+        event clock, which jumps between worker wake events
+        (:mod:`repro.hw.engine`); ``"event"`` runs the interpretive
+        workers under that clock; ``"lockstep"`` ticks them every cycle.
+        All three produce bit-identical :class:`SimReport`\\ s; lockstep
+        is kept as the differential-testing oracle.
 
         ``injector`` applies one :class:`~repro.faults.plan.FaultPlan`
         through the hardware models' injection hooks (default: the

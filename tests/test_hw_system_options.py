@@ -144,7 +144,7 @@ class TestDefaultEngineIsDeclaredOnce:
         from repro.harness import __main__ as cli, experiments, runner
         from repro.service.contracts import JobRequest
 
-        assert hw.DEFAULT_ENGINE == "event" and hw.DEFAULT_ENGINE in hw.ENGINES
+        assert hw.DEFAULT_ENGINE == "specialized" and hw.DEFAULT_ENGINE in hw.ENGINES
         defaults = [
             inspect.signature(fn).parameters["engine"].default
             for fn in (

@@ -8,7 +8,8 @@ wave) it asserts, with zero kernel-specific skips:
 1. **oracle equality** — the accelerator simulation returns the same
    value and checksum as the sequential interpreter;
 2. **engine bit-identity** — lockstep, event and specialized engines
-   produce bit-identical ``SimReport``\\ s;
+   produce bit-identical ``SimReport``\\ s, and ``run_backend`` with no
+   engine named equals the lockstep reference on every hardware backend;
 3. **RTL** — every emitted worker module lints clean and co-simulates
    bit-identically to the interpreter oracle (liveouts, FIFO traffic,
    final memory image);
@@ -36,7 +37,7 @@ from repro.dse.evaluate import STATUSES
 from repro.faults.sweep import resilience_sweep
 from repro.frontend import compile_c
 from repro.harness.runner import run_backend, setup_workload
-from repro.hw import AcceleratorSystem, DirectMappedCache
+from repro.hw import DEFAULT_ENGINE, AcceleratorSystem, DirectMappedCache
 from repro.interp import Interpreter
 from repro.kernels import ALL_KERNELS, KernelSpec
 from repro.obs import RunEnvelope
@@ -138,6 +139,18 @@ class TestEngineBitIdentity:
         assert_reports_identical(reports["event"], reports["lockstep"])
         assert_reports_identical(reports["specialized"], reports["lockstep"])
 
+    @pytest.mark.parametrize("backend", ["legup", "cgpa-p1", "cgpa-none"])
+    def test_default_engine_equals_the_lockstep_reference(self, spec, backend):
+        # What ``run_backend`` does when nobody names an engine is what
+        # every number in the repo comes from; it must be the oracle's.
+        got = run_backend(small(spec), backend)
+        want = run_backend(small(spec), backend, engine="lockstep")
+        assert_reports_identical(got.sim, want.sim)
+        assert got.sim.to_dict() == want.sim.to_dict()
+        assert (got.cycles, got.aluts, got.energy_uj, got.power_mw) == (
+            want.cycles, want.aluts, want.energy_uj, want.power_mw)
+        assert (got.checksum, got.return_value) == (want.checksum, want.return_value)
+
 
 @pytest.mark.parametrize("spec", ALL_KERNELS, ids=KERNEL_IDS)
 class TestRtl:
@@ -231,3 +244,30 @@ class TestEnvelopeRoundTrip:
         assert json.dumps(decoded.to_dict(), sort_keys=True) == encoded
         assert decoded.kernel == spec.name
         assert decoded.cycles == result.cycles
+
+
+class TestDefaultEngineInEnvelopes:
+    """What a run records when nobody names an engine."""
+
+    def test_default_faults_sweep(self, tmp_path):
+        from repro.harness.__main__ import faults_main
+        from repro.obs.query import load_envelopes
+
+        assert faults_main(["ks", "--plans", "1", "--store", str(tmp_path)]) == 0
+        (envelope,) = load_envelopes(tmp_path).filter(kind="faults")
+        assert envelope.engine == DEFAULT_ENGINE == "specialized"
+
+    def test_default_simulate_service_job(self):
+        from repro.obs.emit import job_envelope
+        from repro.service.contracts import JobRequest
+        from repro.service.jobs import execute
+
+        request = JobRequest.make("simulate", "ks", options={"n_workers": 2})
+        artifact = execute(request)
+        job = {"job_id": "job-1", "kind": request.kind, "kernel": "ks",
+               "key": request.key, "status": "done", "cached": False,
+               "submissions": 1, "error": None}
+        envelope = job_envelope(job, artifact)
+        envelope.validate()
+        assert envelope.engine == artifact["engine"] == DEFAULT_ENGINE
+        assert artifact["status"] == "ok"

@@ -10,14 +10,18 @@ event engine and the lockstep oracle on every kernel and policy —
 cycles, per-worker stall breakdowns, op counters, cache and FIFO
 statistics, liveout checksums — plus identical failure behaviour
 (budget exhaustion at the same cycle, identical trace spans when a
-sink disables batching).
+sink disables batching).  ``TestRunAhead`` pins the batching itself:
+run-ahead through register-only control flow changes how many host
+ticks a run costs and nothing else.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.dse import ConfigSpace, Evaluator
 from repro.errors import CycleBudgetExceeded
+from repro.faults import FaultInjector, FaultPlan, InvariantMonitor, MemLatencyFault
 from repro.fleet import interned_workload
 from repro.frontend import compile_c
 from repro.hw import (
@@ -26,6 +30,8 @@ from repro.hw import (
     MemoryTraceSink,
     specialized_for,
 )
+from repro.hw.specialize import SpecializedWorker
+from repro.hw.worker import HwWorker
 from repro.interp import Interpreter, Memory
 from repro.ir import I32
 from repro.kernels import ALL_KERNELS, KARGS_GLOBAL, KERNELS_BY_NAME
@@ -261,3 +267,229 @@ class TestSpecializedProgramCache:
         assert_reports_identical(runs["specialized"][0], runs["event"][0])
         assert_reports_identical(runs["specialized"][0], runs["lockstep"][0])
         assert runs["specialized"][1] == runs["event"][1]
+
+
+#: Branch-dense and memory-free once ``mem2reg`` has run: every state of
+#: every loop block is register-only (``%`` alone is a 17-state block).
+NEST = """
+int nest(int n) {
+    int acc = 0;
+    for (int i = 0; i < n; i++) {
+        for (int j = 0; j < i; j++) {
+            if ((i ^ j) & 1) acc += i * j; else acc -= j;
+            if (acc > 1000) acc = acc % 7;
+        }
+    }
+    return acc;
+}
+"""
+
+#: Register-only blocks around one load per iteration (plus a call and a
+#: store-filled table), so run-ahead keeps starting and stopping; ``u``
+#: is computed in the state that branches and used past the join.
+MIXED = """
+int a[32];
+int helper(int x) { return x * 3 + 1; }
+int mixed(int n) {
+    for (int i = 0; i < 32; i++) a[i] = helper(i);
+    int s = 0;
+    for (int i = 0; i < n; i++) {
+        int v = a[i & 31];
+        int c = v & 3;
+        int t = c + 5;
+        int u = t ^ 7;
+        if (c == 2) s += v; else s -= 1;
+        s += u;
+        for (int j = 0; j < 3; j++) s ^= j + i;
+    }
+    a[0] = s;
+    return s;
+}
+"""
+
+#: ``NEST`` under a condition that never turns false (``n`` stays 1): a
+#: register-only infinite loop that one specialized tick never leaves.
+SPIN = """
+int spin(int n) {
+    int acc = 0;
+    int i = 0;
+    while (n) {
+        for (int j = 0; j < 3; j++) {
+            if ((i ^ j) & 1) acc += i * j; else acc -= j;
+            if (acc > 50) acc = acc % 7;
+        }
+        i++;
+    }
+    return acc;
+}
+"""
+
+
+def position(worker):
+    """Where a worker's FSM stands: ``(block, state, cursor)``."""
+    if not worker._frames:
+        return None
+    frame = worker._frames[-1]
+    block = frame.block
+    label = block.label if isinstance(worker, SpecializedWorker) else block.short_name()
+    return label, frame.state, frame.cursor
+
+
+def run_source(source, entry, args, engine, optimize=True, **system_kwargs):
+    """Run plain C on one engine; returns (report or budget error,
+    every worker the run created, the final memory)."""
+    module = compile_c(source)
+    if optimize:
+        optimize_module(module)
+    memory = Memory()
+    system = AcceleratorSystem(module, memory, engine=engine, **system_kwargs)
+    workers = []
+    register = system._register_worker
+
+    def remember(worker):
+        workers.append(worker)
+        register(worker)
+
+    system._register_worker = remember
+    try:
+        outcome = system.run(entry, args)
+    except CycleBudgetExceeded as error:
+        outcome = error
+    return outcome, workers, memory
+
+
+@pytest.fixture
+def tick_log(monkeypatch):
+    """``{(worker, cycle): state after that tick}`` for every tick either
+    worker class takes (a traced specialized tick delegates to the base
+    class; the dict keeps one entry for it)."""
+    log = {}
+    for cls in (HwWorker, SpecializedWorker):
+        def tick(self, cycle, _tick=cls.tick):
+            _tick(self, cycle)
+            log[self.name, cycle] = (
+                position(self), self.last_category, self.progress,
+                self.stats.to_dict(),
+            )
+        monkeypatch.setattr(cls, "tick", tick)
+    return log
+
+
+class TestRunAhead:
+    """Run-ahead through branches is a host-side batching of private
+    work: reports, counters, failure cycles and images do not move."""
+
+    @pytest.mark.parametrize("optimize", [True, False], ids=["opt", "noopt"])
+    @pytest.mark.parametrize("source, entry, args", [
+        (NEST, "nest", [12]), (MIXED, "mixed", [40]),
+    ], ids=["branch-dense", "one-load"])
+    def test_report_workers_and_image_identical(self, source, entry, args, optimize):
+        runs = {
+            engine: run_source(source, entry, args, engine, optimize=optimize)
+            for engine in ENGINES
+        }
+        want, want_workers, want_memory = runs["lockstep"]
+        for engine in ("event", "specialized"):
+            sim, workers, memory = runs[engine]
+            assert sim.to_dict() == want.to_dict(), engine
+            assert [w.name for w in workers] == [w.name for w in want_workers]
+            for got, ref in zip(workers, want_workers):
+                assert got.stats == ref.stats, (engine, got.name)
+                assert got.stats.ops_executed == ref.stats.ops_executed
+                assert got.progress == ref.progress, (engine, got.name)
+            assert memory.snapshot() == want_memory.snapshot(), engine
+
+    def test_the_loops_are_register_only(self):
+        # The premise of the cases above and below: optimised, the nests
+        # hold no state that could end a run-ahead early.
+        for source, entry in ((NEST, "nest"), (SPIN, "spin")):
+            module = compile_c(source)
+            optimize_module(module)
+            program = specialized_for(module.get_function(entry))
+            blocks = [b for b in program._blocks.values() if "end" not in b.label]
+            assert len(blocks) > 6
+            assert all(all(b.pure[:b.n_states]) for b in blocks), entry
+            assert not any(b.pure[b.n_states] for b in program._blocks.values())
+
+    def test_infinite_register_only_loop_stops_at_the_budget(self):
+        # One specialized tick runs from cycle 0 to the budget; wherever
+        # the budget lands — mid-block, on a branch state, on the first
+        # state behind an edge — the worker stands where the event
+        # engine's does, cycle for cycle.  (Lockstep raises one tick
+        # later by construction; its message is the contract.)
+        stops = set()
+        for max_cycles in range(40, 140):
+            errors = {
+                engine: run_source(SPIN, "spin", [1], engine, max_cycles=max_cycles)
+                for engine in ENGINES
+            }
+            assert len({str(error) for error, _, _ in errors.values()}) == 1
+            event, (event_worker,), _ = errors["event"]
+            fast, (fast_worker,), _ = errors["specialized"]
+            assert isinstance(fast, CycleBudgetExceeded)
+            assert fast.cycle == event.cycle == max_cycles
+            assert position(fast_worker) == position(event_worker)
+            assert fast_worker.stats == event_worker.stats
+            assert fast_worker.progress == event_worker.progress
+            label, state, _ = position(fast_worker)
+            n_states = fast_worker._frames[-1].block.n_states
+            stops.add(
+                "first" if state == 0 else
+                "branch" if state == n_states - 1 else "middle"
+            )
+        assert stops == {"first", "branch", "middle"}
+
+    @pytest.mark.parametrize("observer", ["sink", "monitor", "injector"])
+    def test_an_observer_turns_run_ahead_off(self, observer, tick_log):
+        # Anything that can look at a worker between two cycles gets the
+        # event engine's tick-per-cycle behaviour, state for state.
+        def attach():
+            if observer == "sink":
+                return {"sink": MemoryTraceSink()}
+            if observer == "monitor":
+                return {"monitor": InvariantMonitor(interval=1)}
+            plan = FaultPlan(seed=0, kind="timing", faults=(
+                MemLatencyFault(start=100, duration=200, extra=7),))
+            return {"injector": FaultInjector(plan)}
+
+        logs, reports, observers = {}, {}, {}
+        for engine in ("event", "specialized"):
+            tick_log.clear()
+            observers[engine] = attach()
+            reports[engine], _, _ = run_source(
+                MIXED, "mixed", [40], engine, **observers[engine])
+            logs[engine] = dict(tick_log)
+        assert reports["specialized"].to_dict() == reports["event"].to_dict()
+        assert logs["specialized"] == logs["event"]
+        if observer == "sink":
+            fast, event = observers["specialized"]["sink"], observers["event"]["sink"]
+            assert fast.spans == event.spans
+            assert fast.state_changes == event.state_changes
+        # ... and without one, the same program takes far fewer ticks.
+        tick_log.clear()
+        run_source(MIXED, "mixed", [40], "specialized")
+        assert len(tick_log) < len(logs["event"]) // 2
+
+    def test_tick_count_on_the_dse_sweep_grid(self, monkeypatch):
+        # Wall-clock-free regression pin: host ticks per 16-point grid
+        # (before run-ahead crossed branches: 490 k / 183 k / 123 k).
+        # ks sits at two ticks per memory access — issue and complete.
+        ticks = [0]
+
+        def tick(self, cycle, _tick=SpecializedWorker.tick):
+            ticks[0] += 1
+            _tick(self, cycle)
+
+        monkeypatch.setattr(SpecializedWorker, "tick", tick)
+        space = ConfigSpace(
+            policies=["p1", "none"], n_workers=[2, 4],
+            fifo_depths=[4, 16], cache_lines=[128, 512],
+        )
+        pins = {"ks": (330_000, 485_048), "bfs": (90_000, 122_632),
+                "hash-join": (55_000, 67_976)}
+        for name, (ceiling, cycles) in pins.items():
+            evaluator = Evaluator(KERNELS_BY_NAME[name], engine="specialized")
+            ticks[0] = 0
+            results = [evaluator.evaluate(point) for point in space.grid()]
+            assert sum(r.cycles for r in results) == cycles, name
+            assert ticks[0] <= ceiling, (name, ticks[0])
