@@ -15,11 +15,9 @@ service's job keys hash disjoint payloads, so one store root serves both.
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 from ..cost import COST_MODEL_VERSION
 from ..kernels import KernelSpec
+from ..service.store import content_key
 from .space import DesignPoint
 
 #: Bump when the EvalResult schema or evaluation semantics change.
@@ -33,22 +31,11 @@ def result_key(
     engine: str,
 ) -> str:
     """Hex digest addressing one (kernel, config, model-version) result."""
-    payload = json.dumps(
-        {
-            "schema": CACHE_SCHEMA_VERSION,
-            "cost_model": COST_MODEL_VERSION,
-            "kernel": spec.name,
-            "source": spec.source,
-            "accel_function": spec.accel_function,
-            "measure_entry": spec.measure_entry,
-            "setup_function": spec.setup_function,
-            "setup_args": list(spec.setup_args),
-            "check_function": spec.check_function,
-            "point": point.to_dict(),
-            "max_cycles": max_cycles,
-            "engine": engine,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
+    return content_key({
+        "schema": CACHE_SCHEMA_VERSION,
+        "cost_model": COST_MODEL_VERSION,
+        **spec.key_fields(),
+        "point": point.to_dict(),
+        "max_cycles": max_cycles,
+        "engine": engine,
+    })

@@ -110,18 +110,10 @@ class Evaluator:
         spec: KernelSpec,
         max_cycles: int = DEFAULT_EVAL_MAX_CYCLES,
         engine: str = DEFAULT_ENGINE,
-        envelopes=None,
     ) -> None:
-        """``envelopes`` is an optional
-        :class:`~repro.obs.emit.EnvelopeWriter`: when set, every
-        :meth:`evaluate` call also persists a ``dse-eval`` run envelope
-        (config hash = the result-cache key, so envelope and cache entry
-        describe the same work).  Pool workers leave it unset — the
-        explorer emits from the parent process instead."""
         self.spec = spec
         self.max_cycles = max_cycles
         self.engine = engine
-        self.envelopes = envelopes
 
     # -- compilation -------------------------------------------------------
 
@@ -136,24 +128,6 @@ class Evaluator:
 
     def evaluate(self, point: DesignPoint) -> EvalResult:
         """Score one point; failures land in ``status``, never propagate."""
-        result = self._evaluate_total(point)
-        if self.envelopes is not None:
-            from ..obs.emit import eval_envelope
-            from .cache import result_key
-
-            self.envelopes.write(
-                eval_envelope(
-                    result,
-                    kernel=self.spec.name,
-                    engine=self.engine,
-                    config_hash=result_key(
-                        self.spec, point, self.max_cycles, self.engine
-                    ),
-                )
-            )
-        return result
-
-    def _evaluate_total(self, point: DesignPoint) -> EvalResult:
         try:
             compiled = self.compile(point)
         except CgpaError as exc:

@@ -264,11 +264,9 @@ def _run_plan_task(task) -> FaultRunRecord:
     the compiled module, the parent supplies the oracle liveouts.
     """
     (spec, engine, n_workers, fifo_depth, index, plan, baseline_cycles,
-     oracle, oracle_return, budget, monitor_interval) = task
+     oracle, oracle_return, budget) = task
     injector = FaultInjector(plan)
-    monitor = InvariantMonitor(
-        interval=monitor_interval
-    ) if monitor_interval else InvariantMonitor()
+    monitor = InvariantMonitor()
     record = FaultRunRecord(index=index, kind=plan.kind, plan=plan)
     try:
         run = _simulate(
@@ -317,7 +315,6 @@ def _checkpoint_key(
     seed: int,
     n_plans: int,
     max_cycles: int | None,
-    monitor_interval: int | None,
     index: int,
 ) -> str:
     """Content address of one plan's checkpoint record.
@@ -341,7 +338,6 @@ def _checkpoint_key(
         "seed": seed,
         "n_plans": n_plans,
         "max_cycles": max_cycles,
-        "monitor_interval": monitor_interval,
         "index": index,
     })
 
@@ -354,7 +350,6 @@ def resilience_sweep(
     n_workers: int = 4,
     fifo_depth: int = 16,
     max_cycles: int | None = None,
-    monitor_interval: int | None = None,
     processes: int = 1,
     fleet: FleetExecutor | None = None,
     store=None,
@@ -410,14 +405,13 @@ def resilience_sweep(
             tasks.append((
                 spec, engine, n_workers, fifo_depth, index, plan,
                 baseline.cycles, oracle, oracle_return, budget,
-                monitor_interval,
             ))
             index += 1
 
     ckpt_keys = [
         _checkpoint_key(
             spec, engine, n_workers, fifo_depth, seed, n_plans,
-            max_cycles, monitor_interval, i,
+            max_cycles, i,
         )
         for i in range(len(tasks))
     ] if store is not None else []

@@ -352,7 +352,7 @@ def faults_main(argv: list[str]) -> int:
         "bit-identical to the interpreter oracle; hangs must be diagnosed "
         "by the deadlock watchdog; corruption detection is reported.  "
         "Deterministic for a given (kernel, seed); the report is "
-        "byte-identical across both simulator engines.",
+        "byte-identical across all three simulator engines.",
     )
     parser.add_argument(
         "kernel", choices=sorted(KERNELS_BY_NAME),

@@ -60,7 +60,7 @@ class EventScheduler:
         #: wake targets compare against it for the same-cycle rule.
         self._active_seq = -1
 
-    # -- wait registration (called from HwWorker._arm) -------------------------
+    # -- wait registration (called from HwWorker._retire) ----------------------
 
     def wait_on_fifo(self, worker: HwWorker, fifo: "FifoBuffer") -> None:
         waiters = self._fifo_waiters.setdefault(id(fifo), [])

@@ -63,7 +63,7 @@ from ..ir.instructions import (
 from ..ir.values import Constant, GlobalVariable
 from ..rtl.schedule import FunctionSchedule, schedule_function
 from ..telemetry.events import CycleCategory
-from .worker import NEVER, STALLED, HwWorker
+from .worker import STALLED, HwWorker
 
 if TYPE_CHECKING:  # pragma: no cover
     from .system import AcceleratorSystem
@@ -78,6 +78,15 @@ _WAIT_JOIN = "wait_join"
 _CALL = "call"
 _RET = "ret"
 _BRANCH = "branch"
+
+#: The cycle category each stalling outcome retires as (call/ret and the
+#: state-advancing outcomes are COMPUTE).
+_STALL_CATEGORY = {
+    _WAIT_MEM: CycleCategory.CACHE,
+    _WAIT_FULL: CycleCategory.FIFO_FULL,
+    _WAIT_EMPTY: CycleCategory.FIFO_EMPTY,
+    _WAIT_JOIN: CycleCategory.JOIN,
+}
 
 #: Instruction classes whose steps touch only the frame's registers; a
 #: branch and its phi-latching edge are register-only control flow.
@@ -686,13 +695,15 @@ class SpecializedWorker(HwWorker):
             worker_id=worker_id, start_cycle=start_cycle,
         )
         # Compute-run batching (see ``tick``) is legal only when nothing
-        # observes per-cycle state mid-run: no trace sink, no invariant
-        # monitor, no fault injector.  All three are fixed at system
-        # construction, so decide once.
+        # observes per-cycle state mid-run — no trace sink, no invariant
+        # monitor, no fault injector — and the clock honours ``next_due``
+        # (the event scheduler; lockstep ticks every cycle).  All four are
+        # fixed before the run's first worker is built, so decide once.
         self._can_batch = (
             not self._trace
             and system.monitor is None
             and not system.injector.enabled
+            and system._scheduler is not None
         )
 
     def _make_entry_frames(self, function: Function, args):
@@ -709,12 +720,12 @@ class SpecializedWorker(HwWorker):
         return [frame]
 
     def tick(self, cycle: int) -> None:
-        """Fused tick + attribute + arm for the event-engine hot path.
+        """One clock edge over step closures, with run-ahead.
 
-        Folds :meth:`HwWorker.tick`'s category dispatch and
-        :meth:`HwWorker._arm` into the step loop's exit paths (one branch
-        chain instead of three), and — when no trace sink, monitor or
-        injector is attached — runs ahead: after a state completes or
+        The prelude holds, the stall outcomes and call/ret close their
+        cycle through the inherited :meth:`HwWorker._retire`; what is
+        spelled here is the step loop and — when no trace sink, monitor or
+        injector is attached — run-ahead: after a state completes or
         branches, the following run of *pure* FSM states (ops that touch
         only the frame's registers, branches and their phi-latching edges
         included) executes in this same tick, attributed as a batch of
@@ -724,33 +735,11 @@ class SpecializedWorker(HwWorker):
         ``max_cycles`` (so the cycle budget fires at the same cycle as
         the unbatched engines, also inside a register-only infinite loop).
         """
-        engine = self.engine
-        if engine is None or self._trace:
-            # Lockstep oracle or traced run: the base path emits per-cycle
-            # trace events and keeps per-cycle semantics throughout.
-            HwWorker.tick(self, cycle)
-            return
-        stats = self.stats
-        if self.done or self.hung:
-            stats.idle_cycles += 1
-            self.last_category = CycleCategory.IDLE
-            self.synced_until = cycle + 1
-            self.next_due = NEVER
-            self.wait_category = CycleCategory.IDLE
-            return
-        if cycle < self.start_cycle:
-            stats.idle_cycles += 1
-            self.last_category = CycleCategory.IDLE
-            self.synced_until = cycle + 1
-            self.next_due = max(self.start_cycle, cycle + 1)
-            self.wait_category = CycleCategory.IDLE
+        if self.done or self.hung or cycle < self.start_cycle:
+            self._retire(cycle, CycleCategory.IDLE)
             return
         if cycle < self._waiting_until:
-            stats.mem_stall_cycles += 1
-            self.last_category = CycleCategory.CACHE
-            self.synced_until = cycle + 1
-            self.next_due = max(self._waiting_until, cycle + 1)
-            self.wait_category = CycleCategory.CACHE
+            self._retire(cycle, CycleCategory.CACHE)
             return
         injector = self._injector
         if (
@@ -760,11 +749,7 @@ class SpecializedWorker(HwWorker):
         ):
             self.hung = True
             injector.hang_triggered(self)
-            stats.idle_cycles += 1
-            self.last_category = CycleCategory.IDLE
-            self.synced_until = cycle + 1
-            self.next_due = NEVER
-            self.wait_category = CycleCategory.IDLE
+            self._retire(cycle, CycleCategory.IDLE)
             return
         if self._pending_mem is not None:
             self._complete_memory()
@@ -786,50 +771,14 @@ class SpecializedWorker(HwWorker):
                 start = frame.cursor
                 break
             self.progress += executed
-            if outcome is _WAIT_MEM:
-                stats.mem_stall_cycles += 1
-                self.last_category = CycleCategory.CACHE
-                self.synced_until = cycle + 1
-                self.next_due = max(self._waiting_until, cycle + 1)
-                self.wait_category = CycleCategory.CACHE
-                return
-            if outcome is _WAIT_FULL:
-                stats.fifo_full_stall_cycles += 1
-                self.last_category = CycleCategory.FIFO_FULL
-                self.synced_until = cycle + 1
-                self.wait_category = CycleCategory.FIFO_FULL
-                if self._blocked_until > cycle:
-                    self.next_due = self._blocked_until
-                else:
-                    self.next_due = NEVER
-                    engine.wait_on_fifo(self, self._blocked_fifo)
-                return
-            if outcome is _WAIT_EMPTY:
-                stats.fifo_empty_stall_cycles += 1
-                self.last_category = CycleCategory.FIFO_EMPTY
-                self.synced_until = cycle + 1
-                self.wait_category = CycleCategory.FIFO_EMPTY
-                self.next_due = NEVER
-                engine.wait_on_fifo(self, self._blocked_fifo)
-                return
-            if outcome is _WAIT_JOIN:
-                stats.join_stall_cycles += 1
-                self.last_category = CycleCategory.JOIN
-                self.synced_until = cycle + 1
-                self.wait_category = CycleCategory.JOIN
-                self.next_due = NEVER
-                engine.wait_on_join(self, self._blocked_loop)
-                return
-            # call / ret: the closure already moved the frame.
-            self.progress += 1
-            stats.active_cycles += 1
-            self.last_category = CycleCategory.COMPUTE
-            self.synced_until = cycle + 1
-            if self.done or self.hung:
-                self.next_due = NEVER
-                self.wait_category = CycleCategory.IDLE
-            else:
-                self.next_due = cycle + 1
+            category = _STALL_CATEGORY.get(outcome)
+            if category is None:
+                # call / ret: the closure already moved the frame.
+                category = CycleCategory.COMPUTE
+                self.progress += 1
+                if self._trace and not self.done:
+                    self._emit_state(cycle)
+            self._retire(cycle, category)
             return
         else:
             # State complete: advance within the block (one state per cycle).
@@ -868,65 +817,14 @@ class SpecializedWorker(HwWorker):
         frame.cursor = start
         frame.steps = block.states[state]
         self.progress += progress
-        stats.active_cycles += k
+        # The one exit that retires ``k`` cycles at once, so it spells
+        # :meth:`HwWorker._retire`'s COMPUTE arm for a batch.
+        self.stats.active_cycles += k
         self.last_category = CycleCategory.COMPUTE
-        self.synced_until = cycle + k
-        self.next_due = cycle + k
-
-    def _tick(self, cycle: int) -> CycleCategory:
-        if self.done or self.hung:
-            return CycleCategory.IDLE
-        if cycle < self.start_cycle:
-            return CycleCategory.IDLE
-        if cycle < self._waiting_until:
-            return CycleCategory.CACHE
-        if (
-            self._injector.enabled
-            and self._injector.hang_pending(self, cycle)
-            and not self._would_block(cycle)
-        ):
-            self.hung = True
-            self._injector.hang_triggered(self)
-            return CycleCategory.IDLE
-        if self._pending_mem is not None:
-            self._complete_memory()
-        frame = self._frames[-1]
-        steps = frame.steps
-        cursor = frame.cursor
-        n = len(steps)
-        while cursor < n:
-            outcome = steps[cursor](self, frame, cycle)
-            if outcome is _OK:
-                cursor += 1
-                frame.cursor = cursor
-                self.progress += 1
-                continue
-            if outcome is _WAIT_MEM:
-                return CycleCategory.CACHE
-            if outcome is _WAIT_FULL:
-                return CycleCategory.FIFO_FULL
-            if outcome is _WAIT_EMPTY:
-                return CycleCategory.FIFO_EMPTY
-            if outcome is _WAIT_JOIN:
-                return CycleCategory.JOIN
-            # call / ret / branch: the closure already moved the frame.
-            self.progress += 1
-            if self._trace and not self.done:
-                self._emit_state(cycle)
-            return CycleCategory.COMPUTE
-        # State complete: advance within the block (one state per cycle).
-        self.progress += 1
-        frame.state += 1
-        frame.cursor = 0
-        if frame.state >= frame.block.n_states:
-            raise SimulationError(
-                f"worker {self.name}: fell off the end of block "
-                f"{frame.block.label} (missing terminator?)"
-            )
-        frame.steps = frame.block.states[frame.state]
+        self.synced_until = self.next_due = cycle + k
         if self._trace:
             self._emit_state(cycle)
-        return CycleCategory.COMPUTE
+            self._sink.worker_cycle(self.name, cycle, CycleCategory.COMPUTE)
 
     def _would_block(self, cycle: int) -> bool:
         if self._pending_mem is not None:

@@ -257,63 +257,64 @@ class HwWorker:
 
     def tick(self, cycle: int) -> None:
         """Advance one clock edge, attributing the cycle to one category."""
-        category = self._tick(cycle)
+        self._retire(cycle, self._tick(cycle))
+
+    def _retire(self, cycle: int, category: CycleCategory) -> None:
+        """Close ``cycle`` as one cycle of ``category``: the timing rule.
+
+        Bumps the category's counter, emits the per-cycle trace event and
+        tells the event clock when this worker next needs a tick.  Cycles
+        with a statically-known resume cycle (compute, cache waits, reset
+        holds, an injected back-pressure window) set ``next_due``
+        directly; event waits (FIFO space, FIFO data, join) park the
+        worker at ``NEVER`` and register a wake condition, so the clock
+        can jump straight past the whole stall.  The lockstep clock runs
+        the same code and never reads the arming fields.
+        """
         self.last_category = category
-        stats = self.stats
-        if category is CycleCategory.COMPUTE:
-            stats.active_cycles += 1
-        elif category is CycleCategory.CACHE:
-            stats.mem_stall_cycles += 1
-        elif category is CycleCategory.FIFO_FULL:
-            stats.fifo_full_stall_cycles += 1
-        elif category is CycleCategory.FIFO_EMPTY:
-            stats.fifo_empty_stall_cycles += 1
-        elif category is CycleCategory.JOIN:
-            stats.join_stall_cycles += 1
-        else:
-            stats.idle_cycles += 1
         if self._trace:
             self._sink.worker_cycle(self.name, cycle, category)
-        if self.engine is not None:
-            self._arm(cycle, category)
-
-    def _arm(self, cycle: int, category: CycleCategory) -> None:
-        """Tell the event scheduler when this worker next needs a tick.
-
-        Ticks with a statically-known resume cycle (compute, cache waits,
-        reset holds) set ``next_due`` directly; event waits (FIFO space,
-        FIFO data, join) park the worker at ``NEVER`` and register a wake
-        condition, so the clock can jump straight past the whole stall.
-        """
+        stats = self.stats
         self.synced_until = cycle + 1
-        if self.done or self.hung:
-            self.next_due = NEVER
-            self.wait_category = CycleCategory.IDLE
-        elif category is CycleCategory.COMPUTE:
-            self.next_due = cycle + 1
-        elif category is CycleCategory.CACHE:
+        if category is CycleCategory.COMPUTE:
+            stats.active_cycles += 1
+            if self.done:  # the top-level ret: nothing left to wake for
+                self.next_due = NEVER
+                self.wait_category = CycleCategory.IDLE
+            else:
+                self.next_due = cycle + 1
+            return
+        self.wait_category = category
+        engine = self.engine
+        if category is CycleCategory.CACHE:
+            stats.mem_stall_cycles += 1
             self.next_due = max(self._waiting_until, cycle + 1)
-            self.wait_category = CycleCategory.CACHE
         elif category is CycleCategory.FIFO_FULL:
-            self.wait_category = category
+            stats.fifo_full_stall_cycles += 1
             if self._blocked_until > cycle:
                 # Injected back-pressure: the window end is a statically
                 # known retry time, so arm a timer instead of a pop wake.
                 self.next_due = self._blocked_until
-            else:
-                self.next_due = NEVER
-                self.engine.wait_on_fifo(self, self._blocked_fifo)
+                return
+            self.next_due = NEVER
+            if engine is not None:
+                engine.wait_on_fifo(self, self._blocked_fifo)
         elif category is CycleCategory.FIFO_EMPTY:
+            stats.fifo_empty_stall_cycles += 1
             self.next_due = NEVER
-            self.wait_category = category
-            self.engine.wait_on_fifo(self, self._blocked_fifo)
+            if engine is not None:
+                engine.wait_on_fifo(self, self._blocked_fifo)
         elif category is CycleCategory.JOIN:
+            stats.join_stall_cycles += 1
             self.next_due = NEVER
-            self.wait_category = category
-            self.engine.wait_on_join(self, self._blocked_loop)
-        else:  # IDLE: held in reset until start_cycle
-            self.next_due = max(self.start_cycle, cycle + 1)
-            self.wait_category = CycleCategory.IDLE
+            if engine is not None:
+                engine.wait_on_join(self, self._blocked_loop)
+        else:  # IDLE: finished or frozen, or held in reset until start_cycle
+            stats.idle_cycles += 1
+            self.next_due = (
+                NEVER if self.done or self.hung
+                else max(self.start_cycle, cycle + 1)
+            )
 
     def _tick(self, cycle: int) -> CycleCategory:
         if self.done or self.hung:

@@ -94,6 +94,20 @@ class KernelSpec:
     def supports_p2(self) -> bool:
         return self.expected_p2 is not None
 
+    def key_fields(self) -> dict:
+        """What a content key hashes of this kernel: its source and its
+        entry-point contract (the DSE result cache and the service's job
+        keys both splice this into their payload)."""
+        return {
+            "kernel": self.name,
+            "source": self.source,
+            "accel_function": self.accel_function,
+            "measure_entry": self.measure_entry,
+            "setup_function": self.setup_function,
+            "setup_args": list(self.setup_args),
+            "check_function": self.check_function,
+        }
+
     def workload_args(self, seed: int) -> list[int]:
         """Setup arguments for the seeded synthetic workload ``seed``.
 

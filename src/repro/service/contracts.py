@@ -312,17 +312,10 @@ class JobRequest:
         option set — plus the job kind and the contract + cost-model
         versions, so any semantic change re-keys the world.
         """
-        spec = self.spec()
         return content_key({
             "contract": CONTRACT_VERSION,
             "cost_model": COST_MODEL_VERSION,
             "kind": self.kind,
-            "kernel": spec.name,
-            "source": spec.source,
-            "accel_function": spec.accel_function,
-            "measure_entry": spec.measure_entry,
-            "setup_function": spec.setup_function,
-            "setup_args": list(spec.setup_args),
-            "check_function": spec.check_function,
+            **self.spec().key_fields(),
             "options": self.options,
         })

@@ -192,6 +192,20 @@ class TestResultKey:
         assert result_key(SMALL_KS, DesignPoint(), 2000, "event") != base
         assert result_key(SMALL_KS, DesignPoint(), 1000, "lockstep") != base
 
+    def test_digests_pinned(self):
+        # Both keys splice KernelSpec.key_fields() into their payload; the
+        # hex values are the ones the hand-listed fields gave (PR 16), so
+        # every stored result and job artifact keeps its address.
+        from repro.service.contracts import JobRequest
+
+        ks = KERNELS_BY_NAME["ks"]
+        assert result_key(ks, DesignPoint(), 50_000_000, "specialized") == (
+            "ae7e96f728d7157c270cdfa2941ff7cd1323b932c041860d420a8fc4776ae5d5"
+        )
+        assert JobRequest.make("simulate", "ks").key == (
+            "83e7dad654624fd511df1f255ef9a72e057424832ffdbae9d24f813257d72479"
+        )
+
     def test_corrupt_entry_is_a_miss_even_for_its_writer(self, tmp_path):
         # The sweep cache runs without the warm LRU (see dse_main): disk
         # is the single source of truth across pool processes.

@@ -44,14 +44,25 @@ def compiled_kernel(name: str):
     return _COMPILED[name]
 
 
-def simulate_kernel(name: str, engine: str, sink=None, **system_kwargs):
+#: Cache geometries the kernels run under: the paper default, and a
+#: stall-heavy memory system where blocked workers (CACHE arming, long
+#: skipped spans) dominate the run.
+CACHES = {
+    "default": {},
+    "stall-heavy": {"miss_penalty": 200, "n_lines": 16},
+}
+
+
+def simulate_kernel(
+    name: str, engine: str, sink=None, cache="default", **system_kwargs
+):
     spec = KERNELS_BY_NAME[name]
     compiled = compiled_kernel(name)
     memory, globals_, args = setup_workload(compiled.module, spec)
     system = AcceleratorSystem(
         compiled.module, memory,
         channels=compiled.result.channels,
-        cache=DirectMappedCache(ports=8),
+        cache=DirectMappedCache(ports=8, **CACHES[cache]),
         global_addresses=globals_,
         sink=sink,
         engine=engine,
@@ -71,11 +82,14 @@ def assert_reports_identical(event, lockstep):
 
 
 class TestPaperKernels:
+    @pytest.mark.parametrize("cache", CACHES)
     @pytest.mark.parametrize("name", KERNEL_NAMES)
-    def test_bit_identical_reports(self, name):
-        event = simulate_kernel(name, "event")
-        lockstep = simulate_kernel(name, "lockstep")
-        assert_reports_identical(event, lockstep)
+    def test_bit_identical_reports(self, name, cache):
+        lockstep = simulate_kernel(name, "lockstep", cache=cache)
+        for engine in ("event", "specialized"):
+            assert_reports_identical(
+                simulate_kernel(name, engine, cache=cache), lockstep
+            )
 
     def test_private_caches_identical(self):
         event = simulate_kernel("ks", "event", private_caches=True)

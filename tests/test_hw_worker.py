@@ -10,7 +10,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.frontend import compile_c
 from repro.hw import AcceleratorSystem, DirectMappedCache
-from repro.interp import Interpreter
+from repro.hw.worker import NEVER, HwWorker
+from repro.interp import Interpreter, Memory
+from repro.telemetry.events import CycleCategory as C
 from repro.transforms import optimize_module
 
 PROGRAMS = [
@@ -166,3 +168,76 @@ class TestFifoIntegrationTiming:
             s.fifo_stall_cycles for s in deep.sim.worker_stats.values()
         )
         assert stalls_shallow > stalls_deep
+
+
+class _StubScheduler:
+    """Records the wait registrations an ``EventScheduler`` would get."""
+
+    def __init__(self):
+        self.waits = []
+
+    def wait_on_fifo(self, worker, fifo):
+        self.waits.append(("fifo", fifo))
+
+    def wait_on_join(self, worker, loop_id):
+        self.waits.append(("join", loop_id))
+
+
+class TestRetire:
+    """``HwWorker._retire`` is the timing rule: one category and one cycle
+    in; one counter, the wake-up and the wait registration out."""
+
+    CYCLE = 10
+    QUEUE = object()  # stands in for the FifoBuffer the worker blocked on
+    #: (category, worker state, counter, wait_category or None for
+    #: "untouched", next_due, registration under an event scheduler)
+    TABLE = [
+        (C.COMPUTE, {}, "active_cycles", None, CYCLE + 1, None),
+        (C.COMPUTE, {"done": True}, "active_cycles", C.IDLE, NEVER, None),
+        (C.CACHE, {"_waiting_until": 40}, "mem_stall_cycles", C.CACHE, 40, None),
+        (C.CACHE, {"_waiting_until": 3}, "mem_stall_cycles", C.CACHE,
+         CYCLE + 1, None),
+        (C.FIFO_FULL, {"_blocked_fifo": QUEUE}, "fifo_full_stall_cycles",
+         C.FIFO_FULL, NEVER, ("fifo", QUEUE)),
+        (C.FIFO_FULL, {"_blocked_fifo": QUEUE, "_blocked_until": 25},
+         "fifo_full_stall_cycles", C.FIFO_FULL, 25, None),
+        (C.FIFO_EMPTY, {"_blocked_fifo": QUEUE}, "fifo_empty_stall_cycles",
+         C.FIFO_EMPTY, NEVER, ("fifo", QUEUE)),
+        (C.JOIN, {"_blocked_loop": 7}, "join_stall_cycles", C.JOIN, NEVER,
+         ("join", 7)),
+        (C.IDLE, {"done": True}, "idle_cycles", C.IDLE, NEVER, None),
+        (C.IDLE, {"hung": True}, "idle_cycles", C.IDLE, NEVER, None),
+        (C.IDLE, {"start_cycle": 30}, "idle_cycles", C.IDLE, 30, None),
+    ]
+
+    @pytest.mark.parametrize("scheduled", [False, True], ids=["lockstep", "event"])
+    @pytest.mark.parametrize(
+        "category, state, counter, wait_category, next_due, registered", TABLE,
+        ids=[f"{row[0].value}-{'-'.join(row[1]) or 'plain'}" for row in TABLE],
+    )
+    def test_one_category_one_cycle(
+        self, category, state, counter, wait_category, next_due, registered,
+        scheduled,
+    ):
+        module = compile_c("int f(int a) { return a; }")
+        system = AcceleratorSystem(module, Memory(), engine="lockstep")
+        worker = HwWorker("w", module.get_function("f"), [1], system)
+        worker.engine = _StubScheduler() if scheduled else None
+        worker.wait_category = untouched = object()
+        for name, value in state.items():
+            setattr(worker, name, value)
+        before = worker.stats.to_dict()
+
+        worker._retire(self.CYCLE, category)
+
+        after = worker.stats.to_dict()
+        assert after.pop(counter) == before.pop(counter) + 1
+        assert after == before  # no other counter moved
+        assert worker.last_category is category
+        assert worker.synced_until == self.CYCLE + 1
+        assert worker.wait_category is (
+            untouched if wait_category is None else wait_category
+        )
+        assert worker.next_due == next_due
+        if scheduled:
+            assert worker.engine.waits == ([registered] if registered else [])

@@ -361,8 +361,7 @@ def run_source(source, entry, args, engine, optimize=True, **system_kwargs):
 @pytest.fixture
 def tick_log(monkeypatch):
     """``{(worker, cycle): state after that tick}`` for every tick either
-    worker class takes (a traced specialized tick delegates to the base
-    class; the dict keeps one entry for it)."""
+    worker class takes."""
     log = {}
     for cls in (HwWorker, SpecializedWorker):
         def tick(self, cycle, _tick=cls.tick):
