@@ -8,6 +8,13 @@ through :func:`repro.fleet.interned_pipeline`, so points that differ
 only in simulator knobs (cache organisation) — in this evaluator or any
 other in the process — reuse the same
 :class:`~repro.pipeline.driver.CompiledPipeline`.
+
+Points that share a :attr:`DesignPoint.structure_key` differ only in
+knobs that move cycles, never values, so
+:meth:`Evaluator.evaluate_structure` simulates one of them in full while
+recording it and re-times the rest from that recording
+(:mod:`repro.hw.replay`); :meth:`Evaluator.evaluate` alone is always a
+full simulation.
 """
 
 from __future__ import annotations
@@ -16,8 +23,9 @@ from dataclasses import dataclass, field, fields
 
 from ..errors import CgpaError, CycleBudgetExceeded, DeadlockError
 from ..fleet import INTERNED_WORKLOAD, interned_pipeline
-from ..harness.runner import run_hardware
-from ..hw import DEFAULT_ENGINE, DirectMappedCache
+from ..harness.runner import Workload, run_hardware
+from ..hw import DEFAULT_ENGINE, AcceleratorSystem, DirectMappedCache
+from ..hw.replay import Recording
 from ..kernels import KernelSpec
 from ..pipeline import CompiledPipeline
 from .space import DesignPoint
@@ -127,14 +135,69 @@ class Evaluator:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, point: DesignPoint) -> EvalResult:
-        """Score one point; failures land in ``status``, never propagate."""
+        """Score one point by a full simulation; failures land in
+        ``status``, never propagate."""
+        return self._evaluate(point)
+
+    def evaluate_structure(
+        self, points: list[DesignPoint]
+    ) -> tuple[list[EvalResult], dict[str, int]]:
+        """Score points that share one :attr:`DesignPoint.structure_key`:
+        record once, time many.
+
+        The first point that completes ``ok`` is simulated in full and —
+        when another point follows — recorded; the rest replay that
+        recording's event streams under their own FIFO depth and cache,
+        with no workload image and no check run (the checksum is the
+        recording's: its gate proved values independent of timing).  A
+        recording that fails its gate, and any replay that ends other
+        than ``ok``, fall back to :meth:`evaluate`, so every status,
+        error and diagnosis is the full simulator's.  Every result is
+        the one :meth:`evaluate` returns for its point; the second value
+        counts how they were produced.  The recording dies with the call.
+        """
+        tally = {"recorded": 0, "replayed": 0, "replay_fallbacks": 0}
+        results: list[EvalResult] = []
+        recording: Recording | None = None  # of the first point to end ok
+        no_image = None  # the workload of its replays
+        for position, point in enumerate(points):
+            if recording is not None:
+                # A recording that failed its gate refuses to build a
+                # replayer, which lands here as a result that is not ok.
+                result = self._evaluate(
+                    point, system=recording.replayer, workload=no_image
+                )
+                if result.ok:
+                    tally["replayed"] += 1
+                else:
+                    tally["replay_fallbacks"] += 1
+                    result = self.evaluate(point)
+            elif self.engine == "specialized" and position + 1 < len(points):
+                recording = Recording()
+                result = self._evaluate(point, system=recording.recorder)
+                if result.ok:
+                    tally["recorded"] += 1
+                    no_image = Workload(
+                        setup=lambda module, spec: (None, {}, []),
+                        check=lambda *image, checksum=result.checksum: checksum,
+                    )
+                else:
+                    recording = None  # the next point records
+            else:
+                result = self.evaluate(point)
+            results.append(result)
+        return results, tally
+
+    def _evaluate(self, point: DesignPoint, **run_path) -> EvalResult:
+        """:meth:`evaluate`, with ``run_path`` overriding how
+        :meth:`_simulate` builds the simulator and its workload."""
         try:
             compiled = self.compile(point)
         except CgpaError as exc:
             return EvalResult(point=point, status="error",
                               error=f"compile: {exc}")
         try:
-            return self._simulate(point, compiled)
+            return self._simulate(point, compiled, **run_path)
         except DeadlockError as exc:
             diagnosis = exc.diagnosis
             return EvalResult(
@@ -157,19 +220,24 @@ class Evaluator:
                               error=str(exc))
 
     def _simulate(
-        self, point: DesignPoint, compiled: CompiledPipeline
+        self,
+        point: DesignPoint,
+        compiled: CompiledPipeline,
+        system=AcceleratorSystem,
+        workload: Workload = INTERNED_WORKLOAD,
     ) -> EvalResult:
-        # Interned: set-up runs once per (kernel, workload) in a process
-        # and check once per distinct post-run image.
+        # INTERNED_WORKLOAD: set-up runs once per (kernel, workload) in a
+        # process and check once per distinct post-run image.
         run = run_hardware(
             self.spec, f"cgpa-{point.policy}", compiled,
             DirectMappedCache(
                 n_lines=point.cache_lines, ports=point.cache_ports
             ),
-            workload=INTERNED_WORKLOAD,
+            workload=workload,
             engine=self.engine,
             max_cycles=self.max_cycles,
             private_caches=point.private_caches,
+            system=system,
         )
         sim = run.sim
         stall: dict[str, int] = {}

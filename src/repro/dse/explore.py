@@ -12,12 +12,13 @@ make that hold:
 * strategies only see evaluated results, which are themselves
   deterministic, so every round proposes the same batch.
 
-Work is sharded by :attr:`DesignPoint.compile_key`: each pool task is
-*all* points of one compile key, and the per-process pipeline intern
+Work is sharded by :attr:`DesignPoint.structure_key`: each pool task is
+*all* points of one (policy, worker count), which
+:meth:`Evaluator.evaluate_structure` scores from one recorded simulation
+plus a timing replay per sibling.  The per-process pipeline intern
 (:func:`repro.fleet.interned_pipeline`) keeps compiled pipelines alive
-across batches and strategy rounds, so each configuration is compiled
-once per pool process and its :class:`CompiledPipeline` is reused across
-the simulator-knob variants (cache organisation) that share it.
+across batches and strategy rounds, so each compile key is compiled once
+per pool process and reused across the cache variants that share it.
 
 Parallelism comes from the shared :class:`~repro.fleet.FleetExecutor`
 (one reusable pool per explorer, or an externally supplied fleet),
@@ -50,6 +51,13 @@ class SweepResult:
     results: list[EvalResult] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
+    #: How the misses were scored (:meth:`Evaluator.evaluate_structure`):
+    #: full simulations that were recorded, points re-timed from a
+    #: recording, and points that should have been but were simulated in
+    #: full.  Provenance like ``cache_hits``: not in :meth:`to_json_dict`.
+    recorded: int = 0
+    replayed: int = 0
+    replay_fallbacks: int = 0
     elapsed_s: float = 0.0
 
     @property
@@ -104,17 +112,20 @@ class SweepResult:
         )
 
 
-def _evaluate_group(task) -> list[tuple[int, dict]]:
-    """Fleet task: evaluate one compile-key group.
+def _evaluate_group(task) -> tuple[list[tuple[int, dict]], dict[str, int]]:
+    """Fleet task: evaluate one structure-key group.
 
     Takes and returns plain picklable data; ``EvalResult`` travels as its
     dict form so the parent rebuilds identical objects on any start
     method (fork or spawn) — and the serial path round-trips through the
-    same dicts, keeping its bytes identical to any pool size.
+    same dicts, keeping its bytes identical to any pool size.  The second
+    value is :meth:`Evaluator.evaluate_structure`'s tally.
     """
     spec, max_cycles, engine, group = task
     evaluator = Evaluator(spec, max_cycles=max_cycles, engine=engine)
-    return [(index, evaluator.evaluate(point).to_dict()) for index, point in group]
+    results, tally = evaluator.evaluate_structure([point for _, point in group])
+    rows = [(index, result.to_dict()) for (index, _), result in zip(group, results)]
+    return rows, tally
 
 
 class Explorer:
@@ -234,7 +245,7 @@ class Explorer:
                     )
                 )
 
-        for index, result in self._evaluate_misses(misses, persist):
+        for index, result in self._evaluate_misses(misses, persist, sweep):
             slots[index] = result
         assert all(r is not None for r in slots)
         return slots  # type: ignore[return-value]
@@ -242,14 +253,15 @@ class Explorer:
     def _evaluate_misses(
         self,
         misses: list[tuple[int, DesignPoint]],
-        persist=None,
+        persist,
+        sweep: SweepResult,
     ) -> list[tuple[int, EvalResult]]:
         if not misses:
             return []
-        # Shard by compile key: one task = one compilation, many sim knobs.
+        # Shard by structure key: one task = one recording, many timings.
         groups: dict[tuple, list[tuple[int, DesignPoint]]] = {}
         for index, point in misses:
-            groups.setdefault(point.compile_key, []).append((index, point))
+            groups.setdefault(point.structure_key, []).append((index, point))
         tasks = [
             (self.spec, self.max_cycles, self.engine, group)
             for group in groups.values()
@@ -257,11 +269,14 @@ class Explorer:
         results_by_index: dict[int, EvalResult] = {}
 
         def on_shard(_task_index: int, shard) -> None:
-            for index, data in shard:
+            rows, tally = shard
+            for index, data in rows:
                 result = EvalResult.from_dict(data)
                 results_by_index[index] = result
-                if persist is not None:
-                    persist(index, result)
+                persist(index, result)
+            sweep.recorded += tally["recorded"]
+            sweep.replayed += tally["replayed"]
+            sweep.replay_fallbacks += tally["replay_fallbacks"]
 
         # Serial and pooled runs route through the same fleet task and
         # round-trip results through the same dict form, so reports are
@@ -269,6 +284,6 @@ class Explorer:
         # shard (completion order); the returned list is proposal-ordered.
         shards = self.fleet.map(_evaluate_group, tasks, on_result=on_shard)
         out: list[tuple[int, EvalResult]] = []
-        for shard in shards:
-            out.extend((index, results_by_index[index]) for index, _ in shard)
+        for rows, _tally in shards:
+            out.extend((index, results_by_index[index]) for index, _ in rows)
         return out

@@ -5,7 +5,9 @@ the compile-time knobs (replication policy, parallel-worker count, FIFO
 depth — together the *compile key*, because they select a distinct
 :class:`~repro.pipeline.driver.CompiledPipeline`) and the simulator-time
 knobs (shared vs. private caches, cache lines, cache ports) that reuse
-the same compiled pipeline.  A :class:`ConfigSpace` holds the candidate
+the same compiled pipeline.  Policy and worker count alone are the
+*structure key*: every other knob changes when things happen, not what
+is computed.  A :class:`ConfigSpace` holds the candidate
 values per knob and enumerates/samples points deterministically.
 """
 
@@ -45,9 +47,21 @@ class DesignPoint:
         """Knobs that require a fresh CGPA compilation.
 
         Points sharing a compile key differ only in simulator knobs and
-        reuse one compiled pipeline (the explorer groups work by this).
+        reuse one compiled pipeline (:func:`repro.fleet.interned_pipeline`).
         """
         return (self.policy, self.n_workers, self.fifo_depth)
+
+    @property
+    def structure_key(self) -> tuple[str, int]:
+        """Knobs that fix the pipeline's structure: partition and workers.
+
+        Points sharing a structure key differ only in knobs that move
+        cycles, never values (FIFO depth, cache organisation), so one
+        recorded simulation re-times all of them
+        (:meth:`~repro.dse.evaluate.Evaluator.evaluate_structure`; the
+        explorer groups work by this).
+        """
+        return (self.policy, self.n_workers)
 
     @property
     def label(self) -> str:

@@ -183,6 +183,7 @@ def run_hardware(
     sink: TraceSink | None = None,
     injector=None,
     monitor=None,
+    system: Callable[..., AcceleratorSystem] = AcceleratorSystem,
 ) -> BackendResult:
     """The one run path: workload image → simulate → area/power → check.
 
@@ -192,14 +193,17 @@ def run_hardware(
     :data:`FRESH_WORKLOAD` interprets ``setup`` and ``check`` afresh,
     :data:`repro.fleet.INTERNED_WORKLOAD` clones a per-process pristine
     image and interprets ``check`` once per distinct post-run image.
-    Simulator failures (deadlock, cycle budget, invariant violation)
-    propagate to the caller.
+    ``system`` builds the simulator from :class:`AcceleratorSystem`'s
+    arguments: the class itself, or a :class:`repro.hw.replay.Recording`'s
+    ``recorder``/``replayer`` (the design-space evaluator's record-once,
+    time-many path).  Simulator failures (deadlock, cycle budget,
+    invariant violation) propagate to the caller.
     """
     compiled = design if isinstance(design, CompiledPipeline) else None
     module = compiled.module if compiled else design
     memory, globals_, args = workload.setup(module, spec)
     budget = {} if max_cycles is None else {"max_cycles": max_cycles}
-    system = AcceleratorSystem(
+    accelerator = system(
         module,
         memory,
         channels=compiled.result.channels if compiled else None,
@@ -212,7 +216,7 @@ def run_hardware(
         monitor=monitor,
         **budget,
     )
-    sim = system.run(spec.measure_entry, args)
+    sim = accelerator.run(spec.measure_entry, args)
     if compiled:
         area = cgpa_area(compiled)
     else:

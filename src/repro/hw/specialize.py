@@ -88,6 +88,8 @@ _STALL_CATEGORY = {
     _WAIT_JOIN: CycleCategory.JOIN,
 }
 
+_COMPUTE = CycleCategory.COMPUTE  # bound once: every run-ahead exit passes it
+
 #: Instruction classes whose steps touch only the frame's registers; a
 #: branch and its phi-latching edge are register-only control flow.
 _REGISTER_ONLY = (*PURE_OPS, Phi, Jump, CondBranch)
@@ -722,9 +724,9 @@ class SpecializedWorker(HwWorker):
     def tick(self, cycle: int) -> None:
         """One clock edge over step closures, with run-ahead.
 
-        The prelude holds, the stall outcomes and call/ret close their
-        cycle through the inherited :meth:`HwWorker._retire`; what is
-        spelled here is the step loop and — when no trace sink, monitor or
+        Every exit closes its cycle(s) through the inherited
+        :meth:`HwWorker._retire`; what is spelled here is the step loop
+        and — when no trace sink, monitor or
         injector is attached — run-ahead: after a state completes or
         branches, the following run of *pure* FSM states (ops that touch
         only the frame's registers, branches and their phi-latching edges
@@ -817,14 +819,9 @@ class SpecializedWorker(HwWorker):
         frame.cursor = start
         frame.steps = block.states[state]
         self.progress += progress
-        # The one exit that retires ``k`` cycles at once, so it spells
-        # :meth:`HwWorker._retire`'s COMPUTE arm for a batch.
-        self.stats.active_cycles += k
-        self.last_category = CycleCategory.COMPUTE
-        self.synced_until = self.next_due = cycle + k
         if self._trace:
             self._emit_state(cycle)
-            self._sink.worker_cycle(self.name, cycle, CycleCategory.COMPUTE)
+        self._retire(cycle, _COMPUTE, k)
 
     def _would_block(self, cycle: int) -> bool:
         if self._pending_mem is not None:

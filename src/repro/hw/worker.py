@@ -259,7 +259,7 @@ class HwWorker:
         """Advance one clock edge, attributing the cycle to one category."""
         self._retire(cycle, self._tick(cycle))
 
-    def _retire(self, cycle: int, category: CycleCategory) -> None:
+    def _retire(self, cycle: int, category: CycleCategory, k: int = 1) -> None:
         """Close ``cycle`` as one cycle of ``category``: the timing rule.
 
         Bumps the category's counter, emits the per-cycle trace event and
@@ -270,19 +270,24 @@ class HwWorker:
         worker at ``NEVER`` and register a wake condition, so the clock
         can jump straight past the whole stall.  The lockstep clock runs
         the same code and never reads the arming fields.
+
+        ``k > 1`` closes ``[cycle, cycle + k)`` at once and is for COMPUTE
+        only: a run of cycles in which the worker touches nothing shared
+        (the specialized engine's run-ahead, a replayed trace's gap
+        between two events).
         """
         self.last_category = category
         if self._trace:
             self._sink.worker_cycle(self.name, cycle, category)
         stats = self.stats
-        self.synced_until = cycle + 1
+        self.synced_until = cycle + k
         if category is CycleCategory.COMPUTE:
-            stats.active_cycles += 1
+            stats.active_cycles += k
             if self.done:  # the top-level ret: nothing left to wake for
                 self.next_due = NEVER
                 self.wait_category = CycleCategory.IDLE
             else:
-                self.next_due = cycle + 1
+                self.next_due = cycle + k
             return
         self.wait_category = category
         engine = self.engine

@@ -56,6 +56,17 @@ class TestDesignPoint:
         assert base.compile_key != DesignPoint(n_workers=8).compile_key
         assert base.compile_key != DesignPoint(fifo_depth=8).compile_key
 
+    def test_structure_key_ignores_timing_knobs(self):
+        a = DesignPoint(fifo_depth=4, cache_lines=64, cache_ports=1)
+        b = DesignPoint(fifo_depth=16, cache_lines=512, private_caches=True)
+        assert a.structure_key == b.structure_key
+        assert a.compile_key != b.compile_key
+
+    def test_structure_key_tracks_partition_and_workers(self):
+        base = DesignPoint()
+        assert base.structure_key != DesignPoint(policy="p2").structure_key
+        assert base.structure_key != DesignPoint(n_workers=8).structure_key
+
     def test_dict_roundtrip(self):
         point = DesignPoint(policy="none", n_workers=8, private_caches=True)
         assert DesignPoint.from_dict(point.to_dict()) == point

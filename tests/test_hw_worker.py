@@ -241,3 +241,15 @@ class TestRetire:
         assert worker.next_due == next_due
         if scheduled:
             assert worker.engine.waits == ([registered] if registered else [])
+
+    def test_a_run_of_compute_cycles_retires_at_once(self):
+        module = compile_c("int f(int a) { return a; }")
+        system = AcceleratorSystem(module, Memory(), engine="lockstep")
+        worker = HwWorker("w", module.get_function("f"), [1], system)
+        before = worker.stats.to_dict()
+        worker._retire(self.CYCLE, C.COMPUTE, 5)
+        after = worker.stats.to_dict()
+        assert after.pop("active_cycles") == before.pop("active_cycles") + 5
+        assert after == before
+        assert worker.synced_until == worker.next_due == self.CYCLE + 5
+        assert worker.last_category is C.COMPUTE
