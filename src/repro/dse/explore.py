@@ -75,14 +75,9 @@ class SweepResult:
         return pareto_frontier(self.results, objectives)
 
     def to_json_dict(self) -> dict:
-        """Deterministic report form (no wall-clock, no cache provenance).
-
-        .. deprecated::
-            As a *standalone* report format.  This dict is now the
-            ``payload`` of a ``dse-sweep`` :class:`~repro.obs.RunEnvelope`
-            (see :func:`repro.obs.emit.sweep_envelope`); the legacy JSON
-            mirror files keep exactly this shape for compatibility.
-        """
+        """Deterministic report form (no wall-clock, no cache provenance):
+        the ``dse`` job artifact, and the ``payload`` of the run's
+        ``dse-sweep`` :class:`~repro.obs.RunEnvelope`."""
         frontier_labels = [r.point.label for r in self.frontier()]
         return {
             "kernel": self.kernel,

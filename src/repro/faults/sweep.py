@@ -172,14 +172,8 @@ class ResilienceReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        """JSON-ready report form.
-
-        .. deprecated::
-            As a *standalone* report format.  This dict is now the
-            ``payload`` of a ``faults`` :class:`~repro.obs.RunEnvelope`
-            (see :func:`repro.obs.emit.faults_envelope`); the legacy
-            artifact mirrors keep exactly this shape for compatibility.
-        """
+        """JSON-ready report form: the ``faults`` job artifact, and the
+        ``payload`` of the run's :class:`~repro.obs.RunEnvelope`."""
         return {
             "kernel": self.kernel,
             "seed": self.seed,
@@ -307,41 +301,6 @@ def _run_plan_task(task) -> FaultRunRecord:
     return record
 
 
-def _checkpoint_key(
-    spec: KernelSpec,
-    engine: str,
-    n_workers: int,
-    fifo_depth: int,
-    seed: int,
-    n_plans: int,
-    max_cycles: int | None,
-    index: int,
-) -> str:
-    """Content address of one plan's checkpoint record.
-
-    Every knob that changes the plan or its simulation participates —
-    including the engine, so event and lockstep sweeps sharing one store
-    (CI does this) never replay each other's records.
-    """
-    from ..cost import COST_MODEL_VERSION
-    from ..service.store import content_key
-
-    return content_key({
-        "kind": "faults-plan",
-        "cost_model": COST_MODEL_VERSION,
-        "kernel": spec.name,
-        "source": spec.source,
-        "setup_args": list(spec.setup_args),
-        "engine": engine,
-        "n_workers": n_workers,
-        "fifo_depth": fifo_depth,
-        "seed": seed,
-        "n_plans": n_plans,
-        "max_cycles": max_cycles,
-        "index": index,
-    })
-
-
 def resilience_sweep(
     spec: KernelSpec,
     n_plans: int = 8,
@@ -408,13 +367,21 @@ def resilience_sweep(
             ))
             index += 1
 
-    ckpt_keys = [
-        _checkpoint_key(
-            spec, engine, n_workers, fifo_depth, seed, n_plans,
-            max_cycles, i,
-        )
-        for i in range(len(tasks))
-    ] if store is not None else []
+    ckpt_keys: list[str] = []
+    if store is not None:
+        from ..obs.emit import run_key
+
+        # Every knob that changes a plan or its simulation participates —
+        # including the engine, so event and lockstep sweeps sharing one
+        # store (CI does this) never replay each other's records.
+        ckpt_keys = [
+            run_key(
+                "faults-plan", spec, engine=engine, n_workers=n_workers,
+                fifo_depth=fifo_depth, seed=seed, n_plans=n_plans,
+                max_cycles=max_cycles, index=i,
+            )
+            for i in range(len(tasks))
+        ]
     slots: list[FaultRunRecord | None] = [None] * len(tasks)
     if store is not None and resume:
         for i, key in enumerate(ckpt_keys):

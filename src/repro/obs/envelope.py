@@ -5,8 +5,8 @@ run of *any* subsystem — a simulation, a DSE point or sweep, a fault
 sweep, an RTL co-simulation, a service job, or a benchmark.  The typed
 fields carry everything cross-subsystem queries need (kind, kernel,
 engine, config hash, cycles, stall breakdown, cost-model outputs,
-verdicts); the full legacy report dict rides along as ``payload`` so no
-information the per-subsystem shapes carried is lost, and ``extra`` is a
+verdicts); the subsystem's full report dict rides along as ``payload`` so
+no information the per-subsystem shapes carry is lost, and ``extra`` is a
 free-form annex for emitter-specific context.
 
 Serialisation contract:
@@ -121,8 +121,8 @@ class RunEnvelope:
     #: Subsystem verdict counters (faults: diagnosed/detected counts;
     #: cosim: rounds/instances ok; dse: status counts).
     verdicts: dict = field(default_factory=dict)
-    #: The full legacy report dict (deprecated as a standalone format;
-    #: canonical here) — enough to regenerate the old report byte-exactly.
+    #: The subsystem's full report dict (the job artifact, where the run
+    #: has one) — enough to regenerate its text report byte-exactly.
     payload: dict = field(default_factory=dict)
     #: Free-form emitter annex (CLI flags, hostnames, notes).
     extra: dict = field(default_factory=dict)
@@ -226,7 +226,7 @@ class RunEnvelope:
         if version is None:
             raise EnvelopeError(
                 "record has no schema_version field; not a run envelope "
-                "(legacy report dicts must be wrapped by their subsystem's "
+                "(bare report dicts must be wrapped by their subsystem's "
                 "emitter in repro.obs.emit)"
             )
         known = {f.name for f in fields(cls)}

@@ -8,10 +8,10 @@ with ``filter`` / ``group_by`` / ``aggregate`` combinators, plus
 :func:`diff_envelope_sets` for regression diffs between two journals
 (the ``harness obs diff`` backend).
 
-:func:`render_legacy_report` regenerates the deprecated per-subsystem
-text reports (DSE Pareto table, faults verdict report, stall breakdown)
-byte-identically from an envelope's ``payload`` — the proof that the
-envelope subsumes the old formats.
+:func:`render_legacy_report` regenerates the per-subsystem text
+reports (DSE Pareto table, faults verdict report, stall breakdown)
+byte-identically from an envelope's ``payload`` — how a run's text comes
+back out of the journal (``harness obs query --report``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def load_envelopes(
     containing one, or a directory of per-run envelope JSON files.
     Records that fail validation are collected as errors (``strict=False``)
     or raised immediately as :class:`EnvelopeError` (``strict=True``).
-    Non-envelope JSON files in a store (legacy artifacts, which carry no
+    Non-envelope JSON files in a store (job artifacts, which carry no
     ``schema_version``) are skipped silently — the journal is the
     authoritative run log.
     """
@@ -322,9 +322,9 @@ def diff_envelope_sets(
 
 
 def render_legacy_report(envelope: RunEnvelope) -> str | None:
-    """Regenerate the deprecated subsystem text report from an envelope.
+    """Regenerate the subsystem's text report from an envelope.
 
-    Byte-identical to what the legacy CLI printed for the same run:
+    Byte-identical to what the CLI printed for the same run:
 
     * ``dse-sweep`` → :func:`repro.harness.report.format_pareto`
     * ``faults``    → :meth:`repro.faults.sweep.ResilienceReport.format`

@@ -24,9 +24,7 @@ server), :mod:`.client` (blocking client).
 """
 
 from .contracts import CONTRACT_VERSION, JOB_KINDS, ContractError, JobRequest
-from .store import (
-    ArtifactCorrupt, ArtifactStore, StoreStats, content_key, publish,
-)
+from .store import ArtifactCorrupt, ArtifactStore, StoreStats, content_key
 from .client import (
     JobCancelled, JobFailed, RateLimited, ServiceClient, ServiceError,
 )
@@ -34,6 +32,5 @@ from .client import (
 __all__ = [
     "JOB_KINDS", "CONTRACT_VERSION", "JobRequest", "ContractError",
     "ArtifactStore", "ArtifactCorrupt", "StoreStats", "content_key",
-    "publish", "ServiceClient", "ServiceError", "RateLimited", "JobFailed",
-    "JobCancelled",
+    "ServiceClient", "ServiceError", "RateLimited", "JobFailed", "JobCancelled",
 ]

@@ -25,10 +25,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..cost import COST_MODEL_VERSION
+from ..dse.evaluate import DEFAULT_EVAL_MAX_CYCLES
+from ..dse.space import ConfigSpace
 from ..errors import CgpaError
 from ..hw import DEFAULT_ENGINE  # what simulate-like options default to,
 from ..hw import ENGINES as _ENGINES  # and what they accept
 from ..kernels import KERNELS_BY_NAME, KernelSpec
+from ..vsim.cosim import DEFAULT_COSIM_MAX_CYCLES
 from .store import content_key
 
 #: Bump when the request schema or job semantics change: every key
@@ -109,24 +112,27 @@ _SIMULATE_OPTIONS = {
     ),
     "cache_ports": Option(8, _is_pos_int, "int >= 1"),
     "engine": Option(DEFAULT_ENGINE, _choice(_ENGINES), f"one of {_ENGINES}"),
-    "max_cycles": Option(50_000_000, _is_pos_int, "int >= 1"),
+    "max_cycles": Option(DEFAULT_EVAL_MAX_CYCLES, _is_pos_int, "int >= 1"),
 }
+
+#: A dse job that names no axis sweeps the explorer's own default space.
+_SPACE = ConfigSpace()
 
 _DSE_OPTIONS = {
     "strategy": Option(
         "grid", _choice(("grid", "random", "hillclimb")),
         "one of ('grid', 'random', 'hillclimb')",
     ),
-    "policies": Option(["p1"], _is_policy_list, f"list of {_POLICIES}"),
-    "n_workers": Option([1, 2, 4], _is_pos_int_list, "list of int >= 1"),
-    "fifo_depths": Option([4, 16], _is_pos_int_list, "list of int >= 1"),
-    "private_caches": Option([False], _is_bool_list, "list of bool"),
+    "policies": Option(_SPACE.policies, _is_policy_list, f"list of {_POLICIES}"),
+    "n_workers": Option(_SPACE.n_workers, _is_pos_int_list, "list of int >= 1"),
+    "fifo_depths": Option(_SPACE.fifo_depths, _is_pos_int_list, "list of int >= 1"),
+    "private_caches": Option(_SPACE.private_caches, _is_bool_list, "list of bool"),
     "cache_lines": Option(
-        [512],
+        _SPACE.cache_lines,
         lambda v: _is_pos_int_list(v) and all(not (i & (i - 1)) for i in v),
         "list of power-of-two int >= 1",
     ),
-    "cache_ports": Option([8], _is_pos_int_list, "list of int >= 1"),
+    "cache_ports": Option(_SPACE.cache_ports, _is_pos_int_list, "list of int >= 1"),
     "samples": Option(8, _is_pos_int, "int >= 1"),
     "seed": Option(0, _is_int, "int"),
     "max_evals": Option(24, _is_pos_int, "int >= 1"),
@@ -135,7 +141,7 @@ _DSE_OPTIONS = {
         "one of ('cycles', 'total_aluts', 'energy_uj')",
     ),
     "engine": Option(DEFAULT_ENGINE, _choice(_ENGINES), f"one of {_ENGINES}"),
-    "max_cycles": Option(50_000_000, _is_pos_int, "int >= 1"),
+    "max_cycles": Option(DEFAULT_EVAL_MAX_CYCLES, _is_pos_int, "int >= 1"),
 }
 
 _FAULTS_OPTIONS = {
@@ -158,7 +164,7 @@ _RTL_OPTIONS = {
         None, lambda v: v is None or _is_pos_int_list(v),
         "list of int >= 1 or null (smoke-scale workload)",
     ),
-    "max_cycles": Option(500_000, _is_pos_int, "int >= 1"),
+    "max_cycles": Option(DEFAULT_COSIM_MAX_CYCLES, _is_pos_int, "int >= 1"),
 }
 
 #: kind -> {option name -> Option}.

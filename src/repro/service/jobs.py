@@ -1,11 +1,14 @@
 """Job executors: turn a validated :class:`JobRequest` into an artifact.
 
-One pure function per job kind, dispatched by :func:`execute`.  Every
-executor returns a plain JSON-serialisable dict with no wall-clock, pid,
-or host state in it, so an artifact computed by a service worker thread
-is byte-identical to one computed by the corresponding direct CLI run —
-the property the load benchmark verifies and the content-addressed store
-depends on (same key ⇒ same bytes, whoever computed them).
+One function per job kind, dispatched by :func:`run_job`; :func:`execute`
+is ``run_job`` + :func:`artifact_of`.  This is the only place a request
+becomes work: the service queue calls :func:`execute`, and the harness
+CLI (``python -m repro.harness dse|faults|rtl``) calls :func:`run_job`
+with the same request plus its how-to-run keywords.  Every artifact is a
+plain JSON-serialisable dict with no wall-clock, pid, or host state in
+it, so the one computed by a service worker is byte-identical to the one
+a CLI run stores — the property the content-addressed store depends on
+(same key ⇒ same bytes, whoever computed them).
 
 Executors reuse the DSE layer rather than reimplementing it:
 ``simulate`` scores a single :class:`~repro.dse.space.DesignPoint`
@@ -13,12 +16,14 @@ through :class:`~repro.dse.evaluate.Evaluator` (compiled pipelines are
 shared across jobs and worker threads by
 :func:`repro.fleet.interned_pipeline`), and both
 ``simulate`` and ``dse`` read/write design-point evaluations through the
-same :class:`~repro.service.store.ArtifactStore` the service persists
-its artifacts in — one directory, one keying discipline, shared between
-the service, the CLI sweeps, and any concurrent pool workers.
+same :class:`~repro.service.store.ArtifactStore` the artifacts land in —
+one directory, one keying discipline, shared between the service and
+the CLI sweeps.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 from ..dse import (
     ConfigSpace,
@@ -29,10 +34,12 @@ from ..dse import (
     RandomStrategy,
 )
 from ..dse.cache import result_key
-from ..dse.explore import Explorer
+from ..dse.explore import Explorer, SweepResult
+from ..faults.sweep import ResilienceReport, resilience_sweep
 from ..fleet import interned_pipeline
 from ..harness.runner import cgpa_area
 from ..pipeline.spec import ReplicationPolicy
+from ..vsim.cosim import CosimReport, run_rtl_cosim
 from .contracts import ContractError, JobRequest
 from .store import ArtifactStore
 
@@ -69,14 +76,8 @@ def _run_compile(request: JobRequest, store: ArtifactStore | None) -> dict:
 def _run_simulate(request: JobRequest, store: ArtifactStore | None) -> dict:
     spec = request.spec()
     opts = request.options
-    point = DesignPoint(
-        policy=opts["policy"],
-        n_workers=opts["n_workers"],
-        fifo_depth=opts["fifo_depth"],
-        private_caches=opts["private_caches"],
-        cache_lines=opts["cache_lines"],
-        cache_ports=opts["cache_ports"],
-    )
+    # Every knob of a DesignPoint is the simulate option of the same name.
+    point = DesignPoint(**{knob.name: opts[knob.name] for knob in fields(DesignPoint)})
     eval_key = result_key(spec, point, opts["max_cycles"], opts["engine"])
     stored = store.get(eval_key) if store is not None else None
     if stored is not None:
@@ -98,17 +99,22 @@ def _run_simulate(request: JobRequest, store: ArtifactStore | None) -> dict:
     }
 
 
-def _run_dse(request: JobRequest, store: ArtifactStore | None) -> dict:
-    spec = request.spec()
-    opts = request.options
-    space = ConfigSpace(
-        policies=opts["policies"],
-        n_workers=opts["n_workers"],
-        fifo_depths=opts["fifo_depths"],
-        private_caches=opts["private_caches"],
-        cache_lines=opts["cache_lines"],
-        cache_ports=opts["cache_ports"],
+def dse_space(request: JobRequest) -> ConfigSpace:
+    """The knob space a ``dse`` request sweeps (each axis of a
+    :class:`ConfigSpace` is the option of the same name)."""
+    return ConfigSpace(
+        **{axis.name: request.options[axis.name] for axis in fields(ConfigSpace)}
     )
+
+
+def _run_dse(
+    request: JobRequest,
+    store: ArtifactStore | None,
+    processes: int = 1,  # the service's concurrency is its worker pool
+    resume: bool = False,
+    envelopes=None,
+) -> SweepResult:
+    opts = request.options
     strategy = {
         "grid": lambda: GridStrategy(),
         "random": lambda: RandomStrategy(opts["samples"], seed=opts["seed"]),
@@ -119,49 +125,65 @@ def _run_dse(request: JobRequest, store: ArtifactStore | None) -> dict:
     # The store doubles as the design-point result cache, so sweeps
     # submitted by many clients — and single-point simulate jobs — share
     # evaluations.
-    explorer = Explorer(
-        spec,
-        space,
+    with Explorer(
+        request.spec(),
+        dse_space(request),
         cache=store,
-        processes=1,  # concurrency comes from the service worker pool
+        processes=processes,
         max_cycles=opts["max_cycles"],
         engine=opts["engine"],
-    )
-    sweep = explorer.run(strategy)
-    return {"kind": "dse", **sweep.to_json_dict()}
+        envelopes=envelopes,
+    ) as explorer:
+        sweep = explorer.run(strategy)
+        if resume:
+            explorer.fleet.record_event(
+                "resume", attempt=sweep.cache_hits,
+                detail=(
+                    f"replayed {sweep.cache_hits} point(s) from cache, "
+                    f"computed {sweep.cache_misses}"
+                ),
+            )
+    return sweep
 
 
-def _run_faults(request: JobRequest, store: ArtifactStore | None) -> dict:
-    from ..faults.sweep import resilience_sweep
-
-    spec = request.spec()
+def _run_faults(
+    request: JobRequest,
+    store: ArtifactStore | None,
+    processes: int = 1,
+    resume: bool = False,
+    envelopes=None,
+) -> ResilienceReport:
     opts = request.options
-    report = resilience_sweep(
-        spec,
+    return resilience_sweep(
+        request.spec(),
         n_plans=opts["plans"],
         seed=opts["seed"],
         engine=opts["engine"],
         n_workers=opts["n_workers"],
         fifo_depth=opts["fifo_depth"],
         max_cycles=opts["max_cycles"],
+        processes=processes,
+        # Plan checkpoints ride with the run-record writer: a run that
+        # journals nothing (every service job) checkpoints nothing.
+        store=envelopes.store if envelopes is not None else None,
+        resume=resume,
+        envelopes=envelopes,
     )
-    return {"kind": "faults", **report.to_dict()}
 
 
-def _run_rtl(request: JobRequest, store: ArtifactStore | None) -> dict:
-    from ..vsim.cosim import run_rtl_cosim
-
-    spec = request.spec()
+def _run_rtl(
+    request: JobRequest, store: ArtifactStore | None, emit_dir=None
+) -> CosimReport:
     opts = request.options
-    report = run_rtl_cosim(
-        spec,
+    return run_rtl_cosim(
+        request.spec(),
         policy=opts["policy"],
         n_workers=opts["n_workers"],
         fifo_depth=opts["fifo_depth"],
         setup_args=opts["setup_args"],
         max_cycles=opts["max_cycles"],
+        emit_dir=emit_dir,
     )
-    return {"kind": "rtl", **report.to_dict()}
 
 
 _EXECUTORS = {
@@ -173,6 +195,31 @@ _EXECUTORS = {
 }
 
 
+def run_job(request: JobRequest, store: ArtifactStore | None = None, **how):
+    """Run one job to completion and return what its executor yields.
+
+    ``compile``/``simulate`` yield the artifact dict itself; ``dse``,
+    ``faults`` and ``rtl`` yield their typed report (:class:`SweepResult`,
+    :class:`ResilienceReport`, :class:`CosimReport`), which
+    :func:`artifact_of` turns into the artifact.  ``how`` is *how* to run,
+    never *what*: ``processes``/``resume``/``envelopes`` (dse, faults)
+    and ``emit_dir`` (rtl) stay out of ``request.key`` exactly as
+    ``deadline_s`` does.  The service passes none; the harness CLI does.
+    """
+    runner = _EXECUTORS.get(request.kind)
+    if runner is None:
+        raise ContractError(f"unknown job kind {request.kind!r}")
+    return runner(request, store, **how)
+
+
+def artifact_of(kind: str, result) -> dict:
+    """The JSON artifact stored under ``request.key`` for ``result``."""
+    if isinstance(result, dict):
+        return result
+    body = result.to_json_dict() if kind == "dse" else result.to_dict()
+    return {"kind": kind, **body}
+
+
 def execute(request: JobRequest, store: ArtifactStore | None = None) -> dict:
     """Run one job to completion and return its artifact dict.
 
@@ -182,10 +229,7 @@ def execute(request: JobRequest, store: ArtifactStore | None = None) -> dict:
     ``request.key`` itself.  Deterministic: no timestamps, pids, or
     ordering artifacts — equal requests produce equal bytes.
     """
-    runner = _EXECUTORS.get(request.kind)
-    if runner is None:
-        raise ContractError(f"unknown job kind {request.kind!r}")
-    return runner(request, store)
+    return artifact_of(request.kind, run_job(request, store))
 
 
 #: Per-process artifact stores for fleet-pool execution, keyed by root.

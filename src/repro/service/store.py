@@ -38,7 +38,6 @@ import hashlib
 import json
 import os
 import pathlib
-import shutil
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -324,30 +323,3 @@ class ArtifactStore:
         self._lru.move_to_end(key)
         while len(self._lru) > self.lru_entries:
             self._lru.popitem(last=False)
-
-
-def publish(
-    store: ArtifactStore,
-    key: str,
-    artifact: dict,
-    mirror: str | pathlib.Path | None = None,
-) -> pathlib.Path:
-    """Persist ``artifact`` and optionally mirror it at a legacy path.
-
-    The store is the canonical location; ``mirror`` (e.g. the historical
-    ``benchmarks/results/dse_ks_grid.json``) becomes a symlink to the
-    stored file so old consumers keep working, falling back to a byte
-    copy on filesystems without symlink support.  Returns the canonical
-    store path.
-    """
-    path = store.put(key, artifact)
-    if mirror is not None:
-        mirror = pathlib.Path(mirror)
-        mirror.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            if mirror.is_symlink() or mirror.exists():
-                mirror.unlink()
-            mirror.symlink_to(path.resolve())
-        except OSError:
-            shutil.copyfile(path, mirror)
-    return path

@@ -81,6 +81,10 @@ SMOKE_SETUP_ARGS: dict[str, list[int]] = {
     "top-k": [1, 12, 4],
 }
 
+#: Default per-round cycle budget of :func:`run_rtl_cosim` (and of the
+#: service's ``rtl`` job option): smoke-scale rounds finish in thousands.
+DEFAULT_COSIM_MAX_CYCLES = 500_000
+
 _BROADCAST_SEL = 0xF
 
 
@@ -506,7 +510,7 @@ def run_rtl_cosim(
     n_workers: int = 2,
     fifo_depth: int = 16,
     setup_args: list[int] | None = None,
-    max_cycles: int = 500_000,
+    max_cycles: int = DEFAULT_COSIM_MAX_CYCLES,
     emit_dir=None,
 ) -> CosimReport:
     """Co-simulate every worker module of a kernel against the oracle.

@@ -19,7 +19,7 @@ from repro.dse import (
     result_key,
 )
 from repro.errors import CgpaError
-from repro.harness.__main__ import dse_main, main
+from repro.harness.__main__ import main
 from repro.kernels import KERNELS_BY_NAME
 from repro.service import ArtifactStore
 
@@ -218,8 +218,7 @@ class TestResultKey:
         )
 
     def test_corrupt_entry_is_a_miss_even_for_its_writer(self, tmp_path):
-        # The sweep cache runs without the warm LRU (see dse_main): disk
-        # is the single source of truth across pool processes.
+        # Without the warm LRU, disk is the single source of truth.
         cache = ArtifactStore(tmp_path, lru_entries=0)
         key = result_key(SMALL_KS, DesignPoint(), 1000, "event")
         cache.put(key, {"status": "ok"})
@@ -297,31 +296,31 @@ class TestCli:
 
     def test_dse_rejects_bad_grid_values(self, capsys):
         with pytest.raises(SystemExit):
-            dse_main(["ks", "--fifo-depths", "16,0"])
+            main(["dse", "ks", "--fifo-depths", "16,0"])
         assert "must be >= 1" in capsys.readouterr().err
 
     def test_dse_rejects_bad_policy(self, capsys):
         with pytest.raises(SystemExit):
-            dse_main(["ks", "--policies", "p9"])
+            main(["dse", "ks", "--policies", "p9"])
         err = capsys.readouterr().err
         assert "policies" in err and "p9" in err
 
     def test_dse_end_to_end(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(KERNELS_BY_NAME, "ks", SMALL_KS)
-        rc = dse_main([
-            "ks", "--strategy", "grid",
+        rc = main([
+            "dse", "ks", "--strategy", "grid",
             "--policies", "p1", "--workers-list", "1,2",
             "--fifo-depths", "4", "--processes", "2",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--out", str(tmp_path / "results"),
             "--store", str(tmp_path / "store"),
         ])
         assert rc == 0
         out = capsys.readouterr().out
         assert "Pareto frontier" in out
-        payload = json.loads(
-            (tmp_path / "results" / "dse_ks_grid.json").read_text()
-        )
+        # The sweep JSON comes back out of the store's journal.
+        assert main(["obs", "query", str(tmp_path / "store"),
+                     "--kind", "dse-sweep", "--json"]) == 0
+        (envelope,) = json.loads(capsys.readouterr().out)
+        payload = envelope["payload"]
         assert payload["kernel"] == "ks"
         assert payload["n_points"] == 2
         assert payload["frontier"]

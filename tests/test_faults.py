@@ -38,7 +38,7 @@ from repro import fleet
 from repro.faults import sweep as sweep_module
 from repro.faults.sweep import plan_seeds, resilience_sweep
 from repro.frontend import compile_c
-from repro.harness.__main__ import faults_main, main
+from repro.harness.__main__ import main
 from repro.harness.runner import FRESH_WORKLOAD, run_check, setup_workload
 from repro.hw import AcceleratorSystem, DirectMappedCache
 from repro.interp import Interpreter, Memory
@@ -58,6 +58,7 @@ from repro.kernels import ALL_KERNELS, KERNELS_BY_NAME
 from repro.pipeline import ReplicationPolicy, cgpa_compile
 from repro.pipeline.spec import StageKind
 from repro.pipeline.transform import TaskInfo
+from repro.service import ArtifactStore, JobRequest
 from repro.transforms import optimize_module
 
 KERNEL_NAMES = [spec.name for spec in ALL_KERNELS]
@@ -556,19 +557,21 @@ class TestResilienceSweepAndCli:
         assert corrupted + 1 <= len(checks) < finished
 
     def test_faults_cli_smoke(self, capsys, tmp_path):
-        out = tmp_path / "sweep.json"
         rc = main(["faults", "ks", "--plans", "1", "--seed", "0",
-                   "--json", str(out), "--store", str(tmp_path / "store")])
+                   "--store", str(tmp_path / "store")])
         assert rc == 0
         stdout = capsys.readouterr().out
         assert "Resilience sweep: ks (1 plans/class, seed 0)" in stdout
-        data = json.loads(out.read_text())
+        # The full sweep (plans + outcomes) is the artifact under the
+        # equivalent service request's key.
+        key = JobRequest.make("faults", "ks", {"plans": 1, "seed": 0}).key
+        data = ArtifactStore(tmp_path / "store").get(key)
         assert data["kernel"] == "ks"
         assert len(data["records"]) == len(PLAN_KINDS)
 
     def test_faults_cli_rejects_bad_plans(self):
         with pytest.raises(SystemExit):
-            faults_main(["ks", "--plans", "0"])
+            main(["faults", "ks", "--plans", "0"])
 
     def test_cli_budget_failure_is_one_line_exit_1(self, capsys):
         rc = main(["--kernel", "ks", "--max-cycles", "1000"])

@@ -2,6 +2,8 @@
 
 import dataclasses
 
+import pytest
+
 from repro.frontend import compile_c
 from repro.harness.runner import setup_workload
 from repro.hw import AcceleratorSystem, DirectMappedCache
@@ -141,7 +143,8 @@ class TestDefaultEngineIsDeclaredOnce:
         from repro.dse import Evaluator
         from repro.dse.explore import Explorer
         from repro.faults.sweep import resilience_sweep
-        from repro.harness import __main__ as cli, experiments, runner
+        from repro.harness import experiments, runner
+        from repro.harness.cli import options as cli
         from repro.service.contracts import JobRequest
 
         assert hw.DEFAULT_ENGINE == "specialized" and hw.DEFAULT_ENGINE in hw.ENGINES
@@ -160,3 +163,18 @@ class TestDefaultEngineIsDeclaredOnce:
         parser = argparse.ArgumentParser()
         cli._add_engine(parser, "engine")
         assert parser.parse_args([]).engine is hw.DEFAULT_ENGINE
+
+    @pytest.mark.parametrize("kind", ["dse", "faults", "rtl"])
+    def test_every_job_flag_defaults_to_the_option_schema(self, kind):
+        """A job subcommand declares no default of its own: a bare
+        ``<kind> ks`` parses to the schema's defaults (``dse --policies``
+        excepted: the CLI sweeps p1,none(+p2) where the service sweeps p1)."""
+        from repro.harness.cli.jobs import job_parser
+        from repro.service.contracts import normalize_options
+
+        args = job_parser(kind).parse_args(["ks"])
+        parsed = {name: getattr(args, name) for name in normalize_options(kind, {})}
+        if kind == "dse":
+            assert parsed.pop("policies") is None
+        expected = normalize_options(kind, {})
+        assert parsed == {name: expected[name] for name in parsed}

@@ -250,10 +250,10 @@ class TestDefaultEngineInEnvelopes:
     """What a run records when nobody names an engine."""
 
     def test_default_faults_sweep(self, tmp_path):
-        from repro.harness.__main__ import faults_main
+        from repro.harness.__main__ import main
         from repro.obs.query import load_envelopes
 
-        assert faults_main(["ks", "--plans", "1", "--store", str(tmp_path)]) == 0
+        assert main(["faults", "ks", "--plans", "1", "--store", str(tmp_path)]) == 0
         (envelope,) = load_envelopes(tmp_path).filter(kind="faults")
         assert envelope.engine == DEFAULT_ENGINE == "specialized"
 

@@ -193,16 +193,13 @@ class TestEnvelopeWriter:
             writer.write(make_env(cycles="fast"))
         assert not writer.journal_path.exists()
 
-    def test_publish_run_writes_artifact_mirror_and_envelope(self, tmp_path):
+    def test_publish_run_writes_artifact_and_envelope(self, tmp_path):
         writer = EnvelopeWriter(tmp_path / "store")
         artifact = {"kind": "dse", "results": []}
         key = content_key(artifact)
-        mirror = tmp_path / "legacy" / "report.json"
-        path = writer.publish_run(
-            key, artifact, make_env(kind="dse-sweep"), mirror=mirror
-        )
-        assert path.is_file()
-        assert json.loads(mirror.read_text()) == artifact
+        path = writer.publish_run(key, artifact, make_env(kind="dse-sweep"))
+        assert path == writer.store.path(key)
+        assert json.loads(path.read_text()) == artifact
         assert load_envelopes(tmp_path / "store").kinds() == ["dse-sweep"]
 
 
@@ -450,10 +447,10 @@ class TestDseEmission:
         sweep, writer = ks_sweep
         env = sweep_envelope(sweep, engine="event", config_hash="ab" * 32)
         writer.write(env)
-        # The deterministic legacy artifact is the envelope payload...
+        # The deterministic sweep artifact is the envelope payload...
         assert env.payload == {"kind": "dse", **sweep.to_json_dict()}
         # ...and the Pareto table rendered from the reloaded envelope is
-        # byte-identical to rendering the legacy JSON mirror.
+        # byte-identical to rendering that artifact.
         reloaded = load_envelopes(writer.store.root).filter(kind="dse-sweep")
         from repro.dse.explore import SweepResult
 

@@ -20,7 +20,7 @@ from repro.service import ContractError, JobRequest
 from repro.service.contracts import JOB_KINDS, OPTION_SCHEMAS
 from repro.service.queue import JobQueue
 from repro.service.ratelimit import RateLimiter
-from repro.service.store import ArtifactStore, publish
+from repro.service.store import ArtifactStore
 
 
 # --------------------------------------------------------------------------
@@ -192,17 +192,6 @@ class TestArtifactStore:
         assert store.get(key) == artifact
         # No temp litter: every stage was renamed or cleaned up.
         assert not list(store.path(key).parent.glob(".*tmp"))
-
-    def test_publish_mirrors_legacy_path(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        mirror = tmp_path / "legacy" / "result.json"
-        key = "dd" + "0" * 62
-        path = publish(store, key, {"x": 1}, mirror=mirror)
-        assert json.loads(mirror.read_text()) == {"x": 1}
-        assert mirror.is_symlink() or mirror.read_bytes() == path.read_bytes()
-        # Re-publishing replaces the mirror in place.
-        publish(store, key, {"x": 1}, mirror=mirror)
-        assert json.loads(mirror.read_text()) == {"x": 1}
 
 
 class TestStoreIntegrity:

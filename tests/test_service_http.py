@@ -2,8 +2,8 @@
 
 Each test boots a :func:`repro.service.app.start_service` instance on an
 ephemeral port with a tmp-dir store and drives it through
-:class:`repro.service.client.ServiceClient` — the same path the load
-benchmark and the CI smoke job use.  The full submit -> poll -> fetch
+:class:`repro.service.client.ServiceClient` — the same path the
+``service-mix`` benchmark workload and the CI smoke job use.  The full submit -> poll -> fetch
 contract is exercised for every job kind at smoke scale, and the
 service-specific behaviours (cache short-circuit, coalescing, 429,
 409-until-done, error routes) get targeted scenarios with fake
@@ -83,6 +83,22 @@ class TestRoundTrips:
         assert after["queue"]["cached"] == before["queue"]["cached"] + 1
         assert after["store"]["warm_hits"] > before["store"]["warm_hits"]
         assert after["queue"]["executed"] == before["queue"]["executed"]
+
+    def test_repeated_mixed_workload_executes_each_job_once(self, live_service):
+        # Shuffled repeats of three kinds: the first pass executes every
+        # unique request exactly once (the rest coalesce or hit the filling
+        # store); the identical second pass is 100% store-served.
+        _, client = live_service
+        unique = [KIND_REQUESTS[kind] for kind in ("compile", "simulate", "dse")]
+        workload = [unique[i % 3] for i in (0, 1, 2, 1, 0, 2, 2, 0, 1)]
+        first = [client.run(request, timeout=120) for request in workload]
+        cold = client.stats()["queue"]
+        assert cold["executed"] == len(unique) and cold["failed"] == 0
+        second = [client.run(request, timeout=120) for request in workload]
+        warm = client.stats()["queue"]
+        assert second == first
+        assert warm["cached"] - cold["cached"] == len(workload)
+        assert warm["executed"] == cold["executed"]
 
     def test_store_survives_service_restart(self, tmp_path):
         request = KIND_REQUESTS["compile"]

@@ -321,6 +321,12 @@ class TestHarnessIntegration:
         assert trace_path.exists() and vcd_path.exists()
         doc = json.loads(trace_path.read_text())
         assert doc["traceEvents"]
+        # A plain file: a copy of the one stored artifact, not a link to it.
+        assert not trace_path.is_symlink()
+        (stored,) = [
+            path for path in (tmp_path / "store").glob("*/*.json")
+            if path.read_bytes() == trace_path.read_bytes()
+        ]
         assert "Critical stage" in analysis_path.read_text()
         out = capsys.readouterr().out
         assert "Per-worker stall breakdown" in out

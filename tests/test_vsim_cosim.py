@@ -124,10 +124,10 @@ class TestRtlCli:
         assert list(tmp_path.glob("*_tb.v"))
 
     def test_rtl_cli_rejects_unknown_kernel(self):
-        from repro.harness.__main__ import rtl_main
+        from repro.harness.__main__ import main
 
         with pytest.raises(SystemExit):
-            rtl_main(["nope"])
+            main(["rtl", "nope"])
 
     def test_rtl_cli_budget_failure_is_one_line_exit_1(self, capsys):
         from repro.harness.__main__ import main
