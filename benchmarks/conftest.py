@@ -53,11 +53,11 @@ def emit_json(results_dir, json_path, figure: str, payload: dict,
 
     * ``json_path`` (when ``--json`` was passed) — the ``BENCH_*.json``
       perf-tracking form CI archives;
-    * ``results_dir`` as an artifact-store root — one content-addressed
-      envelope per run plus the append-only ``envelopes.jsonl`` journal,
-      so ``python -m repro.harness obs query benchmarks/results`` sees
-      bench trends alongside every other subsystem's runs (both are
-      scratch output, not committed).
+    * ``results_dir`` as a store root — one line per run in its
+      append-only ``envelopes.jsonl`` journal, so ``python -m
+      repro.harness obs query benchmarks/results`` sees bench trends
+      alongside every other subsystem's runs (both are scratch output,
+      not committed).
     """
     from repro.obs.emit import EnvelopeWriter, bench_envelope
 

@@ -240,10 +240,6 @@ class Evaluator:
             system=system,
         )
         sim = run.sim
-        stall: dict[str, int] = {}
-        for breakdown in sim.stall_breakdown.values():
-            for category, count in breakdown.items():
-                stall[category] = stall.get(category, 0) + count
         return EvalResult(
             point=point,
             status="ok",
@@ -252,7 +248,7 @@ class Evaluator:
             energy_uj=run.energy_uj,
             power_mw=run.power_mw,
             signature=compiled.full_signature,
-            stall_cycles=stall,
+            stall_cycles=sim.stall_totals(),
             cache_hit_rate=sim.cache_stats.hit_rate,
             checksum=float(run.checksum),
         )

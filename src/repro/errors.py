@@ -30,6 +30,10 @@ class ParseError(CgpaError):
         self.column = column
 
 
+class NestingError(CgpaError):
+    """Raised when source nests deeper than the recursive frontend can walk."""
+
+
 class SemanticError(CgpaError):
     """Raised for type errors and undeclared identifiers."""
 

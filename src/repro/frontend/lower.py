@@ -8,7 +8,7 @@ array-to-pointer decay, short-circuit evaluation, and pointer arithmetic.
 
 from __future__ import annotations
 
-from ..errors import SemanticError
+from ..errors import NestingError, SemanticError
 from ..ir.basicblock import BasicBlock
 from ..ir.builder import IRBuilder
 from ..ir.function import Function
@@ -35,11 +35,17 @@ from .sema import TypeContext, analyze
 
 def compile_c(source: str, module_name: str = "module") -> Module:
     """Front door: parse, analyze and lower C source into an IR module."""
-    unit = parse(source)
-    module, ctx = analyze(unit, module_name)
-    for decl in unit.decls:
-        if isinstance(decl, ast.FunctionDecl) and decl.body is not None:
-            _FunctionLowerer(module, ctx, decl).lower()
+    try:
+        unit = parse(source)
+        module, ctx = analyze(unit, module_name)
+        for decl in unit.decls:
+            if isinstance(decl, ast.FunctionDecl) and decl.body is not None:
+                _FunctionLowerer(module, ctx, decl).lower()
+    except RecursionError:  # parser, sema and lowerer all recurse on the tree
+        raise NestingError(
+            "nesting too deep: expressions or blocks nest beyond what the "
+            "frontend can walk; flatten the source"
+        ) from None
     return module
 
 

@@ -3,13 +3,15 @@
 A subcommand is argv → :class:`~repro.service.contracts.JobRequest` →
 the executor the service runs for that kind
 (:func:`repro.service.jobs.run_job`) → the report text → one
-:meth:`~repro.obs.emit.EnvelopeWriter.publish_run` under ``request.key``.
+:meth:`~repro.obs.emit.EnvelopeWriter.publish_run`: the artifact under
+``request.key`` and the :func:`~repro.obs.emit.job_envelope` the service
+would journal for the same job.
 Options are declared, defaulted and validated by
 :data:`~repro.service.contracts.OPTION_SCHEMAS`; the flags below only
 name them (:func:`_flag`) and add *how* to run: ``--processes``,
 ``--resume``, ``--no-cache``, ``--emit-dir``, ``--store``.  A CLI run and
-a service job of the same request therefore share one key, one artifact
-and one per-point result cache.
+a service job of the same request therefore share one key, one artifact,
+one run record and one per-point result cache.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ from typing import Callable, NamedTuple
 
 from ...hw import ENGINES
 from ...kernels import KERNELS_BY_NAME
-from ...obs.emit import (
-    EnvelopeWriter,
-    cosim_envelope,
-    faults_envelope,
-    sweep_envelope,
-)
+from ...obs.emit import EnvelopeWriter, job_envelope
 from ...service.contracts import OPTION_SCHEMAS, ContractError, JobRequest
 from ...service.jobs import artifact_of, dse_space, run_job
 from ..report import format_pareto
@@ -150,6 +147,13 @@ def _dse_banner(request, args) -> str:
             f"{args.processes} process(es))...")
 
 
+def _dse_scoring(sweep) -> dict:
+    """How the points were scored is provenance of this run, like its
+    wall-clock: in the envelope's ``extra``, never in the payload."""
+    return {"recorded": sweep.recorded, "replayed": sweep.replayed,
+            "replay_fallbacks": sweep.replay_fallbacks}
+
+
 def _dse_render(sweep, args, artifact: str) -> None:
     if args.resume:
         print(f"resumed: replayed {sweep.cache_hits} point(s) from cache, "
@@ -268,8 +272,8 @@ class _JobCli(NamedTuple):
     #: CLI-only conveniences (--full, the --policies default) into args.
     prepare: Callable
     render: Callable  # (report, args, artifact line): the run's output
-    envelope: Callable  # (report, request) -> RunEnvelope
     exit_code: Callable = lambda report: 0
+    extra: Callable = lambda report: None  # this run's envelope ``extra``
     banner: Callable | None = None  # (request, args) -> line before the run
 
 
@@ -281,9 +285,7 @@ _JOB_CLIS = {
         "points are cached there too, so repeated sweeps (and service "
         "jobs on the same store) only simulate new points.",
         "kernel whose design space to explore",
-        _dse_flags, _dse_prepare, _dse_render,
-        lambda sweep, request: sweep_envelope(
-            sweep, engine=request.options["engine"], config_hash=request.key),
+        _dse_flags, _dse_prepare, _dse_render, extra=_dse_scoring,
         banner=_dse_banner,
     ),
     "faults": _JobCli(
@@ -296,8 +298,6 @@ _JOB_CLIS = {
         "byte-identical across all three simulator engines.",
         "kernel to stress",
         _faults_flags, _pool_how, _faults_render,
-        lambda report, request: faults_envelope(
-            report, engine=request.options["engine"], config_hash=request.key),
     ),
     "rtl": _JobCli(
         "Execute one kernel's emitted Verilog worker modules "
@@ -307,7 +307,6 @@ _JOB_CLIS = {
         "mismatch.",
         "kernel to co-simulate",
         _rtl_flags, _rtl_prepare, _rtl_render,
-        lambda report, request: cosim_envelope(report, config_hash=request.key),
         exit_code=lambda report: 0 if report.ok else 1,
     ),
 }
@@ -344,8 +343,9 @@ def job_main(kind: str, argv: list[str]) -> int:
     if cli.banner is not None:
         print(cli.banner(request, args))
     report = run_job(request, **how)
+    artifact = artifact_of(kind, report)
     stored = writer.publish_run(
-        request.key, artifact_of(kind, report), cli.envelope(report, request)
+        request.key, artifact, job_envelope(request, artifact, cli.extra(report))
     )
     cli.render(report, args, f"artifact {request.key[:12]}… -> {stored}")
     return cli.exit_code(report)

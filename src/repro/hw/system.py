@@ -71,6 +71,14 @@ class SimReport:
             name: stats.breakdown() for name, stats in self.worker_stats.items()
         }
 
+    def stall_totals(self) -> dict[str, int]:
+        """:attr:`stall_breakdown` summed over workers, per category."""
+        totals: dict[str, int] = {}
+        for counts in self.stall_breakdown.values():
+            for category, count in counts.items():
+                totals[category] = totals.get(category, 0) + count
+        return totals
+
     def liveouts_checksum(self) -> str:
         """Content hash of (liveouts, return value) — equal across engines
         iff the runs were functionally identical."""

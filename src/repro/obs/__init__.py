@@ -5,16 +5,16 @@ RTL co-simulation, service jobs, benchmarks) historically invented its
 own report shape.  This package unifies them behind one versioned,
 typed **run envelope** (wide-event style): a single JSON record per run
 carrying the config hash, engine, cycle count, stall breakdown,
-cost-model outputs and the subsystem's verdict payload, persisted
-through the content-addressed :class:`~repro.service.store.ArtifactStore`
-plus an append-only ``envelopes.jsonl`` journal per store root.
+cost-model outputs and the subsystem's verdict payload, persisted once,
+as one line of the append-only ``envelopes.jsonl`` journal of a store
+root — the same record whether the harness CLI or the service ran it.
 
 Layers:
 
 * :mod:`repro.obs.envelope` — the :class:`RunEnvelope` schema and its
   strict, forward-compatible serialisation;
 * :mod:`repro.obs.emit` — the :class:`EnvelopeWriter` plus one builder
-  per subsystem report shape;
+  per report shape (:func:`job_envelope` for every job kind);
 * :mod:`repro.obs.query` — ingestion (journal / store / directory),
   validation, filter / group-by / aggregate, and regression diffs;
 * :mod:`repro.obs.dashboard` — a dependency-free static HTML report.
@@ -31,13 +31,10 @@ from .envelope import (
 from .emit import (
     EnvelopeWriter,
     bench_envelope,
-    cosim_envelope,
     eval_envelope,
-    faults_envelope,
     fleet_envelope,
     job_envelope,
     sim_envelope,
-    sweep_envelope,
 )
 from .query import (
     EnvelopeSet,
@@ -54,13 +51,10 @@ __all__ = [
     "RunEnvelope",
     "EnvelopeWriter",
     "bench_envelope",
-    "cosim_envelope",
     "eval_envelope",
-    "faults_envelope",
     "fleet_envelope",
     "job_envelope",
     "sim_envelope",
-    "sweep_envelope",
     "EnvelopeSet",
     "MetricDiff",
     "diff_envelope_sets",

@@ -15,7 +15,7 @@ Sections, each driven purely by envelope fields:
 * DSE — per-sweep status counts, frontier size and best point;
 * faults — verdict counters per sweep;
 * cosim — rounds/instances verdicts;
-* service — job status tally;
+* service — status tally of the jobs a service executed;
 * bench — chronological sparkline per benchmark figure.
 """
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import html
 
+from .emit import JOB_KIND_OF
 from .query import EnvelopeSet
 
 #: Stall-category display order and colors (matches telemetry docs).
@@ -323,13 +324,19 @@ def _cosim_section(envelopes: EnvelopeSet) -> str:
 
 
 def _service_section(envelopes: EnvelopeSet) -> str:
-    jobs = envelopes.filter(kind="service-job")
-    if not len(jobs):
-        return ""
+    """Jobs a service executed: the record of the job's kind with the
+    queue's ``job_id`` in ``extra``, or an older ``service-job`` record."""
     tally: dict[tuple, int] = {}
-    for env in jobs:
-        key = (env.verdicts.get("job_kind"), env.status)
+    for env in envelopes:
+        if env.kind == "service-job":
+            key = (env.verdicts.get("job_kind"), env.status)
+        elif "job_id" in env.extra:
+            key = (JOB_KIND_OF.get(env.kind), env.status)
+        else:
+            continue
         tally[key] = tally.get(key, 0) + 1
+    if not tally:
+        return ""
     rows = [
         [_esc(job_kind), _esc(status), str(count)]
         for (job_kind, status), count in sorted(
@@ -391,13 +398,16 @@ def render_dashboard(
     envelopes: EnvelopeSet, title: str = "CGPA run dashboard"
 ) -> str:
     """Render the journal as one self-contained HTML page."""
+    # A service job that ended without a report (``extra["error"]``) is
+    # tallied under "Service jobs", not listed as a blank report row.
+    reports = EnvelopeSet([e for e in envelopes if "error" not in e.extra])
     sections = [
         _overview_section(envelopes),
         _sim_section(envelopes),
         _equivalence_section(envelopes),
-        _dse_section(envelopes),
-        _faults_section(envelopes),
-        _cosim_section(envelopes),
+        _dse_section(reports),
+        _faults_section(reports),
+        _cosim_section(reports),
         _service_section(envelopes),
         _bench_section(envelopes),
     ]

@@ -1,8 +1,9 @@
 """The versioned run envelope: one typed wide-event record per run.
 
 A :class:`RunEnvelope` is the canonical machine-readable outcome of one
-run of *any* subsystem — a simulation, a DSE point or sweep, a fault
-sweep, an RTL co-simulation, a service job, or a benchmark.  The typed
+run of *any* subsystem — a simulation, a compile, a DSE point or sweep,
+a fault sweep, an RTL co-simulation, or a benchmark — whether the
+harness CLI or the service ran it.  The typed
 fields carry everything cross-subsystem queries need (kind, kernel,
 engine, config hash, cycles, stall breakdown, cost-model outputs,
 verdicts); the subsystem's full report dict rides along as ``payload`` so
@@ -48,7 +49,8 @@ ENVELOPE_KINDS = (
     "dse-sweep",    # one full design-space sweep
     "faults",       # one resilience sweep
     "cosim",        # one RTL co-simulation
-    "service-job",  # one executed service job (references its artifact)
+    "compile",      # one compile job (partition signature + area)
+    "service-job",  # read-only: the by-reference job record in older journals
     "bench",        # one benchmark figure
     "fleet",        # one supervision event (crash/retry/timeout/respawn/resume)
 )
@@ -92,7 +94,7 @@ class RunEnvelope:
     """One wide-event record: the outcome of one run, any subsystem.
 
     Optional typed fields are ``None`` (or empty) when the producing
-    subsystem has no such quantity — a compile-only service job has no
+    subsystem has no such quantity — a ``compile`` job has no
     ``cycles``; a benchmark has no ``config_hash`` per design point.
     """
 

@@ -324,15 +324,19 @@ def diff_envelope_sets(
 def render_legacy_report(envelope: RunEnvelope) -> str | None:
     """Regenerate the subsystem's text report from an envelope.
 
-    Byte-identical to what the CLI printed for the same run:
+    Byte-identical to what the CLI prints for the same run, whether the
+    CLI or a service journalled it:
 
     * ``dse-sweep`` → :func:`repro.harness.report.format_pareto`
     * ``faults``    → :meth:`repro.faults.sweep.ResilienceReport.format`
     * ``sim``       → :func:`repro.harness.report.format_stall_breakdown`
 
-    Returns ``None`` for kinds with no text-report equivalent.  Imports
-    are local: the subsystems import :mod:`repro.obs`, not the reverse.
+    Returns ``None`` for kinds with no text-report equivalent and for an
+    empty payload (a failed service job has no report).  Imports are
+    local: the subsystems import :mod:`repro.obs`, not the reverse.
     """
+    if not envelope.payload:
+        return None
     if envelope.kind == "dse-sweep":
         from ..dse.explore import SweepResult
         from ..harness.report import format_pareto

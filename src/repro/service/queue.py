@@ -40,6 +40,7 @@ from typing import Callable
 
 from ..errors import CgpaError
 from ..fleet import FleetExecutor
+from ..obs.emit import job_envelope
 from . import jobs
 from .contracts import JobRequest
 from .store import ArtifactStore
@@ -132,10 +133,13 @@ class JobQueue:
     ) -> None:
         """``envelopes`` is an optional
         :class:`~repro.obs.emit.EnvelopeWriter`: when set, every job that
-        actually executes (cache short-circuits and coalesced attachments
-        run no work, so they journal nothing) persists a ``service-job``
-        run envelope referencing its artifact key.  Emission happens on
-        the event-loop thread, after the artifact is stored."""
+        executes (cache short-circuits and coalesced attachments run no
+        work, so they journal nothing) journals the
+        :func:`~repro.obs.emit.job_envelope` a CLI run of the same request
+        would, with ``job_id``/``attempts``/``submissions`` in ``extra``;
+        a ``failed``/``timeout``/``cancelled`` job journals that status,
+        an empty payload and ``extra["error"]``.  Emission is one journal
+        line on the event-loop thread, after the artifact is stored."""
         self.store = store
         self.envelopes = envelopes
         self.workers = max(1, workers)
@@ -327,7 +331,7 @@ class JobQueue:
                 if record.done.is_set():
                     continue  # cancelled while still queued
                 record.status = "running"
-                await self._execute(loop, record)
+                self._journal(record, await self._execute(loop, record))
             except asyncio.CancelledError:
                 record.status = "failed"
                 record.error = "service shutting down"
@@ -338,8 +342,22 @@ class JobQueue:
                 self._inflight.pop(record.key, None)
                 self._queue.task_done()
 
-    async def _execute(self, loop, record: JobRecord) -> None:
-        """Run one record to a terminal state (with crash retries)."""
+    def _journal(self, record: JobRecord, artifact: dict | None) -> None:
+        """One run envelope per job that executed, whatever its end."""
+        if self.envelopes is None:
+            return
+        envelope = job_envelope(record.request, artifact or {}, {
+            "job_id": record.job_id, "attempts": record.attempts,
+            "submissions": record.submissions,
+        })
+        if record.status != "done":
+            envelope.status = record.status
+            envelope.extra["error"] = record.error.splitlines()[0]
+        self.envelopes.write(envelope)
+
+    async def _execute(self, loop, record: JobRecord) -> dict | None:
+        """Run one record to a terminal state (with crash retries);
+        returns the stored artifact of a ``done`` job."""
         while True:
             record.attempts += 1
             exec_future = loop.run_in_executor(
@@ -410,8 +428,4 @@ class JobQueue:
             record.status = "done"
             self.stats.executed += 1
             self._degraded = False
-            if self.envelopes is not None:
-                from ..obs.emit import job_envelope
-
-                self.envelopes.write(job_envelope(record.to_dict(), artifact))
-            return
+            return artifact

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ParseError, SemanticError
+from repro.errors import CgpaError, NestingError, ParseError, SemanticError
 from repro.frontend import compile_c
 from repro.interp import Interpreter
 from repro.ir import verify_module
@@ -218,3 +218,24 @@ class TestDiagnostics:
             assert "line 2" in str(e)
         else:
             pytest.fail("expected SemanticError")
+
+
+#: Sources that nest deeper than the recursive frontend can walk.
+TOO_DEEP = {
+    "parens": "int main(int x) { return " + "(" * 2000 + "x" + ")" * 2000 + "; }",
+    "braces": "int main(int x) { " + "{" * 3000 + "}" * 3000 + " return x; }",
+}
+
+
+class TestNesting:
+    @pytest.mark.parametrize("shape", sorted(TOO_DEEP))
+    def test_too_deep_is_a_typed_one_line_error(self, shape):
+        with pytest.raises(NestingError) as info:
+            compile_c(TOO_DEEP[shape])
+        assert isinstance(info.value, CgpaError)
+        assert "nesting too deep" in str(info.value)
+        assert "\n" not in str(info.value)
+
+    def test_ordinary_nesting_compiles(self):
+        src = "int main(int x) { {{{ return " + "(" * 30 + "x" + ")" * 30 + "; }}} }"
+        assert run(src, args=[9]) == 9

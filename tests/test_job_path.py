@@ -10,17 +10,24 @@ and a store filled by one answers the other.
 import asyncio
 import dataclasses
 import json
+import threading
 
 import pytest
 
-from repro.faults.sweep import resilience_sweep
+from repro.dse.explore import SweepResult
+from repro.errors import CgpaError
+from repro.faults.sweep import ResilienceReport, resilience_sweep
 from repro.harness.__main__ import main
+from repro.harness.report import format_pareto
 from repro.kernels import KERNELS_BY_NAME
-from repro.obs.emit import run_key
-from repro.obs.query import load_envelopes
-from repro.service import ArtifactStore, JobRequest
+from repro.obs.dashboard import render_dashboard
+from repro.obs.emit import EnvelopeWriter, run_key
+from repro.obs.query import load_envelopes, render_legacy_report
+from repro.service import ArtifactStore, JobRequest, ServiceClient
 from repro.service import jobs
+from repro.service.app import ServiceConfig, start_service
 from repro.service.queue import JobQueue
+from tests.test_frontend_corners import TOO_DEEP
 
 #: Scaled-down ks: the whole compile+simulate+cost path in ~50 ms.
 SMALL_KS = dataclasses.replace(KERNELS_BY_NAME["ks"], setup_args=[10, 10])
@@ -162,3 +169,236 @@ def test_fault_checkpoints_are_addressed_by_run_key(tmp_path):
     for record in report.records:
         key = run_key("faults-plan", SMALL_KS, index=record.index, **knobs)
         assert store.get(key) == record.to_dict()
+
+
+# --------------------------------------------------------------------------
+# One run record: the same envelope from the CLI and from the service, once
+# --------------------------------------------------------------------------
+
+
+def service_envelopes(root, requests):
+    """Run ``requests`` (each twice) through a real service on a fresh
+    store at ``root``; returns the journal it left, the store's entry
+    count and its warm keys."""
+    config = ServiceConfig(port=0, workers=1, store_root=str(root))
+    with start_service(config) as handle:
+        with ServiceClient(handle.host, handle.port) as client:
+            for request in requests:
+                client.run(request, timeout=120)
+                client.run(request, timeout=120)  # store hit: no new line
+        entries = len(handle.service.store)
+        warm = handle.service.store.lru_keys()
+    return load_envelopes(root, strict=True), entries, warm
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_cli_and_service_journal_the_same_record(kind, tmp_path, capsys):
+    flags, options = CASES[kind]
+    request = JobRequest.make(kind, "ks", options)
+    assert main([kind, "ks", *flags, "--store", str(tmp_path / "cli")]) == 0
+    cli_stdout = capsys.readouterr().out
+    (from_cli,) = [env for env in load_envelopes(tmp_path / "cli", strict=True)
+                   if env.config_hash == request.key]
+    journal, _, _ = service_envelopes(tmp_path / "svc", [request])
+    (from_service,) = [env for env in journal
+                       if env.config_hash == request.key]
+
+    # Who ran it shows only in the run's identity and its `extra`.
+    ours = {"run_id", "timestamp", "extra"}
+    assert {k: v for k, v in from_cli.to_dict().items() if k not in ours} == {
+        k: v for k, v in from_service.to_dict().items() if k not in ours}
+    scoring = {"recorded", "replayed", "replay_fallbacks"}  # the dse CLI's
+    assert (scoring <= set(from_cli.extra)) == (kind == "dse")
+    assert from_service.extra == {
+        **{k: v for k, v in from_cli.extra.items() if k not in scoring},
+        "job_id": "job-00000001", "attempts": 1, "submissions": 1,
+    }
+    # ... so the text report comes back out of a service's journal too.
+    report = render_legacy_report(from_service)
+    if kind == "dse":
+        assert report == format_pareto(
+            SweepResult.from_json_dict(jobs.execute(request)))
+        assert "Pareto frontier" in report
+    elif kind == "faults":
+        assert report == ResilienceReport.from_dict(
+            jobs.execute(request)).format()
+        assert main(["obs", "query", str(tmp_path / "svc"), "--kind", "faults",
+                     "--report"]) == 0
+        assert capsys.readouterr().out == cli_stdout
+
+
+def test_a_service_store_holds_artifacts_and_results_and_no_envelope(tmp_path):
+    requests = [
+        JobRequest.make("compile", "ks"),
+        JobRequest.make("simulate", "ks", {"n_workers": 2, "fifo_depth": 4}),
+        JobRequest.make("rtl", "ks", {"n_workers": 1}),
+    ]
+    journal, entries, warm = service_envelopes(tmp_path, requests)
+    assert [env.kind for env in journal] == ["compile", "dse-eval", "cosim"]
+    eval_key = journal[1].payload["eval_key"]
+    assert sorted(warm) == sorted([r.key for r in requests] + [eval_key])
+    assert entries == len(warm) == 4  # three artifacts + one point result
+    assert all("job_id" in env.extra for env in journal)
+
+
+def test_every_executed_job_is_journalled_whatever_its_end(tmp_path):
+    """failed / timeout / cancelled jobs leave a record; store hits and
+    coalesced submissions (which run nothing) leave none."""
+    release = threading.Event()
+
+    def run(request):
+        workers = request.options["n_workers"]
+        if workers == 1:
+            return {"kind": "compile", "total_aluts": 7}
+        if workers == 2:
+            raise CgpaError("deadlock: nobody can make progress\n<wait-for graph>")
+        if workers == 3:
+            raise ValueError("executor bug")
+        assert release.wait(10)
+        return {"kind": "compile"}
+
+    def request(workers, **kwargs):
+        return JobRequest.make("compile", "ks", {"n_workers": workers}, **kwargs)
+
+    async def body():
+        store = ArtifactStore(tmp_path)
+        queue = JobQueue(store, workers=2, run=run,
+                         envelopes=EnvelopeWriter(store))
+        await queue.start()
+        try:
+            done = queue.submit(request(1))
+            assert await queue.wait(done, 10)
+            assert queue.submit(request(1)).cached  # store hit
+            records = [queue.submit(request(2)), queue.submit(request(3)),
+                       queue.submit(request(4, deadline_s=0.05))]
+            running = queue.submit(request(5))
+            assert queue.submit(request(5)) is running  # coalesced
+            for record in records:
+                assert await queue.wait(record, 10)
+            while running.status != "running":
+                await asyncio.sleep(0.01)
+            queue.cancel(running.job_id)
+            assert await queue.wait(running, 10)
+        finally:
+            release.set()
+            await queue.close()
+        return queue
+
+    queue = asyncio.run(body())
+    journal = load_envelopes(tmp_path, strict=True)
+    assert queue.stats.submitted == 7 and len(journal) == 5
+    assert {(env.status, env.extra.get("error")) for env in journal} == {
+        ("ok", None),
+        ("failed", "deadlock: nobody can make progress"),
+        ("failed", "internal: ValueError: executor bug"),
+        ("timeout", "exceeded 0.05s deadline"),
+        ("cancelled", "cancelled by client"),
+    }
+    by_status = {status: group for (status,), group
+                 in journal.group_by("status").items()}
+    assert len(by_status["failed"]) == 2
+    assert len(by_status["cancelled"]) == len(by_status["timeout"]) == 1
+    cancelled = by_status["cancelled"][0]
+    assert cancelled.kind == "compile" and cancelled.payload == {}
+    assert cancelled.extra["submissions"] == 2
+    assert cancelled.config_hash == request(5).key
+    # `obs query --status failed` is the user-facing form of the same.
+    assert main(["obs", "query", str(tmp_path), "--status", "failed"]) == 0
+
+
+def test_reports_render_beside_jobs_that_ended_without_one(tmp_path, capsys):
+    """A failed ``faults`` job and a timed-out ``dse`` job journal typed
+    records with empty payloads; `obs query --report`, `obs diff` and the
+    dashboard render the good runs of the same kinds around them."""
+    good_dse = JobRequest.make("dse", "ks", CASES["dse"][1])
+    good_faults = JobRequest.make("faults", "ks", CASES["faults"][1])
+    bad_faults = JobRequest.make("faults", "ks", {"plans": 1, "seed": 4})
+    slow_dse = JobRequest.make(
+        "dse", "ks", {**CASES["dse"][1], "fifo_depths": [8]}, deadline_s=0.05)
+    release = threading.Event()
+
+    def run(request):
+        if request.key == bad_faults.key:
+            raise CgpaError("deadlock: nobody can make progress")
+        if request.key == slow_dse.key:
+            assert release.wait(10)
+        return jobs.execute(request)
+
+    async def body():
+        store = ArtifactStore(tmp_path)
+        queue = JobQueue(store, workers=1, run=run,
+                         envelopes=EnvelopeWriter(store))
+        await queue.start()
+        try:
+            for request in (bad_faults, good_faults, slow_dse, good_dse):
+                assert await queue.wait(queue.submit(request), 60)
+        finally:
+            release.set()
+            await queue.close()
+
+    asyncio.run(body())
+    journal = load_envelopes(tmp_path, strict=True)
+    assert [(env.kind, env.status, env.payload == {}) for env in journal] == [
+        ("faults", "failed", True), ("faults", "ok", False),
+        ("dse-sweep", "timeout", True), ("dse-sweep", "ok", False),
+    ]
+    assert render_legacy_report(journal[0]) is None
+    assert render_legacy_report(journal[2]) is None
+
+    root = str(tmp_path)
+    assert main(["obs", "query", root, "--kind", "faults", "--report"]) == 0
+    assert capsys.readouterr().out == ResilienceReport.from_dict(
+        jobs.execute(good_faults)).format() + "\n"
+    assert main(["obs", "query", root, "--kind", "dse-sweep", "--report"]) == 0
+    assert capsys.readouterr().out == format_pareto(
+        SweepResult.from_json_dict(jobs.execute(good_dse))) + "\n"
+    # Only report-less records match: a one-line error, not a traceback.
+    assert main(["obs", "query", root, "--kind", "faults", "--status",
+                 "failed", "--report"]) == 1
+    assert capsys.readouterr().err.startswith("error: no matching envelope")
+    assert main(["obs", "diff", root, root, "--fail-on-regression"]) == 0
+    capsys.readouterr()
+
+    # The dashboard lists the two reports and tallies all four jobs.
+    page = render_dashboard(journal)
+    for heading in ("Fault sweeps", "Design-space sweeps"):
+        table = page.split(f"<h2>{heading}</h2>")[1].split("</table>")[0]
+        assert table.count("<tr>") == 2  # header + the one real report
+    tally = page.split("<h2>Service jobs</h2>")[1].split("</table>")[0]
+    for job_kind, status in (("faults", "failed"), ("faults", "ok"),
+                             ("dse", "timeout"), ("dse", "ok")):
+        assert (f'<td>{job_kind}</td><td>{status}</td>'
+                f'<td class="num">1</td>') in tally
+
+
+@pytest.mark.parametrize("shape", sorted(TOO_DEEP))
+def test_too_deeply_nested_source_fails_typed_at_every_boundary(
+    shape, tmp_path, monkeypatch, capsys
+):
+    request = JobRequest.make("compile", "ks", source=TOO_DEEP[shape])
+    with pytest.raises(CgpaError, match="nesting too deep"):
+        jobs.execute(request)
+
+    async def submit():
+        store = ArtifactStore(tmp_path)
+        queue = JobQueue(store, workers=1, envelopes=EnvelopeWriter(store))
+        await queue.start()
+        try:
+            record = queue.submit(request)
+            assert await queue.wait(record, 30)
+            return record
+        finally:
+            await queue.close()
+
+    record = asyncio.run(submit())
+    assert record.status == "failed"
+    assert record.error.startswith("nesting too deep")  # no "internal:"
+    (envelope,) = load_envelopes(tmp_path, strict=True)
+    assert (envelope.status, envelope.extra["error"]) == ("failed", record.error)
+
+    # The CLI takes source only through a kernel spec.
+    monkeypatch.setitem(KERNELS_BY_NAME, "ks", request.spec())
+    assert main(["rtl", "ks", "--workers", "1", "--store", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: nesting too deep")
+    assert "Traceback" not in captured.err

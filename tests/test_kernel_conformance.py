@@ -264,10 +264,7 @@ class TestDefaultEngineInEnvelopes:
 
         request = JobRequest.make("simulate", "ks", options={"n_workers": 2})
         artifact = execute(request)
-        job = {"job_id": "job-1", "kind": request.kind, "kernel": "ks",
-               "key": request.key, "status": "done", "cached": False,
-               "submissions": 1, "error": None}
-        envelope = job_envelope(job, artifact)
+        envelope = job_envelope(request, artifact)
         envelope.validate()
         assert envelope.engine == artifact["engine"] == DEFAULT_ENGINE
         assert artifact["status"] == "ok"

@@ -1,11 +1,11 @@
 """Tests for the run-record spine: envelopes, emitters, query, dashboard.
 
 Covers the serialisation contract (bit-exact round-trip, unknown-key
-tolerance, future-schema refusal), the writer (content-addressed record
-plus append-only journal), ingestion and query combinators, regression
-diffs, byte-identical regeneration of the deprecated per-subsystem text
-reports from envelopes alone, the HTML dashboard, and the
-``python -m repro.harness obs`` CLI.
+tolerance, future-schema refusal), the writer (one append-only journal
+line per envelope, nothing in the store), the one job builder, ingestion
+and query combinators, regression diffs, byte-identical regeneration of
+the per-subsystem text reports from envelopes alone, the HTML dashboard,
+and the ``python -m repro.harness obs`` CLI.
 """
 
 import json
@@ -29,13 +29,13 @@ from repro.obs import (
 )
 from repro.obs.emit import (
     bench_envelope,
-    cosim_envelope,
     eval_envelope,
-    faults_envelope,
+    job_envelope,
     sim_envelope,
-    sweep_envelope,
 )
 from repro.obs.query import EnvelopeSet, render_legacy_report
+from repro.service.contracts import JobRequest
+from repro.service.jobs import artifact_of
 from repro.service.store import ArtifactStore, content_key
 
 
@@ -141,7 +141,7 @@ class TestEnvelopeSchema:
 
     def test_kind_catalogue_is_stable(self):
         assert ENVELOPE_KINDS == (
-            "sim", "dse-eval", "dse-sweep", "faults", "cosim",
+            "sim", "dse-eval", "dse-sweep", "faults", "cosim", "compile",
             "service-job", "bench", "fleet",
         )
 
@@ -156,20 +156,27 @@ class TestEnvelopeSchema:
 
 
 # --------------------------------------------------------------------------
-# Writer: artifact + journal
+# Writer: the journal, and only the journal
 # --------------------------------------------------------------------------
 
 
 class TestEnvelopeWriter:
-    def test_write_persists_artifact_and_journal_line(self, tmp_path):
-        writer = EnvelopeWriter(tmp_path / "store")
-        env = make_env()
-        writer.write(env)
-        record = env.to_dict()
-        key = content_key({"envelope": record})
-        assert ArtifactStore(tmp_path / "store").get(key) == record
+    def test_write_journals_one_line_and_leaves_the_store_alone(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        store.put("ab" * 32, {"kind": "dse", "results": []})
+        before = (len(store), store.lru_keys(), store.stats.writes)
+        writer = EnvelopeWriter(store)
+        envelopes = [make_env(n=n) for n in range(5)]
+        for env in envelopes:
+            writer.write(env)
+        assert (len(store), store.lru_keys(), store.stats.writes) == before
+        assert sorted(p.name for p in store.root.iterdir()) == [
+            "ab", "envelopes.jsonl",
+        ]
         lines = writer.journal_path.read_text().splitlines()
-        assert [json.loads(line) for line in lines] == [record]
+        assert [json.loads(line) for line in lines] == [
+            env.to_dict() for env in envelopes
+        ]
 
     def test_journal_is_append_only(self, tmp_path):
         writer = EnvelopeWriter(tmp_path)
@@ -434,6 +441,12 @@ def ks_sweep(tmp_path_factory):
     return sweep, writer
 
 
+#: The ``dse`` request whose space :func:`ks_sweep` explores.
+KS_SWEEP_REQUEST = JobRequest.make("dse", "ks", {
+    "policies": ["p1"], "n_workers": [1], "fifo_depths": [4, 16],
+})
+
+
 class TestDseEmission:
     def test_explorer_journals_each_fresh_eval(self, ks_sweep):
         sweep, writer = ks_sweep
@@ -445,8 +458,11 @@ class TestDseEmission:
 
     def test_pareto_report_regenerates_byte_identically(self, ks_sweep):
         sweep, writer = ks_sweep
-        env = sweep_envelope(sweep, engine="event", config_hash="ab" * 32)
+        env = job_envelope(KS_SWEEP_REQUEST, artifact_of("dse", sweep))
         writer.write(env)
+        assert env.kind == "dse-sweep"
+        assert env.config_hash == KS_SWEEP_REQUEST.key
+        assert env.engine == KS_SWEEP_REQUEST.options["engine"]
         # The deterministic sweep artifact is the envelope payload...
         assert env.payload == {"kind": "dse", **sweep.to_json_dict()}
         # ...and the Pareto table rendered from the reloaded envelope is
@@ -462,10 +478,16 @@ class TestDseEmission:
 
     def test_sweep_envelope_verdicts(self, ks_sweep):
         sweep, _ = ks_sweep
-        env = sweep_envelope(sweep, engine="event")
+        env = job_envelope(KS_SWEEP_REQUEST, artifact_of("dse", sweep))
         assert env.verdicts["n_points"] == 2
         assert env.verdicts["status_counts"] == sweep.status_counts()
+        assert env.verdicts["frontier_size"] == len(sweep.frontier())
         assert env.cycles == min(r.cycles for r in sweep.results if r.ok)
+        best = min((r for r in sweep.results if r.ok), key=lambda r: r.cycles)
+        assert env.stall_cycles == best.stall_cycles
+        assert (env.total_aluts, env.energy_uj, env.power_mw) == (
+            best.total_aluts, best.energy_uj, best.power_mw)
+        assert env.status == "ok" and env.extra == {"strategy": "grid"}
 
     def test_eval_envelope_carries_cost_model_outputs(self, ks_sweep):
         sweep, _ = ks_sweep
@@ -491,8 +513,16 @@ class TestFaultsEmission:
         assert rebuilt.to_dict() == report.to_dict()
 
     def test_faults_envelope_verdicts_match_report(self, ks_faults):
-        env = faults_envelope(ks_faults, engine="event")
+        request = JobRequest.make("faults", "ks", {"plans": 2, "seed": 0})
+        env = job_envelope(request, artifact_of("faults", ks_faults))
         env.validate()
+        assert env.kind == "faults" and env.status == "ok"
+        assert env.engine == request.options["engine"]
+        assert env.cycles == ks_faults.baseline_cycles
+        assert env.extra == {"seed": 0, "n_plans": 2}
+        assert (env.verdicts["corruptions_triggered"],
+                env.verdicts["corruptions_detected"]) == (
+            ks_faults.corruptions_triggered, ks_faults.corruptions_detected)
         assert env.verdicts["timing_correct"] == ks_faults.timing_correct
         assert env.verdicts["hangs_diagnosed"] == ks_faults.hangs_diagnosed
         assert sum(env.verdicts["outcomes"].values()) == len(ks_faults.records)
@@ -507,25 +537,67 @@ class TestOtherBuilders:
             kernel="ks", policy="p1", n_workers=2, fifo_depth=16,
             setup_args=[], oracle_result=7,
         )
-        env = cosim_envelope(report, config_hash="cd" * 32)
+        request = JobRequest.make("rtl", "ks", {"n_workers": 2})
+        env = job_envelope(request, artifact_of("rtl", report))
         env.validate()
         assert env.kind == "cosim" and env.engine == "vsim"
+        assert env.config_hash == request.key
         assert env.status == "ok"
         assert env.payload["kind"] == "rtl"
+        assert env.verdicts == {
+            "ok": True, "rounds": 0, "instances": 0, "rounds_ok": 0,
+        }
+        assert env.extra == {"policy": "p1"}
+        failing = {**env.payload, "ok": False}
+        assert job_envelope(request, failing).status == "mismatch"
 
-    def test_job_envelope_references_artifact(self):
-        from repro.obs.emit import job_envelope
-
-        job = {"job_id": "job-1", "kind": "simulate", "kernel": "ks",
-               "key": "ab" * 32, "status": "done", "cached": False,
-               "submissions": 1, "error": None}
-        env = job_envelope(job, {"engine": "event", "cycles": 123})
+    def test_job_envelope_carries_the_artifact_and_the_callers_extra(self):
+        request = JobRequest.make("simulate", "ks", {"engine": "event"})
+        artifact = {"kind": "simulate", "status": "ok", "cycles": 123,
+                    "total_aluts": 9, "stall_cycles": {"active": 5}}
+        env = job_envelope(request, artifact, {"job_id": "job-1"})
         env.validate()
-        assert env.kind == "service-job"
-        assert env.config_hash == job["key"]
-        assert env.cycles == 123
-        assert env.payload["artifact_key"] == job["key"]
-        assert "results" not in env.payload  # references, not duplicates
+        assert env.kind == "dse-eval" and env.kernel == "ks"
+        assert env.engine == "event"
+        assert env.config_hash == request.key
+        assert (env.status, env.cycles, env.total_aluts) == ("ok", 123, 9)
+        assert env.stall_cycles == {"active": 5}
+        assert env.payload == artifact  # inline, not by reference
+        assert env.extra == {"job_id": "job-1"}
+
+    def test_compile_job_envelope(self):
+        request = JobRequest.make("compile", "ks")
+        env = job_envelope(request, {"kind": "compile", "total_aluts": 77})
+        env.validate()
+        assert (env.kind, env.status, env.engine) == ("compile", "ok", None)
+        assert env.total_aluts == 77 and env.cycles is None
+
+    @pytest.mark.parametrize("kind, envelope_kind", [
+        ("compile", "compile"), ("simulate", "dse-eval"), ("dse", "dse-sweep"),
+        ("faults", "faults"), ("rtl", "cosim"),
+    ])
+    @pytest.mark.parametrize("artifact", [
+        {}, {"n": 1},
+        # Every typed source present, every one ill-typed.
+        {"status": 7, "cycles": "fast", "stall_cycles": [1], "total_aluts": 1.5,
+         "energy_uj": "x", "status_counts": [], "results": [7, {"status": "ok"}],
+         "frontier": 3, "n_points": True, "strategy": 4, "records": [None, {}],
+         "baseline_cycles": 2.5, "seed": "s", "ok": "yes", "rounds": [1, {}],
+         "total_cycles": None, "policy": []},
+    ])
+    def test_job_envelope_tolerates_any_artifact(
+        self, kind, envelope_kind, artifact, tmp_path
+    ):
+        """It runs on the service's event loop, over whatever a custom
+        executor returned: a hole in the artifact is a hole in the record."""
+        env = job_envelope(JobRequest.make(kind, "ks"), artifact)
+        assert env.kind == envelope_kind
+        assert env.cycles is None and env.stall_cycles == {}
+        assert env.total_aluts is None and env.energy_uj is None
+        assert env.payload == artifact
+        EnvelopeWriter(tmp_path).write(env)  # schema-valid, serialisable
+        (loaded,) = load_envelopes(tmp_path, strict=True)
+        assert loaded == env
 
     def test_bench_envelope_identity_is_the_figure(self):
         a = bench_envelope("sim_speed", {"best": 3.5})
@@ -584,6 +656,44 @@ class TestDashboard:
         assert 'class="bar"' in page
         # Engines agree on ks -> equivalence verdict is green.
         assert "agree" in page and "DIVERGE" not in page
+
+    def test_service_jobs_table_counts_old_and_new_records(self, tmp_path):
+        """A journal begun by a service that wrote by-reference
+        ``service-job`` lines and continued by one that writes the job's
+        own record: both load strictly, both are tallied."""
+        key = "ab" * 32
+        old_line = {
+            "schema_version": 1, "run_id": "service-job-0123456789ab",
+            "timestamp": "2026-08-07T00:00:00.000000Z", "kind": "service-job",
+            "kernel": "ks", "engine": "event", "config_hash": key,
+            "status": "done", "cycles": 123, "stall_cycles": {},
+            "total_aluts": None, "energy_uj": None, "power_mw": None,
+            "cost_model_version": None,
+            "verdicts": {"cached": False, "job_kind": "simulate"},
+            "payload": {"artifact_key": key, "job": {"job_id": "job-1"}},
+            "extra": {},
+        }
+        writer = EnvelopeWriter(tmp_path)
+        writer.journal_path.write_text(json.dumps(old_line) + "\n")
+        service = {"job_id": "job-00000001", "attempts": 1, "submissions": 1}
+        request = JobRequest.make("simulate", "ks")
+        writer.write(job_envelope(
+            request, {"status": "ok", "cycles": 123}, service))
+        failed = job_envelope(request, {}, {**service, "error": "deadlock"})
+        failed.status = "failed"
+        writer.write(failed)
+        # The same job run by the CLI is no service job.
+        writer.write(job_envelope(request, {"status": "ok", "cycles": 123}))
+
+        loaded = load_envelopes(tmp_path, strict=True)
+        assert len(loaded) == 4 and not loaded.errors
+        assert loaded[0].to_dict() == old_line
+        page = render_dashboard(loaded)
+        table = page.split("<h2>Service jobs</h2>")[1].split("</table>")[0]
+        assert table.count("<tr>") == 4  # header + done/ok/failed rows
+        for status in ("done", "ok", "failed"):
+            assert (f'<td>simulate</td><td>{status}</td>'
+                    f'<td class="num">1</td>') in table
 
     def test_divergence_is_flagged(self):
         envelopes = EnvelopeSet([

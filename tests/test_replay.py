@@ -26,6 +26,7 @@ from repro.faults import FaultInjector, FaultPlan, FifoBackpressureFault
 from repro.faults.monitor import InvariantMonitor
 from repro.fleet import INTERNED_WORKLOAD, interned_pipeline
 from repro.frontend import compile_c
+from repro.harness.cli.jobs import _dse_scoring
 from repro.harness.report import format_pareto
 from repro.harness.runner import Workload, run_hardware
 from repro.hw import AcceleratorSystem, DirectMappedCache, SpecializedWorker
@@ -46,7 +47,6 @@ from repro.ir import (
 )
 from repro.ir.primitives import ChannelPlan
 from repro.kernels import ALL_KERNELS, KERNELS_BY_NAME
-from repro.obs.emit import sweep_envelope
 from repro.pipeline import ReplicationPolicy, cgpa_compile
 from repro.pipeline.spec import StageKind
 from repro.pipeline.transform import TaskInfo
@@ -488,7 +488,7 @@ class TestCounters:
         assert rebuilt.replayed == 0
 
     def test_envelope_extra_and_report_line_carry_them(self, sweep):
-        extra = sweep_envelope(sweep, engine="specialized").extra
+        extra = _dse_scoring(sweep)
         assert (extra["recorded"], extra["replayed"],
                 extra["replay_fallbacks"]) == (1, 1, 0)
         assert ("result cache: 0/2 hits (0%); 1 simulated in full "
