@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..ir.function import Function
 from ..ir.instructions import Call
-from ..ir.primitives import ChannelPlan
+from ..ir.primitives import DEFAULT_FIFO_DEPTH, ChannelPlan
 from ..rtl.resources import (
     ARBITER_ALUTS_PER_PORT,
     FIFO_ALUTS_PER_CHANNEL,
@@ -57,6 +57,7 @@ def accelerator_area(
     worker_counts: list[int],
     channels: ChannelPlan | None = None,
     cache_ports: int = 8,
+    fifo_depth: int = DEFAULT_FIFO_DEPTH,
 ) -> AreaReport:
     """Area of a CGPA pipeline: per-stage workers + FIFOs + arbiter.
 
@@ -72,7 +73,7 @@ def accelerator_area(
         for channel in channels:
             report.fifo_aluts += FIFO_ALUTS_PER_CHANNEL * channel.n_channels
             slots = channel.fifo_slots_per_value
-            report.bram_bits += 32 * slots * channel.depth * channel.n_channels
+            report.bram_bits += 32 * slots * fifo_depth * channel.n_channels
     report.arbiter_aluts = ARBITER_ALUTS_PER_PORT * cache_ports
     return report
 

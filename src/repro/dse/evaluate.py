@@ -5,11 +5,12 @@ blows its cycle budget, or fails to compile produces an
 :class:`EvalResult` with the corresponding ``status`` instead of raising,
 so one pathological point can never abort a sweep.  Compilation goes
 through :func:`repro.fleet.interned_pipeline`, so points that differ
-only in simulator knobs (cache organisation) — in this evaluator or any
-other in the process — reuse the same
-:class:`~repro.pipeline.driver.CompiledPipeline`.
+only in the knobs of the instantiated machine (FIFO depth, cache
+organisation) — in this evaluator or any other in the process — reuse
+the same :class:`~repro.pipeline.driver.CompiledPipeline`, which no
+evaluation writes to.
 
-Points that share a :attr:`DesignPoint.structure_key` differ only in
+Points that share a :attr:`DesignPoint.compile_key` differ only in
 knobs that move cycles, never values, so
 :meth:`Evaluator.evaluate_structure` simulates one of them in full while
 recording it and re-times the rest from that recording
@@ -110,7 +111,8 @@ class Evaluator:
 
     One evaluator per (kernel, cycle budget, engine); design points are
     passed to :meth:`evaluate`.  Stateless — compiled pipelines live in
-    the process-wide intern — so instances are cheap to make per task.
+    the process-wide intern, one per :attr:`DesignPoint.compile_key`; FIFO
+    depth and cache are bound per run — so instances are cheap per task.
     """
 
     def __init__(
@@ -126,10 +128,9 @@ class Evaluator:
     # -- compilation -------------------------------------------------------
 
     def compile(self, point: DesignPoint) -> CompiledPipeline:
-        """Compile the kernel for ``point``'s compile-time knobs (interned)."""
+        """The interned pipeline of ``point``'s :attr:`~DesignPoint.compile_key`."""
         return interned_pipeline(
-            self.spec, point.replication_policy, point.n_workers,
-            point.fifo_depth,
+            self.spec, point.replication_policy, point.n_workers
         )
 
     # -- evaluation --------------------------------------------------------
@@ -142,7 +143,7 @@ class Evaluator:
     def evaluate_structure(
         self, points: list[DesignPoint]
     ) -> tuple[list[EvalResult], dict[str, int]]:
-        """Score points that share one :attr:`DesignPoint.structure_key`:
+        """Score points that share one :attr:`DesignPoint.compile_key`:
         record once, time many.
 
         The first point that completes ``ok`` is simulated in full and —
@@ -196,6 +197,7 @@ class Evaluator:
         except CgpaError as exc:
             return EvalResult(point=point, status="error",
                               error=f"compile: {exc}")
+        signature = compiled.full_signature(point.fifo_depth)
         try:
             return self._simulate(point, compiled, **run_path)
         except DeadlockError as exc:
@@ -203,7 +205,7 @@ class Evaluator:
             return EvalResult(
                 point=point,
                 status="deadlock",
-                signature=compiled.full_signature,
+                signature=signature,
                 error=str(exc).splitlines()[0],
                 diagnosis=diagnosis.format() if diagnosis else str(exc),
             )
@@ -211,13 +213,12 @@ class Evaluator:
             return EvalResult(
                 point=point,
                 status="timeout",
-                signature=compiled.full_signature,
+                signature=signature,
                 error=str(exc),
             )
         except CgpaError as exc:
             return EvalResult(point=point, status="error",
-                              signature=compiled.full_signature,
-                              error=str(exc))
+                              signature=signature, error=str(exc))
 
     def _simulate(
         self,
@@ -238,6 +239,7 @@ class Evaluator:
             max_cycles=self.max_cycles,
             private_caches=point.private_caches,
             system=system,
+            fifo_depth=point.fifo_depth,
         )
         sim = run.sim
         return EvalResult(
@@ -247,7 +249,7 @@ class Evaluator:
             total_aluts=run.aluts,
             energy_uj=run.energy_uj,
             power_mw=run.power_mw,
-            signature=compiled.full_signature,
+            signature=compiled.full_signature(point.fifo_depth),
             stall_cycles=sim.stall_totals(),
             cache_hit_rate=sim.cache_stats.hit_rate,
             checksum=float(run.checksum),

@@ -12,13 +12,14 @@ make that hold:
 * strategies only see evaluated results, which are themselves
   deterministic, so every round proposes the same batch.
 
-Work is sharded by :attr:`DesignPoint.structure_key`: each pool task is
+Work is sharded by :attr:`DesignPoint.compile_key`: each pool task is
 *all* points of one (policy, worker count), which
-:meth:`Evaluator.evaluate_structure` scores from one recorded simulation
-plus a timing replay per sibling.  The per-process pipeline intern
-(:func:`repro.fleet.interned_pipeline`) keeps compiled pipelines alive
-across batches and strategy rounds, so each compile key is compiled once
-per pool process and reused across the cache variants that share it.
+:meth:`Evaluator.evaluate_structure` scores from one compiled pipeline
+and one recorded simulation plus a timing replay per sibling.  The
+per-process pipeline intern (:func:`repro.fleet.interned_pipeline`)
+keeps compiled pipelines alive across batches and strategy rounds, so
+each compile key is compiled once per pool process and reused across the
+FIFO-depth and cache variants that share it.
 
 Parallelism comes from the shared :class:`~repro.fleet.FleetExecutor`
 (one reusable pool per explorer, or an externally supplied fleet),
@@ -253,10 +254,10 @@ class Explorer:
     ) -> list[tuple[int, EvalResult]]:
         if not misses:
             return []
-        # Shard by structure key: one task = one recording, many timings.
+        # Shard by compile key: one task = one recording, many timings.
         groups: dict[tuple, list[tuple[int, DesignPoint]]] = {}
         for index, point in misses:
-            groups.setdefault(point.structure_key, []).append((index, point))
+            groups.setdefault(point.compile_key, []).append((index, point))
         tasks = [
             (self.spec, self.max_cycles, self.engine, group)
             for group in groups.values()

@@ -1,14 +1,13 @@
 """Design points and the knob space the explorer enumerates.
 
 A :class:`DesignPoint` pins every knob of one accelerator configuration:
-the compile-time knobs (replication policy, parallel-worker count, FIFO
-depth — together the *compile key*, because they select a distinct
-:class:`~repro.pipeline.driver.CompiledPipeline`) and the simulator-time
-knobs (shared vs. private caches, cache lines, cache ports) that reuse
-the same compiled pipeline.  Policy and worker count alone are the
-*structure key*: every other knob changes when things happen, not what
-is computed.  A :class:`ConfigSpace` holds the candidate
-values per knob and enumerates/samples points deterministically.
+the compile-time knobs (replication policy, parallel-worker count —
+together the *compile key*, because they select a distinct
+:class:`~repro.pipeline.driver.CompiledPipeline`) and the knobs of the
+instantiated machine (FIFO depth, shared vs. private caches, cache lines,
+cache ports) that reuse the same compiled pipeline: they change when
+things happen, not what is computed.  A :class:`ConfigSpace` holds the
+candidate values per knob and enumerates/samples points deterministically.
 """
 
 from __future__ import annotations
@@ -43,20 +42,13 @@ class DesignPoint:
     cache_ports: int = 8
 
     @property
-    def compile_key(self) -> tuple[str, int, int]:
-        """Knobs that require a fresh CGPA compilation.
+    def compile_key(self) -> tuple[str, int]:
+        """Knobs that require a fresh CGPA compilation: partition and workers.
 
-        Points sharing a compile key differ only in simulator knobs and
-        reuse one compiled pipeline (:func:`repro.fleet.interned_pipeline`).
-        """
-        return (self.policy, self.n_workers, self.fifo_depth)
-
-    @property
-    def structure_key(self) -> tuple[str, int]:
-        """Knobs that fix the pipeline's structure: partition and workers.
-
-        Points sharing a structure key differ only in knobs that move
-        cycles, never values (FIFO depth, cache organisation), so one
+        Points sharing a compile key differ only in knobs that move
+        cycles, never values (FIFO depth, cache organisation), which are
+        bound on the simulator and the cost model.  So they reuse one
+        compiled pipeline (:func:`repro.fleet.interned_pipeline`) and one
         recorded simulation re-times all of them
         (:meth:`~repro.dse.evaluate.Evaluator.evaluate_structure`; the
         explorer groups work by this).
@@ -81,7 +73,13 @@ class DesignPoint:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DesignPoint":
-        return cls(**data)
+        try:
+            return cls(**data)  # the warm-sweep path: today's schema pays nothing
+        except TypeError:
+            # A newer schema's extra knob: keep the known fields, like
+            # EvalResult.from_dict, so the entry loads instead of crashing.
+            known = {f.name for f in fields(cls)}
+            return cls(**{k: v for k, v in data.items() if k in known})
 
 
 @dataclass
@@ -110,17 +108,18 @@ class ConfigSpace:
             if bad:
                 raise CgpaError(f"config space: {name} {bad} invalid ({what})")
 
+        def pos_int(n) -> bool:
+            # bool is an int; the service contract rejects it, so do we.
+            return isinstance(n, int) and not isinstance(n, bool) and n >= 1
+
         check("policies", self.policies, lambda p: p in POLICIES,
               f"must be one of {POLICIES}")
-        check("n_workers", self.n_workers,
-              lambda n: isinstance(n, int) and n >= 1, "must be >= 1")
-        check("fifo_depths", self.fifo_depths,
-              lambda d: isinstance(d, int) and d >= 1, "must be >= 1")
+        check("n_workers", self.n_workers, pos_int, "must be >= 1")
+        check("fifo_depths", self.fifo_depths, pos_int, "must be >= 1")
         check("cache_lines", self.cache_lines,
-              lambda n: isinstance(n, int) and n >= 1 and not (n & (n - 1)),
+              lambda n: pos_int(n) and not (n & (n - 1)),
               "must be a power of two")
-        check("cache_ports", self.cache_ports,
-              lambda n: isinstance(n, int) and n >= 1, "must be >= 1")
+        check("cache_ports", self.cache_ports, pos_int, "must be >= 1")
 
     @property
     def axes(self) -> list[tuple[str, list]]:

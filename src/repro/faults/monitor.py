@@ -98,16 +98,16 @@ class InvariantMonitor:
                     fifo.name, expected, stats.pushes, cycle,
                 ))
             for index, queue in enumerate(fifo.queues):
-                if len(queue) > fifo.channel.depth:
+                if len(queue) > fifo.depth:
                     violations.append(InvariantViolation(
                         "fifo occupancy bound (len(queue) <= depth)",
                         f"{fifo.name} queue {index}",
-                        f"<= {fifo.channel.depth}", len(queue), cycle,
+                        f"<= {fifo.depth}", len(queue), cycle,
                     ))
-            if stats.max_occupancy > fifo.channel.depth:
+            if stats.max_occupancy > fifo.depth:
                 violations.append(InvariantViolation(
                     "fifo max-occupancy bound",
-                    fifo.name, f"<= {fifo.channel.depth}",
+                    fifo.name, f"<= {fifo.depth}",
                     stats.max_occupancy, cycle,
                 ))
             for name in ("pushes", "pops", "full_stall_cycles",

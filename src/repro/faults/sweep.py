@@ -237,10 +237,11 @@ def _simulate(
     ``faults`` are the plan's ``max_cycles``/``injector``/``monitor``."""
     return run_hardware(
         spec, "cgpa-p1",
-        interned_pipeline(spec, ReplicationPolicy.P1, n_workers, fifo_depth),
+        interned_pipeline(spec, ReplicationPolicy.P1, n_workers),
         DirectMappedCache(ports=8),
         workload=INTERNED_WORKLOAD,
         engine=engine,
+        fifo_depth=fifo_depth,
         **faults,
     )
 

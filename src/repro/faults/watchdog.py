@@ -225,7 +225,7 @@ class Watchdog:
                     fifo=fifo.name,
                     queue=worker._blocked_index,
                     occupancy=tuple(len(q) for q in fifo.queues),
-                    depth=fifo.channel.depth,
+                    depth=fifo.depth,
                 )
             )
 

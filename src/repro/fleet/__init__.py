@@ -193,7 +193,6 @@ def interned_pipeline(
     spec: "KernelSpec",
     policy: "ReplicationPolicy",
     n_workers: int,
-    fifo_depth: int,
 ) -> "CompiledPipeline":
     """``compile_kernel`` through the per-process pipeline memo.
 
@@ -202,18 +201,18 @@ def interned_pipeline(
     service job in the process); any difference in what
     ``compile_kernel`` reads — one trailing comment in the source
     included — is a miss.  Consumers treat the pipeline as read-only:
-    simulators keep their state on the ``AcceleratorSystem``, so threads
-    may share one entry.
+    simulators keep their state — FIFO sizes included — on the
+    ``AcceleratorSystem``, so threads running different timings may
+    share one entry.
     """
     sites = spec.list_shape_sites
     key = (
         spec.name, spec.source, spec.accel_function,
         sites if isinstance(sites, str) else tuple(sites),
-        policy, n_workers, fifo_depth,
+        policy, n_workers,
     )
     return _interned(
-        _PIPELINE_MEMO, key,
-        lambda: compile_kernel(spec, policy, n_workers, fifo_depth),
+        _PIPELINE_MEMO, key, lambda: compile_kernel(spec, policy, n_workers)
     )
 
 

@@ -32,9 +32,11 @@ def compile_kernel(
     spec: KernelSpec,
     policy: ReplicationPolicy = ReplicationPolicy.P1,
     n_workers: int = 4,
-    fifo_depth: int = 16,
 ) -> CompiledPipeline:
     """Compile ``spec``'s accelerated loop into a CGPA pipeline.
+
+    Structure only: FIFO depth, like the cache, is given to the simulator
+    and the cost model (:func:`repro.harness.runner.run_hardware`).
 
     Shape facts are read off the optimised module (malloc-site numbering
     follows the optimised IR), so the module is optimised before
@@ -47,5 +49,4 @@ def compile_kernel(
         shapes=spec.shapes_for(module),
         policy=policy,
         n_workers=n_workers,
-        fifo_depth=fifo_depth,
     )

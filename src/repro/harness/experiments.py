@@ -352,11 +352,15 @@ def fifo_depth_ablation(
     spec: KernelSpec, depths: tuple[int, ...] = (1, 2, 4, 16, 64)
 ) -> list[AblationPoint]:
     """Variable-latency tolerance (Section 2.2): deeper FIFOs decouple the
-    stages; depth 1 effectively lock-steps them."""
+    stages; depth 1 effectively lock-steps them.  One compile serves
+    every depth: depth belongs to the simulated machine."""
+    compiled = compile_kernel(spec)
     return [
         AblationPoint(
             spec.name, "fifo_depth", d,
-            run_backend(spec, "cgpa-p1", fifo_depth=d).cycles,
+            run_hardware(
+                spec, "cgpa-p1", compiled, DirectMappedCache(ports=8), fifo_depth=d
+            ).cycles,
         )
         for d in depths
     ]

@@ -31,7 +31,7 @@ from ..cost import (
 from ..errors import CgpaError
 from ..hw import DEFAULT_ENGINE, AcceleratorSystem, DirectMappedCache, SimReport, run_on_mips
 from ..interp import Interpreter, Memory, to_unsigned
-from ..ir import I32
+from ..ir import DEFAULT_FIFO_DEPTH, I32
 from ..ir.module import Module
 from ..kernels import KARGS_GLOBAL, KernelSpec
 from ..pipeline import CompiledPipeline, ReplicationPolicy
@@ -184,6 +184,7 @@ def run_hardware(
     injector=None,
     monitor=None,
     system: Callable[..., AcceleratorSystem] = AcceleratorSystem,
+    fifo_depth: int = DEFAULT_FIFO_DEPTH,
 ) -> BackendResult:
     """The one run path: workload image → simulate → area/power → check.
 
@@ -196,8 +197,10 @@ def run_hardware(
     ``system`` builds the simulator from :class:`AcceleratorSystem`'s
     arguments: the class itself, or a :class:`repro.hw.replay.Recording`'s
     ``recorder``/``replayer`` (the design-space evaluator's record-once,
-    time-many path).  Simulator failures (deadlock, cycle budget,
-    invariant violation) propagate to the caller.
+    time-many path).  ``fifo_depth`` sizes the FIFOs of the simulator
+    and of the area model; ``design`` carries none and is never written
+    to, so runs of any depth share it.  Simulator failures (deadlock,
+    cycle budget, invariant violation) propagate to the caller.
     """
     compiled = design if isinstance(design, CompiledPipeline) else None
     module = compiled.module if compiled else design
@@ -214,11 +217,12 @@ def run_hardware(
         engine=engine,
         injector=injector,
         monitor=monitor,
+        fifo_depth=fifo_depth,
         **budget,
     )
     sim = accelerator.run(spec.measure_entry, args)
     if compiled:
-        area = cgpa_area(compiled)
+        area = cgpa_area(compiled, fifo_depth)
     else:
         area = single_module_area(module.get_function(spec.measure_entry))
     power = power_report(sim, area, list(module.functions.values()))
@@ -238,7 +242,7 @@ def run_backend(
     spec: KernelSpec,
     backend: str,
     n_workers: int = 4,
-    fifo_depth: int = 16,
+    fifo_depth: int = DEFAULT_FIFO_DEPTH,
     cache_kwargs: dict | None = None,
     sink: TraceSink | None = None,
     engine: str = DEFAULT_ENGINE,
@@ -286,17 +290,19 @@ def run_backend(
     if backend == "legup":
         design = compile_module(spec)
     elif backend in _POLICIES:
-        design = compile_kernel(spec, _POLICIES[backend], n_workers, fifo_depth)
+        design = compile_kernel(spec, _POLICIES[backend], n_workers)
     else:
         raise CgpaError(f"unknown backend {backend!r}")
     cache_kwargs.setdefault("ports", 8)
     return run_hardware(
         spec, backend, design, DirectMappedCache(**cache_kwargs),
-        engine=engine, max_cycles=max_cycles, sink=sink,
+        engine=engine, max_cycles=max_cycles, sink=sink, fifo_depth=fifo_depth,
     )
 
 
-def cgpa_area(compiled: CompiledPipeline) -> AreaReport:
+def cgpa_area(
+    compiled: CompiledPipeline, fifo_depth: int = DEFAULT_FIFO_DEPTH
+) -> AreaReport:
     """Area of one compiled CGPA pipeline (workers + wrapper + FIFOs).
 
     Public because the design-space explorer (:mod:`repro.dse`) scores
@@ -306,6 +312,7 @@ def cgpa_area(compiled: CompiledPipeline) -> AreaReport:
         compiled.result.tasks,
         [stage.n_workers for stage in compiled.spec.stages],
         compiled.result.channels,
+        fifo_depth=fifo_depth,
     )
     # The wrapper (the rewritten parent, possibly with callers above it)
     # is hardware too — a small sequential module.
@@ -318,7 +325,7 @@ def run_kernel(
     spec: KernelSpec,
     backends: tuple[str, ...] = DEFAULT_BACKENDS,
     n_workers: int = 4,
-    fifo_depth: int = 16,
+    fifo_depth: int = DEFAULT_FIFO_DEPTH,
     cache_kwargs: dict | None = None,
     validate: bool = True,
     engine: str = DEFAULT_ENGINE,

@@ -2,7 +2,8 @@
 
 One :class:`FifoBuffer` materialises one compiler
 :class:`~repro.ir.primitives.Channel`: ``n_channels`` independent queues
-(one per consumer worker), each ``depth`` entries deep.  Pushes to a full
+(one per consumer worker), each ``depth`` entries deep — the buffer's own
+figure, given by the system that instantiates it.  Pushes to a full
 queue and pops from an empty queue stall the issuing FSM — the mechanism
 that lets the pipeline tolerate variable memory latency (Section 2.2).
 
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import SimulationError
 from ..faults.plan import NULL_INJECTOR
-from ..ir.primitives import Channel
+from ..ir.primitives import DEFAULT_FIFO_DEPTH, Channel
 from ..telemetry.events import NULL_SINK, TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,10 +66,16 @@ class FifoStats:
 class FifoBuffer:
     """Bounded multi-queue FIFO with stall accounting."""
 
-    def __init__(self, channel: Channel, sink: TraceSink = NULL_SINK) -> None:
+    def __init__(
+        self,
+        channel: Channel,
+        sink: TraceSink = NULL_SINK,
+        depth: int = DEFAULT_FIFO_DEPTH,
+    ) -> None:
         self.channel = channel
+        self.depth = depth  # entries per queue
         self.queues: list[deque] = [deque() for _ in range(channel.n_channels)]
-        self.stats = FifoStats(depth=channel.depth, n_queues=channel.n_channels)
+        self.stats = FifoStats(depth=depth, n_queues=channel.n_channels)
         self.sink = sink
         #: Fault-injection hooks (the zero-overhead null injector unless a
         #: :class:`~repro.faults.plan.FaultInjector` is attached).
@@ -85,10 +92,10 @@ class FifoBuffer:
     # -- capacity ----------------------------------------------------------------
 
     def can_push(self, index: int) -> bool:
-        return len(self.queues[index]) < self.channel.depth
+        return len(self.queues[index]) < self.depth
 
     def can_push_broadcast(self) -> bool:
-        return all(len(q) < self.channel.depth for q in self.queues)
+        return all(len(q) < self.depth for q in self.queues)
 
     def can_pop(self, index: int) -> bool:
         return bool(self.queues[index])
@@ -111,7 +118,7 @@ class FifoBuffer:
         if not self.can_push(index):
             raise SimulationError(
                 f"{self.name}: push to full queue {index} "
-                f"(depth {self.channel.depth})"
+                f"(depth {self.depth})"
             )
         if self.injector.enabled:
             value = self.injector.corrupt_value(self, value)
@@ -181,12 +188,4 @@ class FifoBuffer:
         """
         for queue in self.queues:
             queue.clear()
-        self.stats = FifoStats(
-            depth=self.channel.depth, n_queues=self.channel.n_channels
-        )
-
-    #: BRAM bits occupied by this buffer (32-bit slots x depth x queues).
-    @property
-    def bram_bits(self) -> int:
-        slots = self.channel.fifo_slots_per_value
-        return 32 * slots * self.channel.depth * self.channel.n_channels
+        self.stats = FifoStats(depth=self.depth, n_queues=self.channel.n_channels)

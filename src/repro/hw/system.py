@@ -21,7 +21,7 @@ from ..interp.memory import Memory
 from ..ir.function import Function
 from ..ir.instructions import ParallelFork
 from ..ir.module import Module
-from ..ir.primitives import Channel, ChannelPlan
+from ..ir.primitives import DEFAULT_FIFO_DEPTH, Channel, ChannelPlan
 from ..rtl.schedule import FunctionSchedule, schedule_function
 from ..telemetry.events import NULL_SINK, TraceSink
 from .cache import CacheStats, DirectMappedCache
@@ -162,8 +162,12 @@ class AcceleratorSystem:
         engine: str = DEFAULT_ENGINE,
         injector=None,
         monitor=None,
+        fifo_depth: int = DEFAULT_FIFO_DEPTH,
     ) -> None:
-        """``private_caches`` models the memory-partitioning option of the
+        """``fifo_depth``: entries per queue of every FIFO buffer the system
+        instantiates; channels carry none, so one pipeline runs at any.
+
+        ``private_caches`` models the memory-partitioning option of the
         paper's Appendix B.1: each worker gets its own single-ported cache
         slice instead of contending for the shared 8-port cache.  (Safe
         because CGPA's partition keeps aliasing memory instructions in one
@@ -208,12 +212,10 @@ class AcceleratorSystem:
         else:
             self.global_addresses = _place_globals(module, memory)
         self._schedules: dict[int, FunctionSchedule] = {}
+        self.fifo_depth = fifo_depth
         self._fifos: dict[int, FifoBuffer] = {}
-        if channels is not None:
-            for channel in channels:
-                fifo = FifoBuffer(channel, sink=self.sink)
-                fifo.injector = self.injector
-                self._fifos[id(channel)] = fifo
+        for channel in channels or ():
+            self.fifo_for(channel)
         self.liveout_regs: dict[int, int | float] = {}
         self._workers: list[HwWorker] = []
         self._loop_groups: dict[int, list[HwWorker]] = {}
@@ -229,7 +231,7 @@ class AcceleratorSystem:
 
     def fifo_for(self, channel: Channel) -> FifoBuffer:
         if id(channel) not in self._fifos:
-            fifo = FifoBuffer(channel, sink=self.sink)
+            fifo = FifoBuffer(channel, sink=self.sink, depth=self.fifo_depth)
             fifo.injector = self.injector
             fifo.engine = self._scheduler
             self._fifos[id(channel)] = fifo

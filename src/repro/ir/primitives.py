@@ -2,9 +2,11 @@
 
 A :class:`Channel` is the compiler-side handle for one FIFO *buffer* of the
 paper's architecture (Fig. 2): a named bundle of ``n_channels`` physical
-FIFOs (one per consumer worker), each ``width``-bit wide and ``depth``
-entries deep.  ``produce``/``consume`` instructions reference a Channel;
-the hardware simulator materialises it as :class:`repro.hw.fifo.FifoBuffer`.
+FIFOs (one per consumer worker), each ``width``-bit wide.
+``produce``/``consume`` instructions reference a Channel; the hardware
+simulator materialises it as :class:`repro.hw.fifo.FifoBuffer`, which is
+where the FIFOs get their depth: behind blocking channels function does not
+depend on capacity, so capacity belongs to the instantiated machine.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ DEFAULT_FIFO_WIDTH = 32
 class Channel:
     """A multi-channel FIFO buffer connecting two pipeline stages.
 
+    Carries no depth: one compiled pipeline serves every FIFO depth, which
+    :class:`repro.hw.system.AcceleratorSystem` and the area model bind.
+
     Attributes:
         channel_id: unique id within one pipelined loop.
         name: human-readable label (derived from the communicated value).
@@ -30,7 +35,6 @@ class Channel:
         producer_stage: index of the stage whose workers push.
         consumer_stage: index of the stage whose workers pop.
         n_channels: number of physical FIFOs (== consumer worker count).
-        depth: entries per FIFO.
         broadcast: True when every push is replicated to all channels
             (used for loop-exit conditions and other control broadcasts).
     """
@@ -41,7 +45,6 @@ class Channel:
     producer_stage: int
     consumer_stage: int
     n_channels: int = 1
-    depth: int = DEFAULT_FIFO_DEPTH
     broadcast: bool = False
 
     #: Width in bits occupied on the wire; 64-bit values cost two slots of
@@ -72,7 +75,6 @@ class ChannelPlan:
         producer_stage: int,
         consumer_stage: int,
         n_channels: int = 1,
-        depth: int = DEFAULT_FIFO_DEPTH,
         broadcast: bool = False,
     ) -> Channel:
         channel = Channel(
@@ -82,7 +84,6 @@ class ChannelPlan:
             producer_stage=producer_stage,
             consumer_stage=consumer_stage,
             n_channels=n_channels,
-            depth=depth,
             broadcast=broadcast,
         )
         self._next_id += 1

@@ -42,10 +42,9 @@ class CompiledPipeline:
     def signature(self) -> str:
         return self.spec.signature
 
-    @property
-    def full_signature(self) -> str:
-        """Unambiguous label (shape/policy/workers/depth) for sweep reports."""
-        return self.spec.full_signature
+    def full_signature(self, depth: int = DEFAULT_FIFO_DEPTH) -> str:
+        """Unambiguous label (shape/policy/workers/``depth`` run with)."""
+        return self.spec.full_signature(depth)
 
 
 def cgpa_compile(
@@ -54,7 +53,6 @@ def cgpa_compile(
     shapes: RegionShapes | None = None,
     policy: ReplicationPolicy = ReplicationPolicy.P1,
     n_workers: int = DEFAULT_PARALLEL_WORKERS,
-    fifo_depth: int = DEFAULT_FIFO_DEPTH,
     profile_entry: str | None = None,
     profile_args: list[int | float] | None = None,
     loop_index: int = 0,
@@ -69,7 +67,6 @@ def cgpa_compile(
         shapes: region shape facts (default: fully conservative).
         policy: replicable-section placement (P1 / P2 / NONE).
         n_workers: parallel-stage worker count (paper default 4).
-        fifo_depth: FIFO entries per channel (paper default 16).
         profile_entry/profile_args: optional training run for SCC weights
             and hottest-loop selection.
         loop_index: which top-level loop to take when not profiling
@@ -94,9 +91,7 @@ def cgpa_compile(
     pointsto = PointsTo(module)
     pdg = ProgramDependenceGraph(loop, pointsto, shapes, profile)
     spec = partition_loop(pdg, n_workers=n_workers, policy=policy)
-    result = transform_loop(
-        module, spec, fifo_depth=fifo_depth, rewrite_parent=rewrite_parent
-    )
+    result = transform_loop(module, spec, rewrite_parent=rewrite_parent)
     return CompiledPipeline(
         module=module,
         kernel_name=kernel,
@@ -124,7 +119,6 @@ def cgpa_compile_all(
     shapes: RegionShapes | None = None,
     policy: ReplicationPolicy = ReplicationPolicy.P1,
     n_workers: int = DEFAULT_PARALLEL_WORKERS,
-    fifo_depth: int = DEFAULT_FIFO_DEPTH,
     module_name: str = "kernel",
 ) -> list[CompiledPipeline]:
     """Accelerate *every* top-level loop of ``kernel``.
@@ -151,10 +145,7 @@ def cgpa_compile_all(
     for loop_id, loop in reversed(list(enumerate(loops))):
         pdg = ProgramDependenceGraph(loop, pointsto, shapes, None)
         spec = partition_loop(pdg, n_workers=n_workers, policy=policy)
-        result = transform_loop(
-            module, spec, loop_id=loop_id, fifo_depth=fifo_depth,
-            rewrite_parent=True,
-        )
+        result = transform_loop(module, spec, loop_id=loop_id, rewrite_parent=True)
         compiled.append(
             CompiledPipeline(
                 module=module,

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from ..analysis.loops import Loop
 from ..analysis.pdg import ProgramDependenceGraph, SccInfo
 from ..ir.instructions import Instruction
+from ..ir.primitives import DEFAULT_FIFO_DEPTH
 
 #: Paper Section 4.1: four workers in the parallel stage.
 DEFAULT_PARALLEL_WORKERS = 4
@@ -83,9 +84,6 @@ class PipelineSpec:
     #: every parallel worker's both loop bodies).
     replicated: list[SccInfo] = field(default_factory=list)
     policy: ReplicationPolicy = ReplicationPolicy.P1
-    #: FIFO entries per channel as realized by the transformer; ``None``
-    #: until :func:`repro.pipeline.transform.transform_loop` has run.
-    fifo_depth: int | None = None
 
     @property
     def signature(self) -> str:
@@ -95,22 +93,22 @@ class PipelineSpec:
            *ambiguous* as a configuration label ("S-P" says nothing about
            the replication policy, worker count or FIFO depth that
            produced it).  Cache keys and sweep labels must use
-           :attr:`full_signature` instead.
+           :meth:`full_signature` instead.
         """
         return "-".join(stage.letter for stage in self.stages)
 
-    @property
-    def full_signature(self) -> str:
+    def full_signature(self, fifo_depth: int = DEFAULT_FIFO_DEPTH) -> str:
         """Unambiguous configuration label: shape + policy + workers + depth.
 
         E.g. ``"S-P-S/p1/w4/d16"``.  Unlike :attr:`signature`, two
         different configurations can never collide, which is what the
-        design-space explorer's cache keys and report labels require.
+        design-space explorer's report labels require.  The partition
+        knows nothing of FIFO depth: ``fifo_depth`` is the depth the
+        caller instantiated (or will instantiate) the accelerator with.
         """
         parallel = self.parallel_stage
         workers = parallel.n_workers if parallel is not None else 1
-        depth = "?" if self.fifo_depth is None else str(self.fifo_depth)
-        return f"{self.signature}/{self.policy.value}/w{workers}/d{depth}"
+        return f"{self.signature}/{self.policy.value}/w{workers}/d{fifo_depth}"
 
     @property
     def parallel_stage(self) -> StageSpec | None:

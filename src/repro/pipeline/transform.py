@@ -47,7 +47,7 @@ from ..ir.instructions import (
     StoreLiveout,
 )
 from ..ir.module import Module
-from ..ir.primitives import Channel, ChannelPlan, DEFAULT_FIFO_DEPTH
+from ..ir.primitives import Channel, ChannelPlan
 from ..ir.types import I32, VOID, FunctionType
 from ..ir.values import Argument, Constant, GlobalVariable, Value
 from ..ir.verifier import verify_function
@@ -127,12 +127,10 @@ def transform_loop(
     module: Module,
     spec: PipelineSpec,
     loop_id: int = 0,
-    fifo_depth: int = DEFAULT_FIFO_DEPTH,
     rewrite_parent: bool = True,
 ) -> TransformResult:
     """Generate task functions (and optionally rewrite the parent)."""
-    spec.fifo_depth = fifo_depth
-    return _Transformer(module, spec, loop_id, fifo_depth).run(rewrite_parent)
+    return _Transformer(module, spec, loop_id).run(rewrite_parent)
 
 
 def _plans_equal(a: list[StagePlan], b: list[StagePlan]) -> bool:
@@ -152,14 +150,11 @@ def _plans_equal(a: list[StagePlan], b: list[StagePlan]) -> bool:
 
 
 class _Transformer:
-    def __init__(
-        self, module: Module, spec: PipelineSpec, loop_id: int, fifo_depth: int
-    ) -> None:
+    def __init__(self, module: Module, spec: PipelineSpec, loop_id: int) -> None:
         self.module = module
         self.spec = spec
         self.loop = spec.loop
         self.loop_id = loop_id
-        self.fifo_depth = fifo_depth
         self.parent = self.loop.header.parent
         assert self.parent is not None
         self.pdg = spec.pdg
@@ -434,7 +429,6 @@ class _Transformer:
                     producer_stage=producer_index,
                     consumer_stage=consumer.index,
                     n_channels=n_channels,
-                    depth=self.fifo_depth,
                     broadcast=broadcast,
                 )
                 bindings.append(

@@ -52,10 +52,9 @@ def _run_compile(request: JobRequest, store: ArtifactStore | None) -> dict:
     spec = request.spec()
     opts = request.options
     compiled = interned_pipeline(
-        spec, ReplicationPolicy(opts["policy"]), opts["n_workers"],
-        opts["fifo_depth"],
+        spec, ReplicationPolicy(opts["policy"]), opts["n_workers"]
     )
-    area = cgpa_area(compiled)
+    area = cgpa_area(compiled, opts["fifo_depth"])
     return {
         "kind": "compile",
         "kernel": spec.name,
@@ -63,7 +62,7 @@ def _run_compile(request: JobRequest, store: ArtifactStore | None) -> dict:
         "n_workers": opts["n_workers"],
         "fifo_depth": opts["fifo_depth"],
         "signature": compiled.signature,
-        "full_signature": compiled.full_signature,
+        "full_signature": compiled.full_signature(opts["fifo_depth"]),
         "n_channels": len(compiled.result.channels),
         "total_aluts": area.total_aluts,
         "worker_aluts": dict(sorted(area.worker_aluts.items())),

@@ -537,7 +537,7 @@ def run_rtl_cosim(
     if setup_args is None:
         setup_args = SMOKE_SETUP_ARGS.get(spec.name, list(spec.setup_args))
 
-    compiled = compile_kernel(spec, policy_enum, n_workers, fifo_depth)
+    compiled = compile_kernel(spec, policy_enum, n_workers)
 
     # ---------------------------------------------------------- oracle run
     memory, globals_, args = setup_workload(

@@ -20,6 +20,7 @@ from repro.fleet import interned_pipeline
 from repro.frontend import compile_c
 from repro.harness.__main__ import main
 from repro.harness.build import compile_kernel, compile_module
+from repro.hw import ENGINES
 from repro.ir import print_module
 from repro.kernels import ALL_KERNELS, KERNELS_BY_NAME
 from repro.pipeline import ReplicationPolicy, cgpa_compile
@@ -48,14 +49,14 @@ SMALL_KS = dataclasses.replace(
 )
 
 
-def _reference_compile(spec, policy, n_workers, fifo_depth):
+def _reference_compile(spec, policy, n_workers):
     """The hand-sequenced flow the eleven call sites used to carry."""
     module = compile_c(spec.source, spec.name)
     optimize_module(module)
     shapes = spec.shapes_for(module)
     return cgpa_compile(
         module, spec.accel_function, shapes=shapes, policy=policy,
-        n_workers=n_workers, fifo_depth=fifo_depth,
+        n_workers=n_workers,
     )
 
 
@@ -80,10 +81,10 @@ class TestCompileKernel:
     def test_same_ir_signature_and_verilog_as_the_hand_sequence(
         self, spec, policy
     ):
-        ours = compile_kernel(spec, policy, 2, 8)
-        reference = _reference_compile(spec, policy, 2, 8)
+        ours = compile_kernel(spec, policy, 2)
+        reference = _reference_compile(spec, policy, 2)
         assert print_module(ours.module) == print_module(reference.module)
-        assert ours.full_signature == reference.full_signature
+        assert ours.full_signature(8) == reference.full_signature(8)
         assert _verilog(ours) == _verilog(reference)
 
     @pytest.mark.parametrize("spec", ALL_KERNELS, ids=lambda s: s.name)
@@ -94,37 +95,36 @@ class TestCompileKernel:
 
     def test_defaults_are_the_paper_configuration(self):
         compiled = compile_kernel(KERNELS_BY_NAME["ks"])
-        assert compiled.full_signature == _reference_compile(
-            KERNELS_BY_NAME["ks"], ReplicationPolicy.P1, 4, 16
-        ).full_signature
+        assert compiled.full_signature() == _reference_compile(
+            KERNELS_BY_NAME["ks"], ReplicationPolicy.P1, 4
+        ).full_signature(16)
 
 
 class TestInternedPipeline:
     def test_equal_content_returns_the_same_object(self, fresh_memo):
         twin = dataclasses.replace(SMALL_KS, source=str(SMALL_KS.source))
-        first = interned_pipeline(SMALL_KS, ReplicationPolicy.P1, 2, 16)
-        assert interned_pipeline(twin, ReplicationPolicy.P1, 2, 16) is first
+        first = interned_pipeline(SMALL_KS, ReplicationPolicy.P1, 2)
+        assert interned_pipeline(twin, ReplicationPolicy.P1, 2) is first
         # The workload scale is not something compile_kernel reads.
         scaled = dataclasses.replace(SMALL_KS, setup_args=[12, 12])
-        assert interned_pipeline(scaled, ReplicationPolicy.P1, 2, 16) is first
+        assert interned_pipeline(scaled, ReplicationPolicy.P1, 2) is first
         assert len(fresh_memo) == 1
 
     def test_every_compile_input_is_in_the_key(self, fresh_memo):
-        base = interned_pipeline(SMALL_KS, ReplicationPolicy.P1, 2, 16)
+        base = interned_pipeline(SMALL_KS, ReplicationPolicy.P1, 2)
         # benchmarks/layers forces its cold passes with exactly this: a
         # trailing comment the compiler never sees.
         commented = dataclasses.replace(
             SMALL_KS, source=SMALL_KS.source + "\n// cold pass 1\n"
         )
         variants = [
-            (commented, ReplicationPolicy.P1, 2, 16),
-            (SMALL_KS, ReplicationPolicy.NONE, 2, 16),
-            (SMALL_KS, ReplicationPolicy.P1, 4, 16),
-            (SMALL_KS, ReplicationPolicy.P1, 2, 4),
+            (commented, ReplicationPolicy.P1, 2),
+            (SMALL_KS, ReplicationPolicy.NONE, 2),
+            (SMALL_KS, ReplicationPolicy.P1, 4),
             (dataclasses.replace(SMALL_KS, list_shape_sites=[]),
-             ReplicationPolicy.P1, 2, 16),
+             ReplicationPolicy.P1, 2),
             (dataclasses.replace(SMALL_KS, name="ks-renamed"),
-             ReplicationPolicy.P1, 2, 16),
+             ReplicationPolicy.P1, 2),
         ]
         seen = {id(base)}
         for args in variants:
@@ -137,10 +137,10 @@ class TestInternedPipeline:
             variant = dataclasses.replace(
                 SMALL_KS, source=SMALL_KS.source + f"\n// variant {n}\n"
             )
-            interned_pipeline(variant, ReplicationPolicy.P1, 2, 16)
+            interned_pipeline(variant, ReplicationPolicy.P1, 2)
             assert len(fresh_memo) <= 3
         # The newest entry always survives the wholesale drop.
-        assert interned_pipeline(variant, ReplicationPolicy.P1, 2, 16) is (
+        assert interned_pipeline(variant, ReplicationPolicy.P1, 2) is (
             next(reversed(fresh_memo.values()))
         )
 
@@ -148,13 +148,15 @@ class TestInternedPipeline:
     def test_consumers_leave_the_interned_module_untouched(
         self, spec, monkeypatch
     ):
-        compiled = interned_pipeline(spec, ReplicationPolicy.P1, 2, 16)
+        compiled = interned_pipeline(spec, ReplicationPolicy.P1, 2)
         before = print_module(compiled.module)
+        channels = [dataclasses.replace(c) for c in compiled.result.channels]
 
         evaluator = Evaluator(spec, engine="specialized")
-        point = DesignPoint(n_workers=2)
-        assert evaluator.compile(point) is compiled
-        assert evaluator.evaluate(point).ok
+        for depth in (16, 2):  # one pipeline, whatever depth it runs at
+            point = DesignPoint(n_workers=2, fifo_depth=depth)
+            assert evaluator.compile(point) is compiled
+            assert evaluator.evaluate(point).ok
         report = resilience_sweep(spec, n_plans=1, n_workers=2)
         assert report.timing_correct == 1
         assert _verilog(compiled)
@@ -164,33 +166,62 @@ class TestInternedPipeline:
         assert run_rtl_cosim(spec, setup_args=spec.setup_args).ok
 
         assert print_module(compiled.module) == before
-        assert interned_pipeline(spec, ReplicationPolicy.P1, 2, 16) is compiled
+        assert list(compiled.result.channels) == channels
+        assert interned_pipeline(spec, ReplicationPolicy.P1, 2) is compiled
 
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_two_threads_on_one_compile_key_match_the_serial_bytes(
-        self, fresh_memo
+        self, fresh_memo, engine
     ):
-        point = DesignPoint(n_workers=2, fifo_depth=4)
+        # Two depths of one compile key: the threads share one pipeline
+        # object and each binds its own depth on its own simulator.
+        points = [DesignPoint(n_workers=2, fifo_depth=d) for d in (4, 16)]
+        assert points[0].compile_key == points[1].compile_key
 
-        def evaluate() -> str:
-            result = Evaluator(SMALL_KS, engine="specialized").evaluate(point)
+        def evaluate(point) -> str:
+            result = Evaluator(SMALL_KS, engine=engine).evaluate(point)
             return json.dumps(result.to_dict(), sort_keys=True)
 
-        serial = evaluate()
+        serial = [evaluate(point) for point in points]
+        assert serial[0] != serial[1]
         fresh_memo.clear()  # both threads start from the same miss
         barrier = threading.Barrier(2)
-        answers: list[str] = []
+        answers: dict[int, str] = {}
 
-        def worker() -> None:
-            barrier.wait()
-            answers.append(evaluate())
+        def worker(index: int) -> None:
+            barrier.wait(timeout=60)
+            answers[index] = evaluate(points[index])
 
-        threads = [threading.Thread(target=worker) for _ in range(2)]
+        threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
-        assert answers == [serial, serial]
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert [answers[0], answers[1]] == serial
         assert len(fresh_memo) == 1
+
+
+class TestDepthIsBoundLate:
+    @pytest.mark.parametrize("spec,policy", KERNEL_POLICIES)
+    def test_shared_pipeline_scores_as_one_compiled_for_the_point_alone(
+        self, spec, policy, fresh_memo
+    ):
+        spec = dataclasses.replace(spec, setup_args=SMOKE_SETUP_ARGS[spec.name])
+        evaluator = Evaluator(spec)
+        for workers in (1, 2, 4):
+            points = [
+                DesignPoint(policy=policy.value, n_workers=workers, fifo_depth=d)
+                for d in (1, 4, 16)
+            ]
+            fresh_memo.clear()
+            shared = [evaluator.evaluate(point).to_dict() for point in points]
+            assert len(fresh_memo) == 1
+            for point, result in zip(points, shared):
+                fresh_memo.clear()  # a pipeline no other depth has run on
+                assert evaluator.evaluate(point).to_dict() == result
+                assert result["signature"].endswith(
+                    f"/{policy.value}/w{workers}/d{point.fifo_depth}")
 
 
 class TestDefaultPathHonoursSimulatorFlags:

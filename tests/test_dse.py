@@ -45,31 +45,26 @@ def small_sweep():
 
 
 class TestDesignPoint:
-    def test_compile_key_ignores_sim_knobs(self):
-        a = DesignPoint(cache_lines=64)
-        b = DesignPoint(cache_lines=512, private_caches=True)
-        assert a.compile_key == b.compile_key
+    def test_compile_key_ignores_timing_knobs(self):
+        # FIFO depth and the cache organisation belong to the instantiated
+        # machine: they move cycles, never the compiled pipeline.
+        a = DesignPoint(fifo_depth=4, cache_lines=64, cache_ports=1)
+        b = DesignPoint(fifo_depth=16, cache_lines=512, private_caches=True)
+        assert a.compile_key == b.compile_key == ("p1", 4)
 
-    def test_compile_key_tracks_compile_knobs(self):
+    def test_compile_key_tracks_partition_and_workers(self):
         base = DesignPoint()
         assert base.compile_key != DesignPoint(policy="p2").compile_key
         assert base.compile_key != DesignPoint(n_workers=8).compile_key
-        assert base.compile_key != DesignPoint(fifo_depth=8).compile_key
-
-    def test_structure_key_ignores_timing_knobs(self):
-        a = DesignPoint(fifo_depth=4, cache_lines=64, cache_ports=1)
-        b = DesignPoint(fifo_depth=16, cache_lines=512, private_caches=True)
-        assert a.structure_key == b.structure_key
-        assert a.compile_key != b.compile_key
-
-    def test_structure_key_tracks_partition_and_workers(self):
-        base = DesignPoint()
-        assert base.structure_key != DesignPoint(policy="p2").structure_key
-        assert base.structure_key != DesignPoint(n_workers=8).structure_key
 
     def test_dict_roundtrip(self):
         point = DesignPoint(policy="none", n_workers=8, private_caches=True)
         assert DesignPoint.from_dict(point.to_dict()) == point
+
+    def test_from_dict_drops_knobs_it_does_not_know(self):
+        point = DesignPoint(policy="none", fifo_depth=2)
+        newer = {**point.to_dict(), "new_knob": 3}
+        assert DesignPoint.from_dict(newer) == point
 
     def test_label_mentions_every_knob(self):
         label = DesignPoint(policy="p2", n_workers=8, fifo_depth=2).label
@@ -90,6 +85,11 @@ class TestConfigSpace:
         dict(policies=["p3"]),
         dict(cache_lines=[100]),       # not a power of two
         dict(n_workers=[]),
+        # bool is an int; the service contract's _is_pos_int rejects it.
+        dict(n_workers=[True]),
+        dict(fifo_depths=[4, True]),
+        dict(cache_lines=[True]),
+        dict(cache_ports=[True]),
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(CgpaError):
@@ -136,6 +136,9 @@ class TestEvaluator:
         assert result.status == "deadlock"
         assert "deadlock" in result.error
         assert result.cycles is None
+        # The watchdog reads the depth off the buffer the run instantiated.
+        assert "of depth 0)" in result.diagnosis
+        assert result.signature.endswith("/d0")
 
     def test_cycle_budget_exhaustion_is_timeout(self):
         result = Evaluator(SMALL_KS, max_cycles=50).evaluate(DesignPoint())
@@ -248,6 +251,24 @@ class TestExplorer:
         # Cache provenance must not leak into the deterministic report.
         assert (json.dumps(warm.to_json_dict(), sort_keys=True)
                 == json.dumps(cold.to_json_dict(), sort_keys=True))
+
+    def test_entry_with_an_unknown_point_knob_is_a_hit(self, tmp_path):
+        # A newer schema's entry (one more knob on the point) must load,
+        # not raise TypeError out of a warm sweep.
+        space = ConfigSpace(**SMALL_SPACE)
+        cache = ArtifactStore(tmp_path, lru_entries=0)
+        explorer = Explorer(SMALL_KS, space, cache=cache)
+        cold = explorer.run(GridStrategy())
+        first = cold.results[0]
+        key = result_key(SMALL_KS, first.point, explorer.max_cycles,
+                         explorer.engine)
+        entry = cache.get(key)
+        entry["point"]["new_knob"] = 3
+        cache.put(key, entry)
+        assert EvalResult.from_dict(cache.get(key)) == first
+        warm = Explorer(SMALL_KS, space, cache=cache).run(GridStrategy())
+        assert warm.cache_misses == 0
+        assert warm.results == cold.results
 
     def test_cache_invalidated_by_workload_change(self, tmp_path):
         cache = ArtifactStore(tmp_path, lru_entries=0)

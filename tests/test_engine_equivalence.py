@@ -39,7 +39,7 @@ def compiled_kernel(name: str):
         optimize_module(module)
         _COMPILED[name] = cgpa_compile(
             module, spec.accel_function, shapes=spec.shapes_for(module),
-            policy=ReplicationPolicy.P1, n_workers=4, fifo_depth=16,
+            policy=ReplicationPolicy.P1, n_workers=4,
         )
     return _COMPILED[name]
 
@@ -168,14 +168,13 @@ class TestFuzzedPipelines:
         compiled = cgpa_compile(
             module, "kernel", shapes=shapes,
             policy=ReplicationPolicy(policy), n_workers=workers,
-            fifo_depth=depth,
         )
         reports = {}
         for engine in ("event", "lockstep", "specialized"):
             system = AcceleratorSystem(
                 compiled.module, Memory(),
                 channels=compiled.result.channels,
-                engine=engine,
+                engine=engine, fifo_depth=depth,
             )
             reports[engine] = system.run("run", [n])
         assert_reports_identical(reports["event"], reports["lockstep"])

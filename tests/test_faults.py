@@ -82,7 +82,7 @@ def compiled_kernel(name: str):
         optimize_module(module)
         _COMPILED[name] = cgpa_compile(
             module, spec.accel_function, shapes=spec.shapes_for(module),
-            policy=ReplicationPolicy.P1, n_workers=4, fifo_depth=16,
+            policy=ReplicationPolicy.P1, n_workers=4,
         )
     return _COMPILED[name]
 
@@ -209,10 +209,11 @@ def _starved_consumer():
 
 
 def _overrun_producer():
-    """Two pushes into a depth-1 channel nobody drains (full-wait forever)."""
+    """Two pushes into a channel nobody drains (full-wait forever when its
+    buffer is one deep)."""
     module = Module("overrun")
     plan = ChannelPlan()
-    chan = plan.new_channel("tiny", I32, 0, 1, depth=1)
+    chan = plan.new_channel("tiny", I32, 0, 1)
 
     def body(b):
         b.block.append(Produce(chan, IRBuilder.const_int(0),
@@ -256,7 +257,11 @@ DEADLOCK_TOPOLOGIES = {
 
 
 def _run_until_deadlock(module, plan, engine: str) -> DeadlockError:
-    system = AcceleratorSystem(module, Memory(), channels=plan, engine=engine)
+    # Depth-1 buffers: what makes the overrun producer block; the other
+    # two topologies wait on empty queues at any depth.
+    system = AcceleratorSystem(
+        module, Memory(), channels=plan, engine=engine, fifo_depth=1
+    )
     with pytest.raises(DeadlockError) as info:
         system.run("parent", [])
     return info.value
@@ -315,7 +320,7 @@ class TestDeadlockDiagnosis:
         optimize_module(module)
         compiled = cgpa_compile(
             module, spec.accel_function, shapes=spec.shapes_for(module),
-            policy=ReplicationPolicy.P1, n_workers=2, fifo_depth=0,
+            policy=ReplicationPolicy.P1, n_workers=2,
         )
         errors = {}
         for engine in ENGINES:
@@ -323,7 +328,7 @@ class TestDeadlockDiagnosis:
             system = AcceleratorSystem(
                 compiled.module, memory,
                 channels=compiled.result.channels,
-                global_addresses=globals_, engine=engine,
+                global_addresses=globals_, engine=engine, fifo_depth=0,
             )
             with pytest.raises(DeadlockError) as info:
                 system.run(spec.measure_entry, args)
@@ -331,6 +336,7 @@ class TestDeadlockDiagnosis:
         assert str(errors["event"]) == str(errors["lockstep"])
         assert str(errors["event"]) == str(errors["specialized"])
         assert errors["event"].diagnosis.blocked  # graph is populated
+        assert "of depth 0)" in str(errors["event"])
 
     @pytest.mark.parametrize("seed", [11, 23])
     def test_injected_hang_diagnosed_identically(self, seed):
@@ -409,8 +415,8 @@ class TestInvariantMonitor:
     def test_corrupted_state_reports_every_violation(self):
         module = Module("m")
         plan = ChannelPlan()
-        plan.new_channel("c", I32, 0, 1, depth=4)
-        system = AcceleratorSystem(module, Memory(), channels=plan)
+        plan.new_channel("c", I32, 0, 1)
+        system = AcceleratorSystem(module, Memory(), channels=plan, fifo_depth=4)
         fifo = next(iter(system.fifos.values()))
         # Two independent lies: phantom pushes and an impossible occupancy
         # high-water mark.  The monitor must list both, not stop at one.
@@ -441,7 +447,8 @@ class TestInvariantMonitor:
 
 
 class _StubCompiled:
-    full_signature = "S-P-S/p1/stub"
+    def full_signature(self, depth):
+        return f"S-P-S/p1/stub/d{depth}"
 
 
 class TestEvaluatorClassification:
@@ -487,7 +494,7 @@ class TestEvaluatorClassification:
         ).evaluate(DesignPoint())
         assert result.status == "error"
         assert result.error == message
-        assert result.signature == _StubCompiled.full_signature
+        assert result.signature == "S-P-S/p1/stub/d16"
 
     def test_result_dict_tolerates_pre_diagnosis_cache_entries(self):
         result = EvalResult(point=DesignPoint(), status="deadlock",

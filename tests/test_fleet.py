@@ -48,7 +48,7 @@ from repro.fleet import (
 )
 from repro.errors import InterpError
 from repro.frontend import compile_c
-from repro.harness.build import compile_module
+from repro.harness.build import compile_kernel, compile_module
 from repro.harness.runner import run_check, setup_workload
 from repro.interp import Interpreter, reachable_ir
 from repro.kernels import ALL_KERNELS, KERNELS_BY_NAME
@@ -205,6 +205,20 @@ def interns(monkeypatch):
     return runs
 
 
+@pytest.fixture
+def compiles(monkeypatch):
+    """An empty pipeline memo and the ``compile_kernel`` calls behind it."""
+    monkeypatch.setattr(fleet, "_PIPELINE_MEMO", {})
+    calls = []
+
+    def counted(spec, policy, n_workers):
+        calls.append((policy.value, n_workers))
+        return compile_kernel(spec, policy, n_workers)
+
+    monkeypatch.setattr(fleet, "compile_kernel", counted)
+    return calls
+
+
 def _image(memory, globals_, args):
     return (
         memory.snapshot(), memory._brk, memory.image_key(),
@@ -220,7 +234,7 @@ def _designs(spec):
         if policy is ReplicationPolicy.P2 and not spec.supports_p2:
             continue
         for n_workers in (2, 4):
-            yield interned_pipeline(spec, policy, n_workers, 16).module
+            yield interned_pipeline(spec, policy, n_workers).module
 
 
 class TestInternedWorkloadIsContentAddressed:
@@ -266,9 +280,9 @@ void setup_and_blur(int height, int width) {
             *setup_workload(plain, spec)
         )
         designs = [
-            interned_pipeline(spec, policy, n_workers, depth).module
+            interned_pipeline(spec, policy, n_workers).module
             for policy in (ReplicationPolicy.P1, ReplicationPolicy.NONE)
-            for n_workers in (2, 4) for depth in (4, 16)
+            for n_workers in (2, 4)
         ]
         texts = {reachable_ir(m, spec.setup_function) for m in [plain, *designs]}
         assert len(texts) == 1 + len(designs)
@@ -292,7 +306,7 @@ def _post_run_image(spec):
     return module, memory, globals_, args
 
 
-#: benchmarks/layers' dse-sweep grid: 16 points on 8 compile keys.
+#: benchmarks/layers' dse-sweep grid: 16 points on 4 compile keys.
 GRID_16 = ConfigSpace(
     policies=["p1", "none"], n_workers=[2, 4], fifo_depths=[4, 16],
     cache_lines=[128, 512],
@@ -309,7 +323,7 @@ class TestInternedCheck:
             assert type(got) is type(expected) and got == expected
         assert interns["check"] == 1
         # A design that leaves the same image shares the run.
-        pipelined = interned_pipeline(spec, ReplicationPolicy.P1, 2, 4).module
+        pipelined = interned_pipeline(spec, ReplicationPolicy.P1, 2).module
         assert interned_check(pipelined, memory, globals_, spec) == expected
         assert interns["check"] == 1
 
@@ -338,13 +352,19 @@ class TestInternedCheck:
         assert interned_check(module, moved, globals_, spec) == clean
         assert interns["check"] == 4
 
-    def test_sixteen_point_grid_sets_up_and_checks_once(self, interns):
+    def test_sixteen_point_grid_sets_up_and_checks_once(self, interns, compiles):
         spec = KERNELS_BY_NAME["ks"]
         evaluator = Evaluator(spec, engine="specialized")
         results = [evaluator.evaluate(point) for point in GRID_16.grid()]
         assert len(results) == 16 and all(r.ok for r in results)
         assert len({r.checksum for r in results}) == 1
         assert interns == {"setup": 1, "check": 1}
+        # ... and compiles once per (policy, workers): FIFO depth is bound
+        # on the simulator, so the grid's two depths share each pipeline.
+        assert sorted(compiles) == [
+            ("none", 2), ("none", 4), ("p1", 2), ("p1", 4)
+        ]
+        assert len(fleet._PIPELINE_MEMO) == 4
 
     def test_two_threads_racing_on_one_key_agree(self, interns):
         spec = SMALL_BLUR

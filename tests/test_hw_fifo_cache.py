@@ -8,7 +8,7 @@ from repro.ir import Channel, I32
 
 
 def make_fifo(n_channels=4, depth=16):
-    return FifoBuffer(Channel(0, "t", I32, 0, 1, n_channels=n_channels, depth=depth))
+    return FifoBuffer(Channel(0, "t", I32, 0, 1, n_channels=n_channels), depth=depth)
 
 
 class TestFifo:
@@ -64,9 +64,14 @@ class TestFifo:
 
     def test_bram_accounting(self):
         # 32-bit slots: a 64-bit channel costs two slots per value.
-        from repro.ir import F64
-        fifo64 = FifoBuffer(Channel(1, "d", F64, 0, 1, n_channels=4, depth=16))
-        assert fifo64.bram_bits == 32 * 2 * 16 * 4
+        # The formula lives once, in the area model, which is given the
+        # depth the buffers are instantiated with.
+        from repro.cost import accelerator_area
+        from repro.ir import ChannelPlan, F64
+        plan = ChannelPlan()
+        plan.new_channel("d", F64, 0, 1, n_channels=4)
+        assert accelerator_area([], [], plan).bram_bits == 32 * 2 * 16 * 4
+        assert accelerator_area([], [], plan, fifo_depth=2).bram_bits == 32 * 2 * 2 * 4
 
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3)), max_size=200))
     @settings(max_examples=50, deadline=None)

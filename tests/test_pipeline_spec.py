@@ -3,6 +3,7 @@
 import pytest
 
 from repro.frontend import compile_c
+from repro.hw.fifo import FifoBuffer
 from repro.ir import (
     Channel,
     ChannelPlan,
@@ -31,8 +32,11 @@ class TestChannel:
     def test_defaults_match_paper(self):
         assert DEFAULT_FIFO_DEPTH == 16
         assert DEFAULT_FIFO_WIDTH == 32
-        c = Channel(0, "a", I32, 0, 1)
-        assert c.depth == 16
+        # A channel carries no depth; the buffer built from it defaults
+        # to the paper's.
+        channel = Channel(0, "a", I32, 0, 1)
+        assert not hasattr(channel, "depth")
+        assert FifoBuffer(channel).depth == 16
 
     def test_plan_assigns_sequential_ids(self):
         plan = ChannelPlan()
@@ -59,20 +63,19 @@ class TestPipelineSpec:
         assert em3d_spec.parallel_stage.kind is StageKind.PARALLEL
 
     def test_full_signature_is_unambiguous(self, em3d_spec):
-        # The transform recorded the realized FIFO depth on the spec, so
-        # the full signature pins shape + policy + workers + depth.
-        assert em3d_spec.fifo_depth == DEFAULT_FIFO_DEPTH
-        assert em3d_spec.full_signature == "S-P/p1/w4/d16"
+        # The spec knows shape + policy + workers; the depth is the one
+        # the caller runs with (default: the paper's).
+        assert em3d_spec.full_signature() == "S-P/p1/w4/d16"
+        assert em3d_spec.full_signature(2) == "S-P/p1/w4/d2"
 
     def test_full_signature_tracks_knobs(self):
         module = compile_c(EM3D.source, "em3d")
         optimize_module(module)
         compiled = cgpa_compile(
             module, "kernel", shapes=EM3D.shapes_for(module),
-            policy=ReplicationPolicy.P2, n_workers=2, fifo_depth=8,
-            rewrite_parent=False,
+            policy=ReplicationPolicy.P2, n_workers=2, rewrite_parent=False,
         )
-        assert compiled.full_signature.endswith("/p2/w2/d8")
+        assert compiled.full_signature(8).endswith("/p2/w2/d8")
         # The bare Table-2 shape string stays untouched (deprecated alias).
         assert "/" not in compiled.signature
 

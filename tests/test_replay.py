@@ -106,11 +106,12 @@ def no_image(checksum):
 def run_point(spec, policy, workers, timing, system=AcceleratorSystem,
               workload=INTERNED_WORKLOAD):
     depth, lines, ports, private, miss = timing
-    compiled = interned_pipeline(spec, ReplicationPolicy(policy), workers, depth)
+    compiled = interned_pipeline(spec, ReplicationPolicy(policy), workers)
     return run_hardware(
         spec, f"cgpa-{policy}", compiled,
         DirectMappedCache(n_lines=lines, ports=ports, miss_penalty=miss),
         workload=workload, private_caches=private, system=system,
+        fifo_depth=depth,
     )
 
 
@@ -146,7 +147,7 @@ class TestReplayEqualsSpecialized:
         evaluator = Evaluator(KERNELS_BY_NAME[name])
         groups: dict = {}
         for point in ConfigSpace(**SWEEP_SPACE).grid():
-            groups.setdefault(point.structure_key, []).append(point)
+            groups.setdefault(point.compile_key, []).append(point)
         for points in groups.values():
             results, tally = evaluator.evaluate_structure(points)
             assert tally == {
@@ -158,6 +159,16 @@ class TestReplayEqualsSpecialized:
     def _fuzzed(source, entry_args, policy, workers):
         """Replay of a fuzzed pipeline at two other (depth, lines, private)
         timings against full runs; returns whether the gate let it."""
+        module = compile_c(source)
+        optimize_module(module)
+        shapes = RegionShapes()
+        for site in malloc_site_table(module):
+            shapes.declare(site, Shape.LIST)
+        # One pipeline per (policy, workers): depth belongs to the systems.
+        compiled = cgpa_compile(
+            module, "kernel", shapes=shapes,
+            policy=ReplicationPolicy(policy), n_workers=workers,
+        )
         reports = {}
         recording = Recording()
         for kind, depth, lines, private in [
@@ -165,15 +176,6 @@ class TestReplayEqualsSpecialized:
             ("replay", 2, 16, True), ("full", 1, 128, False),
             ("replay", 1, 128, False),
         ]:
-            module = compile_c(source)
-            optimize_module(module)
-            shapes = RegionShapes()
-            for site in malloc_site_table(module):
-                shapes.declare(site, Shape.LIST)
-            compiled = cgpa_compile(
-                module, "kernel", shapes=shapes, fifo_depth=depth,
-                policy=ReplicationPolicy(policy), n_workers=workers,
-            )
             if kind == "replay" and not recording.usable:
                 continue
             build = {"record": recording.recorder, "full": AcceleratorSystem,
@@ -183,7 +185,7 @@ class TestReplayEqualsSpecialized:
                 channels=compiled.result.channels,
                 cache=DirectMappedCache(n_lines=lines),
                 global_addresses={} if kind == "replay" else None,
-                private_caches=private,
+                private_caches=private, fifo_depth=depth,
             )
             reports[kind, depth] = system.run("run", entry_args).to_dict()
         for (kind, depth), report in reports.items():
@@ -223,7 +225,7 @@ def hand_built(task_body, n_queues=1):
     builder, channel, worker)``, pops what they pushed, joins them."""
     m = Module("m")
     plan = ChannelPlan()
-    channel = plan.new_channel("c", I32, 0, 1, n_channels=n_queues, depth=4)
+    channel = plan.new_channel("c", I32, 0, 1, n_channels=n_queues)
     pushes = 0
     forks = []
     for worker in (0, 1):
@@ -245,11 +247,9 @@ def hand_built(task_body, n_queues=1):
 
 
 def record(module, plan, depth=4):
-    for channel in plan:
-        channel.depth = depth
     recording = Recording()
-    report = recording.recorder(module, Memory(), channels=plan).run("parent", [])
-    return recording, report
+    system = recording.recorder(module, Memory(), channels=plan, fifo_depth=depth)
+    return recording, system.run("parent", [])
 
 
 def global_of(m, name):
@@ -266,11 +266,11 @@ class TestGate:
         recording, _ = record(module, plan)
         assert recording.usable
         for depth in (1, 16):
-            for channel in plan:
-                channel.depth = depth
-            full = AcceleratorSystem(module, Memory(), channels=plan)
+            full = AcceleratorSystem(
+                module, Memory(), channels=plan, fifo_depth=depth)
             replayed = recording.replayer(
-                module, None, channels=plan, global_addresses={})
+                module, None, channels=plan, global_addresses={},
+                fifo_depth=depth)
             assert (replayed.run("parent", []).to_dict()
                     == full.run("parent", []).to_dict())
 
@@ -428,7 +428,7 @@ class TestFallbackAndBypass:
         recording = Recording()
         recorded = run_point(spec, "p1", 2, TIMINGS[0], recording.recorder)
         assert recording.usable
-        compiled = interned_pipeline(spec, ReplicationPolicy.P1, 2, 4)
+        compiled = interned_pipeline(spec, ReplicationPolicy.P1, 2)
         backpressure = FaultPlan(seed=0, kind="timing", faults=(
             FifoBackpressureFault(0, start=10, duration=50),))
         observers = [

@@ -64,9 +64,8 @@ def small_spec(name: str):
     return dataclasses.replace(KERNELS_BY_NAME[name], setup_args=SMALL_ARGS[name])
 
 
-def compiled_kernel(name: str, policy: str = "p1", n_workers: int = 4,
-                    fifo_depth: int = 16):
-    key = (name, policy, n_workers, fifo_depth)
+def compiled_kernel(name: str, policy: str = "p1", n_workers: int = 4):
+    key = (name, policy, n_workers)
     if key not in _COMPILED:
         spec = small_spec(name)
         module = compile_c(spec.source, spec.name)
@@ -74,7 +73,6 @@ def compiled_kernel(name: str, policy: str = "p1", n_workers: int = 4,
         _COMPILED[key] = cgpa_compile(
             module, spec.accel_function, shapes=spec.shapes_for(module),
             policy=ReplicationPolicy(policy), n_workers=n_workers,
-            fifo_depth=fifo_depth,
         )
     return _COMPILED[key]
 

@@ -44,7 +44,7 @@ from repro.telemetry import (
 )
 
 
-def build_two_stage(depth: int = 4, n_values: int = 12, slow_consumer=False,
+def build_two_stage(n_values: int = 12, slow_consumer=False,
                     slow_producer=False):
     """Hand-built 2-stage pipeline: producer pushes N ints, consumer pops.
 
@@ -54,7 +54,7 @@ def build_two_stage(depth: int = 4, n_values: int = 12, slow_consumer=False,
     """
     module = Module("pipe")
     plan = ChannelPlan()
-    chan = plan.new_channel("vals", I32, 0, 1, depth=depth)
+    chan = plan.new_channel("vals", I32, 0, 1)
 
     producer = module.new_function("producer", FunctionType(VOID, []), [])
     pb = IRBuilder(producer.new_block("entry"))
@@ -97,9 +97,9 @@ def build_two_stage(depth: int = 4, n_values: int = 12, slow_consumer=False,
 
 def run_two_stage(depth: int = 4, n_values: int = 12, sink=None,
                   slow_consumer=False, slow_producer=False):
-    module, plan = build_two_stage(depth, n_values, slow_consumer,
-                                   slow_producer)
-    system = AcceleratorSystem(module, Memory(), channels=plan, sink=sink)
+    module, plan = build_two_stage(n_values, slow_consumer, slow_producer)
+    system = AcceleratorSystem(module, Memory(), channels=plan, sink=sink,
+                               fifo_depth=depth)
     return system.run("parent", [])
 
 
@@ -286,8 +286,8 @@ class TestBottleneckAnalysis:
 class TestFifoProtocolGuards:
     def test_push_to_full_raises(self):
         plan = ChannelPlan()
-        chan = plan.new_channel("c", I32, 0, 1, depth=2)
-        fifo = FifoBuffer(chan)
+        chan = plan.new_channel("c", I32, 0, 1)
+        fifo = FifoBuffer(chan, depth=2)
         fifo.push(0, 1)
         fifo.push(0, 2)
         with pytest.raises(SimulationError, match="full"):
@@ -302,8 +302,8 @@ class TestFifoProtocolGuards:
 
     def test_broadcast_to_full_raises(self):
         plan = ChannelPlan()
-        chan = plan.new_channel("c", I32, 0, 1, n_channels=2, depth=1)
-        fifo = FifoBuffer(chan)
+        chan = plan.new_channel("c", I32, 0, 1, n_channels=2)
+        fifo = FifoBuffer(chan, depth=1)
         fifo.push_broadcast(7)
         with pytest.raises(SimulationError, match="full"):
             fifo.push_broadcast(8)
