@@ -4,8 +4,8 @@ The evaluator is deliberately *total*: a configuration that deadlocks,
 blows its cycle budget, or fails to compile produces an
 :class:`EvalResult` with the corresponding ``status`` instead of raising,
 so one pathological point can never abort a sweep.  Compilation goes
-through :func:`repro.fleet.interned_pipeline`, so points that differ
-only in the knobs of the instantiated machine (FIFO depth, cache
+through :func:`~repro.harness.build.interned_pipeline`, so points that
+differ only in the knobs of the instantiated machine (FIFO depth, cache
 organisation) — in this evaluator or any other in the process — reuse
 the same :class:`~repro.pipeline.driver.CompiledPipeline`, which no
 evaluation writes to.
@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from ..errors import CgpaError, CycleBudgetExceeded, DeadlockError
-from ..fleet import INTERNED_WORKLOAD, interned_pipeline
+from ..harness.build import interned_pipeline
 from ..harness.runner import Workload, run_hardware
-from ..hw import DEFAULT_ENGINE, AcceleratorSystem, DirectMappedCache
+from ..hw import DEFAULT_ENGINE, DirectMappedCache
 from ..hw.replay import Recording
 from ..kernels import KernelSpec
 from ..pipeline import CompiledPipeline
@@ -191,7 +191,8 @@ class Evaluator:
 
     def _evaluate(self, point: DesignPoint, **run_path) -> EvalResult:
         """:meth:`evaluate`, with ``run_path`` overriding how
-        :meth:`_simulate` builds the simulator and its workload."""
+        ``run_hardware`` builds the simulator (``system=``) and, for a
+        replay, its workload (``workload=``)."""
         try:
             compiled = self.compile(point)
         except CgpaError as exc:
@@ -224,22 +225,18 @@ class Evaluator:
         self,
         point: DesignPoint,
         compiled: CompiledPipeline,
-        system=AcceleratorSystem,
-        workload: Workload = INTERNED_WORKLOAD,
+        **run_path,
     ) -> EvalResult:
-        # INTERNED_WORKLOAD: set-up runs once per (kernel, workload) in a
-        # process and check once per distinct post-run image.
         run = run_hardware(
             self.spec, f"cgpa-{point.policy}", compiled,
             DirectMappedCache(
                 n_lines=point.cache_lines, ports=point.cache_ports
             ),
-            workload=workload,
             engine=self.engine,
             max_cycles=self.max_cycles,
             private_caches=point.private_caches,
-            system=system,
             fifo_depth=point.fifo_depth,
+            **run_path,
         )
         sim = run.sim
         return EvalResult(

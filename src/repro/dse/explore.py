@@ -16,7 +16,7 @@ Work is sharded by :attr:`DesignPoint.compile_key`: each pool task is
 *all* points of one (policy, worker count), which
 :meth:`Evaluator.evaluate_structure` scores from one compiled pipeline
 and one recorded simulation plus a timing replay per sibling.  The
-per-process pipeline intern (:func:`repro.fleet.interned_pipeline`)
+per-process pipeline intern (:func:`repro.harness.build.interned_pipeline`)
 keeps compiled pipelines alive across batches and strategy rounds, so
 each compile key is compiled once per pool process and reused across the
 FIFO-depth and cache variants that share it.

@@ -48,7 +48,8 @@ class DesignPoint:
         Points sharing a compile key differ only in knobs that move
         cycles, never values (FIFO depth, cache organisation), which are
         bound on the simulator and the cost model.  So they reuse one
-        compiled pipeline (:func:`repro.fleet.interned_pipeline`) and one
+        compiled pipeline
+        (:func:`repro.harness.build.interned_pipeline`) and one
         recorded simulation re-times all of them
         (:meth:`~repro.dse.evaluate.Evaluator.evaluate_structure`; the
         explorer groups work by this).

@@ -24,9 +24,10 @@ Plans are independent, so the sweep fans them out over the shared
 records come back in index order and the serial path runs the same
 :func:`_run_plan_task`, so the report is byte-identical at any pool
 size.  Each pool process compiles the sweep configuration once
-(:func:`repro.fleet.interned_pipeline`) and stamps out interned workload
-images per run; the interpreter-oracle liveouts are computed once, in the
-parent, and travel in the task tuple next to the baseline cycle count.
+(:func:`repro.harness.build.interned_pipeline`) and stamps out interned
+workload images per run; the interpreter-oracle liveouts are computed
+once, in the parent, and travel in the task tuple next to the baseline
+cycle count.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ from ..errors import (
     InvariantViolationError,
     SimulationError,
 )
-from ..fleet import INTERNED_WORKLOAD, FleetExecutor, interned_pipeline
-from ..harness.build import compile_module
+from ..fleet import FleetExecutor
+from ..harness.build import compile_module, interned_pipeline
 from ..harness.runner import (
     BackendResult,
-    run_check,
+    interned_check,
+    interned_workload,
     run_hardware,
-    setup_workload,
 )
 from ..hw import DEFAULT_ENGINE, DirectMappedCache
 from ..interp import Interpreter
@@ -224,10 +225,10 @@ def _oracle_liveouts(spec: KernelSpec) -> tuple[float, int | float | None]:
     through the latter, so corruption detection must compare both.
     """
     plain = compile_module(spec)
-    memory, globals_, args = setup_workload(plain, spec)
+    memory, globals_, args = interned_workload(plain, spec)
     interp = Interpreter(plain, memory, global_addresses=globals_)
     oracle_return = interp.call(spec.measure_entry, args)
-    return float(run_check(plain, memory, globals_, spec)), oracle_return
+    return float(interned_check(plain, memory, globals_, spec)), oracle_return
 
 
 def _simulate(
@@ -239,7 +240,6 @@ def _simulate(
         spec, "cgpa-p1",
         interned_pipeline(spec, ReplicationPolicy.P1, n_workers),
         DirectMappedCache(ports=8),
-        workload=INTERNED_WORKLOAD,
         engine=engine,
         fifo_depth=fifo_depth,
         **faults,

@@ -40,17 +40,14 @@ Every supervision action is recorded as a :class:`FleetEvent` on
 reports crash/retry/timeout/respawn history alongside the runs.
 
 Task functions must be module-level (picklable) and take their heavy
-state from the three per-process interns here, keyed by content — each
-pool process then compiles a kernel, builds its workload and checks a
-result image once, no matter how many tasks land on it.
-:func:`interned_pipeline` is :func:`~repro.harness.build.compile_kernel`
-through the process's one compiled-pipeline memo;
-:func:`interned_workload` runs a kernel's functional setup once per
-(kernel, workload) and stamps out
-:meth:`~repro.interp.memory.Memory.clone`\\ s; :func:`interned_check`
-interprets the kernel's ``check`` once per distinct post-run image.  A
-key holds everything the memoized run can read, so a hit is the value a
-fresh run would have returned, not an assumption about the design.
+state from the per-process memos of the build and run path, keyed by
+content — :func:`repro.harness.build.interned_pipeline`, and the image
+and checksum memos :func:`repro.harness.runner.run_hardware` runs
+through by default — so each pool process compiles a kernel, builds its
+workload and checks a result image once, no matter how many tasks land
+on it.  This package is the pool and nothing else; the three
+``interned_*`` names are importable from here only because the layers
+benchmark and the tests import them from here.
 
 :mod:`repro.fleet.chaos` supplies the deterministic failure-injection
 hooks (worker kills, task delays, artifact corruption) the chaos tests
@@ -70,46 +67,12 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from ..errors import CgpaError
-from ..harness.build import compile_kernel
-from ..harness.runner import Workload, run_check, setup_workload
-from ..interp import reachable_ir
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..interp.memory import Memory
-    from ..kernels import KernelSpec
-    from ..pipeline import CompiledPipeline, ReplicationPolicy
-
-#: The process's one compiled-pipeline memo, keyed on everything
-#: ``compile_kernel`` reads (see :func:`interned_pipeline`).
-_PIPELINE_MEMO: dict = {}
-
-#: Pristine post-setup images ``(memory, globals, args)``, keyed on
-#: everything the set-up run reads (see :func:`interned_workload`).
-_WORKLOAD_MEMO: dict = {}
-
-#: Checksums, keyed on everything the check run reads: the post-run
-#: image byte for byte (see :func:`interned_check`).
-_CHECK_MEMO: dict = {}
-
-#: Entries a memo keeps before it is dropped wholesale.  A pipeline is
-#: the heavy entry; an image is kilobytes and a checksum one number, so
-#: the cap bounds resident bytes, not correctness.
-_MEMO_ENTRIES = 32
-
-
-def _interned(memo: dict, key, build: Callable):
-    """``memo[key]``, built on a miss.  Two threads missing one key both
-    build; ``setdefault`` publishes one value to both."""
-    value = memo.get(key)
-    if value is None:
-        value = build()
-        if len(memo) >= _MEMO_ENTRIES:
-            memo.clear()
-        value = memo.setdefault(key, value)
-    return value
+# Re-imported for benchmarks/layers and the tests, which import them from here.
+from ..harness.build import interned_pipeline
+from ..harness.runner import interned_check, interned_workload
 
 
 class TaskCrashed(CgpaError):
@@ -187,87 +150,6 @@ class FleetEvent:
             "attempt": self.attempt,
             "detail": self.detail,
         }
-
-
-def interned_pipeline(
-    spec: "KernelSpec",
-    policy: "ReplicationPolicy",
-    n_workers: int,
-) -> "CompiledPipeline":
-    """``compile_kernel`` through the per-process pipeline memo.
-
-    Equal content returns the *same* object (so the specialized programs
-    cached on its functions are shared by every evaluator, sweep and
-    service job in the process); any difference in what
-    ``compile_kernel`` reads — one trailing comment in the source
-    included — is a miss.  Consumers treat the pipeline as read-only:
-    simulators keep their state — FIFO sizes included — on the
-    ``AcceleratorSystem``, so threads running different timings may
-    share one entry.
-    """
-    sites = spec.list_shape_sites
-    key = (
-        spec.name, spec.source, spec.accel_function,
-        sites if isinstance(sites, str) else tuple(sites),
-        policy, n_workers,
-    )
-    return _interned(
-        _PIPELINE_MEMO, key, lambda: compile_kernel(spec, policy, n_workers)
-    )
-
-
-def interned_workload(module, spec: "KernelSpec"):
-    """``setup_workload`` through the per-process image memo.
-
-    Returns ``(memory, globals, args)`` exactly like
-    :func:`repro.harness.runner.setup_workload`: a fresh
-    :meth:`~repro.interp.memory.Memory.clone` of the pristine image,
-    allocator break, allocation list and access counters included.  The
-    key is what the set-up run can read — the
-    :func:`~repro.interp.reachable_ir` of ``spec.setup_function`` in
-    ``module``, its arguments and the number of kernel arguments read
-    back — so every design of a kernel whose set-up code the pipeline
-    transform left alone shares one run, and one that it rewrote does
-    not.  Name and source are in the key as in :func:`interned_pipeline`:
-    source the process has not seen is a miss in every layer.
-    """
-    key = (
-        spec.name, spec.source, tuple(spec.setup_args), spec.n_kernel_args,
-        reachable_ir(module, spec.setup_function),
-    )
-    memory, globals_, args = _interned(
-        _WORKLOAD_MEMO, key, lambda: setup_workload(module, spec)
-    )
-    return memory.clone(), dict(globals_), list(args)
-
-
-def interned_check(
-    module, memory: "Memory", global_addresses: dict, spec: "KernelSpec"
-) -> float:
-    """``run_check`` through the per-process checksum memo.
-
-    The key is the :func:`~repro.interp.reachable_ir` of
-    ``spec.check_function``, the global addresses and
-    :meth:`~repro.interp.memory.Memory.image_key` — the break and a
-    sha256 of the whole buffer — which is all ``check`` can read.  An
-    image that differs in one byte is a miss and is interpreted, so a
-    wrong design or a corrupted run is scored by the real ``check``; the
-    designs of a sweep that all leave the oracle's image share one run.
-    On a hit ``memory`` is left as the simulation left it.
-    """
-    key = (
-        spec.name, spec.source,
-        reachable_ir(module, spec.check_function),
-        tuple(global_addresses.items()), memory.image_key(),
-    )
-    return _interned(
-        _CHECK_MEMO, key,
-        lambda: run_check(module, memory, global_addresses, spec),
-    )
-
-
-#: The memoized pair for :func:`repro.harness.runner.run_hardware`.
-INTERNED_WORKLOAD = Workload(interned_workload, interned_check)
 
 
 def _supervised_call(fn: Callable, index: int, task):

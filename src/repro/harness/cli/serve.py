@@ -9,7 +9,13 @@ from .options import _add_processes, _add_store_argument, _positive_int
 
 
 def serve_main(argv: list[str]) -> int:
-    """``python -m repro.harness serve`` — the long-lived service."""
+    """``python -m repro.harness serve`` — the long-lived service.
+
+    Each flag is a :class:`ServiceConfig` field: it parses into the
+    namespace under the field's name, and its default (and the number in
+    its help line) is the field's.
+    """
+    config = ServiceConfig()
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness serve",
         description="Run the CGPA toolchain as an HTTP service: submit "
@@ -19,16 +25,16 @@ def serve_main(argv: list[str]) -> int:
         "onto one job, and each client is token-bucket rate limited.",
     )
     parser.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default: 127.0.0.1)",
+        "--host", default=config.host,
+        help=f"bind address (default: {config.host})",
     )
     parser.add_argument(
-        "--port", type=int, default=8337,
-        help="bind port; 0 picks an ephemeral port (default: 8337)",
+        "--port", type=int, default=config.port,
+        help=f"bind port; 0 picks an ephemeral port (default: {config.port})",
     )
     parser.add_argument(
-        "--workers", type=_positive_int, default=2,
-        help="job worker threads draining the queue (default: 2)",
+        "--workers", type=_positive_int, default=config.workers,
+        help=f"job worker threads draining the queue (default: {config.workers})",
     )
     _add_processes(
         parser,
@@ -38,46 +44,40 @@ def serve_main(argv: list[str]) -> int:
     )
     _add_store_argument(parser)
     parser.add_argument(
-        "--lru-entries", type=int, default=512,
+        "--lru-entries", type=int, default=config.lru_entries,
         help="artifacts kept warm in memory above the disk store "
-        "(default: 512; 0 disables the warm layer)",
+        f"(default: {config.lru_entries}; 0 disables the warm layer)",
     )
     parser.add_argument(
-        "--rate", type=float, default=32.0, metavar="PER_S",
-        help="sustained per-client request rate (default: 32/s)",
+        "--rate", type=float, metavar="PER_S",
+        dest="rate_refill_per_s", default=config.rate_refill_per_s,
+        help="sustained per-client request rate "
+        f"(default: {config.rate_refill_per_s:g}/s)",
     )
     parser.add_argument(
-        "--burst", type=float, default=64.0, metavar="TOKENS",
-        help="per-client burst budget (token-bucket capacity, default: 64)",
+        "--burst", type=float, metavar="TOKENS",
+        dest="rate_capacity", default=config.rate_capacity,
+        help="per-client burst budget (token-bucket capacity, "
+        f"default: {config.rate_capacity:g})",
     )
     parser.add_argument(
-        "--job-deadline", type=float, default=None, metavar="SECONDS",
+        "--job-deadline", type=float, metavar="SECONDS",
+        dest="job_deadline_s", default=config.job_deadline_s,
         help="wall-clock deadline per job; an overrunning job ends in "
         "status=timeout instead of wedging a worker (default: none)",
     )
     parser.add_argument(
-        "--job-retries", type=int, default=1, metavar="N",
+        "--job-retries", type=int, default=config.job_retries, metavar="N",
         help="retries for a job whose pool worker crashed, on a "
-        "respawned pool (default: 1)",
+        f"respawned pool (default: {config.job_retries})",
     )
     parser.add_argument(
-        "--drain-timeout", type=float, default=5.0, metavar="SECONDS",
+        "--drain-timeout", type=float, metavar="SECONDS",
+        default=config.drain_timeout,
         help="how long shutdown waits for in-flight jobs while answering "
-        "new submissions with 503 + Retry-After (default: 5)",
+        "new submissions with 503 + Retry-After "
+        f"(default: {config.drain_timeout:g})",
     )
-    args = parser.parse_args(argv)
-
-    run_server(ServiceConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        processes=args.processes,
-        store_root=str(args.store),
-        lru_entries=args.lru_entries,
-        rate_capacity=args.burst,
-        rate_refill_per_s=args.rate,
-        job_deadline_s=args.job_deadline,
-        job_retries=args.job_retries,
-        drain_timeout=args.drain_timeout,
-    ))
+    fields = vars(parser.parse_args(argv))
+    run_server(ServiceConfig(store_root=str(fields.pop("store")), **fields))
     return 0

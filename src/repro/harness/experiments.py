@@ -435,9 +435,10 @@ def memory_system_ablation(
     """
     points = []
     for n_workers in worker_counts:
+        compiled = compile_kernel(spec, n_workers=n_workers)
         for private in (False, True):
             run = run_hardware(
-                spec, "cgpa-p1", compile_kernel(spec, n_workers=n_workers),
+                spec, "cgpa-p1", compiled,
                 DirectMappedCache(ports=8), private_caches=private,
             )
             label = "private" if private else "shared"

@@ -13,6 +13,13 @@ Every backend consumes a bit-identical workload (built by the kernel's
 ``setup`` under the functional interpreter) and is validated against the
 kernel's checksum function — the reproduction of the paper's statement
 that every generated design passed verification.
+
+Those two interpreter runs are spelled here and nowhere else:
+:func:`setup_workload` and :func:`run_check` are the pure runs, and
+:func:`interned_workload` and :func:`interned_check` — what every caller
+uses — are the same runs through two per-process memos whose keys hold
+everything the run can read, so a hit is the value a fresh run would
+have returned, not an assumption about the design.
 """
 
 from __future__ import annotations
@@ -30,13 +37,13 @@ from ..cost import (
 )
 from ..errors import CgpaError
 from ..hw import DEFAULT_ENGINE, AcceleratorSystem, DirectMappedCache, SimReport, run_on_mips
-from ..interp import Interpreter, Memory, to_unsigned
+from ..interp import Interpreter, Memory, reachable_ir, to_unsigned
 from ..ir import DEFAULT_FIFO_DEPTH, I32
 from ..ir.module import Module
 from ..kernels import KARGS_GLOBAL, KernelSpec
 from ..pipeline import CompiledPipeline, ReplicationPolicy
 from ..telemetry.events import TraceSink
-from .build import compile_kernel, compile_module
+from .build import _interned, compile_kernel, compile_module
 
 DEFAULT_BACKENDS = ("mips", "legup", "cgpa-p1")
 
@@ -121,10 +128,8 @@ def _close(a, b, rel=1e-9) -> bool:
 def setup_workload(module, spec: KernelSpec):
     """Run the kernel's setup functionally; returns (memory, globals, args).
 
-    Public API: the DSE evaluator, the fault sweeps, the fleet executor
-    and the benchmarks all build their workload images through this one
-    function (:func:`repro.fleet.interned_workload` memoizes and clones
-    the result, so a process pays for setup once per kernel and workload).
+    The one set-up run, and the reference :func:`interned_workload` is
+    tested against; ``src/repro`` reaches it through that memo only.
     """
     interp = Interpreter(module)
     interp.call(spec.setup_function, list(spec.setup_args))
@@ -139,29 +144,84 @@ def setup_workload(module, spec: KernelSpec):
 def run_check(module, memory, global_addresses, spec: KernelSpec) -> float:
     """Interpret the kernel's ``check`` function over a post-run image.
 
-    Public API: the one checksum path; the DSE evaluator and the fault
-    sweeps reach it through :func:`repro.fleet.interned_check`.
+    The one checksum run, and the reference :func:`interned_check` is
+    tested against; ``src/repro`` reaches it through that memo only.
     """
     interp = Interpreter(module, memory, global_addresses=global_addresses)
     return interp.call(spec.check_function, [])
 
 
+#: Pristine post-setup images ``(memory, globals, args)``, keyed on
+#: everything the set-up run reads (see :func:`interned_workload`).
+_WORKLOAD_MEMO: dict = {}
+
+#: Checksums, keyed on everything the check run reads: the post-run
+#: image byte for byte (see :func:`interned_check`).
+_CHECK_MEMO: dict = {}
+
+
+def interned_workload(module, spec: KernelSpec):
+    """``setup_workload`` through the per-process image memo.
+
+    Returns ``(memory, globals, args)`` exactly like
+    :func:`setup_workload`: a fresh
+    :meth:`~repro.interp.memory.Memory.clone` of the pristine image,
+    allocator break, allocation list and access counters included.  The
+    key is what the set-up run can read — the
+    :func:`~repro.interp.reachable_ir` of ``spec.setup_function`` in
+    ``module``, its arguments and the number of kernel arguments read
+    back — so every design of a kernel whose set-up code the pipeline
+    transform left alone shares one run, and one that it rewrote does
+    not.  Name and source are in the key as in
+    :func:`~repro.harness.build.interned_pipeline`: source the process
+    has not seen is a miss in every layer.
+    """
+    key = (
+        spec.name, spec.source, tuple(spec.setup_args), spec.n_kernel_args,
+        reachable_ir(module, spec.setup_function),
+    )
+    memory, globals_, args = _interned(
+        _WORKLOAD_MEMO, key, lambda: setup_workload(module, spec)
+    )
+    return memory.clone(), dict(globals_), list(args)
+
+
+def interned_check(
+    module, memory: Memory, global_addresses: dict, spec: KernelSpec
+) -> float:
+    """``run_check`` through the per-process checksum memo.
+
+    The key is the :func:`~repro.interp.reachable_ir` of
+    ``spec.check_function``, the global addresses and
+    :meth:`~repro.interp.memory.Memory.image_key` — the break and a
+    sha256 of the whole buffer — which is all ``check`` can read.  An
+    image that differs in one byte is a miss and is interpreted, so a
+    wrong design or a corrupted run is scored by the real ``check``; the
+    designs of a sweep that all leave the oracle's image share one run.
+    On a hit ``memory`` is left as the simulation left it.
+    """
+    key = (
+        spec.name, spec.source,
+        reachable_ir(module, spec.check_function),
+        tuple(global_addresses.items()), memory.image_key(),
+    )
+    return _interned(
+        _CHECK_MEMO, key,
+        lambda: run_check(module, memory, global_addresses, spec),
+    )
+
+
 class Workload(NamedTuple):
-    """The two interpreter runs around one simulation, chosen together.
+    """The two interpreter runs around one simulation.
 
     ``setup(module, spec)`` builds the ``(memory, globals, args)`` image
     and ``check(module, memory, globals, spec)`` scores the image the
-    run left behind.  One value carries both, so a memoized set-up is
-    never paired with anything but its memoized check.
+    run left behind.
     """
 
     setup: Callable
     check: Callable
 
-
-#: Both runs afresh.  :data:`repro.fleet.INTERNED_WORKLOAD` is the
-#: per-process memoized pair.
-FRESH_WORKLOAD = Workload(setup_workload, run_check)
 
 #: Replication policy behind each ``cgpa-*`` backend name.
 _POLICIES = {
@@ -176,7 +236,7 @@ def run_hardware(
     backend: str,
     design: CompiledPipeline | Module,
     cache: DirectMappedCache,
-    workload: Workload = FRESH_WORKLOAD,
+    workload: Workload = Workload(interned_workload, interned_check),
     engine: str = DEFAULT_ENGINE,
     max_cycles: int | None = None,
     private_caches: bool = False,
@@ -190,10 +250,13 @@ def run_hardware(
 
     ``design`` is a compiled pipeline, or the plain module for the
     LegUp-style single FSM.  ``workload`` builds the image from the
-    design's module and checks the one the run leaves:
-    :data:`FRESH_WORKLOAD` interprets ``setup`` and ``check`` afresh,
-    :data:`repro.fleet.INTERNED_WORKLOAD` clones a per-process pristine
-    image and interprets ``check`` once per distinct post-run image.
+    design's module and checks the one the run leaves; the default
+    clones the per-process pristine image and interprets ``check`` once
+    per distinct post-run image.  It is a parameter for one caller: a
+    replayed design point has no image and reuses its recording's
+    checksum (:meth:`~repro.dse.evaluate.Evaluator.evaluate_structure`).
+    Tests pass ``Workload(setup_workload, run_check)``, the reference
+    the default must equal.
     ``system`` builds the simulator from :class:`AcceleratorSystem`'s
     arguments: the class itself, or a :class:`repro.hw.replay.Recording`'s
     ``recorder``/``replayer`` (the design-space evaluator's record-once,
@@ -264,25 +327,20 @@ def run_backend(
     ``max_cycles`` caps the simulated clock; a run that exceeds it raises
     :class:`~repro.errors.CycleBudgetExceeded` (hardware backends only —
     the MIPS cost model executes a finite instruction trace).
-
-    Nothing here is interned: this is the cold designer path, whose
-    one-shot runs never repeat a memo key, so an intern would only add
-    its key computation to every run.
     """
     cache_kwargs = dict(cache_kwargs or {})
     if backend == "mips":
         module = compile_module(spec)
-        memory, globals_, args = setup_workload(module, spec)
+        memory, globals_, args = interned_workload(module, spec)
         mips = run_on_mips(
             module, spec.measure_entry, args, memory,
             cache=DirectMappedCache(**cache_kwargs),
             global_addresses=globals_,
         )
-        checksum = run_check(module, memory, globals_, spec)
         return BackendResult(
             backend="mips",
             cycles=mips.cycles,
-            checksum=checksum,
+            checksum=interned_check(module, memory, globals_, spec),
             return_value=mips.return_value,
             mips_instructions=mips.instructions,
         )

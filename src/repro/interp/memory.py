@@ -223,7 +223,7 @@ class Memory:
         """The allocator break and a sha256 of the whole buffer, the bytes
         beyond the break included: with the global addresses, everything
         a function interpreted over this image can read (what
-        :func:`repro.fleet.interned_check` keys on)."""
+        :func:`repro.harness.runner.interned_check` keys on)."""
         # Imported here: OpenSSL is 3.7 MiB of resident memory, which the
         # compile-only paths that import this module never need.
         import hashlib

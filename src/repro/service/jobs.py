@@ -14,7 +14,7 @@ Executors reuse the DSE layer rather than reimplementing it:
 ``simulate`` scores a single :class:`~repro.dse.space.DesignPoint`
 through :class:`~repro.dse.evaluate.Evaluator` (compiled pipelines are
 shared across jobs and worker threads by
-:func:`repro.fleet.interned_pipeline`), and both
+:func:`repro.harness.build.interned_pipeline`), and both
 ``simulate`` and ``dse`` read/write design-point evaluations through the
 same :class:`~repro.service.store.ArtifactStore` the artifacts land in —
 one directory, one keying discipline, shared between the service and
@@ -36,7 +36,7 @@ from ..dse import (
 from ..dse.cache import result_key
 from ..dse.explore import Explorer, SweepResult
 from ..faults.sweep import ResilienceReport, resilience_sweep
-from ..fleet import interned_pipeline
+from ..harness.build import interned_pipeline
 from ..harness.runner import cgpa_area
 from ..pipeline.spec import ReplicationPolicy
 from ..vsim.cosim import CosimReport, run_rtl_cosim

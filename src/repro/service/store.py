@@ -251,7 +251,9 @@ class ArtifactStore:
             # Concurrent writer mid-flight (or a stale lock from a killed
             # process): stage under a writer-unique name instead.  Both
             # renames are atomic and carry identical bytes.
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            tmp = path.with_name(
+                f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+            )
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
         try:
             with os.fdopen(fd, "w") as fp:

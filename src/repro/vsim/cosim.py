@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 from ..errors import CgpaError
 from ..harness.build import compile_kernel
-from ..harness.runner import setup_workload
+from ..harness.runner import interned_workload
 from ..interp import (
     BROADCAST_INDEX,
     Interpreter,
@@ -540,7 +540,7 @@ def run_rtl_cosim(
     compiled = compile_kernel(spec, policy_enum, n_workers)
 
     # ---------------------------------------------------------- oracle run
-    memory, globals_, args = setup_workload(
+    memory, globals_, args = interned_workload(
         compiled.module, replace(spec, setup_args=setup_args)
     )
 

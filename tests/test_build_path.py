@@ -13,12 +13,12 @@ import threading
 
 import pytest
 
-from repro import fleet
 from repro.dse import DesignPoint, Evaluator
 from repro.faults.sweep import resilience_sweep
 from repro.fleet import interned_pipeline
 from repro.frontend import compile_c
 from repro.harness.__main__ import main
+from repro.harness import build
 from repro.harness.build import compile_kernel, compile_module
 from repro.hw import ENGINES
 from repro.ir import print_module
@@ -72,7 +72,7 @@ def fresh_memo(monkeypatch):
     """An empty pipeline memo for tests that count entries or race on a
     miss; the process's real memo is restored afterwards."""
     memo: dict = {}
-    monkeypatch.setattr(fleet, "_PIPELINE_MEMO", memo)
+    monkeypatch.setattr(build, "_PIPELINE_MEMO", memo)
     return memo
 
 
@@ -132,7 +132,7 @@ class TestInternedPipeline:
         assert len(seen) == len(variants) + 1 == len(fresh_memo)
 
     def test_memo_is_bounded(self, fresh_memo, monkeypatch):
-        monkeypatch.setattr(fleet, "_MEMO_ENTRIES", 3)
+        monkeypatch.setattr(build, "_MEMO_ENTRIES", 3)
         for n in range(8):
             variant = dataclasses.replace(
                 SMALL_KS, source=SMALL_KS.source + f"\n// variant {n}\n"

@@ -12,6 +12,7 @@ Four angles:
 """
 
 import dataclasses
+import functools
 import json
 
 import pytest
@@ -34,12 +35,17 @@ from repro.faults import (
     WorkerHangFault,
     flip_value,
 )
-from repro import fleet
 from repro.faults import sweep as sweep_module
 from repro.faults.sweep import plan_seeds, resilience_sweep
 from repro.frontend import compile_c
 from repro.harness.__main__ import main
-from repro.harness.runner import FRESH_WORKLOAD, run_check, setup_workload
+from repro.harness import runner
+from repro.harness.runner import (
+    Workload,
+    run_check,
+    run_hardware,
+    setup_workload,
+)
 from repro.hw import AcceleratorSystem, DirectMappedCache
 from repro.interp import Interpreter, Memory
 from repro.ir import (
@@ -542,13 +548,18 @@ class TestResilienceSweepAndCli:
             KERNELS_BY_NAME["1D-Gaussblur"], setup_args=[6, 48]
         )
         checks = []
-        monkeypatch.setattr(fleet, "_CHECK_MEMO", {})
+        monkeypatch.setattr(runner, "_CHECK_MEMO", {})
         monkeypatch.setattr(
-            fleet, "run_check",
+            runner, "run_check",
             lambda *args: checks.append(run_check(*args)) or checks[-1],
         )
         interned = resilience_sweep(spec, n_plans=4, seed=2)
-        monkeypatch.setattr(sweep_module, "INTERNED_WORKLOAD", FRESH_WORKLOAD)
+        # The reference: every plan set up and checked by the interpreter.
+        monkeypatch.setattr(
+            sweep_module, "run_hardware",
+            functools.partial(
+                run_hardware, workload=Workload(setup_workload, run_check)),
+        )
         fresh = resilience_sweep(spec, n_plans=4, seed=2)
         assert json.dumps(interned.to_dict()) == json.dumps(fresh.to_dict())
         assert interned.format() == fresh.format()

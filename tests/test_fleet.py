@@ -30,7 +30,6 @@ import time
 
 import pytest
 
-from repro import fleet
 from repro.dse import Evaluator
 from repro.dse.explore import Explorer
 from repro.dse.space import ConfigSpace
@@ -46,15 +45,28 @@ from repro.fleet import (
     interned_pipeline,
     interned_workload,
 )
-from repro.errors import InterpError
+from repro.errors import CycleBudgetExceeded, InterpError
 from repro.frontend import compile_c
+from repro.harness import build, runner
 from repro.harness.build import compile_kernel, compile_module
-from repro.harness.runner import run_check, setup_workload
+from repro.harness.experiments import scalability
+from repro.harness.runner import (
+    BackendResult,
+    Workload,
+    run_backend,
+    run_check,
+    run_hardware,
+    run_kernel,
+    setup_workload,
+)
+from repro.hw import AcceleratorSystem, DirectMappedCache, run_on_mips
 from repro.interp import Interpreter, reachable_ir
 from repro.kernels import ALL_KERNELS, KERNELS_BY_NAME
 from repro.pipeline import ReplicationPolicy
 from repro.service.store import ArtifactStore
+from repro.telemetry.events import MemoryTraceSink
 from repro.transforms import optimize_module
+from repro.vsim.cosim import SMOKE_SETUP_ARGS
 
 #: Scaled-down gaussblur: full compile+simulate in tens of milliseconds.
 SMALL_BLUR = dataclasses.replace(
@@ -190,8 +202,8 @@ class TestInternedWorkload:
 def interns(monkeypatch):
     """Empty workload and check memos, and a count of the interpreter
     runs behind them: ``{"setup": n, "check": n}``."""
-    monkeypatch.setattr(fleet, "_WORKLOAD_MEMO", {})
-    monkeypatch.setattr(fleet, "_CHECK_MEMO", {})
+    monkeypatch.setattr(runner, "_WORKLOAD_MEMO", {})
+    monkeypatch.setattr(runner, "_CHECK_MEMO", {})
     runs = {"setup": 0, "check": 0}
 
     def counted(name, fn):
@@ -200,22 +212,22 @@ def interns(monkeypatch):
             return fn(*args)
         return run
 
-    monkeypatch.setattr(fleet, "setup_workload", counted("setup", setup_workload))
-    monkeypatch.setattr(fleet, "run_check", counted("check", run_check))
+    monkeypatch.setattr(runner, "setup_workload", counted("setup", setup_workload))
+    monkeypatch.setattr(runner, "run_check", counted("check", run_check))
     return runs
 
 
 @pytest.fixture
 def compiles(monkeypatch):
     """An empty pipeline memo and the ``compile_kernel`` calls behind it."""
-    monkeypatch.setattr(fleet, "_PIPELINE_MEMO", {})
+    monkeypatch.setattr(build, "_PIPELINE_MEMO", {})
     calls = []
 
     def counted(spec, policy, n_workers):
         calls.append((policy.value, n_workers))
         return compile_kernel(spec, policy, n_workers)
 
-    monkeypatch.setattr(fleet, "compile_kernel", counted)
+    monkeypatch.setattr(build, "compile_kernel", counted)
     return calls
 
 
@@ -247,7 +259,7 @@ class TestInternedWorkloadIsContentAddressed:
                 *setup_workload(module, spec)
             )
         # ... and one set-up run served every compile key.
-        assert interns["setup"] == 1 == len(fleet._WORKLOAD_MEMO)
+        assert interns["setup"] == 1 == len(runner._WORKLOAD_MEMO)
 
     def test_unseen_source_is_a_miss_as_for_the_pipeline(self, interns):
         spec = SMALL_BLUR
@@ -258,7 +270,7 @@ class TestInternedWorkloadIsContentAddressed:
         first = _image(*interned_workload(module, spec))
         assert _image(*interned_workload(module, commented)) == first
         assert _image(*interned_workload(compile_module(commented), spec)) == first
-        assert interns["setup"] == 2 == len(fleet._WORKLOAD_MEMO)
+        assert interns["setup"] == 2 == len(runner._WORKLOAD_MEMO)
 
     def test_setup_that_reaches_rewritten_code_is_keyed_per_design(
         self, interns
@@ -293,7 +305,7 @@ void setup_and_blur(int height, int width) {
                 setup_workload(module, spec)
             with pytest.raises(InterpError, match="parallel_fork"):
                 interned_workload(module, spec)
-        assert len(fleet._WORKLOAD_MEMO) == 1
+        assert len(runner._WORKLOAD_MEMO) == 1
 
 
 def _post_run_image(spec):
@@ -364,7 +376,7 @@ class TestInternedCheck:
         assert sorted(compiles) == [
             ("none", 2), ("none", 4), ("p1", 2), ("p1", 4)
         ]
-        assert len(fleet._PIPELINE_MEMO) == 4
+        assert len(build._PIPELINE_MEMO) == 4
 
     def test_two_threads_racing_on_one_key_agree(self, interns):
         spec = SMALL_BLUR
@@ -390,9 +402,123 @@ class TestInternedCheck:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [expected, expected]
-        assert len(fleet._CHECK_MEMO) == 1
+        assert len(runner._CHECK_MEMO) == 1
         assert interned_check(module, memory, globals_, spec) == expected
         assert interns["check"] <= 2
+
+
+class TestOneWorkloadPath:
+    """``run_backend`` and ``run_hardware`` memoise their own set-up and
+    check: no caller chooses, and a hit is what the interpreter returns."""
+
+    BACKENDS = ("mips", "legup", "cgpa-p1", "cgpa-p2")
+
+    @staticmethod
+    def _small(spec):
+        return dataclasses.replace(
+            spec, setup_args=SMOKE_SETUP_ARGS[spec.name])
+
+    @staticmethod
+    def _scored(result):
+        return (
+            result.cycles, result.checksum, result.return_value,
+            result.aluts, result.energy_uj,
+            result.sim.to_dict() if result.sim else None,
+        )
+
+    @staticmethod
+    def _reference(spec, backend):
+        """The backend with both interpreter runs done afresh."""
+        reference = Workload(setup_workload, run_check)
+        if backend == "mips":
+            module = compile_module(spec)
+            memory, globals_, args = reference.setup(module, spec)
+            mips = run_on_mips(
+                module, spec.measure_entry, args, memory,
+                cache=DirectMappedCache(), global_addresses=globals_,
+            )
+            return BackendResult(
+                backend, mips.cycles,
+                reference.check(module, memory, globals_, spec),
+                mips.return_value, mips_instructions=mips.instructions,
+            )
+        design = compile_module(spec) if backend == "legup" else compile_kernel(
+            spec, ReplicationPolicy(backend.removeprefix("cgpa-")), 4)
+        return run_hardware(
+            spec, backend, design, DirectMappedCache(ports=8),
+            workload=reference,
+        )
+
+    @pytest.mark.parametrize("spec", ALL_KERNELS, ids=lambda s: s.name)
+    def test_a_kernels_backends_share_one_setup_and_one_check(
+        self, spec, interns
+    ):
+        run = run_kernel(self._small(spec), ("mips", "legup", "cgpa-p1"))
+        assert len(run.results) == 3
+        assert interns == {"setup": 1, "check": 1}
+
+    def test_scalability_sets_up_and_checks_once(self, interns):
+        points = scalability(self._small(KERNELS_BY_NAME["em3d"]))
+        assert [p.n_workers for p in points] == [1, 2, 4, 8]
+        assert interns == {"setup": 1, "check": 1}
+
+    @pytest.mark.parametrize("spec", ALL_KERNELS, ids=lambda s: s.name)
+    def test_miss_hit_and_fresh_runs_agree(self, spec, interns):
+        spec = self._small(spec)
+        for backend in self.BACKENDS:
+            if backend == "cgpa-p2" and not spec.supports_p2:
+                continue
+            missed = run_backend(spec, backend)
+            runs = dict(interns)
+            hit = run_backend(spec, backend)
+            assert interns == runs  # the second call interpreted nothing
+            fresh = self._reference(spec, backend)
+            assert self._scored(missed) == self._scored(hit) == self._scored(
+                fresh), backend
+            assert missed.mips_instructions == fresh.mips_instructions
+
+    def test_a_corrupting_design_is_scored_by_a_real_check(
+        self, interns, monkeypatch
+    ):
+        spec = SMALL_BLUR
+        clean = run_backend(spec, "cgpa-p1")
+        assert run_backend(spec, "cgpa-p1").checksum == clean.checksum
+        assert interns == {"setup": 1, "check": 1}
+        run = AcceleratorSystem.run
+
+        def run_then_flip_one_output_byte(self, entry, args):
+            sim = run(self, entry, args)
+            self.memory.write_bytes(args[1] + 6, b"\x55")
+            return sim
+
+        monkeypatch.setattr(
+            AcceleratorSystem, "run", run_then_flip_one_output_byte)
+        corrupted = run_backend(spec, "cgpa-p1")
+        assert interns == {"setup": 1, "check": 2}
+        assert corrupted.checksum != clean.checksum
+        assert corrupted.cycles == clean.cycles
+        # ... and the pristine image was not the one written to.
+        monkeypatch.undo()
+        assert self._scored(run_backend(spec, "cgpa-p1")) == self._scored(clean)
+
+    def test_sink_and_cycle_budget_behave_the_same_on_a_hit(self, interns):
+        spec = SMALL_BLUR
+        cold_sink = MemoryTraceSink()
+        cold = run_backend(spec, "cgpa-p1", sink=cold_sink)
+        warm_sink = MemoryTraceSink()
+        warm = run_backend(spec, "cgpa-p1", sink=warm_sink)
+        assert interns == {"setup": 1, "check": 1}
+        assert cold_sink.spans and cold_sink.cache_accesses
+        for trace in ("spans", "state_changes", "occupancy", "cache_accesses"):
+            assert getattr(warm_sink, trace) == getattr(cold_sink, trace)
+        assert warm_sink.total_cycles == cold_sink.total_cycles == cold.cycles
+        assert self._scored(warm) == self._scored(cold)
+        with pytest.raises(CycleBudgetExceeded) as info:
+            run_backend(spec, "cgpa-p1", max_cycles=cold.cycles // 2)
+        assert info.value.max_cycles == cold.cycles // 2
+        # The overrun wrote to its own clone and scored nothing.
+        assert interns == {"setup": 1, "check": 1}
+        assert self._scored(run_backend(spec, "cgpa-p1")) == self._scored(cold)
 
 
 _GRID_RSS_CHILD = """

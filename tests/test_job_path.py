@@ -332,6 +332,10 @@ def test_reports_render_beside_jobs_that_ended_without_one(tmp_path, capsys):
         try:
             for request in (bad_faults, good_faults, slow_dse, good_dse):
                 assert await queue.wait(queue.submit(request), 60)
+                # slow_dse's record is terminal (timeout) while its run
+                # still holds the one pool thread: let it go.
+                if request is slow_dse:
+                    release.set()
         finally:
             release.set()
             await queue.close()

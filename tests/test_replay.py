@@ -24,7 +24,7 @@ from repro.dse import (
 from repro.errors import SimulationError
 from repro.faults import FaultInjector, FaultPlan, FifoBackpressureFault
 from repro.faults.monitor import InvariantMonitor
-from repro.fleet import INTERNED_WORKLOAD, interned_pipeline
+from repro.fleet import interned_pipeline
 from repro.frontend import compile_c
 from repro.harness.cli.jobs import _dse_scoring
 from repro.harness.report import format_pareto
@@ -103,15 +103,15 @@ def no_image(checksum):
     return Workload(lambda module, spec: (None, {}, []), lambda *image: checksum)
 
 
-def run_point(spec, policy, workers, timing, system=AcceleratorSystem,
-              workload=INTERNED_WORKLOAD):
+def run_point(spec, policy, workers, timing, **run_path):
+    """One run; ``run_path`` is a recording's ``system=`` and, for a
+    replay, its (empty) ``workload=``."""
     depth, lines, ports, private, miss = timing
     compiled = interned_pipeline(spec, ReplicationPolicy(policy), workers)
     return run_hardware(
         spec, f"cgpa-{policy}", compiled,
         DirectMappedCache(n_lines=lines, ports=ports, miss_penalty=miss),
-        workload=workload, private_caches=private, system=system,
-        fifo_depth=depth,
+        private_caches=private, fifo_depth=depth, **run_path,
     )
 
 
@@ -128,7 +128,7 @@ class TestReplayEqualsSpecialized:
         for workers in (1, 2, 4):
             recording = Recording()
             recorded = run_point(
-                spec, policy, workers, TIMINGS[0], recording.recorder)
+                spec, policy, workers, TIMINGS[0], system=recording.recorder)
             # The recording run is itself a full simulation.
             assert scored(recorded) == scored(
                 run_point(spec, policy, workers, TIMINGS[0]))
@@ -137,8 +137,8 @@ class TestReplayEqualsSpecialized:
                 continue
             for timing in TIMINGS:
                 replayed = run_point(
-                    spec, policy, workers, timing, recording.replayer,
-                    no_image(recorded.checksum))
+                    spec, policy, workers, timing, system=recording.replayer,
+                    workload=no_image(recorded.checksum))
                 full = run_point(spec, policy, workers, timing)
                 assert scored(replayed) == scored(full), (workers, timing)
 
@@ -426,7 +426,8 @@ class TestFallbackAndBypass:
     ):
         spec = small("ks")
         recording = Recording()
-        recorded = run_point(spec, "p1", 2, TIMINGS[0], recording.recorder)
+        recorded = run_point(
+            spec, "p1", 2, TIMINGS[0], system=recording.recorder)
         assert recording.usable
         compiled = interned_pipeline(spec, ReplicationPolicy.P1, 2)
         backpressure = FaultPlan(seed=0, kind="timing", faults=(

@@ -193,6 +193,26 @@ class TestArtifactStore:
         # No temp litter: every stage was renamed or cleaned up.
         assert not list(store.path(key).parent.glob(".*tmp"))
 
+    def test_third_writer_in_one_process_does_not_collide(self, tmp_path):
+        # The race behind the threaded test's rare failure, without
+        # threads: one writer holds the O_EXCL lock file, a second has
+        # staged under the fallback name, and a third thread of the same
+        # process arrives.  A fallback name unique per process only made
+        # the third raise FileExistsError.
+        store = ArtifactStore(tmp_path)
+        key = "cd" + "0" * 62
+        path = store.path(key)
+        path.parent.mkdir(parents=True)
+        first = path.with_name(f".{path.name}.tmp")
+        second = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        first.write_text("{half")
+        second.write_text("{half")
+        store.put(key, {"x": 3})
+        assert ArtifactStore(tmp_path).get(key) == {"x": 3}
+        assert store.stats.write_conflicts == 1
+        # The other writers' stages are theirs to publish or clean up.
+        assert sorted(path.parent.glob(".*tmp")) == sorted([first, second])
+
 
 class TestStoreIntegrity:
     def test_put_writes_a_matching_integrity_sidecar(self, tmp_path):
@@ -400,3 +420,43 @@ class TestRateLimiter:
         for i in range(20):
             limiter.check(f"client-{i}")
         assert len(limiter) <= 4
+
+
+class TestServeCli:
+    """``serve`` declares nothing of its own: every flag is a
+    ``ServiceConfig`` field and defaults to the field's default."""
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        from repro.harness.cli import serve
+
+        configs = []
+        monkeypatch.setattr(serve, "run_server", configs.append)
+
+        def config_of(argv):
+            assert serve.serve_main(argv) == 0
+            (config,) = configs
+            return config
+
+        return config_of
+
+    def test_no_flags_is_the_default_config(self, served):
+        from repro.service.app import ServiceConfig
+
+        assert served([]) == ServiceConfig()
+
+    def test_every_flag_sets_its_field(self, served, tmp_path):
+        from repro.service.app import ServiceConfig
+
+        assert served([
+            "--host", "0.0.0.0", "--port", "0", "--workers", "3",
+            "--processes", "2", "--store", str(tmp_path),
+            "--lru-entries", "0", "--rate", "2.5", "--burst", "7",
+            "--job-deadline", "1.5", "--job-retries", "0",
+            "--drain-timeout", "0.25",
+        ]) == ServiceConfig(
+            host="0.0.0.0", port=0, workers=3, processes=2,
+            store_root=str(tmp_path), lru_entries=0, rate_refill_per_s=2.5,
+            rate_capacity=7.0, job_deadline_s=1.5, job_retries=0,
+            drain_timeout=0.25,
+        )
