@@ -1,12 +1,23 @@
-"""Lexer for the C subset accepted by the CGPA frontend.
+"""Lexer for the C subset accepted by the CGPA frontend: one compiled scanner.
 
 The subset covers what the five benchmark kernels and typical irregular
 pointer-chasing code need: the usual operators, control keywords,
 ``struct``/``typedef`` declarations, integer/float literals, and comments.
+
+``_SCANNER`` is the whole lexical grammar — one alternative per token
+kind, longest operator first, comments as skipped alternatives, and a
+last alternative that matches any character at all, so no input is ever
+stepped over silently.  Each match also takes the blanks (and integer
+suffixes) behind its token; :func:`tokenize` only dispatches on
+``lastgroup``.  A token's line is a count of the newlines scanned so far
+and its column the distance from the last of them, both read off match
+offsets.  Every alternative is linear in the text it looks at (no
+quantifier inside a quantifier).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..errors import LexerError
@@ -17,14 +28,31 @@ KEYWORDS = {
     "break", "continue", "sizeof", "const",
 }
 
-#: Multi-character operators, longest first so maximal munch works.
-MULTI_OPS = [
-    "<<=", ">>=",
-    "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-]
-
-SINGLE_OPS = set("+-*/%<>=!&|^~?:.,;(){}[]")
+_SCANNER = re.compile(
+    r"""(?:
+      (?P<ident>    [^\W\d]\w* )
+    | (?P<newline>  \n )
+    | (?P<comment>  //[^\n]* )
+    | (?P<block>    /\* (?s:.*?) \*/ )
+    | (?P<open>     /\* )                            # ... never closed
+    | (?P<float>    (?: \d+\.\d* | \.\d+ ) (?: [eE][+-]?\d* )?
+                  | \d+ [eE][+-]?\d* )  (?: (?P<f>[fF]) | [uUlL]* )
+    | (?P<int>      0[xX][0-9a-fA-F]* | \d+ ) [uUlL]*
+    | (?P<op>       <<= | >>= | -> | \+\+ | -- | << | >> | && | \|\|
+                  | [-+*/%&|^<>=!]= | [-+*/%<>=!&|^~?:.,;(){}\[\]] )
+    | (?P<escape>   '\\ (?P<escaped>[\s\S]) ' )      # hash keys etc.
+    | (?P<char>     ' [\s\S] ' )
+    | (?P<quote>    ' )                              # ... no such literal
+    | (?P<blank>    [ \t\r]+ )
+    | (?P<other>    [\s\S] )
+    )[ \t\r]*""",
+    re.VERBOSE,
+)
+_ESCAPES = {"n": 10, "t": 9, "0": 0, "\\": 92, "'": 39}
+_ERRORS = {
+    "open": "unterminated block comment",
+    "quote": "malformed character literal",
+}
 
 
 @dataclass(frozen=True)
@@ -43,122 +71,44 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Convert C source text into a token list ending with an ``eof`` token."""
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(source)
-
-    def error(message: str) -> LexerError:
-        return LexerError(message, line, col)
-
-    while i < n:
-        ch = source[i]
-        # Whitespace.
-        if ch == "\n":
-            i += 1
+    before = 1  # column of a character = its offset + before
+    end = len(source)
+    for m in _SCANNER.finditer(source):
+        kind = m.lastgroup
+        column = m.start() + before
+        if kind == "ident":
+            text = m[kind]
+            append(Token("keyword" if text in KEYWORDS else "ident", text, line, column))
+        elif kind == "op" or kind == "int":
+            append(Token(kind, m[kind], line, column))
+        elif kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        # Comments.
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                raise error("unterminated block comment")
-            skipped = source[i : end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-        # Identifiers and keywords.
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += i - start
-            continue
-        # Numbers: int, hex int, float (with '.', exponent, 'f' suffix).
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            start = i
-            is_float = False
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                i += 2
-                while i < n and source[i] in "0123456789abcdefABCDEF":
-                    i += 1
-            else:
-                while i < n and source[i].isdigit():
-                    i += 1
-                if i < n and source[i] == ".":
-                    is_float = True
-                    i += 1
-                    while i < n and source[i].isdigit():
-                        i += 1
-                if i < n and source[i] in "eE":
-                    is_float = True
-                    i += 1
-                    if i < n and source[i] in "+-":
-                        i += 1
-                    if i >= n or not source[i].isdigit():
-                        raise error("malformed float exponent")
-                    while i < n and source[i].isdigit():
-                        i += 1
-            text = source[start:i]
-            if i < n and source[i] in "fF" and is_float:
-                i += 1
-                text += "f"
-            elif i < n and source[i] in "uUlL":
-                while i < n and source[i] in "uUlL":
-                    i += 1
-            tokens.append(Token("float" if is_float else "int", text, line, col))
-            col += i - start
-            continue
-        # Character literals (for hash keys etc.).
-        if ch == "'":
-            if i + 2 < n and source[i + 1] == "\\" and source[i + 3] == "'":
-                mapping = {"n": 10, "t": 9, "0": 0, "\\": 92, "'": 39}
-                esc = source[i + 2]
-                if esc not in mapping:
-                    raise error(f"unsupported escape '\\{esc}'")
-                tokens.append(Token("int", str(mapping[esc]), line, col))
-                i += 4
-                col += 4
-                continue
-            if i + 2 < n and source[i + 2] == "'":
-                tokens.append(Token("int", str(ord(source[i + 1])), line, col))
-                i += 3
-                col += 3
-                continue
-            raise error("malformed character literal")
-        # Operators.
-        matched = False
-        for op in MULTI_OPS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line, col))
-                i += len(op)
-                col += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in SINGLE_OPS:
-            tokens.append(Token("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise error(f"unexpected character {ch!r}")
-
-    tokens.append(Token("eof", "", line, col))
+            before = -m.start()
+        elif kind == "block":
+            newlines = source.count("\n", m.start(), m.end())
+            if newlines:
+                line += newlines
+                before = -source.rfind("\n", m.start(), m.end())
+        elif kind == "float" or kind == "f":  # f: a float and its suffix
+            text = m["float"]
+            if text[-1] in "eE+-":
+                raise LexerError("malformed float exponent", line, column)
+            append(Token("float", text + "f" if kind == "f" else text, line, column))
+        elif kind == "char":
+            append(Token("int", str(ord(m[kind][1])), line, column))
+        elif kind == "escape":
+            escaped = m["escaped"]
+            if escaped not in _ESCAPES:
+                raise LexerError(f"unsupported escape '\\{escaped}'", line, column)
+            append(Token("int", str(_ESCAPES[escaped]), line, column))
+        elif kind == "comment":
+            # A closing line comment does not move the eof token's column.
+            if m.end() == end:
+                end = m.start()
+        elif kind != "blank":  # open, quote, other
+            message = _ERRORS.get(kind) or f"unexpected character {m[kind]!r}"
+            raise LexerError(message, line, column)
+    append(Token("eof", "", line, end + before))
     return tokens

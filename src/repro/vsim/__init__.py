@@ -7,8 +7,10 @@ assignments, ``case``-based FSMs, and arithmetic/compare/mux expressions.
 This package closes the emit→execute loop for that subset without any
 external toolchain:
 
-* :mod:`repro.vsim.parser` — tokenizer + recursive-descent parser for the
-  subset grammar (``VsimParseError`` on anything outside it).
+* :mod:`repro.vsim.lexer` — one compiled scanner for the subset's tokens.
+* :mod:`repro.vsim.parser` — recursive-descent parser for the subset
+  grammar, precedence climbing over one operator table for expressions
+  (``VsimParseError`` on anything outside the subset).
 * :mod:`repro.vsim.elaborate` — flattens a module hierarchy (parameter
   substitution, dotted instance prefixes) into a :class:`Design` of
   two-state signals, topologically ordered combinational assigns and

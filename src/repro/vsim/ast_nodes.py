@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Expr:
     line: int = field(default=0, kw_only=True)
 
 
-@dataclass
+@dataclass(slots=True)
 class Num(Expr):
     """A literal: ``64'hdeadbeef``, ``4'd3``, ``17``.
 
@@ -31,34 +31,34 @@ class Num(Expr):
     width: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Ref(Expr):
     """A plain identifier reference."""
 
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary(Expr):
     op: str  # ! ~ - +
     operand: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary(Expr):
     op: str
     left: Expr = None  # type: ignore[assignment]
     right: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class Ternary(Expr):
     cond: Expr
     then: Expr = None  # type: ignore[assignment]
     other: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class Select(Expr):
     """Constant part-select ``base[msb:lsb]`` or bit-select ``base[idx]``.
 
@@ -71,12 +71,12 @@ class Select(Expr):
     lsb: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Concat(Expr):
     parts: list[Expr] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Repeat(Expr):
     """Replication ``{count{value}}`` (count must be constant)."""
 
@@ -84,14 +84,14 @@ class Repeat(Expr):
     value: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class SignedCast(Expr):
     """``$signed(expr)`` — marks the operand signed, width unchanged."""
 
     operand: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class FuncCall(Expr):
     """Call to an ``fp_*`` vendor-IP simulation model."""
 
@@ -104,12 +104,12 @@ class FuncCall(Expr):
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Stmt:
     line: int = field(default=0, kw_only=True)
 
 
-@dataclass
+@dataclass(slots=True)
 class NonBlocking(Stmt):
     """``target <= rhs;`` — the only assignment form inside always."""
 
@@ -117,21 +117,21 @@ class NonBlocking(Stmt):
     rhs: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Stmt):
     cond: Expr
     then: list[Stmt] = field(default_factory=list)
     other: list[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class CaseItem:
     labels: list[Expr]  # empty == default
     body: list[Stmt] = field(default_factory=list)
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Case(Stmt):
     subject: Expr
     items: list[CaseItem] = field(default_factory=list)
@@ -142,7 +142,7 @@ class Case(Stmt):
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class NetDecl:
     """``input wire [31:0] name`` / ``reg [3:0] name`` / ``wire name``."""
 
@@ -154,7 +154,7 @@ class NetDecl:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ParamDecl:
     name: str
     value: Expr
@@ -162,28 +162,28 @@ class ParamDecl:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ContAssign:
     target: str
     rhs: Expr
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class AlwaysBlock:
     clock: str  # the posedge signal name
     body: list[Stmt] = field(default_factory=list)
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Connection:
     port: str
     expr: Expr | None  # None == unconnected ``.port()``
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Instance:
     module: str
     name: str
@@ -192,7 +192,7 @@ class Instance:
     line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ModuleAst:
     name: str
     ports: list[NetDecl] = field(default_factory=list)

@@ -1,63 +1,52 @@
-"""Tokenizer for the emitter's Verilog subset."""
+"""Tokenizer for the emitter's Verilog subset: one compiled scanner.
+
+``_SCANNER`` is the whole lexical grammar — one alternative per token
+kind, longest punctuation first, comments and compiler directives as
+skipped alternatives, and a last alternative that matches any character
+at all, so no input is ever stepped over silently.  Each match also takes
+the blanks behind its token; :func:`tokenize` only dispatches on
+``lastgroup``.  Line numbers come from the newline alternative and a
+``str.count`` over block comments.  Every alternative is linear in the
+text it looks at (no quantifier inside a quantifier).
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import VsimParseError
 
-_PUNCT = (
-    ">>>",
-    "<=",
-    ">=",
-    "==",
-    "!=",
-    "&&",
-    "||",
-    "<<",
-    ">>",
-    "+:",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "&",
-    "|",
-    "^",
-    "~",
-    "!",
-    "<",
-    ">",
-    "?",
-    ":",
-    "=",
-    "(",
-    ")",
-    "[",
-    "]",
-    "{",
-    "}",
-    ",",
-    ";",
-    ".",
-    "#",
-    "@",
+_SCANNER = re.compile(
+    r"""(?:
+      (?P<id>      [A-Za-z_$][A-Za-z0-9_$]* )
+    | (?P<newline> \n )
+    | (?P<skip>    //[^\n]* | `[^\n]* | [ \t\r]+ )   # comment, directive
+    | (?P<block>   /\* (?s:.*?) \*/ )
+    | (?P<open>    /\* )                             # ... never closed
+    | (?P<punct>   >>> | [<>=!]= | && | \|\| | << | >> | \+:
+                 | [-+*/%&|^~!<>?:=()\[\]{},;.\#@] )
+    | (?P<sized>   (?P<size>\d*) ' (?P<body> [dD][0-9_]* | [hH][0-9a-fA-F_]*
+                                           | [bB][01_]*  | [oO][0-7_]* ) )
+    | (?P<base>    \d* ' )                           # ... no base letter
+    | (?P<int>     \d+ )
+    | (?P<string>  "[^"]*" )        # testbench $display text, one token
+    | (?P<quote>   " )                               # ... never closed
+    | (?P<other>   [\s\S] )
+    )[ \t\r]*""",
+    re.VERBOSE,
 )
-
-_ID_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_ID_CONT = _ID_START | set("0123456789")
-_BASE_DIGITS = {
-    "d": set("0123456789_"),
-    "h": set("0123456789abcdefABCDEF_"),
-    "b": set("01_"),
-    "o": set("01234567_"),
+_RADIX = {"d": 10, "h": 16, "b": 2, "o": 8}
+_ERRORS = {
+    "open": "unterminated block comment",
+    "quote": "unterminated string",
+    "base": "bad number base after '",
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
-    kind: str  # "id" | "num" | "punct" | "eof"
+    kind: str  # "id" | "num" | "punct" | "string" | "eof"
     text: str
     line: int
     value: int = 0
@@ -67,87 +56,29 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Tokenize Verilog source, skipping comments and compiler directives."""
     tokens: list[Token] = []
-    i, n, line = 0, len(source), 1
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    append = tokens.append
+    line = 1
+    for m in _SCANNER.finditer(source):
+        kind = m.lastgroup
+        if kind == "id" or kind == "punct" or kind == "string":
+            append(Token(kind, m[kind], line))
+        elif kind == "newline":
             line += 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise VsimParseError(f"line {line}: unterminated block comment")
-            line += source.count("\n", i, end)
-            i = end + 2
-            continue
-        if ch == "`":  # compiler directive (`timescale ...) — skip the line
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':  # string literal (testbench $display) — single token
-            end = source.find('"', i + 1)
-            if end < 0:
-                raise VsimParseError(f"line {line}: unterminated string")
-            tokens.append(Token("string", source[i : end + 1], line))
-            i = end + 1
-            continue
-        if ch in _ID_START:
-            j = i + 1
-            while j < n and source[j] in _ID_CONT:
-                j += 1
-            tokens.append(Token("id", source[i:j], line))
-            i = j
-            continue
-        if ch.isdigit() or ch == "'":
-            i = _lex_number(source, i, line, tokens)
-            continue
-        for punct in _PUNCT:
-            if source.startswith(punct, i):
-                tokens.append(Token("punct", punct, line))
-                i += len(punct)
-                break
-        else:
-            raise VsimParseError(f"line {line}: unexpected character {ch!r}")
-    tokens.append(Token("eof", "", line))
+        elif kind == "int":
+            text = m[kind]
+            append(Token("num", text, line, int(text)))
+        elif kind == "sized":  # 64'hdead_beef, 4'b1010, 'd5
+            text, size, body = m.group(kind, "size", "body")
+            width = int(size) if size else 32
+            digits = body[1:].replace("_", "")
+            if not digits:
+                raise VsimParseError(f"line {line}: empty number literal")
+            value = int(digits, _RADIX[body[0].lower()])
+            append(Token("num", text, line, value & ((1 << width) - 1), width))
+        elif kind == "block":
+            line += source.count("\n", m.start(), m.end())
+        elif kind != "skip":  # open, quote, base, other
+            message = _ERRORS.get(kind) or f"unexpected character {m[kind]!r}"
+            raise VsimParseError(f"line {line}: {message}")
+    append(Token("eof", "", line))
     return tokens
-
-
-def _lex_number(source: str, i: int, line: int, tokens: list[Token]) -> int:
-    """Lex ``123``, ``64'hdead_beef``, ``4'b1010``, ``'d5``."""
-    n = len(source)
-    j = i
-    while j < n and source[j].isdigit():
-        j += 1
-    size_text = source[i:j]
-    if j < n and source[j] == "'":
-        width = int(size_text) if size_text else 32
-        j += 1
-        if j >= n or source[j].lower() not in _BASE_DIGITS:
-            raise VsimParseError(f"line {line}: bad number base after '")
-        base_ch = source[j].lower()
-        digits = _BASE_DIGITS[base_ch]
-        j += 1
-        k = j
-        while k < n and source[k] in digits:
-            k += 1
-        text = source[j:k].replace("_", "")
-        if not text:
-            raise VsimParseError(f"line {line}: empty number literal")
-        base = {"d": 10, "h": 16, "b": 2, "o": 8}[base_ch]
-        value = int(text, base)
-        tokens.append(
-            Token("num", source[i:k], line, value=value & ((1 << width) - 1), width=width)
-        )
-        return k
-    if not size_text:
-        raise VsimParseError(f"line {line}: bare ' is not a number")
-    tokens.append(Token("num", size_text, line, value=int(size_text), width=None))
-    return j

@@ -13,7 +13,11 @@ Grammar (exactly what :mod:`repro.rtl.verilog` produces):
   port connections (``.port(expr)`` or unconnected ``.port()``).
 * expressions: literals, identifiers, unary/binary/ternary operators,
   constant part-selects, concatenation, replication, ``$signed`` and
-  ``fp_*`` operator-core calls.
+  ``fp_*`` operator-core calls.  Binary operators are folded by
+  precedence climbing over the one ``_BINARY_LEVELS`` table.
+* every comma-separated list (header parameters, ports, parameter
+  overrides, connections, call arguments) has a comma between items and
+  none before its closer.
 
 Anything else raises :class:`VsimParseError` — the point of the subset
 simulator is to *reject* Verilog we never emit rather than guess at its
@@ -50,8 +54,9 @@ from .ast_nodes import (
 from .errors import VsimParseError
 from .lexer import Token, tokenize
 
-#: Binary operators by precedence level, weakest first.  ``?:`` and the
-#: unary operators are handled structurally.
+#: Binary operators by precedence level, weakest first: the one
+#: declaration of precedence.  ``?:`` and the unary operators are handled
+#: structurally.
 _BINARY_LEVELS: list[tuple[str, ...]] = [
     ("||",),
     ("&&",),
@@ -64,6 +69,7 @@ _BINARY_LEVELS: list[tuple[str, ...]] = [
     ("+", "-"),
     ("*", "/", "%"),
 ]
+_LEVEL_OF = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 _UNARY_OPS = ("!", "~", "-", "+")
 
 
@@ -73,52 +79,60 @@ def parse_verilog(source: str) -> list[ModuleAst]:
 
 
 class _Parser:
+    """Reads ``_tokens[_pos]`` directly.  ``_pos`` only moves past a token
+    whose text or kind has just been matched, and nothing matches the
+    closing eof token, so it never runs off the list."""
+
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
 
     # ------------------------------------------------------------ plumbing
 
-    @property
-    def _tok(self) -> Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != "eof":
-            self._pos += 1
-        return tok
-
     def _check(self, text: str) -> bool:
-        return self._tok.text == text
+        return self._tokens[self._pos].text == text
 
     def _accept(self, text: str) -> bool:
-        if self._tok.text == text:
-            self._advance()
+        if self._tokens[self._pos].text == text:
+            self._pos += 1
             return True
         return False
 
     def _expect(self, text: str) -> Token:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if tok.text != text:
             raise VsimParseError(
                 f"line {tok.line}: expected {text!r}, got {tok.text!r}"
             )
-        return self._advance()
+        self._pos += 1
+        return tok
 
     def _expect_id(self) -> Token:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if tok.kind != "id":
             raise VsimParseError(
                 f"line {tok.line}: expected identifier, got {tok.text!r}"
             )
-        return self._advance()
+        self._pos += 1
+        return tok
+
+    def _comma_list(self, close: str, parse_item) -> list:
+        """``item, item, ... close`` or just ``close``: a comma between
+        items and none before ``close``, which is consumed."""
+        items: list = []
+        if self._accept(close):
+            return items
+        while True:
+            items.append(parse_item())
+            if self._accept(close):
+                return items
+            self._expect(",")
 
     # ------------------------------------------------------------- modules
 
     def parse_sources(self) -> list[ModuleAst]:
         modules = []
-        while self._tok.kind != "eof":
+        while self._tokens[self._pos].kind != "eof":
             modules.append(self._parse_module())
         return modules
 
@@ -128,36 +142,32 @@ class _Parser:
         mod = ModuleAst(name=name, line=start.line)
         if self._accept("#"):  # module header parameter list
             self._expect("(")
-            while not self._accept(")"):
-                self._expect("parameter")
-                pname = self._expect_id().text
-                self._expect("=")
-                mod.params.append(
-                    ParamDecl(pname, self._parse_expr(), local=False)
-                )
-                self._accept(",")
+            mod.params = self._comma_list(")", self._parse_header_param)
         self._expect("(")
-        while not self._accept(")"):
-            mod.ports.append(self._parse_port_decl())
-            self._accept(",")
+        mod.ports = self._comma_list(")", self._parse_port_decl)
         self._expect(";")
         while not self._accept("endmodule"):
             self._parse_module_item(mod)
         return mod
 
+    def _parse_header_param(self) -> ParamDecl:
+        self._expect("parameter")
+        name = self._expect_id().text
+        self._expect("=")
+        return ParamDecl(name, self._parse_expr(), local=False)
+
     def _parse_port_decl(self) -> NetDecl:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         direction = tok.text
         if direction not in ("input", "output"):
             raise VsimParseError(
                 f"line {tok.line}: expected port direction, got {tok.text!r}"
             )
-        self._advance()
-        kind_tok = self._tok
-        if kind_tok.text in ("wire", "reg"):
-            kind = self._advance().text
-        else:
-            kind = "wire"
+        self._pos += 1
+        kind = "wire"
+        if self._tokens[self._pos].text in ("wire", "reg"):
+            kind = self._tokens[self._pos].text
+            self._pos += 1
         msb, lsb = self._parse_range()
         name = self._expect_id().text
         return NetDecl(direction, kind, msb, lsb, name, line=tok.line)
@@ -172,12 +182,12 @@ class _Parser:
         return msb, lsb
 
     def _parse_module_item(self, mod: ModuleAst) -> None:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if tok.kind == "eof":
             raise VsimParseError(f"line {tok.line}: missing endmodule")
         if tok.text in ("parameter", "localparam"):
             local = tok.text == "localparam"
-            self._advance()
+            self._pos += 1
             name = self._expect_id().text
             self._expect("=")
             value = self._parse_expr()
@@ -185,7 +195,8 @@ class _Parser:
             mod.params.append(ParamDecl(name, value, local, line=tok.line))
             return
         if tok.text in ("reg", "wire"):
-            kind = self._advance().text
+            kind = tok.text
+            self._pos += 1
             msb, lsb = self._parse_range()
             name = self._expect_id().text
             if self._check("["):  # memory array: outside the subset
@@ -196,7 +207,7 @@ class _Parser:
             mod.nets.append(NetDecl(None, kind, msb, lsb, name, line=tok.line))
             return
         if tok.text == "assign":
-            self._advance()
+            self._pos += 1
             target = self._expect_id().text
             self._expect("=")
             rhs = self._parse_expr()
@@ -204,7 +215,7 @@ class _Parser:
             mod.assigns.append(ContAssign(target, rhs, line=tok.line))
             return
         if tok.text == "always":
-            self._advance()
+            self._pos += 1
             self._expect("@")
             self._expect("(")
             self._expect("posedge")
@@ -221,30 +232,33 @@ class _Parser:
         )
 
     def _parse_instance(self) -> Instance:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         module = self._expect_id().text
         inst = Instance(module=module, name="", line=tok.line)
         if self._accept("#"):
             self._expect("(")
-            while not self._accept(")"):
-                self._expect(".")
-                pname = self._expect_id().text
-                self._expect("(")
-                inst.param_overrides.append((pname, self._parse_expr()))
-                self._expect(")")
-                self._accept(",")
+            inst.param_overrides = self._comma_list(")", self._parse_override)
         inst.name = self._expect_id().text
         self._expect("(")
-        while not self._accept(")"):
-            dot = self._expect(".")
-            port = self._expect_id().text
-            self._expect("(")
-            expr = None if self._check(")") else self._parse_expr()
-            self._expect(")")
-            inst.connections.append(Connection(port, expr, line=dot.line))
-            self._accept(",")
+        inst.connections = self._comma_list(")", self._parse_connection)
         self._expect(";")
         return inst
+
+    def _parse_override(self) -> tuple[str, Expr]:
+        self._expect(".")
+        name = self._expect_id().text
+        self._expect("(")
+        value = self._parse_expr()
+        self._expect(")")
+        return name, value
+
+    def _parse_connection(self) -> Connection:
+        dot = self._expect(".")
+        port = self._expect_id().text
+        self._expect("(")
+        expr = None if self._check(")") else self._parse_expr()
+        self._expect(")")
+        return Connection(port, expr, line=dot.line)
 
     # ---------------------------------------------------------- statements
 
@@ -258,9 +272,9 @@ class _Parser:
         return [self._parse_stmt()]
 
     def _parse_stmt(self) -> Stmt:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if tok.text == "if":
-            self._advance()
+            self._pos += 1
             self._expect("(")
             cond = self._parse_expr()
             self._expect(")")
@@ -268,7 +282,7 @@ class _Parser:
             other = self._parse_stmt_block() if self._accept("else") else []
             return If(cond, then, other, line=tok.line)
         if tok.text == "case":
-            self._advance()
+            self._pos += 1
             self._expect("(")
             subject = self._parse_expr()
             self._expect(")")
@@ -277,14 +291,15 @@ class _Parser:
                 items.append(self._parse_case_item())
             return Case(subject, items, line=tok.line)
         if tok.kind == "id":
-            target = self._advance().text
-            op_tok = self._tok
+            target = tok.text
+            self._pos += 1
+            op_tok = self._tokens[self._pos]
             if op_tok.text != "<=":
                 raise VsimParseError(
                     f"line {op_tok.line}: only nonblocking assignment is in "
                     f"the subset (got {op_tok.text!r})"
                 )
-            self._advance()
+            self._pos += 1
             rhs = self._parse_expr()
             self._expect(";")
             return NonBlocking(target, rhs, line=tok.line)
@@ -293,7 +308,7 @@ class _Parser:
         )
 
     def _parse_case_item(self) -> CaseItem:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if self._accept("default"):
             self._accept(":")
             return CaseItem([], self._parse_stmt_block(), line=tok.line)
@@ -306,38 +321,35 @@ class _Parser:
     # --------------------------------------------------------- expressions
 
     def _parse_expr(self) -> Expr:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> Expr:
         cond = self._parse_binary(0)
-        if self._accept("?"):
-            then = self._parse_ternary()
+        if self._accept("?"):  # right-associative
+            then = self._parse_expr()
             self._expect(":")
-            other = self._parse_ternary()
+            other = self._parse_expr()
             return Ternary(cond, then, other, line=cond.line)
         return cond
 
-    def _parse_binary(self, level: int) -> Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        left = self._parse_binary(level + 1)
-        ops = _BINARY_LEVELS[level]
-        while self._tok.kind == "punct" and self._tok.text in ops:
-            op = self._advance().text
+    def _parse_binary(self, min_level: int) -> Expr:
+        """Precedence climbing: fold the operators of ``min_level`` and
+        tighter to the left, each right operand taking only what binds
+        tighter still.  Only a punct token's text is a ``_LEVEL_OF`` key."""
+        left = self._parse_unary()
+        while True:
+            op = self._tokens[self._pos].text
+            level = _LEVEL_OF.get(op)
+            if level is None or level < min_level:
+                return left
+            self._pos += 1
             right = self._parse_binary(level + 1)
             left = Binary(op, left, right, line=left.line)
-        return left
 
     def _parse_unary(self) -> Expr:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if tok.kind == "punct" and tok.text in _UNARY_OPS:
-            self._advance()
+            self._pos += 1
             return Unary(tok.text, self._parse_unary(), line=tok.line)
-        return self._parse_postfix()
-
-    def _parse_postfix(self) -> Expr:
         expr = self._parse_primary()
-        while self._accept("["):
+        while self._accept("["):  # postfix selects
             msb = self._parse_expr()
             lsb = None
             if self._accept(":"):
@@ -347,31 +359,27 @@ class _Parser:
         return expr
 
     def _parse_primary(self) -> Expr:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if tok.kind == "num":
-            self._advance()
+            self._pos += 1
             return Num(tok.value, tok.width, line=tok.line)
         if tok.text == "(":
-            self._advance()
+            self._pos += 1
             expr = self._parse_expr()
             self._expect(")")
             return expr
         if tok.text == "{":
             return self._parse_concat()
         if tok.text == "$signed":
-            self._advance()
+            self._pos += 1
             self._expect("(")
             operand = self._parse_expr()
             self._expect(")")
             return SignedCast(operand, line=tok.line)
         if tok.kind == "id":
-            self._advance()
-            if self._check("("):  # operator-core call
-                self._advance()
-                args = []
-                while not self._accept(")"):
-                    args.append(self._parse_expr())
-                    self._accept(",")
+            self._pos += 1
+            if self._accept("("):  # operator-core call
+                args = self._comma_list(")", self._parse_expr)
                 return FuncCall(tok.text, args, line=tok.line)
             return Ref(tok.text, line=tok.line)
         raise VsimParseError(
@@ -381,8 +389,7 @@ class _Parser:
     def _parse_concat(self) -> Expr:
         open_tok = self._expect("{")
         first = self._parse_expr()
-        if self._check("{"):  # replication: {count{value}}
-            self._advance()
+        if self._accept("{"):  # replication: {count{value}}
             value = self._parse_expr()
             self._expect("}")
             self._expect("}")
