@@ -6,8 +6,8 @@ from .power import DEFAULT_FREQUENCY_HZ, PowerReport, power_report
 #: Bump whenever the area/power constants or aggregation rules change in a
 #: way that alters reported numbers, or the serialised ``EvalResult``
 #: schema grows a field.  Part of every design-space-exploration cache key
-#: (:mod:`repro.dse.cache`), so stale sweep results are never reused
-#: across cost-model revisions.
+#: (:func:`repro.dse.evaluate.result_key`), so stale sweep results are never
+#: reused across cost-model revisions.
 #:
 #: 2: typed failure classification + ``EvalResult.diagnosis``.
 COST_MODEL_VERSION = 2

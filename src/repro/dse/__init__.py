@@ -17,12 +17,13 @@ line, or::
         print(best.point.label, best.objectives())
 """
 
-from .cache import CACHE_SCHEMA_VERSION, result_key
 from .evaluate import (
+    CACHE_SCHEMA_VERSION,
     DEFAULT_EVAL_MAX_CYCLES,
     STATUSES,
     EvalResult,
     Evaluator,
+    result_key,
 )
 from .explore import Explorer, SweepResult
 from .pareto import OBJECTIVES, dominates, pareto_frontier

@@ -16,12 +16,17 @@ knobs that move cycles, never values, so
 recording it and re-times the rest from that recording
 (:mod:`repro.hw.replay`); :meth:`Evaluator.evaluate` alone is always a
 full simulation.
+
+:func:`result_key` addresses one evaluation in the service's
+:class:`~repro.service.store.ArtifactStore` (shared with job artifacts): an
+entry is never invalidated, only no longer addressed once its key changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from ..cost import COST_MODEL_VERSION
 from ..errors import CgpaError, CycleBudgetExceeded, DeadlockError
 from ..harness.build import interned_pipeline
 from ..harness.runner import Workload, run_hardware
@@ -29,15 +34,26 @@ from ..hw import DEFAULT_ENGINE, DirectMappedCache
 from ..hw.replay import Recording
 from ..kernels import KernelSpec
 from ..pipeline import CompiledPipeline
-from .space import DesignPoint
-
-#: Default per-point cycle budget; generous for the paper workloads (the
-#: slowest backend finishes in well under a million cycles) yet small
-#: enough that a livelocked configuration fails fast.
-DEFAULT_EVAL_MAX_CYCLES = 50_000_000
+from ..service.store import content_key
+from .space import DEFAULT_EVAL_MAX_CYCLES, DesignPoint
 
 #: ``EvalResult.status`` values.
 STATUSES = ("ok", "deadlock", "timeout", "error")
+
+#: Bump when the EvalResult schema or evaluation semantics change.
+CACHE_SCHEMA_VERSION = 1
+
+
+def result_key(spec: KernelSpec, point: DesignPoint, max_cycles: int, engine: str) -> str:
+    """Hex digest of everything that determines one :class:`EvalResult`."""
+    return content_key({
+        "schema": CACHE_SCHEMA_VERSION,
+        "cost_model": COST_MODEL_VERSION,
+        **spec.key_fields(),
+        "point": point.to_dict(),
+        "max_cycles": max_cycles,
+        "engine": engine,
+    })
 
 
 @dataclass

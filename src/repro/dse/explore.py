@@ -36,8 +36,7 @@ from ..fleet import FleetExecutor
 from ..hw import DEFAULT_ENGINE
 from ..kernels import KernelSpec
 from ..service.store import ArtifactStore
-from .cache import result_key
-from .evaluate import DEFAULT_EVAL_MAX_CYCLES, EvalResult, Evaluator
+from .evaluate import DEFAULT_EVAL_MAX_CYCLES, EvalResult, Evaluator, result_key
 from .pareto import OBJECTIVES, pareto_frontier
 from .space import ConfigSpace, DesignPoint
 from .strategies import Strategy

@@ -22,6 +22,12 @@ from ..pipeline.spec import ReplicationPolicy
 #: Valid ``DesignPoint.policy`` strings (mirrors ReplicationPolicy values).
 POLICIES = tuple(p.value for p in ReplicationPolicy)
 
+#: Default per-point cycle budget; generous for the paper workloads (the
+#: slowest backend finishes in well under a million cycles) yet small
+#: enough that a livelocked configuration fails fast.  Declared here so the
+#: service's contracts need not import :mod:`.evaluate`, which imports them.
+DEFAULT_EVAL_MAX_CYCLES = 50_000_000
+
 
 @dataclass(frozen=True, order=True)
 class DesignPoint:

@@ -170,7 +170,7 @@ class Parser:
     def parse_int_constant(self) -> int:
         if self.current.kind != "int":
             raise self.error("expected integer constant")
-        return _parse_int(self.advance().text)
+        return _parse_int(self.advance())
 
     def parse_function_or_global(self) -> ast.Node:
         decl_type = self.parse_type()
@@ -237,7 +237,7 @@ class Parser:
         negative = self.accept("-")
         tok = self.current
         if tok.kind == "int":
-            value: float = _parse_int(self.advance().text)
+            value: float = _parse_int(self.advance())
         elif tok.kind == "float":
             value = float(self.advance().text.rstrip("f"))
         else:
@@ -450,7 +450,7 @@ class Parser:
         tok = self.current
         if tok.kind == "int":
             self.advance()
-            return ast.IntLiteral(value=_parse_int(tok.text), line=tok.line)
+            return ast.IntLiteral(value=_parse_int(tok), line=tok.line)
         if tok.kind == "float":
             self.advance()
             return ast.FloatLiteral(
@@ -482,9 +482,12 @@ class Parser:
         raise self.error("expected an expression")
 
 
-def _parse_int(text: str) -> int:
-    text = text.rstrip("uUlL")
-    return int(text, 0)
+def _parse_int(tok: Token) -> int:
+    try:
+        return int(tok.text.rstrip("uUlL"), 0)
+    except ValueError:  # more digits than int() converts, or "08", or a bare "0x"
+        message = f"invalid integer constant {tok.text[:16]!r} ({len(tok.text)} characters)"
+        raise ParseError(message, tok.line, tok.column) from None
 
 
 def parse(source: str) -> ast.TranslationUnit:

@@ -6,12 +6,17 @@ functional pipeline checker (:mod:`repro.pipeline.cosim`) run many task
 interpreters round-robin, blocking individual machines on empty FIFO
 channels, and lets the MIPS baseline model charge per-instruction cycle
 costs through a profiler hook.
+
+A :meth:`Interpreter.call` with no ``on_execute`` hook runs a *segment* at
+a time: straight-line Python rendered per block (:class:`_Segments`) over
+the same bound operations the per-instruction closures call.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
+from functools import lru_cache
 from typing import Callable
 
 from ..errors import InterpError
@@ -189,12 +194,12 @@ class _Env(dict):
 
 
 class _Frame:
-    """One activation record: a cursor into a decoded block."""
+    """One activation record: a cursor into a decoded block, ``seg`` (set on
+    calling) run a segment at a time, ``ops``/``insts``/``index`` stepped."""
 
-    __slots__ = ("ops", "insts", "index", "env", "call_inst")
+    __slots__ = ("ops", "insts", "index", "seg", "env", "call_inst")
 
-    def __init__(self, function: Function, code, call_inst: Instruction | None) -> None:
-        self.ops, self.insts = code
+    def __init__(self, function: Function, call_inst: Instruction | None) -> None:
         self.index = 0
         self.env = _Env(function)
         self.call_inst = call_inst  # instruction in the caller awaiting our result
@@ -231,26 +236,37 @@ class Interpreter:
         else:
             self.global_addresses = _place_globals(module, self.memory)
         self._code = _Decoder(module, self.global_addresses, type(self.memory))
+        self._segs = _Segments(self._code)
 
     # -- public driving --------------------------------------------------------
 
     def call(self, function: Function | str, args: list[int | float]):
-        """Run ``function`` to completion and return its return value."""
-        self.start(function, args)
+        """Run ``function`` to completion and return its return value: a
+        :meth:`step` at a time under an ``on_execute`` hook, else (nothing
+        can look between two instructions) a segment at a time."""
         stack = self._stack
         if self.on_execute is not None:
+            self.start(function, args)
             while self.step() is Status.RUNNING:
                 pass
-        else:  # no per-instruction hook: step() with its locals hoisted
+        else:
+            frame = self._enter(function, args)
+            seg = self._segs[frame.env.function.entry]
             steps, limit = self.steps, self.max_steps
             try:
-                while stack:
-                    steps += 1
-                    if steps > limit:
+                while True:
+                    steps += seg[1]
+                    if steps > limit:  # run what step() would have, then stop
+                        _, n, block, lo = seg
+                        fits, steps = n - (steps - limit), limit + 1
+                        _render(self._code, block, lo, lo + fits, None)(self, frame)
                         raise InterpError(f"exceeded max_steps={limit}")
-                    frame = stack[-1]
-                    if frame.ops[frame.index](self, frame):
-                        break
+                    seg = seg[0](self, frame)
+                    if not seg:  # the frame on top is another one, or this one parked
+                        if seg is False or not stack:
+                            break
+                        frame = stack[-1]
+                        seg = frame.seg
             finally:
                 self.steps = steps
         if stack:
@@ -262,6 +278,10 @@ class Interpreter:
 
     def start(self, function: Function | str, args: list[int | float]) -> None:
         """Prepare a top-level call without running it (for step drivers)."""
+        frame = self._enter(function, args)
+        frame.ops, frame.insts = self._code[frame.env.function.entry]
+
+    def _enter(self, function: Function | str, args: list[int | float]) -> _Frame:
         if isinstance(function, str):
             function = self.module.get_function(function)
         if self._stack:
@@ -271,10 +291,11 @@ class Interpreter:
                 f"@{function.name}: expected {len(function.args)} args, "
                 f"got {len(args)}"
             )
-        frame = _Frame(function, self._code[function.entry], None)
+        frame = _Frame(function, None)
         frame.env.update(zip(function.args, args))
         self._stack.append(frame)
         self._return_value = None
+        return frame
 
     @property
     def done(self) -> bool:
@@ -543,7 +564,8 @@ def _decode_call(code: _Decoder, inst: Call, block: BasicBlock):
 
     def op(interp, frame):
         env = frame.env
-        new_frame = _Frame(callee, interp._code[callee.entry], inst)
+        new_frame = _Frame(callee, inst)
+        new_frame.ops, new_frame.insts = interp._code[callee.entry]
         new_frame.env.update(
             zip(callee.args, [env[k] if k is not None else c for k, c in binds])
         )
@@ -600,19 +622,24 @@ def _unknown(code: _Decoder, inst: Instruction, block: BasicBlock):
     return _raising(f"cannot interpret opcode {inst.opcode}")
 
 
-#: Instruction class -> decoder.  Pure ops come from the shared op table
-#: (GEP below keeps a flatter closure over the same ``bind_gep``); a new
-#: effectful opcode is one entry here.
+#: Instruction class -> maker of its effect ``f(interp, *operand values)``;
+#: a new effectful opcode is one entry here.
+_EFFECTS = {
+    Alloca: _alloca,
+    Store: _store,
+    Produce: _produce,
+    ProduceBroadcast: _produce_broadcast,
+    StoreLiveout: _store_liveout,
+    RetrieveLiveout: _retrieve_liveout,
+    ParallelFork: _fork,
+    ParallelJoin: _join,
+}
+
+#: Instruction class -> closure decoder.  Pure ops come from the shared op
+#: table (GEP below keeps a flatter closure over the same ``bind_gep``).
 _DECODERS = {
     **{cls: _simple(bind, effect=False) for cls, (_, bind) in PURE_OPS.items()},
-    Alloca: _simple(_alloca, effect=True),
-    Store: _simple(_store, effect=True),
-    Produce: _simple(_produce, effect=True),
-    ProduceBroadcast: _simple(_produce_broadcast, effect=True),
-    StoreLiveout: _simple(_store_liveout, effect=True),
-    RetrieveLiveout: _simple(_retrieve_liveout, effect=True),
-    ParallelFork: _simple(_fork, effect=True),
-    ParallelJoin: _simple(_join, effect=True),
+    **{cls: _simple(make, effect=True) for cls, make in _EFFECTS.items()},
     Load: _decode_load,
     GEP: _decode_gep,
     Jump: lambda code, inst, block: code.edge(block, inst.target),
@@ -622,6 +649,143 @@ _DECODERS = {
     Ret: _decode_ret,
     Consume: _decode_consume,
 }
+
+
+class _Segments(dict):
+    """``block -> its first segment``, rendered on first entry to the block.
+
+    A segment is a maximal run of non-phi instructions that can neither
+    push a frame nor park: it ends after a call to a defined function, after
+    a :class:`Consume`, or with the terminator.  It is ``(function, length,
+    block, start)``; ``function(interp, frame)`` runs it all and returns the
+    frame's next segment, ``None`` once another frame is on top (a caller
+    resumes at its ``frame.seg``), or ``False`` for a consume on an empty
+    queue.  As with :class:`_Decoder`, neither this cache nor a rendered
+    function's namespace holds the interpreter or its memory.
+    """
+
+    def __init__(self, code: _Decoder) -> None:
+        self.code = code
+
+    def __missing__(self, block: BasicBlock):
+        insts = block.instructions
+        if block.terminator is None:
+            raise InterpError(f"block {block.name} has no terminator")
+        cuts = [len(block.phis()), len(insts)]
+        for i, inst in enumerate(insts[cuts[0] : -1], cuts[0] + 1):
+            if type(inst) is Consume or type(inst) is Call and not inst.callee.is_declaration:
+                cuts.insert(-1, i)
+        segment = None
+        for lo, hi in reversed(list(zip(cuts, cuts[1:]))):  # each holds the one after it
+            segment = (_render(self.code, block, lo, hi, segment), hi - lo, block, lo)
+        self[block] = segment
+        return segment
+
+
+def _render(code: _Decoder, block: BasicBlock, lo: int, hi: int, following):
+    """``block.instructions[lo:hi]`` as one Python function of ``(interp, frame)``.
+
+    The text spells operand plumbing and control flow only.  A value
+    defined in the range is a local, written back to ``frame.env`` only if
+    it has a user elsewhere; one defined elsewhere is read there at its
+    first use.  Every operation is the object the closure decoder calls
+    (``PURE_OPS`` binds, ``Memory`` accessors, ``_EFFECTS``), reached like
+    every IR object and non-``int`` constant through the function's
+    namespace: the text holds generated names and ``repr`` of ``int`` only.
+    """
+    insts = block.instructions[lo:hi]
+    members = set(insts)
+    closes = hi == len(block.instructions)  # the range ends with the terminator
+    ns: dict[str, object] = {"__builtins__": {}, "Frame": _Frame}
+    body = ["env = frame.env"]
+
+    def ref(obj, kind: str = "K") -> str:
+        name = f"{kind}{len(ns)}"
+        ns[name] = obj
+        return name
+
+    def use(value: Value, local: dict, out: list) -> str:
+        key, const = code.bind(value)
+        if key is None:
+            return repr(const) if type(const) is int else ref(const)
+        if key not in local:
+            local[key] = f"v{len(local)}"
+            out.append(f"{local[key]} = env[{ref(key)}]")
+        return local[key]
+
+    def escapes(inst: Instruction) -> bool:
+        """Whether a reader outside this function needs ``inst`` in ``frame.env``."""
+        return any(
+            not closes or any(p is not block for v, p in user.incoming() if v is inst)
+            if type(user) is Phi
+            else type(user) is Consume or user not in members
+            for user in inst.users
+        )
+
+    def define(inst: Instruction, expr: str) -> None:
+        if not inst.type.is_void:
+            local[inst] = name = f"v{len(local)}"
+            keep = f"env[{ref(inst)}] = " if escapes(inst) else ""
+            expr = f"{keep}{name} = {expr}"
+        body.append(expr)
+
+    def edge(target: BasicBlock, local: dict) -> list[str]:
+        """``block -> target``: sources are locals before any phi is written."""
+        out = [f"if interp.on_edge is not None: interp.on_edge({ref(block)}, {ref(target)})"]
+        moves = [(ref(phi), use(phi.incoming_for(block), local, out)) for phi in target.phis()]
+        out += [f"env[{phi}] = {source}" for phi, source in moves]
+        out.append(f"return interp._segs[{ref(target)}]")
+        return out
+
+    local: dict[Value, str] = {}
+    for inst in insts:
+        cls = type(inst)
+        values = [use(v, local, body) for v in inst.operands if not isinstance(v, BasicBlock)]
+        if cls is GEP:
+            offset, terms = bind_gep(inst)
+            addr = [values[0], repr(offset)] if offset else [values[0]]
+            addr += [f"{scale} * {values[1 + i]}" for scale, i in terms]
+            define(inst, f"({' + '.join(addr)}) & 0xFFFFFFFF")
+        elif cls in PURE_OPS:
+            define(inst, f"{ref(PURE_OPS[cls][1](inst), 'F')}({', '.join(values)})")
+        elif cls is Load:
+            load = ref(code.memory_type.loader(inst.type), "F")
+            define(inst, f"{load}(interp.memory, {values[0]})")
+        elif cls is Call and not inst.callee.is_declaration:
+            callee = inst.callee
+            body.append(f"new = Frame({ref(callee)}, {ref(inst)})")
+            body += [f"new.env[{ref(a)}] = {v}" for a, v in zip(callee.args, values)]
+            body.append(f"new.seg = interp._segs[{ref(callee.entry)}]")
+            body += [f"frame.seg = {ref(following)}", "interp._stack.append(new)"]
+        elif cls in _EFFECTS or cls is Call and inst.callee.name in MALLOC_NAMES:
+            effect = ref(_EFFECTS.get(cls, _malloc)(code, inst), "F")
+            define(inst, f"{effect}({', '.join(['interp'] + values)})")
+        elif cls is Jump:
+            body += edge(inst.target, local)
+        elif cls is CondBranch:
+            body.append(f"if {values[0]}:")
+            body += [" " + line for line in edge(inst.if_true, dict(local))]
+            body.append("else:")
+            body += [" " + line for line in edge(inst.if_false, dict(local))]
+        elif cls is Ret:
+            body += ["stack = interp._stack", "stack.pop()"]
+            if values:
+                body.append(f"if stack: stack[-1].env[frame.call_inst] = {values[0]}")
+                body.append(f"else: interp._return_value = {values[0]}")
+        else:  # a consume parks; a phi out of place, an unknown opcode or callee raises
+            op = _DECODERS.get(cls, _unknown)(code, inst, block)
+            body.append(f"if {ref(op, 'F')}(interp, frame): return False")
+            if cls is Consume:
+                body.append(f"return {ref(following)}")
+    text = "def seg(interp, frame):\n" + "".join(f" {line}\n" for line in body)
+    exec(_segment_code(text), ns)
+    return ns.pop("seg")
+
+
+@lru_cache(maxsize=1024)
+def _segment_code(text: str):
+    """A block always renders to the same text: a process compiles it once."""
+    return compile(text, "<segment>", "exec")
 
 
 def _number_malloc_sites(module: Module) -> dict[int, int]:

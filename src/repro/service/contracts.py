@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..cost import COST_MODEL_VERSION
-from ..dse.evaluate import DEFAULT_EVAL_MAX_CYCLES
-from ..dse.space import ConfigSpace
+from ..dse.space import DEFAULT_EVAL_MAX_CYCLES, ConfigSpace
 from ..errors import CgpaError
 from ..hw import DEFAULT_ENGINE  # what simulate-like options default to,
 from ..hw import ENGINES as _ENGINES  # and what they accept

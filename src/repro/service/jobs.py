@@ -32,8 +32,8 @@ from ..dse import (
     GridStrategy,
     HillClimbStrategy,
     RandomStrategy,
+    result_key,
 )
-from ..dse.cache import result_key
 from ..dse.explore import Explorer, SweepResult
 from ..faults.sweep import ResilienceReport, resilience_sweep
 from ..harness.build import interned_pipeline

@@ -9,8 +9,8 @@ immutable: a key is never *invalidated*, it simply stops being addressed
 when any input changes.
 
 Layout is ``<root>/<key[:2]>/<key>.json``; design-point evaluations
-(:func:`repro.dse.result_key`) and service artifacts share one directory
-and one locking discipline.
+(:func:`repro.dse.evaluate.result_key`) and service artifacts share one
+directory and one locking discipline.
 
 Four layers sit above the files:
 

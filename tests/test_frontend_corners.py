@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import CgpaError, NestingError, ParseError, SemanticError
 from repro.frontend import compile_c
+from repro.frontend.parser import parse
 from repro.interp import Interpreter
 from repro.ir import verify_module
 from repro.transforms import optimize_module
@@ -239,3 +240,28 @@ class TestNesting:
     def test_ordinary_nesting_compiles(self):
         src = "int main(int x) { {{{ return " + "(" * 30 + "x" + ")" * 30 + "; }}} }"
         assert run(src, args=[9]) == 9
+
+
+#: A decimal literal longer than ``int()`` converts (its limit is 4300 digits).
+OVERLONG_LITERAL = "int f(void) { return " + "1" * 5000 + "; }"
+
+
+class TestIntegerLiterals:
+    def test_overlong_literal_is_a_parse_error_with_its_position(self):
+        for front in (parse, compile_c):
+            with pytest.raises(ParseError) as info:
+                front(OVERLONG_LITERAL)
+            assert isinstance(info.value, CgpaError)
+            assert (info.value.line, info.value.column) == (1, 22)
+            assert "5000 characters" in str(info.value)
+            assert len(str(info.value)) < 100  # names the literal, does not quote it
+
+    @pytest.mark.parametrize("literal", ["08", "0x", "0777", "09u"])
+    def test_literals_int_refuses_are_parse_errors(self, literal):
+        with pytest.raises(ParseError, match="invalid integer constant"):
+            compile_c(f"int f(void) {{ return {literal}; }}")
+        with pytest.raises(ParseError, match="invalid integer constant"):
+            compile_c(f"int g[{literal}];")
+
+    def test_suffixes_and_hex_still_parse(self):
+        assert run("int main(void) { return 0x1F + 12u + 3L; }") == 46

@@ -1,0 +1,395 @@
+"""Segment path == closure path.
+
+``Interpreter.call`` with no ``on_execute`` hook runs generated
+straight-line code a segment at a time; with a hook (a no-op here) it
+runs the per-instruction closures, the reference.  Everything a caller
+can observe must agree: value, ``steps``, image bytes, access counters,
+allocations, edges taken, error text and the point at which it is raised.
+"""
+
+import io
+import re
+import sys
+import threading
+import tokenize
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.errors import InterpError
+from repro.frontend import compile_c
+from repro.interp import ChannelIO, Interpreter, Memory
+from repro.interp import interpreter as interpreter_module
+from repro.ir import (
+    Channel,
+    Consume,
+    FunctionType,
+    I32,
+    IRBuilder,
+    Module,
+    Phi,
+    PointerType,
+    Produce,
+)
+from repro.ir.instructions import Call
+from repro.ir.values import Constant
+from repro.kernels import ALL_KERNELS
+from repro.transforms import optimize_module
+from tests.test_interp_decode import LOOP_SRC, _CountingMemory
+from tests.test_pipeline_fuzz import LINKED_LIST_TEMPLATE, LIST_UPDATES, kernel_source
+
+
+def no_hook(inst):
+    """Installed as ``on_execute`` to select the closure path."""
+
+
+def observe(interp, value=None, error=None):
+    memory = interp.memory
+    return {
+        "value": repr(value),
+        "error": error,
+        "steps": interp.steps,
+        "image": memory.snapshot(),
+        "counters": (memory.bytes_read, memory.bytes_written),
+        "allocations": [(a.addr, a.size, a.site) for a in memory.allocations],
+    }
+
+
+def run(interp, function, args):
+    try:
+        return observe(interp, value=interp.call(function, list(args)))
+    except InterpError as exc:
+        return observe(interp, error=str(exc))
+
+
+def both(module, function, args, **how):
+    """What the segment path and the closure path each leave behind."""
+    return (
+        run(Interpreter(module, **how), function, args),
+        run(Interpreter(module, on_execute=no_hook, **how), function, args),
+    )
+
+
+def module_of(source, optimise=True, name="module"):
+    module = compile_c(source, name)
+    if optimise:
+        optimize_module(module)
+    return module
+
+
+@pytest.mark.parametrize("optimise", [True, False], ids=["compiled", "unoptimised"])
+@pytest.mark.parametrize("spec", ALL_KERNELS, ids=lambda s: s.name)
+def test_kernel_setup_and_check_agree(spec, optimise):
+    module = module_of(spec.source, optimise, spec.name)
+    seen = []
+    for hook in (None, no_hook):
+        setup = Interpreter(module, on_execute=hook)
+        after_setup = run(setup, spec.setup_function, spec.setup_args)
+        check = Interpreter(
+            module, setup.memory, global_addresses=setup.global_addresses,
+            on_execute=hook,
+        )
+        seen.append((after_setup, run(check, spec.check_function, [])))
+    assert seen[0] == seen[1]
+    assert seen[0][0]["error"] is None and seen[0][1]["error"] is None
+
+
+class TestFuzzedPrograms:
+    @given(kernel_source(), st.booleans())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_array_kernels(self, src, optimise):
+        n, source = src
+        segment, closure = both(module_of(source, optimise), "run", [n])
+        assert segment == closure and segment["error"] is None
+
+    @given(st.sampled_from(LIST_UPDATES), st.integers(0, 30), st.booleans())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_list_kernels(self, update, n, optimise):
+        module = module_of(LINKED_LIST_TEMPLATE.format(update=update), optimise)
+        segment, closure = both(module, "run", [n])
+        assert segment == closure and segment["error"] is None
+
+
+def test_max_steps_stops_on_the_same_instruction_at_every_limit():
+    module = module_of(LOOP_SRC, optimise=False)  # stores between the calls
+    probe = Interpreter(module)
+    probe.call("twice", [3])
+    total = probe.steps
+    assert total > 100
+    for limit in range(1, total + 1):
+        segment, closure = both(module, "twice", [3], max_steps=limit)
+        assert segment == closure, limit
+        if limit < total:
+            assert segment["error"] == f"exceeded max_steps={limit}"
+            assert segment["steps"] == limit + 1
+        else:
+            assert segment["error"] is None
+
+
+@pytest.mark.parametrize("optimise", [True, False])
+def test_on_edge_sees_the_same_edges_in_the_same_order(optimise):
+    module = module_of(LOOP_SRC, optimise)
+    edges = ([], [])
+    Interpreter(
+        module, on_edge=lambda s, d: edges[0].append((s, d))
+    ).call("twice", [9])
+    Interpreter(
+        module, on_edge=lambda s, d: edges[1].append((s, d)), on_execute=no_hook
+    ).call("twice", [9])
+    assert edges[0] == edges[1] and len(edges[0]) > 20
+
+
+class TestPhis:
+    SWAP = (
+        "int f(int n) { int a = 1; int b = 2;"
+        " for (int i = 0; i < n; i++) { int t = a; a = b; b = t; }"
+        " return a * 10 + b; }"
+    )
+    #: ``a`` takes last iteration's ``b``: one phi's source is another phi.
+    ROTATE = (
+        "int f(int n) { int a = 0; int b = 1; int c = 2;"
+        " for (int i = 0; i < n; i++) { a = b; b = c; c = c + a; }"
+        " return a * 10000 + b * 100 + c; }"
+    )
+
+    @pytest.mark.parametrize("source", [SWAP, ROTATE], ids=["swap", "phi-fed-by-phi"])
+    def test_parallel_copy_across_a_segment_edge(self, source):
+        module = module_of(source)
+        phis = [i for i in module.get_function("f").instructions() if isinstance(i, Phi)]
+        assert any(isinstance(v, Phi) and v.parent is p.parent
+                   for p in phis for v in p.operands), "no phi reads a phi in the IR"
+        for n in range(6):
+            segment, closure = both(module, "f", [n])
+            assert segment == closure and segment["error"] is None
+        assert Interpreter(module_of(self.SWAP)).call("f", [3]) == 21
+
+
+class TestCalls:
+    SOURCE = (
+        "int g(int x) { return x + 1; }"
+        "int h(int a) { return g(a) * 2 + g(a + 1); }"
+        "int down(int n) { if (n == 0) return 0; return 1 + down(n - 1); }"
+    )
+
+    def test_a_call_in_the_middle_of_a_block_makes_three_segments(self):
+        module = module_of(self.SOURCE)
+        (block,) = module.get_function("h").blocks
+        calls = [i for i in block.instructions if isinstance(i, Call)]
+        assert len(calls) == 2 and calls[-1] is not block.instructions[-2]
+        interp = Interpreter(module)
+        assert interp.call("h", [5]) == (5 + 1) * 2 + (5 + 2)
+        # Each segment is one dispatch of its whole length.
+        lengths, segment = [], interp._segs[block]
+        while segment is not None:
+            lengths.append(segment[1])
+            following = [v for v in segment[0].__globals__.values()
+                         if isinstance(v, tuple) and len(v) == 4]
+            segment = following[0] if following else None
+        assert len(lengths) == 3 and sum(lengths) == len(block.instructions)
+        segment_run, closure_run = both(module, "h", [5])
+        assert segment_run == closure_run
+
+    def test_recursion_uses_the_explicit_stack(self):
+        module = module_of(self.SOURCE)
+        depth = 5 * sys.getrecursionlimit()
+        assert depth >= 5000
+        segment, closure = both(module, "down", [depth])
+        assert segment == closure
+        assert segment["value"] == repr(depth)
+
+    def test_already_running_and_reuse_after_completion(self):
+        module = module_of(self.SOURCE)
+        interp = Interpreter(module, max_steps=10)
+        with pytest.raises(InterpError, match="exceeded max_steps=10"):
+            interp.call("down", [50])
+        with pytest.raises(InterpError, match="already running a call"):
+            interp.call("g", [1])
+        fresh = Interpreter(module)
+        assert fresh.call("g", [1]) == 2 and fresh.call("h", [1]) == 7
+
+
+def _two_block_function(make_fault):
+    """``f(a, p)``: store 7 to ``p``, then the faulting instruction."""
+    m = Module("m")
+    f = m.new_function("f", FunctionType(I32, [I32, PointerType(I32)]), ["a", "p"])
+    b = IRBuilder(f.new_block("entry"))
+    b.store(Constant(I32, 7), f.args[1])
+    b.ret(make_fault(m, f, b))
+    return m
+
+
+def _divide_by_zero(m, f, b):
+    return b.binop("sdiv", f.args[0], Constant(I32, 0))
+
+
+def _undefined_value(m, f, b):
+    later = f.new_block("later")  # never entered
+    orphan = IRBuilder(later).binop("mul", f.args[0], f.args[0], name="orphan")
+    IRBuilder(later).ret(orphan)
+    return b.binop("add", f.args[0], orphan)
+
+
+@pytest.mark.parametrize("fault,message", [
+    (_divide_by_zero, "integer division by zero"),
+    (_undefined_value, "use of undefined value %orphan in @f"),
+], ids=["division-by-zero", "undefined-value"])
+def test_faults_raise_when_run_not_when_rendered(fault, message):
+    module = _two_block_function(fault)
+    outcomes = []
+    for hook in (None, no_hook):
+        memory = Memory()
+        interp = Interpreter(module, memory, on_execute=hook)
+        addr = memory.malloc(4)
+        if hook is None:  # rendering the block is not running it
+            interp._segs[module.get_function("f").entry]
+        with pytest.raises(InterpError) as info:
+            interp.call("f", [1, addr])
+        outcomes.append((str(info.value), memory.load(addr, I32), memory.snapshot()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:2] == (message, 7)  # the store before the fault ran
+
+
+def test_memory_subclass_sees_every_access_on_both_paths():
+    module = module_of(LOOP_SRC, optimise=False)
+    counts = []
+    for hook in (None, no_hook):
+        memory = _CountingMemory()
+        interp = Interpreter(module, memory, on_execute=hook)
+        memory.reads = memory.writes = 0  # drop global-initialiser traffic
+        interp.call("twice", [12])
+        counts.append((memory.reads, memory.writes))
+    assert counts[0] == counts[1] and min(counts[0]) > 50
+
+
+class TestChannels:
+    def module(self):
+        m = Module("m")
+        chan = Channel(0, "c", I32, 0, 1)
+        f = m.new_function("f", FunctionType(I32, [I32]), ["a"])
+        b = IRBuilder(f.new_block("entry"))
+        first = b.block.append(Consume(chan, I32))
+        total = b.binop("add", first, f.args[0])
+        second = b.block.append(Consume(chan, I32, Constant(I32, 4)))
+        b.block.append(Produce(chan, Constant(I32, 0), total))
+        b.ret(b.binop("mul", total, second))
+        return m, chan
+
+    def test_consume_and_produce_agree(self):
+        m, chan = self.module()
+        seen = []
+        for hook in (None, no_hook):
+            channels = ChannelIO()
+            channels.produce(chan, 0, 5)
+            channels.produce(chan, 0, 3)
+            interp = Interpreter(m, channel_io=channels, on_execute=hook)
+            seen.append((run(interp, "f", [10]), channels.queue_snapshot()))
+        assert seen[0] == seen[1]
+        assert seen[0][0]["value"] == "45" and seen[0][1] == {(0, 0): (15,)}
+
+    def test_empty_channel_is_the_same_error_after_the_same_steps(self):
+        m, chan = self.module()
+        seen = []
+        for hook in (None, no_hook):
+            channels = ChannelIO()
+            channels.produce(chan, 0, 5)
+            interp = Interpreter(m, channel_io=channels, on_execute=hook)
+            seen.append(run(interp, "f", [10]))
+        assert seen[0] == seen[1]
+        assert "blocked on an empty channel" in seen[0]["error"]
+        assert seen[0]["steps"] == 3
+
+
+#: A C source whose every identifier is a Python keyword, builtin or dunder.
+HOSTILE_NAMES = """
+typedef struct lambda { int yield; double __class__; struct lambda* None; } class;
+void* malloc(int size);
+double __import__[4] = {1.5, 2.5, 1e300, -0.0};
+int def(int pass, int __builtins__) {
+    class* exec = (class*)malloc(sizeof(class));
+    exec->yield = pass * 3 + __builtins__;
+    exec->__class__ = __import__[pass & 3] * 1e300 * 1e300;
+    exec->None = 0;
+    int import = 0;
+    for (int global = 0; global < pass; global++) import += exec->yield ^ global;
+    return import + (exec->__class__ > 1.0);
+}
+int eval(int raise) { return def(raise, 11) + def(raise + 1, 7); }
+"""
+
+GENERATED_NAME = re.compile(
+    r"def|seg|interp|frame|env|if|else|not|is|None|return|new|Frame|stack|got"
+    r"|on_edge|_segs|_stack|memory|call_inst|_return_value|pop|append|[vKF]\d+"
+)
+
+
+@pytest.mark.parametrize("optimise", [True, False])
+def test_generated_text_holds_nothing_from_the_source(optimise, monkeypatch):
+    texts = []
+    compiled = interpreter_module._segment_code
+
+    def spy(text):
+        texts.append(text)
+        return compiled(text)
+
+    monkeypatch.setattr(interpreter_module, "_segment_code", spy)
+    module = module_of(HOSTILE_NAMES, optimise)
+    segment, closure = both(module, "eval", [6])
+    assert segment == closure and segment["error"] is None
+    assert len(texts) > 5
+    for text in texts:
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type == tokenize.NAME:
+                assert GENERATED_NAME.fullmatch(token.string), text
+            elif token.type == tokenize.NUMBER:  # ints only: floats go by name
+                assert re.fullmatch(r"\d+|0xFFFFFFFF", token.string), text
+            else:
+                assert token.type != tokenize.STRING, text
+
+
+def test_a_process_compiles_each_text_once():
+    memo = interpreter_module._segment_code
+    assert memo.cache_info().maxsize is not None  # bounded
+    module = module_of(LOOP_SRC)
+    first = run(Interpreter(module), "twice", [5])
+    misses = memo.cache_info().misses
+    again = run(Interpreter(module_of(LOOP_SRC + "/* another module */")), "twice", [5])
+    assert again == first
+    assert memo.cache_info().misses == misses  # every text was a hit
+
+
+def test_rendered_functions_reach_neither_decoder_nor_interpreter():
+    module = module_of(LOOP_SRC)
+    interp = Interpreter(module)
+    interp.call("twice", [5])
+    assert interp._segs
+    for function, _, _, _ in interp._segs.values():
+        assert "seg" not in function.__globals__
+        assert function.__globals__["__builtins__"] == {}
+        held = function.__globals__.values()
+        assert not any(v is interp or v is interp.memory or v is interp._code
+                       or v is interp._segs for v in held)
+
+
+def test_two_threads_on_one_module_give_the_serial_bytes():
+    spec = next(s for s in ALL_KERNELS if s.name == "ks")
+    module = module_of(spec.source, name=spec.name)
+    serial = run(Interpreter(module), spec.setup_function, spec.setup_args)
+    results = [None, None]
+
+    def work(slot):
+        results[slot] = run(Interpreter(module), spec.setup_function, spec.setup_args)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [serial, serial] and serial["error"] is None

@@ -11,11 +11,12 @@ import asyncio
 import dataclasses
 import json
 import threading
+import time
 
 import pytest
 
 from repro.dse.explore import SweepResult
-from repro.errors import CgpaError
+from repro.errors import CgpaError, ParseError
 from repro.faults.sweep import ResilienceReport, resilience_sweep
 from repro.harness.__main__ import main
 from repro.harness.report import format_pareto
@@ -27,7 +28,7 @@ from repro.service import ArtifactStore, JobRequest, ServiceClient
 from repro.service import jobs
 from repro.service.app import ServiceConfig, start_service
 from repro.service.queue import JobQueue
-from tests.test_frontend_corners import TOO_DEEP
+from tests.test_frontend_corners import OVERLONG_LITERAL, TOO_DEEP
 
 #: Scaled-down ks: the whole compile+simulate+cost path in ~50 ms.
 SMALL_KS = dataclasses.replace(KERNELS_BY_NAME["ks"], setup_args=[10, 10])
@@ -375,16 +376,11 @@ def test_reports_render_beside_jobs_that_ended_without_one(tmp_path, capsys):
                 f'<td class="num">1</td>') in tally
 
 
-@pytest.mark.parametrize("shape", sorted(TOO_DEEP))
-def test_too_deeply_nested_source_fails_typed_at_every_boundary(
-    shape, tmp_path, monkeypatch, capsys
-):
-    request = JobRequest.make("compile", "ks", source=TOO_DEEP[shape])
-    with pytest.raises(CgpaError, match="nesting too deep"):
-        jobs.execute(request)
+def _run_queued(request, root):
+    """The job's record after a one-worker queue on a store at ``root`` ran it."""
 
     async def submit():
-        store = ArtifactStore(tmp_path)
+        store = ArtifactStore(root)
         queue = JobQueue(store, workers=1, envelopes=EnvelopeWriter(store))
         await queue.start()
         try:
@@ -394,7 +390,36 @@ def test_too_deeply_nested_source_fails_typed_at_every_boundary(
         finally:
             await queue.close()
 
-    record = asyncio.run(submit())
+    return asyncio.run(submit())
+
+
+def test_overlong_integer_literal_fails_typed_and_fast(tmp_path):
+    request = JobRequest.make("compile", "ks", source=OVERLONG_LITERAL)
+    with pytest.raises(ParseError, match=r"^1:\d+: invalid integer constant"):
+        jobs.execute(request)
+    # The evaluator reports a point it cannot compile instead of raising.
+    point = jobs.execute(JobRequest.make("simulate", "ks", source=OVERLONG_LITERAL))
+    assert point["status"] == "error"
+    assert point["error"].startswith("compile: 1:22: invalid integer constant")
+    started = time.perf_counter()
+    record = _run_queued(request, tmp_path)
+    assert time.perf_counter() - started < 1.0
+    assert record.status == "failed"
+    assert "invalid integer constant" in record.error
+    assert not record.error.startswith("internal:")
+    (envelope,) = load_envelopes(tmp_path, strict=True)
+    assert (envelope.status, envelope.extra["error"]) == ("failed", record.error)
+
+
+@pytest.mark.parametrize("shape", sorted(TOO_DEEP))
+def test_too_deeply_nested_source_fails_typed_at_every_boundary(
+    shape, tmp_path, monkeypatch, capsys
+):
+    request = JobRequest.make("compile", "ks", source=TOO_DEEP[shape])
+    with pytest.raises(CgpaError, match="nesting too deep"):
+        jobs.execute(request)
+
+    record = _run_queued(request, tmp_path)
     assert record.status == "failed"
     assert record.error.startswith("nesting too deep")  # no "internal:"
     (envelope,) = load_envelopes(tmp_path, strict=True)
