@@ -2,7 +2,8 @@
 
 The long-lived front end over the whole toolchain: submit a kernel
 (named, or with overridden C source) plus a typed config to an asyncio
-HTTP server and poll a job id; a worker pool drains the queue and every
+HTTP server and wait on a job id (a status read with ``?wait_s=`` is
+held until the job ends); a worker pool drains the queue and every
 result lands in a content-addressed :class:`ArtifactStore` shared with
 the CLI subcommands and the DSE result cache.  Identical in-flight
 requests coalesce onto one job, repeated requests are answered straight
@@ -13,7 +14,7 @@ Entry points::
 
     python -m repro.harness serve --port 8337          # the server
     from repro.service import ServiceClient, JobRequest
-    art = ServiceClient(port=8337).run(
+    art = ServiceClient(port=8337).run(     # POST, held GET(s), GET result
         JobRequest.make("simulate", "ks", {"n_workers": 4}))
 
 Module map: :mod:`.store` (content-addressed artifacts + warm LRU +

@@ -5,7 +5,8 @@ parses HTTP/1.1 (request line, headers, Content-Length body, keep-alive)
 and routes to a handful of JSON endpoints::
 
     POST   /v1/jobs              submit a JobRequest        -> job record
-    GET    /v1/jobs/<id>         poll status                -> job record
+    GET    /v1/jobs/<id>[?wait_s=S]  status; held until terminal or
+                                 min(S, MAX_WAIT_S) s       -> job record
     DELETE /v1/jobs/<id>         cancel a queued/running job
     GET    /v1/jobs/<id>/result  fetch the artifact (409 until done)
     GET    /v1/artifacts/<key>   fetch any artifact by content key
@@ -18,7 +19,8 @@ Submissions pass the per-client token-bucket limiter (client id =
 which answers from the artifact store, coalesces identical in-flight
 keys, or queues work for the thread-pool workers.  The event loop only
 ever parses bytes and probes dictionaries — every simulation runs on a
-worker thread — so status polls stay fast while jobs grind.
+worker thread — so status polls stay fast while jobs grind, and a held
+one (``wait_s``) parks on the job's ``done`` event, answering as it ends.
 
 ``python -m repro.harness serve`` wraps :func:`run_server`; tests and
 the load benchmark use :func:`start_service` to run the whole service
@@ -29,7 +31,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
+import urllib.parse
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,6 +49,10 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 
 #: Idle keep-alive connections are closed after this many seconds.
 KEEP_ALIVE_TIMEOUT_S = 75.0
+
+#: The longest ``GET /v1/jobs/<id>?wait_s=`` holds an answer: below
+#: KEEP_ALIVE_TIMEOUT_S and the client's socket timeout.
+MAX_WAIT_S = 30.0
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
@@ -154,14 +162,15 @@ class CgpaService:
         await self.queue.close(drain_timeout)
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Keep-alive connections outlive the listening socket: cancel
-        # their handler tasks so shutdown never leaves pending readers.
+        # Keep-alive connections and held reads outlive the listener:
+        # cancel them first, since wait_closed() may wait on them.
         for task in list(self._connections):
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
         if self.fleet is not None:
             self.fleet.close()
 
@@ -197,13 +206,15 @@ class CgpaService:
         except asyncio.CancelledError:
             pass  # service shutting down
         finally:
-            if task is not None:
-                self._connections.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            finally:
+                # Tracked until closed, so stop() never leaves it pending.
+                if task is not None:
+                    self._connections.discard(task)
 
     async def _handle_request(
         self,
@@ -252,6 +263,7 @@ class CgpaService:
         client_id = headers.get("x-client-id", peer_id)
         extra_headers: dict[str, str] = {}
         try:
+            await self._hold(method, target)
             status, payload = self._route(method, target, body, client_id)
         except _HttpError as exc:
             status, payload = exc.status, exc.payload
@@ -303,6 +315,28 @@ class CgpaService:
         await writer.drain()
 
     # -- routing -----------------------------------------------------------
+
+    async def _hold(self, method: str, target: str) -> None:
+        """``GET /v1/jobs/<id>?wait_s=S``: park on the job's ``done`` event
+        for up to ``min(S, MAX_WAIT_S)`` seconds; :meth:`_route` then
+        answers the record as for any status read."""
+        path, _, query = target.partition("?")
+        parts = path.strip("/").split("/")
+        if method != "GET" or len(parts) != 3 or parts[:2] != ["v1", "jobs"]:
+            return
+        query = urllib.parse.parse_qs(query, keep_blank_values=True)
+        if "wait_s" not in query:
+            return
+        text = query["wait_s"][-1]
+        try:
+            wait_s = float(text)
+        except ValueError:
+            wait_s = math.nan
+        if not 0 <= wait_s < math.inf:
+            raise _HttpError(400, f"wait_s must be finite and >= 0, not {text!r}")
+        record = self._job(parts[2])
+        if wait_s and not record.done.is_set():
+            await self.queue.wait(record, min(wait_s, MAX_WAIT_S))
 
     def _route(
         self, method: str, target: str, body: bytes, client_id: str

@@ -1,7 +1,8 @@
 """Blocking HTTP client for the CGPA service (stdlib ``http.client``).
 
 The client the harness smoke-test and the load benchmark drive: submit
-a job, poll its record, fetch the artifact — or do all three with
+a job, wait for its record (held status reads the server answers as the
+job ends), fetch the artifact — or do all three with
 :meth:`ServiceClient.run`.  One client holds one keep-alive connection
 (and transparently reconnects if the server closed an idle one), so a
 load generator uses one client per thread.
@@ -134,8 +135,12 @@ class ServiceClient:
             request = request.to_dict()
         return self._request("POST", "/v1/jobs", body=request)
 
-    def job(self, job_id: str) -> dict:
-        return self._request("GET", f"/v1/jobs/{job_id}")
+    def job(self, job_id: str, wait_s: float | None = None) -> dict:
+        """The job's record; with ``wait_s`` the server holds the answer
+        until the job is terminal or that many seconds have passed."""
+        if wait_s is None:
+            return self._request("GET", f"/v1/jobs/{job_id}")
+        return self._request("GET", f"/v1/jobs/{job_id}?wait_s={wait_s:.3f}")
 
     def cancel(self, job_id: str) -> dict:
         """DELETE the job; returns its (terminal or soon-terminal) record."""
@@ -196,23 +201,31 @@ class ServiceClient:
         poll_s: float = 0.05,
         retries: int = 0,
     ) -> dict:
-        """Poll until the job reaches a terminal state; returns its record.
+        """Wait until the job reaches a terminal state; returns its record.
 
+        Each status read is held by the server until the job ends or
+        ``poll_s`` passes, and the next follows at once: ``poll_s`` is the
+        longest interval between two reads.  A non-terminal answer that
+        comes early (a server ignoring ``wait_s``) sleeps out the rest of
+        ``poll_s``, so the client never spins; past ``timeout``, 408.
         ``retries`` bounds how many 429 answers are absorbed (sleeping
         out each ``Retry-After``) before :class:`RateLimited` propagates;
         the default 0 keeps the historical raise-on-first-429 behavior.
         """
         deadline = time.monotonic() + timeout
         while True:
-            record = self._with_retries(lambda: self.job(job_id), retries)
+            asked = time.monotonic()
+            hold = max(0.0, min(poll_s, deadline - asked))
+            record = self._with_retries(lambda: self.job(job_id, hold), retries)
             if record["status"] in _TERMINAL:
                 return record
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise ServiceError(
                     408, {"error": f"job {job_id} still {record['status']} "
                                    f"after {timeout}s"}
                 )
-            time.sleep(poll_s)
+            time.sleep(max(0.0, min(asked + poll_s, deadline) - now))
 
     def run(
         self,
@@ -223,7 +236,8 @@ class ServiceClient:
     ) -> dict:
         """Submit, wait, fetch: the whole round trip, returning the artifact.
 
-        Terminal failures are typed: ``cancelled`` raises
+        ``poll_s`` is :meth:`wait`'s (the longest interval between two
+        held status reads).  Terminal failures are typed: ``cancelled`` raises
         :class:`JobCancelled`, ``failed``/``timeout`` raise
         :class:`JobFailed`.  ``retries`` lets submission and polling ride
         out up to that many 429s (default 0: first 429 raises, as before).

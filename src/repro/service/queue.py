@@ -26,6 +26,9 @@ The queue owns the service's execution pipeline:
 All bookkeeping (records, in-flight map, stats) is touched only from
 the event loop thread, so there are no locks here; the executor runs on
 pool threads/processes but communicates only through its return value.
+A finished job's store write and journal line (linear in the artifact's
+size) run on the loop's default executor; the record turns terminal
+after both, so whoever sees ``done`` finds the artifact and envelope.
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ class JobQueue:
         would, with ``job_id``/``attempts``/``submissions`` in ``extra``;
         a ``failed``/``timeout``/``cancelled`` job journals that status,
         an empty payload and ``extra["error"]``.  Emission is one journal
-        line on the event-loop thread, after the artifact is stored."""
+        line, written on the loop's default executor after the artifact
+        is stored and before the record turns terminal."""
         self.store = store
         self.envelopes = envelopes
         self.workers = max(1, workers)
@@ -331,7 +335,17 @@ class JobQueue:
                 if record.done.is_set():
                     continue  # cancelled while still queued
                 record.status = "running"
-                self._journal(record, await self._execute(loop, record))
+                status, error, artifact = await self._execute(loop, record)
+                if self.envelopes is not None:
+                    extra = {"job_id": record.job_id, "attempts": record.attempts,
+                             "submissions": record.submissions}
+                    await loop.run_in_executor(
+                        None, self._journal, record.request, artifact,
+                        status, error, extra,
+                    )
+                # Artifact stored, journal line written: now the record
+                # may say so, and done.set() below wakes its waiters.
+                record.status, record.error = status, error
             except asyncio.CancelledError:
                 record.status = "failed"
                 record.error = "service shutting down"
@@ -342,22 +356,19 @@ class JobQueue:
                 self._inflight.pop(record.key, None)
                 self._queue.task_done()
 
-    def _journal(self, record: JobRecord, artifact: dict | None) -> None:
-        """One run envelope per job that executed, whatever its end."""
-        if self.envelopes is None:
-            return
-        envelope = job_envelope(record.request, artifact or {}, {
-            "job_id": record.job_id, "attempts": record.attempts,
-            "submissions": record.submissions,
-        })
-        if record.status != "done":
-            envelope.status = record.status
-            envelope.extra["error"] = record.error.splitlines()[0]
+    def _journal(self, request, artifact, status, error, extra) -> None:
+        """One run envelope per job that executed, whatever its end.
+        Runs off the loop, so it reads its arguments and no record."""
+        envelope = job_envelope(request, artifact or {}, extra)
+        if status != "done":
+            envelope.status = status
+            envelope.extra["error"] = error.splitlines()[0]
         self.envelopes.write(envelope)
 
-    async def _execute(self, loop, record: JobRecord) -> dict | None:
-        """Run one record to a terminal state (with crash retries);
-        returns the stored artifact of a ``done`` job."""
+    async def _execute(self, loop, record: JobRecord) -> tuple:
+        """Run one record to its end (with crash retries); returns the
+        terminal ``(status, error, artifact)`` for the worker to journal
+        and then apply.  A ``done`` job's artifact is already stored."""
         while True:
             record.attempts += 1
             exec_future = loop.run_in_executor(
@@ -382,16 +393,10 @@ class JobQueue:
                     lambda f: f.cancelled() or f.exception()
                 )
                 if record.cancel.is_set():
-                    record.status = "cancelled"
-                    record.error = "cancelled by client"
                     self.stats.cancelled += 1
-                else:
-                    record.status = "timeout"
-                    record.error = (
-                        f"exceeded {record.deadline_s:g}s deadline"
-                    )
-                    self.stats.timeouts += 1
-                return
+                    return "cancelled", "cancelled by client", None
+                self.stats.timeouts += 1
+                return "timeout", f"exceeded {record.deadline_s:g}s deadline", None
             try:
                 artifact = exec_future.result()
             except BrokenProcessPool as exc:
@@ -404,28 +409,21 @@ class JobQueue:
                 if record.attempts <= self.job_retries:
                     self.stats.crash_retries += 1
                     continue
-                record.status = "failed"
                 detail = str(exc).splitlines()[0] if str(exc) else (
                     type(exc).__name__
                 )
-                record.error = (
-                    f"worker process crashed on all {record.attempts} "
-                    f"attempt(s): {detail}"
-                )
                 self.stats.failed += 1
-                return
+                return "failed", (f"worker process crashed on all "
+                                  f"{record.attempts} attempt(s): {detail}"), None
             except CgpaError as exc:
-                record.status = "failed"
-                record.error = str(exc).splitlines()[0]
                 self.stats.failed += 1
-                return
+                return "failed", str(exc).splitlines()[0], None
             except Exception as exc:  # executor bug: fail the job only
-                record.status = "failed"
-                record.error = f"internal: {type(exc).__name__}: {exc}"
                 self.stats.failed += 1
-                return
-            self.store.put(record.key, artifact)
-            record.status = "done"
+                return "failed", f"internal: {type(exc).__name__}: {exc}", None
+            # The default executor, never the job pool: that may be busy
+            # simulating, and a fleet's pool is another process.
+            await loop.run_in_executor(None, self.store.put, record.key, artifact)
             self.stats.executed += 1
             self._degraded = False
-            return artifact
+            return "done", None, artifact

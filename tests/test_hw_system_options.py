@@ -131,6 +131,32 @@ class TestRunReuse:
         assert len(system._private_cache_pool) == 7
 
 
+class TestWorkerStatsCoverEveryInvocation:
+    @pytest.mark.xfail(strict=True, reason=(
+        "worker_stats is keyed by worker name, and the workers forked on "
+        "each invocation reuse their names (task#w0 ...), so only the last "
+        "invocation's stats survive; fixing it changes Table 3 energy"))
+    def test_total_ops_counts_every_worker_the_run_created(self, monkeypatch):
+        """1D-Gaussblur invokes its accelerated loop 10 times: 51 workers
+        run, but the report keeps 6 entries (8 728 of 83 095 ops)."""
+        from repro.harness import run_backend
+        from repro.kernels import KERNELS_BY_NAME
+
+        created = []
+        register = AcceleratorSystem._register_worker
+
+        def record(system, worker):
+            created.append(worker)
+            register(system, worker)
+
+        monkeypatch.setattr(AcceleratorSystem, "_register_worker", record)
+        sim = run_backend(KERNELS_BY_NAME["1D-Gaussblur"], "cgpa-p1").sim
+        assert sim.invocations == 10 and len(created) == 51
+        assert sim.total_ops == sum(
+            sum(worker.stats.ops_executed.values()) for worker in created
+        )
+
+
 class TestDefaultEngineIsDeclaredOnce:
     def test_every_engine_default_is_the_one_declaration(self):
         """``repro.hw.DEFAULT_ENGINE`` is what every ``engine=`` parameter,

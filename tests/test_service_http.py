@@ -10,11 +10,13 @@ service-specific behaviours (cache short-circuit, coalescing, 429,
 executors where real kernels would only add runtime.
 """
 
+import json
 import threading
 import time
 
 import pytest
 
+from repro.kernels import KS
 from repro.service import JobRequest, RateLimited, ServiceClient, ServiceError
 from repro.service.app import ServiceConfig, start_service
 from repro.service.client import JobCancelled, JobFailed
@@ -437,6 +439,395 @@ class TestCorruptArtifacts:
                 quarantine = store.root / "quarantine"
                 assert any(quarantine.iterdir())
                 assert client.artifact(request.key) == {"value": 42}
+
+
+def _gated(calls=None):
+    """A run that blocks until its gate opens, and the gate."""
+    gate = threading.Event()
+    started = threading.Event()
+
+    def fake_run(request):
+        if calls is not None:
+            calls.append(request.key)
+        started.set()
+        gate.wait(10)
+        return {"ok": True}
+
+    return fake_run, gate, started
+
+
+class HeldRead(threading.Thread):
+    """``GET /v1/jobs/<id>?wait_s=`` on a connection of its own; ``answer``
+    is the record (or the exception) and ``at`` when it arrived."""
+
+    def __init__(self, handle, job_id: str, wait_s: float):
+        super().__init__(daemon=True)
+        self.handle, self.job_id, self.wait_s = handle, job_id, wait_s
+        self.answer = self.at = None
+        self.start()
+
+    def run(self):
+        with ServiceClient(self.handle.host, self.handle.port) as client:
+            try:
+                self.answer = client.job(self.job_id, wait_s=self.wait_s)
+            except Exception as exc:  # the test inspects it
+                self.answer = exc
+        self.at = time.monotonic()
+
+    def result(self, timeout: float = 10.0):
+        self.join(timeout)
+        assert not self.is_alive(), "held read never answered"
+        return self.answer
+
+
+def _raw_get(handle, target: str) -> tuple[int, bytes]:
+    import http.client as hc
+
+    conn = hc.HTTPConnection(handle.host, handle.port, timeout=10)
+    try:
+        conn.request("GET", target)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+class TestWaitProtocol:
+    """``GET /v1/jobs/<id>?wait_s=S`` parks on the job's done event."""
+
+    def test_held_read_answers_when_the_job_ends(self, tmp_path):
+        fake_run, gate, started = _gated()
+        with start_service(_config(tmp_path), run=fake_run) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                record = client.submit(JobRequest.make("compile", "ks"))
+                assert started.wait(10)
+                held = HeldRead(handle, record["job_id"], 5)
+                time.sleep(0.3)
+                assert held.is_alive()  # still held: the job is running
+                opened = time.monotonic()
+                gate.set()
+                answer = held.result()
+                assert answer["status"] == "done"
+                assert held.at - opened < 0.5  # not after the 5 s hold
+
+    def test_without_wait_s_the_record_bytes_are_unchanged(self, tmp_path):
+        fake_run, gate, started = _gated()
+        with start_service(_config(tmp_path), run=fake_run) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                record = client.submit(JobRequest.make("compile", "ks"))
+                assert started.wait(10)
+                job = handle.service.queue.get(record["job_id"])
+                for status in ("running", "done"):
+                    if status == "done":
+                        gate.set()
+                        client.wait(record["job_id"], timeout=10)
+                    expected = json.dumps(job.to_dict(), sort_keys=True).encode()
+                    target = f"/v1/jobs/{record['job_id']}"
+                    assert _raw_get(handle, target) == (200, expected)
+                    assert _raw_get(handle, target + "?wait_s=0") == (200, expected)
+                    assert _raw_get(handle, target + "?other=1") == (200, expected)
+                    assert job.status == status
+
+    def test_unknown_ids_bad_values_and_the_cap(self, tmp_path, monkeypatch):
+        from repro.service import app
+
+        fake_run, gate, started = _gated()
+        with start_service(_config(tmp_path), run=fake_run) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                began = time.monotonic()
+                with pytest.raises(ServiceError) as info:
+                    client.job("job-99999999", wait_s=5)
+                assert info.value.status == 404
+                assert time.monotonic() - began < 1.0
+                record = client.submit(JobRequest.make("compile", "ks"))
+                assert started.wait(10)
+                target = f"/v1/jobs/{record['job_id']}?wait_s="
+                for bad in ("abc", "", "-1", "-0.5", "nan", "inf", "-inf", "1e400"):
+                    status, body = _raw_get(handle, target + bad)
+                    assert status == 400, bad
+                    assert not json.loads(body)["error"].startswith("internal:")
+                monkeypatch.setattr(app, "MAX_WAIT_S", 0.2)
+                began = time.monotonic()
+                assert client.job(record["job_id"], wait_s=1e9)["status"] == "running"
+                assert time.monotonic() - began < 2.0
+                gate.set()
+
+    def test_coalesced_waiters_both_wake(self, tmp_path):
+        calls = []
+        fake_run, gate, started = _gated(calls)
+        with start_service(_config(tmp_path), run=fake_run) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                request = JobRequest.make("compile", "ks")
+                first = client.submit(request)
+                second = client.submit(request)
+                assert second["job_id"] == first["job_id"]
+                assert started.wait(10)
+                held = [HeldRead(handle, first["job_id"], 10) for _ in range(2)]
+                time.sleep(0.2)
+                gate.set()
+                assert [h.result()["status"] for h in held] == ["done", "done"]
+                assert calls == [request.key]
+
+    def test_cancel_and_deadline_wake_a_held_read(self, tmp_path):
+        fake_run, gate, started = _gated()
+        config = _config(tmp_path, workers=1)
+        with start_service(config, run=fake_run) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                client.submit(JobRequest.make("compile", "ks"))
+                assert started.wait(10)
+                queued = client.submit(JobRequest.make("simulate", "ks"))
+                held = HeldRead(handle, queued["job_id"], 10)
+                time.sleep(0.2)
+                cancelled = time.monotonic()
+                client.cancel(queued["job_id"])
+                assert held.result()["status"] == "cancelled"
+                assert held.at - cancelled < 1.0
+                gate.set()
+        fake_run, gate, started = _gated()
+        with start_service(_config(tmp_path / "deadline"), run=fake_run) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                record = client.submit(
+                    JobRequest.make("compile", "ks", deadline_s=0.3))
+                began = time.monotonic()
+                answer = client.job(record["job_id"], wait_s=10)
+                assert answer["status"] == "timeout"
+                assert time.monotonic() - began < 2.0
+                gate.set()
+
+    def test_a_cached_submission_answers_at_once(self, tmp_path):
+        with start_service(_config(tmp_path), run=lambda r: {"ok": True}) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                request = JobRequest.make("compile", "ks")
+                client.run(request, timeout=10)
+                record = client.submit(request)
+                assert record["cached"]
+                began = time.monotonic()
+                assert client.job(record["job_id"], wait_s=5)["status"] == "done"
+                assert time.monotonic() - began < 0.5
+
+    def test_stop_with_a_held_read_on_a_job_that_never_ends(self, tmp_path, caplog):
+        import gc
+
+        fake_run, gate, started = _gated()
+        config = _config(tmp_path, workers=1, drain_timeout=0.5)
+        handle = start_service(config, run=fake_run)
+        try:
+            with ServiceClient(handle.host, handle.port) as client:
+                running = client.submit(JobRequest.make("compile", "ks"))
+                assert started.wait(10)
+                queued = client.submit(JobRequest.make("simulate", "ks"))
+            held = [HeldRead(handle, record["job_id"], 20)
+                    for record in (running, queued)]
+            time.sleep(0.2)
+            began = time.monotonic()
+            handle.stop()
+            assert time.monotonic() - began < config.drain_timeout + 2.0
+            assert not handle._thread.is_alive()
+            # The running job's waiter hears it fail on shutdown, unless
+            # its connection closes first; the queued job's connection is
+            # closed under its waiter.  Neither hangs.
+            first = held[0].result(2)
+            assert isinstance(first, Exception) or first["status"] == "failed"
+            assert isinstance(held[1].result(2), Exception)
+            gc.collect()
+            assert "pending" not in caplog.text
+        finally:
+            gate.set()
+            handle.stop()
+
+
+class TestClientWait:
+    def test_never_spins_on_a_server_that_ignores_wait_s(self, monkeypatch):
+        client = ServiceClient("127.0.0.1", 1)
+        reads = []
+
+        def job(job_id, wait_s=None):
+            reads.append(wait_s)
+            return {"status": "running"}  # at once, whatever wait_s says
+
+        monkeypatch.setattr(client, "job", job)
+        with pytest.raises(ServiceError) as info:
+            client.wait("job-00000001", timeout=0.5, poll_s=0.05)
+        assert info.value.status == 408
+        assert 5 <= len(reads) <= 0.5 / 0.05 + 2
+        assert all(0 <= wait_s <= 0.05 for wait_s in reads)
+
+    def test_a_job_that_ends_inside_one_hold_costs_three_requests(self, tmp_path):
+        def slow_run(request):
+            time.sleep(0.2)
+            return {"ok": True}
+
+        with start_service(_config(tmp_path), run=slow_run) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                before = handle.service.requests_served
+                began = time.monotonic()
+                assert client.run(
+                    JobRequest.make("compile", "ks"), poll_s=5, timeout=30
+                ) == {"ok": True}
+                assert handle.service.requests_served - before == 3
+                assert time.monotonic() - began < 2.0
+
+    def test_timeout_is_a_408(self, tmp_path):
+        fake_run, gate, started = _gated()
+        with start_service(_config(tmp_path), run=fake_run) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                record = client.submit(JobRequest.make("compile", "ks"))
+                began = time.monotonic()
+                with pytest.raises(ServiceError) as info:
+                    client.wait(record["job_id"], timeout=0.4, poll_s=0.1)
+                assert info.value.status == 408
+                assert "still running" in str(info.value)
+                assert 0.4 <= time.monotonic() - began < 1.5
+                gate.set()
+
+
+class TestCompletionOffTheLoop:
+    def test_put_and_journal_run_on_neither_the_loop_nor_a_job_thread(
+        self, tmp_path
+    ):
+        import asyncio
+
+        from repro.obs.emit import EnvelopeWriter
+        from repro.service.queue import JobQueue
+
+        threads = {"put": [], "write": [], "run": []}
+
+        class Store(ArtifactStore):
+            def put(self, key, artifact):
+                threads["put"].append(threading.get_ident())
+                return super().put(key, artifact)
+
+        class Writer(EnvelopeWriter):
+            def write(self, envelope):
+                threads["write"].append(threading.get_ident())
+                super().write(envelope)
+
+        def run(request):
+            threads["run"].append(threading.get_ident())
+            assert threading.current_thread().name.startswith("cgpa-job")
+            return {"ok": True}
+
+        async def body():
+            store = Store(tmp_path)
+            queue = JobQueue(store, workers=2, run=run, envelopes=Writer(store))
+            await queue.start()
+            try:
+                records = [queue.submit(JobRequest.make("compile", "ks",
+                                                        {"n_workers": n}))
+                           for n in (1, 2, 4)]
+                for record in records:
+                    assert await queue.wait(record, 10)
+                    assert record.status == "done"
+            finally:
+                await queue.close()
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(body())
+        assert len(threads["put"]) == len(threads["write"]) == 3
+        off_loop = set(threads["put"]) | set(threads["write"])
+        assert loop_thread not in off_loop
+        assert not off_loop & set(threads["run"])
+
+    def test_concurrent_completions_journal_every_job_once(self, tmp_path):
+        """Four job threads and the default executor's threads finishing
+        48 jobs at a short switch interval: every artifact is stored,
+        every job journals exactly one whole line, the stats add up."""
+        import asyncio
+        import sys
+
+        from repro.obs.emit import EnvelopeWriter
+        from repro.obs.query import load_envelopes
+        from repro.service.queue import JobQueue
+
+        async def body():
+            store = ArtifactStore(tmp_path)
+            queue = JobQueue(store, workers=4, envelopes=EnvelopeWriter(store),
+                             run=lambda r: {"rows": [r.options["n_workers"]] * 2000})
+            await queue.start()
+            try:
+                # Distinct sources, so 48 keys and no coalescing.
+                records = [queue.submit(JobRequest.make(
+                    "compile", "ks", {"n_workers": n % 16 + 1},
+                    source=f"{KS.source}\n// {n}\n")) for n in range(48)]
+                for record in records:
+                    assert await queue.wait(record, 30)
+            finally:
+                await queue.close()
+            return queue, records
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            queue, records = asyncio.run(body())
+        finally:
+            sys.setswitchinterval(interval)
+        assert {record.status for record in records} == {"done"}
+        assert queue.stats.executed == 48 and not queue._inflight
+        journal = load_envelopes(tmp_path, strict=True)
+        assert sorted(env.extra["job_id"] for env in journal) == sorted(
+            record.job_id for record in records)
+        store = ArtifactStore(tmp_path)
+        for record in records:
+            n = record.request.options["n_workers"]
+            assert store.get(record.key) == {"rows": [n] * 2000}
+
+    def test_a_terminal_status_finds_its_artifact_and_journal_line(
+        self, tmp_path, monkeypatch
+    ):
+        """A slow store write and a slow journal line: whoever sees a
+        terminal status still finds both, because the record turns
+        terminal only after them.  Every end journals its status."""
+        from repro.errors import CgpaError
+        from repro.obs.emit import EnvelopeWriter
+        from repro.obs.query import load_envelopes
+
+        def slowly(method):
+            def slow(self, *args):
+                time.sleep(0.15)
+                return method(self, *args)
+            return slow
+
+        monkeypatch.setattr(ArtifactStore, "put", slowly(ArtifactStore.put))
+        monkeypatch.setattr(EnvelopeWriter, "write", slowly(EnvelopeWriter.write))
+        gate = threading.Event()
+
+        def run(request):
+            if request.kind == "rtl":
+                raise CgpaError("deadlock: nobody can make progress")
+            if request.kind == "simulate":
+                gate.wait(10)
+            return {"ok": True}
+
+        def journalled(store_root, job_id):
+            return [env.status for env in load_envelopes(store_root)
+                    if env.extra.get("job_id") == job_id]
+
+        config = _config(tmp_path, workers=2)
+        with start_service(config, run=run) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                request = JobRequest.make("compile", "ks")
+                record = client.submit(request)
+                assert client.wait(record["job_id"], timeout=10)["status"] == "done"
+                assert journalled(config.store_root, record["job_id"]) == ["ok"]
+                assert client.result(record["job_id"]) == {"ok": True}
+                for request, status in (
+                    (JobRequest.make("rtl", "ks"), "failed"),
+                    (JobRequest.make("simulate", "ks", deadline_s=0.2), "timeout"),
+                ):
+                    record = client.submit(request)
+                    final = client.wait(record["job_id"], timeout=10)
+                    assert final["status"] == status
+                    assert journalled(config.store_root, record["job_id"]) == [status]
+                # The timed-out run still holds one pool thread; this one
+                # takes the other and is cancelled while running.
+                record = client.submit(JobRequest.make("simulate", "em3d"))
+                while client.job(record["job_id"])["status"] != "running":
+                    time.sleep(0.01)
+                client.cancel(record["job_id"])
+                final = client.wait(record["job_id"], timeout=10)
+                assert final["status"] == "cancelled"
+                assert journalled(config.store_root, record["job_id"]) == ["cancelled"]
+                gate.set()
 
 
 class TestClientRetries:
