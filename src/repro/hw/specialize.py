@@ -1,4 +1,4 @@
-"""Worker-FSM specialization: compile schedules into Python closures.
+"""Worker-FSM specialization: compile schedules into generated code.
 
 The base :class:`~repro.hw.worker.HwWorker` interprets ``Instruction``
 objects on every tick: a long ``isinstance`` dispatch chain, an
@@ -8,15 +8,20 @@ the operand routing and the dispatch targets are fixed the moment the
 pipeline is compiled — so ``engine="specialized"`` resolves it once per
 function:
 
-* every FSM state becomes a flat list of *step closures*; the per-opcode
-  dispatch happens here, at build time, never on the hot path;
 * every SSA value gets a slot in a flat ``regs`` list (constants are baked
-  into the closures, globals are filled in at frame construction);
-* every pure op's semantics are bound once from the shared op table
-  (:data:`repro.interp.ops.PURE_OPS`: same functions, same error
-  messages, same rounding as every other engine);
-* branch edges pre-resolve the target's phi moves, so a taken edge is a
-  batch of register copies instead of a phi walk.
+  into the code, globals are filled in at frame construction);
+* register-only ops — pure ops, phis, branches — are generated Python,
+  rendered on first use through the interpreter's IR-to-Python generator
+  (:class:`repro.interp.interpreter._Text`): each pure op is its
+  expression form from the shared op table
+  (:data:`repro.interp.ops.FORMS`: same values, same error messages, same
+  rounding as every other engine), and a taken edge is one parallel copy
+  of the target's phi registers;
+* a run of register-only FSM states — which cannot park — is one
+  generated function (``SpecBlock.runs``) that the tick calls to run
+  ahead; inside a state, a maximal group of register-only ops is one
+  generated step; only ops that touch shared state (memory, FIFOs,
+  liveouts, fork/join, calls) remain closures.
 
 Everything observable is kept **bit-identical** to the event engine:
 ``WorkerStats``, stall attribution, telemetry spans/states and the
@@ -34,15 +39,15 @@ The clock loop is unchanged: a specialized system runs under the same
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from ..errors import SimulationError
-from ..interp.interpreter import MALLOC_NAMES
-from ..interp.ops import PURE_OPS, bind_gep
+from ..interp.interpreter import MALLOC_NAMES, _Text, escapes
+from ..interp.ops import FORMS
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
-    GEP,
     Alloca,
     Call,
     CondBranch,
@@ -78,6 +83,7 @@ _WAIT_JOIN = "wait_join"
 _CALL = "call"
 _RET = "ret"
 _BRANCH = "branch"
+_RAN = "ran"  # a generated group ran and left the frame's cursor past it
 
 #: The cycle category each stalling outcome retires as (call/ret and the
 #: state-advancing outcomes are COMPUTE).
@@ -92,7 +98,7 @@ _COMPUTE = CycleCategory.COMPUTE  # bound once: every run-ahead exit passes it
 
 #: Instruction classes whose steps touch only the frame's registers; a
 #: branch and its phi-latching edge are register-only control flow.
-_REGISTER_ONLY = (*PURE_OPS, Phi, Jump, CondBranch)
+_REGISTER_ONLY = (*FORMS, Phi, Jump, CondBranch)
 
 
 class _Accessors(dict):
@@ -114,22 +120,26 @@ class _Accessors(dict):
 
 
 class SpecBlock:
-    """One basic block compiled to per-state step-closure lists.
+    """One basic block compiled to per-state step lists.
 
-    ``states[s]`` holds the step closures issued in FSM state ``s`` and
-    ``probes[s]`` the aligned side-effect-free would-block probes (None
-    for ops that can never stall).  ``entry_cursor`` is the number of
+    ``states[s][i]`` is the step at op ``i`` of FSM state ``s`` wherever a
+    frame's cursor can stand: a closure for an op that touches shared
+    state, else a generated group running every register-only op up to
+    the next such op (positions inside a group hold None).  ``probes[s]``
+    holds the aligned side-effect-free would-block probes (None for ops
+    that can never stall), ``runs[s]`` the generated run-ahead from state
+    ``s`` (None unless ``pure[s]``).  ``entry_cursor`` is the number of
     leading phi steps in state 0, skipped when the block is entered via a
     branch edge (the edge already latched the phi registers).
     """
 
     __slots__ = ("label", "trace_label", "n_states", "states", "probes",
-                 "pure", "entry_cursor")
+                 "pure", "runs", "entry_cursor")
 
-    def __init__(self, label: str, trace_label: str, n_states: int) -> None:
+    def __init__(self, label: str, trace_label: str, table) -> None:
         self.label = label
         self.trace_label = trace_label
-        self.n_states = n_states
+        self.n_states = len(table)
         self.states: list[list] = []
         self.probes: list[list] = []
         #: ``pure[s]`` — every op in state ``s`` reads/writes only the
@@ -140,7 +150,15 @@ class SpecBlock:
         #: other worker.  One trailing ``False`` stops a run at the end
         #: of a block that lacks its terminator.
         self.pure: list[bool] = []
-        self.entry_cursor = 0
+        self.runs: list = []
+        # Leading phis of state 0 are latched by the incoming edge; a
+        # branch entry starts past them (function entry executes them as
+        # counted no-ops, matching the interpreted worker's cursor rule).
+        ops0 = table[0] if table else []
+        skip = 0
+        while skip < len(ops0) and isinstance(ops0[skip], Phi):
+            skip += 1
+        self.entry_cursor = skip
 
 
 class SpecFrame:
@@ -172,8 +190,8 @@ class SpecFrame:
 
 
 class SpecializedProgram:
-    """One function's FSM schedule compiled into closures (shared by all
-    workers and systems running that function)."""
+    """One function's FSM schedule compiled into steps and runs (shared by
+    all workers and systems running that function)."""
 
     def __init__(self, function: Function, schedule: FunctionSchedule) -> None:
         self.function = function
@@ -181,21 +199,23 @@ class SpecializedProgram:
         self._globals: dict[str, int] = {}  # global name -> register slot
         self.n_slots = 0
         self._blocks: dict[int, SpecBlock] = {}
+        self._tables: dict[int, list] = {}  # id(block) -> ops per FSM state
         for arg in function.args:
             self._slots[id(arg)] = self._alloc()
         for block in function.blocks:
             for inst in block.instructions:
                 self._slots[id(inst)] = self._alloc()
+                for value in inst.operands:  # code renders lazily: slot globals now
+                    if isinstance(value, GlobalVariable):
+                        self._bind(value)
         for block in function.blocks:
-            bs = schedule.block_schedule(block)
+            table = self._tables[id(block)] = schedule.block_schedule(block).states
             self._blocks[id(block)] = SpecBlock(
-                block.short_name(),
-                f"{function.name}:{block.short_name()}",
-                bs.n_states,
+                block.short_name(), f"{function.name}:{block.short_name()}", table
             )
         self.entry = self._blocks[id(function.entry)]
         for block in function.blocks:
-            self._compile_block(block, schedule.block_schedule(block))
+            self._compile_block(block)
         #: (name, slot) pairs for frame construction, deterministic order.
         self.global_slots = sorted(self._globals.items())
 
@@ -221,66 +241,122 @@ class SpecializedProgram:
             return slot, None
         return self._slots[id(value)], None
 
+    def _key(self, value) -> tuple[int | None, int | float | None]:
+        """The generator's ``(key, const)``: a register slot or a constant."""
+        slot, const = self._bind(value)
+        return (None, const) if slot < 0 else (slot, None)
+
     # -- block compilation --------------------------------------------------
 
-    def _compile_block(self, block: BasicBlock, bs) -> None:
+    def _compile_block(self, block: BasicBlock) -> None:
         sb = self._blocks[id(block)]
-        table = bs.states  # built once, at specialize time
-        for state_ops in table:
-            steps: list = []
-            probes: list = []
-            for inst in state_ops:
-                step, probe = self._compile_inst(inst, block)
-                steps.append(step)
-                probes.append(probe)
+        for s, state_ops in enumerate(self._tables[id(block)]):
+            n = len(state_ops)
+            steps: list = [None] * n
+            probes: list = [None] * n
+            landings = {0, sb.entry_cursor if s == 0 else 0}
+            for i, inst in enumerate(state_ops):
+                if not isinstance(inst, _REGISTER_ONLY):
+                    steps[i], probes[i] = self._compile_inst(inst)
+                    landings.add(i + 1)
+            for i in sorted(landings):
+                if i < n and steps[i] is None:  # a register-only group starts here
+                    j = i + 1
+                    while j < n and steps[j] is None and j not in landings:
+                        j += 1
+                    steps[i] = _lazy(steps, i, self._render, block, s, i, j)
             sb.states.append(steps)
             sb.probes.append(probes)
-            sb.pure.append(
-                all(isinstance(inst, _REGISTER_ONLY) for inst in state_ops)
-            )
+            sb.pure.append(all(isinstance(inst, _REGISTER_ONLY) for inst in state_ops))
         sb.pure.append(False)
-        # Leading phis of state 0 are latched by the incoming edge; a
-        # branch entry starts past them (function entry executes them as
-        # no-op steps, matching the interpreted worker's cursor rule).
-        ops0 = table[0] if table else []
-        skip = 0
-        while skip < len(ops0) and isinstance(ops0[skip], Phi):
-            skip += 1
-        sb.entry_cursor = skip
+        sb.runs = runs = [None] * len(sb.pure)
+        for s, pure in enumerate(sb.pure):
+            if pure:  # a run enters state 0 from an edge, past the phis
+                lo = 0 if s else sb.entry_cursor
+                runs[s] = _lazy(runs, s, self._render, block, s, lo, None)
 
-    def _compile_edge(self, from_block: BasicBlock, target: BasicBlock):
-        """Closure applying one CFG edge: latch the target's phis from
-        this edge's incoming values (fetched atomically, before any phi
-        register is overwritten), then enter the target block."""
-        sb = self._blocks[id(target)]
-        phis = target.phis()
-        binds = [self._bind(phi.incoming_for(from_block)) for phi in phis]
-        slots = [self._slots[id(phi)] for phi in phis]
-        n_phis = len(phis)
+    def _render(self, block: BasicBlock, first: int, lo: int, end: int | None):
+        """Generated code for the register-only ops from op ``lo`` of FSM
+        state ``first``.
 
-        def edge(worker: HwWorker, frame: SpecFrame) -> None:
-            regs = frame.regs
-            if n_phis:
-                values = [regs[s] if s >= 0 else c for s, c in binds]
-                for slot, value in zip(slots, values):
-                    regs[slot] = value
-                worker.stats.ops_executed["phi"] += n_phis
-            frame.block = sb
-            frame.state = 0
-            frame.steps = sb.states[0]
-            frame.cursor = sb.entry_cursor
+        With ``end``, a *group*: ops ``[lo, end)`` of that one state, a
+        step ``(worker, frame, cycle)`` returning ``_RAN`` with the frame's
+        cursor at ``end``, or ``_BRANCH`` with the frame in the taken
+        edge's target.  Without, a *run*: that state and every following
+        pure state of the block, ``(regs, ops, room) -> (block, state,
+        start, states, progress)``, executing at most ``room`` states.
+        Registers are locals, stored back only for a reader outside the
+        function.  (A run stopped for ``room`` leaves its worker due at
+        ``max_cycles``, where the clock raises the budget error before any
+        tick, so what the states it did not reach would read is never
+        read.)  ``ops_executed`` and progress are static per exit, added
+        once on the way out.
+        """
+        sb = self._blocks[id(block)]
+        table = self._tables[id(block)]
+        if end is None:
+            stop = first
+            while sb.pure[stop]:
+                stop += 1
+            rows = [table[first][lo:]] + table[first + 1 : stop]
+        else:
+            rows = [table[first][lo:end]]
+        members = {inst for row in rows for inst in row}
+        closes = block.terminator in members
+        text = _Text(self._key, lambda slot: f"regs[{slot}]")
+        body, ref = text.body, text.ref
+        if end is not None:
+            body += ["regs = frame.regs", "ops = worker.stats.ops_executed"]
+        counts: Counter = Counter()
+        progress = 0
 
-        return edge
+        def leave(out: list, counts: Counter, outcome) -> None:
+            out += [f"ops[{ref(op)}] += {n}" for op, n in counts.items() if n]
+            out.append(f"return {ref(outcome)}")
+
+        def edge(target: BasicBlock, local: dict) -> list[str]:
+            out: list[str] = []
+            phis = target.phis()
+            text.moves([(phi, phi.incoming_for(block)) for phi in phis], local, out)
+            tb = self._blocks[id(target)]
+            if end is not None:
+                out += [f"frame.block = {ref(tb)}", f"frame.cursor = {tb.entry_cursor}"]
+            done = (tb, 0, tb.entry_cursor, len(rows), progress)
+            leave(out, counts + Counter(phi=len(phis)), _BRANCH if end is not None else done)
+            return out
+
+        for i, row in enumerate(rows):
+            if i:  # out of room: stop before this state
+                out: list[str] = []
+                leave(out, counts, (sb, first + i, 0, i, progress))
+                body += [f"if room == {i}:", *(" " + line for line in out)]
+            counts.update(inst.opcode for inst in row)
+            branch = bool(row) and type(row[-1]) in (Jump, CondBranch)
+            progress += len(row) + (not branch)
+            for inst in row:
+                cls = type(inst)
+                if cls in FORMS:
+                    text.pure(inst, escapes(inst, members, block, closes))
+                elif cls is Jump:
+                    body += edge(inst.target, text.local)
+                elif cls is CondBranch:
+                    body.append(f"if {text.use(inst.cond)}:")
+                    body += [" " + line for line in edge(inst.if_true, dict(text.local))]
+                    body.append("else:")
+                    body += [" " + line for line in edge(inst.if_false, dict(text.local))]
+                # a phi here starts a function: counted, its register already set
+        if not branch:  # only the last state can end with the terminator
+            if end is not None:
+                body.append(f"frame.cursor = {end}")
+            leave(body, counts, _RAN if end is not None else (sb, stop, 0, len(rows), progress))
+        return text.function("regs, ops, room" if end is None else "worker, frame, cycle")
 
     # -- instruction compilation --------------------------------------------
 
-    def _compile_inst(self, inst: Instruction, block: BasicBlock):
-        """Return ``(step, probe)`` closures for one scheduled op."""
+    def _compile_inst(self, inst: Instruction):
+        """Return ``(step, probe)`` closures for one op that touches shared
+        state (or cannot execute)."""
         opcode = inst.opcode
-        if isinstance(inst, GEP):
-            return self._compile_gep(inst), None
-        if type(inst) in PURE_OPS:
-            return self._compile_pure(inst), None
         if isinstance(inst, Load):
             return self._compile_load(inst), None
         if isinstance(inst, Store):
@@ -330,27 +406,6 @@ class SpecializedProgram:
             return self._compile_call(inst), None
         if isinstance(inst, Ret):
             return self._compile_ret(inst), None
-        if isinstance(inst, Jump):
-            edge = self._compile_edge(block, inst.target)
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                edge(worker, frame)
-                return _BRANCH
-
-            return step, None
-        if isinstance(inst, CondBranch):
-            ic, cc = self._bind(inst.cond)
-            edge_true = self._compile_edge(block, inst.if_true)
-            edge_false = self._compile_edge(block, inst.if_false)
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                cond = frame.regs[ic] if ic >= 0 else cc
-                (edge_true if cond else edge_false)(worker, frame)
-                return _BRANCH
-
-            return step, None
         if isinstance(inst, Alloca):
             dst = self._slots[id(inst)]
             atype = inst.allocated_type
@@ -363,110 +418,12 @@ class SpecializedProgram:
                 return _OK
 
             return step, None
-        if isinstance(inst, Phi):
-            # Only reached when a frame starts at the function entry (the
-            # branch-entry cursor skips latched phis): count and move on,
-            # exactly like the interpreted worker's phi case.
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                return _OK
-
-            return step, None
 
         def step(worker, frame, cycle):  # pragma: no cover - malformed IR
             worker.stats.ops_executed[opcode] += 1
             raise SimulationError(f"worker cannot execute opcode {opcode}")
 
         return step, None
-
-    def _compile_pure(self, inst: Instruction):
-        """Step for any op-table instruction other than GEP: its bound
-        ``f(*operand_values)`` over the register file."""
-        dst = self._slots[id(inst)]
-        opcode = inst.opcode
-        f = PURE_OPS[type(inst)][1](inst)
-        binds = [self._bind(v) for v in inst.operands]
-        if len(binds) == 1:  # casts
-            ((ia, ca),) = binds
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                regs[dst] = f(regs[ia] if ia >= 0 else ca)
-                return _OK
-
-            return step
-        if len(binds) == 2:  # binop/icmp/fcmp: the hot shape
-            (ia, ca), (ib, cb) = binds
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                regs[dst] = f(
-                    regs[ia] if ia >= 0 else ca, regs[ib] if ib >= 0 else cb
-                )
-                return _OK
-
-            return step
-
-        def step(worker, frame, cycle):
-            worker.stats.ops_executed[opcode] += 1
-            regs = frame.regs
-            regs[dst] = f(*[regs[s] if s >= 0 else c for s, c in binds])
-            return _OK
-
-        return step
-
-    def _compile_gep(self, inst: GEP):
-        dst = self._slots[id(inst)]
-        opcode = inst.opcode
-        ibase, cbase = self._bind(inst.base)
-        # ``base + const + Σ coef·idx``: the pointee-type walk happens
-        # once, in the shared op table.
-        const_off, terms = bind_gep(inst)
-        indices = inst.indices
-        live = [(coef, self._bind(indices[pos])[0]) for coef, pos in terms]
-        if len(live) == 1:
-            coef0, s0 = live[0]
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                base = regs[ibase] if ibase >= 0 else cbase
-                regs[dst] = (
-                    int(base) + coef0 * int(regs[s0]) + const_off
-                ) & 0xFFFFFFFF
-                return _OK
-
-            return step
-        if len(live) == 2:
-            coef0, s0 = live[0]
-            coef1, s1 = live[1]
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                base = regs[ibase] if ibase >= 0 else cbase
-                regs[dst] = (
-                    int(base)
-                    + coef0 * int(regs[s0])
-                    + coef1 * int(regs[s1])
-                    + const_off
-                ) & 0xFFFFFFFF
-                return _OK
-
-            return step
-
-        def step(worker, frame, cycle):
-            worker.stats.ops_executed[opcode] += 1
-            regs = frame.regs
-            addr = int(regs[ibase] if ibase >= 0 else cbase) + const_off
-            for coef, slot in live:
-                addr += coef * int(regs[slot])
-            regs[dst] = addr & 0xFFFFFFFF
-            return _OK
-
-        return step
 
     def _compile_load(self, inst: Load):
         dst = self._slots[id(inst)]
@@ -660,6 +617,18 @@ class SpecializedProgram:
         return step
 
 
+def _lazy(table: list, index: int, render, *how):
+    """A stand-in for ``table[index]`` that renders ``render(*how)`` on
+    its first call, puts it in its own place and runs it: only code a run
+    reaches is ever generated."""
+
+    def first(*args):
+        function = table[index] = render(*how)
+        return function(*args)
+
+    return first
+
+
 def specialized_for(function: Function) -> SpecializedProgram:
     """The (cached) specialized program for ``function``.
 
@@ -676,7 +645,7 @@ def specialized_for(function: Function) -> SpecializedProgram:
 
 
 class SpecializedWorker(HwWorker):
-    """An :class:`HwWorker` whose FSM executes pre-compiled step closures.
+    """An :class:`HwWorker` whose FSM executes generated code and closures.
 
     Only value plumbing and dispatch are overridden; stall categories,
     event arming, fault hooks and stats attribution are the inherited
@@ -722,20 +691,22 @@ class SpecializedWorker(HwWorker):
         return [frame]
 
     def tick(self, cycle: int) -> None:
-        """One clock edge over step closures, with run-ahead.
+        """One clock edge over the state's steps, with run-ahead.
 
         Every exit closes its cycle(s) through the inherited
         :meth:`HwWorker._retire`; what is spelled here is the step loop
-        and — when no trace sink, monitor or
-        injector is attached — run-ahead: after a state completes or
-        branches, the following run of *pure* FSM states (ops that touch
-        only the frame's registers, branches and their phi-latching edges
-        included) executes in this same tick, attributed as a batch of
-        COMPUTE cycles.  Run-ahead is invisible to every other worker:
-        pure states read and write nothing shared, the worker stays
-        runnable (finite ``next_due``), and the batch never extends past
-        ``max_cycles`` (so the cycle budget fires at the same cycle as
-        the unbatched engines, also inside a register-only infinite loop).
+        and — when no trace sink, monitor or injector is attached —
+        run-ahead: after a state completes or branches, the following run
+        of *pure* FSM states (ops that touch only the frame's registers,
+        branches and their phi-latching edges included) executes in this
+        same tick as generated runs, attributed as a batch of COMPUTE
+        cycles.  Run-ahead is invisible to every other worker: pure states
+        read and write nothing shared, the worker stays runnable (finite
+        ``next_due``), and the batch never extends past ``max_cycles`` (so
+        the cycle budget fires at the same cycle as the unbatched engines,
+        also inside a register-only infinite loop).  Progress counts one
+        per op executed plus one per completed state, as the interpreted
+        worker does, from how far the cursor moved.
         """
         if self.done or self.hung or cycle < self.start_cycle:
             self._retire(cycle, CycleCategory.IDLE)
@@ -757,64 +728,61 @@ class SpecializedWorker(HwWorker):
             self._complete_memory()
         frame = self._frames[-1]
         steps = frame.steps
-        cursor = frame.cursor
+        first = cursor = frame.cursor
         n = len(steps)
-        executed = 0
         while cursor < n:
             outcome = steps[cursor](self, frame, cycle)
-            if outcome is _OK:
+            if outcome is _RAN:
+                cursor = frame.cursor
+            elif outcome is _OK:
                 cursor += 1
-                frame.cursor = cursor
-                executed += 1
-                continue
-            if outcome is _BRANCH:
-                # The edge moved the frame into its target block.
+            elif outcome is _BRANCH:
+                # The group moved the frame into the taken edge's target.
+                progress = n - first
                 state = 0
                 start = frame.cursor
                 break
-            self.progress += executed
-            category = _STALL_CATEGORY.get(outcome)
-            if category is None:
-                # call / ret: the closure already moved the frame.
-                category = CycleCategory.COMPUTE
-                self.progress += 1
-                if self._trace and not self.done:
-                    self._emit_state(cycle)
-            self._retire(cycle, category)
-            return
+            else:
+                frame.cursor = cursor
+                self.progress += cursor - first
+                category = _STALL_CATEGORY.get(outcome)
+                if category is None:
+                    # call / ret: the closure already moved the frame.
+                    category = _COMPUTE
+                    self.progress += 1
+                    if self._trace and not self.done:
+                        self._emit_state(cycle)
+                self._retire(cycle, category)
+                return
         else:
             # State complete: advance within the block (one state per cycle).
+            progress = n - first + 1
             state = frame.state + 1
             start = 0
         # ``state`` is the frame's next state, here or across a branch
         # edge.  Run ahead: while that state is pure (and nothing observes
-        # per-cycle state), execute it now as one more COMPUTE cycle.
+        # per-cycle state), run it now as more COMPUTE cycles.
         block = frame.block
-        progress = executed + 1
         k = 1
         if self._can_batch:
-            pure = block.pure
             budget = self.system.max_cycles - cycle
-            while pure[state] and k < budget:
-                steps = block.states[state]
-                for i in range(start, len(steps)):
-                    if steps[i](self, frame, cycle) is _BRANCH:
-                        progress += i + 1 - start
-                        block = frame.block
-                        pure = block.pure
-                        state = 0
-                        start = frame.cursor
+            run = block.runs[state]
+            if run is not None and k < budget:
+                regs = frame.regs
+                ops = self.stats.ops_executed
+                while True:
+                    block, state, start, states, done = run(regs, ops, budget - k)
+                    k += states
+                    progress += done
+                    run = block.runs[state]
+                    if run is None or k >= budget:
                         break
-                else:
-                    progress += len(steps) - start + 1
-                    state += 1
-                    start = 0
-                k += 1
         if state >= block.n_states:
             raise SimulationError(
                 f"worker {self.name}: fell off the end of block "
                 f"{block.label} (missing terminator?)"
             )
+        frame.block = block
         frame.state = state
         frame.cursor = start
         frame.steps = block.states[state]

@@ -175,7 +175,7 @@ class AcceleratorSystem:
 
         ``engine`` (default :data:`DEFAULT_ENGINE`) selects worker and
         clock loop: ``"specialized"`` runs workers whose FSMs were
-        compiled into closures (:mod:`repro.hw.specialize`) under the
+        compiled into generated code (:mod:`repro.hw.specialize`) under the
         event clock, which jumps between worker wake events
         (:mod:`repro.hw.engine`); ``"event"`` runs the interpretive
         workers under that clock; ``"lockstep"`` ticks them every cycle.

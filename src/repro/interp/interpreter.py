@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from functools import lru_cache
 from typing import Callable
 
 from ..errors import InterpError
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
-    GEP,
     Alloca,
     Call,
     CondBranch,
@@ -52,7 +50,7 @@ from ..ir.types import (
 )
 from ..ir.values import Constant, GlobalVariable, Value
 from .memory import Memory
-from .ops import PURE_OPS, bind_gep
+from .ops import FORMS, PURE_OPS, code_of, expression
 
 #: Names treated as heap-allocation builtins when declared without a body.
 MALLOC_NAMES = {"malloc"}
@@ -513,22 +511,6 @@ def _decode_load(code: _Decoder, inst: Load, block: BasicBlock):
     return op
 
 
-def _decode_gep(code: _Decoder, inst: GEP, block: BasicBlock):
-    kb, cb = code.bind(inst.base)
-    offset, terms = bind_gep(inst)
-    terms = [(scale, inst.indices[i]) for scale, i in terms]
-
-    def op(interp, frame):
-        env = frame.env
-        addr = (env[kb] if kb is not None else cb) + offset
-        for scale, index in terms:
-            addr += scale * env[index]
-        env[inst] = addr & 0xFFFFFFFF
-        frame.index += 1
-
-    return op
-
-
 def _decode_condbr(code: _Decoder, inst: CondBranch, block: BasicBlock):
     k, c = code.bind(inst.cond)
     if_true = code.edge(block, inst.if_true)
@@ -636,12 +618,11 @@ _EFFECTS = {
 }
 
 #: Instruction class -> closure decoder.  Pure ops come from the shared op
-#: table (GEP below keeps a flatter closure over the same ``bind_gep``).
+#: table.
 _DECODERS = {
     **{cls: _simple(bind, effect=False) for cls, (_, bind) in PURE_OPS.items()},
     **{cls: _simple(make, effect=True) for cls, make in _EFFECTS.items()},
     Load: _decode_load,
-    GEP: _decode_gep,
     Jump: lambda code, inst, block: code.edge(block, inst.target),
     CondBranch: _decode_condbr,
     Phi: _decode_phi,
@@ -682,73 +663,116 @@ class _Segments(dict):
         return segment
 
 
+class _Text:
+    """One generated function: its lines, its namespace and its locals.
+
+    The IR-to-Python generator both executors render through: the
+    interpreter's segments (:func:`_render`) and the specialized hardware
+    worker's register-only states (:mod:`repro.hw.specialize`).
+    ``bind(value)`` is the executor's ``(key, const)`` (``key`` None for a
+    constant) and ``home(key)`` the text naming where it keeps a runtime
+    value between two functions (``env[K3]``, ``regs[7]``).  A value is a
+    local from its definition or first read on; a pure op is its
+    :data:`~repro.interp.ops.FORMS` expression over those locals.  The
+    text holds generated names and ``repr`` of ``int`` only: every other
+    constant, IR object and bound operation is reached through the
+    namespace, which an executor must keep free of itself and its memory.
+    """
+
+    def __init__(self, bind, home) -> None:
+        self.bind = bind
+        self.home = home
+        self.ns: dict[str, object] = {"__builtins__": {}}
+        self.body: list[str] = []
+        self.local: dict = {}
+
+    def ref(self, obj, kind: str = "K") -> str:
+        name = f"{kind}{len(self.ns)}"
+        self.ns[name] = obj
+        return name
+
+    def use(self, value: Value, local: dict | None = None, out: list | None = None) -> str:
+        """``value`` as an operand; a live-in is read from its home once."""
+        local = self.local if local is None else local
+        key, const = self.bind(value)
+        if key is None:
+            return repr(const) if type(const) is int else self.ref(const)
+        if key not in local:
+            local[key] = f"v{len(local)}"
+            (self.body if out is None else out).append(f"{local[key]} = {self.home(key)}")
+        return local[key]
+
+    def define(self, inst: Instruction, expr: str, keep: bool) -> None:
+        """``inst = expr``, also stored at its home when ``keep``."""
+        if not inst.type.is_void:
+            key = self.bind(inst)[0]
+            self.local[key] = name = f"v{len(self.local)}"
+            expr = f"{self.home(key) + ' = ' if keep else ''}{name} = {expr}"
+        self.body.append(expr)
+
+    def pure(self, inst: Instruction, keep: bool) -> None:
+        values = [self.use(v) for v in inst.operands]
+        self.define(inst, expression(inst, values, self.ref), keep)
+
+    def moves(self, pairs, local: dict, out: list) -> None:
+        """Each ``(phi, source)`` of one edge as a parallel copy: every
+        source is read before any phi's home is written."""
+        sources = [self.use(source, local, out) for _, source in pairs]
+        out += [f"{self.home(self.bind(phi)[0])} = {s}" for (phi, _), s in zip(pairs, sources)]
+
+    def function(self, params: str):
+        text = f"def seg({params}):\n" + "".join(f" {line}\n" for line in self.body)
+        exec(_segment_code(text), self.ns)
+        return self.ns.pop("seg")
+
+
+def escapes(inst: Instruction, members, block: BasicBlock, closes: bool) -> bool:
+    """Whether a reader outside ``members`` (``block``'s instructions one
+    function runs; ``closes`` when they end with its terminator) needs
+    ``inst`` at its home."""
+    return any(
+        not closes or any(p is not block for v, p in user.incoming() if v is inst)
+        if type(user) is Phi
+        else user not in members
+        for user in inst.users
+    )
+
+
 def _render(code: _Decoder, block: BasicBlock, lo: int, hi: int, following):
     """``block.instructions[lo:hi]`` as one Python function of ``(interp, frame)``.
 
-    The text spells operand plumbing and control flow only.  A value
-    defined in the range is a local, written back to ``frame.env`` only if
-    it has a user elsewhere; one defined elsewhere is read there at its
-    first use.  Every operation is the object the closure decoder calls
-    (``PURE_OPS`` binds, ``Memory`` accessors, ``_EFFECTS``), reached like
-    every IR object and non-``int`` constant through the function's
-    namespace: the text holds generated names and ``repr`` of ``int`` only.
+    The text spells operand plumbing and control flow; a pure op is its
+    expression form.  A value defined in the range is a local, written
+    back to ``frame.env`` only if it has a user elsewhere; one defined
+    elsewhere is read there at its first use.  Every other operation is
+    the object the closure decoder calls (``Memory`` accessors,
+    ``_EFFECTS``), reached through the namespace.
     """
     insts = block.instructions[lo:hi]
-    members = set(insts)
+    members = {inst for inst in insts if type(inst) is not Consume}  # a consume reads the env
     closes = hi == len(block.instructions)  # the range ends with the terminator
-    ns: dict[str, object] = {"__builtins__": {}, "Frame": _Frame}
-    body = ["env = frame.env"]
-
-    def ref(obj, kind: str = "K") -> str:
-        name = f"{kind}{len(ns)}"
-        ns[name] = obj
-        return name
-
-    def use(value: Value, local: dict, out: list) -> str:
-        key, const = code.bind(value)
-        if key is None:
-            return repr(const) if type(const) is int else ref(const)
-        if key not in local:
-            local[key] = f"v{len(local)}"
-            out.append(f"{local[key]} = env[{ref(key)}]")
-        return local[key]
-
-    def escapes(inst: Instruction) -> bool:
-        """Whether a reader outside this function needs ``inst`` in ``frame.env``."""
-        return any(
-            not closes or any(p is not block for v, p in user.incoming() if v is inst)
-            if type(user) is Phi
-            else type(user) is Consume or user not in members
-            for user in inst.users
-        )
+    text = _Text(code.bind, lambda key: f"env[{text.ref(key)}]")
+    text.ns["Frame"] = _Frame
+    body, ref, use = text.body, text.ref, text.use
+    body.append("env = frame.env")
 
     def define(inst: Instruction, expr: str) -> None:
-        if not inst.type.is_void:
-            local[inst] = name = f"v{len(local)}"
-            keep = f"env[{ref(inst)}] = " if escapes(inst) else ""
-            expr = f"{keep}{name} = {expr}"
-        body.append(expr)
+        text.define(inst, expr, escapes(inst, members, block, closes))
 
     def edge(target: BasicBlock, local: dict) -> list[str]:
         """``block -> target``: sources are locals before any phi is written."""
         out = [f"if interp.on_edge is not None: interp.on_edge({ref(block)}, {ref(target)})"]
-        moves = [(ref(phi), use(phi.incoming_for(block), local, out)) for phi in target.phis()]
-        out += [f"env[{phi}] = {source}" for phi, source in moves]
+        text.moves([(phi, phi.incoming_for(block)) for phi in target.phis()], local, out)
         out.append(f"return interp._segs[{ref(target)}]")
         return out
 
-    local: dict[Value, str] = {}
     for inst in insts:
         cls = type(inst)
-        values = [use(v, local, body) for v in inst.operands if not isinstance(v, BasicBlock)]
-        if cls is GEP:
-            offset, terms = bind_gep(inst)
-            addr = [values[0], repr(offset)] if offset else [values[0]]
-            addr += [f"{scale} * {values[1 + i]}" for scale, i in terms]
-            define(inst, f"({' + '.join(addr)}) & 0xFFFFFFFF")
-        elif cls in PURE_OPS:
-            define(inst, f"{ref(PURE_OPS[cls][1](inst), 'F')}({', '.join(values)})")
-        elif cls is Load:
+        if cls in FORMS:
+            text.pure(inst, escapes(inst, members, block, closes))
+            continue
+        values = [use(v) for v in inst.operands if not isinstance(v, BasicBlock)]
+        if cls is Load:
             load = ref(code.memory_type.loader(inst.type), "F")
             define(inst, f"{load}(interp.memory, {values[0]})")
         elif cls is Call and not inst.callee.is_declaration:
@@ -761,12 +785,12 @@ def _render(code: _Decoder, block: BasicBlock, lo: int, hi: int, following):
             effect = ref(_EFFECTS.get(cls, _malloc)(code, inst), "F")
             define(inst, f"{effect}({', '.join(['interp'] + values)})")
         elif cls is Jump:
-            body += edge(inst.target, local)
+            body += edge(inst.target, text.local)
         elif cls is CondBranch:
             body.append(f"if {values[0]}:")
-            body += [" " + line for line in edge(inst.if_true, dict(local))]
+            body += [" " + line for line in edge(inst.if_true, dict(text.local))]
             body.append("else:")
-            body += [" " + line for line in edge(inst.if_false, dict(local))]
+            body += [" " + line for line in edge(inst.if_false, dict(text.local))]
         elif cls is Ret:
             body += ["stack = interp._stack", "stack.pop()"]
             if values:
@@ -777,15 +801,11 @@ def _render(code: _Decoder, block: BasicBlock, lo: int, hi: int, following):
             body.append(f"if {ref(op, 'F')}(interp, frame): return False")
             if cls is Consume:
                 body.append(f"return {ref(following)}")
-    text = "def seg(interp, frame):\n" + "".join(f" {line}\n" for line in body)
-    exec(_segment_code(text), ns)
-    return ns.pop("seg")
+    return text.function("interp, frame")
 
 
-@lru_cache(maxsize=1024)
-def _segment_code(text: str):
-    """A block always renders to the same text: a process compiles it once."""
-    return compile(text, "<segment>", "exec")
+#: A block always renders to the same text: a process compiles it once.
+_segment_code = code_of
 
 
 def _number_malloc_sites(module: Module) -> dict[int, int]:

@@ -1,18 +1,19 @@
 """Pure operation semantics: the one place instruction values are computed.
 
 :data:`PURE_OPS` maps each side-effect-free instruction class to its
-``eval_*`` (evaluate one instruction from scratch) and its ``bind_*``
-(resolve once whatever depends only on the instruction and return
+``eval_*`` (evaluate one instruction from scratch, the reference) and its
+``bind_*`` (resolve once whatever depends only on the instruction and return
 ``f(*operand_values)``, for a decoder that will execute it many times).
-The functional interpreter's decoder, the interpretive ``HwWorker``, the
-specialized engine's closure builder and the constant folder all take
-their arithmetic from this table and spell none of their own, so they can
+:data:`FORMS` spells each such op once more, as a Python expression the
+code generators paste inline; ``bind_*`` is that expression compiled.  The
+functional interpreter, both hardware workers and the constant folder take
+their arithmetic from here and spell none of their own, so they can
 disagree on timing but never on values.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 from ..errors import InterpError
 from ..ir.instructions import (
@@ -119,75 +120,137 @@ def eval_select(inst: Select, cond, if_true, if_false):
     return if_true if cond else if_false
 
 
-def bind_binop(inst: BinaryOp):
-    """``f(a, b)`` equal to ``eval_binop(inst, a, b)``."""
+def _quotient(fn, kind: str, a, b):
+    try:
+        return fn(a, b)
+    except ZeroDivisionError:
+        raise InterpError(f"{kind} division by zero") from None
+
+
+#: Python infix spelling of the binops and predicates that have one.
+_INFIX = {
+    "add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^",
+    "fadd": "+", "fsub": "-", "fmul": "*",
+    "eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
+    "ult": "<", "ule": "<=", "ugt": ">", "uge": ">=",
+    "oeq": "==", "one": "!=", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">=",
+}
+
+
+def _wrapped(expr: str, bits: int) -> str:
+    """``expr`` wrapped to a signed ``bits``-wide integer (``wrap_int``)."""
+    if bits == 1:
+        return f"({expr}) & 1"
+    half = 1 << (bits - 1)
+    return f"(({expr}) + {half} & {2 * half - 1}) - {half}"
+
+
+def form_binop(inst: BinaryOp, a: str, b: str, ref) -> str:
     op = inst.opcode
     if op in FLOAT_BINOP_FUNCS:
-        fn = FLOAT_BINOP_FUNCS[op]
+        if op in _INFIX:
+            expr = f"{a} {_INFIX[op]} {b}"
+        else:  # a division traps on zero
+            expr = f"{ref(_quotient)}({ref(FLOAT_BINOP_FUNCS[op])}, {ref('float')}, {a}, {b})"
         narrow = isinstance(inst.type, FloatType) and inst.type.bits == 32
-
-        def float_binop(a, b):
-            try:
-                result = fn(a, b)
-            except ZeroDivisionError:
-                raise InterpError("float division by zero") from None
-            return round_f32(result) if narrow else result
-
-        return float_binop
-    fn = INT_BINOP_FUNCS[op]
+        return f"{ref(round_f32)}({expr})" if narrow else expr
     bits = inst.type.bits  # type: ignore[union-attr]
-    unsigned = op in UNSIGNED_BINOPS
-    mask = (1 << bits) - 1
-    # wrap_int inlined: values >= half are negative; i1 stays 0/1.
-    half = 1 << (bits - 1) if bits > 1 else 2
-
-    def binop(a, b):
-        a = int(a)
-        b = int(b)
-        if unsigned:
-            a &= mask
-            b &= mask
-        try:
-            raw = fn(a, b) & mask
-        except ZeroDivisionError:
-            raise InterpError("integer division by zero") from None
-        return raw - mask - 1 if raw >= half else raw
-
-    return binop
+    if op in UNSIGNED_BINOPS:
+        mask = (1 << bits) - 1
+        a, b = f"{ref(int)}({a}) & {mask}", f"{ref(int)}({b}) & {mask}"
+    if op in _INFIX:
+        expr = f"{a} {_INFIX[op]} {b}"
+    elif op in ("shl", "ashr", "lshr"):
+        expr = f"({a}) {'<<' if op == 'shl' else '>>'} ({b} & 63)"
+    else:  # a division traps on zero
+        if op not in UNSIGNED_BINOPS:
+            a, b = f"{ref(int)}({a})", f"{ref(int)}({b})"
+        expr = f"{ref(_quotient)}({ref(INT_BINOP_FUNCS[op])}, {ref('integer')}, {a}, {b})"
+    return _wrapped(expr, bits)
 
 
-def bind_icmp(inst: ICmp):
-    """``f(a, b)`` equal to ``eval_icmp(inst, a, b)``."""
-    fn = ICMP_FUNCS[inst.pred]
+def form_compare(inst: ICmp | FCmp, a: str, b: str, ref) -> str:
     if inst.pred.startswith("u") or inst.lhs.type.is_pointer:
         mask = (1 << (32 if inst.lhs.type.is_pointer else inst.lhs.type.bits)) - 1
-        return lambda a, b: int(fn(int(a) & mask, int(b) & mask))
-    return lambda a, b: int(fn(a, b))
+        a, b = f"({a} & {mask})", f"({b} & {mask})"
+    return f"1 if {a} {_INFIX[inst.pred]} {b} else 0"
 
 
-def bind_fcmp(inst: FCmp):
-    """``f(a, b)`` equal to ``eval_fcmp(inst, a, b)``."""
-    fn = FCMP_FUNCS[inst.pred]
-    return lambda a, b: int(fn(a, b))
-
-
-def bind_cast(inst: Cast):
-    """``f(value)`` equal to ``eval_cast(inst, value)``."""
+def form_cast(inst: Cast, value: str, ref) -> str:
     op = inst.opcode
     if op in ("trunc", "fptosi"):
-        bits = inst.type.bits  # type: ignore[union-attr]
-        return lambda value: wrap_int(int(value), bits)
+        return _wrapped(f"{ref(int)}({value})", inst.type.bits)  # type: ignore[union-attr]
     if op == "zext":
-        mask = (1 << inst.value.type.bits) - 1  # type: ignore[union-attr]
-        return lambda value: int(value) & mask
+        return f"{ref(int)}({value}) & {(1 << inst.value.type.bits) - 1}"  # type: ignore[union-attr]
     if op == "sext":
-        return int
-    return partial(eval_cast, inst)
+        return f"{ref(int)}({value})"
+    if op in ("sitofp", "fpext", "fptrunc"):
+        narrow = op == "fptrunc" or op == "sitofp" and inst.type.bits == 32  # type: ignore[union-attr]
+        value = f"{ref(float)}({value})"
+        return f"{ref(round_f32)}({value})" if narrow else value
+    if op in ("bitcast", "ptrtoint", "inttoptr"):
+        if inst.type.is_pointer or op == "ptrtoint":
+            return f"{ref(int)}({value}) & 4294967295"
+        return value
+    return f"{ref(partial(eval_cast, inst))}({value})"  # raises: no such cast
 
 
-def bind_select(inst: Select):
-    """``f(cond, if_true, if_false)`` equal to ``eval_select(inst, ...)``."""
-    return partial(eval_select, inst)
+def form_select(inst: Select, cond: str, if_true: str, if_false: str, ref) -> str:
+    return f"{if_true} if {cond} else {if_false}"
+
+
+def form_gep(inst: GEP, base: str, *indices: str, ref) -> str:
+    offset, terms = bind_gep(inst)
+    addr = [base, str(offset)] if offset else [base]
+    addr += [f"{scale} * {indices[position]}" for scale, position in terms]
+    return f"({' + '.join(addr)}) & 4294967295"
+
+
+#: Instruction class -> its *expression form*: ``form(inst, *operand_texts,
+#: ref=...)`` spells the op as one Python expression over the operand
+#: texts (generated names or ``int`` literals); anything else it needs (a
+#: float constant, ``round_f32``, a trapping division) it names through
+#: ``ref(obj) -> name``.  The segment generator pastes the form inline and
+#: ``bind_*`` compiles it, so both compute what ``eval_*`` computes, bit for
+#: bit, on values of the operands' types; where ``eval_*`` coerces through
+#: ``int`` (casts, unsigned ops) the form does too.
+FORMS = {
+    BinaryOp: form_binop,
+    ICmp: form_compare,
+    FCmp: form_compare,
+    Cast: form_cast,
+    Select: form_select,
+    GEP: form_gep,
+}
+
+
+@lru_cache(maxsize=1024)
+def code_of(text: str):
+    """Generated text to code: a process compiles each text once."""
+    return compile(text, "<generated>", "exec")
+
+
+def expression(inst, operands: list[str], ref) -> str:
+    """``inst``'s expression form over ``operands`` (one text per operand)."""
+    return FORMS[type(inst)](inst, *operands, ref=ref)
+
+
+def _bound(inst):
+    """``f(*operand_values)``: ``inst``'s expression form, compiled."""
+    ns: dict[str, object] = {"__builtins__": {}}
+
+    def ref(obj) -> str:
+        name = f"K{len(ns)}"
+        ns[name] = obj
+        return name
+
+    args = ", ".join(f"v{i}" for i in range(len(inst.operands)))
+    body = expression(inst, [f"v{i}" for i in range(len(inst.operands))], ref)
+    exec(code_of(f"def f({args}):\n return {body}\n"), ns)
+    return ns["f"]
+
+
+bind_binop = bind_icmp = bind_fcmp = bind_cast = bind_select = _bound
 
 
 def bind_gep(inst: GEP) -> tuple[int, list[tuple[int, int]]]:
@@ -231,8 +294,5 @@ PURE_OPS = {
     FCmp: (eval_fcmp, bind_fcmp),
     Cast: (eval_cast, bind_cast),
     Select: (eval_select, bind_select),
-    GEP: (
-        lambda inst, *operands: _gep_address(*bind_gep(inst), *operands),
-        lambda inst: partial(_gep_address, *bind_gep(inst)),
-    ),
+    GEP: (lambda inst, *operands: _gep_address(*bind_gep(inst), *operands), _bound),
 }

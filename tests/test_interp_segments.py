@@ -18,6 +18,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import InterpError
 from repro.frontend import compile_c
+from repro.hw import AcceleratorSystem, HwWorker, specialized_for
+from repro.hw.specialize import SpecFrame
 from repro.interp import ChannelIO, Interpreter, Memory
 from repro.interp import interpreter as interpreter_module
 from repro.ir import (
@@ -321,23 +323,13 @@ int eval(int raise) { return def(raise, 11) + def(raise + 1, 7); }
 GENERATED_NAME = re.compile(
     r"def|seg|interp|frame|env|if|else|not|is|None|return|new|Frame|stack|got"
     r"|on_edge|_segs|_stack|memory|call_inst|_return_value|pop|append|[vKF]\d+"
+    # ... and the hardware worker's steps and runs:
+    r"|worker|cycle|regs|ops|room|stats|ops_executed|block|cursor"
 )
 
 
-@pytest.mark.parametrize("optimise", [True, False])
-def test_generated_text_holds_nothing_from_the_source(optimise, monkeypatch):
-    texts = []
-    compiled = interpreter_module._segment_code
-
-    def spy(text):
-        texts.append(text)
-        return compiled(text)
-
-    monkeypatch.setattr(interpreter_module, "_segment_code", spy)
-    module = module_of(HOSTILE_NAMES, optimise)
-    segment, closure = both(module, "eval", [6])
-    assert segment == closure and segment["error"] is None
-    assert len(texts) > 5
+def assert_generated_only(texts):
+    """Every NAME a text holds is generated, every NUMBER an ``int``."""
     for text in texts:
         for token in tokenize.generate_tokens(io.StringIO(text).readline):
             if token.type == tokenize.NAME:
@@ -346,6 +338,59 @@ def test_generated_text_holds_nothing_from_the_source(optimise, monkeypatch):
                 assert re.fullmatch(r"\d+|0xFFFFFFFF", token.string), text
             else:
                 assert token.type != tokenize.STRING, text
+
+
+@pytest.fixture
+def texts(monkeypatch):
+    """Every text the generator compiles while the test runs."""
+    seen = []
+    compiled = interpreter_module._segment_code
+
+    def spy(text):
+        seen.append(text)
+        return compiled(text)
+
+    monkeypatch.setattr(interpreter_module, "_segment_code", spy)
+    return seen
+
+
+@pytest.mark.parametrize("optimise", [True, False])
+def test_generated_text_holds_nothing_from_the_source(optimise, texts):
+    module = module_of(HOSTILE_NAMES, optimise)
+    segment, closure = both(module, "eval", [6])
+    assert segment == closure and segment["error"] is None
+    assert len(texts) > 5
+    assert_generated_only(texts)
+
+
+def run_worker(module, entry, args, engine):
+    """The report and every worker of one hardware run of ``entry``."""
+    system = AcceleratorSystem(module, Memory(), engine=engine)
+    workers = []
+    register = system._register_worker
+
+    def remember(worker):
+        workers.append(worker)
+        register(worker)
+
+    system._register_worker = remember
+    return system, system.run(entry, args), workers
+
+
+@pytest.mark.parametrize("optimise", [True, False])
+def test_the_worker_text_holds_nothing_from_the_source(optimise, texts):
+    module = module_of(HOSTILE_NAMES, optimise)
+    expected = Interpreter(module).call("eval", [6])
+    reports = {}
+    for engine in ("event", "specialized"):
+        texts.clear()
+        _, report, _ = run_worker(module, "eval", [6], engine)
+        reports[engine] = report.to_dict()
+    assert reports["specialized"] == reports["event"]
+    assert reports["event"]["return_value"] == expected
+    assert len(texts) > 5
+    assert any("regs" in text for text in texts)
+    assert_generated_only(texts)
 
 
 def test_a_process_compiles_each_text_once():
@@ -370,6 +415,28 @@ def test_rendered_functions_reach_neither_decoder_nor_interpreter():
         held = function.__globals__.values()
         assert not any(v is interp or v is interp.memory or v is interp._code
                        or v is interp._segs for v in held)
+
+
+def test_worker_code_reaches_no_worker_system_memory_or_frame():
+    module = module_of(HOSTILE_NAMES)
+    system, _, workers = run_worker(module, "eval", [6], "specialized")
+    forbidden = (HwWorker, AcceleratorSystem, Memory, SpecFrame)
+    rendered = [
+        step
+        for function in module.functions.values() if not function.is_declaration
+        for block in specialized_for(function)._blocks.values()
+        for step in [*block.runs, *(s for steps in block.states for s in steps)]
+        if getattr(step, "__code__", None) is not None
+        and step.__code__.co_filename == "<generated>"
+    ]
+    assert len(rendered) > 5 and workers
+    for function in rendered:
+        assert "seg" not in function.__globals__
+        assert function.__globals__["__builtins__"] == {}
+        for value in function.__globals__.values():
+            for held in value if type(value) is tuple else (value,):
+                assert not isinstance(held, forbidden), (function, held)
+                assert held is not system.memory
 
 
 def test_two_threads_on_one_module_give_the_serial_bytes():

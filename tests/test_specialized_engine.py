@@ -1,7 +1,7 @@
 """Differential tests: the specialized engine vs event and lockstep.
 
 The specialized engine (:mod:`repro.hw.specialize`) compiles each
-worker's FSM schedule into generated Python closures — per-state
+worker's FSM schedule into generated Python and closures — per-state
 dispatch resolved at build time, operand slots pre-indexed, pure
 compute runs batched into one tick — so the hot path stops walking
 ``Instruction`` objects.  None of that is allowed to be observable:
@@ -490,3 +490,41 @@ class TestRunAhead:
             results = [evaluator.evaluate(point) for point in space.grid()]
             assert sum(r.cycles for r in results) == cycles, name
             assert ticks[0] <= ceiling, (name, ticks[0])
+
+
+def test_threads_rendering_one_program_give_the_serial_bytes():
+    # Groups and runs render on first use and replace themselves in tables
+    # every system running the function shares: threads that race to the
+    # same first use must each still see the serial run, byte for byte.
+    import sys
+    import threading
+
+    def simulate(module):
+        memory = Memory()
+        report = AcceleratorSystem(module, memory, engine="specialized").run("mixed", [40])
+        return report.to_dict(), memory.snapshot()
+
+    def module():
+        built = compile_c(MIXED)
+        optimize_module(built)
+        return built
+
+    serial = simulate(module())
+    shared = module()
+    results = [None] * 4
+
+    def work(slot):
+        results[slot] = simulate(shared)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [serial] * 4
