@@ -47,6 +47,7 @@ def main() -> None:
     print(f"P1 (heuristic): {compiled.signature}   <- traversal in a "
           f"sequential stage")
     module_p2 = compile_c(EM3D.source, "em3d_p2")
+    optimize_module(module_p2)
     compiled_p2 = cgpa_compile(
         module_p2, "kernel", shapes=EM3D.shapes_for(module_p2),
         policy=ReplicationPolicy.P2,

@@ -1,5 +1,6 @@
 """Program analyses: CFG, dominators, loops, points-to, dependences, PDG."""
 
+from .addr import promotable_allocas
 from .cfg import (
     edges,
     exit_blocks,
@@ -24,7 +25,7 @@ from .shapes import RegionShapes, Shape, conservative
 
 __all__ = [
     "reverse_postorder", "reachable_blocks", "exit_blocks", "edges",
-    "remove_unreachable_blocks",
+    "remove_unreachable_blocks", "promotable_allocas",
     "DominatorTree", "dominator_tree", "postdominator_tree",
     "Loop", "LoopInfo",
     "control_dependence",

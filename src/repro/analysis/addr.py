@@ -3,13 +3,37 @@
 Both the points-to solver (field-sensitive heap edges) and the loop memory
 dependence analysis (offset-interval disambiguation) need to strip a
 pointer expression down to its root value plus a constant byte offset.
+mem2reg and the PDG share :func:`promotable_allocas`: the slots mem2reg
+turns into registers are the ones the PDG refuses to see still in memory.
 """
 
 from __future__ import annotations
 
-from ..ir.instructions import GEP, Cast
-from ..ir.types import ArrayType, StructType
+from ..ir.function import Function
+from ..ir.instructions import GEP, Alloca, Cast, Load, Store
+from ..ir.types import ArrayType, FloatType, IntType, PointerType, StructType
 from ..ir.values import Constant, Value
+
+
+def promotable_allocas(function: Function) -> list[Alloca]:
+    """Scalar slots whose address never escapes (only direct load/store)."""
+    result = []
+    for inst in function.entry.instructions:
+        if not isinstance(inst, Alloca):
+            continue
+        if not isinstance(inst.allocated_type, (IntType, FloatType, PointerType)):
+            continue
+        promotable = True
+        for user in inst.users:
+            if isinstance(user, Load) and user.pointer is inst:
+                continue
+            if isinstance(user, Store) and user.pointer is inst and user.value is not inst:
+                continue
+            promotable = False
+            break
+        if promotable:
+            result.append(inst)
+    return result
 
 
 def strip_casts(value: Value) -> Value:

@@ -22,9 +22,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from ..errors import AnalysisError
 from ..ir.instructions import Call, Instruction, Load, Phi, Store
 from ..ir.values import Value
 from ..interp.profiler import Profile
+from .addr import promotable_allocas
 from .controldep import control_dependence
 from .loops import Loop
 from .memdep import LoopMemoryModel
@@ -89,7 +91,13 @@ class SccInfo:
 
 
 class ProgramDependenceGraph:
-    """PDG of one loop plus its condensation and classification."""
+    """PDG of one loop plus its condensation and classification.
+
+    The loop's function must be optimised (``optimize_module``): a scalar
+    still kept in a stack slot carries its loop dependences through memory
+    instead of def-use edges, so its PDG partitions a design other than
+    the paper's, without a word; the constructor refuses it instead.
+    """
 
     def __init__(
         self,
@@ -98,6 +106,14 @@ class ProgramDependenceGraph:
         shapes: RegionShapes | None = None,
         profile: Profile | None = None,
     ) -> None:
+        function = loop.header.parent
+        slots = promotable_allocas(function)
+        if slots:
+            names = ", ".join(slot.short_name() for slot in slots)
+            raise AnalysisError(
+                f"@{function.name} keeps scalars in stack slots ({names}); "
+                "run optimize_module on the module before building its PDG"
+            )
         self.loop = loop
         self.pointsto = pointsto
         self.shapes = shapes or RegionShapes()

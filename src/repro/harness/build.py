@@ -1,8 +1,10 @@
 """The one build path: kernel spec in, simulable module out (Figure 3).
 
 ``C source → IR → optimise → shape facts → PDG → partition → transform``
-is spelled here and nowhere else above :mod:`repro.pipeline.driver`:
-every consumer (backend runner, DSE evaluator, fault sweep, service
+is spelled here and nowhere else: :func:`repro.pipeline.cgpa_compile`
+takes the module this file optimised and runs only the last three
+steps, and ``optimize_module`` runs once, to its own fixed point.  Every
+consumer (backend runner, DSE evaluator, fault sweep, service
 jobs, RTL co-simulation, benchmarks) builds through these two pure
 functions, so a stage timer, a verifier pass or a compile budget
 attaches once.  :func:`interned_pipeline` is :func:`compile_kernel`
@@ -47,7 +49,8 @@ def compile_kernel(
 
     Shape facts are read off the optimised module (malloc-site numbering
     follows the optimised IR), so the module is optimised before
-    ``shapes_for`` and handed to the driver pre-built.
+    ``shapes_for``; the driver compiles that module as it is (its PDG
+    refuses one that was not optimised).
     """
     module = compile_module(spec)
     return cgpa_compile(

@@ -93,7 +93,7 @@ def trace_main(argv: list[str]) -> int:
     trace_path.unlink(missing_ok=True)
     shutil.copyfile(stored, trace_path)
     dump_vcd(sink, str(vcd_path))
-    analysis = analyze(sim, sink)
+    analysis = analyze(sim)
     analysis_text = (
         format_stall_breakdown(sim, kernel=spec.name)
         + "\n\n"

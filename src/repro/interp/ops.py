@@ -98,7 +98,7 @@ def eval_cast(inst: Cast, value):
     if op == "sext":
         return int(value)
     if op == "fptosi":
-        return wrap_int(int(value), inst.type.bits)  # type: ignore[union-attr]
+        return wrap_int(_truncated(value), inst.type.bits)  # type: ignore[union-attr]
     if op == "sitofp":
         result = float(value)
         if isinstance(inst.type, FloatType) and inst.type.bits == 32:
@@ -125,6 +125,14 @@ def _quotient(fn, kind: str, a, b):
         return fn(a, b)
     except ZeroDivisionError:
         raise InterpError(f"{kind} division by zero") from None
+
+
+def _truncated(value) -> int:
+    """``fptosi``'s integer part: ±inf and NaN have none, and trap."""
+    try:
+        return int(value)
+    except (OverflowError, ValueError):
+        raise InterpError(f"fptosi of non-finite {value!r}") from None
 
 
 #: Python infix spelling of the binops and predicates that have one.
@@ -179,7 +187,8 @@ def form_compare(inst: ICmp | FCmp, a: str, b: str, ref) -> str:
 def form_cast(inst: Cast, value: str, ref) -> str:
     op = inst.opcode
     if op in ("trunc", "fptosi"):
-        return _wrapped(f"{ref(int)}({value})", inst.type.bits)  # type: ignore[union-attr]
+        to_int = ref(int if op == "trunc" else _truncated)
+        return _wrapped(f"{to_int}({value})", inst.type.bits)  # type: ignore[union-attr]
     if op == "zext":
         return f"{ref(int)}({value}) & {(1 << inst.value.type.bits) - 1}"  # type: ignore[union-attr]
     if op == "sext":

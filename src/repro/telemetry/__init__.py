@@ -16,8 +16,6 @@ from .bottleneck import (
     FifoDiagnosis,
     WorkerBreakdown,
     analyze,
-    analyze_trace,
-    breakdown_from_trace,
 )
 from .chrome_trace import dump_chrome_trace, to_chrome_trace, write_chrome_trace
 from .events import (
@@ -41,6 +39,6 @@ __all__ = [
     "Span", "StateChange", "OccupancySample", "CacheAccess",
     "to_chrome_trace", "write_chrome_trace", "dump_chrome_trace",
     "write_vcd", "dump_vcd",
-    "analyze", "analyze_trace", "breakdown_from_trace",
+    "analyze",
     "BottleneckReport", "WorkerBreakdown", "FifoDiagnosis",
 ]

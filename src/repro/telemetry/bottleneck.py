@@ -1,8 +1,7 @@
 """Pipeline bottleneck analysis over stall telemetry.
 
-Post-processes a simulation (a :class:`~repro.hw.system.SimReport`, or a
-recorded :class:`~repro.telemetry.events.MemoryTraceSink`) into a
-per-stage stall breakdown, identifies the *critical* stage — the worker
+Post-processes a simulation (a :class:`~repro.hw.system.SimReport`) into
+a per-stage stall breakdown, identifies the *critical* stage — the worker
 losing the most cycles to genuine stalls (cache + FIFO; join/idle are
 symptoms of someone else's slowness) — and derives concrete tuning
 recommendations: deepen a saturating FIFO, replicate a compute-bound
@@ -15,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .events import ALL_CATEGORIES, CycleCategory, MemoryTraceSink
+from .events import ALL_CATEGORIES, CycleCategory
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hw.system import SimReport
@@ -125,28 +124,11 @@ class BottleneckReport:
         return "\n".join(lines)
 
 
-def _empty_counts() -> dict[str, int]:
-    return {c.value: 0 for c in ALL_CATEGORIES}
+def analyze(sim: "SimReport") -> BottleneckReport:
+    """Analyze one simulated run.
 
-
-def breakdown_from_trace(trace: MemoryTraceSink) -> list[WorkerBreakdown]:
-    """Per-worker category totals recomputed from a recorded span cover."""
-    trace.flush()
-    per: dict[str, dict[str, int]] = {}
-    for span in trace.spans:
-        counts = per.setdefault(span.worker, _empty_counts())
-        counts[span.category.value] += span.duration
-    return [WorkerBreakdown(name, counts) for name, counts in per.items()]
-
-
-def analyze(
-    sim: "SimReport", trace: MemoryTraceSink | None = None
-) -> BottleneckReport:
-    """Analyze one simulated run (optionally cross-checked with a trace).
-
-    The breakdown itself comes from the simulator's per-worker counters
-    (always available, even with the :data:`~repro.telemetry.events.NULL_SINK`);
-    a recorded trace only adds occupancy context via its samples.
+    The breakdown comes from the simulator's per-worker counters (always
+    available, even with the :data:`~repro.telemetry.events.NULL_SINK`).
     """
     workers = [
         WorkerBreakdown(name, dict(breakdown))
@@ -165,20 +147,6 @@ def analyze(
     report = BottleneckReport(
         total_cycles=sim.cycles, workers=workers, fifos=fifos
     )
-    stalled = [w for w in workers if w.stall_cycles]
-    if stalled:
-        report.critical_worker = max(stalled, key=lambda w: w.stall_cycles).worker
-    report.recommendations = _recommend(report)
-    return report
-
-
-def analyze_trace(trace: MemoryTraceSink) -> BottleneckReport:
-    """Analyze a recorded trace alone (no simulator report available)."""
-    workers = breakdown_from_trace(trace)
-    total = trace.total_cycles or max(
-        (span.end for span in trace.spans), default=0
-    )
-    report = BottleneckReport(total_cycles=total, workers=workers)
     stalled = [w for w in workers if w.stall_cycles]
     if stalled:
         report.critical_worker = max(stalled, key=lambda w: w.stall_cycles).worker

@@ -49,8 +49,8 @@ def _fold(inst: Instruction) -> Value | None:
         return _fold_identity(inst) if isinstance(inst, BinaryOp) else None
     try:
         value = evaluate(inst, *(op.value for op in inst.operands))
-    except (InterpError, OverflowError, ValueError):
-        return None  # a trap, or fptosi of inf/nan: leave it in place
+    except InterpError:
+        return None  # a trap (division by zero, fptosi of inf/nan): leave it in place
     return Constant(inst.type, value) if _representable(inst.type, value) else None
 
 

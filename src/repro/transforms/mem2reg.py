@@ -14,19 +14,23 @@ from __future__ import annotations
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import Alloca, Instruction, Load, Phi, Store
-from ..ir.types import FloatType, IntType, PointerType
+from ..ir.instructions import Alloca, Load, Phi, Store
+from ..ir.types import FloatType
 from ..ir.values import Constant, Value
-from ..analysis.dominators import DominatorTree, dominator_tree
+from ..analysis.addr import promotable_allocas
+from ..analysis.dominators import dominator_tree
 
 
-def promote_allocas(function: Function, domtree: DominatorTree | None = None) -> int:
-    """Run mem2reg on ``function``; returns the number of promoted slots."""
-    domtree = domtree or dominator_tree(function)
-    allocas = _promotable_allocas(function)
+def promote_allocas(function: Function) -> int:
+    """Run mem2reg on ``function``; returns the number of promoted slots.
+
+    A function with nothing to promote costs one scan of its entry block:
+    the dominator tree is built only when there is a slot to rename."""
+    allocas = promotable_allocas(function)
     if not allocas:
         return 0
 
+    domtree = dominator_tree(function)
     frontier = domtree.dominance_frontier()
 
     # 1. Phi placement at the iterated dominance frontier of each store.
@@ -98,27 +102,6 @@ def promote_allocas(function: Function, domtree: DominatorTree | None = None) ->
             alloca.erase()
     _prune_trivial_phis(function, set(phi_owner))
     return len(allocas)
-
-
-def _promotable_allocas(function: Function) -> list[Alloca]:
-    """Scalar slots whose address never escapes (only direct load/store)."""
-    result = []
-    for inst in function.entry.instructions:
-        if not isinstance(inst, Alloca):
-            continue
-        if not isinstance(inst.allocated_type, (IntType, FloatType, PointerType)):
-            continue
-        promotable = True
-        for user in inst.users:
-            if isinstance(user, Load) and user.pointer is inst:
-                continue
-            if isinstance(user, Store) and user.pointer is inst and user.value is not inst:
-                continue
-            promotable = False
-            break
-        if promotable:
-            result.append(inst)
-    return result
 
 
 def _prune_trivial_phis(function: Function, placed: set[int]) -> None:

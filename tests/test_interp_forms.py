@@ -14,6 +14,10 @@ import struct
 
 import pytest
 
+from repro.errors import InterpError
+from repro.frontend import compile_c
+from repro.hw import AcceleratorSystem
+from repro.interp import Interpreter, Memory
 from repro.interp.interpreter import _Text
 from repro.interp.ops import (
     FORMS,
@@ -46,6 +50,7 @@ from repro.ir import (
 )
 from repro.ir.instructions import FCMP_FUNCS, FLOAT_BINOP_FUNCS, ICMP_FUNCS, INT_BINOP_FUNCS
 from repro.ir.values import Argument
+from repro.transforms import optimize_module
 
 INT_TYPES = [BOOL, I8, I16, I32, I64]
 FLOAT_TYPES = [F32, F64]
@@ -193,14 +198,30 @@ class TestCasts:
             agree(lambda v, c: Cast(op, operand(src, v[0], c, 0), dst), (value,),
                   check_type="float" if dst.is_float else "int")
 
-    def test_inf_and_nan_fail_alike_in_every_form(self):
-        # No engine gives (int)inf a value: the form raises what eval does.
-        inst = Cast("fptosi", Argument(F64, "x", 0), I32)
+    @pytest.mark.parametrize(
+        "src,dst", [(src, dst) for op, src, dst in FLOAT_CASTS if op == "fptosi"],
+        ids=repr,
+    )
+    def test_inf_and_nan_are_a_typed_trap_in_every_form(self, src, dst):
+        # No engine gives (int)inf a value: every form traps as eval does.
         for value in (math.inf, -math.inf, math.nan):
-            expected = outcome(PURE_OPS[Cast][0], inst, value)
-            assert expected[0] == "raises"
-            assert outcome(bind_cast(inst), value) == expected
-            assert outcome(rendered(inst, constants=False), value) == expected
+            for as_constant in (False, True):
+                inst = Cast("fptosi", operand(src, value, as_constant, 0), dst)
+                expected = outcome(PURE_OPS[Cast][0], inst, value)
+                assert expected[:2] == ("raises", "InterpError"), expected
+                assert outcome(bind_cast(inst), value) == expected
+                assert outcome(rendered(inst, as_constant), value) == expected
+
+    @pytest.mark.parametrize("engine", ["lockstep", "specialized"])
+    def test_inf_traps_typed_on_the_hardware_engines(self, engine):
+        module = compile_c(
+            "int f(int a) { double x = a; return (int)(x * 1e308 * 10.0); }"
+        )
+        optimize_module(module)
+        with pytest.raises(InterpError, match="fptosi"):
+            AcceleratorSystem(module, Memory(), engine=engine).run("f", [3])
+        with pytest.raises(InterpError, match="fptosi"):
+            Interpreter(module).call("f", [3])
 
 
 class TestSelectAndGep:

@@ -74,9 +74,9 @@ class TestProfile:
         """
         from repro.pipeline import cgpa_compile
         module = compile_c(source)
+        optimize_module(module)
         compiled = cgpa_compile(
-            module, "kernel",
-            profile_entry="driver", profile_args=[],
+            module, "kernel", profile=profile_call(module, "driver", []),
         )
         # The selected loop must be the one whose body contains the mul.
         # (compiled.loop's blocks are consumed by the parent rewrite, so

@@ -41,6 +41,7 @@ class TestTransformErrors:
 
     def test_loopless_kernel_rejected(self):
         module = compile_c("int kernel(int a) { return a + 1; }")
+        optimize_module(module)
         with pytest.raises(CgpaError, match="no loops"):
             cgpa_compile(module, "kernel")
 
@@ -55,6 +56,7 @@ class TestTransformErrors:
         void driver(void) { kernel((int*)malloc(64), 8); }
         """
         module = compile_c(source)
+        optimize_module(module)
         compiled = cgpa_compile(module, "kernel", rewrite_parent=False)
         # The original loop must still be intact and executable.
         from repro.interp import Interpreter, Memory

@@ -34,10 +34,15 @@ void run(int n) {
 """
 
 
-@pytest.fixture()
-def reference():
+def optimised():
     module = compile_c(TWO_LOOP_SOURCE)
     optimize_module(module)
+    return module
+
+
+@pytest.fixture()
+def reference():
+    module = optimised()
     interp = Interpreter(module)
     interp.call("run", [40])
     return interp
@@ -45,7 +50,7 @@ def reference():
 
 class TestMultiLoop:
     def test_both_loops_pipelined(self):
-        module = compile_c(TWO_LOOP_SOURCE)
+        module = optimised()
         compiled = cgpa_compile_all(module, "kernel", shapes=RegionShapes())
         assert len(compiled) == 2
         assert {c.result.loop_id for c in compiled} == {0, 1}
@@ -54,7 +59,7 @@ class TestMultiLoop:
             assert "P" in c.signature
 
     def test_parent_has_two_fork_groups(self):
-        module = compile_c(TWO_LOOP_SOURCE)
+        module = optimised()
         compiled = cgpa_compile_all(module, "kernel", shapes=RegionShapes())
         parent = module.get_function("kernel")
         fork_ids = {i.loop_id for i in parent.instructions()
@@ -64,13 +69,13 @@ class TestMultiLoop:
         assert fork_ids == join_ids == {0, 1}
 
     def test_functional_equivalence(self, reference):
-        module = compile_c(TWO_LOOP_SOURCE)
+        module = optimised()
         cgpa_compile_all(module, "kernel", shapes=RegionShapes())
         _, memory, _ = run_transformed(module, "run", [40])
         assert memory.snapshot() == reference.memory.snapshot()
 
     def test_hardware_simulation(self, reference):
-        module = compile_c(TWO_LOOP_SOURCE)
+        module = optimised()
         compiled = cgpa_compile_all(module, "kernel", shapes=RegionShapes())
         merged = ChannelPlan()
         for c in compiled:
@@ -90,7 +95,7 @@ class TestMultiLoop:
         assert out == expected
 
     def test_distinct_channel_plans_do_not_collide(self):
-        module = compile_c(TWO_LOOP_SOURCE)
+        module = optimised()
         compiled = cgpa_compile_all(module, "kernel", shapes=RegionShapes())
         plans = [c.result.channels for c in compiled]
         if all(len(p) > 0 for p in plans):

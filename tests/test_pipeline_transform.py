@@ -54,6 +54,7 @@ def reference_run(source):
 
 def compiled(source, policy, list_shapes, n_workers=4):
     module = compile_c(source)
+    optimize_module(module)
     shapes = RegionShapes()
     if list_shapes:
         for site in malloc_site_table(module):

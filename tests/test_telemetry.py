@@ -37,8 +37,6 @@ from repro.telemetry import (
     MemoryTraceSink,
     NULL_SINK,
     analyze,
-    analyze_trace,
-    breakdown_from_trace,
     to_chrome_trace,
     write_vcd,
 )
@@ -115,8 +113,8 @@ class TestCycleConservation:
         sink = MemoryTraceSink()
         report = run_two_stage(sink=sink)
         assert sink.total_cycles == report.cycles
-        for breakdown in breakdown_from_trace(sink):
-            assert breakdown.total == report.cycles, breakdown.worker
+        for name, counts in sink.breakdown().items():
+            assert sum(counts.values()) == report.cycles, name
         # Trace-side and counter-side attributions must agree exactly.
         assert sink.breakdown() == report.stall_breakdown
 
@@ -247,10 +245,8 @@ class TestVcd:
 
 class TestBottleneckAnalysis:
     def test_critical_stage_and_recommendations(self):
-        sink = MemoryTraceSink()
-        report = run_two_stage(depth=1, n_values=64, sink=sink,
-                               slow_consumer=True)
-        analysis = analyze(report, sink)
+        report = run_two_stage(depth=1, n_values=64, slow_consumer=True)
+        analysis = analyze(report)
         assert analysis.total_cycles == report.cycles
         assert analysis.critical_worker in report.worker_stats
         # The depth-1 FIFO saturates; the analyzer must say so.
@@ -261,16 +257,6 @@ class TestBottleneckAnalysis:
         text = analysis.format()
         assert analysis.critical_worker in text
         assert "Recommendations" in text
-
-    def test_analyze_trace_matches_report(self):
-        sink = MemoryTraceSink()
-        report = run_two_stage(sink=sink)
-        from_trace = analyze_trace(sink)
-        from_report = analyze(report)
-        assert from_trace.total_cycles == from_report.total_cycles
-        by_name = {w.worker: w for w in from_trace.workers}
-        for worker in from_report.workers:
-            assert by_name[worker.worker].cycles == worker.cycles
 
     def test_balanced_pipeline_reports_balance(self):
         from repro.telemetry.bottleneck import BottleneckReport, WorkerBreakdown
