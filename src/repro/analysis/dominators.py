@@ -57,23 +57,6 @@ class DominatorTree:
 
     # -- construction --------------------------------------------------------------
 
-    def _succs(self, block: BasicBlock) -> list[BasicBlock]:
-        if not self.post:
-            return block.successors()
-        preds = block.predecessors()
-        return preds
-
-    def _preds(self, block: BasicBlock) -> list[BasicBlock]:
-        if not self.post:
-            return block.predecessors()
-        if block is self.virtual_exit:
-            return []
-        succs = list(block.successors())
-        if not succs and self.virtual_exit is not None:
-            # ret blocks flow to the virtual exit in the reversed CFG...
-            pass
-        return succs
-
     def _compute(self) -> None:
         function = self.function
         if self.post:

@@ -9,7 +9,6 @@ exits, live-ins, live-outs, and the loop-exit branch.
 
 from __future__ import annotations
 
-from ..errors import AnalysisError
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import Instruction, Phi
@@ -202,11 +201,3 @@ class LoopInfo:
                 if best is None or len(loop.blocks) < len(best.blocks):
                     best = loop
         return best
-
-    def loop_with_header(self, header: BasicBlock) -> Loop:
-        for loop in self.loops:
-            if loop.header is header:
-                return loop
-        raise AnalysisError(
-            f"no loop with header {header.short_name()} in @{self.function.name}"
-        )

@@ -297,16 +297,6 @@ class ProgramDependenceGraph:
     def scc_of(self, inst: Instruction) -> SccInfo:
         return self.sccs[self.condensation.component_of[id(inst)]]
 
-    def carried_edges_between(self, scc_a: SccInfo, scc_b: SccInfo) -> list[PDGEdge]:
-        """Carried edges from scc_a's instructions to scc_b's."""
-        a_ids = {id(i) for i in scc_a.instructions}
-        b_ids = {id(i) for i in scc_b.instructions}
-        return [
-            e
-            for e in self.edges
-            if e.carried and id(e.src) in a_ids and id(e.dst) in b_ids
-        ]
-
     def summary(self) -> dict[str, int]:
         counts = {"parallel": 0, "replicable": 0, "sequential": 0}
         for scc in self.sccs:

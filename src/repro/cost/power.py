@@ -70,10 +70,10 @@ def power_report(
     sim: SimReport,
     area: AreaReport,
     functions: list[Function],
-    frequency_hz: float = DEFAULT_FREQUENCY_HZ,
 ) -> PowerReport:
-    """Combine simulator activity and area into power/energy figures."""
-    time_s = sim.cycles / frequency_hz
+    """Combine simulator activity and area into power/energy figures at
+    :data:`DEFAULT_FREQUENCY_HZ`."""
+    time_s = sim.cycles / DEFAULT_FREQUENCY_HZ
     dynamic_pj = 0.0
     mean_pj = _mean_op_energy_pj(functions)  # one table for every worker
     for stats in sim.worker_stats.values():

@@ -31,11 +31,6 @@ class CTypeExpr(Node):
     base: str = ""
     pointer_depth: int = 0
 
-    def with_pointer(self, extra: int = 1) -> "CTypeExpr":
-        return CTypeExpr(
-            base=self.base, pointer_depth=self.pointer_depth + extra, line=self.line
-        )
-
     def __str__(self) -> str:
         return self.base + "*" * self.pointer_depth
 

@@ -28,7 +28,6 @@ def geomean(values) -> float:
 
 def run_all_kernels(
     kernels: list[KernelSpec] | None = None,
-    include_p2: bool = True,
     n_workers: int = 4,
     fifo_depth: int = 16,
     engine: str = DEFAULT_ENGINE,
@@ -46,7 +45,7 @@ def run_all_kernels(
     runs: dict[str, KernelRun] = {}
     for spec in kernels:
         backends = ["mips", "legup", "cgpa-p1"]
-        if include_p2 and spec.supports_p2:
+        if spec.supports_p2:
             backends.append("cgpa-p2")
         runs[spec.name] = run_kernel(
             spec, tuple(backends), n_workers=n_workers, fifo_depth=fifo_depth,

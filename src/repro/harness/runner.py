@@ -385,7 +385,6 @@ def run_kernel(
     n_workers: int = 4,
     fifo_depth: int = DEFAULT_FIFO_DEPTH,
     cache_kwargs: dict | None = None,
-    validate: bool = True,
     engine: str = DEFAULT_ENGINE,
     max_cycles: int | None = None,
 ) -> KernelRun:
@@ -398,6 +397,5 @@ def run_kernel(
             spec, backend, n_workers=n_workers, fifo_depth=fifo_depth,
             cache_kwargs=cache_kwargs, engine=engine, max_cycles=max_cycles,
         )
-    if validate:
-        run.validate()
+    run.validate()
     return run

@@ -7,8 +7,12 @@ model the accelerators use.  The instruction cache is assumed to always
 hit (the kernels are small loops, and the paper's I-cache has 512 lines of
 128 B — far larger than any kernel).
 
-Values are computed by the functional interpreter; this module only adds
-up cycles.
+Every cost is static, so the model is a table: the interpreter renders
+each instruction's cycles into the segments it runs (``Interpreter(...,
+costs=)``), and :class:`_TracingMemory` advances the same counter by what
+the cache charges for each access, at the cycle the instructions before it
+reached.  Values are computed by the functional interpreter; this module
+only adds up cycles.
 """
 
 from __future__ import annotations
@@ -72,6 +76,17 @@ def _base_cost(inst: Instruction) -> int:
     return 1
 
 
+def _costs(module: Module) -> dict[Instruction, int]:
+    """Cycles each instruction of ``module`` costs.  A branch always takes
+    an edge, so it carries the taken-branch penalty."""
+    return {
+        inst: _base_cost(inst)
+        + (_TAKEN_BRANCH_PENALTY if isinstance(inst, (Jump, CondBranch)) else 0)
+        for function in module.functions.values()
+        for inst in function.instructions()
+    }
+
+
 @dataclass
 class MipsResult:
     """Cycles, instruction count and result of one soft-core run."""
@@ -83,19 +98,26 @@ class MipsResult:
 
 
 class _TracingMemory(Memory):
-    """Memory that charges a cache model for every access."""
+    """Memory that charges a cache model for every access: the access
+    starts at ``clock.cycles`` and the counter moves to when it is ready.
+    The clock is the interpreter running on the image, or the image itself
+    (from cycle 0) before there is one."""
 
-    def __init__(self, base: Memory, sink) -> None:
+    def __init__(self, base: Memory, cache: DirectMappedCache) -> None:
         # Share the underlying buffer: we *are* the same memory image.
         self.__dict__.update(base.__dict__)
-        self._sink = sink
+        self.cache = cache
+        self.cycles = 0
+        self.clock: Interpreter | _TracingMemory = self
 
     def read_bytes(self, addr: int, size: int) -> bytes:
-        self._sink(addr, False)
+        clock = self.clock
+        clock.cycles = self.cache.access(addr, False, clock.cycles)
         return Memory.read_bytes(self, addr, size)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        self._sink(addr, True)
+        clock = self.clock
+        clock.cycles = self.cache.access(addr, True, clock.cycles)
         Memory.write_bytes(self, addr, data)
 
 
@@ -109,29 +131,19 @@ def run_on_mips(
 ) -> MipsResult:
     """Execute ``entry`` on the soft-core model; returns cycles and result."""
     cache = cache if cache is not None else DirectMappedCache(ports=1)
-    state = {"cycles": 0, "instructions": 0}
-
-    def on_access(addr: int, is_write: bool) -> None:
-        ready = cache.access(addr, is_write, state["cycles"])
-        state["cycles"] = ready
-
-    traced = _TracingMemory(memory, on_access)
-
-    def on_execute(inst: Instruction) -> None:
-        state["cycles"] += _base_cost(inst)
-        state["instructions"] += 1
-
-    def on_edge(src, dst) -> None:
-        state["cycles"] += _TAKEN_BRANCH_PENALTY
-
+    traced = _TracingMemory(memory, cache)
     interp = Interpreter(
-        module, traced, on_execute=on_execute, on_edge=on_edge,
-        global_addresses=global_addresses,
+        module, traced, global_addresses=global_addresses, costs=_costs(module)
     )
-    value = interp.call(entry, args)
+    interp.cycles = traced.cycles  # placing initialised globals writes
+    traced.clock = interp
+    try:
+        value = interp.call(entry, args)
+    finally:
+        traced.clock = traced  # the image must not hold its interpreter
     return MipsResult(
-        cycles=state["cycles"],
-        instructions=state["instructions"],
+        cycles=interp.cycles,
+        instructions=interp.steps + interp.moves,
         return_value=value,
         cache=cache,
     )

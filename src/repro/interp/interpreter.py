@@ -1,22 +1,24 @@
 """Explicit-stack IR interpreter.
 
-The interpreter executes one instruction per :meth:`Interpreter.step`, with
-an explicit call stack rather than Python recursion.  That design lets the
-functional pipeline checker (:mod:`repro.pipeline.cosim`) run many task
-interpreters round-robin, blocking individual machines on empty FIFO
-channels, and lets the MIPS baseline model charge per-instruction cycle
-costs through a profiler hook.
+Two executors over one explicit call stack (no Python recursion):
 
-A :meth:`Interpreter.call` with no ``on_execute`` hook runs a *segment* at
-a time: straight-line Python rendered per block (:class:`_Segments`) over
-the same bound operations the per-instruction closures call.
+* :meth:`Interpreter.call` runs a *segment* at a time: straight-line
+  Python rendered per block (:class:`_Segments`) over the same bound
+  operations the per-instruction closures call.  Given static per-instruction
+  ``costs`` (the MIPS baseline, :mod:`repro.hw.mips_core`), the same text
+  also adds them to a cycle counter.
+* :meth:`Interpreter.step` runs one pre-decoded closure per instruction: the
+  reference the segments are tested against, and what lets the functional
+  pipeline checker (:mod:`repro.pipeline.cosim`) and the RTL co-simulation's
+  oracle run many task interpreters round-robin, blocking individual
+  machines on empty FIFO channels.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable
+from typing import Mapping
 
 from ..errors import InterpError
 from ..ir.basicblock import BasicBlock
@@ -54,6 +56,10 @@ from .ops import FORMS, PURE_OPS, code_of, expression
 
 #: Names treated as heap-allocation builtins when declared without a body.
 MALLOC_NAMES = {"malloc"}
+
+BLOCKED_OUTSIDE_SCHEDULER = (
+    "interpreter blocked on an empty channel outside a cooperative scheduler"
+)
 
 
 class Status(enum.Enum):
@@ -213,19 +219,23 @@ class Interpreter:
         channel_io: ChannelIO | None = None,
         worker_id: int = 0,
         max_steps: int = 200_000_000,
-        on_execute: Callable[[Instruction], None] | None = None,
-        on_edge: Callable[[BasicBlock, BasicBlock], None] | None = None,
         global_addresses: dict[str, int] | None = None,
         fork_handler=None,
+        costs: Mapping[Instruction, int] | None = None,
     ) -> None:
+        """``costs`` gives every instruction of ``module`` the cycles it
+        adds to ``cycles`` when :meth:`call` executes it (phis on their
+        edge, also counted in ``moves``; ``steps`` counts no phi); a
+        ``Memory`` subclass may advance ``cycles`` between instructions.
+        :meth:`step` charges nothing."""
         self.module = module
         self.memory = memory if memory is not None else Memory()
         self.channel_io = channel_io
         self.worker_id = worker_id
         self.max_steps = max_steps
         self.steps = 0
-        self.on_execute = on_execute
-        self.on_edge = on_edge
+        self.cycles = 0
+        self.moves = 0
         self.fork_handler = fork_handler
         self._stack: list[_Frame] = []
         self._return_value: int | float | None = None
@@ -233,45 +243,36 @@ class Interpreter:
             self.global_addresses = dict(global_addresses)
         else:
             self.global_addresses = _place_globals(module, self.memory)
-        self._code = _Decoder(module, self.global_addresses, type(self.memory))
+        self._code = _Decoder(module, self.global_addresses, type(self.memory), costs)
         self._segs = _Segments(self._code)
 
     # -- public driving --------------------------------------------------------
 
     def call(self, function: Function | str, args: list[int | float]):
-        """Run ``function`` to completion and return its return value: a
-        :meth:`step` at a time under an ``on_execute`` hook, else (nothing
-        can look between two instructions) a segment at a time."""
+        """Run ``function`` to completion a segment at a time and return
+        its return value."""
         stack = self._stack
-        if self.on_execute is not None:
-            self.start(function, args)
-            while self.step() is Status.RUNNING:
-                pass
-        else:
-            frame = self._enter(function, args)
-            seg = self._segs[frame.env.function.entry]
-            steps, limit = self.steps, self.max_steps
-            try:
-                while True:
-                    steps += seg[1]
-                    if steps > limit:  # run what step() would have, then stop
-                        _, n, block, lo = seg
-                        fits, steps = n - (steps - limit), limit + 1
-                        _render(self._code, block, lo, lo + fits, None)(self, frame)
-                        raise InterpError(f"exceeded max_steps={limit}")
-                    seg = seg[0](self, frame)
-                    if not seg:  # the frame on top is another one, or this one parked
-                        if seg is False or not stack:
-                            break
-                        frame = stack[-1]
-                        seg = frame.seg
-            finally:
-                self.steps = steps
+        frame = self._enter(function, args)
+        seg = self._segs[frame.env.function.entry]
+        steps, limit = self.steps, self.max_steps
+        try:
+            while True:
+                steps += seg[1]
+                if steps > limit:  # run what step() would have, then stop
+                    _, n, block, lo = seg
+                    fits, steps = n - (steps - limit), limit + 1
+                    _render(self._code, block, lo, lo + fits, None)(self, frame)
+                    raise InterpError(f"exceeded max_steps={limit}")
+                seg = seg[0](self, frame)
+                if not seg:  # the frame on top is another one, or this one parked
+                    if seg is False or not stack:
+                        break
+                    frame = stack[-1]
+                    seg = frame.seg
+        finally:
+            self.steps = steps
         if stack:
-            raise InterpError(
-                "interpreter blocked on an empty channel outside a "
-                "cooperative scheduler"
-            )
+            raise InterpError(BLOCKED_OUTSIDE_SCHEDULER)
         return self._return_value
 
     def start(self, function: Function | str, args: list[int | float]) -> None:
@@ -311,11 +312,8 @@ class Interpreter:
         if self.steps > self.max_steps:
             raise InterpError(f"exceeded max_steps={self.max_steps}")
         frame = self._stack[-1]
-        inst = frame.insts[frame.index]
         if frame.ops[frame.index](self, frame):
             return Status.BLOCKED
-        if self.on_execute is not None:
-            self.on_execute(inst)
         return Status.DONE if not self._stack else Status.RUNNING
 
     def _require_io(self) -> ChannelIO:
@@ -337,10 +335,13 @@ class _Decoder(dict):
     for the cyclic GC instead of dying with its last user.
     """
 
-    def __init__(self, module: Module, global_addresses: dict[str, int], memory_type) -> None:
+    def __init__(
+        self, module: Module, global_addresses: dict[str, int], memory_type, costs
+    ) -> None:
         self.module = module
         self.global_addresses = global_addresses
         self.memory_type = memory_type
+        self.costs = costs  # rendered into segments only
         self._alloc_sites: dict[int, int] | None = None
 
     def __missing__(self, block: BasicBlock):
@@ -377,18 +378,13 @@ class _Decoder(dict):
         swaps = any(k in phis for k in keys)  # a phi feeds another phi
 
         def edge(interp, frame):
-            if interp.on_edge is not None:
-                interp.on_edge(src, target)
             frame.ops, frame.insts = interp._code[target]
             frame.index = n_phis
             env = read = frame.env
             if swaps:
                 read = {k: env[k] for k in keys}
-            hook = interp.on_execute
             for phi, k, c in moves:
                 env[phi] = read[k] if k is not None else c
-                if hook is not None:
-                    hook(phi)
 
         return edge
 
@@ -747,6 +743,11 @@ def _render(code: _Decoder, block: BasicBlock, lo: int, hi: int, following):
     elsewhere is read there at its first use.  Every other operation is
     the object the closure decoder calls (``Memory`` accessors,
     ``_EFFECTS``), reached through the namespace.
+
+    Under ``code.costs`` the text also charges each instruction's cycles
+    to ``interp.cycles``: summed while rendering, added before every op
+    that is not pure (so a ``Memory`` subclass sees the cycle the
+    instructions before it reached) and before every exit.
     """
     insts = block.instructions[lo:hi]
     members = {inst for inst in insts if type(inst) is not Consume}  # a consume reads the env
@@ -755,14 +756,25 @@ def _render(code: _Decoder, block: BasicBlock, lo: int, hi: int, following):
     text.ns["Frame"] = _Frame
     body, ref, use = text.body, text.ref, text.use
     body.append("env = frame.env")
+    costs = code.costs
+    cost = (lambda inst: 0) if costs is None else costs.__getitem__
+    spent = 0  # cycles of the instructions rendered since the last charge
+
+    def charge(out: list[str], cycles: int) -> None:
+        if cycles:
+            out.append(f"interp.cycles += {cycles}")
 
     def define(inst: Instruction, expr: str) -> None:
         text.define(inst, expr, escapes(inst, members, block, closes))
 
     def edge(target: BasicBlock, local: dict) -> list[str]:
         """``block -> target``: sources are locals before any phi is written."""
-        out = [f"if interp.on_edge is not None: interp.on_edge({ref(block)}, {ref(target)})"]
-        text.moves([(phi, phi.incoming_for(block)) for phi in target.phis()], local, out)
+        out: list[str] = []
+        phis = target.phis()
+        text.moves([(phi, phi.incoming_for(block)) for phi in phis], local, out)
+        charge(out, spent + sum(map(cost, phis)))
+        if costs is not None and phis:
+            out.append(f"interp.moves += {len(phis)}")
         out.append(f"return interp._segs[{ref(target)}]")
         return out
 
@@ -770,8 +782,13 @@ def _render(code: _Decoder, block: BasicBlock, lo: int, hi: int, following):
         cls = type(inst)
         if cls in FORMS:
             text.pure(inst, escapes(inst, members, block, closes))
+            spent += cost(inst)
             continue
         values = [use(v) for v in inst.operands if not isinstance(v, BasicBlock)]
+        if cls is not Jump and cls is not CondBranch:  # may reach memory or leave
+            charge(body, spent)
+            spent = 0
+        spent += cost(inst)
         if cls is Load:
             load = ref(code.memory_type.loader(inst.type), "F")
             define(inst, f"{load}(interp.memory, {values[0]})")
@@ -781,6 +798,7 @@ def _render(code: _Decoder, block: BasicBlock, lo: int, hi: int, following):
             body += [f"new.env[{ref(a)}] = {v}" for a, v in zip(callee.args, values)]
             body.append(f"new.seg = interp._segs[{ref(callee.entry)}]")
             body += [f"frame.seg = {ref(following)}", "interp._stack.append(new)"]
+            charge(body, spent)
         elif cls in _EFFECTS or cls is Call and inst.callee.name in MALLOC_NAMES:
             effect = ref(_EFFECTS.get(cls, _malloc)(code, inst), "F")
             define(inst, f"{effect}({', '.join(['interp'] + values)})")
@@ -796,10 +814,12 @@ def _render(code: _Decoder, block: BasicBlock, lo: int, hi: int, following):
             if values:
                 body.append(f"if stack: stack[-1].env[frame.call_inst] = {values[0]}")
                 body.append(f"else: interp._return_value = {values[0]}")
+            charge(body, spent)
         else:  # a consume parks; a phi out of place, an unknown opcode or callee raises
             op = _DECODERS.get(cls, _unknown)(code, inst, block)
             body.append(f"if {ref(op, 'F')}(interp, frame): return False")
             if cls is Consume:
+                charge(body, spent)
                 body.append(f"return {ref(following)}")
     return text.function("interp, frame")
 

@@ -2,7 +2,8 @@
 
 The profile drives two things: hotspot identification (which loop to
 accelerate) and the pipeline partitioner's SCC weights (how many dynamic
-instructions each SCC accounts for).
+instructions each SCC accounts for).  It steps the reference path
+(:meth:`Interpreter.step`) and reads off each step what it executed.
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from ..errors import InterpError
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import Instruction
+from ..ir.instructions import CondBranch, Instruction, Jump
 from ..ir.module import Module
-from .interpreter import Interpreter
+from .interpreter import BLOCKED_OUTSIDE_SCHEDULER, Interpreter, Status
 from .memory import Memory
 
 
@@ -43,12 +45,6 @@ class Profile:
         """Dynamic instructions executed inside ``function``'s own blocks."""
         return sum(self.count(inst) for inst in function.instructions())
 
-    def hottest_blocks(self, function: Function, top: int = 5) -> list[BasicBlock]:
-        blocks = sorted(
-            function.blocks, key=lambda b: self.block_count(b), reverse=True
-        )
-        return blocks[:top]
-
 
 def profile_call(
     module: Module,
@@ -57,25 +53,28 @@ def profile_call(
     memory: Memory | None = None,
     max_steps: int = 200_000_000,
 ) -> Profile:
-    """Run ``function_name`` under the interpreter, collecting a profile."""
+    """Run ``function_name`` under the interpreter, collecting a profile.
+
+    Every executed instruction counts, a taken edge's phis included; a
+    block counts when an edge enters it, and the root's entry once.
+    """
     profile = Profile()
-
-    def on_execute(inst: Instruction) -> None:
-        profile.inst_counts[id(inst)] += 1
-
-    def on_edge(src: BasicBlock, dst: BasicBlock) -> None:
-        profile.edge_counts[(id(src), id(dst))] += 1
-        profile.block_counts[id(dst)] += 1
-
-    interp = Interpreter(
-        module,
-        memory,
-        max_steps=max_steps,
-        on_execute=on_execute,
-        on_edge=on_edge,
-    )
-    # Entry blocks are not reached via an edge; count the initial one.
-    entry = module.get_function(function_name).entry
-    profile.block_counts[id(entry)] += 1
-    profile.return_value = interp.call(function_name, args)
+    insts, blocks, edges = profile.inst_counts, profile.block_counts, profile.edge_counts
+    interp = Interpreter(module, memory, max_steps=max_steps)
+    interp.start(function_name, args)
+    stack = interp._stack
+    blocks[id(stack[-1].insts[0].parent)] += 1
+    while stack:
+        frame = stack[-1]
+        inst = frame.insts[frame.index]
+        if interp.step() is Status.BLOCKED:
+            raise InterpError(BLOCKED_OUTSIDE_SCHEDULER)
+        insts[id(inst)] += 1
+        if type(inst) is Jump or type(inst) is CondBranch:  # the frame took an edge
+            target = frame.insts[0].parent
+            edges[(id(inst.parent), id(target))] += 1
+            blocks[id(target)] += 1
+            for phi in target.phis():
+                insts[id(phi)] += 1
+    profile.return_value = interp.return_value
     return profile

@@ -35,11 +35,6 @@ class BasicBlock(Value):
         inst.parent = self
         return inst
 
-    def insert_before_terminator(self, inst: Instruction) -> Instruction:
-        if self.terminator is None:
-            return self.append(inst)
-        return self.insert(len(self.instructions) - 1, inst)
-
     def remove(self, inst: Instruction) -> None:
         self.instructions.remove(inst)
         inst.parent = None

@@ -78,12 +78,6 @@ class Instruction(Value):
         self.operands.append(op)
         op.add_user(self)
 
-    def set_operand(self, index: int, op: Value) -> None:
-        old = self.operands[index]
-        self.operands[index] = op
-        op.add_user(self)
-        old.remove_user(self)
-
     def replace_operand(self, old: Value, new: Value) -> None:
         for i, op in enumerate(self.operands):
             if op is old:

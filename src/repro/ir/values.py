@@ -7,7 +7,7 @@ the graph with :meth:`Value.replace_all_uses_with`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .types import Type
 
@@ -122,9 +122,3 @@ class GlobalVariable(Value):
 
     def short_name(self) -> str:
         return f"@{self.name}"
-
-
-def uses_of(value: Value, among: Iterable["Instruction"]) -> list["Instruction"]:
-    """Users of ``value`` restricted to the instructions in ``among``."""
-    pool = set(among)
-    return [u for u in value.users if u in pool]

@@ -54,6 +54,9 @@ JOB_STATUSES = ("queued", "running", "done", "failed", "cancelled", "timeout")
 #: Statuses a record can never leave (its ``done`` event is set).
 TERMINAL_STATUSES = ("done", "failed", "cancelled", "timeout")
 
+#: Job records a queue keeps; past this the oldest finished ones go.
+MAX_RECORDS = 10_000
+
 
 @dataclass
 class QueueStats:
@@ -127,7 +130,6 @@ class JobQueue:
         store: ArtifactStore,
         workers: int = 2,
         run: Callable[[JobRequest], dict] | None = None,
-        max_records: int = 10_000,
         fleet: FleetExecutor | None = None,
         envelopes=None,
         deadline_s: float | None = None,
@@ -155,7 +157,6 @@ class JobQueue:
         self._run = run if run is not None else (
             lambda request: jobs.execute(request, store=store)
         )
-        self.max_records = max_records
         #: Default wall-clock budget for jobs that don't carry their own.
         self.deadline_s = deadline_s
         #: Crash (BrokenProcessPool) re-runs allowed per job.
@@ -321,9 +322,9 @@ class JobQueue:
         self._records[record.job_id] = record
         # Cap the registry: forget the oldest *finished* records first so
         # a long-lived server doesn't grow without bound.
-        if len(self._records) > self.max_records:
+        if len(self._records) > MAX_RECORDS:
             for job_id, old in list(self._records.items()):
-                if old.done.is_set() and len(self._records) > self.max_records:
+                if old.done.is_set() and len(self._records) > MAX_RECORDS:
                     del self._records[job_id]
         return record
 

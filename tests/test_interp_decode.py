@@ -1,7 +1,7 @@
 """Contracts of the interpreter's pre-decoded block programs.
 
 The decoder must be unobservable except for speed: same step counts, same
-hook sequence, same blocking behaviour, no reference cycle through the
+blocking behaviour, no reference cycle through the
 interpreter (the image and its decoded program must die by refcount), no
 stale program after a transform, and no memory fast path that bypasses a
 ``Memory`` subclass.
@@ -15,6 +15,7 @@ import pytest
 from repro.errors import InterpError
 from repro.frontend import compile_c
 from repro.interp import ChannelIO, Interpreter, Memory, Status
+from repro.interp.interpreter import BLOCKED_OUTSIDE_SCHEDULER
 from repro.ir import (
     Channel,
     Consume,
@@ -57,6 +58,17 @@ LOOP_SRC = (
     "int twice(int n) { return f(n) + f(n); }"
     "int tri(int n) { int s = 0; for (int i = 0; i < n; i++) s += i; return s; }"
 )
+
+
+def stepped(interp, function, args):
+    """What ``interp.call`` returns, on the reference path: one closure
+    per :meth:`~Interpreter.step`."""
+    interp.start(function, list(args))
+    while interp.step() is Status.RUNNING:
+        pass
+    if not interp.done:
+        raise InterpError(BLOCKED_OUTSIDE_SCHEDULER)
+    return interp.return_value
 
 
 def compiled(src=LOOP_SRC, name="module"):
@@ -136,16 +148,20 @@ class _CountingMemory(Memory):
 
 def test_memory_subclass_sees_every_access():
     module = compiled()
-    executed = []
     memory = _CountingMemory()
-    interp = Interpreter(module, memory, on_execute=executed.append)
+    interp = Interpreter(module, memory)
     memory.reads = memory.writes = 0  # drop global-initialiser traffic
-    interp.call("f", [24])
+    interp.start("f", [24])
+    executed = []
+    while not interp.done:  # the reference path, an instruction a step
+        frame = interp._stack[-1]
+        executed.append(frame.insts[frame.index])
+        interp.step()
     loads = sum(isinstance(i, Load) for i in executed)
     stores = sum(isinstance(i, Store) for i in executed)
     assert loads > 0 and stores > 0
     assert (memory.reads, memory.writes) == (loads, stores)
-    # ...and the hook-free loop goes through the subclass as well.
+    # ...and the segments go through the subclass as well.
     memory.reads = memory.writes = 0
     Interpreter(
         module, memory, global_addresses=interp.global_addresses
@@ -154,48 +170,19 @@ def test_memory_subclass_sees_every_access():
 
 
 class TestHooksAndLimits:
-    def test_on_execute_sees_exact_sequence_including_phis(self):
-        module = compiled("int f(int n) { int s = 0;"
-                          " for (int i = 0; i < n; i++) s += i; return s; }")
-        f = module.get_function("f")
-        executed, edges = [], []
-        interp = Interpreter(
-            module, on_execute=executed.append,
-            on_edge=lambda src, dst: edges.append((src, dst, len(executed))),
-        )
-        assert interp.call("f", [3]) == 3
-        # One step per non-phi instruction; phis ride on their edge.
-        phis = [i for i in executed if isinstance(i, Phi)]
-        assert interp.steps == len(executed) - len(phis)
-        assert phis and all(p.parent is not f.entry for p in phis)
-        # Replay the block structure: each edge is announced before its
-        # phis, the phis of the target come next in block order, and the
-        # terminator that took the edge is reported after them.
-        for src, dst, position in edges:
-            n = len(dst.phis())
-            assert executed[position:position + n] == dst.phis()
-            assert executed[position + n] is src.terminator
-        # Between edges, instructions arrive in block order.
-        expected = list(f.entry.instructions[:-1])
-        for src, dst, _ in edges:
-            expected += dst.phis() + [src.terminator]
-            expected += [i for i in dst.non_phis() if not i.is_terminator]
-        expected.append(executed[-1])  # the final ret
-        assert executed == expected
-
-    @pytest.mark.parametrize("hooked", [False, True])
-    def test_max_steps_raises_on_step_n_plus_one(self, hooked):
+    @pytest.mark.parametrize("stepping", [False, True])
+    def test_max_steps_raises_on_step_n_plus_one(self, stepping):
         module = compiled()
         probe = Interpreter(module)
         probe.call("f", [10])
         total = probe.steps
-        hook = (lambda inst: None) if hooked else None
-        exact = Interpreter(module, max_steps=total, on_execute=hook)
-        exact.call("f", [10])
+        call = stepped if stepping else Interpreter.call
+        exact = Interpreter(module, max_steps=total)
+        call(exact, "f", [10])
         assert exact.steps == total
-        short = Interpreter(module, max_steps=total - 1, on_execute=hook)
+        short = Interpreter(module, max_steps=total - 1)
         with pytest.raises(InterpError, match=f"exceeded max_steps={total - 1}"):
-            short.call("f", [10])
+            call(short, "f", [10])
         assert short.steps == total
 
     def test_block_produce_resume_advances_exactly_once(self):
@@ -206,16 +193,16 @@ class TestHooksAndLimits:
         got = b.block.append(Consume(chan, I32))
         b.ret(got)
         io = ChannelIO()
-        executed = []
-        interp = Interpreter(m, Memory(), channel_io=io, on_execute=executed.append)
+        interp = Interpreter(m, Memory(), channel_io=io)
         interp.start("f", [])
+        frame = interp._stack[-1]
         assert interp.step() is Status.BLOCKED
         assert interp.step() is Status.BLOCKED
-        assert executed == []  # a parked consume did not execute
+        assert frame.index == 0 and got not in frame.env  # a parked consume did not execute
         io.produce(chan, 0, 7)
         io.produce(chan, 0, 8)
         assert interp.step() is Status.RUNNING  # the consume, once
-        assert executed == [got]
+        assert frame.index == 1 and frame.env[got] == 7
         assert io.pending() == 1
         assert interp.step() is Status.DONE
         assert interp.return_value == 7
@@ -234,8 +221,7 @@ class TestHooksAndLimits:
         assert Interpreter(module).call("f", [0]) == 12
         assert Interpreter(module).call("f", [1]) == 21
         assert Interpreter(module).call("f", [4]) == 12
-        seen = []
-        assert Interpreter(module, on_execute=seen.append).call("f", [3]) == 21
+        assert stepped(Interpreter(module), "f", [3]) == 21
 
     def test_undefined_value_still_names_value_and_function(self):
         m = Module("m")

@@ -1,10 +1,11 @@
 """Segment path == closure path.
 
-``Interpreter.call`` with no ``on_execute`` hook runs generated
-straight-line code a segment at a time; with a hook (a no-op here) it
-runs the per-instruction closures, the reference.  Everything a caller
-can observe must agree: value, ``steps``, image bytes, access counters,
-allocations, edges taken, error text and the point at which it is raised.
+``Interpreter.call`` runs generated straight-line code a segment at a
+time; ``start()`` and ``step()`` run the per-instruction closures, the
+reference.  Everything a caller can observe must agree: value, ``steps``,
+image bytes, access counters, allocations, error text and the point at
+which it is raised.  Under ``costs`` (the MIPS baseline) a segment's text
+is the same text plus counter lines.
 """
 
 import io
@@ -18,7 +19,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import InterpError
 from repro.frontend import compile_c
-from repro.hw import AcceleratorSystem, HwWorker, specialized_for
+from repro.hw import AcceleratorSystem, HwWorker, run_on_mips, specialized_for
+from repro.hw.mips_core import _costs
 from repro.hw.specialize import SpecFrame
 from repro.interp import ChannelIO, Interpreter, Memory
 from repro.interp import interpreter as interpreter_module
@@ -37,12 +39,11 @@ from repro.ir.instructions import Call
 from repro.ir.values import Constant
 from repro.kernels import ALL_KERNELS
 from repro.transforms import optimize_module
-from tests.test_interp_decode import LOOP_SRC, _CountingMemory
+from tests.test_interp_decode import LOOP_SRC, _CountingMemory, stepped
 from tests.test_pipeline_fuzz import LINKED_LIST_TEMPLATE, LIST_UPDATES, kernel_source
 
-
-def no_hook(inst):
-    """Installed as ``on_execute`` to select the closure path."""
+#: The segment path, then the closure reference.
+CALLS = (Interpreter.call, stepped)
 
 
 def observe(interp, value=None, error=None):
@@ -57,19 +58,16 @@ def observe(interp, value=None, error=None):
     }
 
 
-def run(interp, function, args):
+def run(interp, function, args, call=Interpreter.call):
     try:
-        return observe(interp, value=interp.call(function, list(args)))
+        return observe(interp, value=call(interp, function, list(args)))
     except InterpError as exc:
         return observe(interp, error=str(exc))
 
 
 def both(module, function, args, **how):
     """What the segment path and the closure path each leave behind."""
-    return (
-        run(Interpreter(module, **how), function, args),
-        run(Interpreter(module, on_execute=no_hook, **how), function, args),
-    )
+    return tuple(run(Interpreter(module, **how), function, args, call) for call in CALLS)
 
 
 def module_of(source, optimise=True, name="module"):
@@ -84,14 +82,13 @@ def module_of(source, optimise=True, name="module"):
 def test_kernel_setup_and_check_agree(spec, optimise):
     module = module_of(spec.source, optimise, spec.name)
     seen = []
-    for hook in (None, no_hook):
-        setup = Interpreter(module, on_execute=hook)
-        after_setup = run(setup, spec.setup_function, spec.setup_args)
+    for call in CALLS:
+        setup = Interpreter(module)
+        after_setup = run(setup, spec.setup_function, spec.setup_args, call)
         check = Interpreter(
-            module, setup.memory, global_addresses=setup.global_addresses,
-            on_execute=hook,
+            module, setup.memory, global_addresses=setup.global_addresses
         )
-        seen.append((after_setup, run(check, spec.check_function, [])))
+        seen.append((after_setup, run(check, spec.check_function, [], call)))
     assert seen[0] == seen[1]
     assert seen[0][0]["error"] is None and seen[0][1]["error"] is None
 
@@ -128,19 +125,6 @@ def test_max_steps_stops_on_the_same_instruction_at_every_limit():
             assert segment["steps"] == limit + 1
         else:
             assert segment["error"] is None
-
-
-@pytest.mark.parametrize("optimise", [True, False])
-def test_on_edge_sees_the_same_edges_in_the_same_order(optimise):
-    module = module_of(LOOP_SRC, optimise)
-    edges = ([], [])
-    Interpreter(
-        module, on_edge=lambda s, d: edges[0].append((s, d))
-    ).call("twice", [9])
-    Interpreter(
-        module, on_edge=lambda s, d: edges[1].append((s, d)), on_execute=no_hook
-    ).call("twice", [9])
-    assert edges[0] == edges[1] and len(edges[0]) > 20
 
 
 class TestPhis:
@@ -240,14 +224,14 @@ def _undefined_value(m, f, b):
 def test_faults_raise_when_run_not_when_rendered(fault, message):
     module = _two_block_function(fault)
     outcomes = []
-    for hook in (None, no_hook):
+    for call in CALLS:
         memory = Memory()
-        interp = Interpreter(module, memory, on_execute=hook)
+        interp = Interpreter(module, memory)
         addr = memory.malloc(4)
-        if hook is None:  # rendering the block is not running it
+        if call is Interpreter.call:  # rendering the block is not running it
             interp._segs[module.get_function("f").entry]
         with pytest.raises(InterpError) as info:
-            interp.call("f", [1, addr])
+            call(interp, "f", [1, addr])
         outcomes.append((str(info.value), memory.load(addr, I32), memory.snapshot()))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][:2] == (message, 7)  # the store before the fault ran
@@ -256,11 +240,11 @@ def test_faults_raise_when_run_not_when_rendered(fault, message):
 def test_memory_subclass_sees_every_access_on_both_paths():
     module = module_of(LOOP_SRC, optimise=False)
     counts = []
-    for hook in (None, no_hook):
+    for call in CALLS:
         memory = _CountingMemory()
-        interp = Interpreter(module, memory, on_execute=hook)
+        interp = Interpreter(module, memory)
         memory.reads = memory.writes = 0  # drop global-initialiser traffic
-        interp.call("twice", [12])
+        call(interp, "twice", [12])
         counts.append((memory.reads, memory.writes))
     assert counts[0] == counts[1] and min(counts[0]) > 50
 
@@ -281,23 +265,23 @@ class TestChannels:
     def test_consume_and_produce_agree(self):
         m, chan = self.module()
         seen = []
-        for hook in (None, no_hook):
+        for call in CALLS:
             channels = ChannelIO()
             channels.produce(chan, 0, 5)
             channels.produce(chan, 0, 3)
-            interp = Interpreter(m, channel_io=channels, on_execute=hook)
-            seen.append((run(interp, "f", [10]), channels.queue_snapshot()))
+            interp = Interpreter(m, channel_io=channels)
+            seen.append((run(interp, "f", [10], call), channels.queue_snapshot()))
         assert seen[0] == seen[1]
         assert seen[0][0]["value"] == "45" and seen[0][1] == {(0, 0): (15,)}
 
     def test_empty_channel_is_the_same_error_after_the_same_steps(self):
         m, chan = self.module()
         seen = []
-        for hook in (None, no_hook):
+        for call in CALLS:
             channels = ChannelIO()
             channels.produce(chan, 0, 5)
-            interp = Interpreter(m, channel_io=channels, on_execute=hook)
-            seen.append(run(interp, "f", [10]))
+            interp = Interpreter(m, channel_io=channels)
+            seen.append(run(interp, "f", [10], call))
         assert seen[0] == seen[1]
         assert "blocked on an empty channel" in seen[0]["error"]
         assert seen[0]["steps"] == 3
@@ -322,7 +306,7 @@ int eval(int raise) { return def(raise, 11) + def(raise + 1, 7); }
 
 GENERATED_NAME = re.compile(
     r"def|seg|interp|frame|env|if|else|not|is|None|return|new|Frame|stack|got"
-    r"|on_edge|_segs|_stack|memory|call_inst|_return_value|pop|append|[vKF]\d+"
+    r"|_segs|_stack|memory|call_inst|_return_value|pop|append|cycles|moves|[vKF]\d+"
     # ... and the hardware worker's steps and runs:
     r"|worker|cycle|regs|ops|room|stats|ops_executed|block|cursor"
 )
@@ -361,6 +345,32 @@ def test_generated_text_holds_nothing_from_the_source(optimise, texts):
     assert segment == closure and segment["error"] is None
     assert len(texts) > 5
     assert_generated_only(texts)
+    texts.clear()
+    assert run_on_mips(module, "eval", [6], Memory()).return_value == int(segment["value"])
+    assert any("interp.cycles += " in text for text in texts)
+    assert_generated_only(texts)
+
+
+COST_LINE = re.compile(r" *interp\.(cycles|moves) \+= [1-9]\d*")
+
+
+@pytest.mark.parametrize("spec", ALL_KERNELS, ids=lambda s: s.name)
+def test_costs_only_add_counter_lines(spec, texts):
+    """A costed block renders to its oracle text plus ``+=`` lines."""
+    module = module_of(spec.source, name=spec.name)
+    rendered = []
+    for interp in (Interpreter(module), Interpreter(module, costs=_costs(module))):
+        texts.clear()
+        for function in module.functions.values():
+            for block in function.blocks:
+                interp._segs[block]
+        rendered.append(list(texts))
+    oracle, costed = rendered
+    assert len(oracle) == len(costed) > 10
+    for plain, text in zip(oracle, costed):
+        lines = text.splitlines()
+        assert [line for line in lines if not COST_LINE.fullmatch(line)] == plain.splitlines()
+    assert all(" += " in text for text in costed)
 
 
 def run_worker(module, entry, args, engine):
