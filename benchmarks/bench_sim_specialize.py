@@ -1,14 +1,15 @@
 """Simulator wall-clock: specialized engine vs the event engine.
 
 The specialized engine compiles each worker's FSM schedule into
-generated Python (per-state dispatch resolved at build time, operand
-slots pre-indexed, a run of register-only states one generated function
-batched into one tick, closures only for ops that touch shared state),
-so the hot path stops walking ``Instruction`` objects.  The contract is
+generated Python (operand slots pre-indexed, every place a tick can start
+one generated function that runs to the tick's exit and closes its
+cycles in the timing rule's own lines, a run of register-only states one
+generated function batched into the same tick), so the hot path stops
+walking ``Instruction`` objects.  The contract is
 bit-identical ``SimReport``\\ s against the event engine (pinned by
 ``tests/test_specialized_engine.py``); this benchmark measures what the
 specialization buys: simulation-only wall-clock (compilation, workload
-setup and closure generation excluded) for every kernel under the
+setup and code generation excluded) for every kernel under the
 paper-default memory system.
 
 Acceptance bar: identical reports everywhere, and >= 2x wall-clock
@@ -55,7 +56,7 @@ def _timed_run(spec, compiled, engine):
 
 
 def _best_of(spec, compiled, engine):
-    """min-of-ROUNDS timing (first round also warms the closure caches)."""
+    """min-of-ROUNDS timing (the first round also renders the generated code)."""
     runs = [_timed_run(spec, compiled, engine) for _ in range(ROUNDS)]
     return min(seconds for seconds, _ in runs), runs[0][1]
 
@@ -116,6 +117,6 @@ def test_sim_specialize(benchmark, results_dir, json_path):
         "geomean_speedup": geomean,
     })
 
-    # Acceptance bar: the closure compilation pays for itself broadly,
+    # Acceptance bar: the generated code pays for itself broadly,
     # not on one cherry-picked workload.
     assert len(at_2x) >= REQUIRED_2X_KERNELS, rows

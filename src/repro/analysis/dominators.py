@@ -46,9 +46,6 @@ class DominatorTree:
             current = self._idom.get(id(current))
         return False
 
-    def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
-        return a is not b and self.dominates(a, b)
-
     def dominance_frontier(self) -> dict[int, list[BasicBlock]]:
         """block id -> frontier blocks (computed on demand, cached)."""
         if not hasattr(self, "_frontier"):

@@ -48,9 +48,6 @@ class Loop:
     def latches(self) -> list[BasicBlock]:
         return [p for p in self.header.predecessors() if self.contains_block(p)]
 
-    def preheader_candidates(self) -> list[BasicBlock]:
-        return [p for p in self.header.predecessors() if not self.contains_block(p)]
-
     def exit_edges(self) -> list[tuple[BasicBlock, BasicBlock]]:
         """(inside, outside) CFG edges leaving the loop."""
         out: list[tuple[BasicBlock, BasicBlock]] = []

@@ -81,10 +81,6 @@ class SccInfo:
         return self.classification is SccClass.REPLICABLE
 
     @property
-    def is_sequential(self) -> bool:
-        return self.classification is SccClass.SEQUENTIAL
-
-    @property
     def is_lightweight(self) -> bool:
         """Paper's duplication heuristic: no load / multiply / division / call."""
         return not any(inst.is_heavyweight for inst in self.instructions)

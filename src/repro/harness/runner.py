@@ -320,7 +320,7 @@ def run_backend(
 
     ``engine`` selects the simulator (:data:`repro.hw.ENGINES`, default
     :data:`repro.hw.DEFAULT_ENGINE`): ``"specialized"`` (skip-ahead event
-    clock over worker FSMs compiled to closures), ``"event"`` (the same
+    clock over worker FSMs compiled to generated code), ``"event"`` (the same
     clock over interpretive workers) or the ``"lockstep"`` oracle; all
     three report identical cycle counts.
 

@@ -59,6 +59,9 @@ class EventScheduler:
         #: seq of the worker currently ticking (-1 outside the tick loop);
         #: wake targets compare against it for the same-cycle rule.
         self._active_seq = -1
+        #: The workers the clock scans: every one registered but the
+        #: finished, which are never due again.
+        self.live: list[HwWorker] = []
 
     # -- wait registration (called from HwWorker._retire) ----------------------
 
@@ -72,6 +75,10 @@ class EventScheduler:
 
     def wait_on_join(self, worker: HwWorker, loop_id: int) -> None:
         self._join_waiters.setdefault(loop_id, []).append(worker)
+
+    def add(self, worker: HwWorker) -> None:
+        """A worker joins the clock (called from the system)."""
+        self.live.append(worker)
 
     # -- wake notifications (called from FifoBuffer / the system) --------------
 
@@ -109,6 +116,8 @@ class EventScheduler:
 
     def worker_done(self, worker: HwWorker) -> None:
         """A worker raised its finish signal; maybe its join completed."""
+        # A new list: a pass over the old one may be under way.
+        self.live = [w for w in self.live if w is not worker]
         loop_id = worker.loop_id
         if loop_id is None:
             return
@@ -167,7 +176,6 @@ class EventScheduler:
     def run(self, main: HwWorker) -> int:
         """Drive the clock until ``main`` finishes; returns total cycles."""
         system = self.system
-        workers = system._workers  # live list: forks append mid-run
         max_cycles = system.max_cycles
         monitor = system.monitor
         next_check = monitor.interval if monitor is not None else 0
@@ -176,8 +184,9 @@ class EventScheduler:
             # Manual min loop: a genexpr resumes one generator frame per
             # worker, which dominates the clock-advance cost on small
             # systems; this runs every simulated cycle.
+            live = self.live
             cycle = NEVER
-            for w in workers:
+            for w in live:
                 due = w.next_due
                 if due < cycle:
                     cycle = due
@@ -194,8 +203,9 @@ class EventScheduler:
             self._cycle = cycle
             # Iterating the live list is safe: forks only append, and a
             # freshly forked worker's next_due (start_cycle = cycle + 1)
-            # can never pass the due check within the forking cycle.
-            for worker in workers:
+            # can never pass the due check within the forking cycle; a
+            # worker that finishes replaces the list instead.
+            for worker in live:
                 if worker.next_due <= cycle:
                     self._active_seq = worker.seq
                     if worker.synced_until < cycle:
@@ -210,7 +220,7 @@ class EventScheduler:
                 ) * monitor.interval
         # Pad every worker to the run's end: lockstep keeps clocking
         # finished (idle) and still-blocked workers until main retires.
-        for worker in workers:
+        for worker in system._workers:
             if worker.synced_until < cycle:
                 self._flush(worker, cycle)
         return cycle

@@ -37,10 +37,11 @@ from __future__ import annotations
 from collections import Counter
 
 from ..errors import SimulationError
+from ..interp.interpreter import _Text
 from ..telemetry.events import CycleCategory
 from .specialize import SpecializedWorker
 from .system import AcceleratorSystem, SimReport
-from .worker import STALLED, HwWorker
+from .worker import STALLED, HwWorker, retire_lines
 
 #: Event kinds: the shared-state operations of one worker.
 MEM, PUSH, BROADCAST, POP, FORK, JOIN, DONE = range(7)
@@ -291,6 +292,75 @@ class _RecordingSystem(AcceleratorSystem):
 # --------------------------------------------------------------------------
 
 
+def _render_tick():
+    """``_ReplayWorker.tick``: from the event at ``_at`` to the tick's exit.
+
+    A memory event closes its cache wait together with the compute run
+    behind it (completion has no shared effect, so the worker wakes at
+    its next event); a push, pop, fork or join that goes ahead runs on
+    into its successor's run-up, closed as COMPUTE cycles, or straight
+    into the successor itself.  A FIFO or join stall retires through
+    :meth:`HwWorker._retire`; every other exit is the timing rule's lines
+    (:func:`repro.hw.worker.retire_lines`).
+    """
+    text = _Text(None, None)
+    ref = text.ref
+    indent = lambda depth, lines: [" " * depth + line for line in lines]  # noqa: E731
+    text.body += [
+        "events = self._events",
+        "stats = self.stats",
+        "at = self._at",
+        "run_up, kind, a, b = events[at]",
+        "while True:",
+        f" if kind == {MEM}:",
+        "  ready = self._waiting_until = self.cache.access(a, b, cycle)",
+        "  if b: stats.stores += 1",
+        "  else: stats.loads += 1",
+        "  self._at = at = at + 1",
+        "  run_up = events[at][0]",
+        "  if run_up:",
+        "   if ready <= cycle: ready = cycle + 1",
+        *indent(3, retire_lines(text, CycleCategory.CACHE, "ready - cycle", w="self")),
+        *indent(3, retire_lines(text, _COMPUTE, "run_up", "ready", w="self")),
+        "   return",
+        *indent(2, retire_lines(text, CycleCategory.CACHE, w="self")),
+        "  return",
+        f" if kind == {POP}:",
+        f"  opcode, category = {ref('consume')}, {ref(CycleCategory.FIFO_EMPTY)}",
+        f"  stalled = self._pop(opcode, self.system.fifo_by_id[a], b, cycle) is {ref(STALLED)}",
+        f" elif kind == {PUSH} or kind == {BROADCAST}:",
+        f"  opcode = {ref('produce')} if kind == {PUSH} else {ref('produce_broadcast')}",
+        f"  category = {ref(CycleCategory.FIFO_FULL)}",
+        "  stalled = self._push(opcode, self.system.fifo_by_id[a], b, None, cycle)",
+        f" elif kind == {JOIN}:",
+        f"  opcode, category = {ref('parallel_join')}, {ref(CycleCategory.JOIN)}",
+        "  stalled = self._join(opcode, a, cycle)",
+        f" elif kind == {FORK}:",
+        "  stalled = False",
+        "  self.system.fork_trace(a, cycle)",
+        " else:  # DONE",
+        "  self._at = at",
+        "  self.done = True",
+        "  self.system.worker_finished(self)",
+        f"  self._retire(cycle, {ref(_COMPUTE)})",
+        "  return",
+        " if stalled:",
+        # ``ops_executed`` is the recorded final count: undo the roll-back
+        # of an increment replay never made.
+        "  stats.ops_executed[opcode] += 1",
+        "  self._at = at",
+        "  self._retire(cycle, category)",
+        "  return",
+        " at += 1",
+        " run_up, kind, a, b = events[at]",
+        " if run_up:",
+        "  self._at = at",
+        *indent(2, retire_lines(text, _COMPUTE, "run_up", w="self")),
+        "  return",
+    ]
+    return text.function("self, cycle")
+
+
 class _ReplayWorker(HwWorker):
     """Walks one :class:`WorkerTrace`: no frames, registers or memory.
 
@@ -313,59 +383,7 @@ class _ReplayWorker(HwWorker):
         self.stats.ops_executed = Counter(trace.ops)
         return []  # an empty call stack, should the watchdog look
 
-    def tick(self, cycle: int) -> None:
-        events = self._events
-        at = self._at
-        run_up, kind, a, b = events[at]
-        while True:
-            if kind == MEM:
-                self._waiting_until = self.cache.access(a, b, cycle)
-                if b:
-                    self.stats.stores += 1
-                else:
-                    self.stats.loads += 1
-                self._retire(cycle, CycleCategory.CACHE)
-                at += 1
-                run_up = events[at][0]
-                if run_up:
-                    # Completion has no shared effect: close the wait and
-                    # the compute run behind it now, wake at the event.
-                    ready = self.next_due
-                    self.engine._flush(self, ready)
-                    self._retire(ready, _COMPUTE, run_up)
-                break
-            if kind == POP:
-                opcode, category = "consume", CycleCategory.FIFO_EMPTY
-                fifo = self.system.fifo_by_id[a]
-                stalled = self._pop(opcode, fifo, b, cycle) is STALLED
-            elif kind == PUSH or kind == BROADCAST:
-                opcode = "produce" if kind == PUSH else "produce_broadcast"
-                category = CycleCategory.FIFO_FULL
-                fifo = self.system.fifo_by_id[a]
-                stalled = self._push(opcode, fifo, b, None, cycle)
-            elif kind == JOIN:
-                opcode, category = "parallel_join", CycleCategory.JOIN
-                stalled = self._join(opcode, a, cycle)
-            elif kind == FORK:
-                stalled = False
-                self.system.fork_trace(a, cycle)
-            else:  # DONE
-                self.done = True
-                self.system.worker_finished(self)
-                self._retire(cycle, _COMPUTE)
-                break
-            if stalled:
-                # ``ops_executed`` is the recorded final count: undo the
-                # roll-back of an increment replay never made.
-                self.stats.ops_executed[opcode] += 1
-                self._retire(cycle, category)
-                break
-            at += 1
-            run_up, kind, a, b = events[at]
-            if run_up:
-                self._retire(cycle, _COMPUTE, run_up)
-                break
-        self._at = at
+    tick = _render_tick()
 
 
 class _ReplaySystem(AcceleratorSystem):

@@ -10,28 +10,31 @@ function:
 
 * every SSA value gets a slot in a flat ``regs`` list (constants are baked
   into the code, globals are filled in at frame construction);
-* register-only ops — pure ops, phis, branches — are generated Python,
-  rendered on first use through the interpreter's IR-to-Python generator
-  (:class:`repro.interp.interpreter._Text`): each pure op is its
-  expression form from the shared op table
-  (:data:`repro.interp.ops.FORMS`: same values, same error messages, same
-  rounding as every other engine), and a taken edge is one parallel copy
-  of the target's phi registers;
+* every place a tick can start — a state's first op, the op after a load,
+  store or call, a FIFO or join op that retries — is one generated
+  function (a *landing*), rendered on first use through the interpreter's
+  IR-to-Python generator (:class:`repro.interp.interpreter._Text`).  It
+  runs to the tick's exit: pure ops as their expression forms from the
+  shared op table (:data:`repro.interp.ops.FORMS`: same values, same
+  error messages, same rounding as every other engine), a taken edge as
+  one parallel copy of the target's phi registers, load/store issue, and
+  produce/consume/join/memory completion through the inherited
+  :class:`~repro.hw.worker.HwWorker` methods; it closes its cycles with
+  the lines the timing rule is spelled in
+  (:func:`repro.hw.worker.retire_lines`);
 * a run of register-only FSM states — which cannot park — is one
-  generated function (``SpecBlock.runs``) that the tick calls to run
-  ahead; inside a state, a maximal group of register-only ops is one
-  generated step; only ops that touch shared state (memory, FIFOs,
-  liveouts, fork/join, calls) remain closures.
+  generated function (``SpecBlock.runs``) that an exit into it calls to
+  run ahead.
 
 Everything observable is kept **bit-identical** to the event engine:
 ``WorkerStats``, stall attribution, telemetry spans/states and the
 watchdog's wait-for-graph attributes (``_frames[*].function``,
-``last_category``).  FIFO and join steps are calls into the inherited
-:class:`~repro.hw.worker.HwWorker` blocking-op protocol, so the fault
-hooks, the ``ops_executed`` roll-back of a blocked op and the
-``_blocked_*`` bookkeeping are literally the same code.  The differential
-suite in ``tests/test_specialized_engine.py`` pins this against both
-oracles.
+``last_category``).  FIFO and join ops call the inherited blocking-op
+protocol, and a memory op completes through ``_complete_memory``, so the
+fault hooks, the ``ops_executed`` roll-back of a blocked op, the
+``_blocked_*`` bookkeeping and the trace recorder's taps are literally the
+same code.  The differential suite in ``tests/test_specialized_engine.py``
+pins this against both oracles.
 
 The clock loop is unchanged: a specialized system runs under the same
 :class:`~repro.hw.engine.EventScheduler` as ``engine="event"``.
@@ -44,6 +47,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import SimulationError
 from ..interp.interpreter import MALLOC_NAMES, _Text, escapes
+from ..interp.memory import Memory
 from ..interp.ops import FORMS
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
@@ -52,7 +56,6 @@ from ..ir.instructions import (
     Call,
     CondBranch,
     Consume,
-    Instruction,
     Jump,
     Load,
     ParallelFork,
@@ -68,80 +71,56 @@ from ..ir.instructions import (
 from ..ir.values import Constant, GlobalVariable
 from ..rtl.schedule import FunctionSchedule, schedule_function
 from ..telemetry.events import CycleCategory
-from .worker import STALLED, HwWorker
+from .worker import STALLED, HwWorker, retire_lines
 
 if TYPE_CHECKING:  # pragma: no cover
     from .system import AcceleratorSystem
 
-# Step outcomes (compared with ``is`` in the tick loop; module-level
-# constants so every closure returns the same interned object).
-_OK = "ok"
-_WAIT_MEM = "wait_mem"
-_WAIT_FULL = "wait_full"
-_WAIT_EMPTY = "wait_empty"
-_WAIT_JOIN = "wait_join"
-_CALL = "call"
-_RET = "ret"
-_BRANCH = "branch"
-_RAN = "ran"  # a generated group ran and left the frame's cursor past it
-
-#: The cycle category each stalling outcome retires as (call/ret and the
-#: state-advancing outcomes are COMPUTE).
-_STALL_CATEGORY = {
-    _WAIT_MEM: CycleCategory.CACHE,
-    _WAIT_FULL: CycleCategory.FIFO_FULL,
-    _WAIT_EMPTY: CycleCategory.FIFO_EMPTY,
-    _WAIT_JOIN: CycleCategory.JOIN,
-}
-
-_COMPUTE = CycleCategory.COMPUTE  # bound once: every run-ahead exit passes it
+_COMPUTE = CycleCategory.COMPUTE
 
 #: Instruction classes whose steps touch only the frame's registers; a
 #: branch and its phi-latching edge are register-only control flow.
 _REGISTER_ONLY = (*FORMS, Phi, Jump, CondBranch)
 
+#: Ops a frame's cursor stays on when they stall (the retry's landing).
+_RETRIED = (Produce, ProduceBroadcast, Consume, ParallelJoin)
 
-class _Accessors(dict):
-    """``memory class -> its pre-bound accessor`` for one access type.
 
-    A program is compiled before it meets a memory and is shared by every
-    system that runs its function, so the accessor is resolved per class
-    on first use.  :meth:`Memory.loader`/:meth:`Memory.storer` keep a
-    subclass on its own ``load``/``store``.
-    """
+def _raise(message: str):
+    raise SimulationError(message)
 
-    def __init__(self, kind: str, type_) -> None:
-        self.kind = kind
-        self.type = type_
 
-    def __missing__(self, memory_class):
-        accessor = self[memory_class] = getattr(memory_class, self.kind)(self.type)
-        return accessor
+def _malloc(memory, size):
+    return memory.malloc(int(size), site=-4)
+
+
+def _fell_off(worker, block: "SpecBlock"):
+    _raise(f"worker {worker.name}: fell off the end of block "
+           f"{block.label} (missing terminator?)")
 
 
 class SpecBlock:
-    """One basic block compiled to per-state step lists.
+    """One basic block compiled to landings and runs.
 
-    ``states[s][i]`` is the step at op ``i`` of FSM state ``s`` wherever a
-    frame's cursor can stand: a closure for an op that touches shared
-    state, else a generated group running every register-only op up to
-    the next such op (positions inside a group hold None).  ``probes[s]``
-    holds the aligned side-effect-free would-block probes (None for ops
-    that can never stall), ``runs[s]`` the generated run-ahead from state
-    ``s`` (None unless ``pure[s]``).  ``entry_cursor`` is the number of
-    leading phi steps in state 0, skipped when the block is entered via a
-    branch edge (the edge already latched the phi registers).
+    ``table[s]`` holds the ops of FSM state ``s``; ``states[s][i]`` is the
+    landing at op ``i`` of that state wherever a frame's cursor can stand
+    between two ticks (None elsewhere; ``i`` may be the state's length,
+    after a trailing load, store or call).  ``runs[s]`` is the generated
+    run-ahead from state ``s`` (None unless ``pure[s]``).
+    ``entry_cursor`` is the number of leading phi ops in state 0, skipped
+    when the block is entered via a branch edge (the edge already latched
+    the phi registers).
     """
 
-    __slots__ = ("label", "trace_label", "n_states", "states", "probes",
+    __slots__ = ("label", "trace_label", "n_states", "table", "states",
                  "pure", "runs", "entry_cursor")
 
     def __init__(self, label: str, trace_label: str, table) -> None:
         self.label = label
         self.trace_label = trace_label
         self.n_states = len(table)
+        self.table = table
         self.states: list[list] = []
-        self.probes: list[list] = []
         #: ``pure[s]`` — every op in state ``s`` reads/writes only the
         #: frame's private register file (no memory, FIFO, liveout, fork,
         #: join, call or return; a branch only moves the frame).  A run of
@@ -188,10 +167,58 @@ class SpecFrame:
         self.regs = regs
         self.ret_slot = ret_slot
 
+    @property
+    def state_ops(self) -> list:
+        """The ops of each FSM state of the block (what
+        :meth:`HwWorker._would_block` reads)."""
+        return self.block.table
+
+
+def _render_run_ahead():
+    """``run_ahead(worker, frame, cycle, progress, block, state, start)``:
+    the exit of a tick whose frame moves to pure state ``state`` of
+    ``block`` at op ``start``, ``progress`` ops and states since it began.
+
+    When nothing observes per-cycle state, the following run of pure
+    states executes now as generated runs, attributed as a batch of
+    COMPUTE cycles; the batch never extends past ``max_cycles`` (so the
+    cycle budget fires at the same cycle as the unbatched engines, also
+    inside a register-only infinite loop).  Then the frame stands where
+    the run stopped and the cycles close.
+    """
+    text = _Text(None, None)
+    text.body += [
+        "k = 1",
+        "if worker._can_batch:",
+        " budget = worker.system.max_cycles - cycle",
+        " if k < budget:",
+        "  regs = frame.regs",
+        "  ops = worker.stats.ops_executed",
+        "  run = block.runs[state]",
+        "  while True:",
+        "   block, state, start, states, done = run(regs, ops, budget - k)",
+        "   k += states",
+        "   progress += done",
+        "   run = block.runs[state]",
+        "   if run is None or k >= budget: break",
+        f"  if state >= block.n_states: {text.ref(_fell_off)}(worker, block)",
+        "frame.block = block",
+        "frame.state = state",
+        "frame.cursor = start",
+        "frame.steps = block.states[state]",
+        "worker.progress += progress",
+        "if worker._trace: worker._emit_state(cycle)",
+        *retire_lines(text, _COMPUTE, "k"),
+    ]
+    return text.function("worker, frame, cycle, progress, block, state, start")
+
+
+_run_ahead = _render_run_ahead()
+
 
 class SpecializedProgram:
-    """One function's FSM schedule compiled into steps and runs (shared by
-    all workers and systems running that function)."""
+    """One function's FSM schedule compiled into landings and runs (shared
+    by all workers and systems running that function)."""
 
     def __init__(self, function: Function, schedule: FunctionSchedule) -> None:
         self.function = function
@@ -199,7 +226,6 @@ class SpecializedProgram:
         self._globals: dict[str, int] = {}  # global name -> register slot
         self.n_slots = 0
         self._blocks: dict[int, SpecBlock] = {}
-        self._tables: dict[int, list] = {}  # id(block) -> ops per FSM state
         for arg in function.args:
             self._slots[id(arg)] = self._alloc()
         for block in function.blocks:
@@ -209,9 +235,9 @@ class SpecializedProgram:
                     if isinstance(value, GlobalVariable):
                         self._bind(value)
         for block in function.blocks:
-            table = self._tables[id(block)] = schedule.block_schedule(block).states
             self._blocks[id(block)] = SpecBlock(
-                block.short_name(), f"{function.name}:{block.short_name()}", table
+                block.short_name(), f"{function.name}:{block.short_name()}",
+                schedule.block_schedule(block).states,
             )
         self.entry = self._blocks[id(function.entry)]
         for block in function.blocks:
@@ -230,8 +256,8 @@ class SpecializedProgram:
         return self._slots[id(value)]
 
     def _bind(self, value) -> tuple[int, int | float | None]:
-        """Operand descriptor ``(slot, const)``: closures read
-        ``regs[slot]`` when ``slot >= 0``, else the baked constant."""
+        """Operand descriptor ``(slot, const)``: ``regs[slot]`` when
+        ``slot >= 0``, else the baked constant."""
         if isinstance(value, Constant):
             return -1, value.value
         if isinstance(value, GlobalVariable):
@@ -246,45 +272,39 @@ class SpecializedProgram:
         slot, const = self._bind(value)
         return (None, const) if slot < 0 else (slot, None)
 
+    def _text(self) -> _Text:
+        return _Text(self._key, lambda slot: f"regs[{slot}]")
+
     # -- block compilation --------------------------------------------------
 
     def _compile_block(self, block: BasicBlock) -> None:
         sb = self._blocks[id(block)]
-        for s, state_ops in enumerate(self._tables[id(block)]):
-            n = len(state_ops)
-            steps: list = [None] * n
-            probes: list = [None] * n
+        for s, state_ops in enumerate(sb.table):
             landings = {0, sb.entry_cursor if s == 0 else 0}
             for i, inst in enumerate(state_ops):
-                if not isinstance(inst, _REGISTER_ONLY):
-                    steps[i], probes[i] = self._compile_inst(inst)
+                if isinstance(inst, _RETRIED):
+                    landings.add(i)
+                elif isinstance(inst, (Load, Store)) or (
+                    type(inst) is Call and not inst.callee.is_declaration
+                ):
                     landings.add(i + 1)
-            for i in sorted(landings):
-                if i < n and steps[i] is None:  # a register-only group starts here
-                    j = i + 1
-                    while j < n and steps[j] is None and j not in landings:
-                        j += 1
-                    steps[i] = _lazy(steps, i, self._render, block, s, i, j)
+            steps: list = [None] * (len(state_ops) + 1)
+            for i in landings:
+                steps[i] = _lazy(steps, i, self._render_landing, block, s, i)
             sb.states.append(steps)
-            sb.probes.append(probes)
             sb.pure.append(all(isinstance(inst, _REGISTER_ONLY) for inst in state_ops))
         sb.pure.append(False)
         sb.runs = runs = [None] * len(sb.pure)
         for s, pure in enumerate(sb.pure):
             if pure:  # a run enters state 0 from an edge, past the phis
-                lo = 0 if s else sb.entry_cursor
-                runs[s] = _lazy(runs, s, self._render, block, s, lo, None)
+                runs[s] = _lazy(runs, s, self._render_run, block, s)
 
-    def _render(self, block: BasicBlock, first: int, lo: int, end: int | None):
-        """Generated code for the register-only ops from op ``lo`` of FSM
-        state ``first``.
+    def _render_run(self, block: BasicBlock, first: int):
+        """Generated code for the register-only FSM states from ``first``:
+        that state and every following pure state of the block, a
+        function ``(regs, ops, room) -> (block, state, start, states,
+        progress)`` executing at most ``room`` states.
 
-        With ``end``, a *group*: ops ``[lo, end)`` of that one state, a
-        step ``(worker, frame, cycle)`` returning ``_RAN`` with the frame's
-        cursor at ``end``, or ``_BRANCH`` with the frame in the taken
-        edge's target.  Without, a *run*: that state and every following
-        pure state of the block, ``(regs, ops, room) -> (block, state,
-        start, states, progress)``, executing at most ``room`` states.
         Registers are locals, stored back only for a reader outside the
         function.  (A run stopped for ``room`` leaves its worker due at
         ``max_cycles``, where the clock raises the budget error before any
@@ -293,20 +313,15 @@ class SpecializedProgram:
         once on the way out.
         """
         sb = self._blocks[id(block)]
-        table = self._tables[id(block)]
-        if end is None:
-            stop = first
-            while sb.pure[stop]:
-                stop += 1
-            rows = [table[first][lo:]] + table[first + 1 : stop]
-        else:
-            rows = [table[first][lo:end]]
+        table = sb.table
+        stop = first
+        while sb.pure[stop]:
+            stop += 1
+        rows = [table[first][0 if first else sb.entry_cursor:]] + table[first + 1 : stop]
         members = {inst for row in rows for inst in row}
         closes = block.terminator in members
-        text = _Text(self._key, lambda slot: f"regs[{slot}]")
+        text = self._text()
         body, ref = text.body, text.ref
-        if end is not None:
-            body += ["regs = frame.regs", "ops = worker.stats.ops_executed"]
         counts: Counter = Counter()
         progress = 0
 
@@ -319,10 +334,8 @@ class SpecializedProgram:
             phis = target.phis()
             text.moves([(phi, phi.incoming_for(block)) for phi in phis], local, out)
             tb = self._blocks[id(target)]
-            if end is not None:
-                out += [f"frame.block = {ref(tb)}", f"frame.cursor = {tb.entry_cursor}"]
             done = (tb, 0, tb.entry_cursor, len(rows), progress)
-            leave(out, counts + Counter(phi=len(phis)), _BRANCH if end is not None else done)
+            leave(out, counts + Counter(phi=len(phis)), done)
             return out
 
         for i, row in enumerate(rows):
@@ -344,277 +357,222 @@ class SpecializedProgram:
                     body += [" " + line for line in edge(inst.if_true, dict(text.local))]
                     body.append("else:")
                     body += [" " + line for line in edge(inst.if_false, dict(text.local))]
-                # a phi here starts a function: counted, its register already set
         if not branch:  # only the last state can end with the terminator
-            if end is not None:
-                body.append(f"frame.cursor = {end}")
-            leave(body, counts, _RAN if end is not None else (sb, stop, 0, len(rows), progress))
-        return text.function("regs, ops, room" if end is None else "worker, frame, cycle")
+            leave(body, counts, (sb, stop, 0, len(rows), progress))
+        return text.function("regs, ops, room")
 
-    # -- instruction compilation --------------------------------------------
+    def _render_landing(self, block: BasicBlock, s: int, lo: int):
+        """The landing at op ``lo`` of FSM state ``s``: a function
+        ``(worker, frame, cycle)`` running one tick from there to its
+        exit.
 
-    def _compile_inst(self, inst: Instruction):
-        """Return ``(step, probe)`` closures for one op that touches shared
-        state (or cannot execute)."""
-        opcode = inst.opcode
-        if isinstance(inst, Load):
-            return self._compile_load(inst), None
-        if isinstance(inst, Store):
-            return self._compile_store(inst), None
-        if isinstance(inst, (Produce, ProduceBroadcast)):
-            return self._compile_produce(inst)
-        if isinstance(inst, Consume):
-            return self._compile_consume(inst)
-        if isinstance(inst, StoreLiveout):
-            lid = inst.liveout_id
-            iv, cv = self._bind(inst.value)
+        The exit is the first of: a load or store issued (a CACHE cycle;
+        the frame's cursor stays on it until ``_complete_memory``), a
+        produce, consume or join that stalls (the cursor stays on it), a
+        call or return, and the state's end or a taken edge (a COMPUTE
+        cycle, with run-ahead when the next state is pure).  A value is a
+        local between two landings of the state, and stored back for a
+        reader in another function.  Every op that reaches outside the
+        frame sees ``ops_executed`` counted up to and including itself, as
+        the blocking-op protocol's roll-back and the recorder expect.
+        Progress counts one per op executed plus one per completed state,
+        as the interpreted worker does.
+        """
+        sb = self._blocks[id(block)]
+        ops = sb.table[s]
+        n = len(ops)
+        cuts = [i for i, step in enumerate(sb.states[s]) if step is not None and i > lo]
+        text = self._text()
+        body, ref, use = text.body, text.ref, text.use
+        body += ["regs = frame.regs", "ops = worker.stats.ops_executed"]
+        counts: Counter = Counter()
+        names: dict[str, str] = {}
+        to_int = ref(int)
 
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                worker.system.liveout_regs[lid] = regs[iv] if iv >= 0 else cv
-                return _OK
+        def flush(out: list, counts: Counter) -> None:
+            for op, k in counts.items():
+                if op not in names:
+                    names[op] = ref(op)
+                out.append(f"ops[{names[op]}] += {k}")
 
-            return step, None
-        if isinstance(inst, RetrieveLiveout):
-            lid = inst.liveout_id
-            dst = self._slots[id(inst)]
+        def spend(out: list, progress: int) -> None:
+            if progress:
+                out.append(f"worker.progress += {progress}")
 
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                liveouts = worker.system.liveout_regs
-                if lid not in liveouts:
-                    raise SimulationError(f"liveout #{lid} never stored")
-                frame.regs[dst] = liveouts[lid]
-                return _OK
+        def compute(out: list, progress: int) -> None:
+            """Close this cycle as COMPUTE, the frame already moved."""
+            spend(out, progress)
+            out.append("if worker._trace: worker._emit_state(cycle)")
+            out += retire_lines(text, _COMPUTE)
+            out.append("return")
 
-            return step, None
-        if isinstance(inst, ParallelFork):
-            binds = [self._bind(v) for v in inst.liveins]
+        def stall(at: int, category: CycleCategory) -> list[str]:
+            out = [f"frame.cursor = {at}"]
+            spend(out, at - lo)
+            out += [f"worker._retire(cycle, {ref(category)})", "return"]
+            return [" " + line for line in out]
 
-            def step(worker, frame, cycle, inst=inst):
-                worker.stats.ops_executed[opcode] += 1
-                regs = frame.regs
-                liveins = [regs[s] if s >= 0 else c for s, c in binds]
-                worker.system.fork_worker(inst, liveins, cycle)
-                return _OK
-
-            return step, None
-        if isinstance(inst, ParallelJoin):
-            return self._compile_join(inst)
-        if isinstance(inst, Call):
-            return self._compile_call(inst), None
-        if isinstance(inst, Ret):
-            return self._compile_ret(inst), None
-        if isinstance(inst, Alloca):
-            dst = self._slots[id(inst)]
-            atype = inst.allocated_type
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                frame.regs[dst] = worker.system.memory.alloc_object(
-                    atype, site=-2
-                )
-                return _OK
-
-            return step, None
-
-        def step(worker, frame, cycle):  # pragma: no cover - malformed IR
-            worker.stats.ops_executed[opcode] += 1
-            raise SimulationError(f"worker cannot execute opcode {opcode}")
-
-        return step, None
-
-    def _compile_load(self, inst: Load):
-        dst = self._slots[id(inst)]
-        opcode = inst.opcode
-        ip, cp = self._bind(inst.pointer)
-        loaders = _Accessors("loader", inst.type)
-
-        def complete(worker, frame, addr):
-            memory = worker.system.memory
-            frame.regs[dst] = loaders[type(memory)](memory, addr)
-
-        def step(worker, frame, cycle):
-            worker.stats.ops_executed[opcode] += 1
-            regs = frame.regs
-            addr = int(regs[ip] if ip >= 0 else cp)
-            ready = worker.cache.access(addr, False, cycle)
-            worker.stats.loads += 1
-            worker._pending_mem = (complete, addr)
-            worker._waiting_until = ready
-            return _WAIT_MEM
-
-        return step
-
-    def _compile_store(self, inst: Store):
-        opcode = inst.opcode
-        ip, cp = self._bind(inst.pointer)
-        iv, cv = self._bind(inst.value)
-        storers = _Accessors("storer", inst.value.type)
-
-        def complete(worker, frame, addr):
-            # The stored value is fetched at completion time, exactly as
-            # the interpreted worker's _complete_memory does.
-            regs = frame.regs
-            memory = worker.system.memory
-            storers[type(memory)](memory, addr, regs[iv] if iv >= 0 else cv)
-
-        def step(worker, frame, cycle):
-            worker.stats.ops_executed[opcode] += 1
-            regs = frame.regs
-            addr = int(regs[ip] if ip >= 0 else cp)
-            ready = worker.cache.access(addr, True, cycle)
-            worker.stats.stores += 1
-            worker._pending_mem = (complete, addr)
-            worker._waiting_until = ready
-            return _WAIT_MEM
-
-        return step
-
-    def _compile_queue(self, inst: Produce | ProduceBroadcast | Consume):
-        """Closure form of :meth:`HwWorker._queue`: ``(worker, regs) ->
-        (fifo, queue index)``."""
-        channel = inst.channel
-        n_channels = channel.n_channels
-        if isinstance(inst, ProduceBroadcast):
-            return lambda worker, regs: (worker.system.fifo_for(channel), None)
-        if inst.worker_select is None:
-            return lambda worker, regs: (
-                worker.system.fifo_for(channel), worker.worker_id % n_channels
-            )
-        isel, csel = self._bind(inst.worker_select)
-        return lambda worker, regs: (
-            worker.system.fifo_for(channel),
-            int(regs[isel] if isel >= 0 else csel) % n_channels,
-        )
-
-    def _compile_produce(self, inst: Produce | ProduceBroadcast):
-        opcode = inst.opcode
-        queue = self._compile_queue(inst)
-        ival, cval = self._bind(inst.value)
-
-        def step(worker, frame, cycle):
-            worker.stats.ops_executed[opcode] += 1
-            regs = frame.regs
-            value = regs[ival] if ival >= 0 else cval
-            stalled = worker._push(opcode, *queue(worker, regs), value, cycle)
-            return _WAIT_FULL if stalled else _OK
-
-        def probe(worker, frame, cycle):
-            return worker._push_stall(*queue(worker, frame.regs), cycle) >= 0
-
-        return step, probe
-
-    def _compile_consume(self, inst: Consume):
-        opcode = inst.opcode
-        queue = self._compile_queue(inst)
-        dst = self._slots[id(inst)]
-
-        def step(worker, frame, cycle):
-            worker.stats.ops_executed[opcode] += 1
-            regs = frame.regs
-            value = worker._pop(opcode, *queue(worker, regs), cycle)
-            if value is STALLED:
-                return _WAIT_EMPTY
-            regs[dst] = value
-            return _OK
-
-        def probe(worker, frame, cycle):
-            fifo, index = queue(worker, frame.regs)
-            return not fifo.can_pop(index)
-
-        return step, probe
-
-    def _compile_join(self, inst: ParallelJoin):
-        opcode = inst.opcode
-        loop_id = inst.loop_id
-
-        def step(worker, frame, cycle):
-            worker.stats.ops_executed[opcode] += 1
-            return _WAIT_JOIN if worker._join(opcode, loop_id, cycle) else _OK
-
-        def probe(worker, frame, cycle):
-            return not worker.system.join_ready(loop_id)
-
-        return step, probe
-
-    def _compile_call(self, inst: Call):
-        opcode = inst.opcode
-        dst = self._slots[id(inst)]
-        callee = inst.callee
-        if callee.is_declaration:
-            if callee.name in MALLOC_NAMES:
-                isz, csz = self._bind(inst.args[0])
-
-                def step(worker, frame, cycle):
-                    worker.stats.ops_executed[opcode] += 1
-                    regs = frame.regs
-                    size = int(regs[isz] if isz >= 0 else csz)
-                    regs[dst] = worker.system.memory.malloc(size, site=-4)
-                    return _OK
-
-                return step
-
-            def step(worker, frame, cycle):
-                worker.stats.ops_executed[opcode] += 1
-                raise SimulationError(
-                    f"call to undefined @{callee.name} in hardware"
-                )
-
-            return step
-        arg_binds = [self._bind(a) for a in inst.args]
-        # The callee program is resolved lazily (first execution) so
-        # mutually recursive functions can specialize each other.
-        cell: list = [None]
-
-        def step(worker, frame, cycle):
-            worker.stats.ops_executed[opcode] += 1
-            bound = cell[0]
-            if bound is None:
-                program = specialized_for(callee)
-                bound = cell[0] = (
-                    program,
-                    [program.slot_of(formal) for formal in callee.args],
-                )
-            program, formal_slots = bound
-            new_frame = SpecFrame(program, worker.system, ret_slot=dst)
-            nregs = new_frame.regs
-            regs = frame.regs
-            for slot, (s, c) in zip(formal_slots, arg_binds):
-                nregs[slot] = regs[s] if s >= 0 else c
-            worker._frames.append(new_frame)
-            return _CALL
-
-        return step
-
-    def _compile_ret(self, inst: Ret):
-        opcode = inst.opcode
-        value_op = inst.value
-        iv, cv = self._bind(value_op) if value_op is not None else (-1, None)
-        has_value = value_op is not None
-
-        def step(worker, frame, cycle):
-            worker.stats.ops_executed[opcode] += 1
-            if has_value:
-                regs = frame.regs
-                value = regs[iv] if iv >= 0 else cv
+        def advance(out: list, target: SpecBlock, state: int, start: int, progress: int) -> None:
+            """Exit with the frame at op ``start`` of ``target``'s ``state``."""
+            if target.pure[state]:
+                out.append(f"return {ref(_run_ahead)}(worker, frame, cycle, "
+                           f"{progress}, {ref(target)}, {state}, {start})")
+            elif state >= target.n_states:
+                out.append(f"{ref(_fell_off)}(worker, {ref(target)})")
             else:
-                value = None
-            frames = worker._frames
-            frames.pop()
-            if not frames:
-                worker.done = True
-                worker.system.worker_finished(worker)
-                worker.return_value = value
-                return _RET
-            caller = frames[-1]
-            if value is not None:
-                caller.regs[frame.ret_slot] = value
-            caller.cursor += 1
-            return _RET
+                if target is not sb:
+                    out.append(f"frame.block = {ref(target)}")
+                out += [f"frame.state = {state}", f"frame.cursor = {start}",
+                        f"frame.steps = {ref(target.states[state])}"]
+                compute(out, progress)
 
-        return step
+        def edge(target: BasicBlock, local: dict) -> list[str]:
+            out: list[str] = []
+            phis = target.phis()
+            text.moves([(phi, phi.incoming_for(block)) for phi in phis], local, out)
+            flush(out, counts + Counter(phi=len(phis)))
+            tb = self._blocks[id(target)]
+            advance(out, tb, 0, tb.entry_cursor, n - lo)
+            return out
+
+        def queue(inst) -> tuple[str, str]:
+            """:meth:`HwWorker._queue` as text: the FIFO and queue index."""
+            fifo = f"worker.system.fifo_for({ref(inst.channel)})"
+            n_channels = inst.channel.n_channels
+            if isinstance(inst, ProduceBroadcast):
+                return fifo, "None"
+            if inst.worker_select is None:
+                return fifo, f"worker.worker_id % {n_channels}"
+            return fifo, f"{to_int}({use(inst.worker_select)}) % {n_channels}"
+
+        def fail(message: str) -> str:
+            return f"{ref(_raise)}({ref(message)})"
+
+        for j in range(lo, n):
+            if j == lo or j in cuts:  # a stretch between two landings
+                end = next((c for c in cuts if c > j), n)
+                # A store's value is read at completion, from its register.
+                members = {op for op in ops[j:end] if type(op) is not Store}
+                closes = block.terminator in members
+            inst = ops[j]
+            cls = type(inst)
+            counts[inst.opcode] += 1
+            if cls in FORMS:
+                text.pure(inst, escapes(inst, members, block, closes))
+                continue
+            if cls is Phi:  # a phi here starts a function: its register already set
+                continue
+            if cls is Jump:
+                body += edge(inst.target, text.local)
+                return text.function("worker, frame, cycle")
+            if cls is CondBranch:
+                body.append(f"if {use(inst.cond)}:")
+                body += [" " + line for line in edge(inst.if_true, dict(text.local))]
+                body.append("else:")
+                body += [" " + line for line in edge(inst.if_false, dict(text.local))]
+                return text.function("worker, frame, cycle")
+            keep = escapes(inst, members, block, closes)
+            flush(body, counts)
+            counts.clear()
+            if cls is Load or cls is Store:
+                write = cls is Store
+                body.append(f"addr = {to_int}({use(inst.pointer)})")
+                body += [
+                    f"worker._waiting_until = worker.cache.access(addr, {write}, cycle)",
+                    f"worker.stats.{'stores' if write else 'loads'} += 1",
+                    f"worker._pending_mem = ({ref(self._render_completion(inst))}, addr)",
+                    f"frame.cursor = {j}",
+                ]
+                spend(body, j - lo)
+                body += retire_lines(text, CycleCategory.CACHE)
+                return text.function("worker, frame, cycle")
+            opcode = ref(inst.opcode)
+            if cls is Produce or cls is ProduceBroadcast:
+                fifo, index = queue(inst)
+                value = use(inst.value)
+                body.append(f"if worker._push({opcode}, {fifo}, {index}, {value}, cycle):")
+                body += stall(j, CycleCategory.FIFO_FULL)
+            elif cls is Consume:
+                fifo, index = queue(inst)
+                body += [f"got = worker._pop({opcode}, {fifo}, {index}, cycle)",
+                         f"if got is {ref(STALLED)}:",
+                         *stall(j, CycleCategory.FIFO_EMPTY)]
+                text.define(inst, "got", keep)
+            elif cls is ParallelJoin:
+                body.append(f"if worker._join({opcode}, {inst.loop_id}, cycle):")
+                body += stall(j, CycleCategory.JOIN)
+            elif cls is StoreLiveout:
+                value = use(inst.value)
+                body.append(f"worker.system.liveout_regs[{inst.liveout_id}] = {value}")
+            elif cls is RetrieveLiveout:
+                lid = inst.liveout_id
+                body += ["liveouts = worker.system.liveout_regs",
+                         f"if {lid} not in liveouts: {fail(f'liveout #{lid} never stored')}"]
+                text.define(inst, f"liveouts[{lid}]", keep)
+            elif cls is ParallelFork:
+                liveins = ", ".join(use(v) for v in inst.liveins)
+                body.append(f"worker.system.fork_worker({ref(inst)}, [{liveins}], cycle)")
+            elif cls is Alloca:
+                text.define(inst, "worker.system.memory.alloc_object("
+                                  f"{ref(inst.allocated_type)}, site=-2)", keep)
+            elif cls is Call and inst.callee.name in MALLOC_NAMES:
+                size = use(inst.args[0])
+                text.define(inst, f"{ref(_malloc)}(worker.system.memory, {size})", keep)
+            elif cls is Call and not inst.callee.is_declaration:
+                callee = inst.callee
+                program = specialized_for(callee)
+                args = [use(a) for a in inst.args]
+                body.append(f"new = {ref(SpecFrame)}({ref(program)}, worker.system, "
+                            f"{self._slots[id(inst)]})")
+                body += [f"new.regs[{program.slot_of(formal)}] = {value}"
+                         for formal, value in zip(callee.args, args)]
+                body += ["worker._frames.append(new)", f"frame.cursor = {j}"]
+                compute(body, j - lo + 1)
+                return text.function("worker, frame, cycle")
+            elif cls is Ret:
+                value = "None" if inst.value is None else use(inst.value)
+                body += ["frames = worker._frames", "frames.pop()", "if frames:",
+                         " caller = frames[-1]"]
+                if inst.value is not None:
+                    body.append(f" caller.regs[frame.ret_slot] = {value}")
+                body.append(" caller.cursor += 1")
+                out: list[str] = []
+                compute(out, j - lo + 1)
+                body += [" " + line for line in out]
+                body += ["worker.done = True",
+                         "worker.system.worker_finished(worker)",
+                         f"worker.return_value = {value}"]
+                spend(body, j - lo + 1)
+                body.append(f"worker._retire(cycle, {ref(_COMPUTE)})")
+                return text.function("worker, frame, cycle")
+            elif cls is Call:
+                body.append(fail(f"call to undefined @{inst.callee.name} in hardware"))
+            else:  # pragma: no cover - malformed IR
+                body.append(fail(f"worker cannot execute opcode {inst.opcode}"))
+        # The state is complete: advance within the block (one state per cycle).
+        flush(body, counts)
+        advance(body, sb, s + 1, 0, n - lo + 1)
+        return text.function("worker, frame, cycle")
+
+    def _render_completion(self, inst: Load | Store):
+        """``(worker, regs, addr)``: the memory half of a load or store,
+        run by ``_complete_memory`` once the cache has answered.  The
+        stored value is read then, as the interpreted worker does; the
+        accessor is the memory class's own (:meth:`Memory.loader`), the
+        plain class's resolved here."""
+        text = self._text()
+        ref = text.ref
+        kind, type_ = ("loader", inst.type) if type(inst) is Load else ("storer", inst.value.type)
+        text.body += [
+            "memory = worker.system.memory",
+            f"access = {ref(getattr(Memory, kind)(type_))} if {ref(type)}(memory) is "
+            f"{ref(Memory)} else memory.{kind}({ref(type_)})",
+        ]
+        if type(inst) is Load:
+            text.define(inst, "access(memory, addr)", keep=True)
+        else:
+            text.body.append(f"access(memory, addr, {text.use(inst.value)})")
+        return text.function("worker, regs, addr")
 
 
 def _lazy(table: list, index: int, render, *how):
@@ -645,11 +603,11 @@ def specialized_for(function: Function) -> SpecializedProgram:
 
 
 class SpecializedWorker(HwWorker):
-    """An :class:`HwWorker` whose FSM executes generated code and closures.
+    """An :class:`HwWorker` whose FSM executes generated code.
 
     Only value plumbing and dispatch are overridden; stall categories,
     event arming, fault hooks and stats attribution are the inherited
-    (bit-identical) machinery.
+    (bit-identical) machinery or rendered from its lines.
     """
 
     def __init__(
@@ -665,7 +623,7 @@ class SpecializedWorker(HwWorker):
             name, function, args, system,
             worker_id=worker_id, start_cycle=start_cycle,
         )
-        # Compute-run batching (see ``tick``) is legal only when nothing
+        # Compute-run batching (``_run_ahead``) is legal only when nothing
         # observes per-cycle state mid-run — no trace sink, no invariant
         # monitor, no fault injector — and the clock honours ``next_due``
         # (the event scheduler; lockstep ticks every cycle).  All four are
@@ -691,22 +649,19 @@ class SpecializedWorker(HwWorker):
         return [frame]
 
     def tick(self, cycle: int) -> None:
-        """One clock edge over the state's steps, with run-ahead.
+        """One clock edge: the landing at the frame's cursor.
 
-        Every exit closes its cycle(s) through the inherited
-        :meth:`HwWorker._retire`; what is spelled here is the step loop
-        and — when no trace sink, monitor or injector is attached —
-        run-ahead: after a state completes or branches, the following run
-        of *pure* FSM states (ops that touch only the frame's registers,
-        branches and their phi-latching edges included) executes in this
-        same tick as generated runs, attributed as a batch of COMPUTE
-        cycles.  Run-ahead is invisible to every other worker: pure states
-        read and write nothing shared, the worker stays runnable (finite
-        ``next_due``), and the batch never extends past ``max_cycles`` (so
-        the cycle budget fires at the same cycle as the unbatched engines,
-        also inside a register-only infinite loop).  Progress counts one
-        per op executed plus one per completed state, as the interpreted
-        worker does, from how far the cursor moved.
+        Every exit closes its cycle(s) in the landing's own generated
+        lines (or, for a FIFO/join stall and the top-level return, through
+        the inherited :meth:`HwWorker._retire`); what is spelled here is
+        what no landing can know: reset, a wait woken early, an injected
+        hang and the completion of an outstanding memory access.
+        Run-ahead — the following run of *pure* FSM states executed in
+        this same tick and attributed as a batch of COMPUTE cycles — is
+        on only when no trace sink, monitor or injector is attached: pure
+        states read and write nothing shared and the worker stays
+        runnable (finite ``next_due``), so it is invisible to every other
+        worker.
         """
         if self.done or self.hung or cycle < self.start_cycle:
             self._retire(cycle, CycleCategory.IDLE)
@@ -727,86 +682,17 @@ class SpecializedWorker(HwWorker):
         if self._pending_mem is not None:
             self._complete_memory()
         frame = self._frames[-1]
-        steps = frame.steps
-        first = cursor = frame.cursor
-        n = len(steps)
-        while cursor < n:
-            outcome = steps[cursor](self, frame, cycle)
-            if outcome is _RAN:
-                cursor = frame.cursor
-            elif outcome is _OK:
-                cursor += 1
-            elif outcome is _BRANCH:
-                # The group moved the frame into the taken edge's target.
-                progress = n - first
-                state = 0
-                start = frame.cursor
-                break
-            else:
-                frame.cursor = cursor
-                self.progress += cursor - first
-                category = _STALL_CATEGORY.get(outcome)
-                if category is None:
-                    # call / ret: the closure already moved the frame.
-                    category = _COMPUTE
-                    self.progress += 1
-                    if self._trace and not self.done:
-                        self._emit_state(cycle)
-                self._retire(cycle, category)
-                return
-        else:
-            # State complete: advance within the block (one state per cycle).
-            progress = n - first + 1
-            state = frame.state + 1
-            start = 0
-        # ``state`` is the frame's next state, here or across a branch
-        # edge.  Run ahead: while that state is pure (and nothing observes
-        # per-cycle state), run it now as more COMPUTE cycles.
-        block = frame.block
-        k = 1
-        if self._can_batch:
-            budget = self.system.max_cycles - cycle
-            run = block.runs[state]
-            if run is not None and k < budget:
-                regs = frame.regs
-                ops = self.stats.ops_executed
-                while True:
-                    block, state, start, states, done = run(regs, ops, budget - k)
-                    k += states
-                    progress += done
-                    run = block.runs[state]
-                    if run is None or k >= budget:
-                        break
-        if state >= block.n_states:
-            raise SimulationError(
-                f"worker {self.name}: fell off the end of block "
-                f"{block.label} (missing terminator?)"
-            )
-        frame.block = block
-        frame.state = state
-        frame.cursor = start
-        frame.steps = block.states[state]
-        self.progress += progress
-        if self._trace:
-            self._emit_state(cycle)
-        self._retire(cycle, _COMPUTE, k)
+        frame.steps[frame.cursor](self, frame, cycle)
 
-    def _would_block(self, cycle: int) -> bool:
-        if self._pending_mem is not None:
-            return False  # completing the outstanding access is progress
-        frame = self._frames[-1]
-        if frame.cursor >= len(frame.steps):
-            return False  # state advance is progress
-        probe = frame.block.probes[frame.state][frame.cursor]
-        if probe is None:
-            return False
-        return probe(self, frame, cycle)
+    def _value(self, frame: SpecFrame, v):  # a FIFO queue for _would_block
+        slot, const = frame.program._bind(v)
+        return const if slot < 0 else frame.regs[slot]
 
     def _complete_memory(self) -> None:
         complete, addr = self._pending_mem  # type: ignore[misc]
-        frame = self._frames[-1]
-        complete(self, frame, addr)
         self._pending_mem = None
+        frame = self._frames[-1]
+        complete(self, frame.regs, addr)
         frame.cursor += 1
         self.progress += 1
 

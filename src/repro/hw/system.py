@@ -286,6 +286,8 @@ class AcceleratorSystem:
         worker.seq = len(self._workers)
         worker.engine = self._scheduler
         self._workers.append(worker)
+        if self._scheduler is not None:
+            self._scheduler.add(worker)
 
     def join_ready(self, loop_id: int) -> bool:
         return all(w.done for w in self._loop_groups.get(loop_id, []))

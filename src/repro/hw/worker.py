@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from ..errors import SimulationError
+from ..interp.interpreter import _Text
 from ..interp.ops import PURE_OPS
 from ..telemetry.events import CycleCategory
 from ..ir.basicblock import BasicBlock
@@ -55,6 +56,91 @@ NEVER = 1 << 62
 #: :meth:`HwWorker._pop` result when the queue was empty (a stall was
 #: recorded); any other result is the popped value.
 STALLED = object()
+
+#: The timing rule, as text (DESIGN.md, "Simulation engine"): what closing
+#: ``{k}`` cycles from cycle ``{at}`` as COMPUTE, or as a wait on the
+#: cache, does to worker ``{w}``'s counters and to when it is next due
+#: (``{cat}`` names the category, ``{max}`` the builtin).
+#: :meth:`HwWorker._retire` is rendered from these lines, and so is every
+#: exit of the specialized worker's generated states and of the trace
+#: replayer's tick (:func:`retire_lines`): nothing else spells them.
+_RETIRE_RULE = {
+    CycleCategory.COMPUTE: (
+        "{w}.last_category = {cat}",
+        "{w}.synced_until = {w}.next_due = {at} + {k}",
+        "{w}.stats.active_cycles += {k}",
+    ),
+    CycleCategory.CACHE: (
+        "{w}.last_category = {w}.wait_category = {cat}",
+        "{w}.synced_until = {at} + {k}",
+        "{w}.stats.mem_stall_cycles += {k}",
+        "{w}.next_due = {max}({w}._waiting_until, {at} + {k})",
+    ),
+}
+
+
+def retire_lines(
+    text: _Text, category: CycleCategory, k: str = "1", at: str = "cycle",
+    w: str = "worker",
+) -> list[str]:
+    """The lines of ``text`` that close ``category`` cycles ``[at, at + k)``
+    of worker ``w`` (expressions over the text's locals).
+
+    A CACHE wait of ``k`` cycles followed by the COMPUTE lines from its
+    end is the one closing of both (the replayer's memory event).  The
+    first line emits the cycle's trace event when the worker has a sink.
+    """
+    cat = text.ref(category)
+    return [f"if {w}._trace: {w}._sink.worker_cycle({w}.name, {at}, {cat})"] + [
+        line.format(w=w, at=at, k=k, cat=cat, max=text.ref(max))
+        for line in _RETIRE_RULE[category]
+    ]
+
+
+def _render_retire():
+    """:meth:`HwWorker._retire`, from the timing rule's lines."""
+    text = _Text(None, None)
+    ref = text.ref
+    never = ref(NEVER)
+    indent = lambda lines: [" " + line for line in lines]  # noqa: E731
+    text.body += [
+        f"if category is {ref(CycleCategory.COMPUTE)}:",
+        *indent(retire_lines(text, CycleCategory.COMPUTE, "k", w="self")),
+        " if self.done:  # the top-level ret: nothing left to wake for",
+        f"  self.next_due = {never}",
+        f"  self.wait_category = {ref(CycleCategory.IDLE)}",
+        " return",
+        f"if category is {ref(CycleCategory.CACHE)}:",
+        *indent(retire_lines(text, CycleCategory.CACHE, w="self")),
+        " return",
+        "self.last_category = self.wait_category = category",
+        "if self._trace: self._sink.worker_cycle(self.name, cycle, category)",
+        "self.synced_until = cycle + 1",
+        "stats = self.stats",
+        "engine = self.engine",
+        f"if category is {ref(CycleCategory.FIFO_FULL)}:",
+        " stats.fifo_full_stall_cycles += 1",
+        # Injected back-pressure: the window end is a statically known
+        # retry time, so arm a timer instead of a pop wake.
+        " if self._blocked_until > cycle:",
+        "  self.next_due = self._blocked_until",
+        "  return",
+        f" self.next_due = {never}",
+        " if engine is not None: engine.wait_on_fifo(self, self._blocked_fifo)",
+        f"elif category is {ref(CycleCategory.FIFO_EMPTY)}:",
+        " stats.fifo_empty_stall_cycles += 1",
+        f" self.next_due = {never}",
+        " if engine is not None: engine.wait_on_fifo(self, self._blocked_fifo)",
+        f"elif category is {ref(CycleCategory.JOIN)}:",
+        " stats.join_stall_cycles += 1",
+        f" self.next_due = {never}",
+        " if engine is not None: engine.wait_on_join(self, self._blocked_loop)",
+        "else:  # IDLE: finished or frozen, or held in reset until start_cycle",
+        " stats.idle_cycles += 1",
+        f" self.next_due = {never} if self.done or self.hung else "
+        f"{ref(max)}(self.start_cycle, cycle + 1)",
+    ]
+    return text.function("self, cycle, category, k=1")
 
 
 @dataclass
@@ -259,67 +345,21 @@ class HwWorker:
         """Advance one clock edge, attributing the cycle to one category."""
         self._retire(cycle, self._tick(cycle))
 
-    def _retire(self, cycle: int, category: CycleCategory, k: int = 1) -> None:
-        """Close ``cycle`` as one cycle of ``category``: the timing rule.
-
-        Bumps the category's counter, emits the per-cycle trace event and
-        tells the event clock when this worker next needs a tick.  Cycles
-        with a statically-known resume cycle (compute, cache waits, reset
-        holds, an injected back-pressure window) set ``next_due``
-        directly; event waits (FIFO space, FIFO data, join) park the
-        worker at ``NEVER`` and register a wake condition, so the clock
-        can jump straight past the whole stall.  The lockstep clock runs
-        the same code and never reads the arming fields.
-
-        ``k > 1`` closes ``[cycle, cycle + k)`` at once and is for COMPUTE
-        only: a run of cycles in which the worker touches nothing shared
-        (the specialized engine's run-ahead, a replayed trace's gap
-        between two events).
-        """
-        self.last_category = category
-        if self._trace:
-            self._sink.worker_cycle(self.name, cycle, category)
-        stats = self.stats
-        self.synced_until = cycle + k
-        if category is CycleCategory.COMPUTE:
-            stats.active_cycles += k
-            if self.done:  # the top-level ret: nothing left to wake for
-                self.next_due = NEVER
-                self.wait_category = CycleCategory.IDLE
-            else:
-                self.next_due = cycle + k
-            return
-        self.wait_category = category
-        engine = self.engine
-        if category is CycleCategory.CACHE:
-            stats.mem_stall_cycles += 1
-            self.next_due = max(self._waiting_until, cycle + 1)
-        elif category is CycleCategory.FIFO_FULL:
-            stats.fifo_full_stall_cycles += 1
-            if self._blocked_until > cycle:
-                # Injected back-pressure: the window end is a statically
-                # known retry time, so arm a timer instead of a pop wake.
-                self.next_due = self._blocked_until
-                return
-            self.next_due = NEVER
-            if engine is not None:
-                engine.wait_on_fifo(self, self._blocked_fifo)
-        elif category is CycleCategory.FIFO_EMPTY:
-            stats.fifo_empty_stall_cycles += 1
-            self.next_due = NEVER
-            if engine is not None:
-                engine.wait_on_fifo(self, self._blocked_fifo)
-        elif category is CycleCategory.JOIN:
-            stats.join_stall_cycles += 1
-            self.next_due = NEVER
-            if engine is not None:
-                engine.wait_on_join(self, self._blocked_loop)
-        else:  # IDLE: finished or frozen, or held in reset until start_cycle
-            stats.idle_cycles += 1
-            self.next_due = (
-                NEVER if self.done or self.hung
-                else max(self.start_cycle, cycle + 1)
-            )
+    #: ``_retire(cycle, category, k=1)`` closes ``cycle`` as one cycle of
+    #: ``category``: the timing rule.  It bumps the category's counter,
+    #: emits the per-cycle trace event and tells the event clock when this
+    #: worker next needs a tick.  Cycles with a statically-known resume
+    #: cycle (compute, cache waits, reset holds, an injected back-pressure
+    #: window) set ``next_due`` directly; event waits (FIFO space, FIFO
+    #: data, join) park the worker at ``NEVER`` and register a wake
+    #: condition, so the clock can jump straight past the whole stall.  The
+    #: lockstep clock runs the same code and never reads the arming fields.
+    #: ``k > 1`` closes ``[cycle, cycle + k)`` at once and is for COMPUTE
+    #: only: a run of cycles in which the worker touches nothing shared (the
+    #: specialized engine's run-ahead, a replayed trace's gap between two
+    #: events).  Rendered from ``_RETIRE_RULE``, the lines every generated
+    #: exit closes its cycles with.
+    _retire = _render_retire()
 
     def _tick(self, cycle: int) -> CycleCategory:
         if self.done or self.hung:

@@ -75,12 +75,6 @@ class IRBuilder:
     def sdiv(self, lhs: Value, rhs: Value, name: str = "") -> Value:
         return self.binop("sdiv", lhs, rhs, name)
 
-    def and_(self, lhs: Value, rhs: Value, name: str = "") -> Value:
-        return self.binop("and", lhs, rhs, name)
-
-    def or_(self, lhs: Value, rhs: Value, name: str = "") -> Value:
-        return self.binop("or", lhs, rhs, name)
-
     def xor(self, lhs: Value, rhs: Value, name: str = "") -> Value:
         return self.binop("xor", lhs, rhs, name)
 

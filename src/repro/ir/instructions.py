@@ -107,10 +107,6 @@ class Instruction(Value):
         return False
 
     @property
-    def may_read_memory(self) -> bool:
-        return False
-
-    @property
     def may_write_memory(self) -> bool:
         return False
 
@@ -255,10 +251,6 @@ class Load(Instruction):
     @property
     def pointer(self) -> Value:
         return self.operands[0]
-
-    @property
-    def may_read_memory(self) -> bool:
-        return True
 
     def _clone_impl(self, operands, value_map):
         return Load(operands[0])
@@ -463,10 +455,6 @@ class Call(Instruction):
     @property
     def args(self) -> list[Value]:
         return self.operands
-
-    @property
-    def may_read_memory(self) -> bool:
-        return True  # refined by interprocedural mod/ref analysis
 
     @property
     def may_write_memory(self) -> bool:

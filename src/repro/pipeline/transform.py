@@ -119,9 +119,6 @@ class TransformResult:
     liveout_ids: dict[int, int]  # id(original value) -> liveout register id
     loop_id: int
 
-    def task_for_stage(self, index: int) -> Function:
-        return self.tasks[index]
-
 
 def transform_loop(
     module: Module,

@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.errors import InterpError
 from repro.interp.ops import (
@@ -98,11 +98,13 @@ class TestIntSemantics:
         assert binop("xor", a, b) == a ^ b
 
     @given(i32s, i32s)
+    @example(a=-1, b=1)  # quotient 2**32 - 1: wraps to -1
     def test_udiv_unsigned(self, a, b):
         assume(b != 0)
         ua, ub = a & 0xFFFFFFFF, b & 0xFFFFFFFF
         assume(ub != 0)
-        expected = int(np.int32(ua // ub))
+        quotient = ua // ub  # below 2**32: wrap it as a two's-complement i32
+        expected = quotient - (1 << 32) if quotient >= 1 << 31 else quotient
         assert binop("udiv", a, b) == expected
 
 

@@ -304,11 +304,48 @@ int def(int pass, int __builtins__) {
 int eval(int raise) { return def(raise, 11) + def(raise + 1, 7); }
 """
 
+#: A C source whose every identifier is spelled like a name the generated
+#: worker text uses (the check below allows those, so a leak would pass
+#: it): a collision shows up as a wrong value or an error instead.
+HOSTILE_WORKER_NAMES = """
+typedef struct state { int done; int regs; struct state* worker; } state;
+void* malloc(int size);
+int cache[8] = {3, 1, 4, 1, 5, 9, 2, 6};
+int frames(int addr, int cycle) { return cache[addr & 7] * cycle + addr; }
+int progress(int in, int True) {
+    state* system = (state*)malloc(sizeof(state));
+    system->done = in;
+    system->regs = True;
+    system->worker = system;
+    int False = 0;
+    int regs = 1;
+    for (int worker = 0; worker < in; worker++) {
+        int memory = frames(worker, system->worker->regs) ^ system->done;
+        False += memory * regs;
+        regs = 1 - regs;
+        cache[worker & 7] = False;
+    }
+    return False + cache[in & 7];
+}
+int caller(int frame) { return progress(frame, 3) + progress(frame + 1, 5); }
+"""
+
+#: Each hostile source and the function run on it.
+HOSTILE = [(HOSTILE_NAMES, "eval"), (HOSTILE_WORKER_NAMES, "caller")]
+
 GENERATED_NAME = re.compile(
     r"def|seg|interp|frame|env|if|else|not|is|None|return|new|Frame|stack|got"
     r"|_segs|_stack|memory|call_inst|_return_value|pop|append|cycles|moves|[vKF]\d+"
     # ... and the hardware worker's steps and runs:
     r"|worker|cycle|regs|ops|room|stats|ops_executed|block|cursor"
+    # ... and its landings: the blocking-op protocol, memory access and
+    # completion, calls and returns, and the timing rule's fields:
+    r"|True|False|in|system|progress|state|steps|addr|access|loader|storer"
+    r"|cache|_waiting_until|_pending_mem|loads|stores|fifo_for|worker_id"
+    r"|_push|_pop|_join|_retire|liveout_regs|liveouts|fork_worker|alloc_object"
+    r"|site|_frames|frames|caller|ret_slot|done|worker_finished|return_value"
+    r"|_trace|_sink|worker_cycle|name|_emit_state|last_category|wait_category"
+    r"|synced_until|next_due|active_cycles|mem_stall_cycles"
 )
 
 
@@ -339,14 +376,15 @@ def texts(monkeypatch):
 
 
 @pytest.mark.parametrize("optimise", [True, False])
-def test_generated_text_holds_nothing_from_the_source(optimise, texts):
-    module = module_of(HOSTILE_NAMES, optimise)
-    segment, closure = both(module, "eval", [6])
+@pytest.mark.parametrize("source, entry", HOSTILE, ids=["python", "worker"])
+def test_generated_text_holds_nothing_from_the_source(source, entry, optimise, texts):
+    module = module_of(source, optimise)
+    segment, closure = both(module, entry, [6])
     assert segment == closure and segment["error"] is None
     assert len(texts) > 5
     assert_generated_only(texts)
     texts.clear()
-    assert run_on_mips(module, "eval", [6], Memory()).return_value == int(segment["value"])
+    assert run_on_mips(module, entry, [6], Memory()).return_value == int(segment["value"])
     assert any("interp.cycles += " in text for text in texts)
     assert_generated_only(texts)
 
@@ -388,13 +426,14 @@ def run_worker(module, entry, args, engine):
 
 
 @pytest.mark.parametrize("optimise", [True, False])
-def test_the_worker_text_holds_nothing_from_the_source(optimise, texts):
-    module = module_of(HOSTILE_NAMES, optimise)
-    expected = Interpreter(module).call("eval", [6])
+@pytest.mark.parametrize("source, entry", HOSTILE, ids=["python", "worker"])
+def test_the_worker_text_holds_nothing_from_the_source(source, entry, optimise, texts):
+    module = module_of(source, optimise)
+    expected = Interpreter(module).call(entry, [6])
     reports = {}
     for engine in ("event", "specialized"):
         texts.clear()
-        _, report, _ = run_worker(module, "eval", [6], engine)
+        _, report, _ = run_worker(module, entry, [6], engine)
         reports[engine] = report.to_dict()
     assert reports["specialized"] == reports["event"]
     assert reports["event"]["return_value"] == expected

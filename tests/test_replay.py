@@ -9,6 +9,7 @@ simulation of the same point, field for field, with no tolerance.
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -154,6 +155,40 @@ class TestReplayEqualsSpecialized:
                 "recorded": 1, "replayed": 3, "replay_fallbacks": 0}
             assert [r.to_dict() for r in results] == [
                 evaluator.evaluate(p).to_dict() for p in points]
+
+    @pytest.mark.parametrize("name,policy,workers,scale", [
+        *((name, policy, 2, "smoke") for name, policy in KERNEL_POLICIES),
+        *((name, "p1", 4, "paper") for name in ("ks", "bfs", "hash-join")),
+    ])
+    def test_every_recorded_event_is_a_counted_operation(self, name, policy, workers, scale):
+        # The recorder taps _complete_memory/_push/_pop: an engine path
+        # that bypassed one would still simulate the same bytes but record
+        # too few events, and every replay of the recording would be wrong.
+        spec = small(name) if scale == "smoke" else KERNELS_BY_NAME[name]
+        recording, recorded = Recording(), []
+
+        def recorder(*args, **kwargs):
+            system = recording.recorder(*args, **kwargs)
+            register = system._register_worker
+
+            def remember(worker):
+                recorded.append(worker)
+                register(worker)
+
+            system._register_worker = remember
+            return system
+
+        run_point(spec, policy, workers, TIMINGS[0], system=recorder)
+        assert recorded
+        for worker in recorded:
+            kinds = Counter(event[1] for event in worker.trace.events)
+            broadcast = sum(recording.channels[event[2]]
+                            for event in worker.trace.events if event[1] == replay.BROADCAST)
+            stats = worker.stats
+            assert kinds[replay.MEM] == stats.loads + stats.stores, worker.name
+            assert kinds[replay.PUSH] + broadcast == stats.fifo_pushes, worker.name
+            assert kinds[replay.POP] == stats.fifo_pops, worker.name
+            assert kinds[replay.DONE] == 1, worker.name
 
     @staticmethod
     def _fuzzed(source, entry_args, policy, workers):
