@@ -102,9 +102,6 @@ class PointsTo:
             return True
         return bool(pa & pb)
 
-    def objects_of_site(self, site: int) -> AbstractObject:
-        return AbstractObject("malloc", site)
-
     # -- constraint generation ------------------------------------------------------
 
     def _pts_of(self, value: Value) -> set[AbstractObject]:

@@ -14,7 +14,9 @@ Points that share a :attr:`DesignPoint.compile_key` differ only in
 knobs that move cycles, never values, so
 :meth:`Evaluator.evaluate_structure` simulates one of them in full while
 recording it and re-times the rest from that recording
-(:mod:`repro.hw.replay`); :meth:`Evaluator.evaluate` alone is always a
+(:mod:`repro.hw.replay`), except the cache sizes whose shadow tags
+(:meth:`~repro.hw.cache.DirectMappedCache.add_shadow`) matched another
+point's run hit for hit; :meth:`Evaluator.evaluate` alone is always a
 full simulation.
 
 :func:`result_key` addresses one evaluation in the service's
@@ -24,7 +26,10 @@ entry is never invalidated, only no longer addressed once its key changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import hashlib
+import json
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 
 from ..cost import COST_MODEL_VERSION
 from ..errors import CgpaError, CycleBudgetExceeded, DeadlockError
@@ -34,7 +39,6 @@ from ..hw import DEFAULT_ENGINE, DirectMappedCache
 from ..hw.replay import Recording
 from ..kernels import KernelSpec
 from ..pipeline import CompiledPipeline
-from ..service.store import content_key
 from .space import DEFAULT_EVAL_MAX_CYCLES, DesignPoint
 
 #: ``EvalResult.status`` values.
@@ -45,15 +49,33 @@ CACHE_SCHEMA_VERSION = 1
 
 
 def result_key(spec: KernelSpec, point: DesignPoint, max_cycles: int, engine: str) -> str:
-    """Hex digest of everything that determines one :class:`EvalResult`."""
-    return content_key({
+    """Hex digest of everything that determines one :class:`EvalResult`:
+    the ``content_key`` of the payload :func:`_key_frame` spells, whose
+    bytes around the point are encoded once per kernel, budget and engine."""
+    fields = spec.key_fields()
+    fields["setup_args"] = tuple(fields["setup_args"])
+    head, tail = _key_frame(tuple(fields.items()), max_cycles, engine)
+    digest = head.copy()
+    digest.update(json.dumps(point.to_dict(), sort_keys=True).encode())
+    digest.update(tail)
+    return digest.hexdigest()
+
+
+@lru_cache(maxsize=16)
+def _key_frame(kernel_fields: tuple, max_cycles: int, engine: str):
+    """The sha256 state of a :func:`result_key` payload's canonical JSON
+    up to the point's value, and the bytes after it.  ``"point": null``
+    is unique in that text: inside a JSON string every quote is escaped."""
+    text = json.dumps({
         "schema": CACHE_SCHEMA_VERSION,
         "cost_model": COST_MODEL_VERSION,
-        **spec.key_fields(),
-        "point": point.to_dict(),
+        **dict(kernel_fields),
+        "point": None,
         "max_cycles": max_cycles,
         "engine": engine,
-    })
+    }, sort_keys=True)
+    head, tail = text.split('"point": null')
+    return hashlib.sha256(f'{head}"point": '.encode()), tail.encode()
 
 
 @dataclass
@@ -160,7 +182,7 @@ class Evaluator:
         self, points: list[DesignPoint]
     ) -> tuple[list[EvalResult], dict[str, int]]:
         """Score points that share one :attr:`DesignPoint.compile_key`:
-        record once, time many.
+        record once, time many, and run each cache family once.
 
         The first point that completes ``ok`` is simulated in full and —
         when another point follows — recorded; the rest replay that
@@ -169,29 +191,62 @@ class Evaluator:
         recording's: its gate proved values independent of timing).  A
         recording that fails its gate, and any replay that ends other
         than ``ok``, fall back to :meth:`evaluate`, so every status,
-        error and diagnosis is the full simulator's.  Every result is
-        the one :meth:`evaluate` returns for its point; the second value
-        counts how they were produced.  The recording dies with the call.
+        error and diagnosis is the full simulator's.
+
+        On the specialized engine, shared-cache points that differ only
+        in ``cache_lines`` form a family: its first point runs with a
+        shadow tag array of each sibling's size
+        (:meth:`~repro.hw.cache.DirectMappedCache.add_shadow`), and a
+        sibling whose shadow matched is given that run's ``ok`` result.
+
+        Every result is the one :meth:`evaluate` returns for its point;
+        the second value counts how they were produced.  The recording
+        dies with the call.
         """
-        tally = {"recorded": 0, "replayed": 0, "replay_fallbacks": 0}
+        tally = dict.fromkeys(
+            ("recorded", "replayed", "derived", "replay_fallbacks"), 0)
         results: list[EvalResult] = []
         recording: Recording | None = None  # of the first point to end ok
         no_image = None  # the workload of its replays
+        # A family's key is its points with cache_lines blanked, so any
+        # other knob splits families; its first point takes its sizes.
+        family_lines: dict[DesignPoint, set[int]] = {}
+        for point in points:
+            if self.engine == "specialized" and not point.private_caches:
+                family_lines.setdefault(
+                    replace(point, cache_lines=None), set()).add(point.cache_lines)
+        # family -> its first point's ok result, and the sizes it times
+        derivable: dict[DesignPoint, tuple[EvalResult, set[int]]] = {}
         for position, point in enumerate(points):
+            family = replace(point, cache_lines=None)
+            source, matched = derivable.get(family, (None, ()))
+            if point.cache_lines in matched:
+                tally["derived"] += 1
+                results.append(replace(
+                    source, point=point, stall_cycles=dict(source.stall_cycles)))
+                continue
+            cache = DirectMappedCache(
+                n_lines=point.cache_lines, ports=point.cache_ports)
+            for lines in sorted(family_lines.pop(family, ())):
+                if lines != point.cache_lines:
+                    cache.add_shadow(lines)
             if recording is not None:
                 # A recording that failed its gate refuses to build a
                 # replayer, which lands here as a result that is not ok.
                 result = self._evaluate(
-                    point, system=recording.replayer, workload=no_image
-                )
+                    point, cache=cache, system=recording.replayer,
+                    workload=no_image)
                 if result.ok:
                     tally["replayed"] += 1
                 else:
+                    # In full, on the same cache: its shadows then speak
+                    # for this run (every run resets them).
                     tally["replay_fallbacks"] += 1
-                    result = self.evaluate(point)
+                    result = self._evaluate(point, cache=cache)
             elif self.engine == "specialized" and position + 1 < len(points):
                 recording = Recording()
-                result = self._evaluate(point, system=recording.recorder)
+                result = self._evaluate(
+                    point, cache=cache, system=recording.recorder)
                 if result.ok:
                     tally["recorded"] += 1
                     no_image = Workload(
@@ -201,14 +256,18 @@ class Evaluator:
                 else:
                     recording = None  # the next point records
             else:
-                result = self.evaluate(point)
+                result = self._evaluate(point, cache=cache)
+            if result.ok and cache.shadows:
+                derivable[family] = (result, {
+                    shadow.n_lines for shadow in cache.shadows if shadow.matched})
             results.append(result)
         return results, tally
 
     def _evaluate(self, point: DesignPoint, **run_path) -> EvalResult:
-        """:meth:`evaluate`, with ``run_path`` overriding how
-        ``run_hardware`` builds the simulator (``system=``) and, for a
-        replay, its workload (``workload=``)."""
+        """:meth:`evaluate`, with ``run_path`` overriding ``run_hardware``'s
+        cache (``cache=``, default a fresh one of ``point``'s geometry), how
+        it builds the simulator (``system=``) and, for a replay, its
+        workload (``workload=``)."""
         try:
             compiled = self.compile(point)
         except CgpaError as exc:
@@ -243,11 +302,10 @@ class Evaluator:
         compiled: CompiledPipeline,
         **run_path,
     ) -> EvalResult:
+        cache = run_path.pop("cache", None) or DirectMappedCache(
+            n_lines=point.cache_lines, ports=point.cache_ports)
         run = run_hardware(
-            self.spec, f"cgpa-{point.policy}", compiled,
-            DirectMappedCache(
-                n_lines=point.cache_lines, ports=point.cache_ports
-            ),
+            self.spec, f"cgpa-{point.policy}", compiled, cache,
             engine=self.engine,
             max_cycles=self.max_cycles,
             private_caches=point.private_caches,

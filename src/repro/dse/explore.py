@@ -15,7 +15,8 @@ make that hold:
 Work is sharded by :attr:`DesignPoint.compile_key`: each pool task is
 *all* points of one (policy, worker count), which
 :meth:`Evaluator.evaluate_structure` scores from one compiled pipeline
-and one recorded simulation plus a timing replay per sibling.  The
+and one recorded simulation plus a timing replay per sibling (none for
+a cache size that a family sibling's run timed too).  The
 per-process pipeline intern (:func:`repro.harness.build.interned_pipeline`)
 keeps compiled pipelines alive across batches and strategy rounds, so
 each compile key is compiled once per pool process and reused across the
@@ -53,10 +54,12 @@ class SweepResult:
     cache_misses: int = 0
     #: How the misses were scored (:meth:`Evaluator.evaluate_structure`):
     #: full simulations that were recorded, points re-timed from a
-    #: recording, and points that should have been but were simulated in
-    #: full.  Provenance like ``cache_hits``: not in :meth:`to_json_dict`.
+    #: recording, points given a cache-family sibling's result, and
+    #: points that should have been replayed but were simulated in full.
+    #: Provenance like ``cache_hits``: not in :meth:`to_json_dict`.
     recorded: int = 0
     replayed: int = 0
+    derived: int = 0
     replay_fallbacks: int = 0
     elapsed_s: float = 0.0
 
@@ -269,9 +272,8 @@ class Explorer:
                 result = EvalResult.from_dict(data)
                 results_by_index[index] = result
                 persist(index, result)
-            sweep.recorded += tally["recorded"]
-            sweep.replayed += tally["replayed"]
-            sweep.replay_fallbacks += tally["replay_fallbacks"]
+            for how, count in tally.items():
+                setattr(sweep, how, getattr(sweep, how) + count)
 
         # Serial and pooled runs route through the same fleet task and
         # round-trip results through the same dict form, so reports are

@@ -89,23 +89,15 @@ class DirectMappedCache:
         self.hit_latency = hit_latency
         self.miss_penalty = miss_penalty
         self.next_line_prefetch = next_line_prefetch
-        self._tags: list[int | None] = [None] * n_lines
-        self._dirty: list[bool] = [False] * n_lines
-        self._port_usage: dict[int, int] = {}
-        self._memory_free_at = 0
-        self.stats = CacheStats()
+        self.shadows: list[DirectMappedCache] = []  # see add_shadow
         self.sink: TraceSink = NULL_SINK
         #: Fault-injection hooks (no-op unless a plan is attached).
         self.injector = NULL_INJECTOR
+        self.reset()
 
     def _index_and_tag(self, addr: int) -> tuple[int, int]:
         block = addr // self.block_size
         return block % self.n_lines, block // self.n_lines
-
-    def lookup(self, addr: int) -> bool:
-        """Would this access hit right now? (no state change)"""
-        index, tag = self._index_and_tag(addr)
-        return self._tags[index] == tag
 
     def access(self, addr: int, is_write: bool, cycle: int) -> int:
         """Perform an access starting no earlier than ``cycle``.
@@ -119,14 +111,10 @@ class DirectMappedCache:
             self.stats.hits += 1
             ready = start + self.hit_latency
         else:
-            self.stats.misses += 1
-            if self._tags[index] is not None and self._dirty[index]:
-                self.stats.writebacks += 1
+            self._fill(index, tag)
             service_start = max(start, self._memory_free_at)
             ready = service_start + self.miss_penalty
             self._memory_free_at = ready
-            self._tags[index] = tag
-            self._dirty[index] = False
             if self.next_line_prefetch:
                 self._prefetch_line(addr + self.block_size)
         if is_write:
@@ -139,7 +127,43 @@ class DirectMappedCache:
             ready += self.injector.mem_extra(cycle)
         if self.sink.enabled:
             self.sink.cache_access(cycle, addr, is_write, hit, ready)
+        if self.shadows:
+            self._follow(addr, is_write, hit)
         return ready
+
+    def _fill(self, index: int, tag: int) -> None:
+        """A demand miss: write back a dirty victim, install ``tag`` clean."""
+        self.stats.misses += 1
+        if self._tags[index] is not None and self._dirty[index]:
+            self.stats.writebacks += 1
+        self._tags[index] = tag
+        self._dirty[index] = False
+
+    def add_shadow(self, n_lines: int) -> "DirectMappedCache":
+        """Carry a tag array of ``n_lines`` lines (same block size, ports
+        and latencies, no prefetch) through this cache's access stream.
+        While the shadow's ``matched`` holds, it has hit exactly where this
+        cache hit since :meth:`reset`, so a cache of ``n_lines`` would
+        have timed the run identically (DESIGN.md, "One run per cache
+        family"); only its writebacks may differ."""
+        if self.next_line_prefetch:
+            raise ValueError("shadow tags model a cache without prefetch")
+        shadow = DirectMappedCache(n_lines, self.block_size, self.ports,
+                                   self.hit_latency, self.miss_penalty)
+        self.shadows.append(shadow)
+        return shadow
+
+    def _follow(self, addr: int, is_write: bool, hit: bool) -> None:
+        """Replay one access on every shadow; unmark one that disagrees."""
+        for shadow in self.shadows:
+            index, tag = shadow._index_and_tag(addr)
+            shadow_hit = shadow._tags[index] == tag
+            if not shadow_hit:
+                shadow._fill(index, tag)
+            if is_write:
+                shadow._dirty[index] = True
+            if shadow_hit != hit:
+                shadow.matched = False
 
     def _prefetch_line(self, addr: int) -> None:
         """Fill a line in the shadow of an ongoing transaction (no demand
@@ -178,10 +202,6 @@ class DirectMappedCache:
             }
         return current
 
-    def reset_timing(self) -> None:
-        self._port_usage.clear()
-        self._memory_free_at = 0
-
     def reset(self) -> None:
         """Full start-of-run reset: cold tags, clean timing, zero stats.
 
@@ -189,7 +209,12 @@ class DirectMappedCache:
         ``run()`` starts from the same power-on state and reports only its
         own accesses (a reused system previously double-counted).
         """
-        self._tags = [None] * self.n_lines
-        self._dirty = [False] * self.n_lines
-        self.reset_timing()
+        self._tags: list[int | None] = [None] * self.n_lines
+        self._dirty: list[bool] = [False] * self.n_lines
+        self._port_usage: dict[int, int] = {}
+        self._memory_free_at = 0
         self.stats = CacheStats()
+        #: For a shadow: its hits and misses are its owner's so far.
+        self.matched = True
+        for shadow in self.shadows:
+            shadow.reset()

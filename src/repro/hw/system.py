@@ -54,12 +54,6 @@ class SimReport:
     liveouts: dict[int, int | float] = field(default_factory=dict)
 
     @property
-    def total_ops(self) -> int:
-        return sum(
-            sum(stats.ops_executed.values()) for stats in self.worker_stats.values()
-        )
-
-    @property
     def stall_breakdown(self) -> dict[str, dict[str, int]]:
         """Per-worker cycles by stall category (cycle-conserving).
 

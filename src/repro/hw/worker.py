@@ -166,10 +166,6 @@ class WorkerStats:
     fifo_pops: int = 0
 
     @property
-    def fifo_stall_cycles(self) -> int:
-        return self.fifo_full_stall_cycles + self.fifo_empty_stall_cycles
-
-    @property
     def total_cycles(self) -> int:
         return (
             self.active_cycles

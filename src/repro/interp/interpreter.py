@@ -105,10 +105,6 @@ class ChannelIO:
     def pending(self) -> int:
         return sum(len(q) for q in self._queues.values())
 
-    def queue_sizes(self) -> dict[tuple[int, int], int]:
-        """Tokens currently pending per ``(channel_id, index)`` queue."""
-        return {key: len(q) for key, q in self._queues.items() if q}
-
     def queue_snapshot(self) -> dict[tuple[int, int], tuple]:
         """Pending token values per non-empty ``(channel_id, index)`` queue."""
         return {key: tuple(q) for key, q in self._queues.items() if q}

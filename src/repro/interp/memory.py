@@ -17,14 +17,7 @@ import struct
 from dataclasses import dataclass
 
 from ..errors import InterpError
-from ..ir.types import (
-    ArrayType,
-    FloatType,
-    IntType,
-    PointerType,
-    StructType,
-    Type,
-)
+from ..ir.types import FloatType, IntType, PointerType, Type
 
 #: Allocations start here so that address 0 stays an unmapped null page.
 HEAP_BASE = 0x1000
@@ -84,12 +77,6 @@ class Memory:
         while new_size < needed:
             new_size *= 2
         self._data.extend(bytes(new_size - len(self._data)))
-
-    def allocation_containing(self, addr: int) -> Allocation | None:
-        for alloc in self.allocations:
-            if alloc.addr <= addr < alloc.end:
-                return alloc
-        return None
 
     # -- raw access ----------------------------------------------------------
 
@@ -183,24 +170,7 @@ class Memory:
 
         return store
 
-    # -- structured helpers (used by workload builders and tests) -----------------
-
-    def field_addr(self, base: int, struct_type: StructType, field: str) -> int:
-        return base + struct_type.field_offset(struct_type.field_index(field))
-
-    def load_field(self, base: int, struct_type: StructType, field: str):
-        index = struct_type.field_index(field)
-        return self.load(
-            base + struct_type.field_offset(index), struct_type.field_type(index)
-        )
-
-    def store_field(self, base: int, struct_type: StructType, field: str, value) -> None:
-        index = struct_type.field_index(field)
-        self.store(
-            base + struct_type.field_offset(index),
-            struct_type.field_type(index),
-            value,
-        )
+    # -- array helpers (used by examples and tests) --------------------------------
 
     def elem_addr(self, base: int, elem_type: Type, index: int) -> int:
         return base + elem_type.size() * index
@@ -210,10 +180,6 @@ class Memory:
             self.load(self.elem_addr(base, elem_type, i), elem_type)
             for i in range(count)
         ]
-
-    def store_array(self, base: int, elem_type: Type, values) -> None:
-        for i, v in enumerate(values):
-            self.store(self.elem_addr(base, elem_type, i), elem_type, v)
 
     def snapshot(self) -> bytes:
         """Copy of the used portion of memory, for output comparison."""

@@ -12,8 +12,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import InterpError
-from ..ir.basicblock import BasicBlock
-from ..ir.function import Function
 from ..ir.instructions import CondBranch, Instruction, Jump
 from ..ir.module import Module
 from .interpreter import BLOCKED_OUTSIDE_SCHEDULER, Interpreter, Status
@@ -31,19 +29,6 @@ class Profile:
 
     def count(self, inst: Instruction) -> int:
         return self.inst_counts.get(id(inst), 0)
-
-    def block_count(self, block: BasicBlock) -> int:
-        return self.block_counts.get(id(block), 0)
-
-    def edge_count(self, src: BasicBlock, dst: BasicBlock) -> int:
-        return self.edge_counts.get((id(src), id(dst)), 0)
-
-    def total_instructions(self) -> int:
-        return sum(self.inst_counts.values())
-
-    def function_weight(self, function: Function) -> int:
-        """Dynamic instructions executed inside ``function``'s own blocks."""
-        return sum(self.count(inst) for inst in function.instructions())
 
 
 def profile_call(

@@ -48,9 +48,6 @@ class BasicBlock(Value):
     def phis(self) -> list[Phi]:
         return [i for i in self.instructions if isinstance(i, Phi)]
 
-    def non_phis(self) -> list[Instruction]:
-        return [i for i in self.instructions if not isinstance(i, Phi)]
-
     def first_non_phi_index(self) -> int:
         for i, inst in enumerate(self.instructions):
             if not isinstance(inst, Phi):

@@ -41,10 +41,6 @@ class Type:
     def is_void(self) -> bool:
         return isinstance(self, VoidType)
 
-    @property
-    def is_aggregate(self) -> bool:
-        return isinstance(self, (StructType, ArrayType))
-
     def __ne__(self, other: object) -> bool:
         return not self.__eq__(other)
 

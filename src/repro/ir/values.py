@@ -48,10 +48,6 @@ class Value:
         for user in self.users:
             user.replace_operand(self, replacement)
 
-    @property
-    def is_constant(self) -> bool:
-        return isinstance(self, Constant)
-
     def short_name(self) -> str:
         """A compact printable handle, used by the IR printer."""
         return f"%{self.name}" if self.name else f"%v{id(self) & 0xFFFF:x}"

@@ -117,18 +117,6 @@ class PipelineSpec:
                 return stage
         return None
 
-    @property
-    def total_workers(self) -> int:
-        return sum(stage.n_workers for stage in self.stages)
-
-    def stage_of(self, inst: Instruction) -> StageSpec | None:
-        """The stage *owning* an instruction (None for replicated ones)."""
-        scc = self.pdg.scc_of(inst)
-        for stage in self.stages:
-            if any(s.index == scc.index for s in stage.sccs):
-                return stage
-        return None
-
     def is_replicated(self, inst: Instruction) -> bool:
         scc = self.pdg.scc_of(inst)
         return any(s.index == scc.index for s in self.replicated)

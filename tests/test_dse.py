@@ -19,9 +19,12 @@ from repro.dse import (
     result_key,
 )
 from repro.errors import CgpaError
+from repro.cost import COST_MODEL_VERSION
+from repro.dse.evaluate import CACHE_SCHEMA_VERSION
 from repro.harness.__main__ import main
-from repro.kernels import KERNELS_BY_NAME
+from repro.kernels import ALL_KERNELS, KERNELS_BY_NAME
 from repro.service import ArtifactStore
+from repro.service.store import content_key
 
 #: Scaled-down ks: the whole compile+simulate+cost path in ~50 ms.
 SMALL_KS = dataclasses.replace(KERNELS_BY_NAME["ks"], setup_args=[10, 10])
@@ -219,6 +222,29 @@ class TestResultKey:
         assert JobRequest.make("simulate", "ks").key == (
             "83e7dad654624fd511df1f255ef9a72e057424832ffdbae9d24f813257d72479"
         )
+
+    def test_keys_equal_the_content_key_of_the_whole_payload(self):
+        # result_key encodes the kernel once and hashes each point into a
+        # copy; the digest must be the plain content_key, byte for byte.
+        # Quotes, backslashes, non-ASCII and the split marker itself.
+        tail = '\n// "q" \\ \\" \u00e9\u6f22 "point": null\n'
+        odd = dataclasses.replace(SMALL_KS, source=SMALL_KS.source + tail)
+        grid = ConfigSpace(
+            policies=["p1", "none"], n_workers=[2, 4], fifo_depths=[4, 16],
+            cache_lines=[128, 512], private_caches=[False, True],
+        ).grid()
+        for spec in [*ALL_KERNELS, odd]:
+            for max_cycles, engine in ((50_000_000, "specialized"), (7, "event")):
+                for point in grid:
+                    key = result_key(spec, point, max_cycles, engine)
+                    assert key == content_key({
+                        "schema": CACHE_SCHEMA_VERSION,
+                        "cost_model": COST_MODEL_VERSION,
+                        **spec.key_fields(),
+                        "point": point.to_dict(),
+                        "max_cycles": max_cycles,
+                        "engine": engine,
+                    }), (spec.name, point)
 
     def test_corrupt_entry_is_a_miss_even_for_its_writer(self, tmp_path):
         # Without the warm LRU, disk is the single source of truth.

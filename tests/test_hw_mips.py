@@ -110,9 +110,10 @@ def profile_digest(spec) -> str:
     blocks = [b for f in functions for b in f.blocks]
     return _digest((
         [profile.count(i) for f in functions for i in f.instructions()],
-        [profile.block_count(b) for b in blocks],
-        [profile.edge_count(b, s) for b in blocks for s in b.successors()],
-        profile.total_instructions(), sum(profile.block_counts.values()),
+        [profile.block_counts.get(id(b), 0) for b in blocks],
+        [profile.edge_counts.get((id(b), id(s)), 0)
+         for b in blocks for s in b.successors()],
+        sum(profile.inst_counts.values()), sum(profile.block_counts.values()),
         sum(profile.edge_counts.values()), repr(profile.return_value),
     ))
 

@@ -34,12 +34,12 @@ class TestAllocator:
         mem.malloc(8, site=42)
         assert mem.allocations[-1].site == 42
 
-    def test_allocation_containing(self):
+    def test_allocation_spans_its_bytes(self):
         mem = Memory()
         addr = mem.malloc(16, site=7)
-        found = mem.allocation_containing(addr + 8)
-        assert found is not None and found.site == 7
-        assert mem.allocation_containing(4) is None
+        (found,) = [a for a in mem.allocations if a.addr <= addr + 8 < a.end]
+        assert found.site == 7
+        assert not [a for a in mem.allocations if a.addr <= 4 < a.end]
 
     def test_negative_malloc_rejected(self):
         with pytest.raises(InterpError):
@@ -210,15 +210,18 @@ class TestStructHelpers:
         s = StructType("memnode", [("v", F64), ("n", I32)])
         mem = Memory()
         addr = mem.alloc_object(s)
-        mem.store_field(addr, s, "v", 2.5)
-        mem.store_field(addr, s, "n", 9)
-        assert mem.load_field(addr, s, "v") == 2.5
-        assert mem.load_field(addr, s, "n") == 9
+        fields = {name: (addr + s.field_offset(i), s.field_type(i))
+                  for name, i in (("v", 0), ("n", 1))}
+        mem.store(*fields["v"], 2.5)
+        mem.store(*fields["n"], 9)
+        assert mem.load(*fields["v"]) == 2.5
+        assert mem.load(*fields["n"]) == 9
 
     def test_array_roundtrip(self):
         mem = Memory()
         addr = mem.malloc(40)
-        mem.store_array(addr, F64, [1.0, 2.0, 3.0])
+        for i, value in enumerate([1.0, 2.0, 3.0]):
+            mem.store(mem.elem_addr(addr, F64, i), F64, value)
         assert mem.load_array(addr, F64, 3) == [1.0, 2.0, 3.0]
 
     def test_clone_is_independent(self):

@@ -29,8 +29,8 @@ class TestProfile:
         f = module.get_function("f")
         body = next(b for b in f.blocks if b.name.startswith("for.body"))
         header = next(b for b in f.blocks if b.name.startswith("for.cond"))
-        assert profile.block_count(body) == 7
-        assert profile.block_count(header) == 8  # +1 exit evaluation
+        assert profile.block_counts[id(body)] == 7
+        assert profile.block_counts[id(header)] == 8  # +1 exit evaluation
 
     def test_edge_counts(self):
         module = compile_c(
@@ -41,7 +41,7 @@ class TestProfile:
         f = module.get_function("f")
         header = next(b for b in f.blocks if b.name.startswith("for.cond"))
         body = next(b for b in f.blocks if b.name.startswith("for.body"))
-        assert profile.edge_count(header, body) == 5
+        assert profile.edge_counts[(id(header), id(body))] == 5
 
     def test_function_weight(self):
         module = compile_c(
@@ -52,7 +52,7 @@ class TestProfile:
         optimize_module(module)
         profile = profile_call(module, "f", [20])
         helper = module.get_function("helper")
-        assert profile.function_weight(helper) > 0
+        assert sum(profile.count(inst) for inst in helper.instructions()) > 0
 
     def test_return_value_captured(self):
         module = compile_c("int f(int a) { return a + 1; }")

@@ -17,6 +17,13 @@ from repro.pipeline import ReplicationPolicy, StageKind, cgpa_compile
 from repro.transforms import optimize_module
 
 
+def stage_of(spec, inst):
+    """The stage of ``spec`` owning ``inst`` (None for replicated ones)."""
+    scc = spec.pdg.scc_of(inst)
+    return next((stage for stage in spec.stages
+                 if any(s.index == scc.index for s in stage.sccs)), None)
+
+
 class TestChannel:
     def test_wire_width(self):
         c32 = Channel(0, "a", I32, 0, 1)
@@ -80,18 +87,18 @@ class TestPipelineSpec:
         assert "/" not in compiled.signature
 
     def test_total_workers(self, em3d_spec):
-        assert em3d_spec.total_workers == 1 + 4
+        assert sum(stage.n_workers for stage in em3d_spec.stages) == 1 + 4
 
     def test_stage_of_lookup(self, em3d_spec):
         for stage in em3d_spec.stages:
             for inst in stage.owned_instructions():
-                assert em3d_spec.stage_of(inst) is stage
+                assert stage_of(em3d_spec, inst) is stage
 
     def test_replicated_lookup(self, em3d_spec):
         for scc in em3d_spec.replicated:
             for inst in scc.instructions:
                 assert em3d_spec.is_replicated(inst)
-                assert em3d_spec.stage_of(inst) is None
+                assert stage_of(em3d_spec, inst) is None
 
     def test_describe_readable(self, em3d_spec):
         text = em3d_spec.describe()

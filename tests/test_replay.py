@@ -152,7 +152,8 @@ class TestReplayEqualsSpecialized:
         for points in groups.values():
             results, tally = evaluator.evaluate_structure(points)
             assert tally == {
-                "recorded": 1, "replayed": 3, "replay_fallbacks": 0}
+                "recorded": 1, "replayed": 1, "derived": 2,
+                "replay_fallbacks": 0}
             assert [r.to_dict() for r in results] == [
                 evaluator.evaluate(p).to_dict() for p in points]
 
@@ -384,7 +385,8 @@ class TestGate:
         points = [DesignPoint(policy="p2", n_workers=2, fifo_depth=d)
                   for d in (4, 16, 2)]
         results, tally = evaluator.evaluate_structure(points)
-        assert tally == {"recorded": 1, "replayed": 0, "replay_fallbacks": 2}
+        assert tally == {"recorded": 1, "replayed": 0, "derived": 0,
+                         "replay_fallbacks": 2}
         assert [r.to_dict() for r in results] == [
             evaluator.evaluate(p).to_dict() for p in points]
 
@@ -409,6 +411,7 @@ class TestFallbackAndBypass:
         assert tally == {
             "recorded": 1,
             "replayed": len(depths) - 2,
+            "derived": 0,
             "replay_fallbacks": 1 if bad else 0,
         }
 
@@ -429,7 +432,8 @@ class TestFallbackAndBypass:
         point = DesignPoint(n_workers=2)
         results, tally = evaluator.evaluate_structure([point])
         assert results[0].to_dict() == evaluator.evaluate(point).to_dict()
-        assert tally == {"recorded": 0, "replayed": 0, "replay_fallbacks": 0}
+        assert tally == {"recorded": 0, "replayed": 0, "derived": 0,
+                         "replay_fallbacks": 0}
 
     @pytest.fixture
     def replay_workers(self, monkeypatch):
@@ -502,8 +506,8 @@ class TestFallbackAndBypass:
         assert reports["serial"] == reports["pool"] == reports["no-replay"]
         for label in ("serial", "pool"):
             sweep = sweeps[label]
-            assert (sweep.recorded, sweep.replayed, sweep.replay_fallbacks) == (
-                4, 28, 0)
+            assert (sweep.recorded, sweep.replayed, sweep.derived,
+                    sweep.replay_fallbacks) == (4, 20, 8, 0)
         evaluator = Evaluator(spec)
         assert [r.to_dict() for r in sweeps["serial"].results] == [
             evaluator.evaluate(p).to_dict() for p in space.grid()]
@@ -528,7 +532,7 @@ class TestCounters:
         assert (extra["recorded"], extra["replayed"],
                 extra["replay_fallbacks"]) == (1, 1, 0)
         assert ("result cache: 0/2 hits (0%); 1 simulated in full "
-                "(1 recorded), 1 replayed, 0 replay fallbacks"
+                "(1 recorded), 1 replayed, 0 derived, 0 replay fallbacks"
                 ) in format_pareto(sweep)
 
 
@@ -536,8 +540,8 @@ class TestHostTicks:
     def test_ks_sweep_grid_ticks(self, monkeypatch):
         """Wall-clock-free pin of what replay saves: per 16-point ks grid
         the full simulator takes 316 472 worker ticks (two per memory
-        access); four recorded runs plus twelve replays (one per access)
-        take 200 720."""
+        access); four recorded runs plus four replays (one per access)
+        take 119 652, and the other eight points are derived."""
         ticks = {"full": 0, "replay": 0}
 
         def counting(cls, key):
@@ -554,6 +558,6 @@ class TestHostTicks:
         with Explorer(KERNELS_BY_NAME["ks"], ConfigSpace(**SWEEP_SPACE)) as explorer:
             sweep = explorer.run(GridStrategy())
         assert sum(r.cycles for r in sweep.results) == 485_048
-        assert (sweep.recorded, sweep.replayed) == (4, 12)
+        assert (sweep.recorded, sweep.replayed, sweep.derived) == (4, 4, 8)
         assert ticks["full"] <= 82_000, ticks
         assert ticks["replay"] <= 125_000, ticks

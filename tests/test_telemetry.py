@@ -133,9 +133,6 @@ class TestCycleConservation:
         backed_up = run_two_stage(depth=1, n_values=16, slow_consumer=True)
         producer = backed_up.worker_stats["producer#w0"]
         assert producer.fifo_full_stall_cycles > 0
-        assert producer.fifo_stall_cycles == (
-            producer.fifo_full_stall_cycles + producer.fifo_empty_stall_cycles
-        )
         starved = run_two_stage(depth=1, n_values=16, slow_producer=True)
         consumer = starved.worker_stats["consumer#w0"]
         assert consumer.fifo_empty_stall_cycles > 0
