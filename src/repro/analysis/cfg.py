@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
+from ..ir.instructions import erase_all
 
 
 def reverse_postorder(function: Function) -> list[BasicBlock]:
@@ -71,17 +72,8 @@ def remove_unreachable_blocks(function: Function) -> int:
             for pred in list(phi.incoming_blocks):
                 if id(pred) in dead_ids:
                     phi.remove_incoming(pred)
-    # Detach and delete dead blocks (their instructions may use each other,
-    # so drop all operands first).
+    # Their instructions may use each other, but nothing live uses them.
+    erase_all(inst for block in dead for inst in block.instructions)
     for block in dead:
-        for inst in block.instructions:
-            inst.drop_operands()
-    for block in dead:
-        for inst in list(block.instructions):
-            for user in list(inst.users):
-                # All remaining users are inside other dead blocks.
-                user.drop_operands()
-            inst.parent = None
-        block.instructions = []
         function.remove_block(block)
     return len(dead)

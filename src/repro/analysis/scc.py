@@ -8,6 +8,7 @@ components in the PDG to create a directed acyclic graph").
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
@@ -74,27 +75,23 @@ class Condensation:
     #: loop-carried.
     edges: dict[tuple[int, int], bool] = field(default_factory=dict)
 
-    def successors(self, component: int) -> list[int]:
-        return [d for (s, d) in self.edges if s == component]
-
-    def predecessors(self, component: int) -> list[int]:
-        return [s for (s, d) in self.edges if d == component]
-
     def topological_order(self) -> list[int]:
-        """Component indices in topological (dependence-respecting) order."""
-        indegree = {i: 0 for i in range(len(self.components))}
-        for (_, dst) in self.edges:
+        """Component indices in topological (dependence-respecting) order;
+        among ready components the smallest index goes first."""
+        successors: list[list[int]] = [[] for _ in self.components]
+        indegree = [0] * len(self.components)
+        for (src, dst) in self.edges:
+            successors[src].append(dst)
             indegree[dst] += 1
-        ready = sorted(i for i, d in indegree.items() if d == 0)
+        ready = [i for i, d in enumerate(indegree) if d == 0]  # sorted: a heap
         order: list[int] = []
         while ready:
-            current = ready.pop(0)
+            current = heapq.heappop(ready)
             order.append(current)
-            for succ in sorted(set(self.successors(current))):
+            for succ in successors[current]:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
-                    ready.append(succ)
-            ready.sort()
+                    heapq.heappush(ready, succ)
         if len(order) != len(self.components):
             raise AssertionError("condensation is not acyclic")
         return order

@@ -74,8 +74,8 @@ class SweepResult:
             counts[result.status] = counts.get(result.status, 0) + 1
         return {k: counts[k] for k in sorted(counts)}
 
-    def frontier(self, objectives=OBJECTIVES) -> list[EvalResult]:
-        return pareto_frontier(self.results, objectives)
+    def frontier(self) -> list[EvalResult]:
+        return pareto_frontier(self.results, OBJECTIVES)
 
     def to_json_dict(self) -> dict:
         """Deterministic report form (no wall-clock, no cache provenance):

@@ -58,7 +58,7 @@ class RandomStrategy(Strategy):
 
 
 class HillClimbStrategy(Strategy):
-    """Greedy one-knob descent from a seed configuration.
+    """Greedy one-knob descent from the space's default point.
 
     Each round proposes the unevaluated neighbors of the current best
     point; the climb moves when some neighbor improves the objective and
@@ -71,13 +71,11 @@ class HillClimbStrategy(Strategy):
 
     def __init__(
         self,
-        start: DesignPoint | None = None,
         objective: str = "cycles",
         max_evals: int = 32,
     ) -> None:
         if max_evals < 1:
             raise CgpaError(f"hillclimb needs max_evals >= 1, got {max_evals}")
-        self.start = start
         self.objective = objective
         self.max_evals = max_evals
         self._current: DesignPoint | None = None
@@ -93,9 +91,7 @@ class HillClimbStrategy(Strategy):
         if self._done:
             return []
         if self._current is None:
-            self._current = (
-                self.start if self.start is not None else space.default_point()
-            )
+            self._current = space.default_point()
             self._proposed += 1
             return [self._current]
         # Chain moves through already-evaluated neighbors while they improve.

@@ -27,28 +27,23 @@ def geomean(values) -> float:
 
 
 def run_all_kernels(
-    kernels: list[KernelSpec] | None = None,
     n_workers: int = 4,
-    fifo_depth: int = 16,
     engine: str = DEFAULT_ENGINE,
     max_cycles: int | None = None,
 ) -> dict[str, KernelRun]:
     """Simulate every kernel on every applicable backend (shared by all
     table/figure drivers so the work is done once).
 
-    Defaults to :data:`~repro.kernels.PAPER_KERNELS`: the table/figure
-    drivers below compare against the paper's published numbers, which
-    only exist for the original five.  Pass ``kernels=ALL_KERNELS`` (or
-    any subset) to widen a run — the drivers iterate whatever ``runs``
-    holds."""
-    kernels = kernels if kernels is not None else PAPER_KERNELS
+    Runs :data:`~repro.kernels.PAPER_KERNELS`: the tables and figures
+    below compare against the paper's published numbers, which only exist
+    for the original five."""
     runs: dict[str, KernelRun] = {}
-    for spec in kernels:
+    for spec in PAPER_KERNELS:
         backends = ["mips", "legup", "cgpa-p1"]
         if spec.supports_p2:
             backends.append("cgpa-p2")
         runs[spec.name] = run_kernel(
-            spec, tuple(backends), n_workers=n_workers, fifo_depth=fifo_depth,
+            spec, tuple(backends), n_workers=n_workers,
             engine=engine, max_cycles=max_cycles,
         )
     return runs

@@ -384,7 +384,6 @@ def run_kernel(
     backends: tuple[str, ...] = DEFAULT_BACKENDS,
     n_workers: int = 4,
     fifo_depth: int = DEFAULT_FIFO_DEPTH,
-    cache_kwargs: dict | None = None,
     engine: str = DEFAULT_ENGINE,
     max_cycles: int | None = None,
 ) -> KernelRun:
@@ -395,7 +394,7 @@ def run_kernel(
             continue
         run.results[backend] = run_backend(
             spec, backend, n_workers=n_workers, fifo_depth=fifo_depth,
-            cache_kwargs=cache_kwargs, engine=engine, max_cycles=max_cycles,
+            engine=engine, max_cycles=max_cycles,
         )
     run.validate()
     return run

@@ -35,10 +35,6 @@ class BasicBlock(Value):
         inst.parent = self
         return inst
 
-    def remove(self, inst: Instruction) -> None:
-        self.instructions.remove(inst)
-        inst.parent = None
-
     @property
     def terminator(self) -> Instruction | None:
         if self.instructions and self.instructions[-1].is_terminator:

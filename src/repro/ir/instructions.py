@@ -86,19 +86,14 @@ class Instruction(Value):
         old.remove_user(self)
 
     def drop_operands(self) -> None:
-        """Detach from all operands (call before deleting the instruction)."""
-        for op in list(self.operands):
-            self.operands = [o for o in self.operands if o is not op]
-            op.remove_user(self)
+        """Detach from all operands (:func:`erase_all` does this first)."""
+        for op in self.operands:
+            op._users.pop(self, None)
         self.operands = []
 
     def erase(self) -> None:
         """Remove this instruction from its block and the use graph."""
-        if self._users:
-            raise IRError(f"erasing {self.opcode} that still has users")
-        if self.parent is not None:
-            self.parent.remove(self)
-        self.drop_operands()
+        erase_all([self])
 
     # -- classification ------------------------------------------------------
 
@@ -146,6 +141,28 @@ class Instruction(Value):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.opcode} {self.short_name()}>"
+
+
+def erase_all(dead: Iterable[Instruction]) -> None:
+    """Remove ``dead`` from their blocks and the use graph: the one way IR
+    is deleted.
+
+    Every member's operands are dropped first, so members may use each
+    other (a phi web, a deleted loop body); a member still used after that
+    has a user outside the set, which is an :class:`IRError`.  Each touched
+    block is compacted once, so the cost is linear in the members and the
+    blocks they leave.
+    """
+    dead = list(dead)
+    for inst in dead:
+        inst.drop_operands()
+    touched = {inst.parent for inst in dead if inst.parent is not None}
+    for inst in dead:
+        if inst._users:
+            raise IRError(f"erasing {inst.opcode} that still has users")
+        inst.parent = None
+    for block in touched:
+        block.instructions = [i for i in block.instructions if i.parent is block]
 
 
 class BinaryOp(Instruction):

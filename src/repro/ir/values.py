@@ -23,8 +23,9 @@ class Value:
         self.name = name
         # Users are instructions; a user appears once even if it uses this
         # value in several operand slots (the count lives in its operand
-        # list).  A plain list keeps deterministic iteration order.
-        self._users: list["Instruction"] = []
+        # list).  An insertion-ordered dict (values unused) keeps the
+        # first-add iteration order and makes add and remove O(1).
+        self._users: dict["Instruction", None] = {}
 
     @property
     def users(self) -> list["Instruction"]:
@@ -32,14 +33,13 @@ class Value:
         return list(self._users)
 
     def add_user(self, user: "Instruction") -> None:
-        if user not in self._users:
-            self._users.append(user)
+        self._users.setdefault(user)
 
     def remove_user(self, user: "Instruction") -> None:
         # Only drop the user when it no longer references this value in any
         # operand slot (it may use the same value twice, e.g. add x, x).
         if user in self._users and self not in user.operands:
-            self._users.remove(user)
+            del self._users[user]
 
     def replace_all_uses_with(self, replacement: "Value") -> None:
         """Rewrite every user to use ``replacement`` instead of ``self``."""

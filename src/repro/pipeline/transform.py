@@ -45,6 +45,7 @@ from ..ir.instructions import (
     Ret,
     RetrieveLiveout,
     StoreLiveout,
+    erase_all,
 )
 from ..ir.module import Module
 from ..ir.primitives import Channel, ChannelPlan
@@ -722,24 +723,19 @@ class _Transformer:
                 user.replace_operand(value, replacement)
 
         # Delete the original loop body from the parent.
-        for block in loop.blocks:
-            for inst in block.instructions:
-                inst.drop_operands()
         loop_block_ids = {id(b) for b in loop.blocks}
+        body = [inst for block in loop.blocks for inst in block.instructions]
+        for inst in body:
+            if any(
+                u.parent is not None and id(u.parent) not in loop_block_ids
+                for u in inst.users
+            ):
+                raise TransformError(
+                    f"deleted loop value {inst.short_name()} still used "
+                    f"outside the loop"
+                )
+        erase_all(body)
         for block in loop.blocks:
-            for inst in list(block.instructions):
-                stray = [
-                    u for u in inst.users
-                    if u.parent is not None and id(u.parent) not in loop_block_ids
-                ]
-                if stray:
-                    raise TransformError(
-                        f"deleted loop value {inst.short_name()} still used "
-                        f"outside the loop"
-                    )
-                for user in list(inst.users):
-                    user.drop_operands()
-                block.remove(inst)
             parent.remove_block(block)
         remove_unreachable_blocks(parent)
         verify_function(parent)
@@ -1000,24 +996,13 @@ class _BodyClone:
                 continue  # consume already placed at its placement block
             if id(inst) not in self.plan.materialized:
                 continue
-            cloned = inst.clone(self._combined_map())
+            cloned = inst.clone({op: self.map_value(op) for op in inst.operands})
             clone.append(cloned)
             self.value_map[id(inst)] = cloned
             self._emit_produces(inst, cloned, clone)
 
     def _consumed_ids(self) -> set[int]:
         return {id(v) for v in self.plan.consumed}
-
-    def _combined_map(self) -> dict[Value, Value]:
-        # Instruction.clone wants a Value->Value map.
-        mapping: dict[Value, Value] = {}
-        for vid, new in self.value_map.items():
-            orig = self.by_id.get(vid)
-            if orig is not None:
-                mapping[orig] = new
-        for livein in self.b.liveins:
-            mapping[livein] = self.b.livein_map[id(livein)]
-        return mapping
 
     def _emit_consume(self, inst: Instruction, clone: BasicBlock) -> None:
         if id(inst) in self.value_map:

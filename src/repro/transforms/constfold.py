@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..errors import InterpError
 from ..interp.ops import PURE_OPS
 from ..ir.function import Function
-from ..ir.instructions import GEP, BinaryOp, Instruction, Select
+from ..ir.instructions import GEP, BinaryOp, Instruction, Select, erase_all
 from ..ir.types import IntType
 from ..ir.values import Constant, Value
 
@@ -23,14 +23,16 @@ def fold_constants(function: Function) -> int:
     while changed:
         changed = False
         for block in function.blocks:
-            for inst in list(block.instructions):
+            dead = []
+            for inst in block.instructions:
                 replacement = _fold(inst)
                 if replacement is not None:
                     inst.replace_all_uses_with(replacement)
                     if not inst.users:
-                        inst.erase()
+                        dead.append(inst)
                     folded += 1
                     changed = True
+            erase_all(dead)
     return folded
 
 

@@ -9,10 +9,8 @@ construction can leave behind when a variable is dead across iterations.
 
 from __future__ import annotations
 
-from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import Call, Instruction
-from ..ir.values import Value
+from ..ir.instructions import Call, Instruction, erase_all
 
 
 def eliminate_dead_code(function: Function) -> int:
@@ -33,19 +31,11 @@ def eliminate_dead_code(function: Function) -> int:
                 live.add(id(op))
                 work.append(op)
 
-    removed = 0
-    for block in function.blocks:
-        for inst in reversed(list(block.instructions)):
-            if id(inst) in live:
-                continue
-            # Break use cycles among dead instructions before erasing.
-            inst.drop_operands()
-            removed += 1
-    for block in function.blocks:
-        for inst in reversed(list(block.instructions)):
-            if id(inst) not in live:
-                for user in list(inst.users):
-                    user.drop_operands()
-                block.remove(inst)
-                inst.drop_operands()
-    return removed
+    dead = [
+        inst
+        for block in function.blocks
+        for inst in block.instructions
+        if id(inst) not in live
+    ]
+    erase_all(dead)
+    return len(dead)

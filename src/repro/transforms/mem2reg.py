@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import Alloca, Load, Phi, Store
+from ..ir.instructions import Alloca, Load, Phi, Store, erase_all
 from ..ir.types import FloatType
 from ..ir.values import Constant, Value
 from ..analysis.addr import promotable_allocas
@@ -68,7 +68,8 @@ def promote_allocas(function: Function) -> int:
 
     def rename(block: BasicBlock, incoming: dict[int, Value]) -> None:
         local = dict(incoming)
-        for inst in list(block.instructions):
+        promoted = []
+        for inst in block.instructions:
             if isinstance(inst, Phi) and id(inst) in phi_owner:
                 local[id(phi_owner[id(inst)])] = inst
             elif isinstance(inst, Load) and id(inst.pointer) in alloca_ids:
@@ -77,10 +78,11 @@ def promote_allocas(function: Function) -> int:
                 if value is None:
                     value = default_value(alloca)  # type: ignore[arg-type]
                 inst.replace_all_uses_with(value)
-                inst.erase()
+                promoted.append(inst)
             elif isinstance(inst, Store) and id(inst.pointer) in alloca_ids:
                 local[id(inst.pointer)] = inst.value
-                inst.erase()
+                promoted.append(inst)
+        erase_all(promoted)
         # Fill phi arms in successors.
         for succ in block.successors():
             for phi in succ.phis():

@@ -121,10 +121,10 @@ def _merge_chains(function: Function) -> int:
                     phi.replace_all_uses_with(phi.incoming_for(block))
                     phi.erase()
             term.erase()
-            for inst in list(succ.instructions):
-                succ.remove(inst)
-                block.instructions.append(inst)
+            for inst in succ.instructions:
                 inst.parent = block
+            block.instructions += succ.instructions
+            succ.instructions = []
             # Successor blocks' phis must now name `block` as their pred.
             for far in block.successors():
                 for phi in far.phis():

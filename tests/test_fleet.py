@@ -23,6 +23,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import threading
@@ -775,9 +776,12 @@ class TestResumableSweeps:
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = str(src)
+        # A session of its own, so the kill takes the sweep's pool workers
+        # with it, as a killed host would.
         proc = subprocess.Popen(
             [sys.executable, "-c", script], env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             deadline = time.monotonic() + 120
@@ -786,8 +790,10 @@ class TestResumableSweeps:
                     break  # at least one checkpoint landed: kill mid-sweep
                 time.sleep(0.02)
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # the whole group has exited already
             proc.wait(timeout=30)
         clean = resilience_sweep(SMALL_BLUR, n_plans=2, seed=5)
         resumed = resilience_sweep(

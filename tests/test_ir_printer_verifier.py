@@ -138,7 +138,7 @@ class TestVerifierNegatives:
         mul = b.mul(add, b.const_int(2))
         b.ret(mul)
         # Corrupt: remove mul from add's users behind the API's back.
-        add._users.remove(mul)
+        del add._users[mul]
         with pytest.raises(IRError, match="use-list"):
             verify_function(f)
 
