@@ -8,8 +8,8 @@ Two measurements against the fault-tolerance layer:
   must recover to a byte-identical report; the tracked number is the
   recovery overhead (chaos wall / clean wall).
 * **resume replay** — the same sweep twice against one checkpoint
-  store: cold (every plan computed), then ``resume=True`` with a fresh
-  store handle (every plan replayed from its checkpoint).  The tracked
+  store: cold (every plan computed), then again with a fresh store
+  handle (every plan replayed from its checkpoint).  The tracked
   number is the replay speedup (cold wall / resumed wall), with the
   resumed report byte-identical to the cold one.
 
@@ -70,9 +70,7 @@ def test_chaos_recovery_and_resume(results_dir, json_path, tmp_path,
     # -- resume replay: checkpointed sweep, then a cold-reader resume -----
     ckpt_root = tmp_path / "ckpt"
     cold_wall, cold_json = _sweep(store=ArtifactStore(ckpt_root))
-    resumed_wall, resumed_json = _sweep(
-        store=ArtifactStore(ckpt_root), resume=True
-    )
+    resumed_wall, resumed_json = _sweep(store=ArtifactStore(ckpt_root))
     assert resumed_json == cold_json, "resumed report diverged"
     assert cold_json == clean_json, "checkpointing perturbed the report"
 

@@ -2,8 +2,8 @@
 
 The simulator's correctness story leans on conservation laws: every FIFO
 value pushed is popped, still queued, or flushed at a join; every worker
-cycle lands in exactly one telemetry category; progress counters and
-invocation counts only grow.  :class:`InvariantMonitor` checks those
+cycle lands in exactly one telemetry category; the clock and the
+invocation count only grow.  :class:`InvariantMonitor` checks those
 laws every ``interval`` cycles (and once at end of run) and raises a
 structured :class:`~repro.errors.InvariantViolationError` instead of
 letting a corrupt simulator state produce silently wrong results.
@@ -42,7 +42,7 @@ class InvariantViolation:
 class InvariantMonitor:
     """Periodic conservation checker attached to one accelerator system.
 
-    The monitor holds the only cross-check state (previous progress and
+    The monitor holds the only cross-check state (previous clock and
     invocation readings for the monotonicity checks);
     ``AcceleratorSystem.run`` calls :meth:`start_run` so a reused system
     starts every run from a clean slate.
@@ -55,13 +55,11 @@ class InvariantMonitor:
         self.checks_run = 0
         self._last_cycle = -1
         self._last_invocations = 0
-        self._last_progress: dict[int, int] = {}
 
     def start_run(self) -> None:
         self.checks_run = 0
         self._last_cycle = -1
         self._last_invocations = 0
-        self._last_progress.clear()
 
     # -- checking -----------------------------------------------------------
 
@@ -168,11 +166,3 @@ class InvariantMonitor:
                 f">= {self._last_invocations}", system.invocations, cycle,
             ))
         self._last_invocations = system.invocations
-        for worker in system._workers:
-            last = self._last_progress.get(id(worker))
-            if last is not None and worker.progress < last:
-                violations.append(InvariantViolation(
-                    "monotone progress", worker.name, f">= {last}",
-                    worker.progress, cycle,
-                ))
-            self._last_progress[id(worker)] = worker.progress

@@ -110,10 +110,10 @@ class ResilienceReport:
     oracle_checksum: float
     oracle_return: float | int | None = None
     records: list[FaultRunRecord] = field(default_factory=list)
-    #: Plans answered from sweep checkpoints instead of re-running
-    #: (``resume=True``).  Provenance, not content: excluded from
-    #: :meth:`to_dict` and comparison so a resumed report stays
-    #: byte-identical to an uninterrupted one.
+    #: Plans answered from sweep checkpoints instead of re-running.
+    #: Provenance, not content: excluded from :meth:`to_dict` and
+    #: comparison so a resumed report stays byte-identical to an
+    #: uninterrupted one.
     replayed: int = field(default=0, compare=False)
 
     def by_kind(self, kind: str) -> list[FaultRunRecord]:
@@ -313,7 +313,6 @@ def resilience_sweep(
     processes: int = 1,
     fleet: FleetExecutor | None = None,
     store=None,
-    resume: bool = False,
     envelopes=None,
 ) -> ResilienceReport:
     """Run the full resilience sweep for one kernel.
@@ -322,12 +321,12 @@ def resilience_sweep(
     fleet executor; the report is byte-identical at any pool size.
 
     ``store`` (an :class:`~repro.service.ArtifactStore`) checkpoints
-    every finished plan record the moment it lands; ``resume=True``
-    replays checkpointed plans from the store instead of re-running them
-    (``report.replayed`` counts them), so a SIGKILLed sweep restarted
-    with the same arguments converges to a byte-identical report.
-    ``envelopes`` journals the owned fleet's supervision events (and the
-    resume event) as ``fleet`` run envelopes.
+    every finished plan record the moment it lands and replays the
+    checkpointed plans instead of re-running them (``report.replayed``
+    counts them), so a SIGKILLed sweep restarted with the same arguments
+    converges to a byte-identical report.  ``envelopes`` journals the
+    owned fleet's supervision events (and the resume event, when a plan
+    was replayed) as ``fleet`` run envelopes.
     """
     oracle, oracle_return = _oracle_liveouts(spec)
 
@@ -373,8 +372,8 @@ def resilience_sweep(
         from ..obs.emit import run_key
 
         # Every knob that changes a plan or its simulation participates —
-        # including the engine, so event and lockstep sweeps sharing one
-        # store (CI does this) never replay each other's records.
+        # including the engine, so sweeps of two engines sharing one store
+        # never replay each other's records.
         ckpt_keys = [
             run_key(
                 "faults-plan", spec, engine=engine, n_workers=n_workers,
@@ -384,11 +383,10 @@ def resilience_sweep(
             for i in range(len(tasks))
         ]
     slots: list[FaultRunRecord | None] = [None] * len(tasks)
-    if store is not None and resume:
-        for i, key in enumerate(ckpt_keys):
-            stored = store.get(key)
-            if stored is not None:
-                slots[i] = FaultRunRecord.from_dict(stored)
+    for i, key in enumerate(ckpt_keys):
+        stored = store.get(key)
+        if stored is not None:
+            slots[i] = FaultRunRecord.from_dict(stored)
     report.replayed = sum(1 for r in slots if r is not None)
     pending = [tasks[i] for i, r in enumerate(slots) if r is None]
 

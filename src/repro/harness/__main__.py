@@ -41,10 +41,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..hw import DEFAULT_ENGINE
 from ..kernels import KERNELS_BY_NAME
 from .cli.options import (
-    _ENGINE_HELP,
-    _add_engine,
     _add_max_cycles,
     _add_store_argument,
     _add_workers,
@@ -71,10 +70,10 @@ def _journal_kernel_run(args, spec, run) -> None:
             continue
         config_hash = run_key(
             "sim", spec, backend=backend, n_workers=args.workers,
-            engine=args.engine, max_cycles=args.max_cycles,
+            engine=DEFAULT_ENGINE, max_cycles=args.max_cycles,
         )
         writer.write(sim_envelope(
-            result.sim, kernel=spec.name, engine=args.engine,
+            result.sim, kernel=spec.name, engine=DEFAULT_ENGINE,
             config_hash=config_hash, backend=backend,
             area=result.area, power=result.power,
         ))
@@ -136,7 +135,6 @@ def _dispatch(argv: list[str]) -> int:
         help="run the Appendix B.1 worker sweep (em3d)",
     )
     _add_workers(parser, 4, "parallel-stage worker count (paper default: 4)")
-    _add_engine(parser, _ENGINE_HELP)
     _add_max_cycles(
         parser,
         help="simulated-cycle budget per backend run; a run exceeding it "
@@ -151,7 +149,7 @@ def _dispatch(argv: list[str]) -> int:
         if spec.supports_p2:
             backends.append("cgpa-p2")
         run = run_kernel(spec, tuple(backends), n_workers=args.workers,
-                         engine=args.engine, max_cycles=args.max_cycles)
+                         max_cycles=args.max_cycles)
         mips = run.results["mips"].cycles
         print(f"{spec.name} ({spec.domain}): {spec.description}")
         for backend, result in run.results.items():
@@ -167,17 +165,14 @@ def _dispatch(argv: list[str]) -> int:
 
     if args.scalability:
         points = scalability(
-            KERNELS_BY_NAME["em3d"], (1, 2, 4, 8),
-            engine=args.engine, max_cycles=args.max_cycles,
+            KERNELS_BY_NAME["em3d"], (1, 2, 4, 8), max_cycles=args.max_cycles
         )
         print(format_scalability(points))
         return 0
 
     print("Simulating all five kernels on all backends "
           "(this takes ~30 seconds)...\n")
-    runs = run_all_kernels(
-        n_workers=args.workers, engine=args.engine, max_cycles=args.max_cycles
-    )
+    runs = run_all_kernels(n_workers=args.workers, max_cycles=args.max_cycles)
     print(format_table2(table2(runs)))
     print()
     print(format_figure4(figure4(runs)))

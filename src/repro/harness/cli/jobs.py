@@ -9,7 +9,7 @@ would journal for the same job.
 Options are declared, defaulted and validated by
 :data:`~repro.service.contracts.OPTION_SCHEMAS`; the flags below only
 name them (:func:`_flag`) and add *how* to run: ``--processes``,
-``--resume``, ``--no-cache``, ``--emit-dir``, ``--store``.  A CLI run and
+``--no-cache``, ``--emit-dir``, ``--store``.  A CLI run and
 a service job of the same request therefore share one key, one artifact,
 one run record and one per-point result cache.
 """
@@ -21,7 +21,6 @@ import pathlib
 import sys
 from typing import Callable, NamedTuple
 
-from ...hw import ENGINES
 from ...kernels import KERNELS_BY_NAME
 from ...obs.emit import EnvelopeWriter, job_envelope
 from ...service.contracts import OPTION_SCHEMAS, ContractError, JobRequest
@@ -36,9 +35,8 @@ from .options import (
 
 
 def _pool_how(parser, args, spec, writer) -> dict:
-    """How a dse/faults sweep runs: pool size, resume, the journal."""
-    return {"processes": args.processes, "resume": args.resume,
-            "envelopes": writer}
+    """How a dse/faults sweep runs: pool size and the journal."""
+    return {"processes": args.processes, "envelopes": writer}
 
 
 def _flag(parser, kind: str, flag: str, option: str, help: str, **kwargs) -> None:
@@ -115,25 +113,14 @@ def _dse_flags(parser) -> None:
           "per-point simulated-cycle budget; points exceeding it are "
           "recorded as status=timeout (default: {default:,})",
           type=_positive_int)
-    _flag(parser, "dse", "--engine", "engine",
-          "simulator engine (default: {default})", choices=ENGINES)
     parser.add_argument(
         "--no-cache", action="store_true",
         help="evaluate every point fresh, and do not store per-point "
         "results in --store",
     )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted sweep: points already persisted to "
-        "the result cache (checkpointed per shard as they complete) are "
-        "replayed instead of re-simulated; the final report is "
-        "byte-identical to an uninterrupted run",
-    )
 
 
 def _dse_prepare(parser, args, spec, writer) -> dict:
-    if args.resume and args.no_cache:
-        parser.error("--resume needs the result cache; drop --no-cache")
     if args.policies is None:  # the one default that is the CLI's own
         args.policies = ["p1", "none"] + (["p2"] if spec.supports_p2 else [])
     # The store doubles as the per-point result cache, as in the service.
@@ -155,9 +142,6 @@ def _dse_scoring(sweep) -> dict:
 
 
 def _dse_render(sweep, args, artifact: str) -> None:
-    if args.resume:
-        print(f"resumed: replayed {sweep.cache_hits} point(s) from cache, "
-              f"computed {sweep.cache_misses}", file=sys.stderr)
     print()
     print(format_pareto(sweep))
     print()
@@ -176,9 +160,6 @@ def _faults_flags(parser) -> None:
     _flag(parser, "faults", "--seed", "seed",
           "master seed deriving every plan's schedule (default: {default})",
           type=int)
-    _flag(parser, "faults", "--engine", "engine",
-          "simulator engine; the report is byte-identical under any "
-          "(default: {default})", choices=ENGINES)
     _flag(parser, "faults", "--workers", "n_workers",
           "parallel-stage worker count (paper default: {default})",
           type=_positive_int, metavar="WORKERS")
@@ -194,19 +175,13 @@ def _faults_flags(parser) -> None:
         "pool size for parallel plan execution (default: 1); the "
         "report is byte-identical at any pool size",
     )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted sweep: plan outcomes already "
-        "checkpointed to --store are replayed instead of re-simulated; "
-        "the final report is byte-identical to an uninterrupted run",
-    )
 
 
 def _faults_render(report, args, artifact: str) -> None:
     print(report.format())
-    # stderr: stdout must stay byte-identical across engines and across a
-    # resume (the CI smokes diff it); the content key covers the engine.
-    if args.resume:
+    # stderr: stdout must stay byte-identical across a resume from the
+    # store's plan checkpoints (the CI smokes diff it).
+    if report.replayed:
         print(f"resumed: {report.replayed}/{len(report.records)} plan(s) "
               f"replayed from checkpoints", file=sys.stderr)
     print(artifact, file=sys.stderr)
@@ -294,8 +269,9 @@ _JOB_CLIS = {
         "one kernel's pipeline.  Timing faults must leave liveouts "
         "bit-identical to the interpreter oracle; hangs must be diagnosed "
         "by the deadlock watchdog; corruption detection is reported.  "
-        "Deterministic for a given (kernel, seed); the report is "
-        "byte-identical across all three simulator engines.",
+        "Deterministic for a given (kernel, seed); each plan's outcome is "
+        "checkpointed in --store, and a rerun there (after a crash, say) "
+        "replays the checkpointed plans instead of re-simulating them.",
         "kernel to stress",
         _faults_flags, _pool_how, _faults_render,
     ),

@@ -6,8 +6,6 @@ from __future__ import annotations
 import argparse
 import pathlib
 
-from ...hw import DEFAULT_ENGINE, ENGINES
-
 
 def _positive_int(text: str) -> int:
     """argparse type for knobs that must be >= 1 (workers, FIFO depth...).
@@ -27,21 +25,6 @@ def _positive_int(text: str) -> int:
 def _csv_positive_ints(text: str) -> list[int]:
     """argparse type: comma-separated list of >= 1 integers."""
     return [_positive_int(item) for item in text.split(",") if item]
-
-
-#: ``--engine`` help of the trace and default-run parsers.
-_ENGINE_HELP = (
-    "simulator engine: closure-compiled ('specialized') or interpretive "
-    "('event') workers under the event-driven skip-ahead clock, or the "
-    "tick-every-cycle lockstep oracle; cycle counts are identical"
-)
-
-
-def _add_engine(parser: argparse.ArgumentParser, help: str) -> None:
-    parser.add_argument(
-        "--engine", default=DEFAULT_ENGINE, choices=ENGINES,
-        help=f"{help} (default: {DEFAULT_ENGINE})",
-    )
 
 
 def _add_max_cycles(parser: argparse.ArgumentParser, help: str) -> None:

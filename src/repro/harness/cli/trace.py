@@ -6,14 +6,13 @@ import argparse
 import pathlib
 import shutil
 
+from ...hw import DEFAULT_ENGINE
 from ...kernels import KERNELS_BY_NAME
 from ...obs.emit import EnvelopeWriter, run_key, sim_envelope
 from ...telemetry import MemoryTraceSink, analyze, dump_vcd, to_chrome_trace
 from ..report import format_bottlenecks, format_stall_breakdown
 from ..runner import run_backend
 from .options import (
-    _ENGINE_HELP,
-    _add_engine,
     _add_max_cycles,
     _add_store_argument,
     _add_workers,
@@ -49,7 +48,6 @@ def trace_main(argv: list[str]) -> int:
         "JSON there is a copy of the --store artifact",
     )
     _add_store_argument(parser)
-    _add_engine(parser, _ENGINE_HELP)
     _add_max_cycles(
         parser,
         help="simulated-cycle budget; a run exceeding it fails with a "
@@ -61,8 +59,7 @@ def trace_main(argv: list[str]) -> int:
     sink = MemoryTraceSink()
     result = run_backend(
         spec, args.backend, n_workers=args.workers,
-        fifo_depth=args.fifo_depth, sink=sink, engine=args.engine,
-        max_cycles=args.max_cycles,
+        fifo_depth=args.fifo_depth, sink=sink, max_cycles=args.max_cycles,
     )
     sim = result.sim
     assert sim is not None  # hardware backends always carry a SimReport
@@ -78,13 +75,13 @@ def trace_main(argv: list[str]) -> int:
     # that determines the trace participates in the key.
     trace_key = run_key(
         "trace", spec, backend=args.backend, n_workers=args.workers,
-        fifo_depth=args.fifo_depth, engine=args.engine,
+        fifo_depth=args.fifo_depth, engine=DEFAULT_ENGINE,
         max_cycles=args.max_cycles,
     )
     stored = EnvelopeWriter(args.store).publish_run(
         trace_key, to_chrome_trace(sink),
         sim_envelope(
-            sim, kernel=spec.name, engine=args.engine,
+            sim, kernel=spec.name, engine=DEFAULT_ENGINE,
             config_hash=trace_key, backend=args.backend,
             area=result.area, power=result.power,
         ),

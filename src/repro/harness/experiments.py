@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..hw import DEFAULT_ENGINE, DirectMappedCache
+from ..hw import DirectMappedCache
 from ..kernels import ALL_KERNELS, PAPER_KERNELS, KernelSpec
 from .build import compile_kernel
 from .runner import KernelRun, run_backend, run_hardware, run_kernel
@@ -28,7 +28,6 @@ def geomean(values) -> float:
 
 def run_all_kernels(
     n_workers: int = 4,
-    engine: str = DEFAULT_ENGINE,
     max_cycles: int | None = None,
 ) -> dict[str, KernelRun]:
     """Simulate every kernel on every applicable backend (shared by all
@@ -43,8 +42,7 @@ def run_all_kernels(
         if spec.supports_p2:
             backends.append("cgpa-p2")
         runs[spec.name] = run_kernel(
-            spec, tuple(backends), n_workers=n_workers,
-            engine=engine, max_cycles=max_cycles,
+            spec, tuple(backends), n_workers=n_workers, max_cycles=max_cycles
         )
     return runs
 
@@ -310,16 +308,13 @@ class ScalabilityPoint:
 def scalability(
     spec: KernelSpec,
     worker_counts: tuple[int, ...] = (1, 2, 4, 8),
-    engine: str = DEFAULT_ENGINE,
     max_cycles: int | None = None,
 ) -> list[ScalabilityPoint]:
     """Sweep the parallel-worker count for one kernel (App. B.1)."""
 
     points = []
     for n in worker_counts:
-        result = run_backend(
-            spec, "cgpa-p1", n_workers=n, engine=engine, max_cycles=max_cycles
-        )
+        result = run_backend(spec, "cgpa-p1", n_workers=n, max_cycles=max_cycles)
         points.append(ScalabilityPoint(spec.name, n, result.cycles))
     base = points[0].cycles
     for p in points:

@@ -308,7 +308,6 @@ def run_backend(
     fifo_depth: int = DEFAULT_FIFO_DEPTH,
     cache_kwargs: dict | None = None,
     sink: TraceSink | None = None,
-    engine: str = DEFAULT_ENGINE,
     max_cycles: int | None = None,
 ) -> BackendResult:
     """Compile, simulate and score one kernel on one backend.
@@ -318,11 +317,9 @@ def run_backend(
     accelerator — only meaningful for the hardware backends (``legup``,
     ``cgpa-*``); the MIPS cost model has no cycle-level FSM to trace.
 
-    ``engine`` selects the simulator (:data:`repro.hw.ENGINES`, default
-    :data:`repro.hw.DEFAULT_ENGINE`): ``"specialized"`` (skip-ahead event
-    clock over worker FSMs compiled to generated code), ``"event"`` (the same
-    clock over interpretive workers) or the ``"lockstep"`` oracle; all
-    three report identical cycle counts.
+    The hardware backends simulate on :data:`repro.hw.DEFAULT_ENGINE`;
+    the other engines, which report identical cycles, are references a
+    test selects through :func:`run_hardware`.
 
     ``max_cycles`` caps the simulated clock; a run that exceeds it raises
     :class:`~repro.errors.CycleBudgetExceeded` (hardware backends only —
@@ -354,7 +351,7 @@ def run_backend(
     cache_kwargs.setdefault("ports", 8)
     return run_hardware(
         spec, backend, design, DirectMappedCache(**cache_kwargs),
-        engine=engine, max_cycles=max_cycles, sink=sink, fifo_depth=fifo_depth,
+        max_cycles=max_cycles, sink=sink, fifo_depth=fifo_depth,
     )
 
 
@@ -384,7 +381,6 @@ def run_kernel(
     backends: tuple[str, ...] = DEFAULT_BACKENDS,
     n_workers: int = 4,
     fifo_depth: int = DEFAULT_FIFO_DEPTH,
-    engine: str = DEFAULT_ENGINE,
     max_cycles: int | None = None,
 ) -> KernelRun:
     """Run one kernel on all requested backends and cross-validate."""
@@ -394,7 +390,7 @@ def run_kernel(
             continue
         run.results[backend] = run_backend(
             spec, backend, n_workers=n_workers, fifo_depth=fifo_depth,
-            engine=engine, max_cycles=max_cycles,
+            max_cycles=max_cycles,
         )
     run.validate()
     return run

@@ -175,9 +175,9 @@ class SpecFrame:
 
 
 def _render_run_ahead():
-    """``run_ahead(worker, frame, cycle, progress, block, state, start)``:
-    the exit of a tick whose frame moves to pure state ``state`` of
-    ``block`` at op ``start``, ``progress`` ops and states since it began.
+    """``run_ahead(worker, frame, cycle, block, state, start)``: the exit
+    of a tick whose frame moves to pure state ``state`` of ``block`` at op
+    ``start``.
 
     When nothing observes per-cycle state, the following run of pure
     states executes now as generated runs, attributed as a batch of
@@ -196,9 +196,8 @@ def _render_run_ahead():
         "  ops = worker.stats.ops_executed",
         "  run = block.runs[state]",
         "  while True:",
-        "   block, state, start, states, done = run(regs, ops, budget - k)",
+        "   block, state, start, states = run(regs, ops, budget - k)",
         "   k += states",
-        "   progress += done",
         "   run = block.runs[state]",
         "   if run is None or k >= budget: break",
         f"  if state >= block.n_states: {text.ref(_fell_off)}(worker, block)",
@@ -206,11 +205,10 @@ def _render_run_ahead():
         "frame.state = state",
         "frame.cursor = start",
         "frame.steps = block.states[state]",
-        "worker.progress += progress",
         "if worker._trace: worker._emit_state(cycle)",
         *retire_lines(text, _COMPUTE, "k"),
     ]
-    return text.function("worker, frame, cycle, progress, block, state, start")
+    return text.function("worker, frame, cycle, block, state, start")
 
 
 _run_ahead = _render_run_ahead()
@@ -302,15 +300,15 @@ class SpecializedProgram:
     def _render_run(self, block: BasicBlock, first: int):
         """Generated code for the register-only FSM states from ``first``:
         that state and every following pure state of the block, a
-        function ``(regs, ops, room) -> (block, state, start, states,
-        progress)`` executing at most ``room`` states.
+        function ``(regs, ops, room) -> (block, state, start, states)``
+        executing at most ``room`` states.
 
         Registers are locals, stored back only for a reader outside the
         function.  (A run stopped for ``room`` leaves its worker due at
         ``max_cycles``, where the clock raises the budget error before any
         tick, so what the states it did not reach would read is never
-        read.)  ``ops_executed`` and progress are static per exit, added
-        once on the way out.
+        read.)  ``ops_executed`` is static per exit, added once on the way
+        out.
         """
         sb = self._blocks[id(block)]
         table = sb.table
@@ -323,7 +321,6 @@ class SpecializedProgram:
         text = self._text()
         body, ref = text.body, text.ref
         counts: Counter = Counter()
-        progress = 0
 
         def leave(out: list, counts: Counter, outcome) -> None:
             out += [f"ops[{ref(op)}] += {n}" for op, n in counts.items() if n]
@@ -334,18 +331,17 @@ class SpecializedProgram:
             phis = target.phis()
             text.moves([(phi, phi.incoming_for(block)) for phi in phis], local, out)
             tb = self._blocks[id(target)]
-            done = (tb, 0, tb.entry_cursor, len(rows), progress)
+            done = (tb, 0, tb.entry_cursor, len(rows))
             leave(out, counts + Counter(phi=len(phis)), done)
             return out
 
         for i, row in enumerate(rows):
             if i:  # out of room: stop before this state
                 out: list[str] = []
-                leave(out, counts, (sb, first + i, 0, i, progress))
+                leave(out, counts, (sb, first + i, 0, i))
                 body += [f"if room == {i}:", *(" " + line for line in out)]
             counts.update(inst.opcode for inst in row)
             branch = bool(row) and type(row[-1]) in (Jump, CondBranch)
-            progress += len(row) + (not branch)
             for inst in row:
                 cls = type(inst)
                 if cls in FORMS:
@@ -358,7 +354,7 @@ class SpecializedProgram:
                     body.append("else:")
                     body += [" " + line for line in edge(inst.if_false, dict(text.local))]
         if not branch:  # only the last state can end with the terminator
-            leave(body, counts, (sb, stop, 0, len(rows), progress))
+            leave(body, counts, (sb, stop, 0, len(rows)))
         return text.function("regs, ops, room")
 
     def _render_landing(self, block: BasicBlock, s: int, lo: int):
@@ -375,8 +371,6 @@ class SpecializedProgram:
         reader in another function.  Every op that reaches outside the
         frame sees ``ops_executed`` counted up to and including itself, as
         the blocking-op protocol's roll-back and the recorder expect.
-        Progress counts one per op executed plus one per completed state,
-        as the interpreted worker does.
         """
         sb = self._blocks[id(block)]
         ops = sb.table[s]
@@ -395,28 +389,21 @@ class SpecializedProgram:
                     names[op] = ref(op)
                 out.append(f"ops[{names[op]}] += {k}")
 
-        def spend(out: list, progress: int) -> None:
-            if progress:
-                out.append(f"worker.progress += {progress}")
-
-        def compute(out: list, progress: int) -> None:
+        def compute(out: list) -> None:
             """Close this cycle as COMPUTE, the frame already moved."""
-            spend(out, progress)
             out.append("if worker._trace: worker._emit_state(cycle)")
             out += retire_lines(text, _COMPUTE)
             out.append("return")
 
         def stall(at: int, category: CycleCategory) -> list[str]:
-            out = [f"frame.cursor = {at}"]
-            spend(out, at - lo)
-            out += [f"worker._retire(cycle, {ref(category)})", "return"]
-            return [" " + line for line in out]
+            return [f" frame.cursor = {at}",
+                    f" worker._retire(cycle, {ref(category)})", " return"]
 
-        def advance(out: list, target: SpecBlock, state: int, start: int, progress: int) -> None:
+        def advance(out: list, target: SpecBlock, state: int, start: int) -> None:
             """Exit with the frame at op ``start`` of ``target``'s ``state``."""
             if target.pure[state]:
                 out.append(f"return {ref(_run_ahead)}(worker, frame, cycle, "
-                           f"{progress}, {ref(target)}, {state}, {start})")
+                           f"{ref(target)}, {state}, {start})")
             elif state >= target.n_states:
                 out.append(f"{ref(_fell_off)}(worker, {ref(target)})")
             else:
@@ -424,7 +411,7 @@ class SpecializedProgram:
                     out.append(f"frame.block = {ref(target)}")
                 out += [f"frame.state = {state}", f"frame.cursor = {start}",
                         f"frame.steps = {ref(target.states[state])}"]
-                compute(out, progress)
+                compute(out)
 
         def edge(target: BasicBlock, local: dict) -> list[str]:
             out: list[str] = []
@@ -432,7 +419,7 @@ class SpecializedProgram:
             text.moves([(phi, phi.incoming_for(block)) for phi in phis], local, out)
             flush(out, counts + Counter(phi=len(phis)))
             tb = self._blocks[id(target)]
-            advance(out, tb, 0, tb.entry_cursor, n - lo)
+            advance(out, tb, 0, tb.entry_cursor)
             return out
 
         def queue(inst) -> tuple[str, str]:
@@ -483,7 +470,6 @@ class SpecializedProgram:
                     f"worker._pending_mem = ({ref(self._render_completion(inst))}, addr)",
                     f"frame.cursor = {j}",
                 ]
-                spend(body, j - lo)
                 body += retire_lines(text, CycleCategory.CACHE)
                 return text.function("worker, frame, cycle")
             opcode = ref(inst.opcode)
@@ -527,7 +513,7 @@ class SpecializedProgram:
                 body += [f"new.regs[{program.slot_of(formal)}] = {value}"
                          for formal, value in zip(callee.args, args)]
                 body += ["worker._frames.append(new)", f"frame.cursor = {j}"]
-                compute(body, j - lo + 1)
+                compute(body)
                 return text.function("worker, frame, cycle")
             elif cls is Ret:
                 value = "None" if inst.value is None else use(inst.value)
@@ -537,12 +523,11 @@ class SpecializedProgram:
                     body.append(f" caller.regs[frame.ret_slot] = {value}")
                 body.append(" caller.cursor += 1")
                 out: list[str] = []
-                compute(out, j - lo + 1)
+                compute(out)
                 body += [" " + line for line in out]
                 body += ["worker.done = True",
                          "worker.system.worker_finished(worker)",
                          f"worker.return_value = {value}"]
-                spend(body, j - lo + 1)
                 body.append(f"worker._retire(cycle, {ref(_COMPUTE)})")
                 return text.function("worker, frame, cycle")
             elif cls is Call:
@@ -551,7 +536,7 @@ class SpecializedProgram:
                 body.append(fail(f"worker cannot execute opcode {inst.opcode}"))
         # The state is complete: advance within the block (one state per cycle).
         flush(body, counts)
-        advance(body, sb, s + 1, 0, n - lo + 1)
+        advance(body, sb, s + 1, 0)
         return text.function("worker, frame, cycle")
 
     def _render_completion(self, inst: Load | Store):
@@ -694,7 +679,6 @@ class SpecializedWorker(HwWorker):
         frame = self._frames[-1]
         complete(self, frame.regs, addr)
         frame.cursor += 1
-        self.progress += 1
 
     def _emit_state(self, cycle: int) -> None:
         frame = self._frames[-1]

@@ -88,10 +88,11 @@ def retire_lines(
 
     A CACHE wait of ``k`` cycles followed by the COMPUTE lines from its
     end is the one closing of both (the replayer's memory event).  The
-    first line emits the cycle's trace event when the worker has a sink.
+    first line emits the cycles' trace span when the worker has a sink.
     """
     cat = text.ref(category)
-    return [f"if {w}._trace: {w}._sink.worker_cycle({w}.name, {at}, {cat})"] + [
+    span = f"{w}._sink.worker_span({w}.name, {cat}, {at}, {at} + {k})"
+    return [f"if {w}._trace: {span}"] + [
         line.format(w=w, at=at, k=k, cat=cat, max=text.ref(max))
         for line in _RETIRE_RULE[category]
     ]
@@ -114,7 +115,8 @@ def _render_retire():
         *indent(retire_lines(text, CycleCategory.CACHE, w="self")),
         " return",
         "self.last_category = self.wait_category = category",
-        "if self._trace: self._sink.worker_cycle(self.name, cycle, category)",
+        "if self._trace:",
+        " self._sink.worker_span(self.name, category, cycle, cycle + 1)",
         "self.synced_until = cycle + 1",
         "stats = self.stats",
         "engine = self.engine",
@@ -303,8 +305,6 @@ class HwWorker:
         #: private slice under the Appendix B.1 memory-partitioning mode).
         self.cache = system.cache_for_new_worker()
         self._frames = self._make_entry_frames(function, args)
-        #: Monotonic progress marker for deadlock detection.
-        self.progress = 0
 
     def _make_entry_frames(self, function: Function, args: list[int | float]):
         """Build the initial frame stack (overridden by the specialized
@@ -397,14 +397,11 @@ class HwWorker:
             if outcome == "wait_join":
                 return CycleCategory.JOIN
             if outcome in ("call", "ret", "branch"):
-                self.progress += 1
                 if self._trace and not self.done:
                     self._emit_state(cycle)
                 return CycleCategory.COMPUTE
             frame.cursor += 1
-            self.progress += 1
         # State complete: advance within the block (one state per cycle).
-        self.progress += 1
         frame.state += 1
         frame.cursor = 0
         if frame.state >= len(frame.state_ops):
@@ -493,7 +490,6 @@ class HwWorker:
             )
         self._pending_mem = None
         frame.cursor += 1
-        self.progress += 1
 
     # -- blocking-op protocol --------------------------------------------------------
     #

@@ -65,7 +65,7 @@ from .types import (
     ptr,
 )
 from .values import Argument, Constant, GlobalVariable, Value
-from .verifier import verify_dominance, verify_function, verify_module
+from .verifier import verify_function, verify_module
 
 __all__ = [
     "BasicBlock", "IRBuilder", "Function", "Module",
@@ -75,7 +75,7 @@ __all__ = [
     "ParallelFork", "ParallelJoin", "StoreLiveout", "RetrieveLiveout",
     "Channel", "ChannelPlan", "DEFAULT_FIFO_DEPTH", "DEFAULT_FIFO_WIDTH",
     "print_module", "print_function", "print_instruction",
-    "verify_module", "verify_function", "verify_dominance",
+    "verify_module", "verify_function",
     "Type", "VoidType", "IntType", "FloatType", "PointerType", "ArrayType",
     "StructType", "FunctionType", "LabelType", "ptr",
     "VOID", "BOOL", "I8", "I16", "I32", "I64", "F32", "F64", "LABEL",

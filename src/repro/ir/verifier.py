@@ -2,8 +2,7 @@
 
 Checks the invariants every pass relies on: each block is terminated, phi
 nodes are grouped at block heads and agree with the predecessor list,
-operand use-lists are consistent, and (optionally, when a dominator tree is
-supplied by the caller) definitions dominate uses.
+and operand use-lists are consistent.
 """
 
 from __future__ import annotations
@@ -105,35 +104,4 @@ def _verify_use_lists(function: Function) -> None:
                     raise IRError(
                         f"@{function.name}: use-list of {op.short_name()} "
                         f"is missing user {inst.opcode}"
-                    )
-
-
-def verify_dominance(function: Function, dominates) -> None:
-    """Check defs dominate uses; ``dominates(a_block, b_block)`` is supplied
-    by the dominator analysis to avoid a package cycle."""
-    for block in function.blocks:
-        for inst in block.instructions:
-            if isinstance(inst, Phi):
-                for value, pred in inst.incoming():
-                    if isinstance(value, Instruction) and value.parent is not None:
-                        if not dominates(value.parent, pred):
-                            raise IRError(
-                                f"@{function.name}: phi arm from "
-                                f"{pred.short_name()} not dominated by def"
-                            )
-                continue
-            for op in inst.operands:
-                if not isinstance(op, Instruction) or op.parent is None:
-                    continue
-                if op.parent is block:
-                    if block.instructions.index(op) >= block.instructions.index(inst):
-                        raise IRError(
-                            f"@{function.name}/{block.short_name()}: "
-                            f"{inst.opcode} uses a later definition"
-                        )
-                elif not dominates(op.parent, block):
-                    raise IRError(
-                        f"@{function.name}: use of {op.short_name()} in "
-                        f"{block.short_name()} not dominated by its def in "
-                        f"{op.parent.short_name()}"
                     )

@@ -27,8 +27,6 @@ from typing import Any, Callable
 from ..cost import COST_MODEL_VERSION
 from ..dse.space import DEFAULT_EVAL_MAX_CYCLES, ConfigSpace
 from ..errors import CgpaError
-from ..hw import DEFAULT_ENGINE  # what simulate-like options default to,
-from ..hw import ENGINES as _ENGINES  # and what they accept
 from ..kernels import KERNELS_BY_NAME, KernelSpec
 from ..vsim.cosim import DEFAULT_COSIM_MAX_CYCLES
 from .store import content_key
@@ -110,7 +108,6 @@ _SIMULATE_OPTIONS = {
         "power-of-two int >= 1",
     ),
     "cache_ports": Option(8, _is_pos_int, "int >= 1"),
-    "engine": Option(DEFAULT_ENGINE, _choice(_ENGINES), f"one of {_ENGINES}"),
     "max_cycles": Option(DEFAULT_EVAL_MAX_CYCLES, _is_pos_int, "int >= 1"),
 }
 
@@ -139,14 +136,12 @@ _DSE_OPTIONS = {
         "cycles", _choice(("cycles", "total_aluts", "energy_uj")),
         "one of ('cycles', 'total_aluts', 'energy_uj')",
     ),
-    "engine": Option(DEFAULT_ENGINE, _choice(_ENGINES), f"one of {_ENGINES}"),
     "max_cycles": Option(DEFAULT_EVAL_MAX_CYCLES, _is_pos_int, "int >= 1"),
 }
 
 _FAULTS_OPTIONS = {
     "plans": Option(8, _is_pos_int, "int >= 1"),
     "seed": Option(0, _is_int, "int"),
-    "engine": Option(DEFAULT_ENGINE, _choice(_ENGINES), f"one of {_ENGINES}"),
     "n_workers": Option(4, _is_pos_int, "int >= 1"),
     "fifo_depth": Option(16, _is_pos_int, "int >= 1"),
     "max_cycles": Option(

@@ -38,6 +38,7 @@ from ..dse.explore import Explorer, SweepResult
 from ..faults.sweep import ResilienceReport, resilience_sweep
 from ..harness.build import interned_pipeline
 from ..harness.runner import cgpa_area
+from ..hw import DEFAULT_ENGINE
 from ..pipeline.spec import ReplicationPolicy
 from ..vsim.cosim import CosimReport, run_rtl_cosim
 from .contracts import ContractError, JobRequest
@@ -77,21 +78,19 @@ def _run_simulate(request: JobRequest, store: ArtifactStore | None) -> dict:
     opts = request.options
     # Every knob of a DesignPoint is the simulate option of the same name.
     point = DesignPoint(**{knob.name: opts[knob.name] for knob in fields(DesignPoint)})
-    eval_key = result_key(spec, point, opts["max_cycles"], opts["engine"])
+    eval_key = result_key(spec, point, opts["max_cycles"], DEFAULT_ENGINE)
     stored = store.get(eval_key) if store is not None else None
     if stored is not None:
         result = stored
     else:
-        evaluator = Evaluator(
-            spec, max_cycles=opts["max_cycles"], engine=opts["engine"]
-        )
+        evaluator = Evaluator(spec, max_cycles=opts["max_cycles"])
         result = evaluator.evaluate(point).to_dict()
         if store is not None:
             store.put(eval_key, result)
     return {
         "kind": "simulate",
         "kernel": spec.name,
-        "engine": opts["engine"],
+        "engine": DEFAULT_ENGINE,
         "max_cycles": opts["max_cycles"],
         "eval_key": eval_key,
         **result,
@@ -110,7 +109,6 @@ def _run_dse(
     request: JobRequest,
     store: ArtifactStore | None,
     processes: int = 1,  # the service's concurrency is its worker pool
-    resume: bool = False,
     envelopes=None,
 ) -> SweepResult:
     opts = request.options
@@ -130,26 +128,15 @@ def _run_dse(
         cache=store,
         processes=processes,
         max_cycles=opts["max_cycles"],
-        engine=opts["engine"],
         envelopes=envelopes,
     ) as explorer:
-        sweep = explorer.run(strategy)
-        if resume:
-            explorer.fleet.record_event(
-                "resume", attempt=sweep.cache_hits,
-                detail=(
-                    f"replayed {sweep.cache_hits} point(s) from cache, "
-                    f"computed {sweep.cache_misses}"
-                ),
-            )
-    return sweep
+        return explorer.run(strategy)
 
 
 def _run_faults(
     request: JobRequest,
     store: ArtifactStore | None,
     processes: int = 1,
-    resume: bool = False,
     envelopes=None,
 ) -> ResilienceReport:
     opts = request.options
@@ -157,7 +144,6 @@ def _run_faults(
         request.spec(),
         n_plans=opts["plans"],
         seed=opts["seed"],
-        engine=opts["engine"],
         n_workers=opts["n_workers"],
         fifo_depth=opts["fifo_depth"],
         max_cycles=opts["max_cycles"],
@@ -165,7 +151,6 @@ def _run_faults(
         # Plan checkpoints ride with the run-record writer: a run that
         # journals nothing (every service job) checkpoints nothing.
         store=envelopes.store if envelopes is not None else None,
-        resume=resume,
         envelopes=envelopes,
     )
 
@@ -201,7 +186,7 @@ def run_job(request: JobRequest, store: ArtifactStore | None = None, **how):
     ``faults`` and ``rtl`` yield their typed report (:class:`SweepResult`,
     :class:`ResilienceReport`, :class:`CosimReport`), which
     :func:`artifact_of` turns into the artifact.  ``how`` is *how* to run,
-    never *what*: ``processes``/``resume``/``envelopes`` (dse, faults)
+    never *what*: ``processes``/``envelopes`` (dse, faults)
     and ``emit_dir`` (rtl) stay out of ``request.key`` exactly as
     ``deadline_s`` does.  The service passes none; the harness CLI does.
     """

@@ -17,7 +17,7 @@ from .bottleneck import (
     WorkerBreakdown,
     analyze,
 )
-from .chrome_trace import dump_chrome_trace, to_chrome_trace, write_chrome_trace
+from .chrome_trace import to_chrome_trace
 from .events import (
     ALL_CATEGORIES,
     CATEGORY_CODES,
@@ -37,7 +37,7 @@ __all__ = [
     "CycleCategory", "ALL_CATEGORIES", "CATEGORY_CODES",
     "TraceSink", "NullSink", "NULL_SINK", "MemoryTraceSink",
     "Span", "StateChange", "OccupancySample", "CacheAccess",
-    "to_chrome_trace", "write_chrome_trace", "dump_chrome_trace",
+    "to_chrome_trace",
     "write_vcd", "dump_vcd",
     "analyze",
     "BottleneckReport", "WorkerBreakdown", "FifoDiagnosis",

@@ -10,9 +10,6 @@ microsecond timestamps so one trace-viewer tick is one simulated cycle.
 
 from __future__ import annotations
 
-import json
-from typing import IO
-
 from .events import CycleCategory, MemoryTraceSink
 
 #: Process ids for the three track groups.
@@ -123,14 +120,3 @@ def to_chrome_trace(trace: MemoryTraceSink) -> dict:
             "total_cycles": trace.total_cycles,
         },
     }
-
-
-def write_chrome_trace(trace: MemoryTraceSink, fp: IO[str]) -> None:
-    """Serialise ``trace`` as chrome://tracing JSON onto ``fp``."""
-    json.dump(to_chrome_trace(trace), fp, indent=None, separators=(",", ":"))
-
-
-def dump_chrome_trace(trace: MemoryTraceSink, path: str) -> None:
-    """Write the chrome://tracing JSON for ``trace`` to ``path``."""
-    with open(path, "w") as fp:
-        write_chrome_trace(trace, fp)

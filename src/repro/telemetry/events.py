@@ -13,11 +13,11 @@ category** (the invariant the cycle-conservation tests pin down):
 * ``IDLE``       — held in reset (before ``parallel_fork``) or finished.
 
 Sinks receive these attributions plus FSM-state changes, FIFO occupancy
-samples and cache transactions.  Attributions arrive through two
-equivalent channels that sinks must treat interchangeably: per-cycle
-``worker_cycle`` calls (ticked cycles) and batched ``worker_span`` calls
-(the event-driven engine's skip-ahead stall spans and pre-start reset
-holds).  Both cover every cycle exactly once.  The default :data:`NULL_SINK` is a
+samples and cache transactions.  Attributions arrive as ``worker_span``
+calls, each a half-open cycle range of one category: a ticked cycle, a
+run of cycles closed at once (the specialized engine's run-ahead), the
+event-driven engine's skip-ahead stall spans and pre-start reset holds.
+Together they cover every cycle exactly once.  The default :data:`NULL_SINK` is a
 do-nothing singleton; instrumented code guards every emission with the
 sink's ``enabled`` flag (a plain attribute read), so an untraced
 simulation pays one boolean check per event site and nothing else.
@@ -80,11 +80,6 @@ class TraceSink(Protocol):
     def begin_run(self, worker_names: list[str]) -> None:
         """A simulation is starting (workers may still be forked later)."""
 
-    def worker_cycle(
-        self, worker: str, cycle: int, category: CycleCategory
-    ) -> None:
-        """Attribute one cycle of ``worker`` to ``category``."""
-
     def worker_span(
         self, worker: str, category: CycleCategory, start: int, end: int
     ) -> None:
@@ -120,9 +115,6 @@ class NullSink:
     enabled = False
 
     def begin_run(self, worker_names: list[str]) -> None:
-        pass
-
-    def worker_cycle(self, worker, cycle, category) -> None:
         pass
 
     def worker_span(self, worker, category, start, end) -> None:
@@ -232,22 +224,6 @@ class MemoryTraceSink:
         for name in worker_names:
             if name not in self.worker_names:
                 self.worker_names.append(name)
-
-    def worker_cycle(
-        self, worker: str, cycle: int, category: CycleCategory
-    ) -> None:
-        open_ = self._open.get(worker)
-        if open_ is not None and open_.category is category and open_.end == cycle:
-            open_.end = cycle + 1
-            return
-        if open_ is not None:
-            self.spans.append(
-                Span(worker, open_.category, open_.start, open_.end)
-            )
-        else:
-            if worker not in self.worker_names:
-                self.worker_names.append(worker)
-        self._open[worker] = _OpenSpan(category, cycle, cycle + 1)
 
     def worker_span(
         self, worker: str, category: CycleCategory, start: int, end: int

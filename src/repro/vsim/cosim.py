@@ -674,37 +674,48 @@ def _instance_report(
     liveout_width: dict[int, int],
 ) -> InstanceReport:
     report = InstanceReport(tag=inst.tag, cycles=inst.finish_cycle or 0)
-
-    expected_pushes = [
-        (cid, _BROADCAST_SEL if idx == BROADCAST_INDEX else idx,
-         value_to_bits(v, chan_width.get(cid, 64)))
-        for tag, cid, idx, v in record.push_log
-        if tag == inst.tag
-    ]
-    expected_pops = [
-        (cid, idx, value_to_bits(v, chan_width.get(cid, 64)))
-        for tag, cid, idx, v in record.pop_log
-        if tag == inst.tag
-    ]
+    pushes, pops, liveouts = _expected(record, inst.tag, chan_width, liveout_width)
     report.traffic_diff = _sequence_diff(
-        "push", expected_pushes, inst.push_seen
-    ) or _sequence_diff("pop", expected_pops, inst.pop_seen)
-
-    expected_liveouts: dict[int, int | float] = {}
-    for tag, lid, value in record.liveout_log:
-        if tag == inst.tag:
-            expected_liveouts[lid] = value
-    for lid in sorted(expected_liveouts):
+        "push", pushes, inst.push_seen
+    ) or _sequence_diff("pop", pops, inst.pop_seen)
+    for lid in sorted(liveouts):
         report.liveouts.append(
             LiveoutDiff(
                 liveout_id=lid,
-                oracle_bits=value_to_bits(
-                    expected_liveouts[lid], liveout_width.get(lid, 64)
-                ),
+                oracle_bits=liveouts[lid],
                 rtl_bits=inst.sim.peek(f"liveout_{lid}"),
             )
         )
     return report
+
+
+def _expected(
+    record: RoundRecord,
+    tag: str,
+    chan_width: dict[int, int],
+    liveout_width: dict[int, int],
+) -> tuple[list, list, dict[int, int]]:
+    """What the oracle's round says instance ``tag`` does, in bits:
+    ``(pushes, pops, liveouts)``, the FIFO traffic as ``(channel, select,
+    bits)`` in order (a broadcast push selects ``_BROADCAST_SEL``) and
+    each live-out's last stored value."""
+    pushes = [
+        (cid, _BROADCAST_SEL if idx == BROADCAST_INDEX else idx,
+         value_to_bits(v, chan_width.get(cid, 64)))
+        for t, cid, idx, v in record.push_log
+        if t == tag
+    ]
+    pops = [
+        (cid, idx, value_to_bits(v, chan_width.get(cid, 64)))
+        for t, cid, idx, v in record.pop_log
+        if t == tag
+    ]
+    liveouts = {
+        lid: value_to_bits(value, liveout_width.get(lid, 64))
+        for t, lid, value in record.liveout_log
+        if t == tag
+    }
+    return pushes, pops, liveouts
 
 
 def _sequence_diff(kind: str, expected: list, actual: list) -> str | None:
@@ -802,27 +813,10 @@ def testbench_scripts(
         value_to_bits(v, _width(a.type))
         for a, v in zip(run.task.args, run.args)
     ]
-    pop_script = [
-        ((cid << 4) | idx, value_to_bits(v, chan_width.get(cid, 64)))
-        for tag, cid, idx, v in record.pop_log
-        if tag == run.tag
-    ]
-    expected_pushes = [
-        (
-            (cid << 4)
-            | (_BROADCAST_SEL if idx == BROADCAST_INDEX else idx),
-            value_to_bits(v, chan_width.get(cid, 64)),
-        )
-        for tag, cid, idx, v in record.push_log
-        if tag == run.tag
-    ]
-    expected_liveouts: dict[int, int] = {}
-    for tag, lid, value in record.liveout_log:
-        if tag == run.tag:
-            expected_liveouts[lid] = value_to_bits(
-                value, liveout_width.get(lid, 64)
-            )
-    return arg_values, expected_liveouts, pop_script, expected_pushes
+    pushes, pops, liveouts = _expected(record, run.tag, chan_width, liveout_width)
+    pop_script = [((cid << 4) | idx, bits) for cid, idx, bits in pops]
+    expected_pushes = [((cid << 4) | sel, bits) for cid, sel, bits in pushes]
+    return arg_values, liveouts, pop_script, expected_pushes
 
 
 def _emit_artifacts(

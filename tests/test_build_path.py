@@ -357,12 +357,12 @@ class TestDepthIsBoundLate:
 
 
 class TestDefaultPathHonoursSimulatorFlags:
-    """``--engine``/``--max-cycles`` used to be parsed and then dropped
-    unless ``--kernel`` was given."""
+    """``--max-cycles`` used to be parsed and then dropped unless
+    ``--kernel`` was given."""
 
     @pytest.mark.parametrize("argv", [[], ["--scalability"]],
                              ids=["all-kernels", "scalability"])
     def test_cycle_budget_ends_in_one_line_error_exit_1(self, argv, capsys):
-        rc = main([*argv, "--max-cycles", "10", "--engine", "lockstep"])
+        rc = main([*argv, "--max-cycles", "10"])
         assert rc == 1
         assert capsys.readouterr().err == "error: exceeded max_cycles=10\n"

@@ -210,9 +210,11 @@ class TestResultKey:
         assert result_key(SMALL_KS, DesignPoint(), 1000, "lockstep") != base
 
     def test_digests_pinned(self):
-        # Both keys splice KernelSpec.key_fields() into their payload; the
-        # hex values are the ones the hand-listed fields gave (PR 16), so
-        # every stored result and job artifact keeps its address.
+        # Both keys splice KernelSpec.key_fields() into their payload.  The
+        # result key is the one the hand-listed fields gave, so every stored
+        # result keeps its address.  The job key changed once, when
+        # "engine" left the simulate options: the job contract names no
+        # engine, so one simulate job has one key, not one per engine.
         from repro.service.contracts import JobRequest
 
         ks = KERNELS_BY_NAME["ks"]
@@ -220,7 +222,7 @@ class TestResultKey:
             "ae7e96f728d7157c270cdfa2941ff7cd1323b932c041860d420a8fc4776ae5d5"
         )
         assert JobRequest.make("simulate", "ks").key == (
-            "83e7dad654624fd511df1f255ef9a72e057424832ffdbae9d24f813257d72479"
+            "42981fa68d811d1836e84f52a60f7d15ff1f23bd4daafdf60d2e3456f1407a52"
         )
 
     def test_keys_equal_the_content_key_of_the_whole_payload(self):
@@ -335,11 +337,6 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["trace", "ks", "--fifo-depth", "-2"])
         assert "must be >= 1" in capsys.readouterr().err
-
-    def test_rejects_unknown_engine(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--engine", "warp"])
-        assert "invalid choice" in capsys.readouterr().err
 
     def test_dse_rejects_bad_grid_values(self, capsys):
         with pytest.raises(SystemExit):

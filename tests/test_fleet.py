@@ -747,19 +747,20 @@ class TestResumableSweeps:
             sidecar.unlink()
         # Fresh store instance: a cold reader, like a restarted process.
         resumed = resilience_sweep(
-            SMALL_BLUR, n_plans=1, seed=3,
-            store=ArtifactStore(tmp_path / "ckpt"), resume=True,
+            SMALL_BLUR, n_plans=1, seed=3, store=ArtifactStore(tmp_path / "ckpt")
         )
         assert resumed.replayed == len(full.records) - 1
         assert resumed.to_dict() == full.to_dict()
         assert resumed.format() == full.format()
 
-    def test_checkpoints_without_resume_flag_are_ignored(self, tmp_path):
+    def test_a_second_sweep_on_one_store_replays_every_plan(self, tmp_path):
         store = ArtifactStore(tmp_path / "ckpt")
         first = resilience_sweep(SMALL_BLUR, n_plans=1, seed=3, store=store)
         again = resilience_sweep(SMALL_BLUR, n_plans=1, seed=3, store=store)
-        assert again.replayed == 0
+        assert first.replayed == 0
+        assert again.replayed == len(again.records) == len(first.records)
         assert again.to_dict() == first.to_dict()
+        assert again.format() == first.format()
 
     def test_sigkilled_sweep_resumes_byte_identically(self, tmp_path):
         store_root = tmp_path / "ckpt"
@@ -798,7 +799,7 @@ class TestResumableSweeps:
         clean = resilience_sweep(SMALL_BLUR, n_plans=2, seed=5)
         resumed = resilience_sweep(
             SMALL_BLUR, n_plans=2, seed=5, processes=2,
-            store=ArtifactStore(store_root), resume=True,
+            store=ArtifactStore(store_root),
         )
         assert resumed.replayed >= 1
         assert resumed.to_dict() == clean.to_dict()

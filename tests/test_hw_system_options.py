@@ -161,10 +161,9 @@ class TestWorkerStatsCoverEveryInvocation:
 
 class TestDefaultEngineIsDeclaredOnce:
     def test_every_engine_default_is_the_one_declaration(self):
-        """``repro.hw.DEFAULT_ENGINE`` is what every ``engine=`` parameter,
-        the CLI flag and the service option default to, so flipping the
-        default is a one-line change."""
-        import argparse
+        """``repro.hw.DEFAULT_ENGINE`` is what every ``engine=`` parameter
+        defaults to, so flipping the default is a one-line change.  The
+        designer helpers take no engine: they run the default one."""
         import inspect
 
         from repro import hw
@@ -172,8 +171,6 @@ class TestDefaultEngineIsDeclaredOnce:
         from repro.dse.explore import Explorer
         from repro.faults.sweep import resilience_sweep
         from repro.harness import experiments, runner
-        from repro.harness.cli import options as cli
-        from repro.service.contracts import JobRequest
 
         assert hw.DEFAULT_ENGINE == "specialized" and hw.DEFAULT_ENGINE in hw.ENGINES
         defaults = [
@@ -181,16 +178,12 @@ class TestDefaultEngineIsDeclaredOnce:
             for fn in (
                 AcceleratorSystem.__init__, Evaluator.__init__,
                 Explorer.__init__, resilience_sweep, runner.run_hardware,
-                runner.run_backend, runner.run_kernel,
-                experiments.run_all_kernels, experiments.scalability,
             )
         ]
         assert all(default is hw.DEFAULT_ENGINE for default in defaults)
-        for kind in ("simulate", "dse", "faults"):
-            assert JobRequest.make(kind, "ks").options["engine"] is hw.DEFAULT_ENGINE
-        parser = argparse.ArgumentParser()
-        cli._add_engine(parser, "engine")
-        assert parser.parse_args([]).engine is hw.DEFAULT_ENGINE
+        for helper in (runner.run_backend, runner.run_kernel,
+                       experiments.run_all_kernels, experiments.scalability):
+            assert "engine" not in inspect.signature(helper).parameters
 
     @pytest.mark.parametrize("kind", ["dse", "faults", "rtl"])
     def test_every_job_flag_defaults_to_the_option_schema(self, kind):

@@ -340,11 +340,11 @@ GENERATED_NAME = re.compile(
     r"|worker|cycle|regs|ops|room|stats|ops_executed|block|cursor"
     # ... and its landings: the blocking-op protocol, memory access and
     # completion, calls and returns, and the timing rule's fields:
-    r"|True|False|in|system|progress|state|steps|addr|access|loader|storer"
+    r"|True|False|in|system|state|steps|addr|access|loader|storer"
     r"|cache|_waiting_until|_pending_mem|loads|stores|fifo_for|worker_id"
     r"|_push|_pop|_join|_retire|liveout_regs|liveouts|fork_worker|alloc_object"
     r"|site|_frames|frames|caller|ret_slot|done|worker_finished|return_value"
-    r"|_trace|_sink|worker_cycle|name|_emit_state|last_category|wait_category"
+    r"|_trace|_sink|worker_span|name|_emit_state|last_category|wait_category"
     r"|synced_until|next_due|active_cycles|mem_stall_cycles"
 )
 

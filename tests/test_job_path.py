@@ -24,7 +24,7 @@ from repro.kernels import KERNELS_BY_NAME
 from repro.obs.dashboard import render_dashboard
 from repro.obs.emit import EnvelopeWriter, run_key
 from repro.obs.query import load_envelopes, render_legacy_report
-from repro.service import ArtifactStore, JobRequest, ServiceClient
+from repro.service import ArtifactStore, ContractError, JobRequest, ServiceClient
 from repro.service import jobs
 from repro.service.app import ServiceConfig, start_service
 from repro.service.queue import JobQueue
@@ -129,23 +129,60 @@ def test_contract_errors_are_usage_errors(capsys):
     assert "cache_lines=[48] invalid" in capsys.readouterr().err
 
 
-def test_dse_resume_journals_a_fleet_resume_event(tmp_path, capsys):
+@pytest.mark.parametrize("kind, option", [
+    ("simulate", "engine"), ("dse", "engine"), ("faults", "engine"),
+    ("dse", "resume"), ("faults", "resume"),
+])
+def test_the_contract_names_no_engine_and_no_resume(kind, option):
+    with pytest.raises(ContractError) as info:
+        JobRequest.make(kind, "ks", {option: True})
+    assert f"unknown option(s) ['{option}']" in str(info.value)
+    assert "valid options: [" in str(info.value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kernel", "ks", "--engine", "lockstep"],
+    ["trace", "ks", "--engine", "lockstep"],
+    ["dse", "ks", "--engine", "lockstep"],
+    ["faults", "ks", "--engine", "lockstep"],
+    ["dse", "ks", "--resume"],
+    ["faults", "ks", "--resume"],
+])
+def test_engine_and_resume_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+
+
+def test_a_dse_rerun_is_answered_from_the_store(tmp_path, capsys):
     flags, _ = CASES["dse"]
     argv = ["dse", "ks", *flags, "--store", str(tmp_path)]
     assert main(argv) == 0
     first = capsys.readouterr()
+    assert main(argv) == 0
+    again = capsys.readouterr()
+    assert "result cache: 0/2 hits" in first.out
+    assert "result cache: 2/2 hits" in again.out
+    assert "resumed:" not in first.err + again.err
+
+
+def test_a_faults_rerun_replays_its_checkpoints(tmp_path, capsys):
+    flags, _ = CASES["faults"]
+    argv = ["faults", "ks", *flags, "--store", str(tmp_path)]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    assert main(argv) == 0
+    again = capsys.readouterr()
     assert "resumed:" not in first.err
-    assert main([*argv, "--resume"]) == 0
-    resumed = capsys.readouterr()
-    assert "resumed: replayed 2 point(s) from cache, computed 0" in resumed.err
-    # stdout differs only in the cache line and the wall-clock line.
-    assert resumed.out.count("Pareto frontier") == 1
+    assert "resumed: 3/3 plan(s) replayed from checkpoints" in again.err
+    assert again.out == first.out
     (event,) = [
         env for env in load_envelopes(tmp_path).filter(kind="fleet")
         if env.status == "resume"
     ]
-    assert event.extra == {"subsystem": "dse", "kernel": "ks"}
-    assert "replayed 2 point(s)" in event.payload["event"]["detail"]
+    assert event.extra == {"subsystem": "faults", "kernel": "ks"}
+    assert "replayed 3/3 plan checkpoint(s)" in event.payload["event"]["detail"]
 
 
 @pytest.mark.parametrize("change", [
@@ -162,7 +199,7 @@ def test_every_run_key_covers_the_entry_point_contract(change):
 
 def test_fault_checkpoints_are_addressed_by_run_key(tmp_path):
     # ... so two specs that share a name and source but not their entry
-    # points cannot replay each other's plan records under --resume.
+    # points cannot replay each other's plan records from one store.
     store = ArtifactStore(tmp_path)
     knobs = dict(n_plans=1, seed=0, engine="event", n_workers=2,
                  fifo_depth=4, max_cycles=None)

@@ -36,7 +36,8 @@ from repro.dse import DesignPoint, Evaluator
 from repro.dse.evaluate import STATUSES
 from repro.faults.sweep import resilience_sweep
 from repro.frontend import compile_c
-from repro.harness.runner import run_backend, setup_workload
+from repro.harness.build import compile_kernel, compile_module
+from repro.harness.runner import run_backend, run_hardware, setup_workload
 from repro.hw import DEFAULT_ENGINE, AcceleratorSystem, DirectMappedCache
 from repro.interp import Interpreter
 from repro.kernels import ALL_KERNELS, KernelSpec
@@ -141,10 +142,17 @@ class TestEngineBitIdentity:
 
     @pytest.mark.parametrize("backend", ["legup", "cgpa-p1", "cgpa-none"])
     def test_default_engine_equals_the_lockstep_reference(self, spec, backend):
-        # What ``run_backend`` does when nobody names an engine is what
-        # every number in the repo comes from; it must be the oracle's.
-        got = run_backend(small(spec), backend)
-        want = run_backend(small(spec), backend, engine="lockstep")
+        # What ``run_backend`` runs (the default engine) is what every
+        # number in the repo comes from; it must be the oracle's.
+        spec = small(spec)
+        got = run_backend(spec, backend)
+        design = (
+            compile_module(spec) if backend == "legup"
+            else compile_kernel(spec, ReplicationPolicy(backend[len("cgpa-"):]), 4)
+        )
+        want = run_hardware(
+            spec, backend, design, DirectMappedCache(ports=8), engine="lockstep"
+        )
         assert_reports_identical(got.sim, want.sim)
         assert got.sim.to_dict() == want.sim.to_dict()
         assert (got.cycles, got.aluts, got.energy_uj, got.power_mw) == (

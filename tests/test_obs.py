@@ -16,6 +16,7 @@ from repro.errors import CgpaError
 from repro.harness.__main__ import main
 from repro.harness.report import format_pareto, format_stall_breakdown
 from repro.harness.runner import run_backend
+from repro.hw import DEFAULT_ENGINE
 from repro.kernels import KERNELS_BY_NAME
 from repro.obs import (
     ENVELOPE_KINDS,
@@ -462,7 +463,7 @@ class TestDseEmission:
         writer.write(env)
         assert env.kind == "dse-sweep"
         assert env.config_hash == KS_SWEEP_REQUEST.key
-        assert env.engine == KS_SWEEP_REQUEST.options["engine"]
+        assert env.engine == DEFAULT_ENGINE
         # The deterministic sweep artifact is the envelope payload...
         assert env.payload == {"kind": "dse", **sweep.to_json_dict()}
         # ...and the Pareto table rendered from the reloaded envelope is
@@ -517,7 +518,7 @@ class TestFaultsEmission:
         env = job_envelope(request, artifact_of("faults", ks_faults))
         env.validate()
         assert env.kind == "faults" and env.status == "ok"
-        assert env.engine == request.options["engine"]
+        assert env.engine == DEFAULT_ENGINE
         assert env.cycles == ks_faults.baseline_cycles
         assert env.extra == {"seed": 0, "n_plans": 2}
         assert (env.verdicts["corruptions_triggered"],
@@ -552,13 +553,13 @@ class TestOtherBuilders:
         assert job_envelope(request, failing).status == "mismatch"
 
     def test_job_envelope_carries_the_artifact_and_the_callers_extra(self):
-        request = JobRequest.make("simulate", "ks", {"engine": "event"})
+        request = JobRequest.make("simulate", "ks")
         artifact = {"kind": "simulate", "status": "ok", "cycles": 123,
                     "total_aluts": 9, "stall_cycles": {"active": 5}}
         env = job_envelope(request, artifact, {"job_id": "job-1"})
         env.validate()
         assert env.kind == "dse-eval" and env.kernel == "ks"
-        assert env.engine == "event"
+        assert env.engine == DEFAULT_ENGINE
         assert env.config_hash == request.key
         assert (env.status, env.cycles, env.total_aluts) == ("ok", 123, 9)
         assert env.stall_cycles == {"active": 5}

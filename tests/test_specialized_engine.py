@@ -365,8 +365,7 @@ def tick_log(monkeypatch):
         def tick(self, cycle, _tick=cls.tick):
             _tick(self, cycle)
             log[self.name, cycle] = (
-                position(self), self.last_category, self.progress,
-                self.stats.to_dict(),
+                position(self), self.last_category, self.stats.to_dict(),
             )
         monkeypatch.setattr(cls, "tick", tick)
     return log
@@ -393,7 +392,6 @@ class TestRunAhead:
             for got, ref in zip(workers, want_workers):
                 assert got.stats == ref.stats, (engine, got.name)
                 assert got.stats.ops_executed == ref.stats.ops_executed
-                assert got.progress == ref.progress, (engine, got.name)
             assert memory.snapshot() == want_memory.snapshot(), engine
 
     def test_the_loops_are_register_only(self):
@@ -427,7 +425,6 @@ class TestRunAhead:
             assert fast.cycle == event.cycle == max_cycles
             assert position(fast_worker) == position(event_worker)
             assert fast_worker.stats == event_worker.stats
-            assert fast_worker.progress == event_worker.progress
             label, state, _ = position(fast_worker)
             n_states = fast_worker._frames[-1].block.n_states
             stops.add(
