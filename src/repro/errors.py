@@ -74,12 +74,13 @@ class DeadlockError(SimulationError):
     which worker is blocked on which FIFO operation, queue occupancy
     snapshots, and the suspected cycle of mutually-waiting workers.  The
     string form is the formatted diagnosis, so legacy callers that grep
-    the message keep working.
+    the message keep working.  ``cycle`` is the cycle it was detected at.
     """
 
     def __init__(self, message: str, diagnosis=None) -> None:
         super().__init__(message)
         self.diagnosis = diagnosis
+        self.cycle = diagnosis.cycle if diagnosis is not None else None
 
 
 class CycleBudgetExceeded(SimulationError):
@@ -99,10 +100,13 @@ class CycleBudgetExceeded(SimulationError):
 class InvariantViolationError(SimulationError):
     """A conservation invariant failed during simulation.
 
-    Raised by :class:`repro.faults.monitor.InvariantMonitor` instead of
-    letting a corrupt simulator state produce silently wrong results.
-    ``violations`` is the list of structured
-    :class:`repro.faults.monitor.InvariantViolation` records.
+    Raised by :func:`repro.faults.conservation.check_conservation`, which
+    every ``AcceleratorSystem.run`` ends with, instead of letting a
+    corrupt simulator state produce silently wrong results; on a
+    watchdog exit it is chained from the :class:`DeadlockError` or
+    :class:`CycleBudgetExceeded`.  ``violations`` is the list of
+    structured :class:`repro.faults.conservation.InvariantViolation`
+    records.
     """
 
     def __init__(self, message: str, violations=None) -> None:

@@ -1,4 +1,4 @@
-"""Deterministic fault injection, invariant monitoring, and watchdog
+"""Deterministic fault injection, conservation checking, and watchdog
 diagnosis for the accelerator simulator.
 
 Three cooperating pieces:
@@ -7,9 +7,10 @@ Three cooperating pieces:
   (latency, port stalls, FIFO back-pressure, worker hangs, value
   corruption) and the :class:`FaultInjector` that applies one plan
   through the hardware models' injection hooks;
-* :mod:`repro.faults.monitor` — :class:`InvariantMonitor`, periodic
-  conservation checks that raise a structured report instead of letting
-  a corrupt state produce silently wrong results;
+* :mod:`repro.faults.conservation` — :func:`check_conservation`, the
+  conservation laws every run of ``AcceleratorSystem.run`` ends with (and
+  every watchdog exit): a broken one raises a structured report instead
+  of letting a corrupt state produce silently wrong results;
 * :mod:`repro.faults.watchdog` — :class:`Watchdog` wait-for-graph
   deadlock diagnosis, carried on the typed exceptions
   :class:`~repro.errors.DeadlockError` /
@@ -20,7 +21,7 @@ explicitly, not re-exported here: it depends on the harness, which
 depends on the hardware models, which depend on this package).
 """
 
-from .monitor import DEFAULT_INTERVAL, InvariantMonitor, InvariantViolation
+from .conservation import InvariantViolation, check_conservation
 from .plan import (
     NULL_INJECTOR,
     PLAN_KINDS,
@@ -47,6 +48,6 @@ __all__ = [
     "NULL_INJECTOR", "PLAN_KINDS",
     "MemLatencyFault", "CachePortStallFault", "FifoBackpressureFault",
     "WorkerHangFault", "FifoCorruptionFault", "flip_value",
-    "InvariantMonitor", "InvariantViolation", "DEFAULT_INTERVAL",
+    "check_conservation", "InvariantViolation",
     "Watchdog", "WATCHDOG", "DeadlockDiagnosis", "BlockedWorker",
 ]

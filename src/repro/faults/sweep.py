@@ -54,7 +54,6 @@ from ..hw import DEFAULT_ENGINE, DirectMappedCache
 from ..interp import Interpreter
 from ..kernels import KernelSpec
 from ..pipeline import ReplicationPolicy
-from .monitor import InvariantMonitor
 from .plan import PLAN_KINDS, FaultInjector, FaultPlan, PlanContext
 
 #: Budget multiplier over the fault-free run: generous enough that any
@@ -235,7 +234,7 @@ def _simulate(
     spec: KernelSpec, engine: str, n_workers: int, fifo_depth: int, **faults
 ) -> BackendResult:
     """One run of the sweep configuration over a fresh workload clone;
-    ``faults`` are the plan's ``max_cycles``/``injector``/``monitor``."""
+    ``faults`` are the plan's ``max_cycles``/``injector``."""
     return run_hardware(
         spec, "cgpa-p1",
         interned_pipeline(spec, ReplicationPolicy.P1, n_workers),
@@ -261,12 +260,11 @@ def _run_plan_task(task) -> FaultRunRecord:
     (spec, engine, n_workers, fifo_depth, index, plan, baseline_cycles,
      oracle, oracle_return, budget) = task
     injector = FaultInjector(plan)
-    monitor = InvariantMonitor()
     record = FaultRunRecord(index=index, kind=plan.kind, plan=plan)
     try:
         run = _simulate(
             spec, engine, n_workers, fifo_depth,
-            max_cycles=budget, injector=injector, monitor=monitor,
+            max_cycles=budget, injector=injector,
         )
     except DeadlockError as exc:
         record.outcome = "deadlock"

@@ -242,7 +242,6 @@ def run_hardware(
     private_caches: bool = False,
     sink: TraceSink | None = None,
     injector=None,
-    monitor=None,
     system: Callable[..., AcceleratorSystem] = AcceleratorSystem,
     fifo_depth: int = DEFAULT_FIFO_DEPTH,
 ) -> BackendResult:
@@ -279,7 +278,6 @@ def run_hardware(
         sink=sink,
         engine=engine,
         injector=injector,
-        monitor=monitor,
         fifo_depth=fifo_depth,
         **budget,
     )

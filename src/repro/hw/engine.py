@@ -177,8 +177,6 @@ class EventScheduler:
         """Drive the clock until ``main`` finishes; returns total cycles."""
         system = self.system
         max_cycles = system.max_cycles
-        monitor = system.monitor
-        next_check = monitor.interval if monitor is not None else 0
         cycle = 0
         while not main.done:
             # Manual min loop: a genexpr resumes one generator frame per
@@ -213,11 +211,6 @@ class EventScheduler:
                     worker.tick(cycle)
             self._active_seq = -1
             cycle += 1
-            if monitor is not None and cycle >= next_check:
-                monitor.check(system, cycle)
-                next_check = (
-                    cycle // monitor.interval + 1
-                ) * monitor.interval
         # Pad every worker to the run's end: lockstep keeps clocking
         # finished (idle) and still-blocked workers until main retires.
         for worker in system._workers:

@@ -37,8 +37,8 @@ class FifoStats:
     empty_stall_cycles: int = 0
     max_occupancy: int = 0
     #: Values discarded by a join-time :meth:`FifoBuffer.reset`; closes the
-    #: conservation law ``pushes == pops + occupancy + flushed`` that the
-    #: invariant monitor (:mod:`repro.faults.monitor`) checks.
+    #: conservation law ``pushes == pops + occupancy + flushed`` that every
+    #: run ends by checking (:mod:`repro.faults.conservation`).
     flushed: int = 0
     #: Static geometry, mirrored here so post-hoc analysis
     #: (:mod:`repro.telemetry.bottleneck`) can tell saturation from slack.

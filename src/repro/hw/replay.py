@@ -27,7 +27,7 @@ the recorded run proved its own timing-independence: the top worker
 alone forks, one loop group at a time, every group is joined, and within
 each fork generation no key — a memory word, the allocator, a liveout
 register, one end of a FIFO queue — that one live worker wrote is
-touched by another.  The replayer refuses a sink, monitor or injector
+touched by another.  The replayer refuses a sink or an injector
 and any engine but the specialized one; a replay that does not finish
 is for its caller to re-run in full (``repro.dse.evaluate``).
 """
@@ -112,12 +112,11 @@ def _require_plain_specialized(system: AcceleratorSystem) -> None:
     if (
         system.engine_kind != "specialized"
         or system.sink.enabled
-        or system.monitor is not None
         or system.injector.enabled
     ):
         raise SimulationError(
-            "trace replay models the specialized engine with no sink, "
-            "monitor or injector attached"
+            "trace replay models the specialized engine with no sink "
+            "or injector attached"
         )
 
 

@@ -609,13 +609,12 @@ class SpecializedWorker(HwWorker):
             worker_id=worker_id, start_cycle=start_cycle,
         )
         # Compute-run batching (``_run_ahead``) is legal only when nothing
-        # observes per-cycle state mid-run — no trace sink, no invariant
-        # monitor, no fault injector — and the clock honours ``next_due``
-        # (the event scheduler; lockstep ticks every cycle).  All four are
-        # fixed before the run's first worker is built, so decide once.
+        # observes per-cycle state mid-run — no trace sink, no fault
+        # injector — and the clock honours ``next_due`` (the event
+        # scheduler; lockstep ticks every cycle).  All three are fixed
+        # before the run's first worker is built, so decide once.
         self._can_batch = (
             not self._trace
-            and system.monitor is None
             and not system.injector.enabled
             and system._scheduler is not None
         )
@@ -643,7 +642,7 @@ class SpecializedWorker(HwWorker):
         hang and the completion of an outstanding memory access.
         Run-ahead — the following run of *pure* FSM states executed in
         this same tick and attributed as a batch of COMPUTE cycles — is
-        on only when no trace sink, monitor or injector is attached: pure
+        on only when no trace sink or injector is attached: pure
         states read and write nothing shared and the worker stays
         runnable (finite ``next_due``), so it is invisible to every other
         worker.

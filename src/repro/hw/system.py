@@ -14,6 +14,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from ..errors import CycleBudgetExceeded, DeadlockError
+from ..faults.conservation import check_conservation
 from ..faults.plan import NULL_INJECTOR
 from ..faults.watchdog import WATCHDOG
 from ..interp.interpreter import _place_globals
@@ -29,7 +31,7 @@ from .engine import EventScheduler
 from .fifo import FifoBuffer
 from .specialize import SpecializedWorker
 from .worker import HwWorker, WorkerStats
-from ..pipeline.transform import TaskInfo
+from ..pipeline.transform import fork_call
 
 #: Valid values for ``AcceleratorSystem(engine=...)``.
 ENGINES = ("event", "lockstep", "specialized")
@@ -155,7 +157,6 @@ class AcceleratorSystem:
         sink: TraceSink | None = None,
         engine: str = DEFAULT_ENGINE,
         injector=None,
-        monitor=None,
         fifo_depth: int = DEFAULT_FIFO_DEPTH,
     ) -> None:
         """``fifo_depth``: entries per queue of every FIFO buffer the system
@@ -178,9 +179,10 @@ class AcceleratorSystem:
 
         ``injector`` applies one :class:`~repro.faults.plan.FaultPlan`
         through the hardware models' injection hooks (default: the
-        zero-overhead null injector).  ``monitor`` is an optional
-        :class:`~repro.faults.monitor.InvariantMonitor` run every
-        ``interval`` cycles and once at end of run."""
+        zero-overhead null injector).
+
+        Every :meth:`run` ends with the conservation check
+        (:func:`~repro.faults.conservation.check_conservation`)."""
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected {ENGINES}")
         self.engine_kind = engine
@@ -194,7 +196,6 @@ class AcceleratorSystem:
         #: Fault-injection hooks, propagated to every cache and FIFO the
         #: system creates (same null-object pattern as the trace sink).
         self.injector = injector if injector is not None else NULL_INJECTOR
-        self.monitor = monitor
         self.cache = cache if cache is not None else DirectMappedCache()
         self.cache.sink = self.sink
         self.cache.injector = self.injector
@@ -254,11 +255,7 @@ class AcceleratorSystem:
     def fork_worker(
         self, inst: ParallelFork, liveins: list[int | float], cycle: int
     ) -> None:
-        info = inst.task.task_info
-        worker_id = inst.worker_id if inst.worker_id is not None else 0
-        args = list(liveins)
-        if isinstance(info, TaskInfo) and info.is_parallel:
-            args.append(worker_id)
+        worker_id, args = fork_call(inst, liveins)
         name = f"{inst.task.name}#w{worker_id}"
         worker = self._worker_cls(
             name,
@@ -319,8 +316,6 @@ class AcceleratorSystem:
         if self.injector.enabled:
             self.injector.reset()
             self.injector.attach(self)
-        if self.monitor is not None:
-            self.monitor.start_run()
 
     def run(self, entry: str | Function, args: list[int | float]) -> SimReport:
         if isinstance(entry, str):
@@ -340,15 +335,19 @@ class AcceleratorSystem:
                 cycles = self._scheduler.run(main)
             else:
                 cycles = self._run_lockstep(main)
+        except (DeadlockError, CycleBudgetExceeded) as stuck:
+            # A stopped run's counters must add up too; when they do not,
+            # the broken law is the failure, chained from the watchdog's.
+            check_conservation(self, stuck.cycle, cause=stuck)
+            raise
         finally:
             self._scheduler = None
             for fifo in self._fifos.values():
                 fifo.engine = None
 
-        if self.monitor is not None:
-            # Final conservation check, while main is still in the worker
-            # list (the token-conservation sums include its FIFO traffic).
-            self.monitor.check(self, cycles, final=True)
+        # While main is still in the worker list: the token-conservation
+        # sums include its FIFO traffic.
+        check_conservation(self, cycles)
         self._workers.remove(main)
         if self.sink.enabled:
             self.sink.end_run(cycles)
@@ -376,8 +375,6 @@ class AcceleratorSystem:
         ``AcceleratorSystem(..., engine="lockstep")``.
         """
         cycle = 0
-        monitor = self.monitor
-        next_check = monitor.interval if monitor is not None else 0
         while not main.done:
             for worker in list(self._workers):
                 worker.tick(cycle)
@@ -388,9 +385,6 @@ class AcceleratorSystem:
             cycle += 1
             if cycle > self.max_cycles:
                 raise WATCHDOG.budget_exceeded(self, cycle)
-            if monitor is not None and cycle >= next_check:
-                monitor.check(self, cycle)
-                next_check = (cycle // monitor.interval + 1) * monitor.interval
         return cycle
 
     def _deadlocked(self, cycle: int) -> bool:

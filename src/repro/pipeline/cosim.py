@@ -19,7 +19,7 @@ from ..interp.interpreter import ChannelIO, Interpreter, Status
 from ..interp.memory import Memory
 from ..ir.instructions import ParallelFork
 from ..ir.module import Module
-from .transform import TaskInfo
+from .transform import fork_call
 
 
 class FunctionalForkHandler:
@@ -41,11 +41,7 @@ class FunctionalForkHandler:
         self.task_steps = 0
 
     def fork(self, inst: ParallelFork, livein_values: list[int | float]) -> None:
-        info = inst.task.task_info
-        worker_id = inst.worker_id if inst.worker_id is not None else 0
-        args = list(livein_values)
-        if isinstance(info, TaskInfo) and info.is_parallel:
-            args.append(worker_id)
+        worker_id, args = fork_call(inst, livein_values)
         machine = Interpreter(
             self.module,
             self.memory,

@@ -69,6 +69,19 @@ class TaskInfo:
         return self.kind is StageKind.PARALLEL
 
 
+def fork_call(
+    inst: ParallelFork, liveins: list[int | float]
+) -> tuple[int, list[int | float]]:
+    """The worker id a ``parallel_fork`` starts and the arguments its task
+    is called with: the live-ins, plus the worker id for a parallel stage."""
+    worker_id = inst.worker_id if inst.worker_id is not None else 0
+    args = list(liveins)
+    info = inst.task.task_info
+    if isinstance(info, TaskInfo) and info.is_parallel:
+        args.append(worker_id)
+    return worker_id, args
+
+
 @dataclass
 class BodyPlan:
     """What one loop-body clone of a task materialises."""

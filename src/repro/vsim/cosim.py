@@ -53,7 +53,7 @@ from ..ir.instructions import Alloca, Produce, ProduceBroadcast, StoreLiveout
 from ..kernels import KERNELS_BY_NAME, KernelSpec
 from ..pipeline import ReplicationPolicy
 from ..pipeline.cosim import FunctionalForkHandler
-from ..pipeline.transform import TaskInfo
+from ..pipeline.transform import fork_call
 from ..rtl.testbench import generate_testbench
 from ..rtl.verilog import (
     _collect_aux_signals,
@@ -145,11 +145,7 @@ class RecordingForkHandler(FunctionalForkHandler):
     def fork(self, inst, livein_values) -> None:
         super().fork(inst, livein_values)
         machine = self._pending[inst.loop_id][-1]
-        info = inst.task.task_info
-        worker_id = inst.worker_id if inst.worker_id is not None else 0
-        args = list(livein_values)
-        if isinstance(info, TaskInfo) and info.is_parallel:
-            args.append(worker_id)
+        worker_id, args = fork_call(inst, livein_values)
         tag = f"{inst.task.name}@w{worker_id}"
         io = self.channel_io
         orig_step = machine.step

@@ -7,8 +7,9 @@ Four angles:
   — same cycle, same wait-for-graph diagnosis — under both engines;
 * timing-only fault plans never change kernel liveouts (the graceful-
   degradation property the resilience sweep measures);
-* the invariant monitor passes clean runs untouched and reports every
-  violated conservation law of a corrupted state.
+* the conservation check every run ends with passes clean runs, reports
+  every violated law of a corrupted state, and catches a counter lie on
+  every engine, the replayer and the watchdog's exits.
 """
 
 import dataclasses
@@ -30,9 +31,9 @@ from repro.faults import (
     DeadlockDiagnosis,
     FaultInjector,
     FaultPlan,
-    InvariantMonitor,
     PlanContext,
     WorkerHangFault,
+    check_conservation,
     flip_value,
 )
 from repro.faults import sweep as sweep_module
@@ -46,7 +47,9 @@ from repro.harness.runner import (
     run_hardware,
     setup_workload,
 )
-from repro.hw import AcceleratorSystem, DirectMappedCache
+from repro.fleet import interned_pipeline
+from repro.hw import AcceleratorSystem, DirectMappedCache, FifoBuffer
+from repro.hw.replay import Recording
 from repro.interp import Interpreter, Memory
 from repro.ir import (
     Consume,
@@ -94,7 +97,7 @@ def compiled_kernel(name: str):
 
 
 def simulate_kernel(name: str, engine: str = "event", injector=None,
-                    monitor=None, max_cycles: int = 500_000_000):
+                    max_cycles: int = 500_000_000):
     """Run one kernel; returns (SimReport, liveout checksum)."""
     spec = KERNELS_BY_NAME[name]
     compiled = compiled_kernel(name)
@@ -106,7 +109,6 @@ def simulate_kernel(name: str, engine: str = "event", injector=None,
         global_addresses=globals_,
         engine=engine,
         injector=injector,
-        monitor=monitor,
         max_cycles=max_cycles,
     )
     sim = system.run(spec.measure_entry, args)
@@ -384,39 +386,60 @@ class TestTimingFaultsPreserveLiveouts:
         assert sim.cycles >= base_sim.cycles
 
 
-# -- invariant monitor ----------------------------------------------------------
+# -- conservation check --------------------------------------------------------
 
 
-class TestInvariantMonitor:
-    def test_interval_validated(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            InvariantMonitor(interval=0)
+def _uncount_pushes(monkeypatch):
+    """A counter lie: ``FifoBuffer.push`` queues its value but not its count."""
+    push = FifoBuffer.push
 
-    def test_clean_run_passes_and_is_untouched(self):
-        monitor = InvariantMonitor(interval=1024)
-        watched, watched_checksum = simulate_kernel("ks", monitor=monitor)
-        plain, plain_checksum = simulate_kernel("ks")
-        assert monitor.checks_run > 0
-        assert watched_checksum == plain_checksum
-        assert watched.cycles == plain.cycles
-        assert watched.worker_stats == plain.worker_stats
+    def lying_push(self, index, value, cycle=0):
+        push(self, index, value, cycle)
+        self.stats.pushes -= 1
 
-    def test_monitor_identical_across_engines(self):
-        # Read-only checks must not perturb either engine; the simulated
-        # history stays bit-identical.  (The *number* of checks may
-        # differ: the event engine only lands on simulated cycles, so a
-        # long skip can cover several check intervals at once.)
-        monitors = {engine: InvariantMonitor(interval=777) for engine in ENGINES}
-        runs = {
-            engine: simulate_kernel("ks", engine, monitor=monitors[engine])
-            for engine in ENGINES
-        }
-        sim_e, checksum_e = runs["event"]
-        for engine in ENGINES[1:]:
-            sim, checksum = runs[engine]
-            assert sim_e.cycles == sim.cycles, engine
-            assert checksum_e == checksum, engine
-        assert all(m.checks_run > 0 for m in monitors.values())
+    monkeypatch.setattr(FifoBuffer, "push", lying_push)
+
+
+def _small_ks_p1():
+    return interned_pipeline(SMALL_KS, ReplicationPolicy.P1, 2)
+
+
+class TestConservationCheck:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_counter_lie_is_caught_without_opting_in(self, engine, monkeypatch):
+        _uncount_pushes(monkeypatch)
+        with pytest.raises(InvariantViolationError) as info:
+            run_hardware(SMALL_KS, "cgpa-p1", _small_ks_p1(),
+                         DirectMappedCache(), engine=engine)
+        checks = {v.check for v in info.value.violations}
+        assert any("fifo value conservation" in c for c in checks)
+        assert any("worker pushes == fifo pushes" in c for c in checks)
+
+    def test_a_counter_lie_is_caught_on_replay(self, monkeypatch):
+        recording = Recording()
+        run_hardware(SMALL_KS, "cgpa-p1", _small_ks_p1(), DirectMappedCache(),
+                     system=recording.recorder)
+        assert recording.usable
+        _uncount_pushes(monkeypatch)
+        with pytest.raises(InvariantViolationError, match="pushes"):
+            run_hardware(SMALL_KS, "cgpa-p1", _small_ks_p1(),
+                         DirectMappedCache(), system=recording.replayer)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_watchdog_exits_check_and_chain(self, engine, monkeypatch):
+        # A stuck run with a broken counter is an invariant violation,
+        # chained from the watchdog's own error.
+        _uncount_pushes(monkeypatch)
+        module, plan = _overrun_producer()
+        with pytest.raises(InvariantViolationError) as info:
+            AcceleratorSystem(
+                module, Memory(), channels=plan, engine=engine, fifo_depth=1
+            ).run("parent", [])
+        assert isinstance(info.value.__cause__, DeadlockError)
+        with pytest.raises(InvariantViolationError) as info:
+            run_hardware(SMALL_KS, "cgpa-p1", _small_ks_p1(),
+                         DirectMappedCache(), engine=engine, max_cycles=500)
+        assert isinstance(info.value.__cause__, CycleBudgetExceeded)
 
     def test_corrupted_state_reports_every_violation(self):
         module = Module("m")
@@ -425,18 +448,18 @@ class TestInvariantMonitor:
         system = AcceleratorSystem(module, Memory(), channels=plan, fifo_depth=4)
         fifo = next(iter(system.fifos.values()))
         # Two independent lies: phantom pushes and an impossible occupancy
-        # high-water mark.  The monitor must list both, not stop at one.
+        # high-water mark.  The check must list both, not stop at one.
         fifo.stats.pushes = 5
         fifo.stats.max_occupancy = 9
-        monitor = InvariantMonitor()
         with pytest.raises(InvariantViolationError) as info:
-            monitor.check(system, cycle=100)
+            check_conservation(system, 100)
         violations = info.value.violations
         assert len(violations) >= 2
         checks = {v.check for v in violations}
         assert any("conservation" in c for c in checks)
         assert any("max-occupancy" in c for c in checks)
         assert "buf0:c" in str(info.value)
+        assert "at cycle 100" in str(info.value)
 
     def test_negative_counter_detected(self):
         module = Module("m")
@@ -446,7 +469,7 @@ class TestInvariantMonitor:
         fifo = next(iter(system.fifos.values()))
         fifo.stats.full_stall_cycles = -3
         with pytest.raises(InvariantViolationError, match="non-negative"):
-            InvariantMonitor().check(system, cycle=10)
+            check_conservation(system, 10)
 
 
 # -- DSE evaluator: classification by exception type ----------------------------
@@ -538,6 +561,25 @@ class TestResilienceSweepAndCli:
         assert a.to_dict() == b.to_dict()
         assert len(a.records) == 2 * len(PLAN_KINDS)
         assert a.timing_correct == 2
+
+    def test_a_plan_that_breaks_conservation_is_an_invariant_violation(
+        self, monkeypatch
+    ):
+        # Every fault-injected run starts with a phantom flushed value; the
+        # fault-free baseline does not.  Hang plans end at the watchdog,
+        # whose exit checks too.
+        attach = FaultInjector.attach
+
+        def lying_attach(self, system):
+            attach(self, system)
+            next(iter(system.fifos.values())).stats.flushed += 1
+
+        monkeypatch.setattr(FaultInjector, "attach", lying_attach)
+        report = resilience_sweep(SMALL_KS, n_plans=1, seed=0)
+        assert [r.kind for r in report.records] == list(PLAN_KINDS)
+        for record in report.records:
+            assert record.outcome == "invariant-violation", record.kind
+            assert "fifo value conservation" in record.diagnosis
 
     def test_interned_check_keeps_corruption_verdicts_and_report_bytes(
         self, monkeypatch

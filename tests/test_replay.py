@@ -24,7 +24,6 @@ from repro.dse import (
 )
 from repro.errors import SimulationError
 from repro.faults import FaultInjector, FaultPlan, FifoBackpressureFault
-from repro.faults.monitor import InvariantMonitor
 from repro.fleet import interned_pipeline
 from repro.frontend import compile_c
 from repro.harness.cli.jobs import _dse_scoring
@@ -473,7 +472,6 @@ class TestFallbackAndBypass:
             FifoBackpressureFault(0, start=10, duration=50),))
         observers = [
             {"sink": MemoryTraceSink()},
-            {"monitor": InvariantMonitor(interval=64)},
             {"injector": FaultInjector(backpressure)},
             {"engine": "lockstep"},
             {"engine": "event"},

@@ -21,7 +21,7 @@ import pytest
 
 from repro.dse import ConfigSpace, Evaluator
 from repro.errors import CycleBudgetExceeded
-from repro.faults import FaultInjector, FaultPlan, InvariantMonitor, MemLatencyFault
+from repro.faults import FaultInjector, FaultPlan, MemLatencyFault
 from repro.fleet import interned_workload
 from repro.frontend import compile_c
 from repro.hw import (
@@ -128,8 +128,8 @@ class TestKernelPolicyMatrix:
     @pytest.mark.parametrize("name", KERNEL_NAMES)
     def test_stall_breakdown_conserved(self, name):
         # Batched COMPUTE attribution must keep each worker's buckets
-        # summing to the total cycle count (the conservation law the
-        # invariant monitor enforces on unbatched engines).
+        # summing to the total cycle count (the conservation law every
+        # run ends by checking).
         sim, _ = simulate(name, "specialized")
         for worker, counts in sim.stall_breakdown.items():
             assert sum(counts.values()) == sim.cycles, worker
@@ -433,15 +433,13 @@ class TestRunAhead:
             )
         assert stops == {"first", "branch", "middle"}
 
-    @pytest.mark.parametrize("observer", ["sink", "monitor", "injector"])
+    @pytest.mark.parametrize("observer", ["sink", "injector"])
     def test_an_observer_turns_run_ahead_off(self, observer, tick_log):
         # Anything that can look at a worker between two cycles gets the
         # event engine's tick-per-cycle behaviour, state for state.
         def attach():
             if observer == "sink":
                 return {"sink": MemoryTraceSink()}
-            if observer == "monitor":
-                return {"monitor": InvariantMonitor(interval=1)}
             plan = FaultPlan(seed=0, kind="timing", faults=(
                 MemLatencyFault(start=100, duration=200, extra=7),))
             return {"injector": FaultInjector(plan)}
