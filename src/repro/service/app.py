@@ -47,6 +47,10 @@ from .store import DEFAULT_LRU_ENTRIES, ArtifactStore
 #: A service request body larger than this is refused (HTTP 413).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: The stream reader's line limit (asyncio's default): a header line
+#: longer than this is refused (HTTP 431).
+MAX_LINE_BYTES = 64 * 1024
+
 #: Idle keep-alive connections are closed after this many seconds.
 KEEP_ALIVE_TIMEOUT_S = 75.0
 
@@ -57,6 +61,7 @@ MAX_WAIT_S = 30.0
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
     409: "Conflict", 413: "Payload Too Large", 429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
 
@@ -142,7 +147,8 @@ class CgpaService:
     async def start(self) -> None:
         await self.queue.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            self._handle_connection, self.config.host, self.config.port,
+            limit=MAX_LINE_BYTES,
         )
 
     async def serve_forever(self) -> None:
@@ -233,7 +239,15 @@ class CgpaService:
                 writer, 400, {"error": "malformed request line"}, close=True
             )
             return False
-        headers = await self._read_headers(reader)
+        try:
+            headers = await self._read_headers(reader)
+        except ValueError:  # a line over the reader's limit
+            await self._respond(
+                writer, 431,
+                {"error": f"header line exceeds {MAX_LINE_BYTES} bytes"},
+                close=True,
+            )
+            return False
         if headers is None:
             return False
         keep_alive = (
@@ -242,14 +256,18 @@ class CgpaService:
         )
         body = b""
         length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
+        # One run of ASCII digits, short enough for ``int()`` (which
+        # refuses over 4300 digits) and far longer than any body we take.
+        if not (
+            length_text.isascii() and length_text.isdigit()
+            and len(length_text) <= 20
+        ):
             await self._respond(
                 writer, 400,
                 {"error": f"bad Content-Length {length_text!r}"}, close=True,
             )
             return False
+        length = int(length_text)
         if length > MAX_BODY_BYTES:
             await self._respond(
                 writer, 413,

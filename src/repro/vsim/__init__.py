@@ -13,10 +13,11 @@ external toolchain:
   (``VsimParseError`` on anything outside the subset).
 * :mod:`repro.vsim.elaborate` — flattens a module hierarchy (parameter
   substitution, dotted instance prefixes) into a :class:`Design` of
-  two-state signals, topologically ordered combinational assigns and
-  compiled sequential blocks.
+  two-state signals, topologically ordered combinational assigns and one
+  rendered edge function for the sequential blocks.
 * :mod:`repro.vsim.sim` — :class:`Simulation`: ``poke``/``peek``/``step``
-  cycle-level execution with nonblocking-assignment semantics.
+  cycle-level execution with nonblocking-assignment semantics; a poke
+  settles only the assigns it reaches.
 * :mod:`repro.vsim.intrinsics` — bit-exact IEEE-754 models for the
   ``fp_*`` vendor-IP cores the emitter instantiates as function calls.
 * :mod:`repro.vsim.lint` — structural checks (undeclared identifiers,

@@ -1,7 +1,7 @@
 """AST node types for the emitter's Verilog subset.
 
-Plain dataclasses — the parser builds these, the elaborator compiles them
-into closures.  Every node keeps the source line it came from so lint and
+Plain dataclasses — the parser builds these, the elaborator renders them
+as Python text.  Every node keeps the source line it came from so lint and
 elaboration errors point back into the emitted text.
 """
 

@@ -3,13 +3,19 @@
 Takes parsed module ASTs and produces a :class:`Design`:
 
 * every net of every instance becomes a flat two-state signal named with
-  its dotted instance path (``u_core.mem_req``),
+  its dotted instance path (``u_core.mem_req``) and numbered with its
+  slot in the simulation's state list ``s``,
 * parameters are substituted with their (override-resolved) constant
   values,
-* continuous assigns — including the implicit ones created by instance
-  port connections — are compiled to closures and topologically sorted,
-* each ``always @(posedge ...)`` block is compiled to a closure that
-  reads pre-edge state and writes a nonblocking-assignment buffer.
+* every expression is rendered as Python text over ``s``; continuous
+  assigns — including the implicit ones created by instance port
+  connections — are topologically sorted, and the settle function of
+  what a change of one signal reaches is rendered on first use,
+* the ``always @(posedge ...)`` blocks become one edge function: each
+  block reads pre-edge state and writes a nonblocking-assignment buffer,
+  a ``case`` dispatching through a dict of per-item functions.
+
+Text becomes code through the interpreter's generator (``_Text``).
 
 Width semantics follow self-determined Verilog sizing for the subset the
 emitter produces: binary arithmetic/bitwise results take the wider
@@ -26,15 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..interp.interpreter import _Text
 from .ast_nodes import (
-    AlwaysBlock,
     Binary,
     Case,
     Concat,
     Expr,
     FuncCall,
     If,
-    Instance,
     ModuleAst,
     NetDecl,
     NonBlocking,
@@ -47,7 +52,7 @@ from .ast_nodes import (
     Ternary,
     Unary,
 )
-from .errors import VsimElabError
+from .errors import VsimElabError, VsimRuntimeError
 from .intrinsics import INTRINSICS
 from .parser import parse_verilog
 
@@ -56,28 +61,55 @@ def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
-def _to_signed(value: int, width: int) -> int:
-    if value & (1 << (width - 1)):
-        return value - (1 << width)
-    return value
-
-
-def _extend(value: int, from_width: int, to_width: int, signed: bool) -> int:
-    if to_width <= from_width:
-        return value
+def _divide(a: int, b: int, width: int, signed: bool, rem: bool) -> int:
+    """``a / b`` (``a % b`` when ``rem``) at ``width``, C-style when signed."""
+    if b == 0:
+        raise VsimRuntimeError("division by zero")
+    m, half = _mask(width), 1 << (width - 1)
     if signed:
-        return _to_signed(value, from_width) & _mask(to_width)
-    return value
+        sa, sb = (a ^ half) - half, (b ^ half) - half
+        q = abs(sa) // abs(sb)
+        if (sa < 0) != (sb < 0):
+            q = -q
+        return (q if not rem else sa - q * sb) & m
+    return (a % b if rem else a // b) & m
+
+
+#: What generated text names besides slots and ``int`` literals.
+_NAMES = {"divide": _divide, **{name: core for name, (core, _) in INTRINSICS.items()}}
+
+
+def _function(body: list[str], params: str):
+    """``def (params): body`` through the interpreter's generator."""
+    text = _Text(None, None)
+    text.ns.update(_NAMES)
+    text.body += body
+    return text.function(params)
 
 
 @dataclass(frozen=True)
 class CExpr:
-    """A compiled expression: evaluator + static type facts."""
+    """A rendered expression: Python text over the state list ``s``
+    (always one atom: a literal, a subscript or parenthesised) plus
+    static type facts."""
 
-    fn: Callable[[dict], int]
+    text: str
     width: int
     signed: bool
     deps: frozenset[str]
+
+
+def _signed(text: str, width: int) -> str:
+    """``text``'s value read as a ``width``-bit two's complement number."""
+    half = 1 << (width - 1)
+    return f"(({text} ^ {half}) - {half})"
+
+
+def _extend(e: CExpr, width: int) -> str:
+    """``e`` widened to ``width`` bits: sign-extended when signed."""
+    if width <= e.width or not e.signed:
+        return e.text
+    return f"({_signed(e.text, e.width)} & {_mask(width)})"
 
 
 @dataclass
@@ -86,18 +118,46 @@ class Signal:
     width: int
     kind: str  # "reg" | "wire"
     direction: str | None = None  # input/output for ports, None internal
+    slot: int = 0  # index into the simulation's state list
 
 
 @dataclass
 class Design:
-    """A flattened, compiled module hierarchy ready to simulate."""
+    """A flattened, rendered module hierarchy ready to simulate.
+
+    Shared read-only by every :class:`~repro.vsim.sim.Simulation` of it:
+    a simulation keeps its own state list.
+    """
 
     top: str
     signals: dict[str, Signal] = field(default_factory=dict)
     #: (target, expr) in topological order.
     comb: list[tuple[str, CExpr]] = field(default_factory=list)
-    #: one closure per always block: fn(state, nba_buffer)
-    seq: list[Callable[[dict, dict], None]] = field(default_factory=list)
+    #: ``edge(s)``: one rising clock edge on state list ``s``, settled.
+    edge: Callable[[list], None] | None = None
+    #: slot (None: every signal) -> its rendered cone.
+    cones: dict = field(default_factory=dict)
+
+    def reach(self, sources) -> list[str]:
+        """The settle lines of the assigns ``sources`` reach, in
+        topological order (one pass: an assign follows what it reads); a
+        source that is itself assigned is among them, so its driver wins
+        over a poke."""
+        seen, lines = set(sources), []
+        for target, cexpr in self.comb:
+            if target in seen or not seen.isdisjoint(cexpr.deps):
+                seen.add(target)
+                lines.append(f"s[{self.signals[target].slot}] = {cexpr.text}")
+        return lines
+
+    def cone(self, slot: int | None):
+        """``settle(s)`` of what a change of signal ``slot`` reaches (of
+        every assign for None), rendered on first use."""
+        if slot not in self.cones:
+            names = list(self.signals)
+            lines = self.reach(names if slot is None else [names[slot]])
+            self.cones.setdefault(slot, _function(lines or ["pass"], "s"))
+        return self.cones[slot]
 
 
 def elaborate(
@@ -113,11 +173,11 @@ def elaborate(
     top_mod = by_name[top] if top else modules[0]
     if top and top not in by_name:
         raise VsimElabError(f"unknown top module {top!r}")
-    design = Design(top=top_mod.name)
-    raw_comb: list[tuple[str, CExpr, int]] = []
-    _instantiate(top_mod, "", params or {}, by_name, design, raw_comb)
-    design.comb = _topo_sort(raw_comb, design)
-    return design
+    elab = _Elaboration(Design(top=top_mod.name), by_name)
+    elab.instantiate(top_mod, "", params or {})
+    elab.design.comb = _topo_sort(elab.raw_comb, elab.design)
+    elab.design.edge = elab.render_edge()
+    return elab.design
 
 
 # --------------------------------------------------------------------------
@@ -128,9 +188,8 @@ def elaborate(
 class _Scope:
     """Name resolution for one module instance."""
 
-    def __init__(self, module: ModuleAst, prefix: str) -> None:
+    def __init__(self, module: ModuleAst) -> None:
         self.module = module
-        self.prefix = prefix
         self.params: dict[str, tuple[int, int]] = {}  # name -> (value, width)
         self.locals: dict[str, Signal] = {}  # local name -> signal
 
@@ -143,118 +202,357 @@ class _Scope:
         return sig
 
 
-def _instantiate(
-    mod: ModuleAst,
-    prefix: str,
-    overrides: dict[str, int],
-    by_name: dict[str, ModuleAst],
-    design: Design,
-    raw_comb: list[tuple[str, CExpr, int]],
-    parent_scope: _Scope | None = None,
-    connections: list | None = None,
-) -> _Scope:
-    scope = _Scope(mod, prefix)
+class _Elaboration:
+    """One design being flattened: its continuous assigns as they are
+    found, and the edge function's text (its ``case`` items and tables
+    at the top, the always blocks' lines in order)."""
 
-    for pdecl in mod.params:
-        value = _const_eval(pdecl.value, scope, pdecl.line)
-        width = pdecl.value.width if isinstance(pdecl.value, Num) else None
-        if not pdecl.local and pdecl.name in overrides:
-            value = overrides[pdecl.name]
-        scope.params[pdecl.name] = (value, width or 32)
+    def __init__(self, design: Design, by_name: dict[str, ModuleAst]) -> None:
+        self.design = design
+        self.by_name = by_name
+        self.raw_comb: list[tuple[str, CExpr]] = []  # (target, expr)
+        self.names = 0  # generated names (temporaries, items, tables) so far
+        self.defs: list[str] = []  # per-case-item functions and tables
+        self.blocks: list[str] = []  # the always blocks, in order
+        self.assigned: set[str] = set()  # nonblocking-assignment targets
 
-    for decl in list(mod.ports) + list(mod.nets):
-        width = _decl_width(decl, scope)
-        gname = prefix + decl.name
-        if gname in design.signals:
-            raise VsimElabError(
-                f"{mod.name} line {decl.line}: duplicate declaration "
-                f"of {decl.name!r}"
-            )
-        sig = Signal(gname, width, decl.kind, decl.direction)
-        design.signals[gname] = sig
-        scope.locals[decl.name] = sig
+    def instantiate(
+        self,
+        mod: ModuleAst,
+        prefix: str,
+        overrides: dict[str, int],
+        parent_scope: _Scope | None = None,
+        connections: list | None = None,
+    ) -> None:
+        design, raw_comb = self.design, self.raw_comb
+        scope = _Scope(mod)
 
-    # Port connections become implicit continuous assigns.
-    for conn in connections or []:
-        port = next((p for p in mod.ports if p.name == conn.port), None)
-        if port is None:
-            raise VsimElabError(
-                f"{mod.name}: instance connects unknown port {conn.port!r}"
-            )
-        if conn.expr is None:
-            continue  # unconnected: inputs read 0, outputs dangle
-        if port.direction == "input":
-            cexpr = _compile_expr(conn.expr, parent_scope)
-            raw_comb.append((prefix + port.name, cexpr, conn.line))
-        else:
-            if not isinstance(conn.expr, Ref):
+        for pdecl in mod.params:
+            value = self.const_eval(pdecl.value, scope, pdecl.line)
+            width = pdecl.value.width if isinstance(pdecl.value, Num) else None
+            if not pdecl.local and pdecl.name in overrides:
+                value = overrides[pdecl.name]
+            scope.params[pdecl.name] = (value, width or 32)
+
+        for decl in list(mod.ports) + list(mod.nets):
+            width = self.decl_width(decl, scope)
+            gname = prefix + decl.name
+            if gname in design.signals:
                 raise VsimElabError(
-                    f"{mod.name}: output port {conn.port!r} must connect "
-                    "to a plain net"
+                    f"{mod.name} line {decl.line}: duplicate declaration "
+                    f"of {decl.name!r}"
                 )
-            target = parent_scope.resolve(conn.expr.name, conn.line)
-            cexpr = _compile_expr(Ref(port.name, line=conn.line), scope)
-            raw_comb.append((target.name, cexpr, conn.line))
+            sig = Signal(gname, width, decl.kind, decl.direction, len(design.signals))
+            design.signals[gname] = sig
+            scope.locals[decl.name] = sig
 
-    for assign in mod.assigns:
-        target = scope.resolve(assign.target, assign.line)
-        raw_comb.append(
-            (target.name, _compile_expr(assign.rhs, scope), assign.line)
-        )
+        # Port connections become implicit continuous assigns.
+        for conn in connections or []:
+            port = next((p for p in mod.ports if p.name == conn.port), None)
+            if port is None:
+                raise VsimElabError(
+                    f"{mod.name}: instance connects unknown port {conn.port!r}"
+                )
+            if conn.expr is None:
+                continue  # unconnected: inputs read 0, outputs dangle
+            if port.direction == "input":
+                cexpr = self.expr(conn.expr, parent_scope)
+                raw_comb.append((prefix + port.name, cexpr))
+            else:
+                if not isinstance(conn.expr, Ref):
+                    raise VsimElabError(
+                        f"{mod.name}: output port {conn.port!r} must connect "
+                        "to a plain net"
+                    )
+                target = parent_scope.resolve(conn.expr.name, conn.line)
+                cexpr = self.expr(Ref(port.name, line=conn.line), scope)
+                raw_comb.append((target.name, cexpr))
 
-    for block in mod.always:
-        design.seq.append(_compile_always(block, scope))
+        for assign in mod.assigns:
+            target = scope.resolve(assign.target, assign.line)
+            raw_comb.append((target.name, self.expr(assign.rhs, scope)))
 
-    for inst in mod.instances:
-        child = by_name.get(inst.module)
-        if child is None:
-            raise VsimElabError(
-                f"{mod.name}: instance of unknown module {inst.module!r}"
+        for block in mod.always:
+            self.stmts(block.body, scope, self.blocks, 1)
+
+        for inst in mod.instances:
+            child = self.by_name.get(inst.module)
+            if child is None:
+                raise VsimElabError(
+                    f"{mod.name}: instance of unknown module {inst.module!r}"
+                )
+            child_overrides = {
+                pname: self.const_eval(pexpr, scope, inst.line)
+                for pname, pexpr in inst.param_overrides
+            }
+            self.instantiate(
+                child,
+                prefix + inst.name + ".",
+                child_overrides,
+                parent_scope=scope,
+                connections=inst.connections,
             )
-        child_overrides = {
-            pname: _const_eval(pexpr, scope, inst.line)
-            for pname, pexpr in inst.param_overrides
-        }
-        _instantiate(
-            child,
-            prefix + inst.name + ".",
-            child_overrides,
-            by_name,
-            design,
-            raw_comb,
-            parent_scope=scope,
-            connections=inst.connections,
-        )
-    return scope
 
+    def decl_width(self, decl: NetDecl, scope: _Scope) -> int:
+        if decl.msb is None:
+            return 1
+        msb = self.const_eval(decl.msb, scope, decl.line)
+        lsb = self.const_eval(decl.lsb, scope, decl.line)
+        if msb < lsb:
+            raise VsimElabError(
+                f"{scope.module.name} line {decl.line}: reversed range on "
+                f"{decl.name!r}"
+            )
+        return msb - lsb + 1
 
-def _decl_width(decl: NetDecl, scope: _Scope) -> int:
-    if decl.msb is None:
-        return 1
-    msb = _const_eval(decl.msb, scope, decl.line)
-    lsb = _const_eval(decl.lsb, scope, decl.line)
-    if msb < lsb:
-        raise VsimElabError(
-            f"{scope.module.name} line {decl.line}: reversed range on "
-            f"{decl.name!r}"
-        )
-    return msb - lsb + 1
+    # ----------------------------------------------------------- expressions
+
+    def const_eval(self, expr: Expr, scope: _Scope, line: int) -> int:
+        cexpr = self.expr(expr, scope)
+        if cexpr.deps:
+            raise VsimElabError(
+                f"{scope.module.name} line {line}: expression must be constant"
+            )
+        if cexpr.text.isdigit():
+            return int(cexpr.text)
+        return _function([f"return {cexpr.text}"], "")()
+
+    def fresh(self, prefix: str) -> str:
+        self.names += 1
+        return f"{prefix}{self.names}"
+
+    def expr(self, expr: Expr, scope: _Scope) -> CExpr:
+        if isinstance(expr, Num):
+            width = expr.width or 32
+            return CExpr(str(expr.value & _mask(width)), width, False, frozenset())
+
+        if isinstance(expr, Ref):
+            if expr.name in scope.params:
+                value, width = scope.params[expr.name]
+                return CExpr(str(value & _mask(width)), width, False, frozenset())
+            sig = scope.resolve(expr.name, expr.line)
+            return CExpr(
+                f"s[{sig.slot}]", sig.width, False, frozenset((sig.name,))
+            )
+
+        if isinstance(expr, SignedCast):
+            inner = self.expr(expr.operand, scope)
+            return CExpr(inner.text, inner.width, True, inner.deps)
+
+        if isinstance(expr, Unary):
+            return self.unary(expr, scope)
+
+        if isinstance(expr, Binary):
+            return self.binary(expr, scope)
+
+        if isinstance(expr, Ternary):
+            cond = self.expr(expr.cond, scope)
+            then = self.expr(expr.then, scope)
+            other = self.expr(expr.other, scope)
+            width = max(then.width, other.width)
+            return CExpr(
+                f"({_extend(then, width)} if {cond.text} else {_extend(other, width)})",
+                width, then.signed and other.signed,
+                cond.deps | then.deps | other.deps,
+            )
+
+        if isinstance(expr, Select):
+            base = self.expr(expr.base, scope)
+            msb = self.const_eval(expr.msb, scope, expr.line)
+            lsb = msb if expr.lsb is None else self.const_eval(expr.lsb, scope, expr.line)
+            if msb < lsb or msb >= base.width:
+                raise VsimElabError(
+                    f"{scope.module.name} line {expr.line}: part-select "
+                    f"[{msb}:{lsb}] out of range for width {base.width}"
+                )
+            width = msb - lsb + 1
+            shifted = f"({base.text} >> {lsb})" if lsb else base.text
+            return CExpr(f"({shifted} & {_mask(width)})", width, False, base.deps)
+
+        if isinstance(expr, Concat):
+            parts = [self.expr(p, scope) for p in expr.parts]
+            width = sum(p.width for p in parts)
+            deps = frozenset().union(*(p.deps for p in parts))
+            terms, shift = [], width
+            for part in parts:
+                shift -= part.width
+                terms.append(f"{part.text} << {shift}" if shift else part.text)
+            return CExpr(f"({' | '.join(terms) or '0'})", width, False, deps)
+
+        if isinstance(expr, Repeat):
+            count = self.const_eval(expr.count, scope, expr.line)
+            value = self.expr(expr.value, scope)
+            width = count * value.width
+            if count == 0:
+                return CExpr(f"({value.text} & 0)", 0, False, value.deps)
+            t = self.fresh("t")
+            head = f"({t} := {value.text})"  # read once, on the left
+            terms = [
+                (head if k == count - 1 else t) + (f" << {k * value.width}" if k else "")
+                for k in range(count - 1, -1, -1)
+            ]
+            return CExpr(f"({' | '.join(terms)})", width, False, value.deps)
+
+        if isinstance(expr, FuncCall):
+            entry = INTRINSICS.get(expr.name)
+            if entry is None:
+                raise VsimElabError(
+                    f"{scope.module.name} line {expr.line}: unknown operator "
+                    f"core {expr.name!r}"
+                )
+            width = entry[1]
+            args = [self.expr(a, scope) for a in expr.args]
+            deps = frozenset().union(*(a.deps for a in args))
+            values = ", ".join(_signed(a.text, a.width) if a.signed else a.text for a in args)
+            return CExpr(f"({expr.name}({values}) & {_mask(width)})", width, False, deps)
+
+        raise VsimElabError(f"unsupported expression node {type(expr).__name__}")
+
+    def unary(self, expr: Unary, scope: _Scope) -> CExpr:
+        inner = self.expr(expr.operand, scope)
+        t, w = inner.text, inner.width
+        if expr.op == "!":
+            return CExpr(f"(0 if {t} else 1)", 1, False, inner.deps)
+        if expr.op == "~":
+            return CExpr(f"(~{t} & {_mask(w)})", w, inner.signed, inner.deps)
+        if expr.op == "-":
+            return CExpr(f"(-{t} & {_mask(w)})", w, inner.signed, inner.deps)
+        if expr.op == "+":
+            return inner
+        raise VsimElabError(f"unsupported unary operator {expr.op!r}")
+
+    def binary(self, expr: Binary, scope: _Scope) -> CExpr:
+        left = self.expr(expr.left, scope)
+        right = self.expr(expr.right, scope)
+        op = expr.op
+        deps = left.deps | right.deps
+        lt, rt = left.text, right.text
+        lw = left.width
+
+        if op == "&&":
+            return CExpr(f"(1 if {lt} and {rt} else 0)", 1, False, deps)
+        if op == "||":
+            return CExpr(f"(1 if {lt} or {rt} else 0)", 1, False, deps)
+
+        if op in ("<<", ">>", ">>>"):
+            m = _mask(lw)
+            if op == "<<":
+                # The shift amount is read first; a left operand shifted
+                # out entirely is not evaluated.
+                t = self.fresh("t")
+                text = f"(0 if ({t} := {rt}) >= {lw} else ({lt} << {t}) & {m})"
+            elif op == ">>>" and left.signed:
+                text = f"(({_signed(lt, lw)} >> {rt}) & {m})"
+            else:
+                text = f"({lt} >> {rt})"
+            return CExpr(text, lw, left.signed and op == ">>>", deps)
+
+        # Remaining operators extend both operands to the common width.
+        width = max(lw, right.width)
+        signed = left.signed and right.signed
+
+        if op in ("==", "!=", "<", "<=", ">", ">="):
+            a, b = _extend(left, width), _extend(right, width)
+            if signed:
+                a, b = _signed(a, width), _signed(b, width)
+            return CExpr(f"(1 if {a} {op} {b} else 0)", 1, False, deps)
+
+        a, b = _extend(left, width), _extend(right, width)
+        m = _mask(width)
+        if op in ("+", "-", "*"):
+            text = f"(({a} {op} {b}) & {m})"
+        elif op in ("&", "|", "^"):
+            text = f"({a} {op} {b})"
+        elif op in ("/", "%"):
+            if not signed and b.isdigit() and int(b):
+                text = f"(({a} {'%' if op == '%' else '//'} {b}) & {m})"
+            else:
+                text = f"divide({a}, {b}, {width}, {signed}, {op == '%'})"
+        else:
+            raise VsimElabError(f"unsupported binary operator {op!r}")
+        return CExpr(text, width, signed, deps)
+
+    # ------------------------------------------------------------ statements
+
+    def stmts(self, stmts: list[Stmt], scope: _Scope, out: list[str], depth: int) -> None:
+        """``stmts`` as lines at ``depth`` of a function of ``(s, n)``:
+        ``s`` the pre-edge state, ``n`` the nonblocking buffer."""
+        pad = " " * depth
+        if not stmts:
+            out.append(pad + "pass")
+        for stmt in stmts:
+            if isinstance(stmt, NonBlocking):
+                target = scope.resolve(stmt.target, stmt.line)
+                rhs = self.expr(stmt.rhs, scope)
+                self.assigned.add(target.name)
+                out.append(
+                    f"{pad}n[{target.slot}] = "
+                    f"({_extend(rhs, target.width)} & {_mask(target.width)})"
+                )
+            elif isinstance(stmt, If):
+                cond = self.expr(stmt.cond, scope)
+                out.append(f"{pad}if {cond.text}:")
+                self.stmts(stmt.then, scope, out, depth + 1)
+                if stmt.other:
+                    out.append(pad + "else:")
+                    self.stmts(stmt.other, scope, out, depth + 1)
+            elif isinstance(stmt, Case):
+                out.append(pad + self.case(stmt, scope))
+            else:
+                raise VsimElabError(f"unsupported statement {type(stmt).__name__}")
+
+    def case(self, stmt: Case, scope: _Scope) -> str:
+        """A ``case`` as one dict lookup and call: each item becomes a
+        function of ``(s, n)``; a label listed twice keeps its last item."""
+        subject = self.expr(stmt.subject, scope)
+        sm = _mask(subject.width)
+        table: list[str] = []
+        default = None
+        for item in stmt.items:
+            arm = self.fresh("a")
+            body = [f" def {arm}(s, n):"]
+            self.stmts(item.body, scope, body, 2)  # a nested case adds its own first
+            self.defs += body
+            if not item.labels:
+                default = arm
+            for label in item.labels:
+                value = self.const_eval(label, scope, item.line) & sm
+                table.append(f"{value}: {arm}")
+        if default is None:
+            default = self.fresh("a")
+            self.defs += [f" def {default}(s, n):", "  pass"]
+        name = self.fresh("c")
+        self.defs.append(f" {name} = {{{', '.join(table)}}}")
+        return f"{name}.get({subject.text} & {sm}, {default})(s, n)"
+
+    def render_edge(self) -> Callable[[list], None]:
+        """The edge function: its items and tables are rendered once, by
+        a factory run here, and reached as closure variables."""
+        settle = self.design.reach(self.assigned)
+        return _function([
+            *self.defs,
+            " def edge(s):",
+            "  n = {}",
+            *(" " + line for line in self.blocks),
+            "  for k, v in n.items():",
+            "   s[k] = v",
+            *("  " + line for line in settle),
+            " return edge",
+        ], "")()
 
 
 def _topo_sort(
-    raw: list[tuple[str, CExpr, int]], design: Design
+    raw: list[tuple[str, CExpr]], design: Design
 ) -> list[tuple[str, CExpr]]:
     """Order continuous assigns so dependencies evaluate first."""
-    drivers: dict[str, tuple[str, CExpr, int]] = {}
-    for target, cexpr, line in raw:
+    drivers: dict[str, CExpr] = {}
+    for target, cexpr in raw:
         if target in drivers:
             raise VsimElabError(f"multiply-driven net {target!r}")
         sig = design.signals[target]
         if sig.kind == "reg" and sig.direction is None:
-            raise VsimElabError(
-                f"continuous assignment to reg {target!r}"
-            )
-        drivers[target] = (target, cexpr, line)
+            raise VsimElabError(f"continuous assignment to reg {target!r}")
+        drivers[target] = cexpr
 
     order: list[tuple[str, CExpr]] = []
     visiting: set[str] = set()
@@ -266,327 +564,13 @@ def _topo_sort(
         if target in visiting:
             raise VsimElabError(f"combinational loop through {target!r}")
         visiting.add(target)
-        _, cexpr, _ = drivers[target]
-        for dep in cexpr.deps:
+        for dep in drivers[target].deps:
             if dep in drivers:
                 visit(dep)
         visiting.discard(target)
         done.add(target)
-        order.append((target, cexpr))
+        order.append((target, drivers[target]))
 
     for target in drivers:
         visit(target)
     return order
-
-
-# --------------------------------------------------------------------------
-# Expression compilation
-# --------------------------------------------------------------------------
-
-
-def _const_eval(expr: Expr, scope: _Scope, line: int) -> int:
-    cexpr = _compile_expr(expr, scope)
-    if cexpr.deps:
-        raise VsimElabError(
-            f"{scope.module.name} line {line}: expression must be constant"
-        )
-    return cexpr.fn({})
-
-
-def _compile_expr(expr: Expr, scope: _Scope) -> CExpr:
-    if isinstance(expr, Num):
-        width = expr.width or 32
-        value = expr.value & _mask(width)
-        return CExpr(lambda s: value, width, False, frozenset())
-
-    if isinstance(expr, Ref):
-        if expr.name in scope.params:
-            value, width = scope.params[expr.name]
-            masked = value & _mask(width)
-            return CExpr(lambda s: masked, width, False, frozenset())
-        sig = scope.resolve(expr.name, expr.line)
-        name = sig.name
-        return CExpr(
-            lambda s: s[name], sig.width, False, frozenset((name,))
-        )
-
-    if isinstance(expr, SignedCast):
-        inner = _compile_expr(expr.operand, scope)
-        return CExpr(inner.fn, inner.width, True, inner.deps)
-
-    if isinstance(expr, Unary):
-        return _compile_unary(expr, scope)
-
-    if isinstance(expr, Binary):
-        return _compile_binary(expr, scope)
-
-    if isinstance(expr, Ternary):
-        cond = _compile_expr(expr.cond, scope)
-        then = _compile_expr(expr.then, scope)
-        other = _compile_expr(expr.other, scope)
-        width = max(then.width, other.width)
-        tf, of = then.fn, other.fn
-        tw, ow = then.width, other.width
-        ts, os_ = then.signed, other.signed
-        cf = cond.fn
-
-        def fn(s):
-            if cf(s):
-                return _extend(tf(s), tw, width, ts)
-            return _extend(of(s), ow, width, os_)
-
-        return CExpr(
-            fn, width, then.signed and other.signed,
-            cond.deps | then.deps | other.deps,
-        )
-
-    if isinstance(expr, Select):
-        base = _compile_expr(expr.base, scope)
-        msb = _const_eval(expr.msb, scope, expr.line)
-        lsb = msb if expr.lsb is None else _const_eval(expr.lsb, scope, expr.line)
-        if msb < lsb or msb >= base.width:
-            raise VsimElabError(
-                f"{scope.module.name} line {expr.line}: part-select "
-                f"[{msb}:{lsb}] out of range for width {base.width}"
-            )
-        width = msb - lsb + 1
-        bf = base.fn
-        sel_mask = _mask(width)
-        return CExpr(
-            lambda s: (bf(s) >> lsb) & sel_mask, width, False, base.deps
-        )
-
-    if isinstance(expr, Concat):
-        parts = [_compile_expr(p, scope) for p in expr.parts]
-        width = sum(p.width for p in parts)
-        deps = frozenset().union(*(p.deps for p in parts))
-
-        def fn(s):
-            out = 0
-            for part in parts:
-                out = (out << part.width) | part.fn(s)
-            return out
-
-        return CExpr(fn, width, False, deps)
-
-    if isinstance(expr, Repeat):
-        count = _const_eval(expr.count, scope, expr.line)
-        value = _compile_expr(expr.value, scope)
-        width = count * value.width
-        vf, vw = value.fn, value.width
-
-        def fn(s):
-            v = vf(s)
-            out = 0
-            for _ in range(count):
-                out = (out << vw) | v
-            return out
-
-        return CExpr(fn, width, False, value.deps)
-
-    if isinstance(expr, FuncCall):
-        entry = INTRINSICS.get(expr.name)
-        if entry is None:
-            raise VsimElabError(
-                f"{scope.module.name} line {expr.line}: unknown operator "
-                f"core {expr.name!r}"
-            )
-        core, width = entry
-        args = [_compile_expr(a, scope) for a in expr.args]
-        deps = frozenset().union(*(a.deps for a in args)) if args else frozenset()
-
-        def fn(s):
-            values = [
-                _to_signed(a.fn(s), a.width) if a.signed else a.fn(s)
-                for a in args
-            ]
-            return core(*values) & _mask(width)
-
-        return CExpr(fn, width, False, deps)
-
-    raise VsimElabError(f"unsupported expression node {type(expr).__name__}")
-
-
-def _compile_unary(expr: Unary, scope: _Scope) -> CExpr:
-    inner = _compile_expr(expr.operand, scope)
-    f, w = inner.fn, inner.width
-    if expr.op == "!":
-        return CExpr(lambda s: int(f(s) == 0), 1, False, inner.deps)
-    if expr.op == "~":
-        m = _mask(w)
-        return CExpr(lambda s: ~f(s) & m, w, inner.signed, inner.deps)
-    if expr.op == "-":
-        m = _mask(w)
-        return CExpr(lambda s: -f(s) & m, w, inner.signed, inner.deps)
-    if expr.op == "+":
-        return inner
-    raise VsimElabError(f"unsupported unary operator {expr.op!r}")
-
-
-def _compile_binary(expr: Binary, scope: _Scope) -> CExpr:
-    left = _compile_expr(expr.left, scope)
-    right = _compile_expr(expr.right, scope)
-    op = expr.op
-    deps = left.deps | right.deps
-    lf, rf = left.fn, right.fn
-    lw, rw = left.width, right.width
-
-    if op in ("&&", "||"):
-        if op == "&&":
-            return CExpr(
-                lambda s: int(bool(lf(s)) and bool(rf(s))), 1, False, deps
-            )
-        return CExpr(
-            lambda s: int(bool(lf(s)) or bool(rf(s))), 1, False, deps
-        )
-
-    if op in ("<<", ">>", ">>>"):
-        m = _mask(lw)
-        signed = left.signed and op == ">>>"
-        if op == "<<":
-            def fn(s):
-                shift = rf(s)
-                return 0 if shift >= lw else (lf(s) << shift) & m
-        elif op == ">>":
-            def fn(s):
-                return lf(s) >> rf(s)
-        else:  # >>>
-            if left.signed:
-                def fn(s):
-                    return (_to_signed(lf(s), lw) >> rf(s)) & m
-            else:
-                def fn(s):
-                    return lf(s) >> rf(s)
-        return CExpr(fn, lw, signed, deps)
-
-    # Remaining operators extend both operands to the common width.
-    width = max(lw, rw)
-    signed = left.signed and right.signed
-    ls, rs = left.signed, right.signed
-
-    def lval(s):
-        return _extend(lf(s), lw, width, ls)
-
-    def rval(s):
-        return _extend(rf(s), rw, width, rs)
-
-    if op in ("==", "!=", "<", "<=", ">", ">="):
-        if signed:
-            def decode(v):
-                return _to_signed(v, width)
-        else:
-            def decode(v):
-                return v
-        cmp_fn = {
-            "==": lambda a, b: a == b,
-            "!=": lambda a, b: a != b,
-            "<": lambda a, b: a < b,
-            "<=": lambda a, b: a <= b,
-            ">": lambda a, b: a > b,
-            ">=": lambda a, b: a >= b,
-        }[op]
-        return CExpr(
-            lambda s: int(cmp_fn(decode(lval(s)), decode(rval(s)))),
-            1, False, deps,
-        )
-
-    m = _mask(width)
-    if op == "+":
-        fn = lambda s: (lval(s) + rval(s)) & m
-    elif op == "-":
-        fn = lambda s: (lval(s) - rval(s)) & m
-    elif op == "*":
-        fn = lambda s: (lval(s) * rval(s)) & m
-    elif op == "&":
-        fn = lambda s: lval(s) & rval(s)
-    elif op == "|":
-        fn = lambda s: lval(s) | rval(s)
-    elif op == "^":
-        fn = lambda s: lval(s) ^ rval(s)
-    elif op in ("/", "%"):
-        rem = op == "%"
-
-        def fn(s):
-            a, b = lval(s), rval(s)
-            if b == 0:
-                from .errors import VsimRuntimeError
-
-                raise VsimRuntimeError("division by zero")
-            if signed:
-                sa, sb = _to_signed(a, width), _to_signed(b, width)
-                q = abs(sa) // abs(sb)
-                if (sa < 0) != (sb < 0):
-                    q = -q
-                return (q if not rem else sa - q * sb) & m
-            return (a % b if rem else a // b) & m
-    else:
-        raise VsimElabError(f"unsupported binary operator {op!r}")
-    return CExpr(fn, width, signed, deps)
-
-
-# --------------------------------------------------------------------------
-# Statement compilation (always blocks)
-# --------------------------------------------------------------------------
-
-
-def _compile_always(
-    block: AlwaysBlock, scope: _Scope
-) -> Callable[[dict, dict], None]:
-    stmts = [_compile_stmt(s, scope) for s in block.body]
-
-    def run(state: dict, nba: dict) -> None:
-        for stmt in stmts:
-            stmt(state, nba)
-
-    return run
-
-
-def _compile_stmt(
-    stmt: Stmt, scope: _Scope
-) -> Callable[[dict, dict], None]:
-    if isinstance(stmt, NonBlocking):
-        target = scope.resolve(stmt.target, stmt.line)
-        rhs = _compile_expr(stmt.rhs, scope)
-        name, tw = target.name, target.width
-        rf, rw, rsigned = rhs.fn, rhs.width, rhs.signed
-        m = _mask(tw)
-
-        def run(state, nba):
-            nba[name] = _extend(rf(state), rw, tw, rsigned) & m
-
-        return run
-
-    if isinstance(stmt, If):
-        cond = _compile_expr(stmt.cond, scope)
-        then = [_compile_stmt(s, scope) for s in stmt.then]
-        other = [_compile_stmt(s, scope) for s in stmt.other]
-        cf = cond.fn
-
-        def run(state, nba):
-            for s in then if cf(state) else other:
-                s(state, nba)
-
-        return run
-
-    if isinstance(stmt, Case):
-        subject = _compile_expr(stmt.subject, scope)
-        sm = _mask(subject.width)
-        table: dict[int, list] = {}
-        default: list = []
-        for item in stmt.items:
-            body = [_compile_stmt(s, scope) for s in item.body]
-            if not item.labels:
-                default = body
-                continue
-            for label in item.labels:
-                value = _const_eval(label, scope, item.line) & sm
-                table[value] = body
-        sf = subject.fn
-
-        def run(state, nba):
-            for s in table.get(sf(state) & sm, default):
-                s(state, nba)
-
-        return run
-
-    raise VsimElabError(f"unsupported statement {type(stmt).__name__}")

@@ -8,7 +8,7 @@ Verilog.  vsim evaluates them here with IEEE-754 semantics via
 round through an f32 pack, exactly like the interpreter's ``round_f32``.
 
 Signed integer arguments (``fp_from_int_*``) are passed as Python ints
-already sign-decoded by the expression compiler.
+already sign-decoded by the rendered expression.
 """
 
 from __future__ import annotations

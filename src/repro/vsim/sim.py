@@ -1,23 +1,26 @@
 """Cycle-level simulation of an elaborated design.
 
 Two-state (0/1) semantics: every signal starts at 0, there is no X/Z.
-One :meth:`Simulation.step` models one rising clock edge:
+The state is one ``int`` per signal slot, and the continuous assigns are
+settled after every change, so ``peek`` reads settled values:
 
-1. combinational assigns settle on the pre-edge state (in topological
-   order, so one pass suffices — elaboration rejects loops),
-2. every ``always @(posedge ...)`` block evaluates against that settled
-   pre-edge state, writing into a nonblocking-assignment buffer
-   (last write wins, matching NBA semantics),
-3. the buffer commits, masked to each signal's width,
-4. combinational assigns settle again so ``peek`` reads post-edge values.
+* :meth:`Simulation.poke` of a new value settles only what the signal
+  reaches (its own driver first, so a poked driven net keeps the
+  driver's value); a poke of the value the signal holds does nothing,
+* one :meth:`Simulation.step` models one rising clock edge: every
+  ``always @(posedge ...)`` block evaluates against the pre-edge state,
+  writing into a nonblocking-assignment buffer (last write wins,
+  matching NBA semantics), the buffer commits, masked to each signal's
+  width, and what the blocks assign settles.
 
-The single-clock assumption matches the emitter: every always block is
+Both run functions the design rendered once (:mod:`.elaborate`).  The
+single-clock assumption matches the emitter: every always block is
 clocked by the module's ``clk`` input, so all blocks fire on each step.
 """
 
 from __future__ import annotations
 
-from .elaborate import Design, _mask
+from .elaborate import Design
 from .errors import VsimRuntimeError
 
 
@@ -26,11 +29,10 @@ class Simulation:
 
     def __init__(self, design: Design) -> None:
         self.design = design
-        self.state: dict[str, int] = {
-            name: 0 for name in design.signals
-        }
+        self.state: list[int] = [0] * len(design.signals)
         self.cycle = 0
-        self._settle()
+        self._slots = {name: sig.slot for name, sig in design.signals.items()}
+        design.cone(None)(self.state)
 
     # ----------------------------------------------------------- interface
 
@@ -39,30 +41,20 @@ class Simulation:
         sig = self.design.signals.get(name)
         if sig is None:
             raise VsimRuntimeError(f"poke of unknown signal {name!r}")
-        self.state[name] = value & _mask(sig.width)
-        self._settle()
+        value &= (1 << sig.width) - 1
+        if self.state[sig.slot] != value:
+            self.state[sig.slot] = value
+            self.design.cone(sig.slot)(self.state)
 
     def peek(self, name: str) -> int:
         try:
-            return self.state[name]
+            return self.state[self._slots[name]]
         except KeyError:
             raise VsimRuntimeError(f"peek of unknown signal {name!r}") from None
 
     def step(self, cycles: int = 1) -> None:
         """Advance the clock by ``cycles`` rising edges."""
-        signals = self.design.signals
+        edge, state = self.design.edge, self.state
         for _ in range(cycles):
-            nba: dict[str, int] = {}
-            for block in self.design.seq:
-                block(self.state, nba)
-            for name, value in nba.items():
-                self.state[name] = value & _mask(signals[name].width)
-            self._settle()
+            edge(state)
             self.cycle += 1
-
-    # ------------------------------------------------------------ internal
-
-    def _settle(self) -> None:
-        state = self.state
-        for target, cexpr in self.design.comb:
-            state[target] = cexpr.fn(state)

@@ -234,6 +234,48 @@ class TestErrorPaths:
             conn.close()
 
 
+def _raw_status(handle, request: bytes) -> int:
+    """Send ``request`` bytes on a fresh socket; the answer's status code."""
+    import socket
+
+    with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+        sock.sendall(request)
+        answer = b""
+        while b"\r\n" not in answer:
+            chunk = sock.recv(4096)
+            assert chunk, f"connection closed with no status: {answer!r}"
+            answer += chunk
+    return int(answer.split(b" ", 2)[1])
+
+
+class TestMalformedRequests:
+    """Each probe is answered with a status, and the service keeps serving."""
+
+    @pytest.mark.parametrize(
+        "length",
+        ["-5", "+5", "5_0", " ", "5x", "٥",
+         pytest.param("0" * 5000, id="5000-zeros")],
+    )
+    def test_content_length_must_be_ascii_digits(self, live_service, length):
+        handle, client = live_service
+        request = (
+            f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{{}}"
+        ).encode()
+        assert _raw_status(handle, request) == 400
+        assert client.health()
+
+    def test_header_line_over_the_reader_limit_answers_431(self, live_service):
+        from repro.service.app import MAX_LINE_BYTES
+
+        handle, client = live_service
+        request = (
+            b"GET /v1/healthz HTTP/1.1\r\nX-Filler: "
+            + b"a" * (MAX_LINE_BYTES + 1) + b"\r\n\r\n"
+        )
+        assert _raw_status(handle, request) == 431
+        assert client.health()
+
+
 class TestCancellation:
     def test_cancel_queued_job_is_terminal(self, tmp_path):
         gate = threading.Event()

@@ -139,6 +139,22 @@ class TestExpressions:
         bits = self._eval("", f"fp_mul_64(64'd{two}, 64'd{half})")
         assert struct.unpack("<d", bits.to_bytes(8, "little"))[0] == 1.0
 
+    def test_untaken_operands_are_not_evaluated(self):
+        # a is 0: each division by it sits where it is never read.
+        decl = "input wire [31:0] a,"
+        assert self._eval(decl, "1'b0 && (32'd1 / a) == 32'd0", width=1) == 0
+        assert self._eval(decl, "1'b1 || (32'd1 / a) == 32'd0", width=1) == 1
+        assert self._eval(decl, "1'b1 ? 32'd3 : 32'd1 / a", width=32) == 3
+        assert self._eval(decl, "(32'd1 / a) << 32'd40", width=32) == 0
+
+    def test_signed_operand_narrower_than_its_partner(self):
+        # 8'hF0 is -16.  Each operand widens by its own signedness; the
+        # result (and so the compare) is signed only when both are.
+        assert self._eval("", "$signed(8'hF0) < $signed(32'd1)", width=1) == 1
+        assert self._eval("", "$signed(8'hF0) < 32'd1", width=1) == 0
+        assert self._eval("", "$signed(8'hF0) + 32'd1", width=32) == 0xFFFFFFF1
+        assert self._eval("", "{3{$signed(2'b10)}}", width=6) == 0b101010
+
     def test_width_extension_zero_fills(self):
         # Unsigned operand widened against a wider one.
         assert self._eval("", "64'd0 + 8'hFF") == 0xFF
@@ -226,6 +242,100 @@ class TestSimulation:
                      " assign r = a; endmodule")
         sim.poke("a", 0x1F)
         assert sim.peek("r") == 0xF
+
+    def test_nested_case_and_a_label_listed_twice(self):
+        sim = sim_of("""
+            module m (input wire clk, input wire [1:0] a, input wire [1:0] b,
+                      output reg [3:0] x);
+                always @(posedge clk) begin
+                    case (a)
+                        2'd0: begin
+                            case (b)
+                                2'd1: begin x <= 4'd1; end
+                                default: begin x <= 4'd2; end
+                            endcase
+                        end
+                        2'd1: begin x <= 4'd3; end
+                        2'd1: begin x <= 4'd4; end
+                    endcase
+                end
+            endmodule
+        """)
+        seen = []
+        for a, b in [(0, 1), (0, 3), (1, 0), (2, 0)]:
+            sim.poke("a", a)
+            sim.poke("b", b)
+            sim.step()
+            seen.append(sim.peek("x"))
+        # No default at the top: a == 2 keeps x; the later 2'd1 item wins.
+        assert seen == [1, 2, 4, 4]
+
+
+class TestPokePeekContract:
+    """A poke settles what it reaches before the next peek or edge."""
+
+    CHAIN = """
+        module m (input wire clk, input wire [7:0] a, input wire [7:0] k,
+                  output wire [7:0] b, output wire [7:0] c,
+                  output wire [7:0] d, output reg [7:0] q);
+            assign b = a + 8'd1;
+            assign c = b * 8'd2;
+            assign d = k + q;
+            always @(posedge clk) begin
+                q <= c;
+            end
+        endmodule
+    """
+
+    def test_peek_after_poke_sees_the_settled_fan_out(self):
+        sim = sim_of(self.CHAIN)
+        assert (sim.peek("b"), sim.peek("c"), sim.peek("d")) == (1, 2, 0)
+        sim.poke("a", 3)
+        assert (sim.peek("b"), sim.peek("c")) == (4, 8)
+        sim.poke("k", 5)
+        assert sim.peek("d") == 5
+        sim.step()
+        assert (sim.peek("q"), sim.peek("d")) == (8, 13)  # the edge settles too
+
+    def test_poking_an_unchanged_value_is_a_no_op(self, monkeypatch):
+        sim = sim_of(self.CHAIN)
+        sim.poke("a", 3)
+        before = list(sim.state)
+        settled = []
+        monkeypatch.setattr(
+            sim.design, "cone", lambda slot: settled.append(slot)
+        )
+        sim.poke("a", 3)
+        sim.poke("a", 0x103)  # masks to the value it holds
+        assert settled == [] and sim.state == before
+
+    def test_a_poked_driven_net_keeps_its_drivers_value(self):
+        sim = sim_of(self.CHAIN)
+        sim.poke("a", 3)
+        sim.poke("b", 99)
+        assert (sim.peek("b"), sim.peek("c")) == (4, 8)
+        sim.step()
+        assert sim.peek("q") == 8
+
+    def test_unknown_signals_and_division_by_zero_raise_runtime_errors(self):
+        sim = sim_of(self.CHAIN)
+        with pytest.raises(VsimRuntimeError, match="^poke of unknown signal 'ghost'$"):
+            sim.poke("ghost", 1)
+        with pytest.raises(VsimRuntimeError, match="^peek of unknown signal 'ghost'$"):
+            sim.peek("ghost")
+        guarded = sim_of("""
+            module m (input wire go, input wire [31:0] b, output wire [31:0] r);
+                assign r = go ? $signed(32'd8) / $signed(b) : 32'd0;
+            endmodule
+        """)
+        with pytest.raises(VsimRuntimeError, match="^division by zero$"):
+            guarded.poke("go", 1)
+        with pytest.raises(VsimRuntimeError, match="^division by zero$"):
+            sim_of("""
+                module m (input wire [31:0] a, output wire [31:0] r);
+                    assign r = 32'd1 % a;
+                endmodule
+            """)
 
 
 class TestElaboration:
