@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import SimulationError
 from ..interp.interpreter import MALLOC_NAMES, _Text, escapes
-from ..interp.memory import Memory
+from ..interp.memory import Memory, buffer_line
 from ..interp.ops import FORMS
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
@@ -542,21 +542,32 @@ class SpecializedProgram:
     def _render_completion(self, inst: Load | Store):
         """``(worker, regs, addr)``: the memory half of a load or store,
         run by ``_complete_memory`` once the cache has answered.  The
-        stored value is read then, as the interpreted worker does; the
-        accessor is the memory class's own (:meth:`Memory.loader`), the
-        plain class's resolved here."""
+        stored value is read then, as the interpreted worker does.  On a
+        plain :class:`Memory` the access is inline, as in the
+        interpreter's text (:meth:`_Text.access`); a subclass's goes
+        through its own accessor (:meth:`Memory.loader`)."""
         text = self._text()
         ref = text.ref
-        kind, type_ = ("loader", inst.type) if type(inst) is Load else ("storer", inst.value.type)
-        text.body += [
-            "memory = worker.system.memory",
-            f"access = {ref(getattr(Memory, kind)(type_))} if {ref(type)}(memory) is "
-            f"{ref(Memory)} else memory.{kind}({ref(type_)})",
-        ]
-        if type(inst) is Load:
-            text.define(inst, "access(memory, addr)", keep=True)
+        load = type(inst) is Load
+        values = ["addr"] if load else [text.use(inst.value), "addr"]
+        type_ = inst.type if load else inst.value.type
+        own = (f"memory.{'loader' if load else 'storer'}({ref(type_)})"
+               f"(memory, {', '.join(reversed(values))})")
+        head, text.body = text.body, [buffer_line(ref)]
+        text.access(Memory, inst, values, keep=True)
+        inline, text.body = text.body, []
+        if load:
+            text.define(inst, own, keep=True)
         else:
-            text.body.append(f"access(memory, addr, {text.use(inst.value)})")
+            text.body.append(own)
+        text.body = [
+            *head,
+            "memory = worker.system.memory",
+            f"if {ref(type)}(memory) is {ref(Memory)}:",
+            *(" " + line for line in inline),
+            "else:",
+            *(" " + line for line in text.body),
+        ]
         return text.function("worker, regs, addr")
 
 

@@ -4,7 +4,8 @@ Two executors over one explicit call stack (no Python recursion):
 
 * :meth:`Interpreter.call` runs a *segment* at a time: straight-line
   Python rendered per block (:class:`_Segments`) over the same bound
-  operations the per-instruction closures call.  Given static per-instruction
+  operations the per-instruction closures call, and a call-free loop as
+  one *region* over Python locals.  Given static per-instruction
   ``costs`` (the MIPS baseline, :mod:`repro.hw.mips_core`), the same text
   also adds them to a cycle counter.
 * :meth:`Interpreter.step` runs one pre-decoded closure per instruction: the
@@ -51,8 +52,8 @@ from ..ir.types import (
     StructType,
 )
 from ..ir.values import Constant, GlobalVariable, Value
-from .memory import Memory
-from .ops import FORMS, PURE_OPS, code_of, expression
+from .memory import Memory, buffer_line
+from .ops import FORMS, PURE_OPS, code_of, compile_text, expression
 
 #: Names treated as heap-allocation builtins when declared without a body.
 MALLOC_NAMES = {"malloc"}
@@ -245,28 +246,28 @@ class Interpreter:
     # -- public driving --------------------------------------------------------
 
     def call(self, function: Function | str, args: list[int | float]):
-        """Run ``function`` to completion a segment at a time and return
-        its return value."""
+        """Run ``function`` to completion a segment or region at a time and
+        return its return value."""
         stack = self._stack
         frame = self._enter(function, args)
         seg = self._segs[frame.env.function.entry]
-        steps, limit = self.steps, self.max_steps
-        try:
-            while True:
-                steps += seg[1]
+        limit = self.max_steps
+        while True:
+            n = seg[1]
+            if n:  # a segment's steps count on entry (a region counts its blocks)
+                steps = self.steps + n
                 if steps > limit:  # run what step() would have, then stop
-                    _, n, block, lo = seg
-                    fits, steps = n - (steps - limit), limit + 1
-                    _render(self._code, block, lo, lo + fits, None)(self, frame)
+                    _, _, block, lo = seg
+                    self.steps = limit + 1
+                    _render(self._code, block, lo, lo + n - (steps - limit), None)(self, frame)
                     raise InterpError(f"exceeded max_steps={limit}")
-                seg = seg[0](self, frame)
-                if not seg:  # the frame on top is another one, or this one parked
-                    if seg is False or not stack:
-                        break
-                    frame = stack[-1]
-                    seg = frame.seg
-        finally:
-            self.steps = steps
+                self.steps = steps
+            seg = seg[0](self, frame)
+            if not seg:  # the frame on top is another one, or this one parked
+                if seg is False or not stack:
+                    break
+                frame = stack[-1]
+                seg = frame.seg
         if stack:
             raise InterpError(BLOCKED_OUTSIDE_SCHEDULER)
         return self._return_value
@@ -337,7 +338,7 @@ class _Decoder(dict):
         self.module = module
         self.global_addresses = global_addresses
         self.memory_type = memory_type
-        self.costs = costs  # rendered into segments only
+        self.costs = costs  # rendered into segments and regions only
         self._alloc_sites: dict[int, int] | None = None
 
     def __missing__(self, block: BasicBlock):
@@ -625,25 +626,48 @@ _DECODERS = {
 
 
 class _Segments(dict):
-    """``block -> its first segment``, rendered on first entry to the block.
+    """``block -> what runs from its entry``, rendered on first entry.
 
-    A segment is a maximal run of non-phi instructions that can neither
-    push a frame nor park: it ends after a call to a defined function, after
-    a :class:`Consume`, or with the terminator.  It is ``(function, length,
-    block, start)``; ``function(interp, frame)`` runs it all and returns the
-    frame's next segment, ``None`` once another frame is on top (a caller
-    resumes at its ``frame.seg``), or ``False`` for a consume on an empty
-    queue.  As with :class:`_Decoder`, neither this cache nor a rendered
-    function's namespace holds the interpreter or its memory.
+    A *region* (:func:`_regions`) is a loop run as one function: its
+    header maps to ``(function, 0, header, 0)``, and its other blocks,
+    which only its own edges enter, map to nothing.  Every other block
+    maps to its first *segment*: a maximal run of non-phi instructions
+    that can neither push a frame nor park, ending after a call to a
+    defined function, after a :class:`Consume`, or with the terminator.
+    A segment is ``(function, length, block, start)``.  Either function
+    runs ``(interp, frame)`` and returns the frame's next segment or
+    region, ``None`` once another frame is on top (a caller resumes at
+    its ``frame.seg``), or ``False`` for a consume on an empty queue; a
+    region leaving for a block that would overrun ``max_steps`` returns
+    that block as ``(None, length, block, start)``, which ``call()`` runs
+    as far as step() would.  As with :class:`_Decoder`, neither this cache
+    nor a rendered function's namespace holds the interpreter or its
+    memory.
     """
 
     def __init__(self, code: _Decoder) -> None:
         self.code = code
+        #: Block -> ``(blocks, dominates)`` of the region it belongs to.
+        self.regions: dict[BasicBlock, tuple] = {}
+        self._analysed: set[Function] = set()
 
     def __missing__(self, block: BasicBlock):
         insts = block.instructions
         if block.terminator is None:
             raise InterpError(f"block {block.name} has no terminator")
+        function = block.parent
+        if function not in self._analysed:
+            self._analysed.add(function)
+            for region in _regions(function):
+                self.regions.update(dict.fromkeys(region[0], region))
+        region = self.regions.get(block)
+        if region is not None:
+            if block is not region[0][0]:
+                raise InterpError(
+                    f"block {block.name} runs inside the region of {region[0][0].name}"
+                )
+            segment = self[block] = (_render_region(self.code, *region), 0, block, 0)
+            return segment
         cuts = [len(block.phis()), len(insts)]
         for i, inst in enumerate(insts[cuts[0] : -1], cuts[0] + 1):
             if type(inst) is Consume or type(inst) is Call and not inst.callee.is_declaration:
@@ -655,12 +679,86 @@ class _Segments(dict):
         return segment
 
 
+def _regions(function: Function) -> list[tuple[list[BasicBlock], object]]:
+    """Every region of ``function``: the outermost natural loops (with the
+    loops nested in them) that :func:`_runs_as_region` accepts, each as
+    its blocks, header first in reverse postorder, and the function's
+    dominance test."""
+    # Imported here: repro.analysis imports this module.
+    from ..analysis.cfg import reverse_postorder
+    from ..analysis.loops import LoopInfo
+
+    info = LoopInfo(function)
+    dominates = info.domtree.dominates
+    order = reverse_postorder(function)
+    found, pending = [], info.top_level()
+    while pending:
+        loop = pending.pop()
+        blocks = [block for block in order if loop.contains_block(block)]  # reachable
+        if _runs_as_region(blocks, dominates):
+            found.append((blocks, dominates))
+        else:
+            pending += loop.children
+    return found
+
+
+def _runs_as_region(blocks: list[BasicBlock], dominates) -> bool:
+    """Whether a loop's reachable ``blocks``, header first, run as one
+    region.
+
+    No block may hold a segment cut (a region's frame is on top from
+    entry to exit) or an op only the closure decoder runs (a phi out of
+    place, a call to an undefined function, an unknown opcode), and the
+    function's entry is no header (its phis would be read unset).  Every
+    operand must be defined on every path to its use, so that a region
+    can read its live-ins once on entry and hold its own values in
+    locals: a live-in dominates the header, a value of the loop its use
+    (a phi's operand: the predecessor), and one of the same block comes
+    first.
+    """
+    header, members = blocks[0], set(blocks)
+    if header is header.parent.entry:
+        return False
+    for block in blocks:
+        seen: set[Instruction] = set()
+        lead = block.first_non_phi_index()
+        for i, inst in enumerate(block.instructions):
+            cls = type(inst)
+            if cls is Phi:
+                if i >= lead:
+                    return False
+                uses = [(v, p) for v, p in inst.incoming() if p in members]
+            elif (
+                cls in FORMS or cls in _EFFECTS or cls in (Load, Jump, CondBranch)
+                or cls is Call and inst.callee.name in MALLOC_NAMES
+                and inst.callee.is_declaration
+            ):
+                uses = [(v, block) for v in inst.operands]
+            else:
+                return False
+            for value, at in uses:
+                if not isinstance(value, Instruction):
+                    continue
+                home = value.parent
+                if home not in members:
+                    defined = dominates(home, header)
+                elif home is block and cls is not Phi:
+                    defined = value in seen
+                else:
+                    defined = dominates(home, at)
+                if not defined:
+                    return False
+            seen.add(inst)
+    return True
+
+
 class _Text:
     """One generated function: its lines, its namespace and its locals.
 
-    The IR-to-Python generator both executors render through: the
-    interpreter's segments (:func:`_render`) and the specialized hardware
-    worker's register-only states (:mod:`repro.hw.specialize`).
+    The IR-to-Python generator every executor renders through: the
+    interpreter's segments and regions (:func:`_render`,
+    :func:`_render_region`) and the specialized hardware worker's
+    register-only states (:mod:`repro.hw.specialize`).
     ``bind(value)`` is the executor's ``(key, const)`` (``key`` None for a
     constant) and ``home(key)`` the text naming where it keeps a runtime
     value between two functions (``env[K3]``, ``regs[7]``).  A value is a
@@ -712,9 +810,32 @@ class _Text:
         sources = [self.use(source, local, out) for _, source in pairs]
         out += [f"{self.home(self.bind(phi)[0])} = {s}" for (phi, _), s in zip(pairs, sources)]
 
-    def function(self, params: str):
+    def access(self, memory_type, inst: Load | Store, values: list[str], keep: bool) -> None:
+        """A load or store over the local ``memory``, ``values`` its
+        operand texts: inline on the plain class (:meth:`Memory.load_form`),
+        else through the class's own accessor."""
+        if type(inst) is Load:
+            form = memory_type.load_form(inst.type, values[0], self.ref)
+            if form is None:
+                form = [], f"{self.ref(memory_type.loader(inst.type), 'F')}(memory, {values[0]})"
+            self.body += form[0]
+            self.define(inst, form[1], keep)
+            return
+        value, addr = values
+        lines = memory_type.store_form(inst.value.type, addr, value, self.ref)
+        if lines is None:
+            storer = self.ref(memory_type.storer(inst.value.type), "F")
+            lines = [f"{storer}(memory, {addr}, {value})"]
+        self.body += lines
+
+    def function(self, params: str, shared: bool = True):
+        """The text as ``def (params)``.  A ``shared`` text's code comes
+        from the process's memo, for texts rendered again by every new
+        executor (a block's segment); one rendered once for an object
+        that owns the result (a vsim design) is compiled on its own, so
+        its code dies with that object."""
         text = f"def seg({params}):\n" + "".join(f" {line}\n" for line in self.body)
-        exec(_segment_code(text), self.ns)
+        exec(_segment_code(text) if shared else compile_text(text), self.ns)
         return self.ns.pop("seg")
 
 
@@ -730,93 +851,204 @@ def escapes(inst: Instruction, members, block: BasicBlock, closes: bool) -> bool
     )
 
 
-def _render(code: _Decoder, block: BasicBlock, lo: int, hi: int, following):
-    """``block.instructions[lo:hi]`` as one Python function of ``(interp, frame)``.
+def _charge(out: list[str], cycles: int) -> None:
+    if cycles:
+        out.append(f"interp.cycles += {cycles}")
 
-    The text spells operand plumbing and control flow; a pure op is its
-    expression form.  A value defined in the range is a local, written
-    back to ``frame.env`` only if it has a user elsewhere; one defined
-    elsewhere is read there at its first use.  Every other operation is
-    the object the closure decoder calls (``Memory`` accessors,
-    ``_EFFECTS``), reached through the namespace.
+
+def _emit(text: _Text, code: _Decoder, block: BasicBlock, insts, keep, edge, following) -> None:
+    """Append the lines of ``insts``, a run of ``block``'s non-phi
+    instructions, to ``text.body``.
+
+    A pure op is its expression form and a load or store is inlined
+    (:meth:`_Text.access`); every other operation is the object the
+    closure decoder calls (``_EFFECTS``), reached through the namespace.
+    ``keep(inst)`` says whether a value also goes to its home, and
+    ``edge(target, local, spent)`` gives the lines taking the edge
+    ``block -> target``.  A call pushes its callee's frame and leaves the
+    caller at ``following``.
 
     Under ``code.costs`` the text also charges each instruction's cycles
     to ``interp.cycles``: summed while rendering, added before every op
     that is not pure (so a ``Memory`` subclass sees the cycle the
-    instructions before it reached) and before every exit.
+    instructions before it reached) and before every exit (``spent``, for
+    an edge).
     """
-    insts = block.instructions[lo:hi]
-    members = {inst for inst in insts if type(inst) is not Consume}  # a consume reads the env
-    closes = hi == len(block.instructions)  # the range ends with the terminator
-    text = _Text(code.bind, lambda key: f"env[{text.ref(key)}]")
-    text.ns["Frame"] = _Frame
     body, ref, use = text.body, text.ref, text.use
-    body.append("env = frame.env")
     costs = code.costs
     cost = (lambda inst: 0) if costs is None else costs.__getitem__
     spent = 0  # cycles of the instructions rendered since the last charge
-
-    def charge(out: list[str], cycles: int) -> None:
-        if cycles:
-            out.append(f"interp.cycles += {cycles}")
-
-    def define(inst: Instruction, expr: str) -> None:
-        text.define(inst, expr, escapes(inst, members, block, closes))
-
-    def edge(target: BasicBlock, local: dict) -> list[str]:
-        """``block -> target``: sources are locals before any phi is written."""
-        out: list[str] = []
-        phis = target.phis()
-        text.moves([(phi, phi.incoming_for(block)) for phi in phis], local, out)
-        charge(out, spent + sum(map(cost, phis)))
-        if costs is not None and phis:
-            out.append(f"interp.moves += {len(phis)}")
-        out.append(f"return interp._segs[{ref(target)}]")
-        return out
-
     for inst in insts:
         cls = type(inst)
         if cls in FORMS:
-            text.pure(inst, escapes(inst, members, block, closes))
+            text.pure(inst, keep(inst))
             spent += cost(inst)
             continue
         values = [use(v) for v in inst.operands if not isinstance(v, BasicBlock)]
         if cls is not Jump and cls is not CondBranch:  # may reach memory or leave
-            charge(body, spent)
+            _charge(body, spent)
             spent = 0
         spent += cost(inst)
-        if cls is Load:
-            load = ref(code.memory_type.loader(inst.type), "F")
-            define(inst, f"{load}(interp.memory, {values[0]})")
+        if cls is Load or cls is Store:
+            text.access(code.memory_type, inst, values, keep(inst))
         elif cls is Call and not inst.callee.is_declaration:
             callee = inst.callee
             body.append(f"new = Frame({ref(callee)}, {ref(inst)})")
             body += [f"new.env[{ref(a)}] = {v}" for a, v in zip(callee.args, values)]
             body.append(f"new.seg = interp._segs[{ref(callee.entry)}]")
             body += [f"frame.seg = {ref(following)}", "interp._stack.append(new)"]
-            charge(body, spent)
+            _charge(body, spent)
         elif cls in _EFFECTS or cls is Call and inst.callee.name in MALLOC_NAMES:
             effect = ref(_EFFECTS.get(cls, _malloc)(code, inst), "F")
-            define(inst, f"{effect}({', '.join(['interp'] + values)})")
+            text.define(inst, f"{effect}({', '.join(['interp'] + values)})", keep(inst))
         elif cls is Jump:
-            body += edge(inst.target, text.local)
+            body += edge(inst.target, text.local, spent)
         elif cls is CondBranch:
             body.append(f"if {values[0]}:")
-            body += [" " + line for line in edge(inst.if_true, dict(text.local))]
+            body += [" " + line for line in edge(inst.if_true, dict(text.local), spent)]
             body.append("else:")
-            body += [" " + line for line in edge(inst.if_false, dict(text.local))]
+            body += [" " + line for line in edge(inst.if_false, dict(text.local), spent)]
         elif cls is Ret:
             body += ["stack = interp._stack", "stack.pop()"]
             if values:
                 body.append(f"if stack: stack[-1].env[frame.call_inst] = {values[0]}")
                 body.append(f"else: interp._return_value = {values[0]}")
-            charge(body, spent)
+            _charge(body, spent)
         else:  # a consume parks; a phi out of place, an unknown opcode or callee raises
             op = _DECODERS.get(cls, _unknown)(code, inst, block)
             body.append(f"if {ref(op, 'F')}(interp, frame): return False")
             if cls is Consume:
-                charge(body, spent)
+                _charge(body, spent)
                 body.append(f"return {ref(following)}")
+
+
+def _phi_costs(code: _Decoder, out: list[str], spent: int, phis) -> None:
+    """Charge an edge: ``spent`` and its phis' cycles, its phis as moves."""
+    if code.costs is not None:
+        _charge(out, spent + sum(code.costs[phi] for phi in phis))
+        if phis:
+            out.append(f"interp.moves += {len(phis)}")
+
+
+def _binds_memory(code: _Decoder, insts, ref) -> list[str]:
+    """The lines binding ``memory`` (and the buffer, for an inlined plain
+    image) when ``insts`` access memory."""
+    if not any(type(inst) is Load or type(inst) is Store for inst in insts):
+        return []
+    return ["memory = interp.memory"] + [buffer_line(ref)] * (code.memory_type is Memory)
+
+
+def _render(code: _Decoder, block: BasicBlock, lo: int, hi: int, following):
+    """``block.instructions[lo:hi]`` as one Python function of ``(interp, frame)``.
+
+    A value defined in the range is a local, written back to
+    ``frame.env`` only if it has a user elsewhere; one defined elsewhere
+    is read there at its first use (see :func:`_emit`).
+    """
+    insts = block.instructions[lo:hi]
+    members = {inst for inst in insts if type(inst) is not Consume}  # a consume reads the env
+    closes = hi == len(block.instructions)  # the range ends with the terminator
+    text = _Text(code.bind, lambda key: f"env[{text.ref(key)}]")
+    text.ns["Frame"] = _Frame
+    text.body += ["env = frame.env", *_binds_memory(code, insts, text.ref)]
+
+    def edge(target: BasicBlock, local: dict, spent: int) -> list[str]:
+        """``block -> target``: sources are locals before any phi is written."""
+        out: list[str] = []
+        phis = target.phis()
+        text.moves([(phi, phi.incoming_for(block)) for phi in phis], local, out)
+        _phi_costs(code, out, spent, phis)
+        out.append(f"return interp._segs[{text.ref(target)}]")
+        return out
+
+    def keep(inst: Instruction) -> bool:
+        return escapes(inst, members, block, closes)
+
+    _emit(text, code, block, insts, keep, edge, following)
+    return text.function("interp, frame")
+
+
+def _render_region(code: _Decoder, blocks: list[BasicBlock], dominates):
+    """A region, ``blocks`` (header first), as one Python function of
+    ``(interp, frame)``.
+
+    Its live-ins and the header's phis are read from ``frame.env`` once,
+    on entry; every value of the region is a local, and each edge inside
+    it moves the target's phis as one parallel copy.  The blocks run in a
+    ``while True:`` under a block cursor ``at`` (the index in ``blocks``):
+    an edge to a later block falls through to it, one to an earlier
+    block (a back edge) starts the loop again.
+    A block's steps count on entry, as a segment's do; a block that would
+    overrun ``max_steps`` writes what it reads to ``frame.env`` and leaves
+    as its own segment, which ``call()`` runs as far as step() would.  An
+    exit writes the exit block's phis and the escaping values the exit
+    has (those defined in a block that dominates it) and returns the
+    exit block's segment.
+    """
+    region = set(blocks)
+    text = _Text(code.bind, lambda key: f"env[{text.ref(key)}]")
+    ref, local = text.ref, text.local
+    insts = [inst for block in blocks for inst in block.instructions]
+    defined = [inst for inst in insts if not inst.type.is_void]
+    head = ["env = frame.env", "steps = interp.steps", "limit = interp.max_steps",
+            *_binds_memory(code, insts, ref)]
+    for phi in blocks[0].phis():
+        text.use(phi, local, head)
+    for phi in (phi for block in blocks[1:] for phi in block.phis()):
+        local[phi] = f"v{len(local)}"
+    inside = set(defined)
+    for inst in insts:
+        if type(inst) is Phi:
+            operands = [v for v, p in inst.incoming() if p in region]
+        else:
+            operands = [v for v in inst.operands if not isinstance(v, BasicBlock)]
+        for value in operands:
+            if value not in inside:
+                text.use(value, local, head)
+    escaping = [
+        value for value in defined
+        if any(
+            any(v is value and p not in region for v, p in user.incoming())
+            if type(user) is Phi else user.parent not in region
+            for user in value.users
+        )
+    ]
+    body: list[str] = []
+    for at, block in enumerate(blocks):
+
+        def edge(target: BasicBlock, local: dict, spent: int) -> list[str]:
+            out: list[str] = []
+            phis = target.phis()
+            pairs = [(phi, phi.incoming_for(block)) for phi in phis]
+            if target not in region:  # an exit
+                text.moves(pairs, local, out)
+                out += [f"env[{ref(value)}] = {local[value]}"
+                        for value in escaping if dominates(value.parent, block)]
+                _phi_costs(code, out, spent, phis)
+                return out + [f"return interp._segs[{ref(target)}]"]
+            sources = [text.use(source, local, out) for _, source in pairs]
+            if phis:
+                out.append(f"{', '.join(local[phi] for phi in phis)} = {', '.join(sources)}")
+            _phi_costs(code, out, spent, phis)
+            out.append(f"at = {blocks.index(target)}")  # a later block: falls through
+            return out + ["continue"] * (blocks.index(target) <= at)
+
+        phis = block.phis()
+        n = len(block.instructions) - len(phis)
+        reads = list(phis)
+        for inst in block.instructions[len(phis):]:
+            reads += [v for v in inst.operands if v in inside and v.parent is not block]
+        text.body = [
+            f"steps += {n}",
+            "if steps > limit:",
+            *(f" env[{ref(value)}] = {local[value]}" for value in dict.fromkeys(reads)),
+            f" steps -= {n}",
+            f" return {ref((None, n, block, len(phis)))}",
+        ]
+        _emit(text, code, block, block.instructions[len(phis):], lambda inst: False, edge, None)
+        body += [f"if at == {at}:", *(" " + line for line in text.body)]
+    text.body = [*head, "at = 0", "try:", " while True:",
+                 *("  " + line for line in body), "finally:", " interp.steps = steps"]
     return text.function("interp, frame")
 
 

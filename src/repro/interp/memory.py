@@ -170,6 +170,37 @@ class Memory:
 
         return store
 
+    # -- inline forms (generated code's loads/stores) ---------------------------
+
+    @classmethod
+    def load_form(cls, type_: Type, addr: str, ref) -> tuple[list[str], str] | None:
+        """:meth:`loader`'s body as text: the lines that check and count a
+        load of ``type_`` at ``addr`` (an operand text) and the expression
+        of the loaded value, over the locals ``memory``, ``data`` and
+        ``top`` (:func:`buffer_line`); ``ref(obj)`` names the codec.  None where
+        :meth:`loader` is not inlined either (a subclass, an ``i1``)."""
+        codec = _codec(type_, signed=True)
+        if cls is not Memory or codec is None:
+            return None
+        size = codec.size
+        lines = [_reach(addr, size, ref), f"memory.bytes_read += {size}"]
+        return lines, f"{ref(codec.unpack_from)}(data, {addr})[0]"
+
+    @classmethod
+    def store_form(cls, type_: Type, addr: str, value: str, ref) -> list[str] | None:
+        """:meth:`storer`'s body as text, as :meth:`load_form` spells a load."""
+        codec = _codec(type_, signed=False)
+        if cls is not Memory or codec is None:
+            return None
+        size = codec.size
+        if isinstance(type_, FloatType):
+            raw = f"{ref(float)}({value})"
+        else:
+            raw = f"{ref(int)}({value}) & {(1 << 8 * size) - 1}"
+        return [f"raw = {raw}", _reach(addr, size, ref),
+                f"memory.bytes_written += {size}",
+                f"{ref(codec.pack_into)}(data, {addr}, raw)"]
+
     # -- array helpers (used by examples and tests) --------------------------------
 
     def elem_addr(self, base: int, elem_type: Type, index: int) -> int:
@@ -210,6 +241,21 @@ class Memory:
         copy.bytes_read = self.bytes_read
         copy.bytes_written = self.bytes_written
         return copy
+
+
+def buffer_line(ref) -> str:
+    """What generated code that inlines a plain image's accesses runs once,
+    with ``memory`` bound to the image: ``data`` is the buffer the forms
+    index and ``top`` a length it had.  The buffer only grows, in place,
+    so the binding stays valid and a stale ``top`` costs one slow check."""
+    return f"data = memory._data; top = {ref(len)}(data)"
+
+
+def _reach(addr: str, size: int, ref) -> str:
+    """The text of :meth:`Memory._check`'s fast path: null and growth
+    checked only when the access is not below ``top``."""
+    return (f"if {addr} <= 0 or {addr} + {size} > top: "
+            f"memory._check({addr}, {size}); top = {ref(len)}(data)")
 
 
 def _codec(type_: Type, signed: bool) -> struct.Struct | None:

@@ -233,10 +233,13 @@ FORMS = {
 }
 
 
-@lru_cache(maxsize=1024)
-def code_of(text: str):
-    """Generated text to code: a process compiles each text once."""
+def compile_text(text: str):
+    """Generated text to code."""
     return compile(text, "<generated>", "exec")
+
+
+#: Generated text to code, memoised: a process compiles each text once.
+code_of = lru_cache(maxsize=1024)(compile_text)
 
 
 def expression(inst, operands: list[str], ref) -> str:

@@ -47,8 +47,8 @@ from .store import DEFAULT_LRU_ENTRIES, ArtifactStore
 #: A service request body larger than this is refused (HTTP 413).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
-#: The stream reader's line limit (asyncio's default): a header line
-#: longer than this is refused (HTTP 431).
+#: The stream reader's line limit (asyncio's default): a request line
+#: longer than this is refused with HTTP 414, a header line with 431.
 MAX_LINE_BYTES = 64 * 1024
 
 #: Idle keep-alive connections are closed after this many seconds.
@@ -60,7 +60,8 @@ MAX_WAIT_S = 30.0
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
-    409: "Conflict", 413: "Payload Too Large", 429: "Too Many Requests",
+    409: "Conflict", 413: "Payload Too Large", 414: "URI Too Long",
+    429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
@@ -197,6 +198,13 @@ class CgpaService:
                         reader.readline(), KEEP_ALIVE_TIMEOUT_S
                     )
                 except asyncio.TimeoutError:
+                    break
+                except ValueError:  # a line over the reader's limit
+                    await self._respond(
+                        writer, 414,
+                        {"error": f"request line exceeds {MAX_LINE_BYTES} bytes"},
+                        close=True,
+                    )
                     break
                 if not request_line.strip():
                     if not request_line:

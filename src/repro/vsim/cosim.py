@@ -214,8 +214,15 @@ class _RtlInstance:
         self.run = run
         self.tag = run.tag
         self.aux = _collect_aux_signals(run.task)
+        #: ``(liveout_id, port)`` of each live-out this module only reads,
+        #: and of each it stores.
+        self.liveout_inputs = [(lid, f"liveout_{lid}") for lid in self.aux.liveout_inputs]
+        self.liveout_stores = [(lid, f"liveout_{lid}") for lid in self.aux.liveout_stores]
         self.shared = shared
         self.sim = Simulation(design)
+        #: The module's ``finish`` output, sampled once per edge (a register:
+        #: nothing between two edges changes it).
+        self.finished = False
         self.push_seen: list[tuple[int, int, int]] = []
         self.pop_seen: list[tuple[int, int, int]] = []
         self.finish_cycle: int | None = None
@@ -229,22 +236,18 @@ class _RtlInstance:
             )
         # The live-out register file is global in hardware; seed this
         # module's slice (stores keep their own copy, inputs mirror).
-        for lid in self.aux.liveout_stores:
-            self.sim.poke(f"liveout_{lid}", shared.liveouts.get(lid, 0))
+        for lid, port in self.liveout_stores:
+            self.sim.poke(port, shared.liveouts.get(lid, 0))
         for loop_id in self.aux.join_loops:
             self.sim.poke(f"all_finished_loop{loop_id}", 1)
-
-    @property
-    def finished(self) -> bool:
-        return self.sim.peek("finish") == 1
 
     # --------------------------------------------------------- per cycle
 
     def drive(self) -> None:
         """Compute environment inputs from the committed module outputs."""
-        sim = self.sim
-        for lid in self.aux.liveout_inputs:
-            sim.poke(f"liveout_{lid}", self.shared.liveouts.get(lid, 0))
+        sim, liveouts = self.sim, self.shared.liveouts
+        for lid, port in self.liveout_inputs:
+            sim.poke(port, liveouts.get(lid, 0))
         if self.finished:
             return
         self._drive_memory(sim)
@@ -337,8 +340,9 @@ class _RtlInstance:
             bits = self.shared.queue(cid, idx).popleft()
             self.pop_seen.append((cid, idx, bits))
             self._pending_pop = None
-        for lid in self.aux.liveout_stores:
-            self.shared.liveouts[lid] = self.sim.peek(f"liveout_{lid}")
+        for lid, port in self.liveout_stores:
+            self.shared.liveouts[lid] = self.sim.peek(port)
+        self.finished = self.sim.peek("finish") == 1
         if self.finished and self.finish_cycle is None:
             self.finish_cycle = cycle
 

@@ -80,11 +80,12 @@ _NAMES = {"divide": _divide, **{name: core for name, (core, _) in INTRINSICS.ite
 
 
 def _function(body: list[str], params: str):
-    """``def (params): body`` through the interpreter's generator."""
+    """``def (params): body`` through the interpreter's generator, compiled
+    for the design alone: its code lives as long as the design."""
     text = _Text(None, None)
     text.ns.update(_NAMES)
     text.body += body
-    return text.function(params)
+    return text.function(params, shared=False)
 
 
 @dataclass(frozen=True)

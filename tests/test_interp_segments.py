@@ -336,6 +336,9 @@ HOSTILE = [(HOSTILE_NAMES, "eval"), (HOSTILE_WORKER_NAMES, "caller")]
 GENERATED_NAME = re.compile(
     r"def|seg|interp|frame|env|if|else|not|is|None|return|new|Frame|stack|got"
     r"|_segs|_stack|memory|call_inst|_return_value|pop|append|cycles|moves|[vKF]\d+"
+    # ... its regions' block cursor and step budget, and inline memory access:
+    r"|at|while|try|finally|continue|limit|max_steps"
+    r"|data|_data|top|or|_check|bytes_read|bytes_written|raw"
     # ... and the hardware worker's steps and runs:
     r"|worker|cycle|regs|ops|room|stats|ops_executed|block|cursor"
     # ... and its landings: the blocking-op protocol, memory access and
@@ -400,8 +403,10 @@ def test_costs_only_add_counter_lines(spec, texts):
     for interp in (Interpreter(module), Interpreter(module, costs=_costs(module))):
         texts.clear()
         for function in module.functions.values():
-            for block in function.blocks:
-                interp._segs[block]
+            for block in function.blocks:  # the entry first: no region holds it
+                region = interp._segs.regions.get(block)
+                if region is None or region[0][0] is block:  # a region's blocks: once
+                    interp._segs[block]
         rendered.append(list(texts))
     oracle, costed = rendered
     assert len(oracle) == len(costed) > 10

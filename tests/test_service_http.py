@@ -275,6 +275,12 @@ class TestMalformedRequests:
         assert _raw_status(handle, request) == 431
         assert client.health()
 
+    def test_request_line_over_the_reader_limit_answers_414(self, live_service):
+        handle, client = live_service
+        request = b"GET /" + b"a" * (64 * 1024) + b" HTTP/1.1\r\n\r\n"
+        assert _raw_status(handle, request) == 414
+        assert client._request("GET", "/v1/healthz")["status"] == "ok"
+
 
 class TestCancellation:
     def test_cancel_queued_job_is_terminal(self, tmp_path):

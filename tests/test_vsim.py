@@ -387,6 +387,29 @@ class TestElaboration:
         sim.poke("a", 10)
         assert sim.peek("r") == 14
 
+    def test_a_designs_code_dies_with_the_design(self):
+        """Rendered edges and cones stay out of the process's text memo."""
+        import gc
+        import weakref
+
+        from repro.interp.ops import code_of
+
+        sim = sim_of("""
+            module m (input wire clk, input wire [7:0] a, output reg [7:0] r);
+                always @(posedge clk) r <= a + 8'd7;
+            endmodule
+        """)
+        sim.poke("a", 3)
+        sim.step()
+        assert sim.peek("r") == 10
+        held = code_of.cache_info().currsize
+        codes = [weakref.ref(sim.design.edge.__code__)]
+        codes += [weakref.ref(cone.__code__) for cone in sim.design.cones.values()]
+        del sim
+        gc.collect()
+        assert code_of.cache_info().currsize == held
+        assert all(code() is None for code in codes)
+
 
 class TestLintRules:
     def test_clean_module_has_no_issues(self):
