@@ -10,14 +10,15 @@ organisation) — in this evaluator or any other in the process — reuse
 the same :class:`~repro.pipeline.driver.CompiledPipeline`, which no
 evaluation writes to.
 
-Points that share a :attr:`DesignPoint.compile_key` differ only in
+Points that share one design (``p1`` and ``none`` often compile to one
+:attr:`~repro.pipeline.CompiledPipeline.design_key`) differ only in
 knobs that move cycles, never values, so
 :meth:`Evaluator.evaluate_structure` simulates one of them in full while
 recording it and re-times the rest from that recording
-(:mod:`repro.hw.replay`), except the cache sizes whose shadow tags
-(:meth:`~repro.hw.cache.DirectMappedCache.add_shadow`) matched another
-point's run hit for hit; :meth:`Evaluator.evaluate` alone is always a
-full simulation.
+(:mod:`repro.hw.replay`), except timings another point's run fixed: the
+same knobs, or a cache size whose shadow tags
+(:meth:`~repro.hw.cache.DirectMappedCache.add_shadow`) matched it hit
+for hit; :meth:`Evaluator.evaluate` alone is always a full simulation.
 
 :func:`result_key` addresses one evaluation in the service's
 :class:`~repro.service.store.ArtifactStore` (shared with job artifacts): an
@@ -181,8 +182,9 @@ class Evaluator:
     def evaluate_structure(
         self, points: list[DesignPoint]
     ) -> tuple[list[EvalResult], dict[str, int]]:
-        """Score points that share one :attr:`DesignPoint.compile_key`:
-        record once, time many, and run each cache family once.
+        """Score points that share one design
+        (:attr:`~repro.pipeline.CompiledPipeline.design_key`): record
+        once, time many, and run each timing once.
 
         The first point that completes ``ok`` is simulated in full and —
         when another point follows — recorded; the rest replay that
@@ -193,11 +195,13 @@ class Evaluator:
         than ``ok``, fall back to :meth:`evaluate`, so every status,
         error and diagnosis is the full simulator's.
 
-        On the specialized engine, shared-cache points that differ only
-        in ``cache_lines`` form a family: its first point runs with a
-        shadow tag array of each sibling's size
+        On the specialized engine a point that shares its timing knobs
+        with an earlier ``ok`` point is given that result under its own
+        point and signature.  Shared-cache points that differ only in
+        ``cache_lines`` form a family: its first run carries a shadow tag
+        array of each sibling's size
         (:meth:`~repro.hw.cache.DirectMappedCache.add_shadow`), and a
-        sibling whose shadow matched is given that run's ``ok`` result.
+        size whose shadow matched counts as timed by that run.
 
         Every result is the one :meth:`evaluate` returns for its point;
         the second value counts how they were produced.  The recording
@@ -208,26 +212,26 @@ class Evaluator:
         results: list[EvalResult] = []
         recording: Recording | None = None  # of the first point to end ok
         no_image = None  # the workload of its replays
-        # A family's key is its points with cache_lines blanked, so any
-        # other knob splits families; its first point takes its sizes.
-        family_lines: dict[DesignPoint, set[int]] = {}
+        specialized = self.engine == "specialized"
+        # A family's first run takes its other sizes as shadows.
+        family_lines: dict[tuple, set[int]] = {}
         for point in points:
-            if self.engine == "specialized" and not point.private_caches:
+            if specialized and not point.private_caches:
                 family_lines.setdefault(
-                    replace(point, cache_lines=None), set()).add(point.cache_lines)
-        # family -> its first point's ok result, and the sizes it times
-        derivable: dict[DesignPoint, tuple[EvalResult, set[int]]] = {}
+                    _timing(point, None), set()).add(point.cache_lines)
+        timed: dict[tuple, EvalResult] = {}  # timing -> an ok result of it
         for position, point in enumerate(points):
-            family = replace(point, cache_lines=None)
-            source, matched = derivable.get(family, (None, ()))
-            if point.cache_lines in matched:
+            source = timed.get(_timing(point, point.cache_lines))
+            if source is not None:
                 tally["derived"] += 1
                 results.append(replace(
-                    source, point=point, stall_cycles=dict(source.stall_cycles)))
+                    source, point=point,
+                    signature=self.compile(point).full_signature(point.fifo_depth),
+                    stall_cycles=dict(source.stall_cycles)))
                 continue
             cache = DirectMappedCache(
                 n_lines=point.cache_lines, ports=point.cache_ports)
-            for lines in sorted(family_lines.pop(family, ())):
+            for lines in sorted(family_lines.pop(_timing(point, None), ())):
                 if lines != point.cache_lines:
                     cache.add_shadow(lines)
             if recording is not None:
@@ -243,7 +247,7 @@ class Evaluator:
                     # for this run (every run resets them).
                     tally["replay_fallbacks"] += 1
                     result = self._evaluate(point, cache=cache)
-            elif self.engine == "specialized" and position + 1 < len(points):
+            elif specialized and position + 1 < len(points):
                 recording = Recording()
                 result = self._evaluate(
                     point, cache=cache, system=recording.recorder)
@@ -257,9 +261,11 @@ class Evaluator:
                     recording = None  # the next point records
             else:
                 result = self._evaluate(point, cache=cache)
-            if result.ok and cache.shadows:
-                derivable[family] = (result, {
-                    shadow.n_lines for shadow in cache.shadows if shadow.matched})
+            if result.ok and specialized:
+                timed[_timing(point, point.cache_lines)] = result
+                for shadow in cache.shadows:
+                    if shadow.matched:
+                        timed[_timing(point, shadow.n_lines)] = result
             results.append(result)
         return results, tally
 
@@ -326,3 +332,9 @@ class Evaluator:
             checksum=float(run.checksum),
         )
 
+
+def _timing(point: DesignPoint, cache_lines: int | None) -> tuple:
+    """The knobs of ``point`` that its design leaves free, with
+    ``cache_lines`` in place of its own (None for its cache family)."""
+    return (point.fifo_depth, point.private_caches, cache_lines,
+            point.cache_ports)

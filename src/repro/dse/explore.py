@@ -12,15 +12,15 @@ make that hold:
 * strategies only see evaluated results, which are themselves
   deterministic, so every round proposes the same batch.
 
-Work is sharded by :attr:`DesignPoint.compile_key`: each pool task is
-*all* points of one (policy, worker count), which
-:meth:`Evaluator.evaluate_structure` scores from one compiled pipeline
-and one recorded simulation plus a timing replay per sibling (none for
-a cache size that a family sibling's run timed too).  The
-per-process pipeline intern (:func:`repro.harness.build.interned_pipeline`)
-keeps compiled pipelines alive across batches and strategy rounds, so
-each compile key is compiled once per pool process and reused across the
-FIFO-depth and cache variants that share it.
+Work is sharded by design: each pool task is *all* points of one
+:attr:`~repro.pipeline.CompiledPipeline.design_key` (computed in the
+parent), which :meth:`Evaluator.evaluate_structure` scores from one
+recorded simulation plus a timing replay per timing no other point's
+run fixed.  The per-process pipeline intern
+(:func:`repro.harness.build.interned_pipeline`) keeps compiled pipelines
+alive across batches and strategy rounds, so each compile key is
+compiled once per process and reused across the FIFO-depth and cache
+variants that share it.
 
 Parallelism comes from the shared :class:`~repro.fleet.FleetExecutor`
 (one reusable pool per explorer, or an externally supplied fleet),
@@ -33,7 +33,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from ..errors import CgpaError
 from ..fleet import FleetExecutor
+from ..harness.build import interned_pipeline
 from ..hw import DEFAULT_ENGINE
 from ..kernels import KernelSpec
 from ..service.store import ArtifactStore
@@ -256,10 +258,16 @@ class Explorer:
     ) -> list[tuple[int, EvalResult]]:
         if not misses:
             return []
-        # Shard by compile key: one task = one recording, many timings.
-        groups: dict[tuple, list[tuple[int, DesignPoint]]] = {}
+        # Shard by design: one task = one recording, many timings.
+        groups: dict[object, list[tuple[int, DesignPoint]]] = {}
         for index, point in misses:
-            groups.setdefault(point.compile_key, []).append((index, point))
+            try:
+                key = interned_pipeline(
+                    self.spec, point.replication_policy, point.n_workers
+                ).design_key
+            except CgpaError:  # the task reports it
+                key = point.compile_key
+            groups.setdefault(key, []).append((index, point))
         tasks = [
             (self.spec, self.max_cycles, self.engine, group)
             for group in groups.values()

@@ -55,10 +55,10 @@ class DesignPoint:
         cycles, never values (FIFO depth, cache organisation), which are
         bound on the simulator and the cost model.  So they reuse one
         compiled pipeline
-        (:func:`repro.harness.build.interned_pipeline`) and one
-        recorded simulation re-times all of them
-        (:meth:`~repro.dse.evaluate.Evaluator.evaluate_structure`; the
-        explorer groups work by this).
+        (:func:`repro.harness.build.interned_pipeline`).  It is not the
+        sharding key: the explorer groups work by the pipeline's
+        :attr:`~repro.pipeline.CompiledPipeline.design_key`, which
+        several compile keys may share.
         """
         return (self.policy, self.n_workers)
 

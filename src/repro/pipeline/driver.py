@@ -11,7 +11,9 @@ flow); the PDG refuses a module that was not optimised.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..analysis.loops import Loop, LoopInfo
 from ..analysis.pdg import ProgramDependenceGraph
@@ -21,6 +23,7 @@ from ..errors import CgpaError
 from ..interp import Profile
 from ..ir.module import Module
 from ..ir.primitives import DEFAULT_FIFO_DEPTH
+from ..ir.printer import print_module
 from .partition import partition_loop
 from .spec import DEFAULT_PARALLEL_WORKERS, PipelineSpec, ReplicationPolicy
 from .transform import TransformResult, transform_loop
@@ -45,6 +48,26 @@ class CompiledPipeline:
     def full_signature(self, depth: int = DEFAULT_FIFO_DEPTH) -> str:
         """Unambiguous label (shape/policy/workers/``depth`` run with)."""
         return self.spec.full_signature(depth)
+
+    @cached_property
+    def design_key(self) -> str:
+        """sha256 of everything a run, its area and its power read off
+        this pipeline: the module text, the wrapper's name, the channel
+        plan and each stage's task, kind and worker count.  The policy is
+        not in it, so knob settings that compile to one design share it."""
+        # Imported here: OpenSSL's libcrypto costs ~3 MiB of RSS in a
+        # process that only compiles.
+        import hashlib
+
+        design = [
+            print_module(self.module),
+            self.result.parent.name,
+            [[channel.channel_id, channel.name, channel.n_channels,
+              repr(channel.elem_type)] for channel in self.result.channels],
+            [[task.name, stage.kind.value, stage.n_workers]
+             for task, stage in zip(self.result.tasks, self.spec.stages)],
+        ]
+        return hashlib.sha256(json.dumps(design).encode()).hexdigest()
 
 
 def cgpa_compile(

@@ -51,6 +51,11 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 #: longer than this is refused with HTTP 414, a header line with 431.
 MAX_LINE_BYTES = 64 * 1024
 
+#: Caps on one request's header section, blank line included: past
+#: either, the request is refused with HTTP 431.
+MAX_HEADER_BYTES = 64 * 1024
+MAX_HEADER_LINES = 100
+
 #: Idle keep-alive connections are closed after this many seconds.
 KEEP_ALIVE_TIMEOUT_S = 75.0
 
@@ -249,12 +254,8 @@ class CgpaService:
             return False
         try:
             headers = await self._read_headers(reader)
-        except ValueError:  # a line over the reader's limit
-            await self._respond(
-                writer, 431,
-                {"error": f"header line exceeds {MAX_LINE_BYTES} bytes"},
-                close=True,
-            )
+        except ValueError as exc:  # over a header cap
+            await self._respond(writer, 431, {"error": str(exc)}, close=True)
             return False
         if headers is None:
             return False
@@ -308,16 +309,27 @@ class CgpaService:
     async def _read_headers(
         self, reader: asyncio.StreamReader
     ) -> dict[str, str] | None:
+        """The header section, None at EOF; ``ValueError`` over a cap."""
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        size = 0
+        for _ in range(MAX_HEADER_LINES):
+            try:
+                line = await reader.readline()
+            except ValueError:  # a line over the reader's limit
+                raise ValueError(
+                    f"header line exceeds {MAX_LINE_BYTES} bytes") from None
             if not line:
                 return None  # EOF mid-headers
+            size += len(line)
+            if size > MAX_HEADER_BYTES:
+                raise ValueError(
+                    f"header section exceeds {MAX_HEADER_BYTES} bytes")
             line = line.strip()
             if not line:
                 return headers
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        raise ValueError(f"header section exceeds {MAX_HEADER_LINES} lines")
 
     async def _respond(
         self,

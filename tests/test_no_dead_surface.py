@@ -42,9 +42,6 @@ ALLOWED = {
         "the text rendering of annotate_sections"),
     "repro.harness.sections:section_summary": (
         "the per-class counts of annotate_sections"),
-    "repro.ir.printer:print_module": (
-        "the textual IR of a whole module; the pinned compile digests of "
-        "test_build_path hash it"),
     "repro.ir.verifier:verify_module": (
         "the whole-module verifier (verify_function over a module); the "
         "frontend and interpreter tests check the modules they build"),

@@ -505,10 +505,48 @@ class TestFallbackAndBypass:
         for label in ("serial", "pool"):
             sweep = sweeps[label]
             assert (sweep.recorded, sweep.replayed, sweep.derived,
-                    sweep.replay_fallbacks) == (4, 20, 8, 0)
+                    sweep.replay_fallbacks) == (2, 10, 20, 0)
         evaluator = Evaluator(spec)
         assert [r.to_dict() for r in sweeps["serial"].results] == [
             evaluator.evaluate(p).to_dict() for p in space.grid()]
+
+
+class TestDesignSharding:
+    """A sweep shards by design content, so knob settings that compile to
+    the same pipeline (``p1`` and ``none`` on most kernels) share one
+    recording and their results."""
+
+    @pytest.mark.parametrize("name", [spec.name for spec in ALL_KERNELS])
+    def test_every_sweep_result_equals_its_full_evaluation(self, name):
+        spec = small(name)
+        space = ConfigSpace(
+            policies=["p1", "none"] + (["p2"] if spec.supports_p2 else []),
+            n_workers=[2], fifo_depths=[4, 16], cache_lines=[128, 512],
+        )
+        with Explorer(spec, space) as explorer:
+            sweep = explorer.run(GridStrategy())
+        evaluator = Evaluator(spec)
+        points = space.grid()
+        assert [r.to_dict() for r in sweep.results] == [
+            evaluator.evaluate(p).to_dict() for p in points]
+        designs = {
+            interned_pipeline(spec, p.replication_policy, p.n_workers).design_key
+            for p, result in zip(points, sweep.results) if result.ok
+        }
+        assert sweep.recorded == len(designs)
+
+    def test_the_key_reads_the_module_text(self):
+        # One constant of the loop body apart: the channel plans and
+        # stages agree, so only the module text tells the designs apart.
+        spec = small("ks")
+        variant = dataclasses.replace(spec, source=spec.source.replace(
+            "- 2.0 * w[a->id", "- 3.0 * w[a->id", 1))
+        first, second = (interned_pipeline(s, ReplicationPolicy.P1, 2)
+                         for s in (spec, variant))
+        assert [vars(c) for c in first.result.channels] == [
+            vars(c) for c in second.result.channels]
+        assert first.signature == second.signature
+        assert first.design_key != second.design_key
 
 
 class TestCounters:
@@ -538,8 +576,10 @@ class TestHostTicks:
     def test_ks_sweep_grid_ticks(self, monkeypatch):
         """Wall-clock-free pin of what replay saves: per 16-point ks grid
         the full simulator takes 316 472 worker ticks (two per memory
-        access); four recorded runs plus four replays (one per access)
-        take 119 652, and the other eight points are derived."""
+        access).  ``p1`` and ``none`` compile to one design per worker
+        count, so one recorded run per design plus one replay each take
+        59 826 (39 577 full, 20 249 replay, one per access), and the other
+        twelve points are derived."""
         ticks = {"full": 0, "replay": 0}
 
         def counting(cls, key):
@@ -556,6 +596,6 @@ class TestHostTicks:
         with Explorer(KERNELS_BY_NAME["ks"], ConfigSpace(**SWEEP_SPACE)) as explorer:
             sweep = explorer.run(GridStrategy())
         assert sum(r.cycles for r in sweep.results) == 485_048
-        assert (sweep.recorded, sweep.replayed, sweep.derived) == (4, 4, 8)
-        assert ticks["full"] <= 82_000, ticks
-        assert ticks["replay"] <= 125_000, ticks
+        assert (sweep.recorded, sweep.replayed, sweep.derived) == (2, 2, 12)
+        assert ticks["full"] <= 41_000, ticks
+        assert ticks["replay"] <= 22_000, ticks

@@ -275,6 +275,26 @@ class TestMalformedRequests:
         assert _raw_status(handle, request) == 431
         assert client.health()
 
+    def test_twenty_thousand_header_lines_answer_431(self, live_service):
+        handle, client = live_service
+        request = (
+            b"GET /v1/healthz HTTP/1.1\r\n"
+            + b"".join(b"X-Filler-%d: a\r\n" % i for i in range(20_000))
+            + b"\r\n"
+        )
+        assert _raw_status(handle, request) == 431
+        assert client.health()
+
+    def test_header_section_over_the_byte_cap_answers_431(self, live_service):
+        from repro.service.app import MAX_HEADER_BYTES, MAX_LINE_BYTES
+
+        handle, client = live_service
+        line = b"X-Filler: " + b"a" * (MAX_LINE_BYTES // 2) + b"\r\n"
+        count = MAX_HEADER_BYTES // len(line) + 1
+        request = b"GET /v1/healthz HTTP/1.1\r\n" + line * count + b"\r\n"
+        assert _raw_status(handle, request) == 431
+        assert client.health()
+
     def test_request_line_over_the_reader_limit_answers_414(self, live_service):
         handle, client = live_service
         request = b"GET /" + b"a" * (64 * 1024) + b" HTTP/1.1\r\n\r\n"
