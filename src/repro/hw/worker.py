@@ -564,9 +564,9 @@ class HwWorker:
 
     def _execute(self, frame: _Frame, inst: Instruction, cycle: int) -> str:
         self.stats.ops_executed[inst.opcode] += 1
-        pure = PURE_OPS.get(type(inst))
-        if pure is not None:
-            evaluate, operands = pure[0], inst.operands
+        evaluate = PURE_OPS.get(type(inst))
+        if evaluate is not None:
+            operands = inst.operands
             if len(operands) == 2:  # binop/icmp/fcmp: the hot shape
                 a, b = operands
                 value = evaluate(inst, self._value(frame, a), self._value(frame, b))

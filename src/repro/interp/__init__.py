@@ -1,4 +1,4 @@
-"""IR interpretation: memory image, stepping interpreter, profiler."""
+"""IR interpretation: memory image, segment interpreter, profiler."""
 
 from .interpreter import (
     BROADCAST_INDEX,
@@ -6,7 +6,6 @@ from .interpreter import (
     ChannelIO,
     Interpreter,
     RecordingChannelIO,
-    Status,
     malloc_site_table,
     reachable_ir,
 )
@@ -15,7 +14,7 @@ from .profiler import Profile, profile_call
 
 __all__ = [
     "Interpreter", "ChannelIO", "RecordingChannelIO", "BROADCAST_INDEX",
-    "Status", "MALLOC_NAMES", "malloc_site_table", "reachable_ir",
+    "MALLOC_NAMES", "malloc_site_table", "reachable_ir",
     "Memory", "Allocation", "HEAP_BASE", "wrap_int", "to_unsigned", "round_f32",
     "Profile", "profile_call",
 ]

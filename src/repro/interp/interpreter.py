@@ -1,24 +1,24 @@
 """Explicit-stack IR interpreter.
 
-Two executors over one explicit call stack (no Python recursion):
-
-* :meth:`Interpreter.call` runs a *segment* at a time: straight-line
-  Python rendered per block (:class:`_Segments`) over the same bound
-  operations the per-instruction closures call, and a call-free loop as
-  one *region* over Python locals.  Given static per-instruction
-  ``costs`` (the MIPS baseline, :mod:`repro.hw.mips_core`), the same text
-  also adds them to a cycle counter.
-* :meth:`Interpreter.step` runs one pre-decoded closure per instruction: the
-  reference the segments are tested against, and what lets the functional
-  pipeline checker (:mod:`repro.pipeline.cosim`) and the RTL co-simulation's
-  oracle run many task interpreters round-robin, blocking individual
-  machines on empty FIFO channels.
+One executor over one explicit call stack (no Python recursion):
+:meth:`Interpreter.resume` runs a *segment* at a time, straight-line
+Python rendered per block (:class:`_Segments`), and a call-free loop as
+one *region* over Python locals.  :meth:`Interpreter.call` runs a
+function to completion that way.  A frame parks on a :class:`Consume` of
+an empty channel and :meth:`~Interpreter.resume` picks it up there, which
+is what lets the functional pipeline checker (:mod:`repro.pipeline.cosim`)
+and the RTL co-simulation's oracle run many task interpreters round-robin.
+Given static per-instruction ``costs`` (the MIPS baseline,
+:mod:`repro.hw.mips_core`), the same text also adds them to a cycle
+counter; a profiled run (:func:`repro.interp.profiler.profile_call`)
+counts the edges it takes and the blocks its calls enter the same way.
+The independent reference the texts are tested against is the lockstep
+hardware worker (:class:`repro.hw.worker.HwWorker`).
 """
 
 from __future__ import annotations
 
-import enum
-from collections import deque
+from collections import Counter, deque
 from typing import Mapping
 
 from ..errors import InterpError
@@ -53,7 +53,7 @@ from ..ir.types import (
 )
 from ..ir.values import Constant, GlobalVariable, Value
 from .memory import Memory, buffer_line
-from .ops import FORMS, PURE_OPS, code_of, compile_text, expression
+from .ops import FORMS, code_of, compile_text, expression
 
 #: Names treated as heap-allocation builtins when declared without a body.
 MALLOC_NAMES = {"malloc"}
@@ -61,14 +61,6 @@ MALLOC_NAMES = {"malloc"}
 BLOCKED_OUTSIDE_SCHEDULER = (
     "interpreter blocked on an empty channel outside a cooperative scheduler"
 )
-
-
-class Status(enum.Enum):
-    """Result of one interpreter step."""
-
-    RUNNING = "running"
-    BLOCKED = "blocked"  # waiting on an empty FIFO channel
-    DONE = "done"
 
 
 class ChannelIO:
@@ -103,9 +95,6 @@ class ChannelIO:
             return False, None
         return True, queue.popleft()
 
-    def pending(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
     def queue_snapshot(self) -> dict[tuple[int, int], tuple]:
         """Pending token values per non-empty ``(channel_id, index)`` queue."""
         return {key: tuple(q) for key, q in self._queues.items() if q}
@@ -134,7 +123,7 @@ class RecordingChannelIO(ChannelIO):
     and needs, per worker instance, the exact in-order sequence of tokens
     produced/consumed and live-outs written.  ``current_tag`` identifies
     the machine currently executing (the caller sets it around each
-    ``step()`` batch); every log entry carries that tag.
+    :meth:`Interpreter.resume`); every log entry carries that tag.
 
     Logs:
 
@@ -195,13 +184,12 @@ class _Env(dict):
 
 
 class _Frame:
-    """One activation record: a cursor into a decoded block, ``seg`` (set on
-    calling) run a segment at a time, ``ops``/``insts``/``index`` stepped."""
+    """One activation record: ``seg`` is where it resumes (set on calling
+    and on parking)."""
 
-    __slots__ = ("ops", "insts", "index", "seg", "env", "call_inst")
+    __slots__ = ("seg", "env", "call_inst")
 
     def __init__(self, function: Function, call_inst: Instruction | None) -> None:
-        self.index = 0
         self.env = _Env(function)
         self.call_inst = call_inst  # instruction in the caller awaiting our result
 
@@ -219,12 +207,16 @@ class Interpreter:
         global_addresses: dict[str, int] | None = None,
         fork_handler=None,
         costs: Mapping[Instruction, int] | None = None,
+        counted: list | None = None,
     ) -> None:
         """``costs`` gives every instruction of ``module`` the cycles it
-        adds to ``cycles`` when :meth:`call` executes it (phis on their
-        edge, also counted in ``moves``; ``steps`` counts no phi); a
-        ``Memory`` subclass may advance ``cycles`` between instructions.
-        :meth:`step` charges nothing."""
+        adds to ``cycles`` when it executes (phis on their edge, also
+        counted in ``moves``; ``steps`` counts no phi); a ``Memory``
+        subclass may advance ``cycles`` between instructions.
+
+        ``counted`` (:func:`~repro.interp.profiler.profile_call`) receives
+        each edge ``(block, target)`` and each block a call enters as it
+        is rendered; ``counts[i]`` is how often the run took the i-th."""
         self.module = module
         self.memory = memory if memory is not None else Memory()
         self.channel_io = channel_io
@@ -233,6 +225,7 @@ class Interpreter:
         self.steps = 0
         self.cycles = 0
         self.moves = 0
+        self.counts: Counter = Counter()
         self.fork_handler = fork_handler
         self._stack: list[_Frame] = []
         self._return_value: int | float | None = None
@@ -240,44 +233,23 @@ class Interpreter:
             self.global_addresses = dict(global_addresses)
         else:
             self.global_addresses = _place_globals(module, self.memory)
-        self._code = _Decoder(module, self.global_addresses, type(self.memory), costs)
+        self._code = _Decoder(
+            module, self.global_addresses, type(self.memory), costs, counted
+        )
         self._segs = _Segments(self._code)
 
     # -- public driving --------------------------------------------------------
 
     def call(self, function: Function | str, args: list[int | float]):
-        """Run ``function`` to completion a segment or region at a time and
-        return its return value."""
-        stack = self._stack
-        frame = self._enter(function, args)
-        seg = self._segs[frame.env.function.entry]
-        limit = self.max_steps
-        while True:
-            n = seg[1]
-            if n:  # a segment's steps count on entry (a region counts its blocks)
-                steps = self.steps + n
-                if steps > limit:  # run what step() would have, then stop
-                    _, _, block, lo = seg
-                    self.steps = limit + 1
-                    _render(self._code, block, lo, lo + n - (steps - limit), None)(self, frame)
-                    raise InterpError(f"exceeded max_steps={limit}")
-                self.steps = steps
-            seg = seg[0](self, frame)
-            if not seg:  # the frame on top is another one, or this one parked
-                if seg is False or not stack:
-                    break
-                frame = stack[-1]
-                seg = frame.seg
-        if stack:
+        """Run ``function`` to completion and return its return value."""
+        self.enter(function, args)
+        if not self.resume():
             raise InterpError(BLOCKED_OUTSIDE_SCHEDULER)
         return self._return_value
 
-    def start(self, function: Function | str, args: list[int | float]) -> None:
-        """Prepare a top-level call without running it (for step drivers)."""
-        frame = self._enter(function, args)
-        frame.ops, frame.insts = self._code[frame.env.function.entry]
-
-    def _enter(self, function: Function | str, args: list[int | float]) -> _Frame:
+    def enter(self, function: Function | str, args: list[int | float]) -> None:
+        """Push the call of ``function`` at its entry segment; :meth:`resume`
+        runs it."""
         if isinstance(function, str):
             function = self.module.get_function(function)
         if self._stack:
@@ -289,29 +261,49 @@ class Interpreter:
             )
         frame = _Frame(function, None)
         frame.env.update(zip(function.args, args))
+        frame.seg = self._segs[function.entry]
         self._stack.append(frame)
         self._return_value = None
-        return frame
 
-    @property
-    def done(self) -> bool:
-        return not self._stack
+    def resume(self) -> bool:
+        """Run segments and regions until the stack empties (True) or the
+        frame on top parks on an empty channel (False).
 
-    @property
-    def return_value(self):
-        return self._return_value
-
-    def step(self) -> Status:
-        """Execute one instruction (or block without advancing)."""
-        if not self._stack:
-            return Status.DONE
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise InterpError(f"exceeded max_steps={self.max_steps}")
-        frame = self._stack[-1]
-        if frame.ops[frame.index](self, frame):
-            return Status.BLOCKED
-        return Status.DONE if not self._stack else Status.RUNNING
+        A consume starts its segment, so a parked frame resumes at the
+        consume having run nothing twice, and the parked segment's steps
+        are taken back: they count once, when it runs.  With no call on
+        the stack there is nothing to run: True.
+        """
+        stack = self._stack
+        if not stack:
+            return True
+        frame = stack[-1]
+        seg = frame.seg
+        limit = self.max_steps
+        while True:
+            n = seg[1]
+            if n:  # a segment's steps count on entry (a region counts its blocks)
+                steps = self.steps + n
+                if steps > limit:  # run up to the limit, then stop
+                    _, _, block, lo = seg
+                    before, self.steps = self.steps, limit + 1
+                    if _render(self._code, block, lo, lo + limit - before, None)(self, frame) is False:
+                        self.steps = before  # parked on the consume it starts with
+                        frame.seg = seg
+                        return False
+                    raise InterpError(f"exceeded max_steps={limit}")
+                self.steps = steps
+            following = seg[0](self, frame)
+            if not following:  # the frame on top is another one, or this one parked
+                if following is False:
+                    self.steps -= n
+                    frame.seg = seg
+                    return False
+                if not stack:
+                    return True
+                frame = stack[-1]
+                following = frame.seg
+            seg = following
 
     def _require_io(self) -> ChannelIO:
         if self.channel_io is None:
@@ -319,33 +311,25 @@ class Interpreter:
         return self.channel_io
 
 
-class _Decoder(dict):
-    """``block -> (ops, insts)``, decoded on first entry to the block.
+class _Decoder:
+    """What one interpreter's texts are bound against: global addresses,
+    ``malloc`` sites, the memory class, ``costs`` and ``counted`` keys.
 
-    Each instruction becomes a closure ``op(interp, frame)`` with its
-    operands pre-bound; it returns a true value only when it cannot make
-    progress (a :class:`Consume` on an empty queue), leaving the frame
-    untouched.  The cache is per interpreter, not per function: transforms
-    rewrite IR between interpretations.  The decoder deliberately never
-    sees the interpreter or its memory, so no closure can capture them:
-    such a reference would be a cycle, and the memory image would wait
-    for the cyclic GC instead of dying with its last user.
+    It never sees the interpreter or its memory, so no rendered namespace
+    can capture them: such a reference would be a cycle, and the memory
+    image would wait for the cyclic GC instead of dying with its last user.
     """
 
     def __init__(
-        self, module: Module, global_addresses: dict[str, int], memory_type, costs
+        self, module: Module, global_addresses: dict[str, int], memory_type, costs,
+        counted: list | None,
     ) -> None:
         self.module = module
         self.global_addresses = global_addresses
         self.memory_type = memory_type
-        self.costs = costs  # rendered into segments and regions only
+        self.costs = costs  # rendered into segments and regions
+        self.counted = counted
         self._alloc_sites: dict[int, int] | None = None
-
-    def __missing__(self, block: BasicBlock):
-        insts = tuple(block.instructions)
-        ops = [_DECODERS.get(type(inst), _unknown)(self, inst, block) for inst in insts]
-        code = self[block] = (ops, insts)
-        return code
 
     def bind(self, value: Value):
         """``(key, const)``: the env key of a runtime value, else its constant."""
@@ -360,68 +344,12 @@ class _Decoder(dict):
             self._alloc_sites = _number_malloc_sites(self.module)
         return self._alloc_sites.get(id(inst), -1)
 
-    def edge(self, src: BasicBlock, target: BasicBlock):
-        """The op taking the CFG edge ``src -> target``.
-
-        The target's phis are resolved against ``src`` here, so taking
-        the edge is one parallel copy: every incoming value is read
-        before any phi is written (in order is the same thing unless one
-        phi feeds another, when the sources are latched first).
-        """
-        phis = target.phis()
-        n_phis = len(phis)
-        moves = [(phi, *self.bind(phi.incoming_for(src))) for phi in phis]
-        keys = [k for _, k, _ in moves if k is not None]
-        swaps = any(k in phis for k in keys)  # a phi feeds another phi
-
-        def edge(interp, frame):
-            frame.ops, frame.insts = interp._code[target]
-            frame.index = n_phis
-            env = read = frame.env
-            if swaps:
-                read = {k: env[k] for k in keys}
-            for phi, k, c in moves:
-                env[phi] = read[k] if k is not None else c
-
-        return edge
-
-
-def _simple(make, effect: bool):
-    """Decoder of ``inst = f(*operand values)``, then fall through.
-
-    ``make(inst)`` returns a pure ``f``; with ``effect``, ``make(code, inst)``
-    returns an ``f`` that also receives the interpreter, ahead of the
-    values.  A void instruction defines nothing.
-    """
-
-    def decode(code: _Decoder, inst: Instruction, block: BasicBlock):
-        f = make(code, inst) if effect else make(inst)
-        binds = [code.bind(v) for v in inst.operands]
-        if len(binds) == 2 and not effect:  # binop/icmp/fcmp: the hot shape
-            (ka, ca), (kb, cb) = binds
-
-            def op(interp, frame):
-                env = frame.env
-                env[inst] = f(
-                    env[ka] if ka is not None else ca,
-                    env[kb] if kb is not None else cb,
-                )
-                frame.index += 1
-
-            return op
-        defines = not inst.type.is_void
-
-        def op(interp, frame):
-            env = frame.env
-            values = [env[k] if k is not None else c for k, c in binds]
-            result = f(interp, *values) if effect else f(*values)
-            if defines:
-                env[inst] = result
-            frame.index += 1
-
-        return op
-
-    return decode
+    def count(self, key, out: list[str]) -> None:
+        """In a profiled run, the line counting ``key`` (an edge
+        ``(block, target)`` or a block a call enters)."""
+        if self.counted is not None:
+            out.append(f"interp.counts[{len(self.counted)}] += 1")
+            self.counted.append(key)
 
 
 def _alloca(code: _Decoder, inst: Alloca):
@@ -444,6 +372,16 @@ def _produce(code: _Decoder, inst: Produce):
 def _produce_broadcast(code: _Decoder, inst: ProduceBroadcast):
     channel = inst.channel
     return lambda interp, value: interp._require_io().produce_broadcast(channel, value)
+
+
+def _consume(code: _Decoder, inst: Consume):
+    """``(True, value)``, or ``(False, None)`` on an empty queue."""
+    channel = inst.channel
+    if inst.worker_select is None:
+        return lambda interp: interp._require_io().try_consume(channel, interp.worker_id)
+    return lambda interp, select: interp._require_io().try_consume(
+        channel, int(select) % channel.n_channels
+    )
 
 
 def _store_liveout(code: _Decoder, inst: StoreLiveout):
@@ -489,112 +427,8 @@ def _malloc(code: _Decoder, inst: Call):
     return lambda interp, size: interp.memory.malloc(int(size), site)
 
 
-_decode_malloc = _simple(_malloc, effect=True)
-
-
-def _decode_load(code: _Decoder, inst: Load, block: BasicBlock):
-    k, c = code.bind(inst.pointer)
-    load = code.memory_type.loader(inst.type)
-
-    def op(interp, frame):
-        env = frame.env
-        env[inst] = load(interp.memory, env[k] if k is not None else c)
-        frame.index += 1
-
-    return op
-
-
-def _decode_condbr(code: _Decoder, inst: CondBranch, block: BasicBlock):
-    k, c = code.bind(inst.cond)
-    if_true = code.edge(block, inst.if_true)
-    if_false = code.edge(block, inst.if_false)
-
-    def op(interp, frame):
-        if frame.env[k] if k is not None else c:
-            if_true(interp, frame)
-        else:
-            if_false(interp, frame)
-
-    return op
-
-
-def _decode_phi(code: _Decoder, inst: Phi, block: BasicBlock):
-    # Reached only when a frame starts in a block without taking an edge;
-    # edges latch phis, so the value must already exist.
-    def op(interp, frame):
-        if inst not in frame.env:
-            raise InterpError("phi encountered outside a block entry")
-        frame.index += 1
-
-    return op
-
-
-def _decode_call(code: _Decoder, inst: Call, block: BasicBlock):
-    callee = inst.callee
-    if callee.is_declaration:
-        if callee.name not in MALLOC_NAMES:
-            return _raising(f"call to undefined function @{callee.name}")
-        return _decode_malloc(code, inst, block)
-    binds = [code.bind(v) for v in inst.args]
-
-    def op(interp, frame):
-        env = frame.env
-        new_frame = _Frame(callee, inst)
-        new_frame.ops, new_frame.insts = interp._code[callee.entry]
-        new_frame.env.update(
-            zip(callee.args, [env[k] if k is not None else c for k, c in binds])
-        )
-        interp._stack.append(new_frame)
-
-    return op
-
-
-def _decode_ret(code: _Decoder, inst: Ret, block: BasicBlock):
-    k, c = (None, None) if inst.value is None else code.bind(inst.value)
-
-    def op(interp, frame):
-        value = frame.env[k] if k is not None else c
-        stack = interp._stack
-        stack.pop()
-        if stack:
-            caller = stack[-1]
-            if value is not None:
-                caller.env[frame.call_inst] = value
-            caller.index += 1
-        else:
-            interp._return_value = value
-
-    return op
-
-
-def _decode_consume(code: _Decoder, inst: Consume, block: BasicBlock):
-    channel = inst.channel
-    select = inst.worker_select
-    k, c = (None, None) if select is None else code.bind(select)
-
-    def op(interp, frame):
-        if select is None:
-            index = interp.worker_id
-        else:
-            index = int(frame.env[k] if k is not None else c) % channel.n_channels
-        ok, value = interp._require_io().try_consume(channel, index)
-        if not ok:
-            return Status.BLOCKED
-        frame.env[inst] = value
-        frame.index += 1
-
-    return op
-
-
-def _raising(message: str):
-    def op(interp, frame):
-        raise InterpError(message)
-
-    return op
-
-
-def _unknown(code: _Decoder, inst: Instruction, block: BasicBlock):
-    return _raising(f"cannot interpret opcode {inst.opcode}")
+def _fail(message: str):
+    raise InterpError(message)
 
 
 #: Instruction class -> maker of its effect ``f(interp, *operand values)``;
@@ -610,20 +444,6 @@ _EFFECTS = {
     ParallelJoin: _join,
 }
 
-#: Instruction class -> closure decoder.  Pure ops come from the shared op
-#: table.
-_DECODERS = {
-    **{cls: _simple(bind, effect=False) for cls, (_, bind) in PURE_OPS.items()},
-    **{cls: _simple(make, effect=True) for cls, make in _EFFECTS.items()},
-    Load: _decode_load,
-    Jump: lambda code, inst, block: code.edge(block, inst.target),
-    CondBranch: _decode_condbr,
-    Phi: _decode_phi,
-    Call: _decode_call,
-    Ret: _decode_ret,
-    Consume: _decode_consume,
-}
-
 
 class _Segments(dict):
     """``block -> what runs from its entry``, rendered on first entry.
@@ -632,15 +452,16 @@ class _Segments(dict):
     header maps to ``(function, 0, header, 0)``, and its other blocks,
     which only its own edges enter, map to nothing.  Every other block
     maps to its first *segment*: a maximal run of non-phi instructions
-    that can neither push a frame nor park, ending after a call to a
-    defined function, after a :class:`Consume`, or with the terminator.
-    A segment is ``(function, length, block, start)``.  Either function
-    runs ``(interp, frame)`` and returns the frame's next segment or
-    region, ``None`` once another frame is on top (a caller resumes at
-    its ``frame.seg``), or ``False`` for a consume on an empty queue; a
-    region leaving for a block that would overrun ``max_steps`` returns
-    that block as ``(None, length, block, start)``, which ``call()`` runs
-    as far as step() would.  As with :class:`_Decoder`, neither this cache
+    that can push a frame or park only at its ends: it ends after a call
+    to a defined function, before a :class:`Consume`, or with the
+    terminator.  A segment is ``(function, length, block, start)``.
+    Either function runs ``(interp, frame)`` and returns the frame's next
+    segment or region, ``None`` once another frame is on top (a caller
+    resumes at its ``frame.seg``), or ``False`` when the consume it
+    starts with finds its queue empty; a region leaving for a block that
+    would overrun ``max_steps`` returns that block as
+    ``(None, length, block, start)``, which :meth:`Interpreter.resume`
+    runs up to the limit.  As with :class:`_Decoder`, neither this cache
     nor a rendered function's namespace holds the interpreter or its
     memory.
     """
@@ -668,10 +489,14 @@ class _Segments(dict):
                 )
             segment = self[block] = (_render_region(self.code, *region), 0, block, 0)
             return segment
-        cuts = [len(block.phis()), len(insts)]
-        for i, inst in enumerate(insts[cuts[0] : -1], cuts[0] + 1):
-            if type(inst) is Consume or type(inst) is Call and not inst.callee.is_declaration:
-                cuts.insert(-1, i)
+        lead = block.first_non_phi_index()
+        cuts = {lead, len(insts)}
+        for i, inst in enumerate(insts[lead:-1], lead):
+            if type(inst) is Consume:  # a parked frame resumes at the consume
+                cuts.add(i)
+            elif type(inst) is Call and not inst.callee.is_declaration:
+                cuts.add(i + 1)
+        cuts = sorted(cuts)
         segment = None
         for lo, hi in reversed(list(zip(cuts, cuts[1:]))):  # each holds the one after it
             segment = (_render(self.code, block, lo, hi, segment), hi - lo, block, lo)
@@ -707,8 +532,8 @@ def _runs_as_region(blocks: list[BasicBlock], dominates) -> bool:
     region.
 
     No block may hold a segment cut (a region's frame is on top from
-    entry to exit) or an op only the closure decoder runs (a phi out of
-    place, a call to an undefined function, an unknown opcode), and the
+    entry to exit) or an op that raises when run (a phi out of place, a
+    call to an undefined function, an unknown opcode), and the
     function's entry is no header (its phis would be read unset).  Every
     operand must be defined on every path to its use, so that a region
     can read its live-ins once on entry and hold its own values in
@@ -861,12 +686,14 @@ def _emit(text: _Text, code: _Decoder, block: BasicBlock, insts, keep, edge, fol
     instructions, to ``text.body``.
 
     A pure op is its expression form and a load or store is inlined
-    (:meth:`_Text.access`); every other operation is the object the
-    closure decoder calls (``_EFFECTS``), reached through the namespace.
+    (:meth:`_Text.access`); every other operation is the object its
+    ``_EFFECTS`` maker returns, reached through the namespace.
     ``keep(inst)`` says whether a value also goes to its home, and
     ``edge(target, local, spent)`` gives the lines taking the edge
     ``block -> target``.  A call pushes its callee's frame and leaves the
-    caller at ``following``.
+    caller at ``following``, as does a range that stops before a consume;
+    a consume on an empty queue returns ``False``.  A phi out of place,
+    an unknown opcode or a call to an undefined function raises when run.
 
     Under ``code.costs`` the text also charges each instruction's cycles
     to ``interp.cycles``: summed while rendering, added before every op
@@ -884,6 +711,10 @@ def _emit(text: _Text, code: _Decoder, block: BasicBlock, insts, keep, edge, fol
             text.pure(inst, keep(inst))
             spent += cost(inst)
             continue
+        if cls is Phi:  # out of place: set only if an edge latched it
+            failure = ref("phi encountered outside a block entry")
+            body.append(f"if {ref(inst)} not in env: {ref(_fail, 'F')}({failure})")
+            continue
         values = [use(v) for v in inst.operands if not isinstance(v, BasicBlock)]
         if cls is not Jump and cls is not CondBranch:  # may reach memory or leave
             _charge(body, spent)
@@ -897,6 +728,7 @@ def _emit(text: _Text, code: _Decoder, block: BasicBlock, insts, keep, edge, fol
             body += [f"new.env[{ref(a)}] = {v}" for a, v in zip(callee.args, values)]
             body.append(f"new.seg = interp._segs[{ref(callee.entry)}]")
             body += [f"frame.seg = {ref(following)}", "interp._stack.append(new)"]
+            code.count(callee.entry, body)
             _charge(body, spent)
         elif cls in _EFFECTS or cls is Call and inst.callee.name in MALLOC_NAMES:
             effect = ref(_EFFECTS.get(cls, _malloc)(code, inst), "F")
@@ -914,12 +746,19 @@ def _emit(text: _Text, code: _Decoder, block: BasicBlock, insts, keep, edge, fol
                 body.append(f"if stack: stack[-1].env[frame.call_inst] = {values[0]}")
                 body.append(f"else: interp._return_value = {values[0]}")
             _charge(body, spent)
-        else:  # a consume parks; a phi out of place, an unknown opcode or callee raises
-            op = _DECODERS.get(cls, _unknown)(code, inst, block)
-            body.append(f"if {ref(op, 'F')}(interp, frame): return False")
-            if cls is Consume:
-                _charge(body, spent)
-                body.append(f"return {ref(following)}")
+        elif cls is Consume:  # first in its segment: parking re-runs nothing
+            got = f"{ref(_consume(code, inst), 'F')}({', '.join(['interp'] + values)})"
+            body += [f"got = {got}", "if not got[0]: return False"]
+            text.define(inst, "got[1]", keep(inst))
+        else:
+            failure = (
+                f"call to undefined function @{inst.callee.name}" if cls is Call
+                else f"cannot interpret opcode {inst.opcode}"
+            )
+            body.append(f"{ref(_fail, 'F')}({ref(failure)})")
+    if following is not None and not (cls is Call and not inst.callee.is_declaration):
+        _charge(body, spent)  # the range stops before a consume
+        body.append(f"return {ref(following)}")
 
 
 def _phi_costs(code: _Decoder, out: list[str], spent: int, phis) -> None:
@@ -946,7 +785,7 @@ def _render(code: _Decoder, block: BasicBlock, lo: int, hi: int, following):
     is read there at its first use (see :func:`_emit`).
     """
     insts = block.instructions[lo:hi]
-    members = {inst for inst in insts if type(inst) is not Consume}  # a consume reads the env
+    members = set(insts)
     closes = hi == len(block.instructions)  # the range ends with the terminator
     text = _Text(code.bind, lambda key: f"env[{text.ref(key)}]")
     text.ns["Frame"] = _Frame
@@ -958,6 +797,7 @@ def _render(code: _Decoder, block: BasicBlock, lo: int, hi: int, following):
         phis = target.phis()
         text.moves([(phi, phi.incoming_for(block)) for phi in phis], local, out)
         _phi_costs(code, out, spent, phis)
+        code.count((block, target), out)
         out.append(f"return interp._segs[{text.ref(target)}]")
         return out
 
@@ -980,10 +820,10 @@ def _render_region(code: _Decoder, blocks: list[BasicBlock], dominates):
     block (a back edge) starts the loop again.
     A block's steps count on entry, as a segment's do; a block that would
     overrun ``max_steps`` writes what it reads to ``frame.env`` and leaves
-    as its own segment, which ``call()`` runs as far as step() would.  An
-    exit writes the exit block's phis and the escaping values the exit
-    has (those defined in a block that dominates it) and returns the
-    exit block's segment.
+    as its own segment, which :meth:`Interpreter.resume` runs up to the
+    limit.  An exit writes the exit block's phis and the escaping values
+    the exit has (those defined in a block that dominates it) and returns
+    the exit block's segment.
     """
     region = set(blocks)
     text = _Text(code.bind, lambda key: f"env[{text.ref(key)}]")
@@ -1025,11 +865,13 @@ def _render_region(code: _Decoder, blocks: list[BasicBlock], dominates):
                 out += [f"env[{ref(value)}] = {local[value]}"
                         for value in escaping if dominates(value.parent, block)]
                 _phi_costs(code, out, spent, phis)
+                code.count((block, target), out)
                 return out + [f"return interp._segs[{ref(target)}]"]
             sources = [text.use(source, local, out) for _, source in pairs]
             if phis:
                 out.append(f"{', '.join(local[phi] for phi in phis)} = {', '.join(sources)}")
             _phi_costs(code, out, spent, phis)
+            code.count((block, target), out)
             out.append(f"at = {blocks.index(target)}")  # a later block: falls through
             return out + ["continue"] * (blocks.index(target) <= at)
 

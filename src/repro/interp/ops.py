@@ -1,14 +1,11 @@
 """Pure operation semantics: the one place instruction values are computed.
 
 :data:`PURE_OPS` maps each side-effect-free instruction class to its
-``eval_*`` (evaluate one instruction from scratch, the reference) and its
-``bind_*`` (resolve once whatever depends only on the instruction and return
-``f(*operand_values)``, for a decoder that will execute it many times).
+``eval_*`` (evaluate one instruction from scratch, the reference), and
 :data:`FORMS` spells each such op once more, as a Python expression the
-code generators paste inline; ``bind_*`` is that expression compiled.  The
-functional interpreter, both hardware workers and the constant folder take
-their arithmetic from here and spell none of their own, so they can
-disagree on timing but never on values.
+code generators paste inline.  The functional interpreter, both hardware
+workers and the constant folder take their arithmetic from here and spell
+none of their own, so they can disagree on timing but never on values.
 """
 
 from __future__ import annotations
@@ -219,10 +216,10 @@ def form_gep(inst: GEP, base: str, *indices: str, ref) -> str:
 #: ref=...)`` spells the op as one Python expression over the operand
 #: texts (generated names or ``int`` literals); anything else it needs (a
 #: float constant, ``round_f32``, a trapping division) it names through
-#: ``ref(obj) -> name``.  The segment generator pastes the form inline and
-#: ``bind_*`` compiles it, so both compute what ``eval_*`` computes, bit for
-#: bit, on values of the operands' types; where ``eval_*`` coerces through
-#: ``int`` (casts, unsigned ops) the form does too.
+#: ``ref(obj) -> name``.  The generators paste the form inline, and it
+#: computes what ``eval_*`` computes, bit for bit, on values of the
+#: operands' types; where ``eval_*`` coerces through ``int`` (casts,
+#: unsigned ops) the form does too.
 FORMS = {
     BinaryOp: form_binop,
     ICmp: form_compare,
@@ -245,24 +242,6 @@ code_of = lru_cache(maxsize=1024)(compile_text)
 def expression(inst, operands: list[str], ref) -> str:
     """``inst``'s expression form over ``operands`` (one text per operand)."""
     return FORMS[type(inst)](inst, *operands, ref=ref)
-
-
-def _bound(inst):
-    """``f(*operand_values)``: ``inst``'s expression form, compiled."""
-    ns: dict[str, object] = {"__builtins__": {}}
-
-    def ref(obj) -> str:
-        name = f"K{len(ns)}"
-        ns[name] = obj
-        return name
-
-    args = ", ".join(f"v{i}" for i in range(len(inst.operands)))
-    body = expression(inst, [f"v{i}" for i in range(len(inst.operands))], ref)
-    exec(code_of(f"def f({args}):\n return {body}\n"), ns)
-    return ns["f"]
-
-
-bind_binop = bind_icmp = bind_fcmp = bind_cast = bind_select = _bound
 
 
 def bind_gep(inst: GEP) -> tuple[int, list[tuple[int, int]]]:
@@ -295,16 +274,14 @@ def bind_gep(inst: GEP) -> tuple[int, list[tuple[int, int]]]:
     return offset, terms
 
 
-#: The pure-op table: instruction class -> ``(eval, bind)``, where
-#: ``eval(inst, *operand_values)`` and ``bind(inst)(*operand_values)``
-#: both take the values of ``inst.operands`` in order.  A new pure opcode
-#: is one entry here.  (GEP consumers that want a flatter closure use the
-#: affine form :func:`bind_gep` returns; its table entry is that form.)
+#: The pure-op table: instruction class -> ``eval(inst, *operand_values)``,
+#: over the values of ``inst.operands`` in order.  A new pure opcode is one
+#: entry here and one in :data:`FORMS`.
 PURE_OPS = {
-    BinaryOp: (eval_binop, bind_binop),
-    ICmp: (eval_icmp, bind_icmp),
-    FCmp: (eval_fcmp, bind_fcmp),
-    Cast: (eval_cast, bind_cast),
-    Select: (eval_select, bind_select),
-    GEP: (lambda inst, *operands: _gep_address(*bind_gep(inst), *operands), _bound),
+    BinaryOp: eval_binop,
+    ICmp: eval_icmp,
+    FCmp: eval_fcmp,
+    Cast: eval_cast,
+    Select: eval_select,
+    GEP: lambda inst, *operands: _gep_address(*bind_gep(inst), *operands),
 }

@@ -2,8 +2,11 @@
 
 The profile drives two things: hotspot identification (which loop to
 accelerate) and the pipeline partitioner's SCC weights (how many dynamic
-instructions each SCC accounts for).  It steps the reference path
-(:meth:`Interpreter.step`) and reads off each step what it executed.
+instructions each SCC accounts for).  The run renders a counter into
+every edge and every call of its segments and regions, the way the MIPS
+baseline renders its cycle costs; a block runs each of its non-phi
+instructions once per entry and each of its phis once per incoming edge,
+so those counters are the whole profile.
 """
 
 from __future__ import annotations
@@ -11,10 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ..errors import InterpError
-from ..ir.instructions import CondBranch, Instruction, Jump
+from ..ir.instructions import Instruction, Phi
 from ..ir.module import Module
-from .interpreter import BLOCKED_OUTSIDE_SCHEDULER, Interpreter, Status
+from .interpreter import Interpreter
 from .memory import Memory
 
 
@@ -43,23 +45,25 @@ def profile_call(
     Every executed instruction counts, a taken edge's phis included; a
     block counts when an edge enters it, and the root's entry once.
     """
-    profile = Profile()
+    counted: list = []
+    interp = Interpreter(module, memory, max_steps=max_steps, counted=counted)
+    profile = Profile(return_value=interp.call(function_name, args))
     insts, blocks, edges = profile.inst_counts, profile.block_counts, profile.edge_counts
-    interp = Interpreter(module, memory, max_steps=max_steps)
-    interp.start(function_name, args)
-    stack = interp._stack
-    blocks[id(stack[-1].insts[0].parent)] += 1
-    while stack:
-        frame = stack[-1]
-        inst = frame.insts[frame.index]
-        if interp.step() is Status.BLOCKED:
-            raise InterpError(BLOCKED_OUTSIDE_SCHEDULER)
-        insts[id(inst)] += 1
-        if type(inst) is Jump or type(inst) is CondBranch:  # the frame took an edge
-            target = frame.insts[0].parent
-            edges[(id(inst.parent), id(target))] += 1
-            blocks[id(target)] += 1
+    root = module.get_function(function_name).entry
+    blocks[id(root)] += 1
+    entries = Counter({root: 1})
+    for i, n in interp.counts.items():
+        key = counted[i]
+        if type(key) is tuple:  # an edge, which also runs its target's phis
+            source, target = key
+            edges[(id(source), id(target))] += n
+            blocks[id(target)] += n
             for phi in target.phis():
-                insts[id(phi)] += 1
-    profile.return_value = interp.return_value
+                insts[id(phi)] += n
+            key = target
+        entries[key] += n
+    for block, n in entries.items():
+        for inst in block.instructions:
+            if type(inst) is not Phi:
+                insts[id(inst)] += n
     return profile

@@ -1,11 +1,12 @@
 """Functional co-simulation of transformed pipelines.
 
 Runs the transformed parent under the interpreter; ``parallel_fork``
-registers one task interpreter per worker and ``parallel_join`` drives
-them round-robin over unbounded in-order channels until every task
-finishes.  No timing is modelled — this layer answers only "does the
-pipelined program compute exactly what the sequential one did?", which is
-the property the paper's generated testbenches assert.
+enters one task interpreter per worker at its entry segment and
+``parallel_join`` resumes them round-robin, each until it parks on an
+empty channel or finishes, over unbounded in-order channels until every
+task finishes.  No timing is modelled — this layer answers only "does
+the pipelined program compute exactly what the sequential one did?",
+which is the property the paper's generated testbenches assert.
 
 The cycle-accurate hardware model lives in :mod:`repro.hw`; both layers
 share the task functions and channel plan, so functional equivalence here
@@ -15,7 +16,7 @@ validates the transform for the hardware simulation as well.
 from __future__ import annotations
 
 from ..errors import SimulationError
-from ..interp.interpreter import ChannelIO, Interpreter, Status
+from ..interp.interpreter import ChannelIO, Interpreter
 from ..interp.memory import Memory
 from ..ir.instructions import ParallelFork
 from ..ir.module import Module
@@ -37,8 +38,6 @@ class FunctionalForkHandler:
         self.global_addresses = global_addresses
         self.channel_io = channel_io if channel_io is not None else ChannelIO()
         self._pending: dict[int, list[Interpreter]] = {}
-        #: Total interpreter steps spent inside tasks (for rough stats).
-        self.task_steps = 0
 
     def fork(self, inst: ParallelFork, livein_values: list[int | float]) -> None:
         worker_id, args = fork_call(inst, livein_values)
@@ -49,37 +48,24 @@ class FunctionalForkHandler:
             worker_id=worker_id,
             global_addresses=self.global_addresses,
         )
-        machine.start(inst.task, args)
+        machine.enter(inst.task, args)
         self._pending.setdefault(inst.loop_id, []).append(machine)
 
     def join(self, loop_id: int) -> None:
         machines = self._pending.pop(loop_id, [])
-        while True:
-            progressed = False
-            done = 0
-            for machine in machines:
-                if machine.done:
-                    done += 1
-                    continue
-                executed = 0
-                status = machine.step()
-                while status is Status.RUNNING:
-                    executed += 1
-                    status = machine.step()
-                if status is Status.DONE:
-                    done += 1
-                    executed += 1
-                self.task_steps += machine.steps
-                machine.steps = 0
-                if executed:
-                    progressed = True
-            if done == len(machines):
-                return
-            if not progressed:
+        while machines:
+            steps = sum(machine.steps for machine in machines)
+            parked = [machine for machine in machines if not self._resume(machine)]
+            if len(parked) == len(machines) and sum(m.steps for m in parked) == steps:
                 raise SimulationError(
-                    f"pipeline deadlock: {len(machines) - done} task(s) "
+                    f"pipeline deadlock: {len(parked)} task(s) "
                     f"blocked on empty channels"
                 )
+            machines = parked
+
+    def _resume(self, machine: Interpreter) -> bool:
+        """Run ``machine`` until it parks (False) or finishes (True)."""
+        return machine.resume()
 
 
 def run_transformed(

@@ -47,6 +47,11 @@ from .store import DEFAULT_LRU_ENTRIES, ArtifactStore
 #: A service request body larger than this is refused (HTTP 413).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: From the request line on, the header section and the body must arrive
+#: within this many seconds, or the request is answered HTTP 408 and the
+#: connection closed.
+REQUEST_DEADLINE_S = 30.0
+
 #: The stream reader's line limit (asyncio's default): a request line
 #: longer than this is refused with HTTP 414, a header line with 431.
 MAX_LINE_BYTES = 64 * 1024
@@ -65,7 +70,8 @@ MAX_WAIT_S = 30.0
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
-    409: "Conflict", 413: "Payload Too Large", 414: "URI Too Long",
+    408: "Request Timeout", 409: "Conflict", 413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error", 503: "Service Unavailable",
@@ -103,6 +109,11 @@ class _HttpError(Exception):
         self.status = status
         self.payload = {"error": message}
         self.retry_after = retry_after
+
+
+class _TooSlow(Exception):
+    """Internal: a connection's idle timer or a request's deadline fired
+    while the reader waited."""
 
 
 class CgpaService:
@@ -196,14 +207,18 @@ class CgpaService:
             self._connections.add(task)
         peer = writer.get_extra_info("peername")
         peer_id = peer[0] if isinstance(peer, tuple) else "local"
+        loop = asyncio.get_running_loop()
         try:
             while True:
+                # One timer per wait, as for a request's deadline below: a
+                # read it interrupts raises _TooSlow.
+                idle = loop.call_later(
+                    KEEP_ALIVE_TIMEOUT_S, reader.set_exception, _TooSlow()
+                )
                 try:
-                    request_line = await asyncio.wait_for(
-                        reader.readline(), KEEP_ALIVE_TIMEOUT_S
-                    )
-                except asyncio.TimeoutError:
-                    break
+                    request_line = await reader.readline()
+                except _TooSlow:
+                    break  # idle, or the last request's deadline fired as it ended
                 except ValueError:  # a line over the reader's limit
                     await self._respond(
                         writer, 414,
@@ -211,6 +226,8 @@ class CgpaService:
                         close=True,
                     )
                     break
+                finally:
+                    idle.cancel()
                 if not request_line.strip():
                     if not request_line:
                         break  # EOF: client closed the connection
@@ -252,40 +269,24 @@ class CgpaService:
                 writer, 400, {"error": "malformed request line"}, close=True
             )
             return False
-        try:
-            headers = await self._read_headers(reader)
-        except ValueError as exc:  # over a header cap
-            await self._respond(writer, 431, {"error": str(exc)}, close=True)
-            return False
-        if headers is None:
-            return False
-        keep_alive = (
-            headers.get("connection", "keep-alive").lower() != "close"
-            and version.upper() != "HTTP/1.0"
+        # The request's deadline replaces the connection's idle timer.
+        late = asyncio.get_running_loop().call_later(
+            REQUEST_DEADLINE_S, reader.set_exception, _TooSlow()
         )
-        body = b""
-        length_text = headers.get("content-length", "0")
-        # One run of ASCII digits, short enough for ``int()`` (which
-        # refuses over 4300 digits) and far longer than any body we take.
-        if not (
-            length_text.isascii() and length_text.isdigit()
-            and len(length_text) <= 20
-        ):
+        try:
+            read = await self._read_request(reader, writer, version)
+        except _TooSlow:
             await self._respond(
-                writer, 400,
-                {"error": f"bad Content-Length {length_text!r}"}, close=True,
+                writer, 408,
+                {"error": f"request not received within {REQUEST_DEADLINE_S} s"},
+                close=True,
             )
             return False
-        length = int(length_text)
-        if length > MAX_BODY_BYTES:
-            await self._respond(
-                writer, 413,
-                {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}, close=True,
-            )
+        finally:
+            late.cancel()
+        if read is None:
             return False
-        if length:
-            body = await reader.readexactly(length)
-
+        headers, body, keep_alive = read
         self.requests_served += 1
         client_id = headers.get("x-client-id", peer_id)
         extra_headers: dict[str, str] = {}
@@ -305,6 +306,45 @@ class CgpaService:
             extra_headers=extra_headers,
         )
         return keep_alive
+
+    async def _read_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, version: str
+    ) -> tuple[dict[str, str], bytes, bool] | None:
+        """``(headers, body, keep-alive)``; None once refused or at EOF."""
+        try:
+            headers = await self._read_headers(reader)
+        except ValueError as exc:  # over a header cap
+            await self._respond(writer, 431, {"error": str(exc)}, close=True)
+            return None
+        if headers is None:
+            return None
+        keep_alive = (
+            headers.get("connection", "keep-alive").lower() != "close"
+            and version.upper() != "HTTP/1.0"
+        )
+        body = b""
+        length_text = headers.get("content-length", "0")
+        # One run of ASCII digits, short enough for ``int()`` (which
+        # refuses over 4300 digits) and far longer than any body we take.
+        if not (
+            length_text.isascii() and length_text.isdigit()
+            and len(length_text) <= 20
+        ):
+            await self._respond(
+                writer, 400,
+                {"error": f"bad Content-Length {length_text!r}"}, close=True,
+            )
+            return None
+        length = int(length_text)
+        if length > MAX_BODY_BYTES:
+            await self._respond(
+                writer, 413,
+                {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}, close=True,
+            )
+            return None
+        if length:
+            body = await reader.readexactly(length)
+        return headers, body, keep_alive
 
     async def _read_headers(
         self, reader: asyncio.StreamReader

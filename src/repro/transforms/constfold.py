@@ -37,7 +37,7 @@ def fold_constants(function: Function) -> int:
 
 
 def _fold(inst: Instruction) -> Value | None:
-    evaluate, _ = PURE_OPS.get(type(inst), (None, None))
+    evaluate = PURE_OPS.get(type(inst))
     if evaluate is None or isinstance(inst, GEP):
         return None
     if isinstance(inst, Select):

@@ -130,9 +130,9 @@ class RecordingForkHandler(FunctionalForkHandler):
     """A fork handler that records per-round, per-instance traces.
 
     Requires its ``channel_io`` to be a :class:`RecordingChannelIO`;
-    each machine's ``step`` is wrapped to stamp the IO's ``current_tag``
-    so every logged push/pop/live-out is attributed to the instance that
-    performed it.
+    the IO's ``current_tag`` names the machine around each
+    :meth:`~repro.interp.Interpreter.resume` of it, so every logged
+    push/pop/live-out is attributed to the instance that performed it.
     """
 
     def __init__(self, module, memory, global_addresses, channel_io) -> None:
@@ -140,30 +140,26 @@ class RecordingForkHandler(FunctionalForkHandler):
             raise CgpaError("RecordingForkHandler needs a RecordingChannelIO")
         super().__init__(module, memory, global_addresses, channel_io)
         self._run_meta: dict[int, list[TaskRun]] = {}
+        self._tags: dict[Interpreter, str] = {}  # this round's machines
         self.rounds: list[RoundRecord] = []
 
     def fork(self, inst, livein_values) -> None:
         super().fork(inst, livein_values)
-        machine = self._pending[inst.loop_id][-1]
         worker_id, args = fork_call(inst, livein_values)
-        tag = f"{inst.task.name}@w{worker_id}"
-        io = self.channel_io
-        orig_step = machine.step
-
-        def tagged_step(_orig=orig_step, _tag=tag, _io=io):
-            _io.current_tag = _tag
-            return _orig()
-
-        machine.step = tagged_step
         self._run_meta.setdefault(inst.loop_id, []).append(
-            TaskRun(tag, inst.task, args, worker_id)
+            TaskRun(f"{inst.task.name}@w{worker_id}", inst.task, args, worker_id)
         )
 
     def join(self, loop_id: int) -> None:
         io = self.channel_io
+        runs = self._run_meta.pop(loop_id, [])
+        self._tags = {
+            machine: run.tag
+            for machine, run in zip(self._pending.get(loop_id, []), runs)
+        }
         record = RoundRecord(
             loop_id=loop_id,
-            runs=self._run_meta.pop(loop_id, []),
+            runs=runs,
             start_mem=self.memory.clone(),
             queue_start=io.queue_snapshot(),
             liveouts_start=dict(io.liveouts),
@@ -179,6 +175,10 @@ class RecordingForkHandler(FunctionalForkHandler):
         record.pop_log = io.pop_log[marks[1]:]
         record.liveout_log = io.liveout_log[marks[2]:]
         self.rounds.append(record)
+
+    def _resume(self, machine: Interpreter) -> bool:
+        self.channel_io.current_tag = self._tags[machine]
+        return machine.resume()
 
 
 # --------------------------------------------------------------------------

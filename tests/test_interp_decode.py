@@ -1,10 +1,11 @@
-"""Contracts of the interpreter's pre-decoded block programs.
+"""Contracts of the interpreter's rendered segments.
 
-The decoder must be unobservable except for speed: same step counts, same
-blocking behaviour, no reference cycle through the
-interpreter (the image and its decoded program must die by refcount), no
-stale program after a transform, and no memory fast path that bypasses a
-``Memory`` subclass.
+Rendering must be unobservable except for speed: the steps the lockstep
+hardware worker executes, a parked frame resumed where it parked, no
+reference cycle through the interpreter (the image and its rendered
+program must die by refcount), no stale program after a transform, no
+memory fast path that bypasses a ``Memory`` subclass, and an error only
+when the faulty instruction runs.
 """
 
 import gc
@@ -14,11 +15,14 @@ import pytest
 
 from repro.errors import InterpError
 from repro.frontend import compile_c
-from repro.interp import ChannelIO, Interpreter, Memory, Status
-from repro.interp.interpreter import BLOCKED_OUTSIDE_SCHEDULER
+from repro.hw import AcceleratorSystem
+from repro.interp import ChannelIO, Interpreter, Memory, profile_call
 from repro.ir import (
+    Call,
     Channel,
+    Constant,
     Consume,
+    Function,
     FunctionType,
     I32,
     IRBuilder,
@@ -27,6 +31,7 @@ from repro.ir import (
     ParallelFork,
     ParallelJoin,
     Phi,
+    PointerType,
     RetrieveLiveout,
     Store,
 )
@@ -36,7 +41,8 @@ from repro.transforms import optimize_module
 from repro.vsim.cosim import SMOKE_SETUP_ARGS
 
 #: ``(setup steps, check steps)`` at ``SMOKE_SETUP_ARGS`` scale, captured
-#: from the tree-walking interpreter this decoder replaced.
+#: from the tree-walking interpreter the segments replaced; the lockstep
+#: worker executes as many non-phi instructions.
 PINNED_STEPS = {
     "K-means": (1376, 282),
     "Hash-indexing": (1317, 155),
@@ -60,15 +66,20 @@ LOOP_SRC = (
 )
 
 
-def stepped(interp, function, args):
-    """What ``interp.call`` returns, on the reference path: one closure
-    per :meth:`~Interpreter.step`."""
-    interp.start(function, list(args))
-    while interp.step() is Status.RUNNING:
-        pass
-    if not interp.done:
-        raise InterpError(BLOCKED_OUTSIDE_SCHEDULER)
-    return interp.return_value
+def lockstep(interp, function, args):
+    """What ``interp.call`` returns, from the independent reference: the
+    lockstep hardware worker runs ``function`` on ``interp``'s image, and
+    ``interp.steps`` advances by the non-phi instructions it executed."""
+    system = AcceleratorSystem(
+        interp.module, interp.memory, global_addresses=interp.global_addresses,
+        engine="lockstep",
+    )
+    report = system.run(function, list(args))
+    interp.steps += sum(
+        n for stats in report.worker_stats.values()
+        for opcode, n in stats.ops_executed.items() if opcode != "phi"
+    )
+    return report.return_value
 
 
 def compiled(src=LOOP_SRC, name="module"):
@@ -80,13 +91,17 @@ def compiled(src=LOOP_SRC, name="module"):
 @pytest.mark.parametrize("spec", ALL_KERNELS, ids=lambda s: s.name)
 def test_step_counts_pinned(spec):
     module = compiled(spec.source, spec.name)
-    setup = Interpreter(module)
-    setup.call(spec.setup_function, SMOKE_SETUP_ARGS[spec.name])
-    check = Interpreter(
-        module, setup.memory, global_addresses=setup.global_addresses
-    )
-    check.call(spec.check_function, [])
-    assert (setup.steps, check.steps) == PINNED_STEPS[spec.name]
+    seen = []
+    for call in (Interpreter.call, lockstep):
+        setup = Interpreter(module)
+        call(setup, spec.setup_function, SMOKE_SETUP_ARGS[spec.name])
+        check = Interpreter(
+            module, setup.memory, global_addresses=setup.global_addresses
+        )
+        call(check, spec.check_function, [])
+        seen.append((setup.steps, check.steps, setup.memory.snapshot()))
+    assert seen[0] == seen[1]
+    assert seen[0][:2] == PINNED_STEPS[spec.name]
 
 
 def test_every_kernel_is_pinned():
@@ -147,66 +162,72 @@ class _CountingMemory(Memory):
 
 
 def test_memory_subclass_sees_every_access():
-    module = compiled()
+    """One read per load and one write per store the profile counts."""
+    module = compiled()  # ``g`` has no initialiser to write
     memory = _CountingMemory()
-    interp = Interpreter(module, memory)
-    memory.reads = memory.writes = 0  # drop global-initialiser traffic
-    interp.start("f", [24])
-    executed = []
-    while not interp.done:  # the reference path, an instruction a step
-        frame = interp._stack[-1]
-        executed.append(frame.insts[frame.index])
-        interp.step()
-    loads = sum(isinstance(i, Load) for i in executed)
-    stores = sum(isinstance(i, Store) for i in executed)
+    profile = profile_call(module, "twice", [24], memory)
+    instructions = list(module.get_function("f").instructions())
+    loads = sum(profile.count(i) for i in instructions if isinstance(i, Load))
+    stores = sum(profile.count(i) for i in instructions if isinstance(i, Store))
     assert loads > 0 and stores > 0
-    assert (memory.reads, memory.writes) == (loads, stores)
-    # ...and the segments go through the subclass as well.
-    memory.reads = memory.writes = 0
-    Interpreter(
-        module, memory, global_addresses=interp.global_addresses
-    ).call("f", [24])
     assert (memory.reads, memory.writes) == (loads, stores)
 
 
 class TestHooksAndLimits:
-    @pytest.mark.parametrize("stepping", [False, True])
-    def test_max_steps_raises_on_step_n_plus_one(self, stepping):
+    def test_max_steps_raises_on_step_n_plus_one(self):
         module = compiled()
         probe = Interpreter(module)
         probe.call("f", [10])
         total = probe.steps
-        call = stepped if stepping else Interpreter.call
         exact = Interpreter(module, max_steps=total)
-        call(exact, "f", [10])
+        exact.call("f", [10])
         assert exact.steps == total
         short = Interpreter(module, max_steps=total - 1)
         with pytest.raises(InterpError, match=f"exceeded max_steps={total - 1}"):
-            call(short, "f", [10])
+            short.call("f", [10])
         assert short.steps == total
 
-    def test_block_produce_resume_advances_exactly_once(self):
+    def test_a_parked_frame_resumes_at_its_consume(self):
+        """Nothing before the consume runs twice, and the steps equal an
+        unparked run's."""
         m = Module("m")
         chan = Channel(0, "c", I32, 0, 1)
-        f = m.new_function("f", FunctionType(I32, []), [])
+        f = m.new_function("f", FunctionType(I32, [PointerType(I32)]), ["p"])
         b = IRBuilder(f.new_block("entry"))
+        b.store(Constant(I32, 1), f.args[0])
         got = b.block.append(Consume(chan, I32))
-        b.ret(got)
+        b.store(got, f.args[0])
+        b.ret(b.binop("add", got, Constant(I32, 1)))
+        memory = _CountingMemory()
+        addr = memory.malloc(4)
         io = ChannelIO()
-        interp = Interpreter(m, Memory(), channel_io=io)
-        interp.start("f", [])
-        frame = interp._stack[-1]
-        assert interp.step() is Status.BLOCKED
-        assert interp.step() is Status.BLOCKED
-        assert frame.index == 0 and got not in frame.env  # a parked consume did not execute
+        parked = Interpreter(m, memory, channel_io=io)
+        parked.enter("f", [addr])
+        with pytest.raises(InterpError, match="already running"):
+            parked.enter("f", [addr])
+        assert parked.resume() is False
+        assert parked.resume() is False  # still parked on the consume
+        assert (memory.writes, parked.steps) == (1, 1)
         io.produce(chan, 0, 7)
         io.produce(chan, 0, 8)
-        assert interp.step() is Status.RUNNING  # the consume, once
-        assert frame.index == 1 and frame.env[got] == 7
-        assert io.pending() == 1
-        assert interp.step() is Status.DONE
-        assert interp.return_value == 7
-        assert interp.steps == 4  # blocked attempts count, as before
+        assert parked.resume() is True
+        assert memory.writes == 2 and memory.load(addr, I32) == 7
+        assert io.queue_snapshot() == {(0, 0): (8,)}
+        unparked_io = ChannelIO()
+        unparked_io.produce(chan, 0, 7)
+        unparked = Interpreter(m, Memory(), channel_io=unparked_io)
+        assert unparked.call("f", [unparked.memory.malloc(4)]) == 8
+        assert parked.steps == unparked.steps == 5
+        # A step budget that ends inside the consume's segment parks
+        # there too, and raises only once the consume can run.
+        capped_io = ChannelIO()
+        capped = Interpreter(m, Memory(), channel_io=capped_io, max_steps=2)
+        capped.enter("f", [capped.memory.malloc(4)])
+        assert capped.resume() is False and capped.steps == 1
+        capped_io.produce(chan, 0, 7)
+        with pytest.raises(InterpError, match="exceeded max_steps=2"):
+            capped.resume()
+        assert capped.steps == 3
 
     def test_phis_of_one_edge_are_read_before_any_is_written(self):
         module = compiled(
@@ -221,7 +242,7 @@ class TestHooksAndLimits:
         assert Interpreter(module).call("f", [0]) == 12
         assert Interpreter(module).call("f", [1]) == 21
         assert Interpreter(module).call("f", [4]) == 12
-        assert stepped(Interpreter(module), "f", [3]) == 21
+        assert lockstep(Interpreter(module), "f", [3]) == 21
 
     def test_undefined_value_still_names_value_and_function(self):
         m = Module("m")
@@ -247,11 +268,13 @@ class _Mystery(Instruction):
 
 @pytest.mark.parametrize("make,message", [
     (_Mystery, "cannot interpret opcode mystery"),
+    (lambda: Call(Function("g", FunctionType(I32, []), []), []),
+     "call to undefined function @g"),
     (lambda: RetrieveLiveout(3, I32), "liveout #3 never stored"),
     (lambda: ParallelJoin(0), "parallel_join executed without a fork handler"),
     (lambda: Phi(I32), "phi encountered outside a block entry"),
-], ids=["unknown-opcode", "liveout", "join", "entry-phi"])
-def test_bad_instruction_raises_when_executed_not_when_decoded(make, message):
+], ids=["unknown-opcode", "undefined-callee", "liveout", "join", "entry-phi"])
+def test_bad_instruction_raises_when_executed_not_when_rendered(make, message):
     m = Module("m")
     f = m.new_function("f", FunctionType(I32, [I32]), ["a"])
     b = IRBuilder(f.new_block("entry"))
@@ -259,11 +282,10 @@ def test_bad_instruction_raises_when_executed_not_when_decoded(make, message):
     b.block.append(make())
     b.ret(f.args[0])
     interp = Interpreter(m, channel_io=ChannelIO())
-    interp.start("f", [1])  # decodes the whole entry block: must not raise
-    assert interp.step() is Status.RUNNING
+    interp._segs[f.entry]  # renders the whole entry block: must not raise
     with pytest.raises(InterpError, match=message):
-        interp.step()
-    assert interp.steps == 2
+        interp.call("f", [1])
+    assert interp.steps == 3  # the segment counts on entry
 
 
 def test_fork_without_handler_raises():

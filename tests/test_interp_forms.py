@@ -1,12 +1,12 @@
-"""Expression forms == bound ops == the reference, bit for bit.
+"""Expression forms == the reference, bit for bit.
 
 Every op the code generators paste inline has one expression form
 (``repro.interp.ops.FORMS``).  Here each covered opcode is evaluated on
-boundary operands of every width by ``eval_*`` (the reference) and three
+boundary operands of every width by ``eval_*`` (the reference) and two
 ways from its form — as the generator renders it over locals read from a
-home, as it renders it over constant operands (which become ``int``
-literals or namespace names), and compiled by ``bind_*`` — and all four
-must agree on the result's type and bits, or raise the same error.
+home, and as it renders it over constant operands (which become ``int``
+literals or namespace names) — and all three must agree on the result's
+type and bits, or raise the same error.
 """
 
 import math
@@ -23,11 +23,6 @@ from repro.interp.ops import (
     FORMS,
     PURE_OPS,
     UNSIGNED_BINOPS,
-    bind_binop,
-    bind_cast,
-    bind_fcmp,
-    bind_icmp,
-    bind_select,
 )
 from repro.ir import (
     BOOL,
@@ -98,12 +93,11 @@ def rendered(inst, constants: bool):
 
 
 def agree(make, values, check_type=None):
-    """Build ``make(*values)`` both ways and compare all four evaluations."""
+    """Build ``make(*values)`` both ways and compare all three evaluations."""
     inst = make(values, True)
     args_inst = make(values, False)
-    expected = outcome(PURE_OPS[type(inst)][0], inst, *values)
+    expected = outcome(PURE_OPS[type(inst)], inst, *values)
     seen = {
-        "bind": outcome(PURE_OPS[type(inst)][1](args_inst), *values),
         "rendered": outcome(rendered(args_inst, constants=False), *values),
         "pasted": outcome(rendered(inst, constants=True), *values),
     }
@@ -141,8 +135,7 @@ class TestBinops:
     def test_unsigned_ops_take_integral_floats_and_bools(self, op):
         inst = BinaryOp(op, Argument(I32, "a", 0), Argument(I32, "b", 1))
         for values in ((9.0, True), (True, 1.0), (-7.0, 3)):
-            expected = outcome(PURE_OPS[BinaryOp][0], inst, *values)
-            assert outcome(bind_binop(inst), *values) == expected
+            expected = outcome(PURE_OPS[BinaryOp], inst, *values)
             assert outcome(rendered(inst, constants=False), *values) == expected
 
 
@@ -207,9 +200,8 @@ class TestCasts:
         for value in (math.inf, -math.inf, math.nan):
             for as_constant in (False, True):
                 inst = Cast("fptosi", operand(src, value, as_constant, 0), dst)
-                expected = outcome(PURE_OPS[Cast][0], inst, value)
+                expected = outcome(PURE_OPS[Cast], inst, value)
                 assert expected[:2] == ("raises", "InterpError"), expected
-                assert outcome(bind_cast(inst), value) == expected
                 assert outcome(rendered(inst, as_constant), value) == expected
 
     @pytest.mark.parametrize("engine", ["lockstep", "specialized"])
@@ -246,11 +238,5 @@ class TestSelectAndGep:
                         operand(I32, v[3], c, 3)]), (base, i, 1, j), check_type="int")
 
 
-def test_every_pure_op_has_one_form_and_bind_compiles_it():
+def test_every_pure_op_has_one_form():
     assert set(FORMS) == set(PURE_OPS)
-    inst = BinaryOp("add", Argument(I32, "a", 0), Argument(I32, "b", 1))
-    bound = bind_binop(inst)
-    assert bound.__code__.co_filename == "<generated>"
-    assert bound.__globals__["__builtins__"] == {}
-    for bind in (bind_icmp, bind_fcmp, bind_cast, bind_select):
-        assert bind is bind_binop  # one compiler of forms

@@ -15,12 +15,7 @@ from repro.errors import InterpError
 from repro.interp.ops import (
     PURE_OPS,
     UNSIGNED_BINOPS,
-    bind_binop,
-    bind_cast,
-    bind_fcmp,
     bind_gep,
-    bind_icmp,
-    bind_select,
     eval_binop,
     eval_cast,
     eval_fcmp,
@@ -48,6 +43,13 @@ from repro.ir import (
     StructType,
     ptr,
 )
+from tests.test_interp_forms import rendered as render_form
+
+
+def rendered(inst):
+    """``f(*operand values)``: ``inst``'s form as the generator renders it."""
+    return render_form(inst, constants=False)
+
 
 i32s = st.integers(min_value=-(2**31), max_value=2**31 - 1)
 f64s = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -183,7 +185,8 @@ class TestGepSemantics:
 
 
 class TestBoundForms:
-    """``bind_*`` (decode once, run many) must equal ``eval_*`` everywhere."""
+    """The generator's expression form over operand locals must equal
+    ``eval_*`` everywhere."""
 
     @staticmethod
     def outcome(fn, *args):
@@ -201,7 +204,7 @@ class TestBoundForms:
         from repro.interp import wrap_int
         a, b = wrap_int(a, type_.bits), wrap_int(b, type_.bits)
         inst = BinaryOp(op, Constant(type_, a), Constant(type_, b))
-        bound = bind_binop(inst)
+        bound = rendered(inst)
         for rhs in (b, wrap_int(small, type_.bits)):  # small: hits /0 and shifts
             assert self.outcome(bound, a, rhs) == self.outcome(eval_binop, inst, a, rhs)
 
@@ -210,7 +213,7 @@ class TestBoundForms:
     def test_float_binop(self, op, type_):
         inst = BinaryOp(op, Constant(type_, 1.0), Constant(type_, 3.0))
         for a, b in [(1.0, 3.0), (1e30, 1e30), (2.5, 0.0)]:
-            assert self.outcome(bind_binop(inst), a, b) == self.outcome(eval_binop, inst, a, b)
+            assert self.outcome(rendered(inst), a, b) == self.outcome(eval_binop, inst, a, b)
 
     @pytest.mark.parametrize("op", ["udiv", "urem", "lshr"])
     def test_unsigned_binops_coerce_operands_through_int(self, op):
@@ -220,7 +223,7 @@ class TestBoundForms:
         inst = BinaryOp(op, Constant(I32, 9), Constant(I32, 1))
         expected = eval_binop(inst, 9, 1)
         assert eval_binop(inst, 9.0, True) == expected
-        assert bind_binop(inst)(9.0, True) == expected
+        assert rendered(inst)(9.0, True) == expected
 
     @pytest.mark.parametrize("pred", sorted(ICMP_FUNCS))
     @given(a=i32s, b=i32s)
@@ -230,7 +233,7 @@ class TestBoundForms:
             if type_.is_pointer:
                 a, b = a & 0xFFFFFFFF, b & 0xFFFFFFFF
             inst = ICmp(pred, Constant(type_, a), Constant(type_, b))
-            assert bind_icmp(inst)(a, b) == eval_icmp(inst, a, b)
+            assert rendered(inst)(a, b) == eval_icmp(inst, a, b)
 
     @given(st.integers(0, 2**31), st.integers(-50, 50), st.integers(-50, 50))
     def test_gep_folds_constants_and_scales_the_rest(self, base, i, j):
@@ -253,7 +256,7 @@ class TestBoundForms:
     def test_fcmp(self, pred, a, b):
         inst = FCmp(pred, Constant(F64, a), Constant(F64, b))
         for x, y in [(a, b), (a, a)]:
-            assert bind_fcmp(inst)(x, y) == eval_fcmp(inst, x, y)
+            assert rendered(inst)(x, y) == eval_fcmp(inst, x, y)
 
     @pytest.mark.parametrize("op,src,dst", [
         ("trunc", I64, I32), ("trunc", I32, I8), ("trunc", I32, BOOL),
@@ -271,7 +274,7 @@ class TestBoundForms:
         inst = Cast(op, Constant(src, value), dst)
         # bools and integral floats reach casts too (icmp results, bitcasts)
         for v in (value, float(value) if abs(value) < 2**53 else value, value == 1):
-            assert bind_cast(inst)(v) == eval_cast(inst, v)
+            assert rendered(inst)(v) == eval_cast(inst, v)
 
     @pytest.mark.parametrize("op,src,dst", [
         ("fptosi", F64, I32), ("fptosi", F32, I64), ("fptosi", F64, I8),
@@ -281,12 +284,12 @@ class TestBoundForms:
     @settings(max_examples=30, deadline=None)
     def test_float_source_casts(self, op, src, dst, value):
         inst = Cast(op, Constant(src, value), dst)
-        assert bind_cast(inst)(value) == eval_cast(inst, value)
+        assert rendered(inst)(value) == eval_cast(inst, value)
 
     @given(cond=st.integers(0, 1), a=i32s, b=i32s)
     def test_select(self, cond, a, b):
         inst = Select(Constant(BOOL, cond), Constant(I32, a), Constant(I32, b))
-        assert bind_select(inst)(cond, a, b) == eval_select(inst, cond, a, b)
+        assert rendered(inst)(cond, a, b) == eval_select(inst, cond, a, b)
         assert eval_select(inst, cond, a, b) == (a if cond else b)
 
     @given(st.integers(0, 2**31), st.integers(-50, 50), st.integers(-50, 50))
@@ -294,9 +297,8 @@ class TestBoundForms:
         from repro.ir import ArrayType
         index = Load(Alloca(I32))
         g = GEP(Alloca(ArrayType(ArrayType(I32, 4), 4)), [Constant(I32, 0), index, index])
-        evaluate, bind = PURE_OPS[GEP]
         expected = eval_gep(g, base, [0, i, j])
-        assert evaluate(g, base, 0, i, j) == bind(g)(base, 0, i, j) == expected
+        assert PURE_OPS[GEP](g, base, 0, i, j) == expected
 
     def test_unsigned_binops_are_binop_opcodes(self):
         # "ult" is an icmp predicate; it was a dead entry here.
@@ -347,19 +349,16 @@ def _one_of_each_sequential_op():
 
 
 class TestEveryInstructionHasSemanticsEverywhere:
-    def test_pure_table_or_interpreter_decoder(self):
-        from repro.interp.interpreter import _DECODERS
-        for cls in _concrete_instruction_classes():
-            assert cls in PURE_OPS or cls in _DECODERS, cls.__name__
-        assert set(PURE_OPS) <= set(_DECODERS)  # the table feeds the decoder
-
-    def test_every_engine_accepts_every_class(self):
+    def test_the_interpreter_and_every_engine_accept_every_class(self):
+        """An instruction no executor knows raises ``cannot interpret
+        opcode`` (interpreter) or ``cannot execute opcode`` (worker)."""
         from repro.harness.build import compile_kernel
         from repro.harness.runner import setup_workload
         from repro.hw import ENGINES, AcceleratorSystem, DirectMappedCache
-        from repro.interp import Interpreter, Memory
+        from repro.interp import ChannelIO, Interpreter, Memory
         from repro.ir import verify_module
         from repro.kernels import KERNELS_BY_NAME
+        from repro.pipeline import FunctionalForkHandler
 
         sequential = _one_of_each_sequential_op()
         verify_module(sequential)
@@ -378,7 +377,7 @@ class TestEveryInstructionHasSemanticsEverywhere:
             for engine in ENGINES:  # a refusal is "cannot execute opcode"
                 system = AcceleratorSystem(sequential, Memory(), engine=engine)
                 assert system.run("f", [arg]).return_value == expected
-        cycles = set()
+        cycles, values = set(), set()
         for engine in ENGINES:
             memory, globals_, args = setup_workload(pipeline.module, spec)
             system = AcceleratorSystem(
@@ -386,5 +385,16 @@ class TestEveryInstructionHasSemanticsEverywhere:
                 cache=DirectMappedCache(ports=8), global_addresses=globals_,
                 engine=engine,
             )
-            cycles.add(system.run(spec.measure_entry, args).cycles)
-        assert len(cycles) == 1
+            report = system.run(spec.measure_entry, args)
+            cycles.add(report.cycles)
+            values.add((report.return_value, memory.snapshot()))
+        memory, globals_, args = setup_workload(pipeline.module, spec)
+        io = ChannelIO()
+        parent = Interpreter(
+            pipeline.module, memory, channel_io=io, global_addresses=globals_
+        )
+        parent.fork_handler = FunctionalForkHandler(
+            pipeline.module, memory, globals_, io
+        )
+        values.add((parent.call(spec.measure_entry, args), memory.snapshot()))
+        assert len(cycles) == 1 and len(values) == 1

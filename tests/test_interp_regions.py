@@ -1,11 +1,12 @@
-"""Regions == block segments == closure path.
+"""Regions == block segments == the lockstep hardware worker.
 
 ``Interpreter.call`` runs a call-free loop as one *region*: one generated
 function over Python locals with a block cursor.  With regions turned off
-(``_regions`` finding none) every block is a segment again; ``start()`` and
-``step()`` are the reference.  All three must leave the same value,
-``steps``, image bytes, access counters, allocations and error, also when
-``max_steps`` trips inside a region.
+(``_regions`` finding none) every block is a segment again; the lockstep
+:class:`~repro.hw.worker.HwWorker` is the independent reference.  All
+three must leave the same value, ``steps``, image bytes, access counters
+and allocations; regions and segments also the same error, and the same
+state when ``max_steps`` trips inside a region.
 """
 
 from unittest import mock
@@ -23,7 +24,7 @@ from repro.ir.instructions import Call, Load
 from repro.kernels import ALL_KERNELS
 from repro.kernels.base import KARGS_GLOBAL
 from repro.vsim.cosim import SMOKE_SETUP_ARGS
-from tests.test_interp_decode import stepped
+from tests.test_interp_decode import lockstep
 from tests.test_interp_segments import module_of, observe
 from tests.test_pipeline_fuzz import LINKED_LIST_TEMPLATE, LIST_UPDATES, kernel_source
 
@@ -34,8 +35,8 @@ def segments(interp, function, args):
         return interp.call(function, args)
 
 
-#: Regions, block segments, then the closure reference.
-CALLS = (Interpreter.call, segments, stepped)
+#: Regions, block segments, then the lockstep reference.
+CALLS = (Interpreter.call, segments, lockstep)
 
 
 def run(interp, function, args, call):
@@ -80,16 +81,16 @@ class TestFuzzedPrograms:
               suppress_health_check=[HealthCheck.too_slow])
     def test_array_kernels(self, src, optimise):
         n, source = src
-        region, segment, closure = all_three(module_of(source, optimise), "run", [n])
-        assert region == segment == closure and region["error"] is None
+        region, segment, reference = all_three(module_of(source, optimise), "run", [n])
+        assert region == segment == reference and region["error"] is None
 
     @given(st.sampled_from(LIST_UPDATES), st.integers(0, 30), st.booleans())
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_list_kernels(self, update, n, optimise):
         module = module_of(LINKED_LIST_TEMPLATE.format(update=update), optimise)
-        region, segment, closure = all_three(module, "run", [n])
-        assert region == segment == closure and region["error"] is None
+        region, segment, reference = all_three(module, "run", [n])
+        assert region == segment == reference and region["error"] is None
 
 
 NESTED = (
@@ -134,33 +135,36 @@ class TestLoopShapes:
         loops = LoopInfo(module.get_function("f")).loops
         assert len(loops) == 2
         assert set(only_region(module)) == {b for loop in loops for b in loop.blocks}
-        region, segment, closure = all_three(module, "f", [n])
-        assert region == segment == closure and region["error"] is None
+        region, segment, reference = all_three(module, "f", [n])
+        assert region == segment == reference and region["error"] is None
 
     def test_loop_with_two_exits(self, n):
         module = module_of(TWO_EXITS)
         assert len(exits(only_region(module))) == 2
-        region, segment, closure = all_three(module, "f", [n])
-        assert region == segment == closure and region["error"] is None
+        region, segment, reference = all_three(module, "f", [n])
+        assert region == segment == reference and region["error"] is None
 
     def test_loop_whose_exit_targets_a_phi(self, n):
         module = module_of(EXIT_TO_PHI)
         assert any(target.phis() for _, target in exits(only_region(module)))
-        region, segment, closure = all_three(module, "f", [n])
-        assert region == segment == closure and region["error"] is None
+        region, segment, reference = all_three(module, "f", [n])
+        assert region == segment == reference and region["error"] is None
 
 
 @pytest.mark.parametrize("optimise", [True, False], ids=["compiled", "unoptimised"])
 @pytest.mark.parametrize("source", [NESTED, TWO_EXITS], ids=["nested", "two-exits"])
-def test_max_steps_trips_inside_a_region_at_the_step_step_trips(source, optimise):
+def test_max_steps_trips_inside_a_region_where_a_segment_trips(source, optimise):
     module = module_of(source, optimise)
     probe = Interpreter(module)
     probe.call("f", [7])
     total = probe.steps
     assert region_headers(probe) and total > 100
     for limit in range(1, total + 1):
-        region, segment, closure = all_three(module, "f", [7], max_steps=limit)
-        assert region == segment == closure, limit
+        region, segment = (
+            run(Interpreter(module, max_steps=limit), "f", [7], call)
+            for call in CALLS[:2]
+        )
+        assert region == segment, limit
         if limit < total:
             assert region["error"] == f"exceeded max_steps={limit}"
             assert region["steps"] == limit + 1
@@ -169,17 +173,24 @@ def test_max_steps_trips_inside_a_region_at_the_step_step_trips(source, optimise
 
 
 def test_a_fault_inside_a_region_leaves_the_segment_state():
-    """A trap mid-region: same error, stores before it done, and ``steps``
-    counted through the faulting block, as a segment counts it."""
+    """A trap mid-region: same error, the stores before it done and none
+    after, and ``steps`` counted through the faulting block, as a segment
+    counts it.  (The worker may issue the division before the store
+    lands, so its image is no reference here.)"""
     module = module_of(
         "int g[8]; int f(int n) { int s = 0;"
         " for (int i = 0; i < 8; i++) { g[i] = i; s += 100 / (n - i); }"
         " return s; }"
     )
-    region, segment, closure = all_three(module, "f", [5])
+    region, segment, reference = all_three(module, "f", [5])
     assert region == segment
-    assert region["error"] == closure["error"] == "integer division by zero"
-    assert region["image"] == closure["image"]
+    assert region["error"] == reference["error"] == "integer division by zero"
+    assert region["steps"] == 61
+    interp = Interpreter(module)
+    with pytest.raises(InterpError, match="integer division by zero"):
+        interp.call("f", [5])
+    g = interp.global_addresses["g"]
+    assert [interp.memory.load(g + 4 * i, I32) for i in range(8)] == [0, 1, 2, 3, 4, 5, 0, 0]
 
 
 def test_em3d_builds_its_edge_lists_through_a_region():

@@ -1,11 +1,13 @@
-"""Segment path == closure path.
+"""Segment path == the lockstep hardware worker.
 
 ``Interpreter.call`` runs generated straight-line code a segment at a
-time; ``start()`` and ``step()`` run the per-instruction closures, the
-reference.  Everything a caller can observe must agree: value, ``steps``,
-image bytes, access counters, allocations, error text and the point at
-which it is raised.  Under ``costs`` (the MIPS baseline) a segment's text
-is the same text plus counter lines.
+time.  The independent reference is the lockstep
+:class:`~repro.hw.worker.HwWorker` running the same function, which
+shares no decoder, control flow, call or phi code with it: value,
+``steps`` (its non-phi instructions), image bytes, access counters and
+allocations must agree.  Error text and the step at which ``max_steps``
+or a trap raises are pinned.  Under ``costs`` (the MIPS baseline) and
+under profiling a segment's text is the same text plus counter lines.
 """
 
 import io
@@ -15,6 +17,8 @@ import threading
 import tokenize
 
 import pytest
+from unittest import mock
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import InterpError
@@ -22,28 +26,31 @@ from repro.frontend import compile_c
 from repro.hw import AcceleratorSystem, HwWorker, run_on_mips, specialized_for
 from repro.hw.mips_core import _costs
 from repro.hw.specialize import SpecFrame
-from repro.interp import ChannelIO, Interpreter, Memory
+from repro.interp import ChannelIO, Interpreter, Memory, profile_call
 from repro.interp import interpreter as interpreter_module
 from repro.ir import (
     Channel,
     Consume,
     FunctionType,
+    Load,
     I32,
     IRBuilder,
     Module,
     Phi,
     PointerType,
     Produce,
+    Store,
 )
 from repro.ir.instructions import Call
 from repro.ir.values import Constant
 from repro.kernels import ALL_KERNELS
 from repro.transforms import optimize_module
-from tests.test_interp_decode import LOOP_SRC, _CountingMemory, stepped
+from repro.vsim.cosim import SMOKE_SETUP_ARGS
+from tests.test_interp_decode import LOOP_SRC, _CountingMemory, lockstep
 from tests.test_pipeline_fuzz import LINKED_LIST_TEMPLATE, LIST_UPDATES, kernel_source
 
-#: The segment path, then the closure reference.
-CALLS = (Interpreter.call, stepped)
+#: The segment path, then the lockstep reference.
+CALLS = (Interpreter.call, lockstep)
 
 
 def observe(interp, value=None, error=None):
@@ -54,7 +61,8 @@ def observe(interp, value=None, error=None):
         "steps": interp.steps,
         "image": memory.snapshot(),
         "counters": (memory.bytes_read, memory.bytes_written),
-        "allocations": [(a.addr, a.size, a.site) for a in memory.allocations],
+        # The worker numbers no malloc sites: addresses and sizes only.
+        "allocations": [(a.addr, a.size) for a in memory.allocations],
     }
 
 
@@ -66,7 +74,7 @@ def run(interp, function, args, call=Interpreter.call):
 
 
 def both(module, function, args, **how):
-    """What the segment path and the closure path each leave behind."""
+    """What the segment path and the lockstep reference each leave behind."""
     return tuple(run(Interpreter(module, **how), function, args, call) for call in CALLS)
 
 
@@ -77,6 +85,13 @@ def module_of(source, optimise=True, name="module"):
     return module
 
 
+def diffed_setup_args(spec):
+    """Paper scale, but em3d's (0.9M steps, ~10 s on the lockstep worker)
+    at smoke scale; CI diffs its paper-scale image in the oracle speed
+    step."""
+    return SMOKE_SETUP_ARGS[spec.name] if spec.name == "em3d" else spec.setup_args
+
+
 @pytest.mark.parametrize("optimise", [True, False], ids=["compiled", "unoptimised"])
 @pytest.mark.parametrize("spec", ALL_KERNELS, ids=lambda s: s.name)
 def test_kernel_setup_and_check_agree(spec, optimise):
@@ -84,7 +99,7 @@ def test_kernel_setup_and_check_agree(spec, optimise):
     seen = []
     for call in CALLS:
         setup = Interpreter(module)
-        after_setup = run(setup, spec.setup_function, spec.setup_args, call)
+        after_setup = run(setup, spec.setup_function, diffed_setup_args(spec), call)
         check = Interpreter(
             module, setup.memory, global_addresses=setup.global_addresses
         )
@@ -99,32 +114,86 @@ class TestFuzzedPrograms:
               suppress_health_check=[HealthCheck.too_slow])
     def test_array_kernels(self, src, optimise):
         n, source = src
-        segment, closure = both(module_of(source, optimise), "run", [n])
-        assert segment == closure and segment["error"] is None
+        segment, reference = both(module_of(source, optimise), "run", [n])
+        assert segment == reference and segment["error"] is None
 
     @given(st.sampled_from(LIST_UPDATES), st.integers(0, 30), st.booleans())
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_list_kernels(self, update, n, optimise):
         module = module_of(LINKED_LIST_TEMPLATE.format(update=update), optimise)
-        segment, closure = both(module, "run", [n])
-        assert segment == closure and segment["error"] is None
+        segment, reference = both(module, "run", [n])
+        assert segment == reference and segment["error"] is None
+
+
+class _LoggingMemory(Memory):
+    """Logs every access: one per load or store executed."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def read_bytes(self, addr, size):
+        self.log.append(("read", addr, size))
+        return super().read_bytes(addr, size)
+
+    def write_bytes(self, addr, data):
+        self.log.append(("write", addr, bytes(data)))
+        super().write_bytes(addr, data)
+
+
+def executed(module, function, args):
+    """The non-phi instructions the lockstep worker executes, in program
+    order.  The worker may issue a block's independent instructions out
+    of order, so each run of one block entry, up to its terminator or a
+    call, is put back in block order."""
+    runs = []
+    execute = HwWorker._execute
+
+    def record(worker, frame, inst, cycle):
+        if not isinstance(inst, Phi):
+            last = runs[-1][-1] if runs else None
+            if last is None or last.parent is not inst.parent or (
+                last.is_terminator or isinstance(last, Call)
+            ):
+                runs.append([])
+            runs[-1].append(inst)
+        return execute(worker, frame, inst, cycle)
+
+    system = AcceleratorSystem(module, Memory(), engine="lockstep")
+    with mock.patch.object(HwWorker, "_execute", record):
+        system.run(function, list(args))
+    return [
+        inst for run_ in runs
+        for inst in sorted(run_, key=run_[0].parent.instructions.index)
+    ]
 
 
 def test_max_steps_stops_on_the_same_instruction_at_every_limit():
+    """At every limit the run raises on step ``limit + 1``, having made
+    the accesses of the reference's first ``limit`` instructions."""
     module = module_of(LOOP_SRC, optimise=False)  # stores between the calls
-    probe = Interpreter(module)
-    probe.call("twice", [3])
-    total = probe.steps
-    assert total > 100
+    order = executed(module, "twice", [3])
+    total = len(order)
+    memory = _LoggingMemory()
+    interp = Interpreter(module, memory)
+    memory.log.clear()  # the globals' initialisers
+    full = run(interp, "twice", [3])
+    accesses = memory.log
+    assert total > 100 and full["steps"] == total and full["error"] is None
+    assert len(accesses) == sum(isinstance(i, (Load, Store)) for i in order)
     for limit in range(1, total + 1):
-        segment, closure = both(module, "twice", [3], max_steps=limit)
-        assert segment == closure, limit
+        memory = _LoggingMemory()
+        interp = Interpreter(module, memory, max_steps=limit)
+        memory.log.clear()  # the globals' initialisers
+        outcome = run(interp, "twice", [3])
+        made = sum(isinstance(i, (Load, Store)) for i in order[:limit])
+        assert memory.log == accesses[:made], limit
         if limit < total:
-            assert segment["error"] == f"exceeded max_steps={limit}"
-            assert segment["steps"] == limit + 1
+            assert outcome["error"] == f"exceeded max_steps={limit}"
+            assert outcome["steps"] == limit + 1
         else:
-            assert segment["error"] is None
+            assert outcome == full
 
 
 class TestPhis:
@@ -147,8 +216,11 @@ class TestPhis:
         assert any(isinstance(v, Phi) and v.parent is p.parent
                    for p in phis for v in p.operands), "no phi reads a phi in the IR"
         for n in range(6):
-            segment, closure = both(module, "f", [n])
-            assert segment == closure and segment["error"] is None
+            segment, reference = both(module, "f", [n])
+            assert segment == reference and segment["error"] is None
+            # ... and with the loop as block segments, not one region.
+            with mock.patch.object(interpreter_module, "_regions", lambda function: []):
+                assert run(Interpreter(module), "f", [n]) == reference
         assert Interpreter(module_of(self.SWAP)).call("f", [3]) == 21
 
 
@@ -174,15 +246,15 @@ class TestCalls:
                          if isinstance(v, tuple) and len(v) == 4]
             segment = following[0] if following else None
         assert len(lengths) == 3 and sum(lengths) == len(block.instructions)
-        segment_run, closure_run = both(module, "h", [5])
-        assert segment_run == closure_run
+        segment_run, reference_run = both(module, "h", [5])
+        assert segment_run == reference_run
 
     def test_recursion_uses_the_explicit_stack(self):
         module = module_of(self.SOURCE)
         depth = 5 * sys.getrecursionlimit()
         assert depth >= 5000
-        segment, closure = both(module, "down", [depth])
-        assert segment == closure
+        segment, reference = both(module, "down", [depth])
+        assert segment == reference
         assert segment["value"] == repr(depth)
 
     def test_already_running_and_reuse_after_completion(self):
@@ -223,21 +295,18 @@ def _undefined_value(m, f, b):
 ], ids=["division-by-zero", "undefined-value"])
 def test_faults_raise_when_run_not_when_rendered(fault, message):
     module = _two_block_function(fault)
-    outcomes = []
-    for call in CALLS:
-        memory = Memory()
-        interp = Interpreter(module, memory)
-        addr = memory.malloc(4)
-        if call is Interpreter.call:  # rendering the block is not running it
-            interp._segs[module.get_function("f").entry]
-        with pytest.raises(InterpError) as info:
-            call(interp, "f", [1, addr])
-        outcomes.append((str(info.value), memory.load(addr, I32), memory.snapshot()))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][:2] == (message, 7)  # the store before the fault ran
+    memory = Memory()
+    interp = Interpreter(module, memory)
+    addr = memory.malloc(4)
+    interp._segs[module.get_function("f").entry]  # rendering is not running
+    with pytest.raises(InterpError) as info:
+        interp.call("f", [1, addr])
+    assert str(info.value) == message
+    assert memory.load(addr, I32) == 7  # the store before the fault ran
+    assert interp.steps == 3  # the segment counts on entry
 
 
-def test_memory_subclass_sees_every_access_on_both_paths():
+def test_memory_subclass_sees_every_access_as_the_reference_does():
     module = module_of(LOOP_SRC, optimise=False)
     counts = []
     for call in CALLS:
@@ -262,29 +331,23 @@ class TestChannels:
         b.ret(b.binop("mul", total, second))
         return m, chan
 
-    def test_consume_and_produce_agree(self):
+    def test_consume_and_produce(self):
         m, chan = self.module()
-        seen = []
-        for call in CALLS:
-            channels = ChannelIO()
-            channels.produce(chan, 0, 5)
-            channels.produce(chan, 0, 3)
-            interp = Interpreter(m, channel_io=channels)
-            seen.append((run(interp, "f", [10], call), channels.queue_snapshot()))
-        assert seen[0] == seen[1]
-        assert seen[0][0]["value"] == "45" and seen[0][1] == {(0, 0): (15,)}
+        channels = ChannelIO()
+        channels.produce(chan, 0, 5)
+        channels.produce(chan, 0, 3)
+        interp = Interpreter(m, channel_io=channels)
+        outcome = run(interp, "f", [10])
+        assert (outcome["value"], outcome["steps"]) == ("45", 6)
+        assert channels.queue_snapshot() == {(0, 0): (15,)}
 
-    def test_empty_channel_is_the_same_error_after_the_same_steps(self):
+    def test_empty_channel_parks_without_counting_the_consume(self):
         m, chan = self.module()
-        seen = []
-        for call in CALLS:
-            channels = ChannelIO()
-            channels.produce(chan, 0, 5)
-            interp = Interpreter(m, channel_io=channels)
-            seen.append(run(interp, "f", [10], call))
-        assert seen[0] == seen[1]
-        assert "blocked on an empty channel" in seen[0]["error"]
-        assert seen[0]["steps"] == 3
+        channels = ChannelIO()
+        channels.produce(chan, 0, 5)
+        outcome = run(Interpreter(m, channel_io=channels), "f", [10])
+        assert "blocked on an empty channel" in outcome["error"]
+        assert outcome["steps"] == 2
 
 
 #: A C source whose every identifier is a Python keyword, builtin or dunder.
@@ -335,7 +398,7 @@ HOSTILE = [(HOSTILE_NAMES, "eval"), (HOSTILE_WORKER_NAMES, "caller")]
 
 GENERATED_NAME = re.compile(
     r"def|seg|interp|frame|env|if|else|not|is|None|return|new|Frame|stack|got"
-    r"|_segs|_stack|memory|call_inst|_return_value|pop|append|cycles|moves|[vKF]\d+"
+    r"|_segs|_stack|memory|call_inst|_return_value|pop|append|cycles|moves|counts|[vKF]\d+"
     # ... its regions' block cursor and step budget, and inline memory access:
     r"|at|while|try|finally|continue|limit|max_steps"
     r"|data|_data|top|or|_check|bytes_read|bytes_written|raw"
@@ -382,25 +445,34 @@ def texts(monkeypatch):
 @pytest.mark.parametrize("source, entry", HOSTILE, ids=["python", "worker"])
 def test_generated_text_holds_nothing_from_the_source(source, entry, optimise, texts):
     module = module_of(source, optimise)
-    segment, closure = both(module, entry, [6])
-    assert segment == closure and segment["error"] is None
+    segment, reference = both(module, entry, [6])
+    assert segment == reference and segment["error"] is None
     assert len(texts) > 5
     assert_generated_only(texts)
     texts.clear()
     assert run_on_mips(module, entry, [6], Memory()).return_value == int(segment["value"])
     assert any("interp.cycles += " in text for text in texts)
     assert_generated_only(texts)
+    texts.clear()
+    assert profile_call(module, entry, [6]).return_value == int(segment["value"])
+    assert any("interp.counts[" in text for text in texts)
+    assert_generated_only(texts)
 
 
 COST_LINE = re.compile(r" *interp\.(cycles|moves) \+= [1-9]\d*")
+COUNT_LINE = re.compile(r" *interp\.counts\[\d+\] \+= 1")
 
 
 @pytest.mark.parametrize("spec", ALL_KERNELS, ids=lambda s: s.name)
 def test_costs_only_add_counter_lines(spec, texts):
-    """A costed block renders to its oracle text plus ``+=`` lines."""
+    """A costed or a profiled block renders to its plain text plus ``+=``
+    lines, and rendering either first leaves the plain text byte-identical."""
     module = module_of(spec.source, name=spec.name)
     rendered = []
-    for interp in (Interpreter(module), Interpreter(module, costs=_costs(module))):
+    for interp in (
+        Interpreter(module), Interpreter(module, costs=_costs(module)),
+        Interpreter(module, counted=[]), Interpreter(module),
+    ):
         texts.clear()
         for function in module.functions.values():
             for block in function.blocks:  # the entry first: no region holds it
@@ -408,12 +480,14 @@ def test_costs_only_add_counter_lines(spec, texts):
                 if region is None or region[0][0] is block:  # a region's blocks: once
                     interp._segs[block]
         rendered.append(list(texts))
-    oracle, costed = rendered
-    assert len(oracle) == len(costed) > 10
-    for plain, text in zip(oracle, costed):
-        lines = text.splitlines()
-        assert [line for line in lines if not COST_LINE.fullmatch(line)] == plain.splitlines()
+    oracle, costed, profiled, again = rendered
+    assert len(oracle) == len(costed) == len(profiled) > 10 and again == oracle
+    for extra, texts_ in ((COST_LINE, costed), (COUNT_LINE, profiled)):
+        for plain, text in zip(oracle, texts_):
+            lines = text.splitlines()
+            assert [line for line in lines if not extra.fullmatch(line)] == plain.splitlines()
     assert all(" += " in text for text in costed)
+    assert sum("interp.counts[" in text for text in profiled) > 10
 
 
 def run_worker(module, entry, args, engine):

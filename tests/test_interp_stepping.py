@@ -1,12 +1,24 @@
-"""Tests for the interpreter's manual stepping interface (cosim substrate)."""
+"""Tests for the interpreter's manual driving interface (the cosim
+substrate): ``enter()`` pushes a call, ``resume()`` runs it until it
+finishes or parks on an empty channel."""
 
 import pytest
 
 from repro.errors import InterpError
 from repro.frontend import compile_c
-from repro.interp import ChannelIO, Interpreter, Memory, Status
+from repro.interp import ChannelIO, Interpreter, Memory
 from repro.ir import Channel, Consume, FunctionType, I32, IRBuilder, Module
 from repro.transforms import optimize_module
+
+
+def consume_and_return():
+    m = Module("m")
+    chan = Channel(0, "c", I32, 0, 1)
+    f = m.new_function("f", FunctionType(I32, []), [])
+    b = IRBuilder(f.new_block("entry"))
+    got = b.block.append(Consume(chan, I32))
+    b.ret(got)
+    return m, chan
 
 
 class TestStepping:
@@ -14,55 +26,48 @@ class TestStepping:
         module = compile_c("int f(int a) { return a * 2 + 1; }")
         optimize_module(module)
         interp = Interpreter(module)
-        interp.start("f", [20])
-        steps = 0
-        while not interp.done:
-            status = interp.step()
-            steps += 1
-            assert status in (Status.RUNNING, Status.DONE)
-        assert interp.return_value == 41
-        assert steps >= 2
+        interp.enter("f", [20])
+        assert interp.resume() is True
+        assert interp._return_value == 41
+        called = Interpreter(module)
+        assert called.call("f", [20]) == 41
+        assert interp.steps == called.steps >= 2
 
     def test_step_after_done_returns_done(self):
         module = compile_c("int f(void) { return 1; }")
         interp = Interpreter(module)
-        interp.start("f", [])
-        while interp.step() is not Status.DONE:
-            pass
-        assert interp.step() is Status.DONE
+        interp.enter("f", [])
+        assert interp.resume() is True
+        steps = interp.steps
+        assert interp.resume() is True  # nothing left to run
+        assert interp.steps == steps and interp._return_value == 1
 
     def test_cannot_start_twice(self):
         module = compile_c("int f(void) { return 1; }")
         interp = Interpreter(module)
-        interp.start("f", [])
+        interp.enter("f", [])
         with pytest.raises(InterpError, match="already running"):
-            interp.start("f", [])
+            interp.enter("f", [])
+        with pytest.raises(InterpError, match="already running"):
+            interp.call("f", [])
+        assert interp.resume() is True
+        assert interp.call("f", []) == 1  # free again once it finished
 
     def test_blocked_consume_does_not_advance(self):
-        m = Module("m")
-        chan = Channel(0, "c", I32, 0, 1)
-        f = m.new_function("f", FunctionType(I32, []), [])
-        b = IRBuilder(f.new_block("entry"))
-        got = b.block.append(Consume(chan, I32))
-        b.ret(got)
+        m, chan = consume_and_return()
         io = ChannelIO()
         interp = Interpreter(m, Memory(), channel_io=io)
-        interp.start("f", [])
-        assert interp.step() is Status.BLOCKED
-        assert interp.step() is Status.BLOCKED  # still parked on the consume
+        interp.enter("f", [])
+        assert interp.resume() is False
+        assert interp.resume() is False  # still parked on the consume
+        assert interp.steps == 0
         io.produce(chan, 0, 77)
-        status = interp.step()
-        while status is Status.RUNNING:
-            status = interp.step()
-        assert interp.return_value == 77
+        assert interp.resume() is True
+        assert interp._return_value == 77
+        assert interp.steps == 2  # the consume and the ret, once each
 
     def test_blocked_call_via_call_api_raises(self):
-        m = Module("m")
-        chan = Channel(0, "c", I32, 0, 1)
-        f = m.new_function("f", FunctionType(I32, []), [])
-        b = IRBuilder(f.new_block("entry"))
-        got = b.block.append(Consume(chan, I32))
-        b.ret(got)
+        m, _ = consume_and_return()
         interp = Interpreter(m, Memory(), channel_io=ChannelIO())
         with pytest.raises(InterpError, match="blocked"):
             interp.call("f", [])

@@ -60,7 +60,7 @@ class TestChannelIO:
         io = ChannelIO()
         chan = Channel(0, "c", I32, 0, 1, n_channels=2)
         io.produce_broadcast(chan, 1)
-        assert io.pending() == 2
+        assert io.queue_snapshot() == {(0, 0): (1,), (0, 1): (1,)}
 
     def test_deep_queue_order_and_snapshot(self):
         # Regression: queues are deques now — consuming the head of a

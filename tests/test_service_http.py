@@ -301,6 +301,50 @@ class TestMalformedRequests:
         assert _raw_status(handle, request) == 414
         assert client._request("GET", "/v1/healthz")["status"] == "ok"
 
+    def test_idle_connection_is_closed_without_an_answer(self, live_service, monkeypatch):
+        import socket
+
+        from repro.service import app
+
+        monkeypatch.setattr(app, "KEEP_ALIVE_TIMEOUT_S", 0.3)
+        handle, client = live_service
+        with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+            assert sock.recv(4096) == b""  # closed, nothing sent
+        assert client.health()
+
+    def test_trickled_headers_answer_408(self, live_service, monkeypatch):
+        import socket
+
+        from repro.service import app
+
+        monkeypatch.setattr(app, "REQUEST_DEADLINE_S", 0.5)
+        handle, client = live_service
+        answer = b""
+        with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\n")
+            sock.settimeout(0.2)
+            for i in range(50):  # one header line per 0.2 s, 10 s at most
+                try:
+                    sock.sendall(b"X-Trickle-%d: a\r\n" % i)
+                    answer += sock.recv(4096)
+                except socket.timeout:
+                    continue
+                except OSError:  # the service closed the connection
+                    answer += sock.recv(4096)
+                if b"\r\n" in answer:
+                    break
+        assert int(answer.split(b" ", 2)[1]) == 408
+        assert client.health()
+
+    def test_body_shorter_than_its_length_answers_408(self, live_service, monkeypatch):
+        from repro.service import app
+
+        monkeypatch.setattr(app, "REQUEST_DEADLINE_S", 0.5)
+        handle, client = live_service
+        request = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}"
+        assert _raw_status(handle, request) == 408
+        assert client.health()
+
 
 class TestCancellation:
     def test_cancel_queued_job_is_terminal(self, tmp_path):

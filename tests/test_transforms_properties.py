@@ -172,7 +172,7 @@ def check_fold(make):
     IRBuilder(function.entry).ret(inst)
     try:
         values = [op.value for op in inst.operands]
-        expected = repr(PURE_OPS[type(inst)][0](inst, *values))
+        expected = repr(PURE_OPS[type(inst)](inst, *values))
     except InterpError as exc:
         expected = f"trap: {exc}"
     assert outcome(module) == expected
