@@ -1,11 +1,10 @@
 """Simulator wall-clock: specialized engine vs the event engine.
 
-The specialized engine compiles each worker's FSM schedule into
-generated Python (operand slots pre-indexed, every place a tick can start
-one generated function that runs to the tick's exit and closes its
-cycles in the timing rule's own lines, a run of register-only states one
-generated function batched into the same tick), so the hot path stops
-walking ``Instruction`` objects.  The contract is
+The specialized engine renders each function's FSM schedule into one
+generated Python generator (registers, FIFOs and the FSM position are
+its locals, a tick is one resumption that closes its cycles in the
+timing rule's own lines, a run of register-only states runs without a
+yield), so the hot path stops walking ``Instruction`` objects.  The contract is
 bit-identical ``SimReport``\\ s against the event engine (pinned by
 ``tests/test_specialized_engine.py``); this benchmark measures what the
 specialization buys: simulation-only wall-clock (compilation, workload

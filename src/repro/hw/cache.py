@@ -104,8 +104,16 @@ class DirectMappedCache:
 
         Returns the cycle at which the data (or write ack) is ready.
         """
-        start = self._arbitrate(cycle)
-        index, tag = self._index_and_tag(addr)
+        usage = self._port_usage
+        used = usage.get(cycle, 0)
+        if used < self.ports and not self.injector.enabled and len(usage) < 4096:
+            usage[cycle] = used + 1  # a free port this cycle: no arbitration
+            start = cycle
+        else:
+            start = self._arbitrate(cycle)
+        block = addr // self.block_size
+        index = block % self.n_lines
+        tag = block // self.n_lines
         hit = self._tags[index] == tag
         if hit:
             self.stats.hits += 1

@@ -22,6 +22,12 @@ least one worker can make progress:
   counts.  ``tests/test_engine_equivalence.py`` pins this down
   differentially against the lockstep oracle.
 
+What the clock calls at a due cycle is the worker's ``resume``: its
+``tick`` for the interpretive worker and the trace replayer's, and for a
+rendered worker (:mod:`repro.hw.specialize`) its generator's ``send``,
+with no prelude in between; that generator's last return arrives as
+``StopIteration``.
+
 Same-cycle wake rule: lockstep ticks workers in list order, so an event
 produced by worker *i* at cycle *c* is visible to a blocked worker *j*
 within cycle *c* only if *j* ticks after *i* (``j.seq > i.seq``);
@@ -208,7 +214,10 @@ class EventScheduler:
                     self._active_seq = worker.seq
                     if worker.synced_until < cycle:
                         self._flush(worker, cycle)
-                    worker.tick(cycle)
+                    try:
+                        worker.resume(cycle)
+                    except StopIteration:  # a rendered worker's last return
+                        pass
             self._active_seq = -1
             cycle += 1
         # Pad every worker to the run's end: lockstep keeps clocking

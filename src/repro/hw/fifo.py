@@ -115,22 +115,21 @@ class FifoBuffer:
     # -- data ---------------------------------------------------------------------
 
     def push(self, index: int, value, cycle: int = 0) -> None:
-        if not self.can_push(index):
+        queue = self.queues[index]
+        if len(queue) >= self.depth:
             raise SimulationError(
                 f"{self.name}: push to full queue {index} "
                 f"(depth {self.depth})"
             )
         if self.injector.enabled:
             value = self.injector.corrupt_value(self, value)
-        self.queues[index].append(value)
-        self.stats.pushes += 1
-        self.stats.max_occupancy = max(
-            self.stats.max_occupancy, len(self.queues[index])
-        )
+        queue.append(value)
+        stats = self.stats
+        stats.pushes += 1
+        if len(queue) > stats.max_occupancy:
+            stats.max_occupancy = len(queue)
         if self.sink.enabled:
-            self.sink.fifo_occupancy(
-                self.name, index, cycle, len(self.queues[index])
-            )
+            self.sink.fifo_occupancy(self.name, index, cycle, len(queue))
         if self.engine is not None:
             self.engine.fifo_pushed(self, index)
 
@@ -153,14 +152,13 @@ class FifoBuffer:
             self.engine.fifo_pushed(self, None)
 
     def pop(self, index: int, cycle: int = 0):
-        if not self.can_pop(index):
+        queue = self.queues[index]
+        if not queue:
             raise SimulationError(f"{self.name}: pop from empty queue {index}")
         self.stats.pops += 1
-        value = self.queues[index].popleft()
+        value = queue.popleft()
         if self.sink.enabled:
-            self.sink.fifo_occupancy(
-                self.name, index, cycle, len(self.queues[index])
-            )
+            self.sink.fifo_occupancy(self.name, index, cycle, len(queue))
         if self.engine is not None:
             self.engine.fifo_popped(self, index)
         return value

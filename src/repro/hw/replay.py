@@ -10,7 +10,7 @@ timing.  This module records that sequence from one full simulation and
 replays it under other timing knobs without computing a value:
 
 * :meth:`Recording.recorder` builds the full specialized simulator with
-  taps on the existing choke points (memory completion,
+  taps on the existing choke points (``SpecializedWorker._load/_store``,
   ``HwWorker._push/_pop/_join``, ``fork_worker``/``worker_finished``).
   Each worker logs its stall-free event stream ``(Δ, kind, a, b)``: the
   COMPUTE cycles retired since its previous event, then a memory access
@@ -126,6 +126,8 @@ def _require_plain_specialized(system: AcceleratorSystem) -> None:
 
 
 class _RecordingWorker(SpecializedWorker):
+    _inline = False  # every load and store comes through the taps below
+
     def __init__(self, name, *args, worker_id=0, **kwargs) -> None:
         super().__init__(name, *args, worker_id=worker_id, **kwargs)
         self.trace = WorkerTrace(name, worker_id)
@@ -136,14 +138,19 @@ class _RecordingWorker(SpecializedWorker):
         self.trace.events.append((active - self._logged, kind, a, b))
         self._logged = active
 
-    def _complete_memory(self) -> None:
+    def _load(self, type_, addr: int):
+        return self._tapped(addr, super()._load, type_, addr)
+
+    def _store(self, type_, addr: int, value) -> None:
+        self._tapped(addr, super()._store, type_, addr, value)
+
+    def _tapped(self, addr: int, access, *args):
         # Logged at completion (no cycle retires between issue and here);
         # direction and width are what the access adds to the memory's
         # byte counters, the one place both are exact for any accessor.
         memory = self.system.memory
         read, written = memory.bytes_read, memory.bytes_written
-        addr = self._pending_mem[1]
-        super()._complete_memory()
+        result = access(*args)
         size = memory.bytes_written - written
         is_write = size > 0
         if is_write:
@@ -158,6 +165,7 @@ class _RecordingWorker(SpecializedWorker):
         words.add(first)
         if last != first:
             words.update(range(first + 1, last + 1))
+        return result
 
     def _push(self, opcode, fifo, index, value, cycle):
         stalled = super()._push(opcode, fifo, index, value, cycle)
@@ -376,11 +384,11 @@ class _ReplayWorker(HwWorker):
         if run_up:
             self._retire(start_cycle, _COMPUTE, run_up)
 
-    def _make_entry_frames(self, trace: WorkerTrace, args):
+    def _enter(self, trace: WorkerTrace, args) -> None:
         self._events = trace.events
         self._at = 0
         self.stats.ops_executed = Counter(trace.ops)
-        return []  # an empty call stack, should the watchdog look
+        self._frames = []  # an empty call stack, should the watchdog look
 
     tick = _render_tick()
 

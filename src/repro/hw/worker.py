@@ -145,6 +145,15 @@ def _render_retire():
     return text.function("self, cycle, category, k=1")
 
 
+class OpCounter(Counter):
+    """A :class:`~collections.Counter` whose ``c[op] += n`` stores through
+    dict's own slot: Counter's Python ``__delitem__`` routes every store of
+    the base class through a slower one, and a simulation counts each op
+    it runs.  (Deleting a missing key raises, as from a dict.)"""
+
+    __delitem__ = dict.__delitem__
+
+
 @dataclass
 class WorkerStats:
     """Per-worker activity counters (feed the power model and telemetry).
@@ -161,7 +170,7 @@ class WorkerStats:
     fifo_full_stall_cycles: int = 0
     fifo_empty_stall_cycles: int = 0
     join_stall_cycles: int = 0
-    ops_executed: Counter = field(default_factory=Counter)
+    ops_executed: Counter = field(default_factory=OpCounter)
     loads: int = 0
     stores: int = 0
     fifo_pushes: int = 0
@@ -292,7 +301,6 @@ class HwWorker:
         #: and the watchdog's wait-for-graph snapshot read it.
         self.last_category = CycleCategory.IDLE
         self._waiting_until = 0
-        self._pending_mem: tuple[Instruction, int] | None = None
         self._blocked_fifo = None
         self._blocked_index: int | None = None
         self._blocked_loop = -1
@@ -304,11 +312,13 @@ class HwWorker:
         #: The cache this worker's memory port talks to (shared, or a
         #: private slice under the Appendix B.1 memory-partitioning mode).
         self.cache = system.cache_for_new_worker()
-        self._frames = self._make_entry_frames(function, args)
+        #: What the event clock calls at a cycle this worker is due.
+        self.resume = self.tick
+        self._enter(function, args)
 
-    def _make_entry_frames(self, function: Function, args: list[int | float]):
-        """Build the initial frame stack (overridden by the specialized
-        engine, which uses slot-indexed frames instead of env dicts)."""
+    def _enter(self, function: Function, args: list[int | float]) -> None:
+        """Stand at the entry of ``function`` called with ``args`` (the
+        specialized worker starts a generator instead of a frame stack)."""
         schedule = self.system.schedule_for(function)
         frame = _Frame(function, schedule)
         if len(args) != len(function.args):
@@ -318,7 +328,8 @@ class HwWorker:
             )
         for formal, actual in zip(function.args, args):
             frame.env[id(formal)] = actual
-        return [frame]
+        self._frames = [frame]
+        self._pending_mem: tuple[Instruction, int] | None = None
 
     # -- value plumbing ---------------------------------------------------------
 
@@ -540,7 +551,7 @@ class HwWorker:
     def _pop(self, opcode: str, fifo, index: int, cycle: int):
         """The head of queue ``index``, or :data:`STALLED` when it is empty
         (probe: ``fifo.can_pop(index)``)."""
-        if not fifo.can_pop(index):
+        if not fifo.queues[index]:
             fifo.stats.empty_stall_cycles += 1
             self.stats.ops_executed[opcode] -= 1
             self._blocked_fifo = fifo

@@ -74,7 +74,7 @@ _REASONS = {
     414: "URI Too Long",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
-    500: "Internal Server Error", 503: "Service Unavailable",
+    500: "Internal Server Error", 501: "Not Implemented", 503: "Service Unavailable",
 }
 
 
@@ -247,6 +247,11 @@ class CgpaService:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            except asyncio.CancelledError:
+                # stop() cancelled the task while it was closing: end it
+                # normally, since a cancelled connection task is reported
+                # by the stream's done-callback as an unhandled error.
+                pass
             finally:
                 # Tracked until closed, so stop() never leaves it pending.
                 if task is not None:
@@ -322,6 +327,16 @@ class CgpaService:
             headers.get("connection", "keep-alive").lower() != "close"
             and version.upper() != "HTTP/1.0"
         )
+        if "transfer-encoding" in headers:
+            # A body framed some other way than by Content-Length cannot
+            # be read, and the bytes after the headers would parse as the
+            # next request: refuse it and close.
+            await self._respond(
+                writer, 501,
+                {"error": "Transfer-Encoding is not supported; send a Content-Length body"},
+                close=True,
+            )
+            return None
         body = b""
         length_text = headers.get("content-length", "0")
         # One run of ASCII digits, short enough for ``int()`` (which
@@ -474,7 +489,9 @@ class CgpaService:
             )
         try:
             data = json.loads(body or b"null")
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers a JSONDecodeError and an integer over
+            # int()'s digit limit; RecursionError, nesting too deep to decode.
             raise _HttpError(400, f"request body is not JSON: {exc}")
         try:
             request = JobRequest.from_dict(data)

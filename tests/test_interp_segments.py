@@ -25,7 +25,6 @@ from repro.errors import InterpError
 from repro.frontend import compile_c
 from repro.hw import AcceleratorSystem, HwWorker, run_on_mips, specialized_for
 from repro.hw.mips_core import _costs
-from repro.hw.specialize import SpecFrame
 from repro.interp import ChannelIO, Interpreter, Memory, profile_call
 from repro.interp import interpreter as interpreter_module
 from repro.ir import (
@@ -400,17 +399,17 @@ GENERATED_NAME = re.compile(
     r"def|seg|interp|frame|env|if|else|not|is|None|return|new|Frame|stack|got"
     r"|_segs|_stack|memory|call_inst|_return_value|pop|append|cycles|moves|counts|[vKF]\d+"
     # ... its regions' block cursor and step budget, and inline memory access:
-    r"|at|while|try|finally|continue|limit|max_steps"
+    r"|at|while|try|finally|continue|limit|steps|max_steps"
     r"|data|_data|top|or|_check|bytes_read|bytes_written|raw"
-    # ... and the hardware worker's steps and runs:
-    r"|worker|cycle|regs|ops|room|stats|ops_executed|block|cursor"
-    # ... and its landings: the blocking-op protocol, memory access and
-    # completion, calls and returns, and the timing rule's fields:
-    r"|True|False|in|system|state|steps|addr|access|loader|storer"
-    r"|cache|_waiting_until|_pending_mem|loads|stores|fifo_for|worker_id"
-    r"|_push|_pop|_join|_retire|liveout_regs|liveouts|fork_worker|alloc_object"
-    r"|site|_frames|frames|caller|ret_slot|done|worker_finished|return_value"
-    r"|_trace|_sink|worker_span|name|_emit_state|last_category|wait_category"
+    # ... and the hardware worker's generator: what it binds once, its
+    # clock and the FSM's block cursor, the blocking-op protocol, memory
+    # access and completion, calls and returns, and the timing rule's fields:
+    r"|worker|system|stats|ops|ops_executed|cache|push|pop|join|retire|close"
+    r"|_push|_pop|_join|_retire|_close|liveout_regs|liveouts|trace|sink|name|_limit"
+    r"|worker_id|load|store|_load|_store|plain|_inline|global_addresses|fifo_for"
+    r"|yield|from|cycle|now|and|True|False|in|addr|access|loads|stores|_waiting_until"
+    r"|fork_worker|alloc_object|site|caller|done|worker_finished|return_value"
+    r"|_trace|_sink|worker_span|worker_state|last_category|wait_category"
     r"|synced_until|next_due|active_cycles|mem_stall_cycles"
 )
 
@@ -516,8 +515,8 @@ def test_the_worker_text_holds_nothing_from_the_source(source, entry, optimise, 
         reports[engine] = report.to_dict()
     assert reports["specialized"] == reports["event"]
     assert reports["event"]["return_value"] == expected
-    assert len(texts) > 5
-    assert any("regs" in text for text in texts)
+    assert len(texts) == len(module.functions) - 1  # one generator per function run
+    assert any("yield from" in text for text in texts)
     assert_generated_only(texts)
 
 
@@ -545,20 +544,17 @@ def test_rendered_functions_reach_neither_decoder_nor_interpreter():
                        or v is interp._segs for v in held)
 
 
-def test_worker_code_reaches_no_worker_system_memory_or_frame():
+def test_worker_code_reaches_no_worker_system_or_memory():
     module = module_of(HOSTILE_NAMES)
     system, _, workers = run_worker(module, "eval", [6], "specialized")
-    forbidden = (HwWorker, AcceleratorSystem, Memory, SpecFrame)
+    forbidden = (HwWorker, AcceleratorSystem, Memory)
     rendered = [
-        step
+        specialized_for(function).generator
         for function in module.functions.values() if not function.is_declaration
-        for block in specialized_for(function)._blocks.values()
-        for step in [*block.runs, *(s for steps in block.states for s in steps)]
-        if getattr(step, "__code__", None) is not None
-        and step.__code__.co_filename == "<generated>"
     ]
-    assert len(rendered) > 5 and workers
+    assert len(rendered) == 2 and workers
     for function in rendered:
+        assert function.__code__.co_filename == "<generated>"
         assert "seg" not in function.__globals__
         assert function.__globals__["__builtins__"] == {}
         for value in function.__globals__.values():

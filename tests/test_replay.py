@@ -32,6 +32,7 @@ from repro.harness.runner import Workload, run_hardware
 from repro.hw import AcceleratorSystem, DirectMappedCache, SpecializedWorker
 from repro.hw import replay
 from repro.hw.replay import Recording
+from tests.test_specialized_engine import count_resumes
 from repro.interp import Memory, malloc_site_table
 from repro.ir import (
     Consume,
@@ -579,23 +580,18 @@ class TestHostTicks:
         access).  ``p1`` and ``none`` compile to one design per worker
         count, so one recorded run per design plus one replay each take
         59 826 (39 577 full, 20 249 replay, one per access), and the other
-        twelve points are derived."""
+        twelve points are derived.  A tick is what the event clock resumes:
+        a recording worker's generator, a replay worker's ``tick``."""
         ticks = {"full": 0, "replay": 0}
 
-        def counting(cls, key):
-            tick = cls.tick
+        def record(worker, cycle):
+            replayed = isinstance(worker, replay._ReplayWorker)
+            assert replayed or isinstance(worker, SpecializedWorker)
+            ticks["replay" if replayed else "full"] += 1
 
-            def counted(self, cycle):
-                ticks[key] += 1
-                tick(self, cycle)
-
-            monkeypatch.setattr(cls, "tick", counted)
-
-        counting(SpecializedWorker, "full")
-        counting(replay._ReplayWorker, "replay")
+        count_resumes(monkeypatch, record)
         with Explorer(KERNELS_BY_NAME["ks"], ConfigSpace(**SWEEP_SPACE)) as explorer:
             sweep = explorer.run(GridStrategy())
         assert sum(r.cycles for r in sweep.results) == 485_048
         assert (sweep.recorded, sweep.replayed, sweep.derived) == (2, 2, 12)
-        assert ticks["full"] <= 41_000, ticks
-        assert ticks["replay"] <= 22_000, ticks
+        assert ticks == {"full": 39_577, "replay": 20_249}

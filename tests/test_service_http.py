@@ -301,6 +301,38 @@ class TestMalformedRequests:
         assert _raw_status(handle, request) == 414
         assert client._request("GET", "/v1/healthz")["status"] == "ok"
 
+    @pytest.mark.parametrize("body", [
+        pytest.param(b"[" * 100_000, id="100000-nested-arrays"),
+        pytest.param(b"1" * 5000, id="5000-digit-integer"),
+    ])
+    def test_undecodable_body_answers_400(self, live_service, body):
+        handle, client = live_service
+        request = (
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+        )
+        assert _raw_status(handle, request) == 400
+        assert client._request("GET", "/v1/healthz")["status"] == "ok"
+
+    def test_chunked_body_answers_501_once_and_closes(self, live_service):
+        import socket
+
+        handle, client = live_service
+        request = (
+            b"POST /v1/jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"7\r\n{\"a\": 1}\r\n0\r\n\r\n"
+        )
+        answer = b""
+        with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+            sock.sendall(request)
+            while True:  # everything the service sends before it closes
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                answer += chunk
+        assert answer.count(b"HTTP/1.1 ") == 1, answer
+        assert answer.startswith(b"HTTP/1.1 501 "), answer
+        assert client._request("GET", "/v1/healthz")["status"] == "ok"
+
     def test_idle_connection_is_closed_without_an_answer(self, live_service, monkeypatch):
         import socket
 
@@ -465,6 +497,48 @@ class TestDeadlines:
                 final = client.wait(record["job_id"], timeout=10)
                 assert final["status"] == "timeout"
                 gate.set()
+
+
+class TestQuietStop:
+    def test_stop_during_a_keep_alive_loop_logs_no_cancelled_error(self, tmp_path, caplog):
+        """stop() cancels every connection task; one that is closing its
+        writer as the cancel lands must still end normally, or asyncio's
+        stream callback logs its CancelledError as an unhandled error."""
+        import asyncio
+        import logging
+
+        caplog.set_level(logging.ERROR)
+        for round_ in range(8):
+            handle = start_service(_config(tmp_path, store_root=str(tmp_path / f"s{round_}")))
+            running = threading.Event()
+            done = threading.Event()
+
+            def loop():
+                try:
+                    with ServiceClient(handle.host, handle.port, client_id="t") as client:
+                        while not done.is_set():
+                            client.health()
+                            running.set()
+                except (ServiceError, OSError):
+                    pass  # the service went away under the loop
+                finally:
+                    running.set()
+
+            thread = threading.Thread(target=loop)
+            thread.start()
+            try:
+                assert running.wait(10)
+                time.sleep(0.05)
+            finally:
+                handle.stop()
+                done.set()
+                thread.join(10)
+        unhandled = [
+            record for record in caplog.records
+            if "Exception in callback" in record.getMessage()
+            or record.exc_info and isinstance(record.exc_info[1], asyncio.CancelledError)
+        ]
+        assert not unhandled, [record.getMessage() for record in unhandled]
 
 
 class TestDrain:

@@ -20,22 +20,23 @@ import dataclasses
 import pytest
 
 from repro.dse import ConfigSpace, Evaluator
-from repro.errors import CycleBudgetExceeded
-from repro.faults import FaultInjector, FaultPlan, MemLatencyFault
+from repro.errors import CycleBudgetExceeded, DeadlockError
+from repro.faults import FaultInjector, FaultPlan, MemLatencyFault, WorkerHangFault
 from repro.fleet import interned_workload
 from repro.frontend import compile_c
 from repro.hw import (
     AcceleratorSystem,
     DirectMappedCache,
+    EventScheduler,
     MemoryTraceSink,
     specialized_for,
 )
 from repro.hw.specialize import SpecializedWorker
-from repro.hw.worker import HwWorker
 from repro.interp import Interpreter, Memory
 from repro.ir import I32
 from repro.kernels import ALL_KERNELS, KARGS_GLOBAL, KERNELS_BY_NAME
 from repro.pipeline import ReplicationPolicy, cgpa_compile
+from repro.telemetry.events import CycleCategory
 from repro.transforms import optimize_module
 
 ENGINES = ("event", "lockstep", "specialized")
@@ -324,13 +325,33 @@ int spin(int n) {
 
 
 def position(worker):
-    """Where a worker's FSM stands: ``(block, state, cursor)``."""
+    """Where a worker's FSM stands: ``(block, state, cursor)`` (for a
+    specialized worker, read off its parked generator)."""
     if not worker._frames:
         return None
     frame = worker._frames[-1]
-    block = frame.block
-    label = block.label if isinstance(worker, SpecializedWorker) else block.short_name()
-    return label, frame.state, frame.cursor
+    return frame.block.short_name(), frame.state, frame.cursor
+
+
+def count_resumes(monkeypatch, record):
+    """Call ``record(worker, cycle)`` after every resumption the event
+    clock makes of any worker it is given (a ``HwWorker.tick``, a
+    rendered worker's generator), its last one included."""
+    add = EventScheduler.add
+
+    def counted_add(self, worker):
+        resume = worker.resume
+
+        def counted(cycle):
+            try:
+                resume(cycle)
+            finally:
+                record(worker, cycle)
+
+        worker.resume = counted
+        add(self, worker)
+
+    monkeypatch.setattr(EventScheduler, "add", counted_add)
 
 
 def run_source(source, entry, args, engine, optimize=True, **system_kwargs):
@@ -358,16 +379,16 @@ def run_source(source, entry, args, engine, optimize=True, **system_kwargs):
 
 @pytest.fixture
 def tick_log(monkeypatch):
-    """``{(worker, cycle): state after that tick}`` for every tick either
-    worker class takes."""
+    """``{(worker, cycle): state after that tick}`` for every tick the
+    event clock gives a worker of either engine."""
     log = {}
-    for cls in (HwWorker, SpecializedWorker):
-        def tick(self, cycle, _tick=cls.tick):
-            _tick(self, cycle)
-            log[self.name, cycle] = (
-                position(self), self.last_category, self.stats.to_dict(),
-            )
-        monkeypatch.setattr(cls, "tick", tick)
+
+    def record(worker, cycle):
+        log[worker.name, cycle] = (
+            position(worker), worker.last_category, worker.stats.to_dict(),
+        )
+
+    count_resumes(monkeypatch, record)
     return log
 
 
@@ -401,10 +422,10 @@ class TestRunAhead:
             module = compile_c(source)
             optimize_module(module)
             program = specialized_for(module.get_function(entry))
-            blocks = [b for b in program._blocks.values() if "end" not in b.label]
+            tables = program.tables
+            blocks = [b for b in tables if "end" not in b.short_name()]
             assert len(blocks) > 6
-            assert all(all(b.pure[:b.n_states]) for b in blocks), entry
-            assert not any(b.pure[b.n_states] for b in program._blocks.values())
+            assert all(all(program.pure[block]) for block in blocks), entry
 
     def test_infinite_register_only_loop_stops_at_the_budget(self):
         # One specialized tick runs from cycle 0 to the budget; wherever
@@ -426,7 +447,7 @@ class TestRunAhead:
             assert position(fast_worker) == position(event_worker)
             assert fast_worker.stats == event_worker.stats
             label, state, _ = position(fast_worker)
-            n_states = fast_worker._frames[-1].block.n_states
+            n_states = len(fast_worker._frames[-1].state_ops)
             stops.add(
                 "first" if state == 0 else
                 "branch" if state == n_states - 1 else "middle"
@@ -463,28 +484,29 @@ class TestRunAhead:
         assert len(tick_log) < len(logs["event"]) // 2
 
     def test_tick_count_on_the_dse_sweep_grid(self, monkeypatch):
-        # Wall-clock-free regression pin: host ticks per 16-point grid
-        # (before run-ahead crossed branches: 490 k / 183 k / 123 k).
-        # ks sits at two ticks per memory access — issue and complete.
+        # Wall-clock-free regression pin: host ticks (resumptions of a
+        # worker's generator) per 16-point grid (before run-ahead crossed
+        # branches: 490 k / 183 k / 123 k).  ks sits at two ticks per
+        # memory access — issue and complete.
         ticks = [0]
 
-        def tick(self, cycle, _tick=SpecializedWorker.tick):
+        def record(worker, cycle):
+            assert isinstance(worker, SpecializedWorker)
             ticks[0] += 1
-            _tick(self, cycle)
 
-        monkeypatch.setattr(SpecializedWorker, "tick", tick)
+        count_resumes(monkeypatch, record)
         space = ConfigSpace(
             policies=["p1", "none"], n_workers=[2, 4],
             fifo_depths=[4, 16], cache_lines=[128, 512],
         )
-        pins = {"ks": (330_000, 485_048), "bfs": (90_000, 122_632),
-                "hash-join": (55_000, 67_976)}
-        for name, (ceiling, cycles) in pins.items():
+        pins = {"ks": (316_472, 485_048), "bfs": (82_984, 122_632),
+                "hash-join": (49_888, 67_976)}
+        for name, (count, cycles) in pins.items():
             evaluator = Evaluator(KERNELS_BY_NAME[name], engine="specialized")
             ticks[0] = 0
             results = [evaluator.evaluate(point) for point in space.grid()]
             assert sum(r.cycles for r in results) == cycles, name
-            assert ticks[0] <= ceiling, (name, ticks[0])
+            assert ticks[0] == count, (name, ticks[0])
 
 
 def test_threads_rendering_one_program_give_the_serial_bytes():
@@ -523,3 +545,161 @@ def test_threads_rendering_one_program_give_the_serial_bytes():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [serial] * 4
+
+
+#: A three-deep call chain inside a loop, with loads and stores on both
+#: sides of every call: each call is ``yield from`` its callee's
+#: generator, each return a tick of the caller.
+CHAIN = """
+int a[16];
+int leaf(int x) {
+    int s = 0;
+    for (int i = 0; i < 3; i++) s += a[(x + i) & 15] * i;
+    return s;
+}
+int mid(int x) {
+    int t = leaf(x) + 1;
+    if (t & 1) t += leaf(x + 1);
+    return t;
+}
+int top(int n) {
+    for (int i = 0; i < 16; i++) a[i] = i * 3 + 1;
+    int acc = 0;
+    for (int i = 0; i < n; i++) { acc += mid(i); a[i & 15] = acc & 255; }
+    return acc;
+}
+"""
+
+#: ``SPIN``'s register-only infinite loop, entered through a call.
+CALLED_SPIN = SPIN + "int spun(int n) { return spin(n) + 1; }\n"
+
+
+def simulate_workers(name: str, engine: str, **system_kwargs):
+    """:func:`simulate` that also returns every worker the run created;
+    the outcome is the report or the error that stopped the run."""
+    spec = small_spec(name)
+    compiled = compiled_kernel(name)
+    memory, globals_, args = interned_workload(compiled.module, spec)
+    system = AcceleratorSystem(
+        compiled.module, memory, channels=compiled.result.channels,
+        cache=DirectMappedCache(ports=8), global_addresses=globals_,
+        engine=engine, **system_kwargs,
+    )
+    workers = []
+    register = system._register_worker
+
+    def remember(worker):
+        workers.append(worker)
+        register(worker)
+
+    system._register_worker = remember
+    try:
+        outcome = system.run(spec.measure_entry, args)
+    except (CycleBudgetExceeded, DeadlockError) as error:
+        outcome = error
+    return outcome, workers
+
+
+class TestRenderedWorker:
+    """The generator against the lockstep oracle where its protocol is
+    least like a landing's: calls, the budget inside a called loop, a
+    deadlock and an injected hang that must wait out a stall."""
+
+    @pytest.mark.parametrize("optimize", [True, False], ids=["opt", "noopt"])
+    def test_a_call_chain_matches_lockstep(self, optimize):
+        runs = {
+            engine: run_source(CHAIN, "top", [10], engine, optimize=optimize)
+            for engine in ENGINES
+        }
+        want, want_workers, want_memory = runs["lockstep"]
+        assert want.return_value == Interpreter(compile_c(CHAIN)).call("top", [10])
+        for engine in ("event", "specialized"):
+            sim, workers, memory = runs[engine]
+            assert sim.to_dict() == want.to_dict(), engine
+            assert [w.stats for w in workers] == [w.stats for w in want_workers]
+            assert memory.snapshot() == want_memory.snapshot(), engine
+
+    def test_a_call_chain_ticks_like_the_event_engine(self, tick_log):
+        sinks, logs = {}, {}
+        for engine in ("event", "specialized"):
+            tick_log.clear()
+            sinks[engine] = MemoryTraceSink()
+            run_source(CHAIN, "top", [6], engine, sink=sinks[engine])
+            logs[engine] = dict(tick_log)
+        assert logs["specialized"] == logs["event"]
+        blocks = {position[0] for position, _, _ in logs["specialized"].values() if position}
+        assert len(blocks) > 8  # the ticks stood in all three functions
+        assert sinks["specialized"].spans == sinks["event"].spans
+        assert sinks["specialized"].state_changes == sinks["event"].state_changes
+
+    def test_the_budget_inside_a_called_register_only_loop(self):
+        for max_cycles in range(40, 100, 7):
+            errors = {
+                engine: run_source(CALLED_SPIN, "spun", [1], engine, max_cycles=max_cycles)
+                for engine in ENGINES
+            }
+            assert len({str(error) for error, _, _ in errors.values()}) == 1
+            event, (event_worker,), _ = errors["event"]
+            fast, (fast_worker,), _ = errors["specialized"]
+            assert fast.cycle == event.cycle == max_cycles
+            assert len(fast_worker._frames) == 2  # the caller stands on the call
+            assert position(fast_worker) == position(event_worker)
+            assert fast_worker.stats == event_worker.stats
+
+    def test_a_deadlock_cycle_matches_lockstep(self):
+        from tests.test_faults import DEADLOCK_TOPOLOGIES
+
+        for topology, build in sorted(DEADLOCK_TOPOLOGIES.items()):
+            errors, workers = {}, {}
+            for engine in ENGINES:
+                module, plan = build()
+                system = AcceleratorSystem(
+                    module, Memory(), channels=plan, engine=engine, fifo_depth=1
+                )
+                made = []
+                register = system._register_worker
+                system._register_worker = lambda w, r=register, m=made: (m.append(w), r(w))
+                with pytest.raises(DeadlockError) as info:
+                    system.run("parent", [])
+                errors[engine], workers[engine] = info.value, made
+            want = errors["lockstep"]
+            assert str(errors["specialized"]) == str(want), topology
+            assert errors["specialized"].diagnosis.to_dict() == want.diagnosis.to_dict()
+            for fast, event in zip(workers["specialized"], workers["event"]):
+                assert position(fast) == position(event), topology
+                assert fast.stats == event.stats, topology
+                assert fast.last_category is event.last_category
+
+    def test_an_injected_hang_waits_out_a_stall(self):
+        # Find a worker stalled on an empty FIFO for a while, and hang it
+        # from the tick that starts the stall, whose consume would block:
+        # every engine freezes it only at its first tick that can make
+        # progress, after the stall.
+        sink = MemoryTraceSink()
+        report, workers = simulate_workers("ks", "event", sink=sink)
+        seq = {w.name: w.seq for w in workers}
+        stall = next(
+            span for span in sink.spans
+            if span.category is CycleCategory.FIFO_EMPTY and seq[span.worker] > 0
+            and span.end - span.start >= 4
+        )
+        hang = WorkerHangFault(seq[stall.worker], stall.start)
+        outcomes = {}
+        for engine in ENGINES:
+            injector = FaultInjector(FaultPlan(seed=0, kind="hang", faults=(hang,)))
+            outcome, made = simulate_workers("ks", engine, injector=injector)
+            assert isinstance(outcome, DeadlockError), engine
+            hung = next(w for w in made if w.seq == hang.worker_seq)
+            assert hung.hung
+            outcomes[engine] = outcome, hung
+        want, want_hung = outcomes["lockstep"]
+        for engine in ("event", "specialized"):
+            error, hung = outcomes[engine]
+            assert str(error) == str(want), engine
+            assert error.diagnosis.to_dict() == want.diagnosis.to_dict()
+            assert error.diagnosis.root_hang == stall.worker
+        fast, event = outcomes["specialized"][1], outcomes["event"][1]
+        assert fast.stats == event.stats and position(fast) == position(event)
+        waited = sum(s.end - s.start for s in sink.spans_for(stall.worker)
+                     if s.category is CycleCategory.FIFO_EMPTY and s.end <= stall.end)
+        assert fast.stats.fifo_empty_stall_cycles >= waited  # the whole stall ran
