@@ -13,12 +13,12 @@ evaluation writes to.
 Points that share one design (``p1`` and ``none`` often compile to one
 :attr:`~repro.pipeline.CompiledPipeline.design_key`) differ only in
 knobs that move cycles, never values, so
-:meth:`Evaluator.evaluate_structure` simulates one of them in full while
-recording it and re-times the rest from that recording
-(:mod:`repro.hw.replay`), except timings another point's run fixed: the
-same knobs, or a cache size whose shadow tags
-(:meth:`~repro.hw.cache.DirectMappedCache.add_shadow`) matched it hit
-for hit; :meth:`Evaluator.evaluate` alone is always a full simulation.
+:meth:`Evaluator.evaluate_structure` simulates each of their timings
+once, in full, and gives every other point of that timing its result:
+the same knobs, or a cache size whose shadow tags
+(:meth:`~repro.hw.cache.DirectMappedCache.add_shadow`) matched the run
+hit for hit; :meth:`Evaluator.evaluate` alone is always a full
+simulation.
 
 :func:`result_key` addresses one evaluation in the service's
 :class:`~repro.service.store.ArtifactStore` (shared with job artifacts): an
@@ -35,9 +35,8 @@ from functools import lru_cache
 from ..cost import COST_MODEL_VERSION
 from ..errors import CgpaError, CycleBudgetExceeded, DeadlockError
 from ..harness.build import interned_pipeline
-from ..harness.runner import Workload, run_hardware
+from ..harness.runner import run_hardware
 from ..hw import DEFAULT_ENGINE, DirectMappedCache
-from ..hw.replay import Recording
 from ..kernels import KernelSpec
 from ..pipeline import CompiledPipeline
 from .space import DEFAULT_EVAL_MAX_CYCLES, DesignPoint
@@ -177,23 +176,15 @@ class Evaluator:
     def evaluate(self, point: DesignPoint) -> EvalResult:
         """Score one point by a full simulation; failures land in
         ``status``, never propagate."""
-        return self._evaluate(point)
+        return self._evaluate(point, DirectMappedCache(
+            n_lines=point.cache_lines, ports=point.cache_ports))
 
     def evaluate_structure(
         self, points: list[DesignPoint]
-    ) -> tuple[list[EvalResult], dict[str, int]]:
+    ) -> tuple[list[EvalResult], int]:
         """Score points that share one design
-        (:attr:`~repro.pipeline.CompiledPipeline.design_key`): record
-        once, time many, and run each timing once.
-
-        The first point that completes ``ok`` is simulated in full and —
-        when another point follows — recorded; the rest replay that
-        recording's event streams under their own FIFO depth and cache,
-        with no workload image and no check run (the checksum is the
-        recording's: its gate proved values independent of timing).  A
-        recording that fails its gate, and any replay that ends other
-        than ``ok``, fall back to :meth:`evaluate`, so every status,
-        error and diagnosis is the full simulator's.
+        (:attr:`~repro.pipeline.CompiledPipeline.design_key`), running
+        each timing once.
 
         On the specialized engine a point that shares its timing knobs
         with an earlier ``ok`` point is given that result under its own
@@ -201,17 +192,15 @@ class Evaluator:
         ``cache_lines`` form a family: its first run carries a shadow tag
         array of each sibling's size
         (:meth:`~repro.hw.cache.DirectMappedCache.add_shadow`), and a
-        size whose shadow matched counts as timed by that run.
+        size whose shadow matched counts as timed by that run.  Every
+        other point is simulated in full, so every status, error and
+        diagnosis is the full simulator's.
 
         Every result is the one :meth:`evaluate` returns for its point;
-        the second value counts how they were produced.  The recording
-        dies with the call.
+        the second value counts the derived ones.
         """
-        tally = dict.fromkeys(
-            ("recorded", "replayed", "derived", "replay_fallbacks"), 0)
+        derived = 0
         results: list[EvalResult] = []
-        recording: Recording | None = None  # of the first point to end ok
-        no_image = None  # the workload of its replays
         specialized = self.engine == "specialized"
         # A family's first run takes its other sizes as shadows.
         family_lines: dict[tuple, set[int]] = {}
@@ -220,10 +209,10 @@ class Evaluator:
                 family_lines.setdefault(
                     _timing(point, None), set()).add(point.cache_lines)
         timed: dict[tuple, EvalResult] = {}  # timing -> an ok result of it
-        for position, point in enumerate(points):
+        for point in points:
             source = timed.get(_timing(point, point.cache_lines))
             if source is not None:
-                tally["derived"] += 1
+                derived += 1
                 results.append(replace(
                     source, point=point,
                     signature=self.compile(point).full_signature(point.fifo_depth),
@@ -234,46 +223,17 @@ class Evaluator:
             for lines in sorted(family_lines.pop(_timing(point, None), ())):
                 if lines != point.cache_lines:
                     cache.add_shadow(lines)
-            if recording is not None:
-                # A recording that failed its gate refuses to build a
-                # replayer, which lands here as a result that is not ok.
-                result = self._evaluate(
-                    point, cache=cache, system=recording.replayer,
-                    workload=no_image)
-                if result.ok:
-                    tally["replayed"] += 1
-                else:
-                    # In full, on the same cache: its shadows then speak
-                    # for this run (every run resets them).
-                    tally["replay_fallbacks"] += 1
-                    result = self._evaluate(point, cache=cache)
-            elif specialized and position + 1 < len(points):
-                recording = Recording()
-                result = self._evaluate(
-                    point, cache=cache, system=recording.recorder)
-                if result.ok:
-                    tally["recorded"] += 1
-                    no_image = Workload(
-                        setup=lambda module, spec: (None, {}, []),
-                        check=lambda *image, checksum=result.checksum: checksum,
-                    )
-                else:
-                    recording = None  # the next point records
-            else:
-                result = self._evaluate(point, cache=cache)
+            result = self._evaluate(point, cache)
             if result.ok and specialized:
                 timed[_timing(point, point.cache_lines)] = result
                 for shadow in cache.shadows:
                     if shadow.matched:
                         timed[_timing(point, shadow.n_lines)] = result
             results.append(result)
-        return results, tally
+        return results, derived
 
-    def _evaluate(self, point: DesignPoint, **run_path) -> EvalResult:
-        """:meth:`evaluate`, with ``run_path`` overriding ``run_hardware``'s
-        cache (``cache=``, default a fresh one of ``point``'s geometry), how
-        it builds the simulator (``system=``) and, for a replay, its
-        workload (``workload=``)."""
+    def _evaluate(self, point: DesignPoint, cache: DirectMappedCache) -> EvalResult:
+        """:meth:`evaluate` on ``cache``."""
         try:
             compiled = self.compile(point)
         except CgpaError as exc:
@@ -281,7 +241,7 @@ class Evaluator:
                               error=f"compile: {exc}")
         signature = compiled.full_signature(point.fifo_depth)
         try:
-            return self._simulate(point, compiled, **run_path)
+            return self._simulate(point, compiled, cache)
         except DeadlockError as exc:
             diagnosis = exc.diagnosis
             return EvalResult(
@@ -306,17 +266,14 @@ class Evaluator:
         self,
         point: DesignPoint,
         compiled: CompiledPipeline,
-        **run_path,
+        cache: DirectMappedCache,
     ) -> EvalResult:
-        cache = run_path.pop("cache", None) or DirectMappedCache(
-            n_lines=point.cache_lines, ports=point.cache_ports)
         run = run_hardware(
             self.spec, f"cgpa-{point.policy}", compiled, cache,
             engine=self.engine,
             max_cycles=self.max_cycles,
             private_caches=point.private_caches,
             fifo_depth=point.fifo_depth,
-            **run_path,
         )
         sim = run.sim
         return EvalResult(

@@ -14,13 +14,12 @@ make that hold:
 
 Work is sharded by design: each pool task is *all* points of one
 :attr:`~repro.pipeline.CompiledPipeline.design_key` (computed in the
-parent), which :meth:`Evaluator.evaluate_structure` scores from one
-recorded simulation plus a timing replay per timing no other point's
-run fixed.  The per-process pipeline intern
-(:func:`repro.harness.build.interned_pipeline`) keeps compiled pipelines
-alive across batches and strategy rounds, so each compile key is
-compiled once per process and reused across the FIFO-depth and cache
-variants that share it.
+parent), which :meth:`Evaluator.evaluate_structure` scores with one
+full simulation per timing no other point's run fixed.  The per-process
+pipeline intern (:func:`repro.harness.build.interned_pipeline`) keeps
+compiled pipelines alive across batches and strategy rounds, so each
+compile key is compiled once per process and reused across the
+FIFO-depth and cache variants that share it.
 
 Parallelism comes from the shared :class:`~repro.fleet.FleetExecutor`
 (one reusable pool per explorer, or an externally supplied fleet),
@@ -54,15 +53,10 @@ class SweepResult:
     results: list[EvalResult] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
-    #: How the misses were scored (:meth:`Evaluator.evaluate_structure`):
-    #: full simulations that were recorded, points re-timed from a
-    #: recording, points given a cache-family sibling's result, and
-    #: points that should have been replayed but were simulated in full.
-    #: Provenance like ``cache_hits``: not in :meth:`to_json_dict`.
-    recorded: int = 0
-    replayed: int = 0
+    #: Misses given another point's result instead of a simulation
+    #: (:meth:`Evaluator.evaluate_structure`); the rest were simulated in
+    #: full.  Provenance like ``cache_hits``: not in :meth:`to_json_dict`.
     derived: int = 0
-    replay_fallbacks: int = 0
     elapsed_s: float = 0.0
 
     @property
@@ -112,20 +106,20 @@ class SweepResult:
         )
 
 
-def _evaluate_group(task) -> tuple[list[tuple[int, dict]], dict[str, int]]:
+def _evaluate_group(task) -> tuple[list[tuple[int, dict]], int]:
     """Fleet task: evaluate one structure-key group.
 
     Takes and returns plain picklable data; ``EvalResult`` travels as its
     dict form so the parent rebuilds identical objects on any start
     method (fork or spawn) — and the serial path round-trips through the
     same dicts, keeping its bytes identical to any pool size.  The second
-    value is :meth:`Evaluator.evaluate_structure`'s tally.
+    value is :meth:`Evaluator.evaluate_structure`'s derived count.
     """
     spec, max_cycles, engine, group = task
     evaluator = Evaluator(spec, max_cycles=max_cycles, engine=engine)
-    results, tally = evaluator.evaluate_structure([point for _, point in group])
+    results, derived = evaluator.evaluate_structure([point for _, point in group])
     rows = [(index, result.to_dict()) for (index, _), result in zip(group, results)]
-    return rows, tally
+    return rows, derived
 
 
 class Explorer:
@@ -258,7 +252,7 @@ class Explorer:
     ) -> list[tuple[int, EvalResult]]:
         if not misses:
             return []
-        # Shard by design: one task = one recording, many timings.
+        # Shard by design: one task = one design, each timing run once.
         groups: dict[object, list[tuple[int, DesignPoint]]] = {}
         for index, point in misses:
             try:
@@ -275,13 +269,12 @@ class Explorer:
         results_by_index: dict[int, EvalResult] = {}
 
         def on_shard(_task_index: int, shard) -> None:
-            rows, tally = shard
+            rows, derived = shard
             for index, data in rows:
                 result = EvalResult.from_dict(data)
                 results_by_index[index] = result
                 persist(index, result)
-            for how, count in tally.items():
-                setattr(sweep, how, getattr(sweep, how) + count)
+            sweep.derived += derived
 
         # Serial and pooled runs route through the same fleet task and
         # round-trip results through the same dict form, so reports are
@@ -289,6 +282,6 @@ class Explorer:
         # shard (completion order); the returned list is proposal-ordered.
         shards = self.fleet.map(_evaluate_group, tasks, on_result=on_shard)
         out: list[tuple[int, EvalResult]] = []
-        for rows, _tally in shards:
+        for rows, _derived in shards:
             out.extend((index, results_by_index[index]) for index, _ in rows)
         return out

@@ -5,7 +5,7 @@ value pushed is popped, still queued, or flushed at a join; every token
 a worker pushes or pops is one its buffer counted; every worker cycle
 lands in exactly one telemetry category.  ``AcceleratorSystem.run``
 calls :func:`check_conservation` at the end of every run — on every
-engine and on the trace replayer — and on the watchdog's deadlock and
+engine — and on the watchdog's deadlock and
 cycle-budget exits, so a corrupt simulator state raises a structured
 :class:`~repro.errors.InvariantViolationError` instead of producing
 silently wrong numbers.  The check only reads: it changes no simulated

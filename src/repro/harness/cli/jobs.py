@@ -137,8 +137,7 @@ def _dse_banner(request, args) -> str:
 def _dse_scoring(sweep) -> dict:
     """How the points were scored is provenance of this run, like its
     wall-clock: in the envelope's ``extra``, never in the payload."""
-    return {how: getattr(sweep, how) for how in (
-        "recorded", "replayed", "derived", "replay_fallbacks")}
+    return {"derived": sweep.derived}
 
 
 def _dse_render(sweep, args, artifact: str) -> None:

@@ -212,13 +212,11 @@ def format_pareto(sweep: "SweepResult") -> str:
         "  status: " + ", ".join(f"{k}={v}" for k, v in statuses.items()),
     ]
     if total:
-        full = sweep.cache_misses - sweep.replayed - sweep.derived
+        full = sweep.cache_misses - sweep.derived
         lines.append(
             f"  result cache: {sweep.cache_hits}/{total} hits "
-            f"({100 * sweep.hit_rate:.0f}%); {full} simulated in full "
-            f"({sweep.recorded} recorded), {sweep.replayed} replayed, "
-            f"{sweep.derived} derived, "
-            f"{sweep.replay_fallbacks} replay fallbacks"
+            f"({100 * sweep.hit_rate:.0f}%); {full} simulated in full, "
+            f"{sweep.derived} derived"
         )
     lines.append("")
     lines.append("Pareto frontier over (cycles, total_aluts, energy_uj):")

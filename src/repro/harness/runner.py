@@ -242,7 +242,6 @@ def run_hardware(
     private_caches: bool = False,
     sink: TraceSink | None = None,
     injector=None,
-    system: Callable[..., AcceleratorSystem] = AcceleratorSystem,
     fifo_depth: int = DEFAULT_FIFO_DEPTH,
 ) -> BackendResult:
     """The one run path: workload image → simulate → area/power → check.
@@ -251,24 +250,18 @@ def run_hardware(
     LegUp-style single FSM.  ``workload`` builds the image from the
     design's module and checks the one the run leaves; the default
     clones the per-process pristine image and interprets ``check`` once
-    per distinct post-run image.  It is a parameter for one caller: a
-    replayed design point has no image and reuses its recording's
-    checksum (:meth:`~repro.dse.evaluate.Evaluator.evaluate_structure`).
-    Tests pass ``Workload(setup_workload, run_check)``, the reference
-    the default must equal.
-    ``system`` builds the simulator from :class:`AcceleratorSystem`'s
-    arguments: the class itself, or a :class:`repro.hw.replay.Recording`'s
-    ``recorder``/``replayer`` (the design-space evaluator's record-once,
-    time-many path).  ``fifo_depth`` sizes the FIFOs of the simulator
-    and of the area model; ``design`` carries none and is never written
-    to, so runs of any depth share it.  Simulator failures (deadlock,
-    cycle budget, invariant violation) propagate to the caller.
+    per distinct post-run image.  Tests pass ``Workload(setup_workload,
+    run_check)``, the reference the default must equal.  ``fifo_depth``
+    sizes the FIFOs of the simulator and of the area model; ``design``
+    carries none and is never written to, so runs of any depth share it.
+    Simulator failures (deadlock, cycle budget, invariant violation)
+    propagate to the caller.
     """
     compiled = design if isinstance(design, CompiledPipeline) else None
     module = compiled.module if compiled else design
     memory, globals_, args = workload.setup(module, spec)
     budget = {} if max_cycles is None else {"max_cycles": max_cycles}
-    accelerator = system(
+    accelerator = AcceleratorSystem(
         module,
         memory,
         channels=compiled.result.channels if compiled else None,

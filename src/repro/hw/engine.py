@@ -23,7 +23,7 @@ least one worker can make progress:
   differentially against the lockstep oracle.
 
 What the clock calls at a due cycle is the worker's ``resume``: its
-``tick`` for the interpretive worker and the trace replayer's, and for a
+``tick`` for the interpretive worker, and for a
 rendered worker (:mod:`repro.hw.specialize`) its generator's ``send``,
 with no prelude in between; that generator's last return arrives as
 ``StopIteration``.

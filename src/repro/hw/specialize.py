@@ -304,8 +304,9 @@ class SpecializedProgram:
                         text.body = inline = []
                         text.access(Memory, inst, values, keep=False)
                         text.body = body
-                        own = (f"store({ref(inst.value.type)}, addr, {values[0]})" if write
-                               else f"{names[inst]} = load({ref(inst.type)}, addr)")
+                        own = (f"memory.store(addr, {ref(inst.value.type)}, {values[0]})"
+                               if write else
+                               f"{names[inst]} = memory.load(addr, {ref(inst.type)})")
                         body += ["if plain:", *_indent(inline), "else:", " " + own]
                     elif cls is Produce or cls is ProduceBroadcast:
                         fifo, where = queue(inst)
@@ -403,8 +404,7 @@ class SpecializedProgram:
             ("name", "name = worker.name"), ("limit", "limit = worker._limit"),
             ("trace", "trace = worker._trace"), ("sink", "sink = worker._sink"),
             ("worker_id", "worker_id = worker.worker_id"), ("memory", "memory = system.memory"),
-            ("load", "load = worker._load"), ("store", "store = worker._store"),
-            ("plain", f"plain = worker._inline and {ref(type)}(memory) is {ref(Memory)}"),
+            ("plain", f"plain = {ref(type)}(memory) is {ref(Memory)}"),
             ("plain", f"if plain: {buffer_line(ref)}"),
             *((self.names[g], f"{self.names[g]} = system.global_addresses[{ref(g.name)}]")
               for g in self.names if isinstance(g, GlobalVariable)),
@@ -461,11 +461,6 @@ class SpecializedWorker(HwWorker):
     attribution are the inherited machinery or rendered from its lines.
     """
 
-    #: Loads and stores on a plain :class:`Memory` are inline; a worker
-    #: that taps them (the trace recorder) sets this False and overrides
-    #: :meth:`_load` / :meth:`_store`.
-    _inline = True
-
     def _enter(self, function: Function, args) -> None:
         if len(args) != len(function.args):
             raise SimulationError(
@@ -515,9 +510,3 @@ class SpecializedWorker(HwWorker):
 
     def _value(self, frame: _Position, v):
         return frame.value(v)
-
-    def _load(self, type_, addr: int):
-        return self.system.memory.load(addr, type_)
-
-    def _store(self, type_, addr: int, value) -> None:
-        self.system.memory.store(addr, type_, value)

@@ -265,13 +265,9 @@ class AcceleratorSystem:
             worker_id=worker_id,
             start_cycle=cycle + 1,
         )
-        self._start_worker(worker, inst.loop_id)
-
-    def _start_worker(self, worker: HwWorker, loop_id: int) -> None:
-        """Bring ``worker`` out of reset as a member of loop ``loop_id``."""
-        worker.loop_id = loop_id
+        worker.loop_id = inst.loop_id
         self._register_worker(worker)
-        self._loop_groups.setdefault(loop_id, []).append(worker)
+        self._loop_groups.setdefault(inst.loop_id, []).append(worker)
 
     def _register_worker(self, worker: HwWorker) -> None:
         worker.seq = len(self._workers)

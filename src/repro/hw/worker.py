@@ -58,42 +58,39 @@ NEVER = 1 << 62
 STALLED = object()
 
 #: The timing rule, as text (DESIGN.md, "Simulation engine"): what closing
-#: ``{k}`` cycles from cycle ``{at}`` as COMPUTE, or as a wait on the
-#: cache, does to worker ``{w}``'s counters and to when it is next due
-#: (``{cat}`` names the category, ``{max}`` the builtin).
-#: :meth:`HwWorker._retire` is rendered from these lines, and so is every
-#: exit of the specialized worker's generated states and of the trace
-#: replayer's tick (:func:`retire_lines`): nothing else spells them.
+#: ``{k}`` cycles from ``cycle`` as COMPUTE, or as a wait on the cache,
+#: does to worker ``{w}``'s counters and to when it is next due (``{cat}``
+#: names the category, ``{max}`` the builtin).  :meth:`HwWorker._retire`
+#: is rendered from these lines, and so is every exit of the specialized
+#: worker's generated states (:func:`retire_lines`): nothing else spells
+#: them.
 _RETIRE_RULE = {
     CycleCategory.COMPUTE: (
         "{w}.last_category = {cat}",
-        "{w}.synced_until = {w}.next_due = {at} + {k}",
+        "{w}.synced_until = {w}.next_due = cycle + {k}",
         "{w}.stats.active_cycles += {k}",
     ),
     CycleCategory.CACHE: (
         "{w}.last_category = {w}.wait_category = {cat}",
-        "{w}.synced_until = {at} + {k}",
+        "{w}.synced_until = cycle + {k}",
         "{w}.stats.mem_stall_cycles += {k}",
-        "{w}.next_due = {max}({w}._waiting_until, {at} + {k})",
+        "{w}.next_due = {max}({w}._waiting_until, cycle + {k})",
     ),
 }
 
 
 def retire_lines(
-    text: _Text, category: CycleCategory, k: str = "1", at: str = "cycle",
-    w: str = "worker",
+    text: _Text, category: CycleCategory, k: str = "1", w: str = "worker",
 ) -> list[str]:
-    """The lines of ``text`` that close ``category`` cycles ``[at, at + k)``
-    of worker ``w`` (expressions over the text's locals).
+    """The lines of ``text`` that close ``category`` cycles ``[cycle,
+    cycle + k)`` of worker ``w`` (expressions over the text's locals).
 
-    A CACHE wait of ``k`` cycles followed by the COMPUTE lines from its
-    end is the one closing of both (the replayer's memory event).  The
-    first line emits the cycles' trace span when the worker has a sink.
+    The first line emits the cycles' trace span when the worker has a sink.
     """
     cat = text.ref(category)
-    span = f"{w}._sink.worker_span({w}.name, {cat}, {at}, {at} + {k})"
+    span = f"{w}._sink.worker_span({w}.name, {cat}, cycle, cycle + {k})"
     return [f"if {w}._trace: {span}"] + [
-        line.format(w=w, at=at, k=k, cat=cat, max=text.ref(max))
+        line.format(w=w, k=k, cat=cat, max=text.ref(max))
         for line in _RETIRE_RULE[category]
     ]
 
@@ -106,7 +103,7 @@ def _render_retire():
     indent = lambda lines: [" " + line for line in lines]  # noqa: E731
     text.body += [
         f"if category is {ref(CycleCategory.COMPUTE)}:",
-        *indent(retire_lines(text, CycleCategory.COMPUTE, "k", w="self")),
+        *indent(retire_lines(text, CycleCategory.COMPUTE, w="self")),
         " if self.done:  # the top-level ret: nothing left to wake for",
         f"  self.next_due = {never}",
         f"  self.wait_category = {ref(CycleCategory.IDLE)}",
@@ -142,7 +139,7 @@ def _render_retire():
         f" self.next_due = {never} if self.done or self.hung else "
         f"{ref(max)}(self.start_cycle, cycle + 1)",
     ]
-    return text.function("self, cycle, category, k=1")
+    return text.function("self, cycle, category")
 
 
 class OpCounter(Counter):
@@ -352,7 +349,7 @@ class HwWorker:
         """Advance one clock edge, attributing the cycle to one category."""
         self._retire(cycle, self._tick(cycle))
 
-    #: ``_retire(cycle, category, k=1)`` closes ``cycle`` as one cycle of
+    #: ``_retire(cycle, category)`` closes ``cycle`` as one cycle of
     #: ``category``: the timing rule.  It bumps the category's counter,
     #: emits the per-cycle trace event and tells the event clock when this
     #: worker next needs a tick.  Cycles with a statically-known resume
@@ -361,11 +358,8 @@ class HwWorker:
     #: data, join) park the worker at ``NEVER`` and register a wake
     #: condition, so the clock can jump straight past the whole stall.  The
     #: lockstep clock runs the same code and never reads the arming fields.
-    #: ``k > 1`` closes ``[cycle, cycle + k)`` at once and is for COMPUTE
-    #: only: a run of cycles in which the worker touches nothing shared (the
-    #: specialized engine's run-ahead, a replayed trace's gap between two
-    #: events).  Rendered from ``_RETIRE_RULE``, the lines every generated
-    #: exit closes its cycles with.
+    #: Rendered from ``_RETIRE_RULE``, the lines every generated exit
+    #: closes its cycles with.
     _retire = _render_retire()
 
     def _tick(self, cycle: int) -> CycleCategory:

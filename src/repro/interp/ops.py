@@ -72,12 +72,9 @@ def eval_fcmp(inst: FCmp, a, b) -> int:
     return int(FCMP_FUNCS[inst.pred](a, b))
 
 
-def eval_gep(inst: GEP, base_addr: int, index_values: list) -> int:
+def eval_gep(inst: GEP, base_addr: int, *index_values) -> int:
     """Compute a GEP address given the base and evaluated indices."""
-    return _gep_address(*bind_gep(inst), base_addr, *index_values)
-
-
-def _gep_address(offset: int, terms, base_addr, *index_values) -> int:
+    offset, terms = bind_gep(inst)
     addr = int(base_addr) + offset
     for scale, position in terms:
         addr += scale * int(index_values[position])
@@ -283,5 +280,5 @@ PURE_OPS = {
     FCmp: eval_fcmp,
     Cast: eval_cast,
     Select: eval_select,
-    GEP: lambda inst, *operands: _gep_address(*bind_gep(inst), *operands),
+    GEP: eval_gep,
 }

@@ -105,31 +105,29 @@ class TestDerivedResults:
     def test_every_derived_result_is_the_full_evaluation(self, spec):
         evaluator = Evaluator(small(spec))
         points = ConfigSpace(**FAMILIES).grid()
-        results, tally = evaluator.evaluate_structure(points)
+        results, derived = evaluator.evaluate_structure(points)
         assert [r.to_dict() for r in results] == [
             evaluator.evaluate(p).to_dict() for p in points]
-        # Both outcomes occur: some sibling derived, some re-timed.
+        # Both outcomes occur: some sibling derived, some simulated.
         siblings = len(points) - len(FAMILIES["fifo_depths"])
-        assert 0 < tally["derived"] < siblings, tally
-        assert tally["replay_fallbacks"] == 0
+        assert 0 < derived < siblings
 
     def test_em3d_conflict_misses_at_128_lines_and_derives_nothing(self):
         # Paper scale, one structure of the benchmark grid: the 128-line
-        # run misses where 512 lines hit, so every sibling is re-timed.
+        # run misses where 512 lines hit, so every sibling is simulated.
         evaluator = Evaluator(KERNELS_BY_NAME["em3d"])
         points = ConfigSpace(policies=["p1"], n_workers=[2],
                              fifo_depths=[4, 16], cache_lines=[128, 512]).grid()
-        results, tally = evaluator.evaluate_structure(points)
-        assert tally == {"recorded": 1, "replayed": 3, "derived": 0,
-                         "replay_fallbacks": 0}
+        results, derived = evaluator.evaluate_structure(points)
+        assert derived == 0
         assert [r.to_dict() for r in results] == [
             evaluator.evaluate(p).to_dict() for p in points]
 
     def test_private_caches_never_derive(self):
         evaluator = Evaluator(small(ALL_KERNELS[0]))
         points = ConfigSpace(**FAMILIES, private_caches=[True]).grid()
-        results, tally = evaluator.evaluate_structure(points)
-        assert tally["derived"] == 0
+        results, derived = evaluator.evaluate_structure(points)
+        assert derived == 0
         assert [r.to_dict() for r in results] == [
             evaluator.evaluate(p).to_dict() for p in points]
 
@@ -140,18 +138,18 @@ class TestDerivedResults:
                             cache_lines=[512, 16])
         with Explorer(spec, space, engine=engine) as explorer:
             sweep = explorer.run(GridStrategy())
-        assert (sweep.recorded, sweep.replayed, sweep.derived) == (0, 0, 0)
+        assert sweep.derived == 0
         with Explorer(spec, space) as explorer:
             default = explorer.run(GridStrategy())
-        assert (default.recorded, default.derived) == (1, 1)
+        assert default.derived == 1
         assert default.to_json_dict() == sweep.to_json_dict()
 
     def test_a_family_whose_first_point_fails_derives_nothing(self):
         evaluator = Evaluator(small(ALL_KERNELS[0]))
         points = [DesignPoint(n_workers=2, fifo_depth=0, cache_lines=lines)
                   for lines in (512, 16)]
-        results, tally = evaluator.evaluate_structure(points)
+        results, derived = evaluator.evaluate_structure(points)
         assert [r.status for r in results] == ["deadlock", "deadlock"]
-        assert tally["derived"] == 0
+        assert derived == 0
         assert [r.to_dict() for r in results] == [
             evaluator.evaluate(p).to_dict() for p in points]

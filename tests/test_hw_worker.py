@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.frontend import compile_c
-from repro.hw import AcceleratorSystem, DirectMappedCache
+from repro.hw import AcceleratorSystem, DirectMappedCache, SpecializedWorker
 from repro.hw.worker import NEVER, HwWorker
 from repro.interp import Interpreter, Memory
 from repro.telemetry.events import CycleCategory as C
@@ -246,11 +246,13 @@ class TestRetire:
             assert worker.engine.waits == ([registered] if registered else [])
 
     def test_a_run_of_compute_cycles_retires_at_once(self):
+        # The specialized worker's run-ahead closes k COMPUTE cycles in
+        # one ``_close``, rendered from the same rule as ``_retire``.
         module = compile_c("int f(int a) { return a; }")
-        system = AcceleratorSystem(module, Memory(), engine="lockstep")
-        worker = HwWorker("w", module.get_function("f"), [1], system)
+        system = AcceleratorSystem(module, Memory(), engine="specialized")
+        worker = SpecializedWorker("w", module.get_function("f"), [1], system)
         before = worker.stats.to_dict()
-        worker._retire(self.CYCLE, C.COMPUTE, 5)
+        worker._close(self.CYCLE, 5, "entry", 0)
         after = worker.stats.to_dict()
         assert after.pop("active_cycles") == before.pop("active_cycles") + 5
         assert after == before

@@ -168,20 +168,20 @@ class TestGepSemantics:
         s = StructType("gs", [("a", I32), ("b", F64), ("c", I32)])
         base = Alloca(s)
         g = GEP(base, [Constant(I32, 0), Constant(I32, 2)])
-        assert eval_gep(g, 1000, [0, 2]) == 1000 + s.field_offset(2)
+        assert eval_gep(g, 1000, 0, 2) == 1000 + s.field_offset(2)
 
     @given(st.integers(0, 1000), st.integers(-100, 100))
     def test_array_scaling(self, base, index):
         slot = Alloca(F64)
         g = GEP(slot, [Constant(I32, index)])
-        assert eval_gep(g, base, [index]) == (base + 8 * index) & 0xFFFFFFFF
+        assert eval_gep(g, base, index) == (base + 8 * index) & 0xFFFFFFFF
 
     def test_nested_struct_array(self):
         from repro.ir import ArrayType
         s = StructType("gt", [("pad", I32), ("tab", ArrayType(I32, 8))])
         base = Alloca(s)
         g = GEP(base, [Constant(I32, 0), Constant(I32, 1), Constant(I32, 3)])
-        assert eval_gep(g, 0x100, [0, 1, 3]) == 0x100 + 4 + 3 * 4
+        assert eval_gep(g, 0x100, 0, 1, 3) == 0x100 + 4 + 3 * 4
 
 
 class TestBoundForms:
@@ -244,7 +244,7 @@ class TestBoundForms:
         offset, terms = bind_gep(g)
         assert offset == s.field_offset(1)
         assert terms == [(s.size(), 0), (8, 2)]
-        assert eval_gep(g, base, [i, 1, j]) == (
+        assert eval_gep(g, base, i, 1, j) == (
             base + offset + s.size() * i + 8 * j
         ) & 0xFFFFFFFF
         const = GEP(Alloca(s), [Constant(I32, 2), Constant(I32, 2)])
@@ -297,7 +297,7 @@ class TestBoundForms:
         from repro.ir import ArrayType
         index = Load(Alloca(I32))
         g = GEP(Alloca(ArrayType(ArrayType(I32, 4), 4)), [Constant(I32, 0), index, index])
-        expected = eval_gep(g, base, [0, i, j])
+        expected = (base + 16 * i + 4 * j) & 0xFFFFFFFF
         assert PURE_OPS[GEP](g, base, 0, i, j) == expected
 
     def test_unsigned_binops_are_binop_opcodes(self):

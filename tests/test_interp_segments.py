@@ -406,7 +406,7 @@ GENERATED_NAME = re.compile(
     # access and completion, calls and returns, and the timing rule's fields:
     r"|worker|system|stats|ops|ops_executed|cache|push|pop|join|retire|close"
     r"|_push|_pop|_join|_retire|_close|liveout_regs|liveouts|trace|sink|name|_limit"
-    r"|worker_id|load|store|_load|_store|plain|_inline|global_addresses|fifo_for"
+    r"|worker_id|load|store|plain|global_addresses|fifo_for"
     r"|yield|from|cycle|now|and|True|False|in|addr|access|loads|stores|_waiting_until"
     r"|fork_worker|alloc_object|site|caller|done|worker_finished|return_value"
     r"|_trace|_sink|worker_span|worker_state|last_category|wait_category"

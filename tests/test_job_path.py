@@ -245,7 +245,7 @@ def test_cli_and_service_journal_the_same_record(kind, tmp_path, capsys):
     ours = {"run_id", "timestamp", "extra"}
     assert {k: v for k, v in from_cli.to_dict().items() if k not in ours} == {
         k: v for k, v in from_service.to_dict().items() if k not in ours}
-    scoring = {"recorded", "replayed", "derived", "replay_fallbacks"}  # the dse CLI's
+    scoring = {"derived"}  # the dse CLI's
     assert (scoring <= set(from_cli.extra)) == (kind == "dse")
     assert from_service.extra == {
         **{k: v for k, v in from_cli.extra.items() if k not in scoring},

@@ -26,9 +26,6 @@ CI = ROOT / ".github" / "workflows" / "ci.yml"
 #: ``module:qualified name`` -> why it stays although nothing in the
 #: caller trees names it.
 ALLOWED = {
-    "repro.interp.ops:eval_gep": (
-        "the GEP member of the eval_* reference semantics; test_interp_ops "
-        "checks bind_gep and the generated GEP form against it"),
     "repro.ir.builder:IRBuilder.to_double": (
         "the builder's widen-to-F64 rule beside int_cast, for IR built by "
         "hand; the frontend spells its casts itself"),

@@ -1,4 +1,4 @@
-"""Simulator bytes, pinned: reports, sweep results and recordings.
+"""Simulator bytes, pinned: reports and sweep results.
 
 ``PINNED`` holds sha256[:16] digests of what the default engine produces:
 
@@ -8,9 +8,7 @@
 * ``sweep/<kernel>/<point>`` — ``EvalResult.to_dict()`` of every point of
   the ``dse-sweep`` benchmark grid (ks, bfs, hash-join; 16 points each),
   scored the way a sweep scores them (``Evaluator.evaluate_structure``
-  per compile key: one recorded run, three replays);
-* ``recording/<kernel>/<policy>/w<n>`` — every ``WorkerTrace.events`` of
-  the recordings those sweeps made.
+  per compile key: one full run per timing, the rest derived).
 
 A change to the simulator's host code must leave every digest unchanged.
 They are never regenerated from the checkout under test: a new value
@@ -29,11 +27,9 @@ import json
 import pytest
 
 from repro.dse import ConfigSpace, Evaluator
-from repro.dse import evaluate as evaluate_module
 from repro.harness.build import compile_kernel
 from repro.harness.runner import Workload, interned_check, interned_workload, run_hardware
 from repro.hw import DirectMappedCache
-from repro.hw.replay import FORK, Recording
 from repro.kernels import ALL_KERNELS, KERNELS_BY_NAME
 from repro.pipeline import ReplicationPolicy
 
@@ -60,62 +56,50 @@ PINNED = {
     "sweep/ks/p1/w2/d4/shared/c512x8": "07c3ebf9bfcb3587",
     "sweep/ks/p1/w2/d16/shared/c128x8": "745f8f746caa7a4e",
     "sweep/ks/p1/w2/d16/shared/c512x8": "fb0cd0632377367f",
-    "recording/ks/p1/w2": "705773e031d6766e",
     "sweep/ks/p1/w4/d4/shared/c128x8": "7a8e4640773c4b1f",
     "sweep/ks/p1/w4/d4/shared/c512x8": "28fef3864a3aec56",
     "sweep/ks/p1/w4/d16/shared/c128x8": "abfbe8e755c17aa7",
     "sweep/ks/p1/w4/d16/shared/c512x8": "c6f84c81327e064e",
-    "recording/ks/p1/w4": "d165d46ad2f12ce7",
     "sweep/ks/none/w2/d4/shared/c128x8": "6e7eeb9abc4dbb64",
     "sweep/ks/none/w2/d4/shared/c512x8": "63bf1cb2ea333964",
     "sweep/ks/none/w2/d16/shared/c128x8": "0fce2323702d07ae",
     "sweep/ks/none/w2/d16/shared/c512x8": "fdde096974ece179",
-    "recording/ks/none/w2": "705773e031d6766e",
     "sweep/ks/none/w4/d4/shared/c128x8": "386dbedf4bdbac09",
     "sweep/ks/none/w4/d4/shared/c512x8": "b7bebb485f3f77e1",
     "sweep/ks/none/w4/d16/shared/c128x8": "05cba620bd4946f1",
     "sweep/ks/none/w4/d16/shared/c512x8": "48627b2c3d164703",
-    "recording/ks/none/w4": "d165d46ad2f12ce7",
     "sweep/bfs/p1/w2/d4/shared/c128x8": "9b4256b66cdc6e3f",
     "sweep/bfs/p1/w2/d4/shared/c512x8": "e96ae8dc524177b3",
     "sweep/bfs/p1/w2/d16/shared/c128x8": "6544c27968bdc2ea",
     "sweep/bfs/p1/w2/d16/shared/c512x8": "f6c96a8f6dcf2603",
-    "recording/bfs/p1/w2": "73d28392aa684316",
     "sweep/bfs/p1/w4/d4/shared/c128x8": "fb63b550b621ff2d",
     "sweep/bfs/p1/w4/d4/shared/c512x8": "d14b72cc8ad07054",
     "sweep/bfs/p1/w4/d16/shared/c128x8": "d1988c7d3c8fe146",
     "sweep/bfs/p1/w4/d16/shared/c512x8": "ed9ca83226650b1a",
-    "recording/bfs/p1/w4": "792c9a93ac34ddbf",
     "sweep/bfs/none/w2/d4/shared/c128x8": "948e7a442f13505a",
     "sweep/bfs/none/w2/d4/shared/c512x8": "4bc1853111e75dbe",
     "sweep/bfs/none/w2/d16/shared/c128x8": "a0cc9435d80f30d7",
     "sweep/bfs/none/w2/d16/shared/c512x8": "af5e715d26b59b96",
-    "recording/bfs/none/w2": "73d28392aa684316",
     "sweep/bfs/none/w4/d4/shared/c128x8": "e1450cbfc4717e6c",
     "sweep/bfs/none/w4/d4/shared/c512x8": "82dbf03aff2c921c",
     "sweep/bfs/none/w4/d16/shared/c128x8": "20d959708300f905",
     "sweep/bfs/none/w4/d16/shared/c512x8": "26cec61faa5295a6",
-    "recording/bfs/none/w4": "792c9a93ac34ddbf",
     "sweep/hash-join/p1/w2/d4/shared/c128x8": "27233b1d1f82d342",
     "sweep/hash-join/p1/w2/d4/shared/c512x8": "23195e62e7b55fd2",
     "sweep/hash-join/p1/w2/d16/shared/c128x8": "801c8974866e129c",
     "sweep/hash-join/p1/w2/d16/shared/c512x8": "9ae021c97f653b25",
-    "recording/hash-join/p1/w2": "53c47afc8f07ac8d",
     "sweep/hash-join/p1/w4/d4/shared/c128x8": "cd20aac0efe48d33",
     "sweep/hash-join/p1/w4/d4/shared/c512x8": "916f8a60681868fa",
     "sweep/hash-join/p1/w4/d16/shared/c128x8": "2fd686fb3691310e",
     "sweep/hash-join/p1/w4/d16/shared/c512x8": "e53c762ce2538915",
-    "recording/hash-join/p1/w4": "e8e3fa96b1302849",
     "sweep/hash-join/none/w2/d4/shared/c128x8": "f2d27287c8d733a4",
     "sweep/hash-join/none/w2/d4/shared/c512x8": "5b687d8d00257af9",
     "sweep/hash-join/none/w2/d16/shared/c128x8": "63acb6b2497ef4f8",
     "sweep/hash-join/none/w2/d16/shared/c512x8": "2a0387184e02fdca",
-    "recording/hash-join/none/w2": "53c47afc8f07ac8d",
     "sweep/hash-join/none/w4/d4/shared/c128x8": "2f134089ad57c714",
     "sweep/hash-join/none/w4/d4/shared/c512x8": "483cb1cc00f670d4",
     "sweep/hash-join/none/w4/d16/shared/c128x8": "b72688c9c6a6f8d6",
     "sweep/hash-join/none/w4/d16/shared/c512x8": "51f7538c6ee0d512",
-    "recording/hash-join/none/w4": "e8e3fa96b1302849",
 }
 
 #: The ``dse-sweep`` benchmark workload's kernels and grid.
@@ -151,37 +135,18 @@ def report_digest(spec, policy: str) -> str:
     return _digest(_json(run.sim.to_dict()), str(brk), sha.hex())
 
 
-def _events(trace) -> list:
-    """A trace's events with each forked child written out in place."""
-    return [
-        [run_up, kind, _events(a) if kind == FORK else a, b]
-        for run_up, kind, a, b in trace.events
-    ]
-
-
-def sweep_digests(name: str, monkeypatch) -> dict:
-    """The grid's results and recordings for one kernel."""
-    recordings = []
-
-    class Kept(Recording):
-        def __init__(self) -> None:
-            super().__init__()
-            recordings.append(self)
-
-    monkeypatch.setattr(evaluate_module, "Recording", Kept)
+def sweep_digests(name: str) -> dict:
+    """The grid's results for one kernel."""
     evaluator = Evaluator(KERNELS_BY_NAME[name])
     groups: dict = {}
     for point in ConfigSpace(**SWEEP_SPACE).grid():
         groups.setdefault(point.compile_key, []).append(point)
     digests = {}
-    for (policy, workers), points in groups.items():
+    for points in groups.values():
         results, _ = evaluator.evaluate_structure(points)
         for result in results:
             digests[f"sweep/{name}/{result.point.label}"] = _digest(
                 _json(result.to_dict()))
-        recording = recordings[-1]
-        digests[f"recording/{name}/{policy}/w{workers}"] = _digest(
-            _json(_events(recording.top)))
     return digests
 
 
@@ -190,12 +155,8 @@ def compute_digests() -> dict:
         f"{spec.name}/{policy}": report_digest(spec, policy)
         for spec in ALL_KERNELS for policy in ("p1", "none")
     }
-    patch = pytest.MonkeyPatch()
-    try:
-        for name in SWEEP_KERNELS:
-            digests.update(sweep_digests(name, patch))
-    finally:
-        patch.undo()
+    for name in SWEEP_KERNELS:
+        digests.update(sweep_digests(name))
     return digests
 
 
@@ -206,7 +167,7 @@ def test_pinned_report_and_image(spec, policy):
 
 
 @pytest.mark.parametrize("name", SWEEP_KERNELS)
-def test_pinned_sweep_results_and_recordings(name, monkeypatch):
-    digests = sweep_digests(name, monkeypatch)
-    assert len(digests) == 16 + 4
+def test_pinned_sweep_results(name):
+    digests = sweep_digests(name)
+    assert len(digests) == 16
     assert digests == {key: PINNED[key] for key in digests}
