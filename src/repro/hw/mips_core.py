@@ -8,10 +8,10 @@ hit (the kernels are small loops, and the paper's I-cache has 512 lines of
 128 B — far larger than any kernel).
 
 Every cost is static, so the model is a table: the interpreter renders
-each instruction's cycles into the segments it runs (``Interpreter(...,
-costs=)``), and :class:`_TracingMemory` advances the same counter by what
-the cache charges for each access, at the cycle the instructions before it
-reached.  Values are computed by the functional interpreter; this module
+each instruction's cycles into the program of each function it runs
+(``Interpreter(..., costs=)``), and :class:`_TracingMemory` advances the
+same counter by what the cache charges for each access, at the cycle the
+instructions before it reached.  Values are computed by the functional interpreter; this module
 only adds up cycles.
 """
 

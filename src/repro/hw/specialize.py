@@ -28,7 +28,9 @@ object of it:
   yield while nothing observes the worker, attributed as one batch of
   COMPUTE cycles that never passes ``max_cycles``.  Under a trace sink or
   a fault injector the same generator parks at every state;
-* a call is ``yield from`` the callee's generator.
+* a call is ``yield from`` the callee's generator, which takes a level of
+  Python's stack per call, so every engine stops a call chain at
+  :data:`repro.hw.worker.MAX_CALL_DEPTH`.
 
 Forks and calls are dynamic and every cold design is a new program, so
 the unit rendered is one function, not one design: a text is rendered
@@ -50,7 +52,7 @@ import re
 from collections import Counter
 
 from ..errors import SimulationError
-from ..interp.interpreter import MALLOC_NAMES, _Text
+from ..interp.interpreter import MALLOC_NAMES, _indent, _Text
 from ..interp.memory import Memory, buffer_line
 from ..interp.ops import FORMS
 from ..ir.basicblock import BasicBlock
@@ -75,7 +77,7 @@ from ..ir.instructions import (
 from ..ir.values import Constant, GlobalVariable
 from ..rtl.schedule import schedule_function
 from ..telemetry.events import CycleCategory
-from .worker import STALLED, HwWorker, retire_lines
+from .worker import MAX_CALL_DEPTH, STALLED, HwWorker, call_too_deep, retire_lines
 
 _COMPUTE = CycleCategory.COMPUTE
 
@@ -99,21 +101,12 @@ def _fell_off(worker: str, block: str):
     _raise(f"worker {worker}: fell off the end of block {block} (missing terminator?)")
 
 
-def _call(function: Function, worker, caller: int, *args):
-    """The generator of ``function`` called from site ``caller``."""
-    return specialized_for(function).generator(worker, caller, *args)
-
-
-def _indent(lines: list[str]) -> list[str]:
-    return [" " + line for line in lines]
-
-
-class _Registers(_Text):
-    """A text in which every runtime value lives in one local (its name in
-    ``local``) for the generator's lifetime: a definition assigns it."""
-
-    def define(self, inst, expr: str, keep: bool) -> None:
-        self.body.append(expr if inst.type.is_void else f"{self.local[inst]} = {expr}")
+def _call(function: Function, worker, caller: int, depth: int, *args):
+    """The generator of ``function`` called from site ``caller`` of a
+    generator ``depth`` calls deep."""
+    if depth >= MAX_CALL_DEPTH:
+        raise call_too_deep(worker, function)
+    return specialized_for(function).generator(worker, caller, depth + 1, *args)
 
 
 class _Position:
@@ -138,13 +131,14 @@ class _Position:
 
 class SpecializedProgram:
     """One function's FSM schedule rendered as one generator function
-    ``generator(worker, caller, *args)`` (shared by every worker and
-    system running the function).
+    ``generator(worker, caller, depth, *args)`` (shared by every worker
+    and system running the function).
 
     ``caller`` is the site a call came from, 0 for a worker's own
-    function.  ``sites`` maps the line a parked generator stands on to
-    ``(block, state, cursor, pending)``: the op of ``tables[block][state]``
-    it runs next, and whether a memory access is outstanding before it.
+    function, and ``depth`` how many calls deep it runs, 1 for that one.
+    ``sites`` maps the line a parked generator stands on to ``(block,
+    state, cursor, pending)``: the op of ``tables[block][state]`` it runs
+    next, and whether a memory access is outstanding before it.
     """
 
     def __init__(self, function: Function) -> None:
@@ -175,7 +169,7 @@ class SpecializedProgram:
     def _render(self):
         function, tables, names = self.function, self.tables, self.names
         index = {block: i for i, block in enumerate(self.blocks)}
-        text = _Registers(self._bind, None)
+        text = _Text(self._bind, None)
         text.local = names
         text.ns["program"] = self
         ref, use = text.ref, text.use
@@ -275,7 +269,7 @@ class SpecializedProgram:
                     cls = type(inst)
                     counts[inst.opcode] += 1
                     if cls in FORMS:
-                        text.pure(inst, False)
+                        text.pure(inst)
                         continue
                     if cls is Phi:  # the edge (or the function's start) latched it
                         continue
@@ -302,7 +296,7 @@ class SpecializedProgram:
                         ]
                         values = [use(inst.value), "addr"] if write else ["addr"]
                         text.body = inline = []
-                        text.access(Memory, inst, values, keep=False)
+                        text.access(Memory, inst, values)
                         text.body = body
                         own = (f"memory.store(addr, {ref(inst.value.type)}, {values[0]})"
                                if write else
@@ -326,16 +320,16 @@ class SpecializedProgram:
                         lid = inst.liveout_id
                         body.append(f"if {lid} not in liveouts: "
                                     f"{fail(f'liveout #{lid} never stored')}")
-                        text.define(inst, f"liveouts[{lid}]", False)
+                        text.define(inst, f"liveouts[{lid}]")
                     elif cls is ParallelFork:
                         liveins = ", ".join(use(v) for v in inst.liveins)
                         body.append(f"system.fork_worker({ref(inst)}, [{liveins}], cycle)")
                     elif cls is Alloca:
                         text.define(inst, "memory.alloc_object("
-                                          f"{ref(inst.allocated_type)}, site=-2)", False)
+                                          f"{ref(inst.allocated_type)}, site=-2)")
                     elif cls is Call and inst.callee.name in MALLOC_NAMES:
                         size = use(inst.args[0])
-                        text.define(inst, f"{ref(_malloc)}(memory, {size})", False)
+                        text.define(inst, f"{ref(_malloc)}(memory, {size})")
                     elif cls is Call and not inst.callee.is_declaration:
                         # The call's cycle, the callee's ticks, then the
                         # return's cycle; the caller stands on the call.
@@ -344,7 +338,7 @@ class SpecializedProgram:
                         here = site(block, s, j)
                         body += ["now += 1", *close(callee.entry, 0),
                                  f"{names[inst]}, cycle = yield from "
-                                 f"{ref(_call)}({ref(callee)}, worker, {here}{args})",
+                                 f"{ref(_call)}({ref(callee)}, worker, {here}, depth{args})",
                                  "now = cycle + 1", *close(block, s), park(block, s, j + 1)]
                     elif cls is Ret:
                         value = "None" if inst.value is None else use(inst.value)
@@ -374,7 +368,7 @@ class SpecializedProgram:
             body += ["  " + line for line in render_block(block)]
         text.body = [*self._prologue(text, body, fifos), *body]
         params = ", ".join(names[arg] for arg in function.args)
-        generator = text.function(f"worker, caller{', ' if params else ''}{params}")
+        generator = text.function(f"worker, caller, depth{', ' if params else ''}{params}")
         lines, line, at = "\n".join(text.body), 2, 0  # body[0] is line 2
         for match in _PARKS.finditer(lines):
             line += lines.count("\n", at, match.start())
@@ -474,7 +468,7 @@ class SpecializedWorker(HwWorker):
         # engines, also inside a register-only infinite loop).
         observed = self._trace or injector.enabled
         self._limit = 0 if observed else self.system.max_cycles
-        self._gen = specialized_for(function).generator(self, 0, *args)
+        self._gen = specialized_for(function).generator(self, 0, 1, *args)
         next(self._gen)  # bind, and park at the function's entry
         self.resume = self._resume_unless_hung if injector.enabled else self._gen.send
 

@@ -57,6 +57,19 @@ NEVER = 1 << 62
 #: recorded); any other result is the popped value.
 STALLED = object()
 
+#: Deepest call stack a worker may build.  The specialized engine's calls
+#: are ``yield from`` chains, which take Python stack, so every engine
+#: stops at the same call here, well under Python's recursion limit.
+MAX_CALL_DEPTH = 512
+
+
+def call_too_deep(worker: "HwWorker", callee: Function) -> SimulationError:
+    """What every engine raises at a call past :data:`MAX_CALL_DEPTH`."""
+    return SimulationError(
+        f"worker {worker.name}: call to @{callee.name} exceeds call depth {MAX_CALL_DEPTH}"
+    )
+
+
 #: The timing rule, as text (DESIGN.md, "Simulation engine"): what closing
 #: ``{k}`` cycles from ``cycle`` as COMPUTE, or as a wait on the cache,
 #: does to worker ``{w}``'s counters and to when it is next due (``{cat}``
@@ -621,6 +634,8 @@ class HwWorker:
         if isinstance(inst, Call):
             if inst.callee.is_declaration:
                 return self._builtin_call(frame, inst)
+            if len(self._frames) >= MAX_CALL_DEPTH:
+                raise call_too_deep(self, inst.callee)
             callee_schedule = self.system.schedule_for(inst.callee)
             new_frame = _Frame(inst.callee, callee_schedule, call_inst=inst)
             for formal, actual in zip(inst.callee.args, inst.args):

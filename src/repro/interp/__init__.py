@@ -1,4 +1,4 @@
-"""IR interpretation: memory image, segment interpreter, profiler."""
+"""IR interpretation: memory image, generator interpreter, profiler."""
 
 from .interpreter import (
     BROADCAST_INDEX,

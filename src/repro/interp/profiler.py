@@ -3,7 +3,7 @@
 The profile drives two things: hotspot identification (which loop to
 accelerate) and the pipeline partitioner's SCC weights (how many dynamic
 instructions each SCC accounts for).  The run renders a counter into
-every edge and every call of its segments and regions, the way the MIPS
+every edge and every call of the functions it runs, the way the MIPS
 baseline renders its cycle costs; a block runs each of its non-phi
 instructions once per entry and each of its phis once per incoming edge,
 so those counters are the whole profile.

@@ -1,9 +1,9 @@
 """Functional co-simulation of transformed pipelines.
 
 Runs the transformed parent under the interpreter; ``parallel_fork``
-enters one task interpreter per worker at its entry segment and
-``parallel_join`` resumes them round-robin, each until it parks on an
-empty channel or finishes, over unbounded in-order channels until every
+enters one task interpreter per worker and ``parallel_join`` resumes
+them round-robin, each until it parks on an empty channel (at whatever
+consume, however deep in the task's calls) or finishes, over unbounded in-order channels until every
 task finishes.  No timing is modelled — this layer answers only "does
 the pipelined program compute exactly what the sequential one did?",
 which is the property the paper's generated testbenches assert.

@@ -21,6 +21,7 @@ from repro.hw import (
     HwWorker,
     MemoryTraceSink,
 )
+from repro.hw.worker import MAX_CALL_DEPTH
 from repro.interp import Interpreter, Memory, malloc_site_table
 from repro.kernels import ALL_KERNELS, KERNELS_BY_NAME
 from repro.pipeline import ReplicationPolicy, cgpa_compile
@@ -184,6 +185,41 @@ class TestFuzzedPipelines:
         optimize_module(ref_module)
         expected = Interpreter(ref_module).call("run", [n])
         assert reports["event"].return_value == expected
+
+
+DOWN = "int down(int n) { if (n == 0) return 0; return 1 + down(n - 1); }"
+
+
+class TestCallDepth:
+    """A call chain under the hardware call depth runs to the same report
+    on every engine; one past it raises the same typed error at the same
+    call on every engine (the specialized one's ``yield from`` chain would
+    otherwise overflow Python's stack first)."""
+
+    def test_under_the_bound_every_engine_agrees(self):
+        module = compile_c(DOWN)
+        optimize_module(module)
+        depth = MAX_CALL_DEPTH - 1  # frames: down(depth) ... down(0)
+        reports = {
+            engine: AcceleratorSystem(module, Memory(), engine=engine).run("down", [depth])
+            for engine in ("event", "lockstep", "specialized")
+        }
+        assert reports["event"].return_value == depth
+        assert_reports_identical(reports["event"], reports["lockstep"])
+        assert_reports_identical(reports["specialized"], reports["lockstep"])
+
+    @pytest.mark.parametrize("depth", [MAX_CALL_DEPTH, 3000])
+    def test_past_the_bound_every_engine_raises_the_same_error(self, depth):
+        module = compile_c(DOWN)
+        optimize_module(module)
+        errors = set()
+        for engine in ("event", "lockstep", "specialized"):
+            with pytest.raises(SimulationError) as info:
+                AcceleratorSystem(module, Memory(), engine=engine).run("down", [depth])
+            errors.add(str(info.value))
+        assert errors == {
+            f"worker down#top: call to @down exceeds call depth {MAX_CALL_DEPTH}"
+        }
 
 
 class TestEngineBehaviour:

@@ -86,7 +86,7 @@ def rendered(inst, constants: bool):
         return id(value), None
 
     text = _Text(bind, lambda key: f"args[{positions[key]}]")
-    text.pure(inst, keep=False)
+    text.pure(inst)
     text.body.append(f"return {text.local[id(inst)]}")
     function = text.function("*args")
     return lambda *values: function(*values)
