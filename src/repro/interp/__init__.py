@@ -5,7 +5,6 @@ from .interpreter import (
     MALLOC_NAMES,
     ChannelIO,
     Interpreter,
-    RecordingChannelIO,
     malloc_site_table,
     reachable_ir,
 )
@@ -13,7 +12,7 @@ from .memory import HEAP_BASE, Allocation, Memory, round_f32, to_unsigned, wrap_
 from .profiler import Profile, profile_call
 
 __all__ = [
-    "Interpreter", "ChannelIO", "RecordingChannelIO", "BROADCAST_INDEX",
+    "Interpreter", "ChannelIO", "BROADCAST_INDEX",
     "MALLOC_NAMES", "malloc_site_table", "reachable_ir",
     "Memory", "Allocation", "HEAP_BASE", "wrap_int", "to_unsigned", "round_f32",
     "Profile", "profile_call",

@@ -63,69 +63,20 @@ BLOCKED_OUTSIDE_SCHEDULER = (
 )
 
 
+#: Index recorded for a broadcast push (one log entry covers all queues).
+BROADCAST_INDEX = -1
+
+
 class ChannelIO:
     """Unbounded in-order channels for *functional* pipeline execution.
 
     The hardware simulator has its own bounded FIFOs with cycle costs; this
     class exists so the pipeline transform can be validated for correctness
     independent of timing.
-    """
 
-    def __init__(self) -> None:
-        # Deques, not lists: a deep queue (e.g. an unthrottled producer
-        # ahead of a slow consumer) made ``pop(0)`` O(n) per token and
-        # the whole functional run O(n^2).
-        self._queues: dict[tuple[int, int], deque] = {}
-        self.liveouts: dict[int, int | float] = {}
-
-    def _queue(self, channel_id: int, index: int) -> deque:
-        return self._queues.setdefault((channel_id, index), deque())
-
-    def produce(self, channel, index: int, value) -> None:
-        self._queue(channel.channel_id, index).append(value)
-
-    def produce_broadcast(self, channel, value) -> None:
-        for i in range(channel.n_channels):
-            self._queue(channel.channel_id, i).append(value)
-
-    def try_consume(self, channel, index: int):
-        """Returns (True, value) or (False, None) when empty."""
-        queue = self._queue(channel.channel_id, index)
-        if not queue:
-            return False, None
-        return True, queue.popleft()
-
-    def queue_snapshot(self) -> dict[tuple[int, int], tuple]:
-        """Pending token values per non-empty ``(channel_id, index)`` queue."""
-        return {key: tuple(q) for key, q in self._queues.items() if q}
-
-
-#: Index recorded for a broadcast push (one log entry covers all queues).
-BROADCAST_INDEX = -1
-
-
-class _LoggingLiveouts(dict):
-    """Live-out store that records every write with its attribution tag."""
-
-    def __init__(self, owner: "RecordingChannelIO") -> None:
-        super().__init__()
-        self._owner = owner
-
-    def __setitem__(self, key: int, value) -> None:
-        self._owner.liveout_log.append((self._owner.current_tag, key, value))
-        super().__setitem__(key, value)
-
-
-class RecordingChannelIO(ChannelIO):
-    """A :class:`ChannelIO` that logs channel traffic and live-out writes.
-
-    The RTL co-simulator (:mod:`repro.vsim.cosim`) replays an oracle run
-    and needs, per worker instance, the exact in-order sequence of tokens
-    produced/consumed and live-outs written.  ``current_tag`` identifies
-    the machine currently executing (the caller sets it around each
-    :meth:`Interpreter.resume`); every log entry carries that tag.
-
-    Logs:
+    It logs its traffic, every entry carrying ``tag``, the machine the
+    caller is resuming (:class:`~repro.pipeline.cosim.FunctionalForkHandler`
+    sets it around each :meth:`Interpreter.resume`):
 
     * ``push_log`` — ``(tag, channel_id, index, value)``; a broadcast is
       one entry with ``index == BROADCAST_INDEX``.
@@ -136,32 +87,46 @@ class RecordingChannelIO(ChannelIO):
     """
 
     def __init__(self) -> None:
-        super().__init__()
-        self.current_tag: str = "parent"
+        # Deques, not lists: a deep queue (e.g. an unthrottled producer
+        # ahead of a slow consumer) made ``pop(0)`` O(n) per token and
+        # the whole functional run O(n^2).
+        self._queues: dict[tuple[int, int], deque] = {}
+        self.liveouts: dict[int, int | float] = {}
+        self.tag: str = "parent"
         self.push_log: list[tuple[str, int, int, int | float]] = []
         self.pop_log: list[tuple[str, int, int, int | float]] = []
         self.liveout_log: list[tuple[str, int, int | float]] = []
-        self.liveouts = _LoggingLiveouts(self)
+
+    def _queue(self, channel_id: int, index: int) -> deque:
+        return self._queues.setdefault((channel_id, index), deque())
 
     def produce(self, channel, index: int, value) -> None:
-        super().produce(channel, index, value)
-        self.push_log.append(
-            (self.current_tag, channel.channel_id, index, value)
-        )
+        self._queue(channel.channel_id, index).append(value)
+        self.push_log.append((self.tag, channel.channel_id, index, value))
 
     def produce_broadcast(self, channel, value) -> None:
-        super().produce_broadcast(channel, value)
+        for i in range(channel.n_channels):
+            self._queue(channel.channel_id, i).append(value)
         self.push_log.append(
-            (self.current_tag, channel.channel_id, BROADCAST_INDEX, value)
+            (self.tag, channel.channel_id, BROADCAST_INDEX, value)
         )
 
     def try_consume(self, channel, index: int):
-        ok, value = super().try_consume(channel, index)
-        if ok:
-            self.pop_log.append(
-                (self.current_tag, channel.channel_id, index, value)
-            )
-        return ok, value
+        """Returns (True, value) or (False, None) when empty."""
+        queue = self._queue(channel.channel_id, index)
+        if not queue:
+            return False, None
+        value = queue.popleft()
+        self.pop_log.append((self.tag, channel.channel_id, index, value))
+        return True, value
+
+    def store_liveout(self, liveout_id: int, value) -> None:
+        self.liveouts[liveout_id] = value
+        self.liveout_log.append((self.tag, liveout_id, value))
+
+    def queue_snapshot(self) -> dict[tuple[int, int], tuple]:
+        """Pending token values per non-empty ``(channel_id, index)`` queue."""
+        return {key: tuple(q) for key, q in self._queues.items() if q}
 
 
 #: Deepest call stack one run may build, as a C program's stack is
@@ -411,7 +376,7 @@ def _store_liveout(code: _Decoder, inst: StoreLiveout):
     liveout_id = inst.liveout_id
 
     def store_liveout(interp, value):
-        interp._require_io().liveouts[liveout_id] = value
+        interp._require_io().store_liveout(liveout_id, value)
 
     return store_liveout
 

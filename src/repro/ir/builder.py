@@ -22,7 +22,7 @@ from .instructions import (
     Select,
     Store,
 )
-from .types import BOOL, F32, F64, I8, I32, I64, FloatType, IntType, Type
+from .types import BOOL, F64, I8, I32, I64, FloatType, IntType, Type
 from .values import Constant, Value
 
 
@@ -154,10 +154,3 @@ class IRBuilder:
             op = "zext" if value.type.bits == 1 else "sext"
             return self.cast(op, value, to_type, name)
         return self.cast("trunc", value, to_type, name)
-
-    def to_double(self, value: Value, name: str = "") -> Value:
-        if value.type == F64:
-            return value
-        if value.type == F32:
-            return self.cast("fpext", value, F64, name)
-        return self.cast("sitofp", value, F64, name)

@@ -3,11 +3,11 @@
 Closes the emit→execute loop for the RTL backend.  A kernel is compiled
 with the normal CGPA pipeline, then executed twice:
 
-1. **Oracle** — the transformed module runs under the functional
-   interpreter with a :class:`~repro.interp.RecordingChannelIO` and a
-   :class:`RecordingForkHandler`, which log, per fork/join *round* and
-   per worker instance, the memory image at round entry/exit, every
-   channel push/pop (in order, with values) and every live-out write.
+1. **Oracle** — :func:`~repro.pipeline.cosim.run_transformed` runs the
+   transformed module under the functional interpreter; its fork
+   handler records, per fork/join *round* and per worker instance, the
+   memory image at round entry/exit, every channel push/pop (in order,
+   with values) and every live-out write.
 2. **RTL** — for each recorded round, every worker instance's emitted
    Verilog module (plus its transitive callees) is elaborated in
    :mod:`repro.vsim` and driven cycle by cycle against a shared byte
@@ -41,19 +41,11 @@ from dataclasses import dataclass, field, replace
 from ..errors import CgpaError
 from ..harness.build import compile_kernel
 from ..harness.runner import interned_workload
-from ..interp import (
-    BROADCAST_INDEX,
-    Interpreter,
-    Memory,
-    RecordingChannelIO,
-    to_unsigned,
-)
-from ..ir.function import Function
+from ..interp import BROADCAST_INDEX, Memory, to_unsigned
 from ..ir.instructions import Alloca, Produce, ProduceBroadcast, StoreLiveout
 from ..kernels import KERNELS_BY_NAME, KernelSpec
 from ..pipeline import ReplicationPolicy
-from ..pipeline.cosim import FunctionalForkHandler
-from ..pipeline.transform import fork_call
+from ..pipeline.cosim import RoundRecord, TaskRun, run_transformed
 from ..rtl.testbench import generate_testbench
 from ..rtl.verilog import (
     _collect_aux_signals,
@@ -93,92 +85,6 @@ def value_to_bits(value: int | float, width: int) -> int:
     if isinstance(value, float):
         return _float_bits(value, 64 if width == 64 else 32)
     return to_unsigned(int(value), width)
-
-
-# --------------------------------------------------------------------------
-# Oracle recording
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class TaskRun:
-    """One forked worker instance within a round."""
-
-    tag: str
-    task: Function
-    args: list[int | float]
-    worker_id: int
-
-
-@dataclass
-class RoundRecord:
-    """Everything the oracle observed for one fork/join round."""
-
-    loop_id: int
-    runs: list[TaskRun]
-    start_mem: Memory
-    queue_start: dict[tuple[int, int], tuple]
-    liveouts_start: dict[int, int | float]
-    end_mem: Memory | None = None
-    queue_end: dict[tuple[int, int], tuple] = field(default_factory=dict)
-    push_log: list = field(default_factory=list)
-    pop_log: list = field(default_factory=list)
-    liveout_log: list = field(default_factory=list)
-
-
-class RecordingForkHandler(FunctionalForkHandler):
-    """A fork handler that records per-round, per-instance traces.
-
-    Requires its ``channel_io`` to be a :class:`RecordingChannelIO`;
-    the IO's ``current_tag`` names the machine around each
-    :meth:`~repro.interp.Interpreter.resume` of it, so every logged
-    push/pop/live-out is attributed to the instance that performed it.
-    """
-
-    def __init__(self, module, memory, global_addresses, channel_io) -> None:
-        if not isinstance(channel_io, RecordingChannelIO):
-            raise CgpaError("RecordingForkHandler needs a RecordingChannelIO")
-        super().__init__(module, memory, global_addresses, channel_io)
-        self._run_meta: dict[int, list[TaskRun]] = {}
-        self._tags: dict[Interpreter, str] = {}  # this round's machines
-        self.rounds: list[RoundRecord] = []
-
-    def fork(self, inst, livein_values) -> None:
-        super().fork(inst, livein_values)
-        worker_id, args = fork_call(inst, livein_values)
-        self._run_meta.setdefault(inst.loop_id, []).append(
-            TaskRun(f"{inst.task.name}@w{worker_id}", inst.task, args, worker_id)
-        )
-
-    def join(self, loop_id: int) -> None:
-        io = self.channel_io
-        runs = self._run_meta.pop(loop_id, [])
-        self._tags = {
-            machine: run.tag
-            for machine, run in zip(self._pending.get(loop_id, []), runs)
-        }
-        record = RoundRecord(
-            loop_id=loop_id,
-            runs=runs,
-            start_mem=self.memory.clone(),
-            queue_start=io.queue_snapshot(),
-            liveouts_start=dict(io.liveouts),
-        )
-        marks = (len(io.push_log), len(io.pop_log), len(io.liveout_log))
-        try:
-            super().join(loop_id)
-        finally:
-            io.current_tag = "parent"
-        record.end_mem = self.memory.clone()
-        record.queue_end = io.queue_snapshot()
-        record.push_log = io.push_log[marks[0]:]
-        record.pop_log = io.pop_log[marks[1]:]
-        record.liveout_log = io.liveout_log[marks[2]:]
-        self.rounds.append(record)
-
-    def _resume(self, machine: Interpreter) -> bool:
-        self.channel_io.current_tag = self._tags[machine]
-        return machine.resume()
 
 
 # --------------------------------------------------------------------------
@@ -544,13 +450,10 @@ def run_rtl_cosim(
         compiled.module, replace(spec, setup_args=setup_args)
     )
 
-    io = RecordingChannelIO()
-    parent = Interpreter(
-        compiled.module, memory, channel_io=io, global_addresses=globals_
+    oracle_result, _, handler = run_transformed(
+        compiled.module, spec.measure_entry, args, memory,
+        global_addresses=globals_,
     )
-    handler = RecordingForkHandler(compiled.module, memory, globals_, io)
-    parent.fork_handler = handler
-    oracle_result = parent.call(spec.measure_entry, args)
 
     # ------------------------------------------------------------ RTL runs
     n_channels = {

@@ -355,10 +355,10 @@ class TestEveryInstructionHasSemanticsEverywhere:
         from repro.harness.build import compile_kernel
         from repro.harness.runner import setup_workload
         from repro.hw import ENGINES, AcceleratorSystem, DirectMappedCache
-        from repro.interp import ChannelIO, Interpreter, Memory
+        from repro.interp import Interpreter, Memory
         from repro.ir import verify_module
         from repro.kernels import KERNELS_BY_NAME
-        from repro.pipeline import FunctionalForkHandler
+        from repro.pipeline import run_transformed
 
         sequential = _one_of_each_sequential_op()
         verify_module(sequential)
@@ -389,12 +389,9 @@ class TestEveryInstructionHasSemanticsEverywhere:
             cycles.add(report.cycles)
             values.add((report.return_value, memory.snapshot()))
         memory, globals_, args = setup_workload(pipeline.module, spec)
-        io = ChannelIO()
-        parent = Interpreter(
-            pipeline.module, memory, channel_io=io, global_addresses=globals_
+        value, _, _ = run_transformed(
+            pipeline.module, spec.measure_entry, args, memory,
+            global_addresses=globals_,
         )
-        parent.fork_handler = FunctionalForkHandler(
-            pipeline.module, memory, globals_, io
-        )
-        values.add((parent.call(spec.measure_entry, args), memory.snapshot()))
+        values.add((value, memory.snapshot()))
         assert len(cycles) == 1 and len(values) == 1

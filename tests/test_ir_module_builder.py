@@ -78,13 +78,6 @@ class TestBuilder:
         widened = b.int_cast(cond, I32)
         assert widened.opcode == "zext"  # i1 true must become 1, not -1
 
-    def test_to_double(self):
-        m, f, b = self._fn((I32,))
-        d = b.to_double(f.args[0])
-        assert d.type == F64 and d.opcode == "sitofp"
-        d2 = b.to_double(d)
-        assert d2 is d
-
     def test_builder_requires_block(self):
         b = IRBuilder(None)
         with pytest.raises(IRError, match="no insertion block"):

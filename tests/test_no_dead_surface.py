@@ -26,9 +26,6 @@ CI = ROOT / ".github" / "workflows" / "ci.yml"
 #: ``module:qualified name`` -> why it stays although nothing in the
 #: caller trees names it.
 ALLOWED = {
-    "repro.ir.builder:IRBuilder.to_double": (
-        "the builder's widen-to-F64 rule beside int_cast, for IR built by "
-        "hand; the frontend spells its casts itself"),
     "repro.service.store:ArtifactStore.lru_keys": (
         "the only view of the warm layer's order that takes the store's "
         "lock; the eviction tests read it"),
@@ -42,9 +39,6 @@ ALLOWED = {
     "repro.ir.verifier:verify_module": (
         "the whole-module verifier (verify_function over a module); the "
         "frontend and interpreter tests check the modules they build"),
-    "repro.pipeline.cosim:run_transformed": (
-        "the functional reference a transformed module is compared "
-        "against, without the cycle simulator"),
     "repro.pipeline.driver:cgpa_compile_all": (
         "the multi-loop compile (one pipeline per top-level loop); no "
         "bundled kernel has two hot loops, test_pipeline_multiloop drives it"),

@@ -1,10 +1,15 @@
 """Tests for the functional co-simulation layer (ChannelIO + fork runner)."""
 
+from collections import defaultdict
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.interp import ChannelIO, Interpreter, Memory
+from repro.harness.build import compile_kernel
+from repro.harness.runner import interned_workload
+from repro.interp import BROADCAST_INDEX, ChannelIO, Interpreter, Memory
 from repro.ir import (
     Channel,
     Consume,
@@ -17,9 +22,17 @@ from repro.ir import (
     Produce,
     VOID,
 )
-from repro.pipeline import FunctionalForkHandler
+from repro.kernels import ALL_KERNELS
+from repro.pipeline import FunctionalForkHandler, ReplicationPolicy, run_transformed
 from repro.pipeline.spec import StageKind
 from repro.pipeline.transform import TaskInfo
+from repro.vsim.cosim import SMOKE_SETUP_ARGS
+
+_KERNEL_CASES = [
+    (spec, policy)
+    for spec in ALL_KERNELS
+    for policy in ["p1", "none"] + (["p2"] if spec.supports_p2 else [])
+]
 
 
 class TestChannelIO:
@@ -146,13 +159,11 @@ def build_producer_consumer(n_values=10):
 class TestForkHandler:
     def test_producer_consumer_pipeline(self):
         m = build_producer_consumer()
-        from repro.pipeline import run_transformed
         value, memory, handler = run_transformed(m, "parent", [10])
         assert value == sum(range(10))
 
     def test_empty_pipeline(self):
         m = build_producer_consumer()
-        from repro.pipeline import run_transformed
         value, _, _ = run_transformed(m, "parent", [0])
         assert value == 0
 
@@ -170,7 +181,6 @@ class TestForkHandler:
         b.block.append(ParallelFork(0, starving, [], None))
         b.block.append(ParallelJoin(0))
         b.ret()
-        from repro.pipeline import run_transformed
         with pytest.raises(SimulationError, match="deadlock"):
             run_transformed(m, "parent", [])
 
@@ -189,6 +199,44 @@ class TestForkHandler:
         from repro.ir import RetrieveLiveout
         r = b.block.append(RetrieveLiveout(0, I32))
         b.ret(r)
-        from repro.pipeline import run_transformed
         value, _, _ = run_transformed(m, "parent", [])
         assert value == 3
+
+    @pytest.mark.parametrize(
+        "spec,policy", _KERNEL_CASES,
+        ids=[f"{spec.name}-{policy}" for spec, policy in _KERNEL_CASES],
+    )
+    def test_rounds_conserve_tokens_and_attribute_traffic(self, spec, policy):
+        """Each recorded round's queues at the start plus its pushes are
+        its pops followed by its queues at the end, per queue and in
+        order; every logged entry names one of the round's runs."""
+        compiled = compile_kernel(spec, ReplicationPolicy[policy.upper()], 2)
+        memory, globals_, args = interned_workload(
+            compiled.module, replace(spec, setup_args=SMOKE_SETUP_ARGS[spec.name])
+        )
+        _, _, handler = run_transformed(
+            compiled.module, spec.measure_entry, args, memory,
+            global_addresses=globals_,
+        )
+        n_channels = {
+            ch.channel_id: ch.n_channels for ch in compiled.result.channels
+        }
+        assert handler.rounds
+        for record in handler.rounds:
+            tags = {run.tag for run in record.runs}
+            for tag, *_ in record.push_log + record.pop_log + record.liveout_log:
+                assert tag in tags, f"{tag!r} is not one of {sorted(tags)}"
+            pushed, popped = defaultdict(list), defaultdict(list)
+            for _, cid, index, value in record.push_log:
+                indices = (
+                    range(n_channels[cid]) if index == BROADCAST_INDEX else [index]
+                )
+                for i in indices:
+                    pushed[cid, i].append(value)
+            for _, cid, index, value in record.pop_log:
+                popped[cid, index].append(value)
+            for key in {*pushed, *popped, *record.queue_start, *record.queue_end}:
+                assert (
+                    list(record.queue_start.get(key, ())) + pushed[key]
+                    == popped[key] + list(record.queue_end.get(key, ()))
+                ), f"round {record.loop_id} queue {key}"
